@@ -24,8 +24,9 @@ from .dynamics import HypercubeGraph, graph_property
 from .trapspaces import (
     enumerate_trapspaces,
     minimal_trapspaces,
-    principal_pair,
+    principal_pairs,
     trapping_closure,
+    trapping_graph,
     min_trapping_extension,
 )
 
@@ -270,20 +271,15 @@ class NetworkProfile:
 
     @cached_property
     def pt_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(principal_pair(self.f, x) for x in range(1 << self.n))
+        return principal_pairs(self.f)
 
     @cached_property
     def closure(self) -> BooleanNetwork:
-        return BooleanNetwork(
-            self.n, tuple(x ^ free for x, (free, _) in enumerate(self.pt_pairs))
-        )
+        return trapping_closure(self.f, self.pt_pairs)
 
     @cached_property
     def graph_tg(self) -> HypercubeGraph:
-        rows = tuple(
-            Subcube(self.n, free, base).point_bitset() for free, base in self.pt_pairs
-        )
-        return HypercubeGraph(self.n, rows)
+        return trapping_graph(self.f, self.pt_pairs)
 
     @cached_property
     def pt_collection(self) -> SubcubeCollection:
@@ -297,7 +293,7 @@ class NetworkProfile:
 
     @cached_property
     def minimal(self) -> tuple[SubcubeCollection, frozenset[Configuration]]:
-        return minimal_trapspaces(self.f)
+        return minimal_trapspaces(self.f, self.pt_pairs)
 
     @cached_property
     def min_extension(self) -> BooleanNetwork:

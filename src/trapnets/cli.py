@@ -21,11 +21,11 @@ from .generators import (
     random_network,
 )
 from .netio import NetParseError, export_dot, network_to_text, parse_truth_table
-from .trapspaces import ENUMERATION_MAX_N
+from .trapspaces import ENUMERATION_MAX_N, TABLE_MAX_N
 from .verify import exhaustive_networks, run_verification, sample_population
 
 ANALYZE_MAX_N = ENUMERATION_MAX_N
-MINIMAL_ONLY_MAX_N = 16
+MINIMAL_ONLY_MAX_N = TABLE_MAX_N
 
 
 def _positive_int(value: str) -> int:
@@ -63,7 +63,7 @@ def _analysis_report(doc, minimal_only: bool) -> dict:
         "transient": transient,
         "period": period,
         "trapspaces": {
-            "principal_distinct": len(profile.pt_collection),
+            "principal_distinct": len(set(profile.pt_pairs)),
             "minimal": len(minimal),
             "min_configs": len(min_configs),
             "minimal_cubes": [str(c) for c in minimal.sorted_members()],
@@ -124,6 +124,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_graph(args) -> int:
     doc = _load_network(args.file)
+    if doc.n > ANALYZE_MAX_N:
+        print(f"error: graph export is capped at n={ANALYZE_MAX_N}", file=sys.stderr)
+        return 2
     profile = NetworkProfile(doc.network)
     chain = [
         ("asynchronous", profile.graph_a),
@@ -231,12 +234,15 @@ def cmd_gen(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = classify_network(net)
     transient, period = transient_and_period(net)
-    summary = ", ".join(
-        f"{name}: {'true' if getattr(report, name) else 'false'}"
-        for name in ("trapping", "commutative", "marseille", "lille", "globally_idempotent")
-    )
+    if args.n > ANALYZE_MAX_N:
+        summary = f"classes skipped above n={ANALYZE_MAX_N}"
+    else:
+        report = classify_network(net)
+        summary = ", ".join(
+            f"{name}: {'true' if getattr(report, name) else 'false'}"
+            for name in ("trapping", "commutative", "marseille", "lille", "globally_idempotent")
+        )
     print(f"wrote {args.out} (n={args.n}, {summary}, transient={transient}, period={period})")
     return 0
 

@@ -7,6 +7,7 @@ graph built here; only the DOT exporter drops them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -278,13 +279,36 @@ def network_power(f: BooleanNetwork, k: int) -> BooleanNetwork:
 
 
 def transient_and_period(f: BooleanNetwork) -> tuple[int, int]:
-    """Smallest t >= 0 and p >= 1 with f^(t+p) == f^t as full tables."""
-    seen: dict[tuple[int, ...], int] = {}
-    table = tuple(range(1 << f.n))
-    k = 0
-    while table not in seen:
-        seen[table] = k
-        table = tuple(f.image[v] for v in table)
-        k += 1
-    first = seen[table]
-    return first, k - first
+    """Smallest t >= 0 and p >= 1 with f^(t+p) == f^t as full tables.
+
+    One walk of the functional graph of f: t is the longest tail leading
+    into a cycle and p is the lcm of the cycle lengths, so the cost is
+    O(2^n) whatever the order of f as a permutation.
+    """
+    image = f.image
+    # Steps from x to its cycle once x is finished; -1 unvisited, -2 on the
+    # current walk.
+    tail = [-1] * len(image)
+    transient, period = 0, 1
+    for start in range(len(image)):
+        if tail[start] >= 0:
+            continue
+        path = []
+        x = start
+        while tail[x] == -1:
+            tail[x] = -2
+            path.append(x)
+            x = image[x]
+        if tail[x] == -2:
+            # The walk closed a new cycle at x.
+            k = path.index(x)
+            period = math.lcm(period, len(path) - k)
+            for y in path[k:]:
+                tail[y] = 0
+            del path[k:]
+        steps = tail[x]
+        for y in reversed(path):
+            steps += 1
+            tail[y] = steps
+        transient = max(transient, steps)
+    return transient, period

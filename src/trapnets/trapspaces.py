@@ -1,13 +1,18 @@
 """Principal, minimal and full trapspace computation; trapping closure and graph.
 
-A trapspace is a subcube mapped into itself by the network.  The principal
-trapspace of a configuration is the least trapspace containing it, computed
-by growing the spanned subcube with the images of a frontier of
-newly-added members, so each member is evaluated exactly once.
+A trapspace is a subcube mapped into itself by the network.  Whole-network
+questions read one table over the 3^n subcubes: entry T holds the OR of
+``x ^ f(x)`` over the members of T, so T is a trapspace iff that OR moves
+no coordinate T fixes.  The table is filled by a Yates-style pass over the
+subcube lattice (cf. Bjorklund, Husfeldt, Kaski & Koivisto, "Fourier meets
+Mobius: fast subset convolution", STOC 2007); at the cap n = 16 it takes
+86 MB as uint16.  A single principal trapspace is instead grown from a
+frontier of newly-added members, with no table and no cap.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +21,7 @@ from .core import BooleanNetwork, Configuration, Subcube, _check_same_dimension
 from .cubesets import SubcubeCollection
 from .dynamics import HypercubeGraph
 
+TABLE_MAX_N = 16
 ENUMERATION_MAX_N = 13
 
 
@@ -60,80 +66,96 @@ def is_trapspace(f: BooleanNetwork, cube: Subcube) -> bool:
     return bool(np.all((f.np_image[members] & ~cube.free) == cube.base))
 
 
-def enumerate_trapspaces(f: BooleanNetwork) -> SubcubeCollection:
-    """All trapspaces of f (a 3^n sweep; capped at n <= 13)."""
-    if f.n > ENUMERATION_MAX_N:
-        raise ValueError(f"trapspace enumeration is capped at n={ENUMERATION_MAX_N}")
+# A subcube's ternary index has digit i equal to 0 or 1 when coordinate i is
+# fixed to that value, and 2 when it is free: (free, base) has index
+# tern[base] + 2 * tern[free], with tern[m] the sum of 3^i over the bits of m.
+
+
+def _ternary_of_masks(n: int) -> np.ndarray:
+    xs = np.arange(1 << n, dtype=np.int64)
+    tern = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):
+        tern += (xs >> i & 1) * 3**i
+    return tern
+
+
+def _moved_table(f: BooleanNetwork, tern: np.ndarray) -> np.ndarray:
+    """Entry T: the OR of ``x ^ f(x)`` over the members x of subcube T."""
     n = f.n
-    size = 1 << n
-    xs = np.arange(size, dtype=np.int64)
-    deltas = xs ^ f.np_image
-    found = []
-    for free in range(size):
-        keep = ~free & (size - 1)
-        # A base is a trapspace for this free mask iff no member moves a
-        # fixed coordinate; group violations by the fixed-coordinate key.
-        bad = np.zeros(size, dtype=bool)
-        keys = xs & keep
-        bad[keys[(deltas & keep) != 0]] = True
-        base = 0
-        while True:
-            if not bad[base]:
-                found.append(Subcube(n, free, base))
-            if base == keep:
-                break
-            base = (base - keep) & keep
-    return SubcubeCollection(n, frozenset(found))
+    if n > TABLE_MAX_N:
+        raise ValueError(f"the subcube table is capped at n={TABLE_MAX_N}")
+    # Filled in place: copies of the 3^n buffer would triple the peak.
+    table = np.zeros(3**n, dtype=np.uint16)
+    table[tern] = np.arange(1 << n) ^ f.np_image
+    for j in range(n):
+        v = table.reshape(3 ** (n - 1 - j), 3, 3**j)
+        np.bitwise_or(v[:, 0, :], v[:, 1, :], out=v[:, 2, :])
+    return table
 
 
-def _cycle_representatives(image: tuple[int, ...]) -> list[int]:
-    # One configuration per cycle of the functional graph of f.
-    size = len(image)
-    state = bytearray(size)  # 0 unvisited, 1 on current walk, 2 finished
-    reps = []
-    for start in range(size):
-        if state[start]:
-            continue
-        path = []
-        x = start
-        while state[x] == 0:
-            state[x] = 1
-            path.append(x)
-            x = image[x]
-        if state[x] == 1:
-            reps.append(x)
-        for y in path:
-            state[y] = 2
-    return reps
+def principal_pairs(f: BooleanNetwork) -> tuple[tuple[int, int], ...]:
+    """(free, base) of the principal trapspace of every configuration (n <= 16).
+
+    Each step frees every coordinate some member of the current subcube
+    moves; a step that frees nothing new leaves a trapspace, so at most n
+    steps are taken.
+    """
+    tern = _ternary_of_masks(f.n)
+    table = _moved_table(f, tern)
+    xs = np.arange(1 << f.n, dtype=np.int64)
+    free = np.zeros_like(xs)
+    index = tern.copy()
+    while True:
+        grow = table[index] & ~free
+        if not grow.any():
+            break
+        free |= grow
+        index += 2 * tern[grow] - tern[xs & grow]
+    del table  # release the 3^n buffer before building 2^n tuples
+    return tuple(zip(free.tolist(), (xs & ~free).tolist()))
+
+
+def enumerate_trapspaces(f: BooleanNetwork) -> SubcubeCollection:
+    """All trapspaces of f, read off the subcube table (capped at n <= 13)."""
+    n = f.n
+    if n > ENUMERATION_MAX_N:
+        raise ValueError(f"trapspace enumeration is capped at n={ENUMERATION_MAX_N}")
+    tern = _ternary_of_masks(n)
+    table = _moved_table(f, tern)
+    free = np.zeros(3**n, dtype=np.uint16)
+    for j in range(n):
+        v = free.reshape(3 ** (n - 1 - j), 3, 3**j)
+        np.bitwise_or(v[:, 0, :], 1 << j, out=v[:, 2, :])
+    trap = np.flatnonzero((table & ~free) == 0)
+    free = free[trap]
+    # tern is increasing, so it inverts by binary search.
+    base = np.searchsorted(tern, trap - 2 * tern[free])
+    # Cubes share one int object per mask, as up to 3^n of them may be built.
+    masks = list(range(1 << n))
+    return SubcubeCollection(
+        n, frozenset(Subcube(n, masks[fr], masks[ba]) for fr, ba in zip(free, base))
+    )
 
 
 def minimal_trapspaces(
-    f: BooleanNetwork,
+    f: BooleanNetwork, pairs: tuple[tuple[int, int], ...] | None = None
 ) -> tuple[SubcubeCollection, frozenset[Configuration]]:
     """Minimal trapspaces of f and the set of configurations they cover.
 
-    Every trapspace traps orbits, so each minimal trapspace contains a whole
-    cycle of f, and all configurations on one cycle share one principal
-    trapspace.  The minimal trapspaces are therefore the inclusion-minimal
-    principal trapspaces of cycle representatives, which avoids both the
-    3^n enumeration and a sweep over all configurations.
+    Every member of a minimal trapspace has it as its principal trapspace,
+    while a larger trapspace contains a smaller one whose members do not.
+    A principal trapspace T is therefore minimal iff exactly |T|
+    configurations have T as their principal trapspace.  ``pairs`` are the
+    principal pairs of f when already computed; capped at n <= 16.
     """
-    n = f.n
-    candidates = {principal_pair(f, rep) for rep in _cycle_representatives(f.image)}
-
-    def strictly_inside(small, big):
-        sf, sb = small
-        bf, bb = big
-        return small != big and sf | bf == bf and (sb ^ bb) & ~bf == 0
-
-    minimal = [
-        c for c in candidates if not any(strictly_inside(o, c) for o in candidates)
-    ]
-    cubes = frozenset(Subcube(n, fr, ba) for fr, ba in minimal)
+    pairs = principal_pairs(f) if pairs is None else pairs
+    counts = Counter(pairs)
+    minimal = {p for p, k in counts.items() if k == 1 << p[0].bit_count()}
+    cubes = frozenset(Subcube(f.n, free, base) for free, base in minimal)
     configs = frozenset(
-        Configuration(n, b) for cube in cubes for b in cube.member_bits()
+        Configuration(f.n, x) for x, pair in enumerate(pairs) if pair in minimal
     )
-    return SubcubeCollection(n, cubes), configs
+    return SubcubeCollection(f.n, cubes), configs
 
 
 @dataclass(frozen=True)
@@ -147,31 +169,39 @@ class TrapspaceReport:
 
 
 def trapspace_report(f: BooleanNetwork) -> TrapspaceReport:
+    pairs = principal_pairs(f)
     principal = {
-        Configuration(f.n, x): Subcube(f.n, *principal_pair(f, x))
-        for x in range(1 << f.n)
+        Configuration(f.n, x): Subcube(f.n, free, base)
+        for x, (free, base) in enumerate(pairs)
     }
-    minimal, min_configs = minimal_trapspaces(f)
+    minimal, min_configs = minimal_trapspaces(f, pairs)
     return TrapspaceReport(principal, enumerate_trapspaces(f), minimal, min_configs)
 
 
-def trapping_closure(f: BooleanNetwork) -> BooleanNetwork:
+def trapping_closure(
+    f: BooleanNetwork, pairs: tuple[tuple[int, int], ...] | None = None
+) -> BooleanNetwork:
     """The network sending each x to its opposite in its principal trapspace.
 
     The result is the largest network (most transitions) with the same
-    trapspaces as f, and is a fixed point of this operator.
+    trapspaces as f, and is a fixed point of this operator.  ``pairs`` are
+    the principal pairs of f when already computed.
     """
-    image = tuple(x ^ principal_pair(f, x)[0] for x in range(1 << f.n))
-    return BooleanNetwork(f.n, image)
+    pairs = principal_pairs(f) if pairs is None else pairs
+    return BooleanNetwork(f.n, tuple(x ^ free for x, (free, _) in enumerate(pairs)))
 
 
-def trapping_graph(f: BooleanNetwork) -> HypercubeGraph:
-    """Graph with an arc x -> y whenever y lies in the principal trapspace of x."""
-    rows = []
-    for x in range(1 << f.n):
-        free, base = principal_pair(f, x)
-        rows.append(Subcube(f.n, free, base).point_bitset())
-    return HypercubeGraph(f.n, tuple(rows))
+def trapping_graph(
+    f: BooleanNetwork, pairs: tuple[tuple[int, int], ...] | None = None
+) -> HypercubeGraph:
+    """Graph with an arc x -> y whenever y lies in the principal trapspace of x.
+
+    ``pairs`` are the principal pairs of f when already computed.
+    """
+    pairs = principal_pairs(f) if pairs is None else pairs
+    return HypercubeGraph(
+        f.n, tuple(Subcube(f.n, free, base).point_bitset() for free, base in pairs)
+    )
 
 
 def min_trapping_extension(f: BooleanNetwork) -> BooleanNetwork:

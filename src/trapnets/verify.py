@@ -38,6 +38,7 @@ from .generators import (
     random_constant_on_arrangements,
     random_negation_on_subcubes,
 )
+from .trapspaces import trapping_closure
 
 SUITES = ("all", "theorems", "diagrams", "closure")
 EXHAUSTIVE_MAX_N = 2
@@ -339,8 +340,6 @@ def run_verification(
         for f, g in monotonicity_pairs:
             cf = closures.get(f)
             cg = closures.get(g)
-            from .trapspaces import trapping_closure
-
             cf = cf if cf is not None else trapping_closure(f)
             cg = cg if cg is not None else trapping_closure(g)
             violations += monotonicity_violations(f, g, cf, cg)

@@ -1,6 +1,18 @@
-"""Shared builders for the test suite."""
+"""Shared builders and independent oracles for the test suite."""
+
+import math
+
+import numpy as np
 
 from trapnets import BooleanNetwork, Configuration, Subcube
+from trapnets.generators import (
+    long_transient_trapping,
+    random_commutative,
+    random_constant_on_arrangements,
+    random_negation_on_subcubes,
+    random_network,
+)
+from trapnets.trapspaces import principal_pair
 
 
 def cfg(s: str) -> Configuration:
@@ -51,6 +63,18 @@ def f_ex3() -> BooleanNetwork:
     return net_from_rows(F_EX3_ROWS)
 
 
+def sampled_networks(dims=range(3, 7)):
+    """Two networks of every generator kind per dimension, plus the
+    long-transient construction."""
+    for n in dims:
+        for seed in (41, 42):
+            yield random_network(n, seed)
+            yield random_commutative(n, seed)
+            yield random_negation_on_subcubes(n, seed)
+            yield random_constant_on_arrangements(n, seed)
+        yield long_transient_trapping(n)
+
+
 def all_subcubes(n: int):
     """Every subcube of B^n, via the 3^n star patterns."""
     import itertools
@@ -68,10 +92,86 @@ def brute_force_trapspaces(f: BooleanNetwork) -> set[Subcube]:
     return out
 
 
+def brute_force_principals(f: BooleanNetwork) -> list[Subcube]:
+    """Independent oracle: smallest enumerated trapspace containing each x."""
+    traps = brute_force_trapspaces(f)
+    return [
+        min((c for c in traps if c.contains_bits(x)), key=Subcube.size)
+        for x in range(1 << f.n)
+    ]
+
+
 def brute_force_principal(f: BooleanNetwork, x: int) -> Subcube:
     """Independent oracle: smallest enumerated trapspace containing x."""
-    best = None
-    for c in brute_force_trapspaces(f):
-        if c.contains_bits(x) and (best is None or c.size() < best.size()):
-            best = c
-    return best
+    return brute_force_principals(f)[x]
+
+
+def pairwise_minimal_trapspaces(f: BooleanNetwork) -> set[Subcube]:
+    """Oracle (the library's former method): the frontier principal
+    trapspaces of one configuration per cycle, filtered pairwise for
+    inclusion-minimality.  Each minimal trapspace contains a whole cycle."""
+    image = f.image
+    state = bytearray(len(image))  # 0 unvisited, 1 on current walk, 2 finished
+    reps = []
+    for start in range(len(image)):
+        if state[start]:
+            continue
+        path = []
+        x = start
+        while state[x] == 0:
+            state[x] = 1
+            path.append(x)
+            x = image[x]
+        if state[x] == 1:
+            reps.append(x)
+        for y in path:
+            state[y] = 2
+    free, base = np.array(sorted({principal_pair(f, r) for r in reps})).reshape(-1, 2).T
+    minimal = set()
+    for k in range(len(free)):
+        inside = ((free | free[k]) == free[k]) & (((base ^ base[k]) & ~free[k]) == 0)
+        if inside.sum() == 1:  # only candidate k itself
+            minimal.add(Subcube(f.n, int(free[k]), int(base[k])))
+    return minimal
+
+
+def power_iteration_transient_and_period(f: BooleanNetwork) -> tuple[int, int]:
+    """Oracle (the library's former method): iterate whole tables until one
+    repeats.  Its cost follows the period, so keep it to small n."""
+    seen: dict[tuple[int, ...], int] = {}
+    table = tuple(range(1 << f.n))
+    k = 0
+    while table not in seen:
+        seen[table] = k
+        table = tuple(f.image[v] for v in table)
+        k += 1
+    return seen[table], k - seen[table]
+
+
+def stepwise_transient_and_period(f: BooleanNetwork) -> tuple[int, int]:
+    """Oracle for large n: step every configuration at once until all sit on
+    a cycle (the transient), then walk each cycle once (lcm of lengths)."""
+    image = f.np_image
+    on_cycle = np.zeros(len(image), dtype=bool)
+    # f^(2^n) sends every configuration onto its cycle.
+    g = image
+    for _ in range(f.n):
+        g = g[g]
+    on_cycle[g] = True
+    y = np.arange(len(image))
+    transient = 0
+    while not on_cycle[y].all():
+        y = image[y]
+        transient += 1
+    period = 1
+    seen = set()
+    for start in np.flatnonzero(on_cycle).tolist():
+        length = 0
+        x = start
+        while x not in seen:
+            seen.add(x)
+            length += 1
+            x = f.image[x]
+        if length:
+            period = math.lcm(period, length)
+    return transient, period

@@ -3,10 +3,16 @@ import json
 import pytest
 
 from trapnets.cli import main
+from trapnets.generators import random_constant_on_arrangements
 from trapnets.netio import network_to_text
-from trapnets import BooleanNetwork
+from trapnets import BooleanNetwork, random_network
 
-from helpers import f_ex3, net_from_arcs
+from helpers import (
+    f_ex3,
+    net_from_arcs,
+    pairwise_minimal_trapspaces,
+    stepwise_transient_and_period,
+)
 
 
 def write_net(tmp_path, name, net):
@@ -77,6 +83,21 @@ def test_analyze_minimal_only(tmp_path, capsys):
     assert "classes" not in report and "all" not in report["trapspaces"]
 
 
+@pytest.mark.parametrize(
+    "make, n, seed", [(random_network, 16, 1), (random_constant_on_arrangements, 14, 5)]
+)
+def test_analyze_minimal_only_at_large_n(tmp_path, capsys, make, n, seed):
+    net = make(n, seed)
+    path = write_net(tmp_path, "large.tt", net)
+    assert main(["analyze", path, "--minimal-only", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["transient"], report["period"]) == stepwise_transient_and_period(net)
+    expected = pairwise_minimal_trapspaces(net)
+    assert report["trapspaces"]["minimal"] == len(expected)
+    assert report["trapspaces"]["min_configs"] == sum(c.size() for c in expected)
+    assert sorted(report["trapspaces"]["minimal_cubes"]) == sorted(str(c) for c in expected)
+
+
 # --- graph
 
 
@@ -105,6 +126,12 @@ def test_graph_layered_is_full_stack_for_any_kind(tmp_path, capsys):
     first = capsys.readouterr().out
     assert main(["graph", path, "--kind", "tg", "--layered"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_graph_above_analyze_cap_exits_2(tmp_path, capsys):
+    path = write_net(tmp_path, "id14.tt", BooleanNetwork.identity(14))
+    assert main(["graph", path, "--kind", "async"]) == 2
+    assert "capped at n=13" in capsys.readouterr().err
 
 
 # --- equiv
@@ -213,3 +240,13 @@ def test_gen_random_roundtrips(tmp_path, capsys):
 def test_gen_long_transient_needs_n3(tmp_path):
     assert main(["gen", "--kind", "long-transient", "--n", "2",
                  "--out", str(tmp_path / "x.tt")]) == 2
+
+
+def test_gen_above_analyze_cap_skips_classes(tmp_path, capsys):
+    out_file = str(tmp_path / "r14.tt")
+    assert main(["gen", "--kind", "random", "--n", "14", "--seed", "1",
+                 "--out", out_file]) == 0
+    summary = capsys.readouterr().out
+    transient, period = stepwise_transient_and_period(random_network(14, 1))
+    assert "classes skipped above n=13" in summary
+    assert f"transient={transient}, period={period}" in summary

@@ -15,8 +15,16 @@ from trapnets import (
 )
 from trapnets.dynamics import HypercubeGraph, arc_subset
 from trapnets.generators import long_transient_trapping
+from trapnets.verify import exhaustive_networks
 
-from helpers import cfg, f_ex3, net_from_arcs
+from helpers import (
+    cfg,
+    f_ex3,
+    net_from_arcs,
+    power_iteration_transient_and_period,
+    sampled_networks,
+    stepwise_transient_and_period,
+)
 
 
 def to_networkx(g):
@@ -219,3 +227,27 @@ def test_dynamically_local_iff_short_transient_and_period():
         f = random_network(3, seed)
         t, p = transient_and_period(f)
         assert (network_power(f, 3) == f) == (t <= 1 and p <= 2)
+
+
+def test_transient_period_matches_power_iteration():
+    randoms = [random_network(n, seed) for n in range(1, 7) for seed in range(10)]
+    for f in exhaustive_networks(2) + randoms + list(sampled_networks()):
+        assert transient_and_period(f) == power_iteration_transient_and_period(f)
+
+
+def test_transient_period_of_prime_cycle_permutation():
+    # Cycles of lengths 2, 3, 5, ..., 17 on 58 of the 64 points, the rest
+    # fixed: power iteration would need 510,510 whole tables.
+    image = list(range(64))
+    start = 0
+    for length in (2, 3, 5, 7, 11, 13, 17):
+        for i in range(length):
+            image[start + i] = start + (i + 1) % length
+        start += length
+    assert transient_and_period(BooleanNetwork(6, tuple(image))) == (0, 510510)
+
+
+def test_transient_period_random_n16():
+    f = random_network(16, 1)
+    assert transient_and_period(f) == stepwise_transient_and_period(f)
+    assert transient_and_period(f)[1] == 1624260

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from trapnets import (
@@ -6,6 +7,7 @@ from trapnets import (
     Subcube,
     build_graph,
     enumerate_trapspaces,
+    exhaustive_networks,
     is_trapspace,
     min_trapping_extension,
     minimal_trapspaces,
@@ -17,15 +19,24 @@ from trapnets import (
     trapspace_report,
 )
 from trapnets.core import Mask, update
+from trapnets.trapspaces import (
+    _moved_table,
+    _ternary_of_masks,
+    principal_pair,
+    principal_pairs,
+)
 
 from helpers import (
     all_subcubes,
     brute_force_principal,
+    brute_force_principals,
     brute_force_trapspaces,
     cfg,
     cube,
     f_ex3,
     net_from_arcs,
+    pairwise_minimal_trapspaces,
+    sampled_networks,
 )
 
 # The worked example's full trapspace collection, frozen from the 27-subcube
@@ -250,3 +261,52 @@ def test_report_bundles_everything():
     assert len(report.minimal) == 3
     assert report.principal[cfg("000")] == cube("**0")
     assert {str(c) for c in report.min_configs} == {"100", "101", "110"}
+
+
+# --- the subcube table, against the independent oracles
+
+
+def table_population():
+    yield from exhaustive_networks(2)
+    yield from sampled_networks()
+
+
+def test_table_entry_is_or_of_member_moves():
+    for f in [f_ex3(), *sampled_networks(range(3, 5))]:
+        tern = _ternary_of_masks(f.n)
+        table = _moved_table(f, tern)
+        assert table.dtype == np.uint16
+        for c in all_subcubes(f.n):
+            moved = 0
+            for m in c.member_bits():
+                moved |= m ^ f.image[m]
+            assert table[tern[c.base] + 2 * tern[c.free]] == moved
+
+
+def test_table_principal_pairs_match_frontier_and_brute_force():
+    for f in table_population():
+        brute = brute_force_principals(f)
+        for x, (free, base) in enumerate(principal_pairs(f)):
+            assert (free, base) == principal_pair(f, x)
+            assert Subcube(f.n, free, base) == brute[x]
+
+
+def test_table_minimal_matches_pairwise_oracle():
+    for f in table_population():
+        minimal, configs = minimal_trapspaces(f)
+        expected = pairwise_minimal_trapspaces(f)
+        assert set(minimal.members) == expected
+        assert {c.bits for c in configs} == {b for c in expected for b in c.member_bits()}
+
+
+def test_table_enumeration_matches_brute_force():
+    for f in table_population():
+        assert set(enumerate_trapspaces(f).members) == brute_force_trapspaces(f)
+
+
+def test_table_dimension_cap():
+    f = BooleanNetwork.identity(17)
+    for whole_network_query in (principal_pairs, minimal_trapspaces, trapping_closure):
+        with pytest.raises(ValueError):
+            whole_network_query(f)
+    assert principal_trapspace(f, Configuration(17, 5)) == Subcube(17, 0, 5)
