@@ -78,6 +78,7 @@ from .generators import (
     ValidationFailed,
     arrangement_network,
     constant_on_arrangements,
+    exhaustive_networks,
     long_transient_trapping,
     negation_on_subcubes,
     random_commutative,
@@ -94,7 +95,7 @@ from .netio import (
     parse_truth_table,
     write_truth_table,
 )
-from .verify import Violation, exhaustive_networks, run_verification, sample_population
+from .verify import Violation, run_verification, sample_population
 
 __version__ = "0.1.0"
 

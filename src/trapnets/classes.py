@@ -18,9 +18,20 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import BooleanNetwork, Configuration, Subcube, _check_same_dimension
-from .cubesets import SubcubeCollection
-from .dynamics import HypercubeGraph, graph_property
+from .core import (
+    BooleanNetwork,
+    Configuration,
+    Subcube,
+    _check_same_dimension,
+    cube_bitset,
+    is_commutative,
+    iter_submasks,
+    update_table,
+)
+from .cubesets import SubcubeCollection, classify_collection
+from .dynamics import HypercubeGraph, build_graph, graph_property
+from .generators import exhaustive_networks
+from .netio import parse_truth_table
 from .trapspaces import (
     enumerate_trapspaces,
     minimal_trapspaces,
@@ -51,10 +62,8 @@ def update_tables(f: BooleanNetwork) -> np.ndarray:
     """U[s, x] = image of x under the update of subset s (s as a bit pattern)."""
     if f.n > ST_SWEEP_MAX_N:
         raise ValueError(f"subset-pair sweeps are capped at n={ST_SWEEP_MAX_N}")
-    size = 1 << f.n
-    xs = np.arange(size, dtype=np.int64)
-    subsets = xs[:, None]
-    return (f.np_image[None, :] & subsets) | (xs[None, :] & ~subsets)
+    xs = np.arange(1 << f.n, dtype=np.int64)
+    return update_table(f.np_image, xs[:, None], xs)
 
 
 def _leq_rows(xs: np.ndarray, a: np.ndarray, b: np.ndarray) -> bool:
@@ -121,17 +130,11 @@ def _sweep_intersection_bound(f: BooleanNetwork) -> bool:
 def _forall_interval(f: BooleanNetwork, cond) -> bool:
     """cond(x, fx, y, fy) for every x and every y in the interval of x."""
     img = f.image
-    for x, fx in enumerate(img):
-        d = x ^ fx
-        s = 0
-        while True:
-            y = x ^ s
-            if not cond(x, fx, y, img[y]):
-                return False
-            if s == d:
-                break
-            s = (s - d) & d
-    return True
+    return all(
+        cond(x, fx, x ^ s, img[x ^ s])
+        for x, fx in enumerate(img)
+        for s in iter_submasks(x ^ fx)
+    )
 
 
 def _span_subset(y: int, fy: int, x: int, fx: int) -> bool:
@@ -146,19 +149,13 @@ def is_negation_on_subcubes(f: BooleanNetwork) -> bool:
     """True when the moved configurations split into disjoint subcubes on
     which f is the opposite map (flip all free coordinates)."""
     img = f.image
-    for x, fx in enumerate(img):
-        if fx == x:
-            continue
-        d = x ^ fx
-        s = 0
-        while True:
-            y = x ^ s
-            if img[y] != y ^ d:
-                return False
-            if s == d:
-                break
-            s = (s - d) & d
-    return True
+    # y = x ^ s must move to its opposite y ^ (x ^ fx) = fx ^ s.
+    return all(
+        img[x ^ s] == fx ^ s
+        for x, fx in enumerate(img)
+        if fx != x
+        for s in iter_submasks(x ^ fx)
+    )
 
 
 def is_constant_on_arrangements(f: BooleanNetwork) -> bool:
@@ -171,15 +168,8 @@ def is_constant_on_arrangements(f: BooleanNetwork) -> bool:
         if img[fx] != fx:
             return False
         # The fiber of fx must contain the whole span of {x, fx}.
-        d = x ^ fx
-        s = 0
-        while True:
-            y = x ^ s
-            if img[y] != fx:
-                return False
-            if s == d:
-                break
-            s = (s - d) & d
+        if any(img[x ^ s] != fx for s in iter_submasks(x ^ fx)):
+            return False
     return True
 
 
@@ -187,30 +177,8 @@ def is_constant_on_arrangements(f: BooleanNetwork) -> bool:
 # simple whole-network predicates
 
 
-def _is_permutation(table) -> bool:
-    return len(set(table)) == len(table)
-
-
-def _compose(table, other):
-    return tuple(other[v] for v in table)
-
-
-def _single_update_tables(f: BooleanNetwork) -> list[tuple[int, ...]]:
-    out = []
-    for i in range(f.n):
-        bit = 1 << i
-        out.append(tuple((fx & bit) | (x & ~bit) for x, fx in enumerate(f.image)))
-    return out
-
-
-def is_commutative(f: BooleanNetwork) -> bool:
-    """Single-coordinate updates commute pairwise."""
-    singles = _single_update_tables(f)
-    for i in range(f.n):
-        for j in range(i + 1, f.n):
-            if _compose(singles[i], singles[j]) != _compose(singles[j], singles[i]):
-                return False
-    return True
+def _is_permutation(table: np.ndarray) -> bool:
+    return bool(np.all(np.bincount(table, minlength=len(table)) == 1))
 
 
 def _globally_sweep(f: BooleanNetwork) -> tuple[bool, bool, bool]:
@@ -259,14 +227,10 @@ class NetworkProfile:
 
     @cached_property
     def graph_a(self) -> HypercubeGraph:
-        from .dynamics import build_graph
-
         return build_graph(self.f, "asynchronous")
 
     @cached_property
     def graph_ga(self) -> HypercubeGraph:
-        from .dynamics import build_graph
-
         return build_graph(self.f, "general")
 
     @cached_property
@@ -297,12 +261,10 @@ class NetworkProfile:
 
     @cached_property
     def min_extension(self) -> BooleanNetwork:
-        return min_trapping_extension(self.f)
+        return min_trapping_extension(self.f, self.pt_pairs)
 
     @cached_property
     def pt_flags(self):
-        from .cubesets import classify_collection
-
         return classify_collection(self.pt_collection)
 
     @cached_property
@@ -314,8 +276,12 @@ class NetworkProfile:
         return bs
 
     @cached_property
-    def singles(self) -> list[tuple[int, ...]]:
-        return _single_update_tables(self.f)
+    def xs(self) -> np.ndarray:
+        return np.arange(1 << self.n, dtype=np.int64)
+
+    @cached_property
+    def singles(self) -> list[np.ndarray]:
+        return [update_table(self.f.np_image, 1 << i, self.xs) for i in range(self.n)]
 
     @cached_property
     def globally_flags(self) -> tuple[bool, bool, bool]:
@@ -333,7 +299,7 @@ class NetworkProfile:
 
     @cached_property
     def bijective(self) -> bool:
-        return _is_permutation(self.f.image)
+        return _is_permutation(self.f.np_image)
 
     @cached_property
     def locally_bijective(self) -> bool:
@@ -341,20 +307,21 @@ class NetworkProfile:
 
     @cached_property
     def involutive(self) -> bool:
-        return _compose(self.f.image, self.f.image) == tuple(range(1 << self.n))
+        img = self.f.np_image
+        return np.array_equal(img[img], self.xs)
 
     @cached_property
     def locally_involutive(self) -> bool:
-        identity = tuple(range(1 << self.n))
-        return all(_compose(t, t) == identity for t in self.singles)
+        return all(np.array_equal(t[t], self.xs) for t in self.singles)
 
     @cached_property
     def idempotent(self) -> bool:
-        return _compose(self.f.image, self.f.image) == self.f.image
+        img = self.f.np_image
+        return np.array_equal(img[img], img)
 
     @cached_property
     def locally_idempotent(self) -> bool:
-        return all(_compose(t, t) == t for t in self.singles)
+        return all(np.array_equal(t[t], t) for t in self.singles)
 
     @cached_property
     def marseille(self) -> bool:
@@ -370,8 +337,8 @@ class NetworkProfile:
 
     @cached_property
     def dynamically_local(self) -> bool:
-        img = self.f.image
-        return _compose(_compose(img, img), img) == img
+        img = self.f.np_image
+        return np.array_equal(img[img[img]], img)
 
     @cached_property
     def dpt(self) -> bool:
@@ -389,10 +356,8 @@ class NetworkProfile:
         )
 
     def _interval_fixed_counts(self):
-        from .dynamics import _interval_bitset
-
         for x, fx in enumerate(self.f.image):
-            yield (_interval_bitset(x, fx) & self.fixed_bitset).bit_count()
+            yield (cube_bitset(x ^ fx, x & fx) & self.fixed_bitset).bit_count()
 
     @cached_property
     def interval_fp(self) -> bool:
@@ -478,7 +443,6 @@ class ClassReport:
     globally_involutive: bool
     idempotent: bool
     locally_idempotent: bool
-    globally_idempotent_flag: bool
     dynamically_local: bool
     dpt: bool
     fixable: bool
@@ -494,7 +458,7 @@ class ClassReport:
 def classify_network(f: BooleanNetwork, profile: NetworkProfile | None = None) -> ClassReport:
     """Evaluate every class flag from its own primary definition."""
     p = profile if profile is not None else NetworkProfile(f)
-    g_bij, g_inv, g_idem = p.globally_flags
+    g_bij, g_inv, _ = p.globally_flags
     return ClassReport(
         trapping=p.trapping,
         commutative=p.commutative,
@@ -509,7 +473,6 @@ def classify_network(f: BooleanNetwork, profile: NetworkProfile | None = None) -
         globally_involutive=g_inv,
         idempotent=p.idempotent,
         locally_idempotent=p.locally_idempotent,
-        globally_idempotent_flag=g_idem,
         dynamically_local=p.dynamically_local,
         dpt=p.dpt,
         fixable=p.fixable,
@@ -527,16 +490,7 @@ def classify_network(f: BooleanNetwork, profile: NetworkProfile | None = None) -
 @functools.lru_cache(maxsize=None)
 def _all_closure_tables(n: int) -> frozenset[tuple[int, ...]]:
     # Exhaustive image of the trapping-closure operator; only sane for n <= 2.
-    size = 1 << n
-    out = set()
-    for code in range(size ** size):
-        table = []
-        c = code
-        for _ in range(size):
-            table.append(c % size)
-            c //= size
-        out.add(trapping_closure(BooleanNetwork(n, tuple(table))).image)
-    return frozenset(out)
+    return frozenset(trapping_closure(g).image for g in exhaustive_networks(n))
 
 
 def _is_some_trapping_closure(f: BooleanNetwork, profile: NetworkProfile) -> bool:
@@ -572,7 +526,7 @@ def check_alternate_definitions(
         )
     if theorem == "commutative3":
         return (
-            is_commutative(f),
+            p.commutative,
             _forall_interval(
                 f,
                 lambda x, fx, y, fy: _span_subset(y, fx, y, fy)
@@ -584,30 +538,22 @@ def check_alternate_definitions(
         # For y inside the interval of x, interval equality reduces to equal
         # difference masks.
         return (
-            is_commutative(f) and _is_permutation(f.image),
+            p.marseille,
             is_negation_on_subcubes(f),
             _forall_interval(f, lambda x, fx, y, fy: (y ^ fy) == (x ^ fx)),
             _sweep_marseille(f),
         )
     if theorem == "lille4":
         return (
-            is_commutative(f) and _compose(f.image, f.image) == f.image,
+            p.lille,
             is_constant_on_arrangements(f),
             _forall_interval(f, lambda x, fx, y, fy: (y ^ fy) == (y ^ fx)),
             _sweep_lille(f),
         )
     if theorem == "globally_idempotent3":
-        singles_ok = True
-        size = 1 << f.n
-        xs = np.arange(size, dtype=np.int64)
-        img = f.np_image
-        for s in range(size):
-            tab = (img & s) | (xs & ~s)
-            if not np.array_equal(tab[tab], tab):
-                singles_ok = False
-                break
+        tables = (update_table(f.np_image, s, p.xs) for s in range(1 << f.n))
         return (
-            singles_ok,
+            all(np.array_equal(tab[tab], tab) for tab in tables),
             _forall_interval(f, lambda x, fx, y, fy: _span_subset(y, fy, y, fx)),
             _sweep_intersection_bound(f),
         )
@@ -618,15 +564,13 @@ def check_alternate_definitions(
             if fix >> x & 1:
                 continue
             free, base = p.pt_pairs[x]
-            if all(p.pt_pairs[base | s] == (free, base) for s in _submasks(free)):
+            if all(p.pt_pairs[base | s] == (free, base) for s in iter_submasks(free)):
                 descend_ok = False
                 break
         m_configs_bits = 0
         for c in p.minimal[1]:
             m_configs_bits |= 1 << c.bits
-        principal_fp = all(
-            Subcube(f.n, fr, ba).point_bitset() & fix for fr, ba in set(p.pt_pairs)
-        )
+        principal_fp = all(cube_bitset(fr, ba) & fix for fr, ba in set(p.pt_pairs))
         return (
             graph_property(p.graph_tg, "sink-terminal"),
             descend_ok,
@@ -635,15 +579,6 @@ def check_alternate_definitions(
             p.trapspace_fp,
         )
     raise ValueError(f"unknown theorem {theorem!r}")
-
-
-def _submasks(mask: int):
-    s = 0
-    while True:
-        yield s
-        if s == mask:
-            return
-        s = (s - mask) & mask
 
 
 def trapspace_equivalent(
@@ -908,8 +843,6 @@ class DiagramViolation:
 
 def load_fixture(diagram: str, label: str) -> BooleanNetwork:
     """Load a counterexample fixture shipped with the package."""
-    from .netio import parse_truth_table
-
     root = importlib.resources.files(__package__) / "fixtures" / diagram
     path = root / f"{label}.tt"
     try:

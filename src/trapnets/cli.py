@@ -11,9 +11,16 @@ import argparse
 import json
 import sys
 
-from .classes import NetworkProfile, classify_network
+from .classes import (
+    NetworkProfile,
+    classify_network,
+    min_trapspace_equivalent,
+    trapspace_equivalent,
+)
+from .core import MAX_DIMENSION
 from .dynamics import GRAPH_PROPERTIES, graph_property, transient_and_period
 from .generators import (
+    exhaustive_networks,
     long_transient_trapping,
     random_commutative,
     random_constant_on_arrangements,
@@ -22,7 +29,7 @@ from .generators import (
 )
 from .netio import NetParseError, export_dot, network_to_text, parse_truth_table
 from .trapspaces import ENUMERATION_MAX_N, TABLE_MAX_N
-from .verify import exhaustive_networks, run_verification, sample_population
+from .verify import run_verification, sample_population
 
 ANALYZE_MAX_N = ENUMERATION_MAX_N
 MINIMAL_ONLY_MAX_N = TABLE_MAX_N
@@ -166,8 +173,10 @@ def cmd_equiv(args) -> int:
             file=sys.stderr,
         )
         return 2
-    from .classes import min_trapspace_equivalent, trapspace_equivalent
-
+    cap = ENUMERATION_MAX_N if args.mode == "trapspace" else TABLE_MAX_N
+    if doc_a.n > cap:
+        print(f"error: {args.mode} equivalence is capped at n={cap}", file=sys.stderr)
+        return 2
     if args.mode == "trapspace":
         vector = trapspace_equivalent(doc_a.network, doc_b.network)
         names = TRAPSPACE_CONDITIONS
@@ -216,6 +225,9 @@ def cmd_verify(args) -> int:
 def cmd_gen(args) -> int:
     if args.kind == "long-transient" and args.n < 3:
         print("error: long-transient requires n >= 3", file=sys.stderr)
+        return 2
+    if args.n > MAX_DIMENSION:
+        print(f"error: networks are capped at n={MAX_DIMENSION}", file=sys.stderr)
         return 2
     if args.kind == "random":
         net = random_network(args.n, args.seed)

@@ -32,13 +32,12 @@ def _bits_to_string(bits: int, n: int) -> str:
 
 
 def _string_to_bits(s: str) -> int:
-    bits = 0
-    for i, c in enumerate(s):
-        if c == "1":
-            bits |= 1 << i
-        elif c != "0":
-            raise ValueError(f"invalid binary string {s!r}")
-    return bits
+    # strip() leaves the first bad character in front; the check also keeps
+    # int() from accepting signs, spaces and underscores.
+    bad = s.strip("01")
+    if bad:
+        raise ValueError(f"bad character {bad[0]!r} in {s!r}")
+    return int(s[::-1], 2) if s else 0
 
 
 def iter_submasks(mask: int) -> Iterator[int]:
@@ -226,24 +225,23 @@ class Subcube:
             yield Configuration(self.n, bits)
 
     def member_array(self) -> np.ndarray:
-        """All members as an int64 array (doubling over the free coordinates)."""
-        arr = np.array([self.base], dtype=np.int64)
-        free = self.free
-        while free:
-            bit = free & -free
-            arr = np.concatenate([arr, arr ^ bit])
-            free ^= bit
-        return arr
+        """All members as an int64 array, in increasing order."""
+        return np.fromiter(self.member_bits(), dtype=np.int64, count=self.size())
 
     def point_bitset(self) -> int:
         """The member set as a 2^n-bit integer (bit y set iff y in the cube)."""
-        bs = 1 << self.base
-        free = self.free
-        while free:
-            bit = free & -free
-            bs |= bs << bit
-            free ^= bit
-        return bs
+        return cube_bitset(self.free, self.base)
+
+
+def cube_bitset(free: int, base: int) -> int:
+    """The subcube (free, base) as a 2^n-bit integer; ``base`` has its free
+    bits cleared.  Doubling over the free coordinates builds it."""
+    bs = 1 << base
+    while free:
+        bit = free & -free
+        bs |= bs << bit
+        free ^= bit
+    return bs
 
 
 def delta_mask(x: Configuration, y: Configuration) -> Mask:
@@ -274,16 +272,6 @@ def span(points: Iterable[Configuration]) -> Subcube:
             raise ValueError(f"dimension mismatch: {p.n} != {n}")
         free |= p.bits ^ base
     return Subcube(n, free, base & ~free)
-
-
-def span_bits(n: int, points: Iterable[int]) -> tuple[int, int]:
-    """span() on raw bit patterns; returns the (free, base) pair."""
-    it = iter(points)
-    base = next(it)
-    free = 0
-    for p in it:
-        free |= p ^ base
-    return free, base & ~free
 
 
 def opposite(cube: Subcube, x: Configuration) -> Configuration:
@@ -344,13 +332,6 @@ class BooleanNetwork:
         _check_same_dimension(self, x)
         return Configuration(self.n, self.image[x.bits])
 
-    def coordinate_function(self, i: int, x: Configuration) -> int:
-        """f_i(x), coordinates 1-based."""
-        return self.image[x.bits] >> (i - 1) & 1
-
-    def fixed_points(self) -> tuple[int, ...]:
-        return tuple(x for x, y in enumerate(self.image) if x == y)
-
 
 @dataclass(frozen=True)
 class UpdateWord:
@@ -382,9 +363,24 @@ def update(f: BooleanNetwork, subset: Mask) -> BooleanNetwork:
     return BooleanNetwork(f.n, tuple((v & s) | (x & keep) for x, v in enumerate(f.image)))
 
 
-def update_table(image: np.ndarray, subset_bits: int, xs: np.ndarray) -> np.ndarray:
-    """Vectorised image table of the subset update (raw arrays, no wrappers)."""
+def update_table(image: np.ndarray, subset_bits, xs: np.ndarray) -> np.ndarray:
+    """Vectorised image table of the subset update (raw arrays, no wrappers).
+
+    ``subset_bits`` is one subset or an array of them, which broadcasts to
+    one table per subset.
+    """
     return (image & subset_bits) | (xs & ~subset_bits)
+
+
+def is_commutative(f: BooleanNetwork) -> bool:
+    """All local updates commute: single-coordinate updates commute pairwise."""
+    xs = np.arange(1 << f.n, dtype=np.int64)
+    singles = [update_table(f.np_image, 1 << i, xs) for i in range(f.n)]
+    return all(
+        np.array_equal(singles[j][singles[i]], singles[i][singles[j]])
+        for i in range(f.n)
+        for j in range(i + 1, f.n)
+    )
 
 
 def compose_word(f: BooleanNetwork, word: UpdateWord) -> BooleanNetwork:

@@ -53,12 +53,6 @@ class SubcubeCollection:
     def sorted_members(self) -> list[Subcube]:
         return _sorted_members(self.members)
 
-    def covered_bitset(self) -> int:
-        bs = 0
-        for cube in self.members:
-            bs |= cube.point_bitset()
-        return bs
-
 
 def parse_collection(text: str, n: int | None = None) -> SubcubeCollection:
     """Parse one subcube per line in star notation ('**0' fixes x_3 = 0)."""
@@ -88,27 +82,29 @@ def format_collection(collection: SubcubeCollection) -> str:
     return "".join(f"{cube}\n" for cube in collection.sorted_members())
 
 
+def _pointwise_free(collection: SubcubeCollection, x: int) -> int:
+    # Free mask of the intersection of the members containing x (all
+    # coordinates when none does); its base is x outside that mask.
+    free = (1 << collection.n) - 1
+    for cube in collection.members:
+        if cube.contains_bits(x):
+            free &= cube.free
+    return free
+
+
 def collection_at(collection: SubcubeCollection, x: Configuration) -> Subcube:
     """Intersection of all members containing x; B^n when no member does."""
     _check_same_dimension(collection, x)
-    free = (1 << collection.n) - 1
-    for cube in collection.members:
-        if cube.contains_bits(x.bits):
-            free &= cube.free
+    free = _pointwise_free(collection, x.bits)
     return Subcube(collection.n, free, x.bits & ~free)
 
 
 def realize(collection: SubcubeCollection) -> BooleanNetwork:
     """The network whose interval at each x is the pointwise intersection."""
     n = collection.n
-    image = []
-    for x in range(1 << n):
-        free = (1 << n) - 1
-        for cube in collection.members:
-            if cube.contains_bits(x):
-                free &= cube.free
-        image.append(x ^ free)
-    return BooleanNetwork(n, tuple(image))
+    return BooleanNetwork(
+        n, tuple(x ^ _pointwise_free(collection, x) for x in range(1 << n))
+    )
 
 
 def lambda_closure(collection: SubcubeCollection) -> SubcubeCollection:
@@ -127,8 +123,7 @@ def lambda_closure(collection: SubcubeCollection) -> SubcubeCollection:
     for free in range(size):
         width = 1 << free.bit_count()
         keep = ~free & (size - 1)
-        base = 0
-        while True:
+        for base in iter_submasks(keep):
             bits = 0
             for mfree, mbase, pb in members:
                 if mfree & ~free == 0 and (mbase ^ base) & keep == 0:
@@ -137,9 +132,6 @@ def lambda_closure(collection: SubcubeCollection) -> SubcubeCollection:
                         break
             if bits.bit_count() == width:
                 out.append(Subcube(n, free, base))
-            if base == keep:
-                break
-            base = (base - keep) & keep
     return SubcubeCollection(n, frozenset(out))
 
 
@@ -148,10 +140,7 @@ def mu_reduction(collection: SubcubeCollection) -> SubcubeCollection:
     n = collection.n
     out = set()
     for x in range(1 << n):
-        free = (1 << n) - 1
-        for cube in collection.members:
-            if cube.contains_bits(x):
-                free &= cube.free
+        free = _pointwise_free(collection, x)
         out.add(Subcube(n, free, x & ~free))
     return SubcubeCollection(n, frozenset(out))
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import BooleanNetwork, _check_dimension
+from .core import BooleanNetwork, _check_dimension, cube_bitset
 
 GRAPH_PROPERTIES = (
     "reflexive",
@@ -88,17 +88,6 @@ def arc_union(g: HypercubeGraph, h: HypercubeGraph) -> HypercubeGraph:
     return HypercubeGraph(g.n, tuple(gr | hr for gr, hr in zip(g.out, h.out)))
 
 
-def _interval_bitset(x: int, fx: int) -> int:
-    # Doubling over the differing coordinates builds the interval's bitset.
-    bs = 1 << x
-    free = x ^ fx
-    while free:
-        bit = free & -free
-        bs |= bs << bit if not x & bit else bs >> bit
-        free ^= bit
-    return bs
-
-
 def build_graph(f: BooleanNetwork, kind: str) -> HypercubeGraph:
     """The asynchronous or general asynchronous graph of a network.
 
@@ -118,7 +107,8 @@ def build_graph(f: BooleanNetwork, kind: str) -> HypercubeGraph:
         return HypercubeGraph(f.n, tuple(rows))
     if kind == "general":
         return HypercubeGraph(
-            f.n, tuple(_interval_bitset(x, fx) for x, fx in enumerate(f.image))
+            f.n,
+            tuple(cube_bitset(x ^ fx, x & fx) for x, fx in enumerate(f.image)),
         )
     raise ValueError(f"kind must be 'asynchronous' or 'general', got {kind!r}")
 

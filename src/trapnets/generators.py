@@ -17,7 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BooleanNetwork, Configuration, Subcube, _check_dimension
+from .core import BooleanNetwork, Configuration, Subcube, _check_dimension, is_commutative
+
+EXHAUSTIVE_MAX_N = 2
 
 
 class ValidationFailed(ValueError):
@@ -165,21 +167,6 @@ def _validate_arrangement_network(
         raise ValidationFailed("constructed network is not commutative")
 
 
-def is_commutative(f: BooleanNetwork) -> bool:
-    """Pairwise single-coordinate commutation over all coordinate pairs."""
-    xs = np.arange(1 << f.n, dtype=np.int64)
-    img = f.np_image
-    singles = []
-    for i in range(f.n):
-        bit = 1 << i
-        singles.append((img & bit) | (xs & ~bit))
-    for i in range(f.n):
-        for j in range(i + 1, f.n):
-            if not np.array_equal(singles[j][singles[i]], singles[i][singles[j]]):
-                return False
-    return True
-
-
 def negation_on_subcubes(cubes: Sequence[Subcube], n: int | None = None) -> BooleanNetwork:
     """Flip the free coordinates of each (pairwise disjoint) subcube.
 
@@ -282,6 +269,18 @@ def long_transient_trapping(n: int) -> BooleanNetwork:
     c1, c2 = 0, 1 << (n - 1)
     image[c1], image[c2] = c2, c1
     return BooleanNetwork(n, tuple(image))
+
+
+def exhaustive_networks(n: int) -> list[BooleanNetwork]:
+    """Every network of dimension n, in the order of their codes: digit x
+    of the base-2^n code is the image of x (only sane for n <= 2)."""
+    if n > EXHAUSTIVE_MAX_N:
+        raise ValueError(f"exhaustive sweeps are capped at n={EXHAUSTIVE_MAX_N}")
+    size = 1 << n
+    return [
+        BooleanNetwork(n, tuple(code // size**x % size for x in range(size)))
+        for code in range(size**size)
+    ]
 
 
 def random_network(n: int, seed: int) -> BooleanNetwork:

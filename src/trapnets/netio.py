@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BooleanNetwork, _bits_to_string
+from .core import MAX_DIMENSION, BooleanNetwork, _bits_to_string, _string_to_bits
 from .dynamics import HypercubeGraph
 
 DOT_PALETTE = ("blue", "magenta", "orange", "violet", "red", "green")
@@ -49,13 +49,10 @@ def _significant_lines(text: str):
 def _parse_config_token(token: str, n: int, line_no: int) -> int:
     if len(token) != n:
         raise NetParseError(line_no, f"expected width {n}, got {token!r}")
-    bits = 0
-    for i, c in enumerate(token):
-        if c == "1":
-            bits |= 1 << i
-        elif c != "0":
-            raise NetParseError(line_no, f"bad character {c!r} in {token!r}")
-    return bits
+    try:
+        return _string_to_bits(token)
+    except ValueError as exc:
+        raise NetParseError(line_no, str(exc)) from None
 
 
 def parse_truth_table(text: str, name: str | None = None) -> NetworkDocument:
@@ -71,7 +68,7 @@ def parse_truth_table(text: str, name: str | None = None) -> NetworkDocument:
         n = int(header[2:])
     except ValueError:
         raise NetParseError(line_no, f"bad dimension in header {header!r}") from None
-    if not 1 <= n <= 20:
+    if not 1 <= n <= MAX_DIMENSION:
         raise NetParseError(line_no, f"dimension {n} out of range")
 
     image: list[int | None] = [None] * (1 << n)
@@ -225,6 +222,10 @@ def parse_expression_network(text: str, name: str | None = None) -> NetworkDocum
             raise NetParseError(line_no, f"bad coordinate name {head!r}") from None
         if i < 1:
             raise NetParseError(line_no, f"coordinate index {i} must be positive")
+        if i > MAX_DIMENSION:
+            raise NetParseError(
+                line_no, f"coordinate index {i} is above the cap n={MAX_DIMENSION}"
+            )
         if i in exprs:
             raise NetParseError(line_no, f"duplicate coordinate x{i}")
         exprs[i] = _ExprParser(rest, line_no).parse()

@@ -17,22 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BooleanNetwork, Configuration, Subcube, _check_same_dimension
+from .core import (
+    BooleanNetwork,
+    Configuration,
+    Subcube,
+    _check_same_dimension,
+    cube_bitset,
+    iter_submasks,
+)
 from .cubesets import SubcubeCollection
 from .dynamics import HypercubeGraph
 
 TABLE_MAX_N = 16
 ENUMERATION_MAX_N = 13
-
-
-def _nonzero_submasks(mask: int) -> list[int]:
-    subs = [0]
-    m = mask
-    while m:
-        bit = m & -m
-        subs += [s | bit for s in subs]
-        m ^= bit
-    return subs[1:]
 
 
 def principal_pair(f: BooleanNetwork, x_bits: int) -> tuple[int, int]:
@@ -46,7 +43,7 @@ def principal_pair(f: BooleanNetwork, x_bits: int) -> tuple[int, int]:
         grow = int(np.bitwise_or.reduce(deltas)) & ~free
         if not grow:
             return free, x_bits & ~free
-        combos = np.array(_nonzero_submasks(grow), dtype=np.int64)
+        combos = np.fromiter(iter_submasks(grow), dtype=np.int64)[1:]
         frontier = (members[:, None] ^ combos[None, :]).ravel()
         members = np.concatenate([members, frontier])
         free |= grow
@@ -199,20 +196,21 @@ def trapping_graph(
     ``pairs`` are the principal pairs of f when already computed.
     """
     pairs = principal_pairs(f) if pairs is None else pairs
-    return HypercubeGraph(
-        f.n, tuple(Subcube(f.n, free, base).point_bitset() for free, base in pairs)
-    )
+    return HypercubeGraph(f.n, tuple(cube_bitset(free, base) for free, base in pairs))
 
 
-def min_trapping_extension(f: BooleanNetwork) -> BooleanNetwork:
+def min_trapping_extension(
+    f: BooleanNetwork, pairs: tuple[tuple[int, int], ...] | None = None
+) -> BooleanNetwork:
     """Realisation of the minimal-trapspace collection.
 
     Inside a minimal trapspace each configuration moves to its opposite in
     that trapspace; every other configuration maps to its full negation.
+    ``pairs`` are the principal pairs of f when already computed.
     """
     full = (1 << f.n) - 1
     image = [x ^ full for x in range(1 << f.n)]
-    cubes, _ = minimal_trapspaces(f)
+    cubes, _ = minimal_trapspaces(f, pairs)
     for cube in cubes.members:
         for b in cube.member_bits():
             image[b] = b ^ cube.free

@@ -18,12 +18,11 @@ from .classes import (
     NetworkProfile,
     THEOREM_SIZES,
     check_alternate_definitions,
-    is_commutative,
     min_trapspace_equivalent,
     trapspace_equivalent,
     verify_diagram,
 )
-from .core import BooleanNetwork, lattice_combine, order_leq
+from .core import BooleanNetwork, is_commutative, iter_submasks, lattice_combine, order_leq
 from .cubesets import (
     is_min_ideal,
     is_pre_ideal,
@@ -41,7 +40,6 @@ from .generators import (
 from .trapspaces import trapping_closure
 
 SUITES = ("all", "theorems", "diagrams", "closure")
-EXHAUSTIVE_MAX_N = 2
 
 
 @dataclass(frozen=True)
@@ -49,22 +47,6 @@ class Violation:
     check: str
     detail: str
     network: BooleanNetwork
-
-
-def exhaustive_networks(n: int) -> list[BooleanNetwork]:
-    """Every network of dimension n (only sane for n <= 2)."""
-    if n > EXHAUSTIVE_MAX_N:
-        raise ValueError(f"exhaustive sweeps are capped at n={EXHAUSTIVE_MAX_N}")
-    size = 1 << n
-    nets = []
-    for code in range(size**size):
-        table = []
-        c = code
-        for _ in range(size):
-            table.append(c % size)
-            c //= size
-        nets.append(BooleanNetwork(n, tuple(table)))
-    return nets
 
 
 def sample_population(n: int, samples: int, seed: int) -> list[BooleanNetwork]:
@@ -229,9 +211,7 @@ def distance_bound_violation(f: BooleanNetwork) -> str | None:
     img = f.image
     for x, fx in enumerate(img):
         dx = (x ^ fx).bit_count()
-        d = x ^ fx
-        s = 0
-        while True:
+        for s in iter_submasks(x ^ fx):
             y = x ^ s
             fy = img[y]
             dy = (y ^ fy).bit_count()
@@ -240,9 +220,6 @@ def distance_bound_violation(f: BooleanNetwork) -> str | None:
                 return f"distance bound fails at x={x}, y={y}"
             if (dist == dx - dy) != (fy == fx):
                 return f"equality case fails at x={x}, y={y}"
-            if s == d:
-                break
-            s = (s - d) & d
     return None
 
 

@@ -165,6 +165,13 @@ def test_equiv_dimension_mismatch_exits_2(tmp_path):
     assert main(["equiv", a, b, "--mode", "trapspace"]) == 2
 
 
+@pytest.mark.parametrize("mode, n, cap", [("trapspace", 14, 13), ("min", 17, 16)])
+def test_equiv_above_cap_exits_2(tmp_path, capsys, mode, n, cap):
+    path = write_net(tmp_path, f"id{n}.tt", BooleanNetwork.identity(n))
+    assert main(["equiv", path, path, "--mode", mode]) == 2
+    assert f"{mode} equivalence is capped at n={cap}" in capsys.readouterr().err
+
+
 # --- verify
 
 
@@ -240,6 +247,13 @@ def test_gen_random_roundtrips(tmp_path, capsys):
 def test_gen_long_transient_needs_n3(tmp_path):
     assert main(["gen", "--kind", "long-transient", "--n", "2",
                  "--out", str(tmp_path / "x.tt")]) == 2
+
+
+def test_gen_above_dimension_cap_exits_2(tmp_path, capsys):
+    out_file = tmp_path / "x.tt"
+    assert main(["gen", "--kind", "random", "--n", "21", "--out", str(out_file)]) == 2
+    assert "capped at n=20" in capsys.readouterr().err
+    assert not out_file.exists()
 
 
 def test_gen_above_analyze_cap_skips_classes(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from trapnets import (
     span,
     update,
 )
+from trapnets.core import _string_to_bits
 from trapnets.dynamics import arc_subset, arc_union
 
 from helpers import all_subcubes, cfg, cube, f_ex3
@@ -37,6 +40,13 @@ def test_string_encoding_is_x1_first():
     assert c.coordinate(1) == 1 and c.coordinate(2) == 1 and c.coordinate(3) == 0
     assert c.bits == 0b011
     assert str(c) == "110"
+    assert _string_to_bits("") == 0
+    # int() would accept all of these; the parser must not.
+    for bad, char in (("1_0", "_"), ("+01", "+"), (" 01", " "), ("012", "2")):
+        with pytest.raises(ValueError, match=re.escape(f"bad character {char!r}")):
+            _string_to_bits(bad)
+        with pytest.raises(ValueError):
+            Configuration.from_string(bad)
 
 
 def test_configuration_range_checked():

@@ -14,8 +14,7 @@ from trapnets import (
     transient_and_period,
 )
 from trapnets.dynamics import HypercubeGraph, arc_subset
-from trapnets.generators import long_transient_trapping
-from trapnets.verify import exhaustive_networks
+from trapnets.generators import exhaustive_networks, long_transient_trapping
 
 from helpers import (
     cfg,
@@ -64,8 +63,6 @@ def test_asynchronous_subset_of_general():
 
 
 def test_asynchronous_subset_of_general_exhaustive_n2():
-    from trapnets import exhaustive_networks
-
     for f in exhaustive_networks(2):
         assert arc_subset(build_graph(f, "asynchronous"), build_graph(f, "general"))
 

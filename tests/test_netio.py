@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -63,6 +64,10 @@ def test_bad_character_reported():
     except NetParseError as exc:
         err = exc
     assert err is not None and err.line == 3
+    for token, char in (("1_0", "_"), ("+01", "+")):
+        rows = "".join(f"{x:03b} {x:03b}\n" for x in range(1, 8))
+        with pytest.raises(NetParseError, match=re.escape(f"line 2: bad character {char!r}")):
+            parse_truth_table(f"n=3\n{token} 000\n{rows}")
 
 
 def test_comments_and_blank_lines_ignored():
@@ -116,6 +121,12 @@ def test_expression_missing_coordinate():
 def test_expression_undefined_variable():
     with pytest.raises(NetParseError, match="undefined variable x4"):
         parse_expression_network("x1, x4\nx2, x2\nx3, x3")
+
+
+def test_expression_index_above_dimension_cap():
+    # Rejected while parsing, before any 2^n table is built.
+    with pytest.raises(NetParseError, match="line 2: coordinate index 25 is above the cap n=20"):
+        parse_expression_network("x1, x1\nx25, 0")
 
 
 def test_expression_precedence():
