@@ -225,13 +225,19 @@ class NetworkProfile:
         self.f = f
         self.n = f.n
 
+    def _shared(self, g: HypercubeGraph) -> HypercubeGraph:
+        # Equal graphs (e.g. the general and trapping graphs of a trapping
+        # network) share one object, so its cached rows and SCCs are built once.
+        built = (vars(self).get(name) for name in ("graph_a", "graph_ga", "graph_tg"))
+        return next((h for h in built if h == g), g)
+
     @cached_property
     def graph_a(self) -> HypercubeGraph:
-        return build_graph(self.f, "asynchronous")
+        return self._shared(build_graph(self.f, "asynchronous"))
 
     @cached_property
     def graph_ga(self) -> HypercubeGraph:
-        return build_graph(self.f, "general")
+        return self._shared(build_graph(self.f, "general"))
 
     @cached_property
     def pt_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -243,7 +249,7 @@ class NetworkProfile:
 
     @cached_property
     def graph_tg(self) -> HypercubeGraph:
-        return trapping_graph(self.f, self.pt_pairs)
+        return self._shared(trapping_graph(self.f, self.pt_pairs))
 
     @cached_property
     def pt_collection(self) -> SubcubeCollection:
@@ -423,8 +429,7 @@ class NetworkProfile:
             "triangular",
             "sink_terminal",
         ):
-            g = {"a": self.graph_a, "ga": self.graph_ga, "tg": self.graph_tg}[tail]
-            return graph_property(g, head.replace("_", "-"))
+            return graph_property(getattr(self, f"graph_{tail}"), head.replace("_", "-"))
         return bool(getattr(self, name))
 
 

@@ -244,6 +244,17 @@ def cube_bitset(free: int, base: int) -> int:
     return bs
 
 
+def bitset_array(bs: int, size: int) -> np.ndarray:
+    """The bitset ``bs`` (below bit ``size``) as a bool array; entry y is bit y."""
+    raw = np.frombuffer(bs.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=size, bitorder="little").view(bool)
+
+
+def bitset_members(bs: int) -> list[int]:
+    """The set bits of ``bs`` in increasing order."""
+    return np.flatnonzero(bitset_array(bs, bs.bit_length())).tolist()
+
+
 def delta_mask(x: Configuration, y: Configuration) -> Mask:
     """The set of coordinates where ``x`` and ``y`` differ."""
     _check_same_dimension(x, y)

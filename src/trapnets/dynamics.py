@@ -3,15 +3,24 @@
 A graph on B^n keeps one out-neighbourhood per vertex, stored as a 2^n-bit
 integer so arc-set comparisons are word-parallel.  Loops are kept in every
 graph built here; only the DOT exporter drops them.
+
+Each graph caches its transposed rows ``into`` and its SCCs, found once by
+Kosaraju on the bitsets: each step of either search ANDs one row with the
+set still to visit, so V = 2^n vertices cost O(V^2/64) word operations
+whatever the arc count.  Every predicate is read from its own definition
+on these rows; none walks the arcs one by one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
-from .core import BooleanNetwork, _check_dimension, cube_bitset
+import numpy as np
+
+from .core import BooleanNetwork, _check_dimension, bitset_members, cube_bitset
 
 GRAPH_PROPERTIES = (
     "reflexive",
@@ -61,10 +70,7 @@ class HypercubeGraph:
 
     def arcs(self, include_loops: bool = True) -> Iterator[tuple[int, int]]:
         for x, row in enumerate(self.out):
-            while row:
-                low = row & -row
-                y = low.bit_length() - 1
-                row ^= low
+            for y in bitset_members(row):
                 if include_loops or x != y:
                     yield (x, y)
 
@@ -73,6 +79,29 @@ class HypercubeGraph:
         if not include_loops:
             total -= sum(1 for x, row in enumerate(self.out) if row >> x & 1)
         return total
+
+    @cached_property
+    def into(self) -> tuple[int, ...]:
+        """The transposed rows: ``into[y]`` is the predecessor set of y."""
+        size = 1 << self.n
+        width = (size + 7) // 8
+        rows = np.frombuffer(
+            b"".join(row.to_bytes(width, "little") for row in self.out), dtype=np.uint8
+        ).reshape(size, width)
+        cols = np.empty_like(rows)
+        for start in range(0, size, 256):  # 256 x 2^n unpacked bits at a time
+            block = np.unpackbits(rows[start:start + 256], axis=1, count=size, bitorder="little")
+            packed = np.packbits(np.ascontiguousarray(block.T), axis=1, bitorder="little")
+            cols[:, start // 8:start // 8 + packed.shape[1]] = packed
+        data = cols.tobytes()
+        return tuple(
+            int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)
+        )
+
+    @cached_property
+    def components(self) -> tuple[tuple[tuple[int, ...], ...], tuple[bool, ...]]:
+        """``strongly_connected_components`` of this graph, computed once."""
+        return strongly_connected_components(self)
 
 
 def arc_subset(g: HypercubeGraph, h: HypercubeGraph) -> bool:
@@ -123,19 +152,12 @@ def network_from_graph(g: HypercubeGraph) -> BooleanNetwork:
     for x, row in enumerate(g.out):
         if not row >> x & 1:
             raise NotReflexive(x)
-        members = []
-        r = row
-        while r:
-            low = r & -r
-            members.append(low.bit_length() - 1)
-            r ^= low
+        members = bitset_members(row)
         free = 0
         for m in members:
             free |= m ^ members[0]
-        base = members[0] & ~free
+        # Every member agrees with members[0] outside free; the count decides.
         if len(members) != 1 << free.bit_count():
-            raise NotSubcube(x)
-        if any(m & ~free != base for m in members):
             raise NotSubcube(x)
         image.append(x ^ free)
     return BooleanNetwork(g.n, tuple(image))
@@ -148,71 +170,47 @@ def strongly_connected_components(
 
     Returns (components, terminal) where components[k] is a sorted vertex
     tuple and terminal[k] says whether component k has no arc leaving it.
+    Kosaraju on bitsets: a depth-first search on the rows gives the
+    finishing order, then in reverse finishing order each unassigned
+    vertex grows its component through the transposed rows.
     """
-    size = 1 << g.n
-    index = [-1] * size
-    low = [0] * size
-    on_stack = [False] * size
-    stack: list[int] = []
-    comp_of = [-1] * size
-    components: list[tuple[int, ...]] = []
-    counter = 0
+    out, into = g.out, g.into
+    everything = (1 << (1 << g.n)) - 1
 
-    for root in range(size):
-        if index[root] != -1:
-            continue
-        # Iterative Tarjan; the work list keeps the unexplored successor bitset.
-        work = [(root, g.out[root])]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, remaining = work[-1]
-            if remaining:
-                lowbit = remaining & -remaining
-                w = lowbit.bit_length() - 1
-                work[-1] = (v, remaining ^ lowbit)
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, g.out[w]))
-                elif on_stack[w]:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
+    finished: list[int] = []
+    unvisited = everything
+    while unvisited:
+        root = unvisited & -unvisited
+        unvisited ^= root
+        stack = [root.bit_length() - 1]
+        while stack:
+            succ = out[stack[-1]] & unvisited
+            if succ:
+                low = succ & -succ
+                unvisited ^= low
+                stack.append(low.bit_length() - 1)
             else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp_of[w] = len(components)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    components.append(tuple(sorted(comp)))
+                finished.append(stack.pop())
 
-    # Tarjan emits components in reverse topological order.
-    components.reverse()
-    k = len(components)
-    comp_of = [k - 1 - comp_of[v] for v in range(size)]
-    terminal = [True] * k
-    for v in range(size):
-        row = g.out[v]
-        cv = comp_of[v]
-        while row:
-            lowbit = row & -row
-            w = lowbit.bit_length() - 1
-            row ^= lowbit
-            if comp_of[w] != cv:
-                terminal[cv] = False
+    components: list[tuple[int, ...]] = []
+    terminal: list[bool] = []
+    unassigned = everything
+    for root in reversed(finished):
+        if not unassigned >> root & 1:
+            continue
+        comp = 1 << root
+        unassigned ^= comp
+        members = [root]
+        reach = 0
+        for v in members:  # grows while it is walked
+            reach |= out[v]
+            new = into[v] & unassigned
+            if new:
+                unassigned ^= new
+                comp |= new
+                members.extend(bitset_members(new))
+        components.append(tuple(sorted(members)))
+        terminal.append(reach | comp == comp)
     return tuple(components), tuple(terminal)
 
 
@@ -226,31 +224,27 @@ def graph_property(g: HypercubeGraph, prop: str) -> bool:
     prop = prop.replace("_", "-")
     if prop not in GRAPH_PROPERTIES:
         raise ValueError(f"unknown graph property {prop!r}")
-    size = 1 << g.n
     if prop == "reflexive":
         return all(row >> x & 1 for x, row in enumerate(g.out))
     if prop == "symmetric":
-        return all(g.out[y] >> x & 1 for x, y in g.arcs())
+        return g.out == g.into
     if prop == "transitive":
-        for x, row in enumerate(g.out):
+        # The rows of a row's members must stay inside it: one check per row value.
+        for row in set(g.out):
             reach = 0
-            r = row
-            while r:
-                lowbit = r & -r
-                reach |= g.out[lowbit.bit_length() - 1]
-                r ^= lowbit
+            for y in bitset_members(row):
+                reach |= g.out[y]
             if reach | row != row:
                 return False
         return True
     if prop == "oriented":
         return all(
-            not g.out[y] >> x & 1 for x, y in g.arcs(include_loops=False)
+            not row & back & ~(1 << x) for x, (row, back) in enumerate(zip(g.out, g.into))
         )
+    components, terminal = g.components
     if prop == "triangular":
-        components, _ = strongly_connected_components(g)
         return all(len(c) == 1 for c in components)
     # sink-terminal
-    components, terminal = strongly_connected_components(g)
     return all(len(c) == 1 for c, t in zip(components, terminal) if t)
 
 

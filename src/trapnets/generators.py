@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import BooleanNetwork, Configuration, Subcube, _check_dimension, is_commutative
+from .core import bitset_array, bitset_members
 
 EXHAUSTIVE_MAX_N = 2
 
@@ -81,23 +82,13 @@ class Arrangement:
 
 
 def _even_positions(n: int, i: int) -> int:
-    # Bitset over B^n selecting the configurations with coordinate i+1 equal 0.
-    block = (1 << (1 << i)) - 1
-    out = 0
-    pos = 0
-    step = 1 << (i + 1)
-    while pos < (1 << n):
-        out |= block << pos
-        pos += step
-    return out
-
-
-def _bitset_members(bs: int) -> list[int]:
-    out = []
-    while bs:
-        low = bs & -bs
-        out.append(low.bit_length() - 1)
-        bs ^= low
+    # Bitset over B^n selecting the configurations with coordinate i+1 equal 0:
+    # a run of 2^i ones in every 2^(i+1) bits, doubled up to 2^n bits.
+    out = (1 << (1 << i)) - 1
+    width = 1 << (i + 1)
+    while width < 1 << n:
+        out |= out << width
+        width <<= 1
     return out
 
 
@@ -125,7 +116,7 @@ def arrangement_network(
 
     content = arrangement.content_bitset()
     image = list(range(1 << n))
-    for x in _bitset_members(content):
+    for x in bitset_members(content):
         y = 0
         for i in range(n):
             bit = 1 << i
@@ -146,20 +137,20 @@ def arrangement_network(
 def _validate_arrangement_network(
     net: BooleanNetwork, arrangement: Arrangement, content: int
 ) -> None:
-    n = net.n
     core = arrangement.core()
-    for x in range(1 << n):
-        inside = bool(content >> x & 1)
-        if not inside and net.image[x] != x:
-            raise ValidationFailed("network moves a configuration outside the content")
-        if inside and not core.contains_bits(net.image[x]):
-            raise ValidationFailed("image of a content member falls outside the core")
-    members = _bitset_members(content)
-    for i in range(n):
+    image = net.np_image
+    xs = np.arange(len(image))
+    inside = bitset_array(content, len(image))
+    if (image[~inside] != xs[~inside]).any():
+        raise ValidationFailed("network moves a configuration outside the content")
+    members, images = xs[inside], image[inside]
+    if (images & ~core.free != core.base).any():
+        raise ValidationFailed("image of a content member falls outside the core")
+    for i in range(net.n):
         bit = 1 << i
         for value in (0, bit):
-            outs = {net.image[x] & bit for x in members if x & bit == value}
-            if len(outs) > 1:
+            outs = images[members & bit == value] & bit
+            if outs.size and (outs != outs[0]).any():
                 raise ValidationFailed(
                     f"coordinate {i + 1} is not uniform over the content"
                 )
@@ -219,7 +210,7 @@ def constant_on_arrangements(
         if content & used:
             raise ValueError("arrangement contents overlap")
         used |= content
-        for x in _bitset_members(content):
+        for x in bitset_members(content):
             image[x] = target.bits
     return BooleanNetwork(n, tuple(image))
 
@@ -376,7 +367,7 @@ def random_commutative(n: int, seed: int, parts: int = 2) -> BooleanNetwork:
             core = arrangement.core()
             options = (FreeDimBehavior.CONST0, FreeDimBehavior.CONST1, FreeDimBehavior.NEGATE)
             behaviors = {}
-            for i in _bitset_members(arrangement.free_dimensions()):
+            for i in bitset_members(arrangement.free_dimensions()):
                 bit = 1 << i
                 if core.free & bit:
                     behaviors[i + 1] = options[int(rng.integers(0, 3))]

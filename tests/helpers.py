@@ -12,6 +12,7 @@ from trapnets.generators import (
     random_negation_on_subcubes,
     random_network,
 )
+from trapnets.dynamics import GRAPH_PROPERTIES, HypercubeGraph
 from trapnets.trapspaces import principal_pair
 
 
@@ -175,3 +176,104 @@ def stepwise_transient_and_period(f: BooleanNetwork) -> tuple[int, int]:
         if length:
             period = math.lcm(period, length)
     return transient, period
+
+
+def tarjan_scc(
+    g: HypercubeGraph,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[bool, ...]]:
+    """Oracle (the library's former method): iterative Tarjan, one Python
+    step per arc.  Same (components, terminal) shape as
+    ``strongly_connected_components``, in topological order."""
+    size = 1 << g.n
+    index = [-1] * size
+    low = [0] * size
+    on_stack = [False] * size
+    stack: list[int] = []
+    comp_of = [-1] * size
+    components: list[tuple[int, ...]] = []
+    counter = 0
+
+    for root in range(size):
+        if index[root] != -1:
+            continue
+        # The work list keeps the unexplored successor bitset.
+        work = [(root, g.out[root])]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, remaining = work[-1]
+            if remaining:
+                lowbit = remaining & -remaining
+                w = lowbit.bit_length() - 1
+                work[-1] = (v, remaining ^ lowbit)
+                if index[w] == -1:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, g.out[w]))
+                elif on_stack[w]:
+                    if index[w] < low[v]:
+                        low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp_of[w] = len(components)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    components.append(tuple(sorted(comp)))
+
+    # Tarjan emits components in reverse topological order.
+    components.reverse()
+    k = len(components)
+    comp_of = [k - 1 - comp_of[v] for v in range(size)]
+    terminal = [True] * k
+    for v in range(size):
+        row = g.out[v]
+        cv = comp_of[v]
+        while row:
+            lowbit = row & -row
+            w = lowbit.bit_length() - 1
+            row ^= lowbit
+            if comp_of[w] != cv:
+                terminal[cv] = False
+    return tuple(components), tuple(terminal)
+
+
+def arcwise_graph_property(g: HypercubeGraph, prop: str) -> bool:
+    """Oracle (the library's former method): each predicate walks the arcs
+    one by one; triangular and sink-terminal go through ``tarjan_scc``."""
+    prop = prop.replace("_", "-")
+    assert prop in GRAPH_PROPERTIES, prop
+    if prop == "reflexive":
+        return all(row >> x & 1 for x, row in enumerate(g.out))
+    if prop == "symmetric":
+        return all(g.out[y] >> x & 1 for x, y in g.arcs())
+    if prop == "transitive":
+        for x, row in enumerate(g.out):
+            reach = 0
+            r = row
+            while r:
+                lowbit = r & -r
+                reach |= g.out[lowbit.bit_length() - 1]
+                r ^= lowbit
+            if reach | row != row:
+                return False
+        return True
+    if prop == "oriented":
+        return all(not g.out[y] >> x & 1 for x, y in g.arcs(include_loops=False))
+    components, terminal = tarjan_scc(g)
+    if prop == "triangular":
+        return all(len(c) == 1 for c in components)
+    return all(len(c) == 1 for c, t in zip(components, terminal) if t)

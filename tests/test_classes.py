@@ -148,6 +148,24 @@ def test_all_fixtures_load_and_refute():
             assert not p.prop(ce.target), (diagram.id, ce.label)
 
 
+@pytest.mark.parametrize("tail, built", [("a", {"graph_a"}), ("ga", {"graph_ga"}),
+                                         ("tg", {"pt_pairs", "graph_tg"})])
+def test_graph_prop_builds_only_its_graph(tail, built):
+    p = NetworkProfile(f_ex3())
+    p.prop(f"symmetric_{tail}")
+    lazy = {"graph_a", "graph_ga", "pt_pairs", "graph_tg"}
+    assert lazy & vars(p).keys() == built
+
+
+def test_profile_shares_equal_graphs():
+    p = NetworkProfile(BooleanNetwork.identity(3))  # loops only, three times
+    assert p.graph_tg is p.graph_ga is p.graph_a
+    p = NetworkProfile(long_transient_trapping(5))
+    assert p.graph_tg is p.graph_ga and p.graph_a != p.graph_ga
+    p = NetworkProfile(random_network(5, 1))
+    assert p.graph_tg != p.graph_ga and p.graph_tg is not p.graph_ga
+
+
 def test_verify_diagram_counts_nothing_on_conforming_population():
     population = [random_network(3, seed) for seed in range(25)]
     population += [random_commutative(3, seed) for seed in range(10)]

@@ -3,11 +3,14 @@ import json
 import pytest
 
 from trapnets.cli import main
+from trapnets.classes import NetworkProfile
+from trapnets.dynamics import GRAPH_PROPERTIES
 from trapnets.generators import random_constant_on_arrangements
 from trapnets.netio import network_to_text
 from trapnets import BooleanNetwork, random_network
 
 from helpers import (
+    arcwise_graph_property,
     f_ex3,
     net_from_arcs,
     pairwise_minimal_trapspaces,
@@ -96,6 +99,38 @@ def test_analyze_minimal_only_at_large_n(tmp_path, capsys, make, n, seed):
     assert report["trapspaces"]["minimal"] == len(expected)
     assert report["trapspaces"]["min_configs"] == sum(c.size() for c in expected)
     assert sorted(report["trapspaces"]["minimal_cubes"]) == sorted(str(c) for c in expected)
+
+
+# What arcwise_graph_property gives on the three graphs of random_network(12, 1).
+# The trapping graph has about 16M arcs; its arc-wise answers take about a
+# minute on 2 vCPUs, so they are stored here rather than recomputed.
+ARCWISE_GRAPHS_RANDOM_12_1 = {
+    "asynchronous": {
+        "reflexive": True, "symmetric": False, "transitive": False,
+        "oriented": False, "triangular": False, "sink-terminal": True,
+    },
+    "general": {
+        "reflexive": True, "symmetric": False, "transitive": False,
+        "oriented": False, "triangular": False, "sink-terminal": True,
+    },
+    "trapping": {
+        "reflexive": True, "symmetric": False, "transitive": True,
+        "oriented": False, "triangular": False, "sink-terminal": True,
+    },
+}
+
+
+def test_analyze_full_at_n12_matches_arcwise_oracle(tmp_path, capsys):
+    net = random_network(12, 1)
+    path = write_net(tmp_path, "n12.tt", net)
+    assert main(["analyze", path, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["graphs"] == ARCWISE_GRAPHS_RANDOM_12_1
+    profile = NetworkProfile(net)
+    for key, g in (("asynchronous", profile.graph_a), ("general", profile.graph_ga)):
+        assert report["graphs"][key] == {
+            p: arcwise_graph_property(g, p) for p in GRAPH_PROPERTIES
+        }
 
 
 # --- graph

@@ -13,16 +13,19 @@ from trapnets import (
     strongly_connected_components,
     transient_and_period,
 )
-from trapnets.dynamics import HypercubeGraph, arc_subset
+from trapnets.dynamics import GRAPH_PROPERTIES, HypercubeGraph, arc_subset
 from trapnets.generators import exhaustive_networks, long_transient_trapping
+from trapnets.trapspaces import trapping_graph
 
 from helpers import (
+    arcwise_graph_property,
     cfg,
     f_ex3,
     net_from_arcs,
     power_iteration_transient_and_period,
     sampled_networks,
     stepwise_transient_and_period,
+    tarjan_scc,
 )
 
 
@@ -193,6 +196,103 @@ def test_scc_members_mutually_reachable():
             if graph_property(g, "symmetric"):
                 same = any(u in c and v in c for c in comps)
                 assert same
+
+
+def three_graphs(f):
+    return (build_graph(f, "asynchronous"), build_graph(f, "general"), trapping_graph(f))
+
+
+def networkx_properties(G) -> dict[str, bool]:
+    """The six predicates from their definitions, on a networkx digraph."""
+    arcs = set(G.edges())
+    cond = nx.condensation(G)
+    sizes = {i: len(cond.nodes[i]["members"]) for i in cond.nodes}
+    return {
+        "reflexive": all((v, v) in arcs for v in G.nodes),
+        "symmetric": all((v, u) in arcs for u, v in arcs),
+        "transitive": all((u, w) in arcs for u, v in arcs for w in G.successors(v)),
+        "oriented": all((v, u) not in arcs for u, v in arcs if u != v),
+        "triangular": all(size == 1 for size in sizes.values()),
+        "sink-terminal": all(
+            sizes[i] == 1 for i in cond.nodes if cond.out_degree(i) == 0
+        ),
+    }
+
+
+def assert_graph_matches_oracles(g):
+    comps, terminal = strongly_connected_components(g)
+    assert g.components == (comps, terminal)
+    oracle_comps, oracle_terminal = tarjan_scc(g)
+    # Same components with the same terminal flags; the topological order
+    # need not be Tarjan's, but it must be one.
+    assert dict(zip(comps, terminal)) == dict(zip(oracle_comps, oracle_terminal))
+    assert len(comps) == len(oracle_comps)
+    assert all(list(c) == sorted(c) for c in comps)
+    position = {v: i for i, c in enumerate(comps) for v in c}
+    assert all(position[u] <= position[v] for u, v in g.arcs())
+    G = to_networkx(g)
+    assert {frozenset(c) for c in comps} == {
+        frozenset(c) for c in nx.strongly_connected_components(G)
+    }
+    got = {p: graph_property(g, p) for p in GRAPH_PROPERTIES}
+    assert got == {p: arcwise_graph_property(g, p) for p in GRAPH_PROPERTIES}
+    # The networkx transitivity check costs arcs x out-degree.
+    if g.arc_count() <= 4096:
+        assert got == networkx_properties(G)
+
+
+def test_graphs_match_oracles_exhaustive_n2():
+    for f in exhaustive_networks(2):
+        for g in three_graphs(f):
+            assert_graph_matches_oracles(g)
+
+
+def test_graphs_match_oracles_sampled():
+    for f in sampled_networks():
+        for g in three_graphs(f):
+            assert_graph_matches_oracles(g)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_graphs_match_oracles_identity_negation_long_transient(n):
+    # Many singleton components, one full component, and a long chain.
+    nets = [BooleanNetwork.identity(n), BooleanNetwork.negation(n)]
+    if n >= 3:
+        nets.append(long_transient_trapping(n))
+    for f in nets:
+        for g in three_graphs(f):
+            assert_graph_matches_oracles(g)
+
+
+def test_into_is_the_transpose_across_row_blocks():
+    # n = 9 has 512 rows, so the transpose is built from two blocks.
+    for n in (1, 2, 3, 9):
+        for g in three_graphs(random_network(n, 5)):
+            size = 1 << n
+            assert all(
+                (g.out[x] >> y & 1) == (g.into[y] >> x & 1)
+                for x in range(size)
+                for y in range(size)
+            )
+
+
+def test_scc_matches_tarjan_random_n9():
+    for g in three_graphs(random_network(9, 2)):
+        comps, terminal = g.components
+        assert dict(zip(comps, terminal)) == dict(zip(*tarjan_scc(g)))
+        for p in GRAPH_PROPERTIES:
+            assert graph_property(g, p) == arcwise_graph_property(g, p)
+
+
+def test_cached_rows_leave_equality_and_hash_unchanged():
+    f = long_transient_trapping(5)  # trapping, so its two graphs coincide
+    ga, tg = build_graph(f, "general"), trapping_graph(f)
+    before = (hash(ga), hash(tg))
+    assert ga == tg
+    for g in (ga, tg):
+        assert g.into and g.components
+    assert ga == tg
+    assert (hash(ga), hash(tg)) == before == (hash(build_graph(f, "general")),) * 2
 
 
 # --- powers, transients, periods
