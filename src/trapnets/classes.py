@@ -33,11 +33,13 @@ from .dynamics import HypercubeGraph, build_graph, graph_property
 from .generators import exhaustive_networks
 from .netio import parse_truth_table
 from .trapspaces import (
-    enumerate_trapspaces,
+    decode_subcubes,
+    fixed_point_table,
     minimal_trapspaces,
     principal_pairs,
     trapping_closure,
     trapping_graph,
+    trapspace_mask,
     min_trapping_extension,
 )
 
@@ -258,8 +260,12 @@ class NetworkProfile:
         )
 
     @cached_property
+    def trapspace_mask(self) -> np.ndarray:
+        return trapspace_mask(self.f)
+
+    @cached_property
     def trapspace_collection(self) -> SubcubeCollection:
-        return enumerate_trapspaces(self.f)
+        return decode_subcubes(self.n, self.trapspace_mask)
 
     @cached_property
     def minimal(self) -> tuple[SubcubeCollection, frozenset[Configuration]]:
@@ -356,10 +362,8 @@ class NetworkProfile:
 
     @cached_property
     def trapspace_fp(self) -> bool:
-        return all(
-            cube.point_bitset() & self.fixed_bitset
-            for cube in self.trapspace_collection.members
-        )
+        # Every trapspace contains a fixed point.
+        return bool(fixed_point_table(self.f)[self.trapspace_mask].all())
 
     def _interval_fixed_counts(self):
         for x, fx in enumerate(self.f.image):
@@ -596,7 +600,7 @@ def trapspace_equivalent(
     pg = pg if pg is not None else NetworkProfile(g)
     return (
         pf.pt_collection == pg.pt_collection,
-        pf.trapspace_collection == pg.trapspace_collection,
+        np.array_equal(pf.trapspace_mask, pg.trapspace_mask),
         pf.pt_pairs == pg.pt_pairs,
         pf.graph_tg == pg.graph_tg,
         pf.closure == pg.closure,

@@ -78,7 +78,7 @@ def _analysis_report(doc, minimal_only: bool) -> dict:
     }
     if minimal_only:
         return report
-    report["trapspaces"]["all"] = len(profile.trapspace_collection)
+    report["trapspaces"]["all"] = int(profile.trapspace_mask.sum())
     report["classes"] = classify_network(f, profile).as_dict()
     graphs = {}
     for key, g in (

@@ -90,9 +90,11 @@ def parse_truth_table(text: str, name: str | None = None) -> NetworkDocument:
 def write_truth_table(doc: NetworkDocument) -> str:
     """Canonical serialisation: header then rows in increasing order."""
     n = doc.n
+    # One string per configuration, read for both columns; bit i is
+    # character i, so the binary form is reversed.
+    strings = [format(x, f"0{n}b")[::-1] for x in range(1 << n)]
     rows = [f"n={n}\n"]
-    for x, y in enumerate(doc.network.image):
-        rows.append(f"{_bits_to_string(x, n)} {_bits_to_string(y, n)}\n")
+    rows.extend(f"{strings[x]} {strings[y]}\n" for x, y in enumerate(doc.network.image))
     return "".join(rows)
 
 

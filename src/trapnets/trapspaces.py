@@ -1,17 +1,25 @@
 """Principal, minimal and full trapspace computation; trapping closure and graph.
 
 A trapspace is a subcube mapped into itself by the network.  Whole-network
-questions read one table over the 3^n subcubes: entry T holds the OR of
-``x ^ f(x)`` over the members of T, so T is a trapspace iff that OR moves
-no coordinate T fixes.  The table is filled by a Yates-style pass over the
-subcube lattice (cf. Bjorklund, Husfeldt, Kaski & Koivisto, "Fourier meets
-Mobius: fast subset convolution", STOC 2007); at the cap n = 16 it takes
-86 MB as uint16.  A single principal trapspace is instead grown from a
-frontier of newly-added members, with no table and no cap.
+questions read tables over the 3^n subcubes, all filled by one OR kernel,
+a Yates-style pass over the subcube lattice (cf. Bjorklund, Husfeldt,
+Kaski & Koivisto, "Fourier meets Mobius: fast subset convolution", STOC
+2007) that gives entry T the OR of one value per member of T:
+
+- the moved table ORs ``x ^ f(x)``, so T is a trapspace iff that OR moves
+  no coordinate T fixes; at the cap n = 16 it takes 86 MB as uint16;
+- the fixed-point table ORs ``f(x) == x``, so entry T says whether T
+  contains a fixed point.
+
+The trapspaces are a boolean mask over the subcube index; they are decoded
+into ``Subcube`` objects only when a caller asks for the collection.  A
+single principal trapspace is instead grown from a frontier of newly-added
+members, with no table and no cap.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -68,26 +76,48 @@ def is_trapspace(f: BooleanNetwork, cube: Subcube) -> bool:
 # tern[base] + 2 * tern[free], with tern[m] the sum of 3^i over the bits of m.
 
 
+@functools.cache
 def _ternary_of_masks(n: int) -> np.ndarray:
     xs = np.arange(1 << n, dtype=np.int64)
     tern = np.zeros(1 << n, dtype=np.int64)
     for i in range(n):
         tern += (xs >> i & 1) * 3**i
+    tern.setflags(write=False)  # shared by every caller at this n
     return tern
 
 
-def _moved_table(f: BooleanNetwork, tern: np.ndarray) -> np.ndarray:
-    """Entry T: the OR of ``x ^ f(x)`` over the members x of subcube T."""
-    n = f.n
+@functools.cache
+def _free_of_index(n: int) -> np.ndarray:
+    """Entry T: the free mask of the subcube with ternary index T."""
+    free = np.zeros(3**n, dtype=np.uint16)
+    for j in range(n):
+        v = free.reshape(3 ** (n - 1 - j), 3, 3**j)
+        np.bitwise_or(v[:, 0, :], 1 << j, out=v[:, 2, :])
+    free.setflags(write=False)
+    return free
+
+
+def _subcube_or(leaves: np.ndarray, n: int) -> np.ndarray:
+    """Entry T: the OR of ``leaves[x]`` over the members x of subcube T."""
     if n > TABLE_MAX_N:
         raise ValueError(f"the subcube table is capped at n={TABLE_MAX_N}")
     # Filled in place: copies of the 3^n buffer would triple the peak.
-    table = np.zeros(3**n, dtype=np.uint16)
-    table[tern] = np.arange(1 << n) ^ f.np_image
+    table = np.zeros(3**n, dtype=leaves.dtype)
+    table[_ternary_of_masks(n)] = leaves
     for j in range(n):
         v = table.reshape(3 ** (n - 1 - j), 3, 3**j)
         np.bitwise_or(v[:, 0, :], v[:, 1, :], out=v[:, 2, :])
     return table
+
+
+def _moved_table(f: BooleanNetwork) -> np.ndarray:
+    """Entry T: the OR of ``x ^ f(x)`` over the members x of subcube T."""
+    return _subcube_or((np.arange(1 << f.n) ^ f.np_image).astype(np.uint16), f.n)
+
+
+def fixed_point_table(f: BooleanNetwork) -> np.ndarray:
+    """Entry T: whether subcube T contains a fixed point of f (n <= 16)."""
+    return _subcube_or(np.arange(1 << f.n) == f.np_image, f.n)
 
 
 def principal_pairs(f: BooleanNetwork) -> tuple[tuple[int, int], ...]:
@@ -98,7 +128,7 @@ def principal_pairs(f: BooleanNetwork) -> tuple[tuple[int, int], ...]:
     steps are taken.
     """
     tern = _ternary_of_masks(f.n)
-    table = _moved_table(f, tern)
+    table = _moved_table(f)
     xs = np.arange(1 << f.n, dtype=np.int64)
     free = np.zeros_like(xs)
     index = tern.copy()
@@ -112,26 +142,31 @@ def principal_pairs(f: BooleanNetwork) -> tuple[tuple[int, int], ...]:
     return tuple(zip(free.tolist(), (xs & ~free).tolist()))
 
 
-def enumerate_trapspaces(f: BooleanNetwork) -> SubcubeCollection:
-    """All trapspaces of f, read off the subcube table (capped at n <= 13)."""
+def trapspace_mask(f: BooleanNetwork) -> np.ndarray:
+    """Entry T: whether subcube T is a trapspace of f (capped at n <= 13)."""
     n = f.n
     if n > ENUMERATION_MAX_N:
         raise ValueError(f"trapspace enumeration is capped at n={ENUMERATION_MAX_N}")
+    return (_moved_table(f) & ~_free_of_index(n)) == 0
+
+
+def decode_subcubes(n: int, mask: np.ndarray) -> SubcubeCollection:
+    """The subcubes whose ternary index is set in a 3^n mask."""
+    index = np.flatnonzero(mask)
     tern = _ternary_of_masks(n)
-    table = _moved_table(f, tern)
-    free = np.zeros(3**n, dtype=np.uint16)
-    for j in range(n):
-        v = free.reshape(3 ** (n - 1 - j), 3, 3**j)
-        np.bitwise_or(v[:, 0, :], 1 << j, out=v[:, 2, :])
-    trap = np.flatnonzero((table & ~free) == 0)
-    free = free[trap]
+    free = _free_of_index(n)[index]
     # tern is increasing, so it inverts by binary search.
-    base = np.searchsorted(tern, trap - 2 * tern[free])
+    base = np.searchsorted(tern, index - 2 * tern[free])
     # Cubes share one int object per mask, as up to 3^n of them may be built.
     masks = list(range(1 << n))
     return SubcubeCollection(
         n, frozenset(Subcube(n, masks[fr], masks[ba]) for fr, ba in zip(free, base))
     )
+
+
+def enumerate_trapspaces(f: BooleanNetwork) -> SubcubeCollection:
+    """All trapspaces of f, decoded from ``trapspace_mask`` (n <= 13)."""
+    return decode_subcubes(f.n, trapspace_mask(f))
 
 
 def minimal_trapspaces(

@@ -98,7 +98,7 @@ def closure_law_violations(p: NetworkProfile) -> list[Violation]:
         out.append(Violation("closure", "network not below its trapping closure", f))
     if pt_closure.closure != ft:
         out.append(Violation("closure", "trapping closure is not idempotent", f))
-    if p.trapspace_collection != pt_closure.trapspace_collection:
+    if not np.array_equal(p.trapspace_mask, pt_closure.trapspace_mask):
         out.append(Violation("closure", "trapspaces change under the closure", f))
     if p.pt_collection != pt_closure.pt_collection:
         out.append(Violation("closure", "principal trapspaces change under the closure", f))

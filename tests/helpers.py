@@ -6,6 +6,7 @@ import numpy as np
 
 from trapnets import BooleanNetwork, Configuration, Subcube
 from trapnets.generators import (
+    exhaustive_networks,
     long_transient_trapping,
     random_commutative,
     random_constant_on_arrangements,
@@ -13,7 +14,7 @@ from trapnets.generators import (
     random_network,
 )
 from trapnets.dynamics import GRAPH_PROPERTIES, HypercubeGraph
-from trapnets.trapspaces import principal_pair
+from trapnets.trapspaces import enumerate_trapspaces, principal_pair
 
 
 def cfg(s: str) -> Configuration:
@@ -76,6 +77,23 @@ def sampled_networks(dims=range(3, 7)):
         yield long_transient_trapping(n)
 
 
+def table_population():
+    """Every n = 2 network and the sampled n = 3..6 networks."""
+    yield from exhaustive_networks(2)
+    yield from sampled_networks()
+
+
+def oracle_population(max_n: int = 8):
+    """``table_population`` plus identity, negation and the long-transient
+    construction up to max_n: all subcubes, one, and many trapspaces."""
+    yield from table_population()
+    for n in range(1, max_n + 1):
+        yield BooleanNetwork.identity(n)
+        yield BooleanNetwork.negation(n)
+        if n >= 3:
+            yield long_transient_trapping(n)
+
+
 def all_subcubes(n: int):
     """Every subcube of B^n, via the 3^n star patterns."""
     import itertools
@@ -91,6 +109,13 @@ def brute_force_trapspaces(f: BooleanNetwork) -> set[Subcube]:
         if all(f.image[m] & ~c.free == c.base for m in c.member_bits()):
             out.add(c)
     return out
+
+
+def bitset_trapspace_fp(f: BooleanNetwork) -> bool:
+    """Oracle (the library's former method): every enumerated trapspace's
+    member bitset meets the bitset of fixed points."""
+    fixed = sum(1 << x for x, fx in enumerate(f.image) if x == fx)
+    return all(c.point_bitset() & fixed for c in enumerate_trapspaces(f).members)
 
 
 def brute_force_principals(f: BooleanNetwork) -> list[Subcube]:

@@ -22,7 +22,16 @@ from trapnets.generators import (
     random_commutative,
 )
 
-from helpers import f_ex3, net_from_arcs, sampled_networks
+from trapnets.verify import closure_law_violations
+
+from helpers import (
+    bitset_trapspace_fp,
+    brute_force_trapspaces,
+    f_ex3,
+    net_from_arcs,
+    oracle_population,
+    sampled_networks,
+)
 
 
 # --- classify_network
@@ -46,6 +55,12 @@ def test_worked_example_is_not_trapping():
     report = classify_network(f_ex3())
     assert not report.trapping and not report.commutative
     assert report.fixable and report.trapspace_fp
+
+
+def test_trapspace_fp_matches_bitset_oracle():
+    for f in oracle_population():
+        p = NetworkProfile(f)
+        assert p.trapspace_fp == bitset_trapspace_fp(f)
 
 
 def test_long_transient_is_trapping_not_commutative():
@@ -128,6 +143,22 @@ def test_min_pair_is_min_equivalent_only():
 def test_network_min_equivalent_to_extension():
     f = f_ex3()
     assert min_trapspace_equivalent(f, min_trapping_extension(f)) == (True,) * 4
+
+
+def test_equivalence_and_closure_law_match_collection_oracles():
+    # Each network against its closure (same trapspaces) and against the
+    # previous network of its dimension (mostly different ones).
+    previous = {}
+    for f in oracle_population():
+        pf = NetworkProfile(f)
+        assert closure_law_violations(pf) == []
+        for g in (pf.closure, previous.get(f.n)):
+            if g is None:
+                continue
+            vector = trapspace_equivalent(f, g, pf, NetworkProfile(g))
+            same = brute_force_trapspaces(f) == brute_force_trapspaces(g)
+            assert vector == (same,) * 5
+        previous[f.n] = f
 
 
 def test_equivalence_requires_same_dimension():

@@ -133,6 +133,22 @@ def test_analyze_full_at_n12_matches_arcwise_oracle(tmp_path, capsys):
         }
 
 
+@pytest.mark.parametrize(
+    "net, count, trapspace_fp",
+    [
+        (BooleanNetwork.identity(13), 3**13, True),  # every subcube
+        (BooleanNetwork.negation(13), 1, False),  # the full cube only
+    ],
+    ids=["identity", "negation"],
+)
+def test_analyze_full_at_the_cap(tmp_path, capsys, net, count, trapspace_fp):
+    path = write_net(tmp_path, "n13.tt", net)
+    assert main(["analyze", path, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["trapspaces"]["all"] == count
+    assert report["classes"]["trapspace_fp"] is trapspace_fp
+
+
 # --- graph
 
 

@@ -7,7 +7,6 @@ from trapnets import (
     Subcube,
     build_graph,
     enumerate_trapspaces,
-    exhaustive_networks,
     is_trapspace,
     min_trapping_extension,
     minimal_trapspaces,
@@ -20,10 +19,13 @@ from trapnets import (
 )
 from trapnets.core import Mask, update
 from trapnets.trapspaces import (
+    _free_of_index,
     _moved_table,
     _ternary_of_masks,
+    fixed_point_table,
     principal_pair,
     principal_pairs,
+    trapspace_mask,
 )
 
 from helpers import (
@@ -35,8 +37,10 @@ from helpers import (
     cube,
     f_ex3,
     net_from_arcs,
+    oracle_population,
     pairwise_minimal_trapspaces,
     sampled_networks,
+    table_population,
 )
 
 # The worked example's full trapspace collection, frozen from the 27-subcube
@@ -132,8 +136,9 @@ def test_identity_has_all_subcubes_negation_only_full():
 
 
 def test_enumeration_dimension_cap():
-    with pytest.raises(ValueError):
-        enumerate_trapspaces(BooleanNetwork.identity(14))
+    for whole_collection_query in (enumerate_trapspaces, trapspace_mask):
+        with pytest.raises(ValueError):
+            whole_collection_query(BooleanNetwork.identity(14))
 
 
 # --- minimal trapspaces
@@ -266,21 +271,37 @@ def test_report_bundles_everything():
 # --- the subcube table, against the independent oracles
 
 
-def table_population():
-    yield from exhaustive_networks(2)
-    yield from sampled_networks()
-
-
 def test_table_entry_is_or_of_member_moves():
     for f in [f_ex3(), *sampled_networks(range(3, 5))]:
         tern = _ternary_of_masks(f.n)
-        table = _moved_table(f, tern)
+        table = _moved_table(f)
         assert table.dtype == np.uint16
         for c in all_subcubes(f.n):
             moved = 0
             for m in c.member_bits():
                 moved |= m ^ f.image[m]
             assert table[tern[c.base] + 2 * tern[c.free]] == moved
+
+
+def test_fixed_point_table_entry_is_member_scan():
+    for f in oracle_population():
+        tern = _ternary_of_masks(f.n)
+        table = fixed_point_table(f)
+        assert table.dtype == bool
+        for c in all_subcubes(f.n):
+            scan = any(f.image[m] == m for m in c.member_bits())
+            assert table[tern[c.base] + 2 * tern[c.free]] == scan
+
+
+def test_lattice_constants_reject_writes():
+    for n in (1, 4):
+        for constant in (_ternary_of_masks(n), _free_of_index(n)):
+            with pytest.raises(ValueError):
+                constant[0] = 1
+    # principal_pairs advances a copy of the cached ternary index.
+    before = _ternary_of_masks(4).copy()
+    principal_pairs(BooleanNetwork.negation(4))
+    assert np.array_equal(_ternary_of_masks(4), before)
 
 
 def test_table_principal_pairs_match_frontier_and_brute_force():
@@ -300,8 +321,11 @@ def test_table_minimal_matches_pairwise_oracle():
 
 
 def test_table_enumeration_matches_brute_force():
-    for f in table_population():
-        assert set(enumerate_trapspaces(f).members) == brute_force_trapspaces(f)
+    for f in oracle_population():
+        mask = trapspace_mask(f)
+        collection = enumerate_trapspaces(f)
+        assert set(collection.members) == brute_force_trapspaces(f)
+        assert np.count_nonzero(mask) == len(collection)
 
 
 def test_table_dimension_cap():
