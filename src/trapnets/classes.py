@@ -21,7 +21,6 @@ import numpy as np
 from .core import (
     BooleanNetwork,
     Configuration,
-    Subcube,
     _check_same_dimension,
     cube_bitset,
     is_commutative,
@@ -33,7 +32,6 @@ from .dynamics import HypercubeGraph, build_graph, graph_property
 from .generators import exhaustive_networks
 from .netio import parse_truth_table
 from .trapspaces import (
-    decode_subcubes,
     fixed_point_table,
     minimal_trapspaces,
     principal_pairs,
@@ -255,17 +253,12 @@ class NetworkProfile:
 
     @cached_property
     def pt_collection(self) -> SubcubeCollection:
-        return SubcubeCollection(
-            self.n, frozenset(Subcube(self.n, fr, ba) for fr, ba in self.pt_pairs)
-        )
-
-    @cached_property
-    def trapspace_mask(self) -> np.ndarray:
-        return trapspace_mask(self.f)
+        free, base = np.array(self.pt_pairs, dtype=np.int64).T
+        return SubcubeCollection.from_pairs(self.n, free, base)
 
     @cached_property
     def trapspace_collection(self) -> SubcubeCollection:
-        return decode_subcubes(self.n, self.trapspace_mask)
+        return SubcubeCollection(self.n, trapspace_mask(self.f))
 
     @cached_property
     def minimal(self) -> tuple[SubcubeCollection, frozenset[Configuration]]:
@@ -273,7 +266,7 @@ class NetworkProfile:
 
     @cached_property
     def min_extension(self) -> BooleanNetwork:
-        return min_trapping_extension(self.f, self.pt_pairs)
+        return min_trapping_extension(self.f, self.minimal[0])
 
     @cached_property
     def pt_flags(self):
@@ -363,7 +356,7 @@ class NetworkProfile:
     @cached_property
     def trapspace_fp(self) -> bool:
         # Every trapspace contains a fixed point.
-        return bool(fixed_point_table(self.f)[self.trapspace_mask].all())
+        return bool(fixed_point_table(self.f)[self.trapspace_collection.mask].all())
 
     def _interval_fixed_counts(self):
         for x, fx in enumerate(self.f.image):
@@ -600,7 +593,7 @@ def trapspace_equivalent(
     pg = pg if pg is not None else NetworkProfile(g)
     return (
         pf.pt_collection == pg.pt_collection,
-        np.array_equal(pf.trapspace_mask, pg.trapspace_mask),
+        pf.trapspace_collection == pg.trapspace_collection,
         pf.pt_pairs == pg.pt_pairs,
         pf.graph_tg == pg.graph_tg,
         pf.closure == pg.closure,

@@ -12,6 +12,7 @@ import json
 import sys
 
 from .classes import (
+    ST_SWEEP_MAX_N,
     NetworkProfile,
     classify_network,
     min_trapspace_equivalent,
@@ -78,7 +79,7 @@ def _analysis_report(doc, minimal_only: bool) -> dict:
     }
     if minimal_only:
         return report
-    report["trapspaces"]["all"] = int(profile.trapspace_mask.sum())
+    report["trapspaces"]["all"] = len(profile.trapspace_collection)
     report["classes"] = classify_network(f, profile).as_dict()
     graphs = {}
     for key, g in (
@@ -207,8 +208,8 @@ def cmd_verify(args) -> int:
         if args.samples is None:
             print("error: n >= 3 requires --samples", file=sys.stderr)
             return 2
-        if args.n > 6:
-            print("error: sampled verification is capped at n=6", file=sys.stderr)
+        if args.n > ST_SWEEP_MAX_N:
+            print(f"error: sampled verification is capped at n={ST_SWEEP_MAX_N}", file=sys.stderr)
             return 2
         networks = sample_population(args.n, args.samples, args.seed)
         pairs = None

@@ -5,53 +5,119 @@ members containing x (the whole cube when none does), which realises a
 Boolean network.  The union-closure and pointwise-intersection operators
 turn collections of principal trapspaces into collections of trapspaces
 and back; recognisers classify which collections arise that way.
+
+A collection is a boolean mask over the 3^n subcubes of B^n.  The operators
+are passes over the subcube lattice, one digit of the ternary index at a
+time, in the style of Yates and of Bjorklund, Husfeldt, Kaski & Koivisto
+(STOC 2007); ``Subcube`` objects are decoded only for output.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import BooleanNetwork, Configuration, Subcube, _check_same_dimension, iter_submasks
+import numpy as np
 
+from .core import BooleanNetwork, Configuration, Subcube, _check_same_dimension
+
+TABLE_MAX_N = 16
 CLOSURE_MAX_N = 13
 
 
-def _sorted_members(members: Iterable[Subcube]) -> list[Subcube]:
-    return sorted(members, key=lambda c: (c.free, c.base))
+# A subcube's ternary index has digit i equal to 0 or 1 when coordinate i is
+# fixed to that value, and 2 when it is free: (free, base) has index
+# tern[base] + 2 * tern[free], with tern[m] the sum of 3^i over the bits of m.
 
 
-@dataclass(frozen=True)
+@functools.cache
+def _ternary_of_masks(n: int) -> np.ndarray:
+    xs = np.arange(1 << n, dtype=np.int64)
+    tern = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):
+        tern += (xs >> i & 1) * 3**i
+    tern.setflags(write=False)  # shared by every caller at this n
+    return tern
+
+
+@functools.cache
+def _free_of_index(n: int) -> np.ndarray:
+    """Entry T: the free mask of the subcube with ternary index T."""
+    free = np.zeros(3**n, dtype=np.uint16)
+    for j in range(n):
+        v = free.reshape(3 ** (n - 1 - j), 3, 3**j)
+        np.bitwise_or(v[:, 0, :], 1 << j, out=v[:, 2, :])
+    free.setflags(write=False)
+    return free
+
+
+def _check_table_n(n: int) -> None:
+    if not 1 <= n <= TABLE_MAX_N:
+        raise ValueError(f"subcube collections are capped at n={TABLE_MAX_N}, got n={n}")
+
+
+@dataclass(frozen=True, eq=False)
 class SubcubeCollection:
-    """A finite, duplicate-free set of canonical subcubes of B^n."""
+    """A set of subcubes of B^n: ``mask[T]`` says whether the subcube with
+    ternary index T is a member (n <= 16).  The mask is made read-only."""
 
     n: int
-    members: frozenset[Subcube]
+    mask: np.ndarray
 
     def __post_init__(self):
-        for cube in self.members:
-            if cube.n != self.n:
-                raise ValueError(f"dimension mismatch: {cube.n} != {self.n}")
+        _check_table_n(self.n)
+        if self.mask.dtype != bool or self.mask.shape != (3**self.n,):
+            raise ValueError(f"a collection at n={self.n} is a bool mask of 3^{self.n} entries")
+        self.mask.setflags(write=False)
+
+    @classmethod
+    def from_pairs(cls, n: int, free: np.ndarray, base: np.ndarray) -> "SubcubeCollection":
+        """The subcubes (free[i], base[i]); each base has its free bits cleared."""
+        _check_table_n(n)
+        tern = _ternary_of_masks(n)
+        mask = np.zeros(3**n, dtype=bool)
+        mask[tern[base] + 2 * tern[free]] = True
+        return cls(n, mask)
 
     @classmethod
     def of(cls, n: int, cubes: Iterable[Subcube]) -> "SubcubeCollection":
-        return cls(n, frozenset(cubes))
+        cubes = list(cubes)
+        if any(c.n != n for c in cubes):
+            raise ValueError(f"subcubes of mixed widths in a collection at n={n}")
+        free, base = np.array([(c.free, c.base) for c in cubes], dtype=np.int64).reshape(-1, 2).T
+        return cls.from_pairs(n, free, base)
 
-    @classmethod
-    def from_strings(cls, strings: Iterable[str]) -> "SubcubeCollection":
-        cubes = [Subcube.from_string(s) for s in strings]
-        if not cubes:
-            raise ValueError("cannot infer dimension from an empty collection")
-        return cls(cubes[0].n, frozenset(cubes))
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SubcubeCollection):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.mask, other.mask)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return int(np.count_nonzero(self.mask))
 
     def __contains__(self, cube: Subcube) -> bool:
-        return cube in self.members
+        tern = _ternary_of_masks(self.n)
+        return cube.n == self.n and bool(self.mask[tern[cube.base] + 2 * tern[cube.free]])
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(free, base) arrays of the members, sorted by free mask, then base."""
+        # The base-3 digits of each member's index, least significant first.
+        digits = np.unravel_index(np.flatnonzero(self.mask), (3,) * self.n)[::-1]
+        free = sum((d == 2).astype(np.int64) << j for j, d in enumerate(digits))
+        base = sum((d == 1).astype(np.int64) << j for j, d in enumerate(digits))
+        order = np.lexsort((base, free))
+        return free[order], base[order]
 
     def sorted_members(self) -> list[Subcube]:
-        return _sorted_members(self.members)
+        free, base = (a.tolist() for a in self.pairs())
+        # Cubes share one int object per mask, as up to 3^n of them may be built.
+        masks = list(range(1 << self.n))
+        return [Subcube(self.n, masks[fr], masks[ba]) for fr, ba in zip(free, base)]
+
+    @property
+    def members(self) -> frozenset[Subcube]:
+        return frozenset(self.sorted_members())
 
 
 def parse_collection(text: str, n: int | None = None) -> SubcubeCollection:
@@ -72,77 +138,92 @@ def parse_collection(text: str, n: int | None = None) -> SubcubeCollection:
         if not cubes:
             raise ValueError("empty collection with no explicit dimension")
         n = cubes[0].n
-        for cube in cubes:
-            if cube.n != n:
-                raise ValueError("subcubes of mixed widths")
-    return SubcubeCollection(n, frozenset(cubes))
+    return SubcubeCollection.of(n, cubes)
 
 
 def format_collection(collection: SubcubeCollection) -> str:
     return "".join(f"{cube}\n" for cube in collection.sorted_members())
 
 
-def _pointwise_free(collection: SubcubeCollection, x: int) -> int:
-    # Free mask of the intersection of the members containing x (all
-    # coordinates when none does); its base is x outside that mask.
-    free = (1 << collection.n) - 1
-    for cube in collection.members:
-        if cube.contains_bits(x):
-            free &= cube.free
-    return free
+def _superset(table: np.ndarray, ufunc: np.ufunc, n: int) -> np.ndarray:
+    """Entry T becomes ``ufunc`` over the entries of every subcube containing
+    T: each digit pass folds the entry that frees a coordinate into the two
+    that fix it.  Works in place."""
+    for j in range(n):
+        v = table.reshape(3 ** (n - 1 - j), 3, 3**j)
+        ufunc(v[:, 0, :], v[:, 2, :], out=v[:, 0, :])
+        ufunc(v[:, 1, :], v[:, 2, :], out=v[:, 1, :])
+    return table
+
+
+def _meet_table(collection: SubcubeCollection) -> np.ndarray:
+    """Entry T: the AND of the free masks of the members containing T, all
+    coordinates when none does.  At a point x it is the free mask of the
+    pointwise intersection, whose base is x outside that mask."""
+    n = collection.n
+    table = np.where(collection.mask, _free_of_index(n), np.uint16((1 << n) - 1))
+    return _superset(table, np.bitwise_and, n)
+
+
+def _intersections(collection: SubcubeCollection) -> np.ndarray:
+    """Entry T: whether the members containing T meet in T, that is whether
+    T is B^n or an intersection of members."""
+    return _meet_table(collection) == _free_of_index(collection.n)
 
 
 def collection_at(collection: SubcubeCollection, x: Configuration) -> Subcube:
     """Intersection of all members containing x; B^n when no member does."""
     _check_same_dimension(collection, x)
-    free = _pointwise_free(collection, x.bits)
-    return Subcube(collection.n, free, x.bits & ~free)
+    n = collection.n
+    tern = _ternary_of_masks(n)
+    # The subcube with free mask t through x, for every t.
+    ts = np.arange(1 << n, dtype=np.int64)
+    through = collection.mask[tern[x.bits & ~ts] + 2 * tern[ts]]
+    free = int(np.bitwise_and.reduce(ts[through], initial=(1 << n) - 1))
+    return Subcube(n, free, x.bits & ~free)
 
 
 def realize(collection: SubcubeCollection) -> BooleanNetwork:
     """The network whose interval at each x is the pointwise intersection."""
     n = collection.n
-    return BooleanNetwork(
-        n, tuple(x ^ _pointwise_free(collection, x) for x in range(1 << n))
-    )
+    free = _meet_table(collection)[_ternary_of_masks(n)]
+    return BooleanNetwork(n, tuple((np.arange(1 << n) ^ free).tolist()))
 
 
-def lambda_closure(collection: SubcubeCollection) -> SubcubeCollection:
-    """All subcubes expressible as unions of members.
-
-    A subcube belongs to the closure iff it equals the union of the members
-    it contains, so the sweep runs over all 3^n candidate subcubes instead
-    of all member subsets (capped at n <= 13).
-    """
+def _union_pairs(collection: SubcubeCollection) -> np.ndarray:
+    """Entry (T, x) of the 4^n pairs of a subcube and a point in it: whether
+    some member inside T contains x (n <= 13).  Pair digit 0 or 1: T fixes
+    the coordinate to that value; 2 or 3: T frees it and x_j is 0 or 1."""
     n = collection.n
     if n > CLOSURE_MAX_N:
         raise ValueError(f"union closure is capped at n={CLOSURE_MAX_N}")
-    members = [(c.free, c.base, c.point_bitset()) for c in collection.members]
-    out = []
-    size = 1 << n
-    for free in range(size):
-        width = 1 << free.bit_count()
-        keep = ~free & (size - 1)
-        for base in iter_submasks(keep):
-            bits = 0
-            for mfree, mbase, pb in members:
-                if mfree & ~free == 0 and (mbase ^ base) & keep == 0:
-                    bits |= pb
-                    if bits.bit_count() == width:
-                        break
-            if bits.bit_count() == width:
-                out.append(Subcube(n, free, base))
-    return SubcubeCollection(n, frozenset(out))
+    # Whether T is a member, then or in the half of T through x fixing j.
+    pairs = collection.mask.reshape((3,) * n)[np.ix_(*[[0, 1, 2, 2]] * n)].ravel()
+    for j in range(n):
+        v = pairs.reshape(4 ** (n - 1 - j), 4, 4**j)
+        v[:, 2:, :] |= v[:, :2, :]
+    return pairs
+
+
+def _all_points(pairs: np.ndarray, n: int) -> np.ndarray:
+    """Entry T: the AND of pair entry (T, x) over the points x of T."""
+    for j in range(n):
+        v = pairs.reshape(4 ** (n - 1 - j), 4, 4**j)
+        v[:, 2, :] &= v[:, 3, :]
+    return np.ascontiguousarray(pairs.reshape((4,) * n)[(slice(0, 3),) * n]).ravel()
+
+
+def lambda_closure(collection: SubcubeCollection) -> SubcubeCollection:
+    """All subcubes expressible as unions of members: T belongs iff every
+    x in T lies in a member inside T (n <= 13)."""
+    return SubcubeCollection(collection.n, _all_points(_union_pairs(collection), collection.n))
 
 
 def mu_reduction(collection: SubcubeCollection) -> SubcubeCollection:
     """The set of pointwise intersections over all configurations."""
     n = collection.n
-    out = set()
-    for x in range(1 << n):
-        free = _pointwise_free(collection, x)
-        out.add(Subcube(n, free, x & ~free))
-    return SubcubeCollection(n, frozenset(out))
+    free = _meet_table(collection)[_ternary_of_masks(n)]
+    return SubcubeCollection.from_pairs(n, free, np.arange(1 << n) & ~free)
 
 
 @dataclass(frozen=True)
@@ -153,91 +234,52 @@ class CollectionFlags:
     convex: bool
 
 
-def _point_bitsets(collection: SubcubeCollection) -> list[int]:
-    # Point-set comparisons between subcubes reduce to integer masks; the
-    # canonical form makes distinct members have distinct bitsets.
-    return [c.point_bitset() for c in collection.sorted_members()]
-
-
 def is_pre_principal(collection: SubcubeCollection) -> bool:
     """Three conditions: members cover B^n; each pairwise intersection is a
-    union of members; no member is a union of other members."""
+    union of members; no member is a union of other members (n <= 13)."""
     n = collection.n
-    pbs = _point_bitsets(collection)
-    union_all = 0
-    for pb in pbs:
-        union_all |= pb
-    if union_all != (1 << (1 << n)) - 1:
+    union = _union_pairs(collection)
+    # Entry (T, x): whether some member strictly inside T contains x, that
+    # is inside T with one more coordinate fixed to its value in x.
+    strict = np.zeros_like(union)
+    for j in range(n):
+        v = strict.reshape(4 ** (n - 1 - j), 4, 4**j)
+        v[:, 2:, :] |= union.reshape(v.shape)[:, :2, :]
+    closed = _all_points(union, n)
+    # Pairwise intersections are unions of members iff all intersections are.
+    if not closed[-1] or np.any(_intersections(collection) & ~closed):
         return False
-    for pa in pbs:
-        covered = 0
-        for pb in pbs:
-            if pb != pa and pb & ~pa == 0:
-                covered |= pb
-        if covered == pa:
-            return False
-    pb_set = set(pbs)
-    for i, pa in enumerate(pbs):
-        for pb in pbs[i + 1 :]:
-            meet = pa & pb
-            # A member equal to the intersection covers it by itself.
-            if meet == 0 or meet in pb_set:
-                continue
-            covered = 0
-            for pc in pbs:
-                if pc & ~meet == 0:
-                    covered |= pc
-                    if covered == meet:
-                        break
-            if covered != meet:
-                return False
-    return True
+    return not np.any(_all_points(strict, n) & collection.mask)
 
 
 def is_pre_ideal(collection: SubcubeCollection) -> bool:
     """B^n present, closed under non-empty intersections, union-closed."""
-    n = collection.n
-    if Subcube.full_cube(n) not in collection.members:
+    mask = collection.mask  # its last entry is B^n
+    if not mask[-1] or np.any(_intersections(collection) & ~mask):
         return False
-    pbs = _point_bitsets(collection)
-    pb_set = set(pbs)
-    for i, pa in enumerate(pbs):
-        for pb in pbs[i + 1 :]:
-            meet = pa & pb
-            if meet and meet not in pb_set:
-                return False
-    return lambda_closure(collection).members == collection.members
+    return lambda_closure(collection) == collection
 
 
 def is_min_ideal(collection: SubcubeCollection) -> bool:
-    """All members pairwise disjoint."""
-    pbs = _point_bitsets(collection)
-    for i, pa in enumerate(pbs):
-        for pb in pbs[i + 1 :]:
-            if pa & pb:
-                return False
-    return True
+    """All members pairwise disjoint: no subcube lies in two of them."""
+    return bool(np.all(_superset(collection.mask.astype(np.int32), np.add, collection.n) <= 1))
 
 
 def is_convex(collection: SubcubeCollection) -> bool:
-    """Every subcube between two nested members is itself a member."""
-    members = collection.sorted_members()
-    for small in members:
-        for big in members:
-            if small == big or not small.is_subset(big):
-                continue
-            extra = big.free & ~small.free
-            for grow in iter_submasks(extra):
-                mid = Subcube(collection.n, small.free | grow, small.base & ~grow)
-                if mid not in collection.members:
-                    return False
+    """Every subcube between two nested members is itself a member: freeing
+    one coordinate at a time, no member grows into a non-member inside one."""
+    n, mask = collection.n, collection.mask
+    above = _superset(mask.copy(), np.logical_or, n)
+    for j in range(n):
+        m, a = (t.reshape(3 ** (n - 1 - j), 3, 3**j) for t in (mask, above))
+        if np.any(a[:, 2, :] & ~m[:, 2, :] & (m[:, 0, :] | m[:, 1, :])):
+            return False
     return True
 
 
 def classify_collection(collection: SubcubeCollection) -> CollectionFlags:
-    """Evaluate the four recognisers, each from its own definition."""
-    if collection.n > CLOSURE_MAX_N:
-        raise ValueError(f"collection classification is capped at n={CLOSURE_MAX_N}")
+    """Evaluate the four recognisers, each from its own definition (n <= 13,
+    the cap of the union-closure pair table that ``is_pre_principal`` reads)."""
     return CollectionFlags(
         pre_principal=is_pre_principal(collection),
         pre_ideal=is_pre_ideal(collection),

@@ -4,11 +4,12 @@ A graph on B^n keeps one out-neighbourhood per vertex, stored as a 2^n-bit
 integer so arc-set comparisons are word-parallel.  Loops are kept in every
 graph built here; only the DOT exporter drops them.
 
-Each graph caches its transposed rows ``into`` and its SCCs, found once by
-Kosaraju on the bitsets: each step of either search ANDs one row with the
-set still to visit, so V = 2^n vertices cost O(V^2/64) word operations
-whatever the arc count.  Every predicate is read from its own definition
-on these rows; none walks the arcs one by one.
+Each graph caches its transposed rows ``into``, its transitivity and its
+SCCs, found once by Kosaraju on the bitsets: each step of either search
+ANDs one row with the set still to visit, so V = 2^n vertices cost
+O(V^2/64) word operations whatever the arc count.  Every predicate is
+read from its own definition on these rows; none walks the arcs one by
+one.
 """
 
 from __future__ import annotations
@@ -97,6 +98,17 @@ class HypercubeGraph:
         return tuple(
             int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)
         )
+
+    @cached_property
+    def transitive(self) -> bool:
+        """Whether each distinct row holds the rows of its members; computed once."""
+        for row in set(self.out):
+            reach = 0
+            for y in bitset_members(row):
+                reach |= self.out[y]
+            if reach | row != row:
+                return False
+        return True
 
     @cached_property
     def components(self) -> tuple[tuple[tuple[int, ...], ...], tuple[bool, ...]]:
@@ -229,14 +241,7 @@ def graph_property(g: HypercubeGraph, prop: str) -> bool:
     if prop == "symmetric":
         return g.out == g.into
     if prop == "transitive":
-        # The rows of a row's members must stay inside it: one check per row value.
-        for row in set(g.out):
-            reach = 0
-            for y in bitset_members(row):
-                reach |= g.out[y]
-            if reach | row != row:
-                return False
-        return True
+        return g.transitive
     if prop == "oriented":
         return all(
             not row & back & ~(1 << x) for x, (row, back) in enumerate(zip(g.out, g.into))

@@ -11,15 +11,13 @@ Kaski & Koivisto, "Fourier meets Mobius: fast subset convolution", STOC
 - the fixed-point table ORs ``f(x) == x``, so entry T says whether T
   contains a fixed point.
 
-The trapspaces are a boolean mask over the subcube index; they are decoded
-into ``Subcube`` objects only when a caller asks for the collection.  A
-single principal trapspace is instead grown from a frontier of newly-added
-members, with no table and no cap.
+The trapspaces are a boolean mask over the subcube index, the form a
+``SubcubeCollection`` stores.  A single principal trapspace is instead
+grown from a frontier of newly-added members, with no table and no cap.
 """
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -33,10 +31,9 @@ from .core import (
     cube_bitset,
     iter_submasks,
 )
-from .cubesets import SubcubeCollection
+from .cubesets import TABLE_MAX_N, SubcubeCollection, _free_of_index, _ternary_of_masks
 from .dynamics import HypercubeGraph
 
-TABLE_MAX_N = 16
 ENUMERATION_MAX_N = 13
 
 
@@ -69,32 +66,6 @@ def is_trapspace(f: BooleanNetwork, cube: Subcube) -> bool:
     _check_same_dimension(f, cube)
     members = cube.member_array()
     return bool(np.all((f.np_image[members] & ~cube.free) == cube.base))
-
-
-# A subcube's ternary index has digit i equal to 0 or 1 when coordinate i is
-# fixed to that value, and 2 when it is free: (free, base) has index
-# tern[base] + 2 * tern[free], with tern[m] the sum of 3^i over the bits of m.
-
-
-@functools.cache
-def _ternary_of_masks(n: int) -> np.ndarray:
-    xs = np.arange(1 << n, dtype=np.int64)
-    tern = np.zeros(1 << n, dtype=np.int64)
-    for i in range(n):
-        tern += (xs >> i & 1) * 3**i
-    tern.setflags(write=False)  # shared by every caller at this n
-    return tern
-
-
-@functools.cache
-def _free_of_index(n: int) -> np.ndarray:
-    """Entry T: the free mask of the subcube with ternary index T."""
-    free = np.zeros(3**n, dtype=np.uint16)
-    for j in range(n):
-        v = free.reshape(3 ** (n - 1 - j), 3, 3**j)
-        np.bitwise_or(v[:, 0, :], 1 << j, out=v[:, 2, :])
-    free.setflags(write=False)
-    return free
 
 
 def _subcube_or(leaves: np.ndarray, n: int) -> np.ndarray:
@@ -150,23 +121,9 @@ def trapspace_mask(f: BooleanNetwork) -> np.ndarray:
     return (_moved_table(f) & ~_free_of_index(n)) == 0
 
 
-def decode_subcubes(n: int, mask: np.ndarray) -> SubcubeCollection:
-    """The subcubes whose ternary index is set in a 3^n mask."""
-    index = np.flatnonzero(mask)
-    tern = _ternary_of_masks(n)
-    free = _free_of_index(n)[index]
-    # tern is increasing, so it inverts by binary search.
-    base = np.searchsorted(tern, index - 2 * tern[free])
-    # Cubes share one int object per mask, as up to 3^n of them may be built.
-    masks = list(range(1 << n))
-    return SubcubeCollection(
-        n, frozenset(Subcube(n, masks[fr], masks[ba]) for fr, ba in zip(free, base))
-    )
-
-
 def enumerate_trapspaces(f: BooleanNetwork) -> SubcubeCollection:
-    """All trapspaces of f, decoded from ``trapspace_mask`` (n <= 13)."""
-    return decode_subcubes(f.n, trapspace_mask(f))
+    """All trapspaces of f: the collection whose mask is ``trapspace_mask`` (n <= 13)."""
+    return SubcubeCollection(f.n, trapspace_mask(f))
 
 
 def minimal_trapspaces(
@@ -183,11 +140,11 @@ def minimal_trapspaces(
     pairs = principal_pairs(f) if pairs is None else pairs
     counts = Counter(pairs)
     minimal = {p for p, k in counts.items() if k == 1 << p[0].bit_count()}
-    cubes = frozenset(Subcube(f.n, free, base) for free, base in minimal)
+    free, base = np.array(list(minimal), dtype=np.int64).reshape(-1, 2).T
     configs = frozenset(
         Configuration(f.n, x) for x, pair in enumerate(pairs) if pair in minimal
     )
-    return SubcubeCollection(f.n, cubes), configs
+    return SubcubeCollection.from_pairs(f.n, free, base), configs
 
 
 @dataclass(frozen=True)
@@ -235,18 +192,19 @@ def trapping_graph(
 
 
 def min_trapping_extension(
-    f: BooleanNetwork, pairs: tuple[tuple[int, int], ...] | None = None
+    f: BooleanNetwork, minimal: SubcubeCollection | None = None
 ) -> BooleanNetwork:
     """Realisation of the minimal-trapspace collection.
 
     Inside a minimal trapspace each configuration moves to its opposite in
     that trapspace; every other configuration maps to its full negation.
-    ``pairs`` are the principal pairs of f when already computed.
+    ``minimal`` is the minimal-trapspace collection of f when already
+    computed.
     """
+    minimal = minimal_trapspaces(f)[0] if minimal is None else minimal
     full = (1 << f.n) - 1
     image = [x ^ full for x in range(1 << f.n)]
-    cubes, _ = minimal_trapspaces(f, pairs)
-    for cube in cubes.members:
-        for b in cube.member_bits():
-            image[b] = b ^ cube.free
+    for free, base in zip(*(a.tolist() for a in minimal.pairs())):
+        for s in iter_submasks(free):
+            image[base | s] = base | (s ^ free)
     return BooleanNetwork(f.n, tuple(image))

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from trapnets import BooleanNetwork, Configuration, Subcube
+from trapnets import BooleanNetwork, Configuration, Subcube, SubcubeCollection
+from trapnets.core import iter_submasks
 from trapnets.generators import (
     exhaustive_networks,
     long_transient_trapping,
@@ -116,6 +117,123 @@ def bitset_trapspace_fp(f: BooleanNetwork) -> bool:
     member bitset meets the bitset of fixed points."""
     fixed = sum(1 << x for x, fx in enumerate(f.image) if x == fx)
     return all(c.point_bitset() & fixed for c in enumerate_trapspaces(f).members)
+
+
+# Oracles for the collection algebra (the library's former methods): each
+# loops over the members of a collection in Python.
+
+
+def sweep_lambda_closure(collection: SubcubeCollection) -> set[Subcube]:
+    """Oracle: sweep the 3^n candidate subcubes; one belongs to the union
+    closure iff it equals the union of the members it contains."""
+    n = collection.n
+    members = [(c.free, c.base, c.point_bitset()) for c in collection.members]
+    out = set()
+    size = 1 << n
+    for free in range(size):
+        width = 1 << free.bit_count()
+        keep = ~free & (size - 1)
+        for base in iter_submasks(keep):
+            bits = 0
+            for mfree, mbase, pb in members:
+                if mfree & ~free == 0 and (mbase ^ base) & keep == 0:
+                    bits |= pb
+                    if bits.bit_count() == width:
+                        break
+            if bits.bit_count() == width:
+                out.add(Subcube(n, free, base))
+    return out
+
+
+def member_scan_pointwise_free(collection: SubcubeCollection) -> list[int]:
+    """Oracle: entry x is the free mask of the intersection of the members
+    containing x (all coordinates when none does), one member scan per x."""
+    members = collection.members
+    frees = []
+    for x in range(1 << collection.n):
+        free = (1 << collection.n) - 1
+        for cube in members:
+            if cube.contains_bits(x):
+                free &= cube.free
+        frees.append(free)
+    return frees
+
+
+def pairwise_pre_principal(collection: SubcubeCollection) -> bool:
+    """Oracle: members cover B^n, each pairwise intersection of member
+    bitsets is a union of members, and no member is a union of others."""
+    n = collection.n
+    pbs = [c.point_bitset() for c in collection.members]
+    union_all = 0
+    for pb in pbs:
+        union_all |= pb
+    if union_all != (1 << (1 << n)) - 1:
+        return False
+    for pa in pbs:
+        covered = 0
+        for pb in pbs:
+            if pb != pa and pb & ~pa == 0:
+                covered |= pb
+        if covered == pa:
+            return False
+    pb_set = set(pbs)
+    for i, pa in enumerate(pbs):
+        for pb in pbs[i + 1 :]:
+            meet = pa & pb
+            # A member equal to the intersection covers it by itself.
+            if meet == 0 or meet in pb_set:
+                continue
+            covered = 0
+            for pc in pbs:
+                if pc & ~meet == 0:
+                    covered |= pc
+                    if covered == meet:
+                        break
+            if covered != meet:
+                return False
+    return True
+
+
+def pairwise_pre_ideal(collection: SubcubeCollection) -> bool:
+    """Oracle: B^n present, every pairwise intersection of member bitsets a
+    member, and the member set equal to ``sweep_lambda_closure``."""
+    members = collection.members
+    if Subcube.full_cube(collection.n) not in members:
+        return False
+    pbs = [c.point_bitset() for c in members]
+    pb_set = set(pbs)
+    for i, pa in enumerate(pbs):
+        for pb in pbs[i + 1 :]:
+            meet = pa & pb
+            if meet and meet not in pb_set:
+                return False
+    return sweep_lambda_closure(collection) == members
+
+
+def pairwise_min_ideal(collection: SubcubeCollection) -> bool:
+    """Oracle: no two member bitsets share a point."""
+    pbs = [c.point_bitset() for c in collection.members]
+    for i, pa in enumerate(pbs):
+        for pb in pbs[i + 1 :]:
+            if pa & pb:
+                return False
+    return True
+
+
+def nested_pairs_convex(collection: SubcubeCollection) -> bool:
+    """Oracle: for every nested pair of members, every subcube between them
+    is a member."""
+    members = collection.members
+    for small in members:
+        for big in members:
+            if small == big or not small.is_subset(big):
+                continue
+            extra = big.free & ~small.free
+            for grow in iter_submasks(extra):
+                mid = Subcube(collection.n, small.free | grow, small.base & ~grow)
+                if mid not in members:
+                    return False
+    return True
 
 
 def brute_force_principals(f: BooleanNetwork) -> list[Subcube]:

@@ -145,6 +145,25 @@ def test_network_min_equivalent_to_extension():
     assert min_trapspace_equivalent(f, min_trapping_extension(f)) == (True,) * 4
 
 
+def test_min_trapping_flag_finds_minimal_trapspaces_once(monkeypatch):
+    import trapnets.classes as classes
+    import trapnets.trapspaces as trapspaces
+
+    calls = []
+
+    def counting_minimal(*args):
+        calls.append(args)
+        return minimal_trapspaces(*args)
+
+    minimal_trapspaces = trapspaces.minimal_trapspaces
+    for module in (classes, trapspaces):
+        monkeypatch.setattr(module, "minimal_trapspaces", counting_minimal)
+    profile = NetworkProfile(f_ex3())
+    assert len(profile.minimal[0]) == 3
+    assert not profile.min_trapping
+    assert len(calls) == 1
+
+
 def test_equivalence_and_closure_law_match_collection_oracles():
     # Each network against its closure (same trapspaces) and against the
     # previous network of its dimension (mostly different ones).

@@ -254,6 +254,17 @@ def test_verify_small_sampled_run(capsys):
     assert "violations: 0" in out
 
 
+def test_verify_above_sweep_cap_exits_2(capsys):
+    assert main(["verify", "--n", "9", "--samples", "1"]) == 2
+    assert "sampled verification is capped at n=8" in capsys.readouterr().err
+
+
+def test_verify_sampled_at_n7(capsys):
+    assert main(["verify", "--n", "7", "--samples", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "checked 6 networks (n=7" in out and "violations: 0" in out
+
+
 def test_verify_flag_conflict(capsys):
     assert main(["verify", "--n", "2", "--exhaustive", "--samples", "5"]) == 2
 

@@ -4,6 +4,7 @@ import pytest
 
 from trapnets import (
     BooleanNetwork,
+    Configuration,
     NetworkProfile,
     Subcube,
     SubcubeCollection,
@@ -20,11 +21,24 @@ from trapnets import (
     trapping_closure,
 )
 
-from helpers import cfg, cube, f_ex3
+from trapnets.cubesets import is_convex, is_min_ideal, is_pre_ideal, is_pre_principal
+
+from helpers import (
+    cfg,
+    cube,
+    f_ex3,
+    member_scan_pointwise_free,
+    nested_pairs_convex,
+    oracle_population,
+    pairwise_min_ideal,
+    pairwise_pre_ideal,
+    pairwise_pre_principal,
+    sweep_lambda_closure,
+)
 
 
 def collection(n, *strings):
-    return SubcubeCollection(n, frozenset(cube(s) for s in strings))
+    return SubcubeCollection.of(n, (cube(s) for s in strings))
 
 
 def pt_of(f):
@@ -40,7 +54,7 @@ def test_collection_at_worked_example():
 
 
 def test_collection_at_empty_is_full_cube():
-    empty = SubcubeCollection(3, frozenset())
+    empty = SubcubeCollection.of(3, ())
     assert collection_at(empty, cfg("010")) == Subcube.full_cube(3)
 
 
@@ -115,7 +129,7 @@ def test_mu_of_trapspaces_is_principal():
 
 def test_mu_of_full_cube_and_empty():
     assert mu_reduction(collection(2, "**")) == collection(2, "**")
-    assert mu_reduction(SubcubeCollection(2, frozenset())) == collection(2, "**")
+    assert mu_reduction(SubcubeCollection.of(2, ())) == collection(2, "**")
 
 
 # --- recognisers
@@ -166,7 +180,7 @@ def test_pre_principal_iff_mu_fixed_point():
     cubes3 = list(_subcubes(3))
     for _ in range(60):
         sample = rng.sample(cubes3, rng.randint(1, 6))
-        coll = SubcubeCollection(3, frozenset(sample))
+        coll = SubcubeCollection.of(3, sample)
         assert classify_collection(coll).pre_principal == (mu_reduction(coll) == coll)
 
 
@@ -199,3 +213,68 @@ def test_parse_collection_rejects_mixed_width():
 def test_parse_collection_bad_character():
     with pytest.raises(ValueError, match="line 1"):
         parse_collection("*x*")
+
+
+# --- lattice passes against the member-loop oracles
+
+
+def _random_collections():
+    """The empty collection, B^n alone and seeded random collections of
+    several densities, for n = 1..5."""
+    import random as _random
+
+    rng = _random.Random(2026)
+    for n in range(1, 6):
+        cubes = list(_subcubes(n))
+        yield SubcubeCollection.of(n, ())
+        yield SubcubeCollection.of(n, [Subcube.full_cube(n)])
+        for density in (0.05, 0.2, 0.5, 0.9):
+            for _ in range(6):
+                yield SubcubeCollection.of(n, [c for c in cubes if rng.random() < density])
+
+
+def _network_collections():
+    # The member-loop oracles are quadratic in the member count, and identity
+    # has 2,187 trapspaces at n = 7 and 6,561 at n = 8, so stop at n = 6.
+    for f in oracle_population(max_n=6):
+        p = NetworkProfile(f)
+        yield from (p.pt_collection, p.trapspace_collection, p.minimal[0])
+
+
+def test_lattice_passes_match_member_loop_oracles():
+    seen = set()
+    for coll in itertools.chain(_random_collections(), _network_collections()):
+        n = coll.n
+        members = coll.members
+        assert coll.sorted_members() == sorted(members, key=lambda c: (c.free, c.base))
+        assert len(coll) == len(members)
+        assert lambda_closure(coll).members == sweep_lambda_closure(coll)
+        frees = member_scan_pointwise_free(coll)
+        assert realize(coll).image == tuple(x ^ fr for x, fr in enumerate(frees))
+        pointwise = [Subcube(n, fr, x & ~fr) for x, fr in enumerate(frees)]
+        assert mu_reduction(coll).members == set(pointwise)
+        for x, meet in enumerate(pointwise):
+            assert collection_at(coll, Configuration(n, x)) == meet
+        flags = (
+            ("pre_principal", is_pre_principal(coll), pairwise_pre_principal(coll)),
+            ("pre_ideal", is_pre_ideal(coll), pairwise_pre_ideal(coll)),
+            ("min_ideal", is_min_ideal(coll), pairwise_min_ideal(coll)),
+            ("convex", is_convex(coll), nested_pairs_convex(coll)),
+        )
+        for name, got, oracle in flags:
+            assert got == oracle, (name, format_collection(coll))
+            seen.add((name, got))
+    assert len(seen) == 8  # every recogniser answered both ways
+
+
+def test_collection_is_a_read_only_mask():
+    coll = collection(2, "0*", "11")
+    assert coll.mask.dtype == bool and coll.mask.shape == (9,)
+    with pytest.raises(ValueError):
+        coll.mask[0] = True
+    assert cube("0*") in coll and cube("01") not in coll and cube("0**") not in coll
+    assert coll.members == {cube("0*"), cube("11")}
+    with pytest.raises(ValueError):
+        SubcubeCollection.of(3, [cube("0*")])
+    with pytest.raises(ValueError, match="capped at n=16"):
+        SubcubeCollection.of(17, ())
