@@ -72,15 +72,16 @@ def _leq_rows(xs: np.ndarray, a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _pairwise_sweep(f: BooleanNetwork, check) -> bool:
-    """Run ``check(comp, s, U, xs, ts)`` for every subset s, where
-    comp[t, x] is the table of updating s then t."""
+    """Run ``check(comp, s, U, xs, ts)`` on blocks of up to 4096 / 4^n subsets s,
+    where comp[t, k, x] is the table of updating s[k] then t; ts is a column."""
     U = update_tables(f)
     size = U.shape[0]
     xs = np.arange(size, dtype=np.int64)
-    ts = xs
-    for s in range(size):
-        comp = U[:, U[s]]
-        if not check(comp, s, U, xs, ts):
+    ts = xs[:, None]
+    block = max(1, 4096 // (size * size))
+    for start in range(0, size, block):
+        s = xs[start:start + block]
+        if not check(np.take(U, U[s], axis=1), s, U, xs, ts):
             return False
     return True
 

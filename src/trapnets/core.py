@@ -128,10 +128,6 @@ class Mask:
         _check_same_dimension(self, other)
         return Mask(self.n, self.bits & other.bits)
 
-    def symmetric_difference(self, other: "Mask") -> "Mask":
-        _check_same_dimension(self, other)
-        return Mask(self.n, self.bits ^ other.bits)
-
     def __str__(self) -> str:
         return "{" + ",".join(str(i) for i in self.coords()) + "}"
 
@@ -319,10 +315,6 @@ class BooleanNetwork:
         for v in self.image:
             if not 0 <= v < size:
                 raise ValueError(f"image entry {v} out of range for n={self.n}")
-
-    @classmethod
-    def from_table(cls, n: int, image: Iterable[int]) -> "BooleanNetwork":
-        return cls(n, tuple(int(v) for v in image))
 
     @classmethod
     def identity(cls, n: int) -> "BooleanNetwork":

@@ -88,12 +88,12 @@ def alternate_definition_violations(p: NetworkProfile) -> list[Violation]:
     return out
 
 
-def closure_law_violations(p: NetworkProfile) -> list[Violation]:
+def closure_law_violations(p: NetworkProfile, profile=NetworkProfile) -> list[Violation]:
     """Closure and min-extension laws for a single network."""
     out = []
     f = p.f
     ft = p.closure
-    pt_closure = NetworkProfile(ft)
+    pt_closure = profile(ft)
     if not order_leq(f, ft):
         out.append(Violation("closure", "network not below its trapping closure", f))
     if pt_closure.closure != ft:
@@ -106,7 +106,7 @@ def closure_law_violations(p: NetworkProfile) -> list[Violation]:
         out.append(Violation("closure", "trapping graph disagrees with closure graphs", f))
 
     fm = p.min_extension
-    pm = NetworkProfile(fm)
+    pm = profile(fm)
     if not order_leq(f, fm):
         out.append(Violation("min-extension", "network not below its min extension", f))
     if pm.min_extension != fm:
@@ -141,7 +141,7 @@ def equivalence_vector_violations(p: NetworkProfile, partner: NetworkProfile) ->
     return out
 
 
-def collection_roundtrip_violations(p: NetworkProfile) -> list[Violation]:
+def collection_roundtrip_violations(p: NetworkProfile, profile=NetworkProfile) -> list[Violation]:
     """Realisation, union-closure and pointwise-reduction round-trips."""
     out = []
     f = p.f
@@ -164,9 +164,9 @@ def collection_roundtrip_violations(p: NetworkProfile) -> list[Violation]:
         bad("realizing the principal collection misses the closure")
     if realized_j != p.closure:
         bad("realizing the trapspace collection misses the closure")
-    if NetworkProfile(realized_q).pt_collection != principal:
+    if profile(realized_q).pt_collection != principal:
         bad("principal collection does not round-trip through realization")
-    if NetworkProfile(realized_j).trapspace_collection != ideals:
+    if profile(realized_j).trapspace_collection != ideals:
         bad("trapspace collection does not round-trip through realization")
     lam = lambda_closure(principal)
     if lam != ideals:
@@ -183,7 +183,7 @@ def collection_roundtrip_violations(p: NetworkProfile) -> list[Violation]:
     realized_n = realize(minimal)
     if realized_n != p.min_extension:
         bad("realizing the minimal collection misses the min extension")
-    if NetworkProfile(realized_n).minimal[0] != minimal:
+    if profile(realized_n).minimal[0] != minimal:
         bad("minimal collection does not round-trip through realization")
     if p.min_trapping and realized_n != f:
         bad("min-trapping network is not recovered from its minimal trapspaces")
@@ -281,6 +281,13 @@ def hierarchy_violations(p: NetworkProfile) -> list[Violation]:
 # orchestration
 
 
+def _related_profiles(p: NetworkProfile):
+    """``profile(g)`` for the networks checked beside p (closure, min extension,
+    realisations): p for p's network, else one profile each, built on first use."""
+    known = {p.f: p}
+    return lambda g: known[g] if g in known else known.setdefault(g, NetworkProfile(g))
+
+
 def run_verification(
     networks: list[BooleanNetwork],
     suite: str = "all",
@@ -296,29 +303,29 @@ def run_verification(
     def want(name):
         return suite in ("all", name)
 
-    if want("theorems"):
-        for p in profiles:
+    closure_violations, closures = [], {}
+    for p in profiles:
+        profile = _related_profiles(p)
+        if want("theorems"):
             violations += alternate_definition_violations(p)
-            violations += collection_roundtrip_violations(p)
+            violations += collection_roundtrip_violations(p, profile)
             violations += dynamics_claim_violations(p)
             violations += commutative_claim_violations(p)
             violations += hierarchy_violations(p)
-            violations += equivalence_vector_violations(p, NetworkProfile(p.closure))
-            violations += equivalence_vector_violations(p, NetworkProfile(p.min_extension))
-    if want("closure"):
-        closures = {}
-        for p in profiles:
-            violations += closure_law_violations(p)
+            violations += equivalence_vector_violations(p, profile(p.closure))
+            violations += equivalence_vector_violations(p, profile(p.min_extension))
+        if want("closure"):
+            closure_violations += closure_law_violations(p, profile)
             closures[p.f] = p.closure
+    violations += closure_violations
+    if want("closure"):
         if monotonicity_pairs is None:
             monotonicity_pairs = []
             for p, q in zip(profiles, profiles[1:]):
                 monotonicity_pairs.append((p.f, lattice_combine(p.f, q.f, "join")))
         for f, g in monotonicity_pairs:
-            cf = closures.get(f)
-            cg = closures.get(g)
-            cf = cf if cf is not None else trapping_closure(f)
-            cg = cg if cg is not None else trapping_closure(g)
+            cf = closures[f] if f in closures else trapping_closure(f)
+            cg = closures[g] if g in closures else trapping_closure(g)
             violations += monotonicity_violations(f, g, cf, cg)
     if want("diagrams"):
         for diagram in DIAGRAMS.values():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from trapnets import (
@@ -22,7 +23,8 @@ from trapnets.generators import (
     random_commutative,
 )
 
-from trapnets.verify import closure_law_violations
+from trapnets import verify
+from trapnets.verify import closure_law_violations, run_verification, sample_population
 
 from helpers import (
     bitset_trapspace_fp,
@@ -74,6 +76,26 @@ def test_globally_sweep_dimension_cap():
 
 
 # --- alternate definitions
+
+
+def test_pairwise_sweep_blocks_pass_every_subset_once():
+    from trapnets.classes import _pairwise_sweep, update_tables
+
+    for n in range(1, 7):
+        f = random_network(n, n)
+        U = update_tables(f)
+        seen = []
+
+        def record(comp, s, U_, xs, ts):
+            # comp[t, k, x] updates s[k] then t; ts | s[k] indexes the t rows.
+            for k, sk in enumerate(s.tolist()):
+                assert np.array_equal(comp[:, k, :], U[:, U[sk]])
+                assert np.array_equal(U_[ts | s][:, k, :], U[np.arange(1 << n) | sk])
+            seen.extend(s.tolist())
+            return True
+
+        assert _pairwise_sweep(f, record)
+        assert seen == list(range(1 << n))
 
 
 def test_negation_trapping7_all_true():
@@ -276,3 +298,26 @@ def test_is_commutative_matches_update_composition():
             for j in range(1, f.n + 1)
         )
         assert is_commutative(f) == direct
+
+
+# --- verify orchestration
+
+
+def test_run_verification_builds_one_profile_per_related_network(monkeypatch):
+    # The checks of one network share a profile per distinct network among
+    # itself, its closure, its min extension and their realisations.
+    built = []
+
+    class CountingProfile(NetworkProfile):
+        def __init__(self, f):
+            built.append(f)
+            super().__init__(f)
+
+    monkeypatch.setattr(verify, "NetworkProfile", CountingProfile)
+    nets = sample_population(4, 20, 1)
+    assert run_verification(nets, check_fixtures=False) == []
+    expected = 0
+    for f in nets:
+        p = NetworkProfile(f)
+        expected += len({f, p.closure, p.min_extension})
+    assert len(built) == expected
