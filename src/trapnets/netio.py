@@ -4,7 +4,9 @@ Truth-table format: UTF-8 with LF line ends, optional ``#`` comments, an
 ``n=<k>`` header, then exactly 2^k rows ``<config> <image>`` written as
 width-k binary strings x_1 x_2 ... x_k.  Rows may arrive in any order; the
 writer always emits them in increasing configuration order, so
-write(parse(text)) is a canonical form.
+write(parse(text)) is a canonical form.  A document in the writer's exact
+byte layout, rows in any order, is read as one numpy byte array; any
+other goes through the line loop, which raises every ``NetParseError``.
 
 Expression format: one ``x<i>, <expr>`` line per coordinate, where the
 expression uses identifiers x1..xn, constants 0/1, parentheses and the
@@ -55,8 +57,49 @@ def _parse_config_token(token: str, n: int, line_no: int) -> int:
         raise NetParseError(line_no, str(exc)) from None
 
 
+def _parse_canonical(text: str) -> tuple[int, np.ndarray] | None:
+    """(n, image) of a document in exactly the writer's layout, else None.
+
+    That layout is the header ``n=<k>`` and 2^k rows of k bits, a space, k
+    bits and LF, so the body reads as a (2^k, 2k + 2) byte array.  Rows may
+    come in any order.  Anything else, or any failed check, is left to the
+    line loop, which owns every error message.
+    """
+    header, _, body = text.partition("\n")
+    if not (text.isascii() and header.startswith("n=") and header[2:].isdigit()):
+        return None
+    n = int(header[2:])
+    width = 2 * n + 2
+    if not 1 <= n <= MAX_DIMENSION or len(body) != width << n:
+        return None
+    rows = np.frombuffer(body.encode("ascii"), dtype=np.uint8).reshape(1 << n, width)
+    expect = np.frombuffer(f"{'1' * n} {'1' * n}\n".encode("ascii"), dtype=np.uint8)
+    if not np.all(rows | (expect & 1) == expect):  # bits are "0" or "1"
+        return None
+    # Only the low bit tells "0" from "1", and it is 0 in " " and "\n", so
+    # the low bits of a row, packed little-endian, read as x + (y << (n + 1)).
+    packed = np.zeros((1 << n, 8), dtype=np.uint8)
+    packed[:, : (width + 7) // 8] = np.packbits(rows & 1, axis=1, bitorder="little")
+    xy = packed.view("<u8").ravel().astype(np.int64)
+    x, y = xy & (1 << n) - 1, xy >> (n + 1)
+    if np.bincount(x, minlength=1 << n).max() != 1:
+        return None
+    image = np.empty_like(y)
+    image[x] = y
+    return n, image
+
+
 def parse_truth_table(text: str, name: str | None = None) -> NetworkDocument:
     """Parse a truth-table document; every configuration must appear once."""
+    canonical = _parse_canonical(text)
+    if canonical is None:
+        return _parse_lines(text, name)
+    n, image = canonical
+    return NetworkDocument(n, "truth-table", BooleanNetwork(n, tuple(image.tolist())), name)
+
+
+def _parse_lines(text: str, name: str | None) -> NetworkDocument:
+    """Any truth-table document, one line at a time; raises every NetParseError."""
     lines = _significant_lines(text)
     try:
         line_no, header = next(lines)

@@ -6,6 +6,7 @@ import numpy as np
 
 from trapnets import BooleanNetwork, Configuration, Subcube, SubcubeCollection
 from trapnets.core import iter_submasks
+from trapnets.cubesets import _ternary_of_masks
 from trapnets.generators import (
     exhaustive_networks,
     long_transient_trapping,
@@ -110,6 +111,17 @@ def brute_force_trapspaces(f: BooleanNetwork) -> set[Subcube]:
         if all(f.image[m] & ~c.free == c.base for m in c.member_bits()):
             out.add(c)
     return out
+
+
+def digitwise_subcube_or(leaves: np.ndarray, n: int) -> np.ndarray:
+    """Oracle (the library's former kernel): one OR pass per ternary digit
+    over the whole 3^n table, so entry T is the OR of ``leaves`` over T."""
+    table = np.zeros(3**n, dtype=leaves.dtype)
+    table[_ternary_of_masks(n)] = leaves
+    for j in range(n):
+        v = table.reshape(3 ** (n - 1 - j), 3, 3**j)
+        np.bitwise_or(v[:, 0, :], v[:, 1, :], out=v[:, 2, :])
+    return table
 
 
 def bitset_trapspace_fp(f: BooleanNetwork) -> bool:

@@ -2,6 +2,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trapnets import (
     BooleanNetwork,
@@ -16,6 +18,7 @@ from trapnets import (
     trapping_graph,
     write_truth_table,
 )
+from trapnets.netio import _parse_canonical, _parse_lines
 
 from helpers import F_EX3_ROWS, cfg, f_ex3
 
@@ -90,6 +93,77 @@ def test_write_is_canonical_and_roundtrips():
 def test_write_identity_on_two_bits():
     text = write_truth_table(NetworkDocument(2, "truth-table", BooleanNetwork.identity(2)))
     assert text == "n=2\n00 00\n10 10\n01 01\n11 11\n"
+
+
+# --- the numpy reader of canonical documents, against the line loop
+
+
+def _outcome(parse, text):
+    try:
+        doc = parse(text)
+    except NetParseError as exc:
+        return "error", exc.line, str(exc)
+    return "ok", doc.n, doc.network
+
+
+def _lines(rows, end="\n"):
+    return "".join(row + end for row in rows)
+
+
+# Each edit takes (rows, data) and returns a body and whether the numpy
+# reader must take it.  The last three keep the canonical length but break
+# the layout, so they must reach the loop's message.
+_EDITS = {
+    "canonical": lambda rows, data: (_lines(rows), True),
+    "shuffled": lambda rows, data: (_lines(data.draw(st.permutations(rows))), True),
+    "comment line": lambda rows, data: (_lines(["# rows follow", *rows]), False),
+    "trailing comment": lambda rows, data: (_lines(r + " # c" for r in rows), False),
+    "crlf": lambda rows, data: (_lines(rows, "\r\n"), False),
+    "trailing spaces": lambda rows, data: (_lines(r + "  " for r in rows), False),
+    "tab separator": lambda rows, data: (_lines(r.replace(" ", "\t") for r in rows), False),
+    "no final newline": lambda rows, data: (_lines(rows)[:-1], False),
+    "a 2": lambda rows, data: _replace_char(rows, data, "2"),
+    "duplicate row": lambda rows, data: _copy_row(rows, data),
+    "missing row": lambda rows, data: _comment_row(rows, data),
+}
+
+
+def _replace_char(rows, data, char):
+    i = data.draw(st.integers(0, len(rows) - 1))
+    col = data.draw(st.sampled_from([c for c, ch in enumerate(rows[i]) if ch != " "]))
+    rows = list(rows)
+    rows[i] = rows[i][:col] + char + rows[i][col + 1 :]
+    return _lines(rows), False
+
+
+def _copy_row(rows, data):
+    i, j = data.draw(st.permutations(range(len(rows))))[:2]
+    rows = list(rows)
+    rows[i] = rows[j]
+    return _lines(rows), False
+
+
+def _comment_row(rows, data):
+    i = data.draw(st.integers(0, len(rows) - 1))
+    rows = list(rows)
+    rows[i] = "#" * len(rows[i])
+    return _lines(rows), False
+
+
+@given(st.integers(1, 4), st.sampled_from(sorted(_EDITS)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_numpy_reader_matches_line_loop(n, edit, data):
+    image = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1 << n, max_size=1 << n))
+    rows = [f"{format(x, f'0{n}b')[::-1]} {format(y, f'0{n}b')[::-1]}" for x, y in enumerate(image)]
+    body, canonical = _EDITS[edit](rows, data)
+    text = f"n={n}\n{body}"
+    assert (_parse_canonical(text) is not None) == canonical
+    loop = _outcome(lambda t: _parse_lines(t, None), text)
+    assert _outcome(parse_truth_table, text) == loop
+    if canonical:
+        assert loop == ("ok", n, BooleanNetwork(n, tuple(image)))
+    elif edit in ("a 2", "duplicate row", "missing row"):
+        assert loop[0] == "error" and len(body) == (2 * n + 2) << n
 
 
 # --- expression networks

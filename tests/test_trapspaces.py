@@ -21,6 +21,7 @@ from trapnets.core import Mask, update
 from trapnets.trapspaces import (
     _free_of_index,
     _moved_table,
+    _subcube_or,
     _ternary_of_masks,
     fixed_point_table,
     principal_pair,
@@ -35,6 +36,7 @@ from helpers import (
     brute_force_trapspaces,
     cfg,
     cube,
+    digitwise_subcube_or,
     f_ex3,
     net_from_arcs,
     oracle_population,
@@ -281,6 +283,18 @@ def test_table_entry_is_or_of_member_moves():
             for m in c.member_bits():
                 moved |= m ^ f.image[m]
             assert table[tern[c.base] + 2 * tern[c.free]] == moved
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 14])
+def test_two_stage_or_kernel_matches_digitwise_oracle(n):
+    # n = 7 is the first stage alone; from n = 8 on the second stage runs.
+    rng = np.random.default_rng(n)
+    moves = rng.integers(0, 1 << n, 1 << n).astype(np.uint16)
+    sparse = rng.random(1 << n) < 2.0 ** -n * 3  # a few True leaves
+    for leaves in (moves, sparse, np.zeros(1 << n, dtype=bool)):
+        table = _subcube_or(leaves, n)
+        assert table.dtype == leaves.dtype
+        assert np.array_equal(table, digitwise_subcube_or(leaves, n))
 
 
 def test_fixed_point_table_entry_is_member_scan():
