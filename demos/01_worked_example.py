@@ -44,10 +44,11 @@ all_trapspaces = enumerate_trapspaces(f)
 print(f"\nall trapspaces ({len(all_trapspaces)}):",
       " ".join(str(c) for c in all_trapspaces.sorted_members()))
 
-minimal, min_configs = minimal_trapspaces(f)
+# The cover is a bool array over the 2^n configurations.
+minimal, covered = minimal_trapspaces(f)
 print(f"minimal trapspaces: {' '.join(str(c) for c in minimal.sorted_members())}")
-print(f"configurations inside minimal trapspaces: "
-      f"{' '.join(sorted(str(c) for c in min_configs))}")
+print("configurations inside minimal trapspaces:",
+      " ".join(sorted(str(Configuration(3, x)) for x in range(8) if covered[x])))
 
 # The trapping closure keeps the same trapspaces but has the most
 # transitions: each configuration now jumps to its opposite corner.

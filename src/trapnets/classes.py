@@ -20,7 +20,6 @@ import numpy as np
 
 from .core import (
     BooleanNetwork,
-    Configuration,
     _check_same_dimension,
     cube_bitset,
     is_commutative,
@@ -241,7 +240,7 @@ class NetworkProfile:
         return self._shared(build_graph(self.f, "general"))
 
     @cached_property
-    def pt_pairs(self) -> tuple[tuple[int, int], ...]:
+    def pt_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         return principal_pairs(self.f)
 
     @cached_property
@@ -254,15 +253,14 @@ class NetworkProfile:
 
     @cached_property
     def pt_collection(self) -> SubcubeCollection:
-        free, base = np.array(self.pt_pairs, dtype=np.int64).T
-        return SubcubeCollection.from_pairs(self.n, free, base)
+        return SubcubeCollection.from_pairs(self.n, *self.pt_pairs)
 
     @cached_property
     def trapspace_collection(self) -> SubcubeCollection:
         return SubcubeCollection(self.n, trapspace_mask(self.f))
 
     @cached_property
-    def minimal(self) -> tuple[SubcubeCollection, frozenset[Configuration]]:
+    def minimal(self) -> tuple[SubcubeCollection, np.ndarray]:
         return minimal_trapspaces(self.f, self.pt_pairs)
 
     @cached_property
@@ -347,8 +345,14 @@ class NetworkProfile:
         return np.array_equal(img[img[img]], img)
 
     @cached_property
+    def pt_distinct(self) -> int:
+        """The number of distinct principal trapspaces."""
+        free, base = self.pt_pairs
+        return int(np.count_nonzero(np.diff(np.sort(free << self.n | base)))) + 1
+
+    @cached_property
     def dpt(self) -> bool:
-        return len(set(self.pt_pairs)) == 1 << self.n
+        return self.pt_distinct == 1 << self.n
 
     @cached_property
     def fixable(self) -> bool:
@@ -374,42 +378,6 @@ class NetworkProfile:
     @cached_property
     def min_trapping(self) -> bool:
         return self.f == self.min_extension
-
-    PROPERTY_NAMES = (
-        "trapping",
-        "commutative",
-        "marseille",
-        "lille",
-        "globally_idempotent",
-        "bijective",
-        "locally_bijective",
-        "globally_bijective",
-        "involutive",
-        "locally_involutive",
-        "globally_involutive",
-        "idempotent",
-        "locally_idempotent",
-        "dynamically_local",
-        "dpt",
-        "fixable",
-        "trapspace_fp",
-        "interval_fp",
-        "interval_ufp",
-        "min_trapping",
-        "interval_ufp_idempotent",
-        "symmetric_a",
-        "symmetric_ga",
-        "symmetric_tg",
-        "oriented_a",
-        "oriented_ga",
-        "oriented_tg",
-        "triangular_a",
-        "triangular_ga",
-        "triangular_tg",
-        "sink_terminal_a",
-        "sink_terminal_ga",
-        "sink_terminal_tg",
-    )
 
     def prop(self, name: str) -> bool:
         if name == "all":
@@ -461,29 +429,7 @@ class ClassReport:
 def classify_network(f: BooleanNetwork, profile: NetworkProfile | None = None) -> ClassReport:
     """Evaluate every class flag from its own primary definition."""
     p = profile if profile is not None else NetworkProfile(f)
-    g_bij, g_inv, _ = p.globally_flags
-    return ClassReport(
-        trapping=p.trapping,
-        commutative=p.commutative,
-        marseille=p.marseille,
-        lille=p.lille,
-        globally_idempotent=p.globally_idempotent,
-        bijective=p.bijective,
-        locally_bijective=p.locally_bijective,
-        globally_bijective=g_bij,
-        involutive=p.involutive,
-        locally_involutive=p.locally_involutive,
-        globally_involutive=g_inv,
-        idempotent=p.idempotent,
-        locally_idempotent=p.locally_idempotent,
-        dynamically_local=p.dynamically_local,
-        dpt=p.dpt,
-        fixable=p.fixable,
-        trapspace_fp=p.trapspace_fp,
-        interval_fp=p.interval_fp,
-        interval_ufp=p.interval_ufp,
-        min_trapping=p.min_trapping,
-    )
+    return ClassReport(**{field.name: p.prop(field.name) for field in fields(ClassReport)})
 
 
 # ---------------------------------------------------------------------------
@@ -515,13 +461,10 @@ def check_alternate_definitions(
     """
     p = profile if profile is not None else NetworkProfile(f)
     if theorem == "trapping7":
-        interval_is_principal = all(
-            (x ^ fx) == p.pt_pairs[x][0] for x, fx in enumerate(f.image)
-        )
         return (
             graph_property(p.graph_ga, "transitive"),
             _forall_interval(f, lambda x, fx, y, fy: _span_subset(y, fy, x, fx)),
-            interval_is_principal,
+            np.array_equal(p.xs ^ f.np_image, p.pt_pairs[0]),
             f == p.closure,
             _is_some_trapping_closure(f, p),
             p.graph_tg == p.graph_ga,
@@ -562,22 +505,21 @@ def check_alternate_definitions(
         )
     if theorem == "sink_terminal5":
         fix = p.fixed_bitset
+        frees, bases = (a.tolist() for a in p.pt_pairs)
         descend_ok = True
         for x in range(1 << f.n):
             if fix >> x & 1:
                 continue
-            free, base = p.pt_pairs[x]
-            if all(p.pt_pairs[base | s] == (free, base) for s in iter_submasks(free)):
+            free, base = frees[x], bases[x]
+            if all(frees[base | s] == free and bases[base | s] == base
+                   for s in iter_submasks(free)):
                 descend_ok = False
                 break
-        m_configs_bits = 0
-        for c in p.minimal[1]:
-            m_configs_bits |= 1 << c.bits
-        principal_fp = all(cube_bitset(fr, ba) & fix for fr, ba in set(p.pt_pairs))
+        principal_fp = all(cube_bitset(fr, ba) & fix for fr, ba in set(zip(frees, bases)))
         return (
             graph_property(p.graph_tg, "sink-terminal"),
             descend_ok,
-            m_configs_bits == fix,
+            np.array_equal(p.minimal[1], p.xs == f.np_image),
             principal_fp,
             p.trapspace_fp,
         )
@@ -595,7 +537,7 @@ def trapspace_equivalent(
     return (
         pf.pt_collection == pg.pt_collection,
         pf.trapspace_collection == pg.trapspace_collection,
-        pf.pt_pairs == pg.pt_pairs,
+        np.array_equal(pf.pt_pairs[0], pg.pt_pairs[0]),
         pf.graph_tg == pg.graph_tg,
         pf.closure == pg.closure,
     )
@@ -609,19 +551,14 @@ def min_trapspace_equivalent(
     _check_same_dimension(f, g)
     pf = pf if pf is not None else NetworkProfile(f)
     pg = pg if pg is not None else NetworkProfile(g)
-    mf, mf_configs = pf.minimal
-    mg, mg_configs = pg.minimal
-    same_m = mf_configs == mg_configs
-    cond2 = same_m and all(
-        pf.pt_pairs[c.bits] == pg.pt_pairs[c.bits] for c in mf_configs
-    )
-    cond3 = all(
-        pf.pt_pairs[c.bits] == pg.pt_pairs[c.bits] for c in mf_configs | mg_configs
-    )
+    mf, covered_f = pf.minimal
+    mg, covered_g = pg.minimal
+    # Given x and its free mask, the base of its principal trapspace is fixed.
+    same_pt = pf.pt_pairs[0] == pg.pt_pairs[0]
     return (
         mf == mg,
-        cond2,
-        cond3,
+        np.array_equal(covered_f, covered_g) and bool(same_pt[covered_f].all()),
+        bool(same_pt[covered_f | covered_g].all()),
         pf.min_extension == pg.min_extension,
     )
 

@@ -36,14 +36,19 @@ ANALYZE_MAX_N = ENUMERATION_MAX_N
 MINIMAL_ONLY_MAX_N = TABLE_MAX_N
 
 
-def _positive_int(value: str) -> int:
-    try:
-        n = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{value!r} is not an integer")
-    if n < 1:
-        raise argparse.ArgumentTypeError("value must be at least 1")
-    return n
+def _int_at_least(low: int):
+    """An argparse type for integers of at least ``low``."""
+
+    def parse(value: str) -> int:
+        try:
+            n = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{value!r} is not an integer")
+        if n < low:
+            raise argparse.ArgumentTypeError(f"value must be at least {low}")
+        return n
+
+    return parse
 
 
 def _load_network(path: str):
@@ -52,6 +57,9 @@ def _load_network(path: str):
             text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
     try:
         return parse_truth_table(text, name=path)
@@ -63,7 +71,7 @@ def _load_network(path: str):
 def _analysis_report(doc, minimal_only: bool) -> dict:
     f = doc.network
     profile = NetworkProfile(f)
-    minimal, min_configs = profile.minimal
+    minimal, covered = profile.minimal
     transient, period = transient_and_period(f)
     report: dict = {
         "name": doc.name,
@@ -71,9 +79,9 @@ def _analysis_report(doc, minimal_only: bool) -> dict:
         "transient": transient,
         "period": period,
         "trapspaces": {
-            "principal_distinct": len(set(profile.pt_pairs)),
+            "principal_distinct": profile.pt_distinct,
             "minimal": len(minimal),
-            "min_configs": len(min_configs),
+            "min_configs": int(covered.sum()),
             "minimal_cubes": [str(c) for c in minimal.sorted_members()],
         },
     }
@@ -288,19 +296,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("verify", help="sweep a population against the structural claims")
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--samples", type=_positive_int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_int_at_least(1))
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--suite", choices=("all", "theorems", "diagrams", "closure"), default="all")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="generate a network and write its truth table")
     p.add_argument("--kind", required=True,
                    choices=("random", "commutative", "negation", "constant", "long-transient"))
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--parts", type=_positive_int, default=2)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--parts", type=_int_at_least(1), default=2)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 

@@ -25,13 +25,19 @@ pass.  Stage 1's array is 2.2 MB at n = 16, so the peak is still one 3^n
 buffer.
 
 The trapspaces are a boolean mask over the subcube index, the form a
-``SubcubeCollection`` stores.  A single principal trapspace is instead
-grown from a frontier of newly-added members, with no table and no cap.
+``SubcubeCollection`` stores.  The principal map is one read-only
+``(free, base)`` pair of int64 arrays over the 2^n configurations, the
+shape ``SubcubeCollection.pairs()`` returns; the trapping closure is
+``x ^ free`` and the trapping graph the bitsets of those subcubes.
+``minimal_trapspaces`` counts the configurations per principal subcube
+with one ``np.unique`` over their ternary indices and returns the
+configurations it covers as a read-only bool array over the 2^n
+configurations.  A single principal trapspace is instead grown from a
+frontier of newly-added members, with no table and no cap.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,12 +127,13 @@ def fixed_point_table(f: BooleanNetwork) -> np.ndarray:
     return _subcube_or(np.arange(1 << f.n) == f.np_image, f.n)
 
 
-def principal_pairs(f: BooleanNetwork) -> tuple[tuple[int, int], ...]:
-    """(free, base) of the principal trapspace of every configuration (n <= 16).
+def principal_pairs(f: BooleanNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """(free, base) arrays of the principal trapspace of every configuration.
 
-    Each step frees every coordinate some member of the current subcube
-    moves; a step that frees nothing new leaves a trapspace, so at most n
-    steps are taken.
+    Entry x of each read-only int64 array describes the principal trapspace
+    of x.  Each step frees every coordinate some member of the current
+    subcube moves; a step that frees nothing new leaves a trapspace, so at
+    most n steps are taken.  Capped at n <= 16.
     """
     tern = _ternary_of_masks(f.n)
     table = _moved_table(f)
@@ -139,8 +146,10 @@ def principal_pairs(f: BooleanNetwork) -> tuple[tuple[int, int], ...]:
             break
         free |= grow
         index += 2 * tern[grow] - tern[xs & grow]
-    del table  # release the 3^n buffer before building 2^n tuples
-    return tuple(zip(free.tolist(), (xs & ~free).tolist()))
+    base = xs & ~free
+    free.setflags(write=False)
+    base.setflags(write=False)
+    return free, base
 
 
 def trapspace_mask(f: BooleanNetwork) -> np.ndarray:
@@ -157,9 +166,10 @@ def enumerate_trapspaces(f: BooleanNetwork) -> SubcubeCollection:
 
 
 def minimal_trapspaces(
-    f: BooleanNetwork, pairs: tuple[tuple[int, int], ...] | None = None
-) -> tuple[SubcubeCollection, frozenset[Configuration]]:
-    """Minimal trapspaces of f and the set of configurations they cover.
+    f: BooleanNetwork, pairs: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[SubcubeCollection, np.ndarray]:
+    """Minimal trapspaces of f and the read-only bool array of the
+    configurations they cover.
 
     Every member of a minimal trapspace has it as its principal trapspace,
     while a larger trapspace contains a smaller one whose members do not.
@@ -167,14 +177,18 @@ def minimal_trapspaces(
     configurations have T as their principal trapspace.  ``pairs`` are the
     principal pairs of f when already computed; capped at n <= 16.
     """
-    pairs = principal_pairs(f) if pairs is None else pairs
-    counts = Counter(pairs)
-    minimal = {p for p, k in counts.items() if k == 1 << p[0].bit_count()}
-    free, base = np.array(list(minimal), dtype=np.int64).reshape(-1, 2).T
-    configs = frozenset(
-        Configuration(f.n, x) for x, pair in enumerate(pairs) if pair in minimal
-    )
-    return SubcubeCollection.from_pairs(f.n, free, base), configs
+    free, base = principal_pairs(f) if pairs is None else pairs
+    tern = _ternary_of_masks(f.n)
+    index = tern[base] + 2 * tern[free]
+    _, inverse, counts = np.unique(index, return_inverse=True, return_counts=True)
+    size = np.ones_like(free)  # 2^|free|, as np.bitwise_count needs numpy 2
+    for j in range(f.n):
+        size <<= free >> j & 1
+    covered = counts[inverse] == size
+    covered.setflags(write=False)
+    mask = np.zeros(3**f.n, dtype=bool)
+    mask[index[covered]] = True
+    return SubcubeCollection(f.n, mask), covered
 
 
 @dataclass(frozen=True)
@@ -184,21 +198,21 @@ class TrapspaceReport:
     principal: dict[Configuration, Subcube]
     all: SubcubeCollection
     minimal: SubcubeCollection
-    min_configs: frozenset[Configuration]
+    min_configs: np.ndarray
 
 
 def trapspace_report(f: BooleanNetwork) -> TrapspaceReport:
     pairs = principal_pairs(f)
     principal = {
         Configuration(f.n, x): Subcube(f.n, free, base)
-        for x, (free, base) in enumerate(pairs)
+        for x, (free, base) in enumerate(zip(*(a.tolist() for a in pairs)))
     }
     minimal, min_configs = minimal_trapspaces(f, pairs)
     return TrapspaceReport(principal, enumerate_trapspaces(f), minimal, min_configs)
 
 
 def trapping_closure(
-    f: BooleanNetwork, pairs: tuple[tuple[int, int], ...] | None = None
+    f: BooleanNetwork, pairs: tuple[np.ndarray, np.ndarray] | None = None
 ) -> BooleanNetwork:
     """The network sending each x to its opposite in its principal trapspace.
 
@@ -206,19 +220,19 @@ def trapping_closure(
     trapspaces as f, and is a fixed point of this operator.  ``pairs`` are
     the principal pairs of f when already computed.
     """
-    pairs = principal_pairs(f) if pairs is None else pairs
-    return BooleanNetwork(f.n, tuple(x ^ free for x, (free, _) in enumerate(pairs)))
+    free, _ = principal_pairs(f) if pairs is None else pairs
+    return BooleanNetwork(f.n, tuple((np.arange(1 << f.n) ^ free).tolist()))
 
 
 def trapping_graph(
-    f: BooleanNetwork, pairs: tuple[tuple[int, int], ...] | None = None
+    f: BooleanNetwork, pairs: tuple[np.ndarray, np.ndarray] | None = None
 ) -> HypercubeGraph:
     """Graph with an arc x -> y whenever y lies in the principal trapspace of x.
 
     ``pairs`` are the principal pairs of f when already computed.
     """
-    pairs = principal_pairs(f) if pairs is None else pairs
-    return HypercubeGraph(f.n, tuple(cube_bitset(free, base) for free, base in pairs))
+    free, base = principal_pairs(f) if pairs is None else pairs
+    return HypercubeGraph(f.n, tuple(map(cube_bitset, free.tolist(), base.tolist())))
 
 
 def min_trapping_extension(

@@ -28,6 +28,7 @@ from trapnets.verify import closure_law_violations, run_verification, sample_pop
 
 from helpers import (
     bitset_trapspace_fp,
+    brute_force_principals,
     brute_force_trapspaces,
     f_ex3,
     net_from_arcs,
@@ -63,6 +64,11 @@ def test_trapspace_fp_matches_bitset_oracle():
     for f in oracle_population():
         p = NetworkProfile(f)
         assert p.trapspace_fp == bitset_trapspace_fp(f)
+
+
+def test_pt_distinct_counts_brute_force_principals():
+    for f in [*exhaustive_networks(2), *sampled_networks(range(3, 5))]:
+        assert NetworkProfile(f).pt_distinct == len(set(brute_force_principals(f)))
 
 
 def test_long_transient_is_trapping_not_commutative():

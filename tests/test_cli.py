@@ -71,6 +71,16 @@ def test_analyze_parse_error_exits_2(tmp_path):
     assert info.value.code == 2
 
 
+def test_analyze_undecodable_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.tt"
+    path.write_bytes(b"n=1\n0 \xff\n")
+    with pytest.raises(SystemExit) as info:
+        main(["analyze", str(path)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
 def test_analyze_json_is_stable(tmp_path, capsys):
     path = f_ex3_file(tmp_path)
     assert main(["analyze", path, "--format", "json"]) == 0
@@ -265,6 +275,13 @@ def test_verify_sampled_at_n7(capsys):
     assert "checked 6 networks (n=7" in out and "violations: 0" in out
 
 
+def test_verify_negative_seed_exits_2(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--n", "3", "--samples", "5", "--seed", "-1"])
+    assert info.value.code == 2
+    assert "value must be at least 0" in capsys.readouterr().err
+
+
 def test_verify_flag_conflict(capsys):
     assert main(["verify", "--n", "2", "--exhaustive", "--samples", "5"]) == 2
 
@@ -294,6 +311,15 @@ def test_gen_rejects_zero_dimension(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["gen", "--kind", "random", "--n", "0", "--out", str(tmp_path / "x.tt")])
     assert info.value.code == 2
+
+
+def test_gen_negative_seed_exits_2(tmp_path, capsys):
+    out_file = tmp_path / "x.tt"
+    with pytest.raises(SystemExit) as info:
+        main(["gen", "--kind", "random", "--n", "3", "--seed", "-1", "--out", str(out_file)])
+    assert info.value.code == 2
+    assert "value must be at least 0" in capsys.readouterr().err
+    assert not out_file.exists()
 
 
 def test_gen_random_roundtrips(tmp_path, capsys):

@@ -9,6 +9,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# Lines a demo must print, beyond exiting 0.
+EXPECTED_LINES = {
+    "01_worked_example.py": ["configurations inside minimal trapspaces: 100 101 110"],
+}
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
@@ -22,3 +26,6 @@ def test_demo_runs(script, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    for line in EXPECTED_LINES.get(script.name, []):
+        assert line in lines

@@ -155,15 +155,17 @@ def test_minimal_of_worked_example():
     f = f_ex3()
     minimal, configs = minimal_trapspaces(f)
     assert set(minimal.members) == {cube("100"), cube("101"), cube("110")}
-    assert {str(c) for c in configs} == {"100", "101", "110"}
+    assert {str(Configuration(3, x)) for x in np.flatnonzero(configs)} == {"100", "101", "110"}
 
 
 def test_minimal_identity_and_negation():
     minimal, configs = minimal_trapspaces(BooleanNetwork.identity(3))
-    assert len(minimal) == 8 and len(configs) == 8
+    assert len(minimal) == 8 and np.count_nonzero(configs) == 8
     minimal, configs = minimal_trapspaces(BooleanNetwork.negation(3))
     assert set(minimal.members) == {Subcube.full_cube(3)}
-    assert len(configs) == 8
+    assert np.count_nonzero(configs) == 8
+    minimal, configs = minimal_trapspaces(net_from_arcs(3, ["000>001"]))
+    assert np.count_nonzero(configs) == 7 and not configs[0]
 
 
 def test_minimal_matches_oracle():
@@ -174,7 +176,7 @@ def test_minimal_matches_oracle():
             expected = brute_force_minimal(f)
             assert set(minimal.members) == expected
             covered = {m.bits for c in expected for m in c.members()}
-            assert {c.bits for c in configs} == covered
+            assert set(np.flatnonzero(configs).tolist()) == covered
 
 
 # --- trapping closure and graph
@@ -267,7 +269,8 @@ def test_report_bundles_everything():
     assert len(report.all) == 9
     assert len(report.minimal) == 3
     assert report.principal[cfg("000")] == cube("**0")
-    assert {str(c) for c in report.min_configs} == {"100", "101", "110"}
+    covered = np.flatnonzero(report.min_configs)
+    assert {str(Configuration(3, x)) for x in covered} == {"100", "101", "110"}
 
 
 # --- the subcube table, against the independent oracles
@@ -321,9 +324,21 @@ def test_lattice_constants_reject_writes():
 def test_table_principal_pairs_match_frontier_and_brute_force():
     for f in table_population():
         brute = brute_force_principals(f)
-        for x, (free, base) in enumerate(principal_pairs(f)):
+        free_array, base_array = principal_pairs(f)
+        for x, (free, base) in enumerate(zip(free_array.tolist(), base_array.tolist())):
             assert (free, base) == principal_pair(f, x)
             assert Subcube(f.n, free, base) == brute[x]
+
+
+def test_principal_arrays_and_cover_are_read_only():
+    f = f_ex3()
+    free, base = principal_pairs(f)
+    _, covered = minimal_trapspaces(f, (free, base))
+    assert free.dtype == base.dtype == np.int64 and free.shape == base.shape == (8,)
+    assert covered.dtype == bool and covered.shape == (8,)
+    for array in (free, base, covered, trapspace_report(f).min_configs):
+        with pytest.raises(ValueError):
+            array[0] = 1
 
 
 def test_table_minimal_matches_pairwise_oracle():
@@ -331,7 +346,8 @@ def test_table_minimal_matches_pairwise_oracle():
         minimal, configs = minimal_trapspaces(f)
         expected = pairwise_minimal_trapspaces(f)
         assert set(minimal.members) == expected
-        assert {c.bits for c in configs} == {b for c in expected for b in c.member_bits()}
+        covered = {b for c in expected for b in c.member_bits()}
+        assert set(np.flatnonzero(configs).tolist()) == covered
 
 
 def test_table_enumeration_matches_brute_force():
