@@ -11,11 +11,13 @@ sampled verification of the relationships between all of these.
 """
 
 from .core import (
+    CAPS,
     BooleanNetwork,
     Configuration,
     Mask,
     Subcube,
     UpdateWord,
+    check_cap,
     compose_word,
     delta_mask,
     hamming,

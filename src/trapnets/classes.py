@@ -19,8 +19,10 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
+    CAPS,
     BooleanNetwork,
     _check_same_dimension,
+    check_cap,
     cube_bitset,
     is_commutative,
     iter_submasks,
@@ -40,9 +42,6 @@ from .trapspaces import (
     min_trapping_extension,
 )
 
-ST_SWEEP_MAX_N = 8
-GLOBAL_SWEEP_MAX_N = 16
-
 THEOREM_SIZES = {
     "trapping7": 7,
     "commutative3": 3,
@@ -59,8 +58,7 @@ THEOREM_SIZES = {
 
 def update_tables(f: BooleanNetwork) -> np.ndarray:
     """U[s, x] = image of x under the update of subset s (s as a bit pattern)."""
-    if f.n > ST_SWEEP_MAX_N:
-        raise ValueError(f"subset-pair sweeps are capped at n={ST_SWEEP_MAX_N}")
+    check_cap("pair_sweep", f.n)
     xs = np.arange(1 << f.n, dtype=np.int64)
     return update_table(f.np_image, xs[:, None], xs)
 
@@ -70,57 +68,47 @@ def _leq_rows(xs: np.ndarray, a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.all(((xs ^ a) & ~(xs ^ b)) == 0))
 
 
-def _pairwise_sweep(f: BooleanNetwork, check) -> bool:
-    """Run ``check(comp, s, U, xs, ts)`` on blocks of up to 4096 / 4^n subsets s,
-    where comp[t, k, x] is the table of updating s[k] then t; ts is a column."""
+def _pair_sweep(f: BooleanNetwork) -> dict[str, bool]:
+    """The subset-pair condition of five theorems, by theorem, in one pass.
+
+    Blocks of up to 4096 / 4^n subsets s go through together: comp[t, k, x]
+    is the table of updating s[k] then t.  Each condition is its own test
+    and is dropped once it fails; the pass ends when all five have failed.
+    """
     U = update_tables(f)
     size = U.shape[0]
     xs = np.arange(size, dtype=np.int64)
     ts = xs[:, None]
     block = max(1, 4096 // (size * size))
+    holds = dict.fromkeys(
+        ("trapping7", "commutative3", "marseille4", "lille4", "globally_idempotent3"), True
+    )
     for start in range(0, size, block):
         s = xs[start:start + block]
-        if not check(np.take(U, U[s], axis=1), s, U, xs, ts):
-            return False
-    return True
-
-
-def _sweep_trapping(f: BooleanNetwork) -> bool:
-    # update(s) then update(t) never moves more than update(s | t)
-    return _pairwise_sweep(
-        f, lambda comp, s, U, xs, ts: _leq_rows(xs, comp, U[ts | s])
-    )
-
-
-def _sweep_commutative_sandwich(f: BooleanNetwork) -> bool:
-    return _pairwise_sweep(
-        f,
-        lambda comp, s, U, xs, ts: _leq_rows(xs, U[ts ^ s], comp)
-        and _leq_rows(xs, comp, U[ts | s]),
-    )
-
-
-def _sweep_marseille(f: BooleanNetwork) -> bool:
-    return _pairwise_sweep(
-        f, lambda comp, s, U, xs, ts: bool(np.all(comp == U[ts ^ s]))
-    )
-
-
-def _sweep_lille(f: BooleanNetwork) -> bool:
-    return _pairwise_sweep(
-        f, lambda comp, s, U, xs, ts: bool(np.all(comp == U[ts | s]))
-    )
-
-
-def _sweep_intersection_bound(f: BooleanNetwork) -> bool:
-    # Both bounds are needed: the lower bound alone is strictly weaker than
-    # global idempotence (26 of the 256 two-coordinate networks satisfy it
-    # without being globally idempotent).
-    return _pairwise_sweep(
-        f,
-        lambda comp, s, U, xs, ts: _leq_rows(xs, U[ts & s], comp)
-        and _leq_rows(xs, comp, U[ts | s]),
-    )
+        comp = np.take(U, U[s], axis=1)
+        union = U[ts | s]
+        # update(s) then update(t) never moves more than update(s | t); the
+        # trapping, sandwich and intersection-bound conditions all need it.
+        below_union = (
+            holds["trapping7"] or holds["commutative3"] or holds["globally_idempotent3"]
+        ) and _leq_rows(xs, comp, union)
+        holds["trapping7"] &= below_union
+        if holds["commutative3"] or holds["marseille4"]:
+            sym = U[ts ^ s]
+            if holds["commutative3"]:
+                holds["commutative3"] = below_union and _leq_rows(xs, sym, comp)
+            if holds["marseille4"]:
+                holds["marseille4"] = bool(np.all(comp == sym))
+        if holds["lille4"]:
+            holds["lille4"] = bool(np.all(comp == union))
+        if holds["globally_idempotent3"]:
+            # Both bounds are needed: the lower bound alone is strictly weaker
+            # than global idempotence (26 of the 256 two-coordinate networks
+            # satisfy it without being globally idempotent).
+            holds["globally_idempotent3"] = below_union and _leq_rows(xs, U[ts & s], comp)
+        if not any(holds.values()):
+            break
+    return holds
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +173,10 @@ def _globally_sweep(f: BooleanNetwork) -> tuple[bool, bool, bool]:
     """(bijective, involutive, idempotent) of every subset update.
 
     Walks the subsets in Gray-code order, rewriting one coordinate of the
-    running table per step; capped at n = 16.
+    running table per step.
     """
     n = f.n
-    if n > GLOBAL_SWEEP_MAX_N:
-        raise ValueError(f"global subset sweeps are capped at n={GLOBAL_SWEEP_MAX_N}")
+    check_cap("global_sweep", n)
     size = 1 << n
     xs = np.arange(size, dtype=np.int64)
     img = f.np_image
@@ -290,6 +277,10 @@ class NetworkProfile:
     @cached_property
     def globally_flags(self) -> tuple[bool, bool, bool]:
         return _globally_sweep(self.f)
+
+    @cached_property
+    def pair_flags(self) -> dict[str, bool]:
+        return _pair_sweep(self.f)
 
     # -- individual class predicates, each from its primary definition
 
@@ -428,6 +419,7 @@ class ClassReport:
 
 def classify_network(f: BooleanNetwork, profile: NetworkProfile | None = None) -> ClassReport:
     """Evaluate every class flag from its own primary definition."""
+    check_cap("enumeration", f.n)
     p = profile if profile is not None else NetworkProfile(f)
     return ClassReport(**{field.name: p.prop(field.name) for field in fields(ClassReport)})
 
@@ -438,12 +430,12 @@ def classify_network(f: BooleanNetwork, profile: NetworkProfile | None = None) -
 
 @functools.lru_cache(maxsize=None)
 def _all_closure_tables(n: int) -> frozenset[tuple[int, ...]]:
-    # Exhaustive image of the trapping-closure operator; only sane for n <= 2.
+    # Exhaustive image of the trapping-closure operator.
     return frozenset(trapping_closure(g).image for g in exhaustive_networks(n))
 
 
 def _is_some_trapping_closure(f: BooleanNetwork, profile: NetworkProfile) -> bool:
-    if f.n <= 2:
+    if f.n <= CAPS["exhaustive"]:
         return f.image in _all_closure_tables(f.n)
     # The closure operator is idempotent (tested separately), so its image
     # is exactly its fixed-point set.
@@ -457,8 +449,10 @@ def check_alternate_definitions(
 
     Returns one boolean per condition; a mixed vector on any network
     contradicts the corresponding equivalence and is a build-breaking
-    finding.  Subset-pair sweeps cap the dimension at n = 8.
+    finding.  Refuses above the ``pair_sweep`` cap (the ``enumeration``
+    cap for sink_terminal5) before any work.
     """
+    check_cap("enumeration" if theorem == "sink_terminal5" else "pair_sweep", f.n)
     p = profile if profile is not None else NetworkProfile(f)
     if theorem == "trapping7":
         return (
@@ -468,7 +462,7 @@ def check_alternate_definitions(
             f == p.closure,
             _is_some_trapping_closure(f, p),
             p.graph_tg == p.graph_ga,
-            _sweep_trapping(f),
+            p.pair_flags["trapping7"],
         )
     if theorem == "commutative3":
         return (
@@ -478,7 +472,7 @@ def check_alternate_definitions(
                 lambda x, fx, y, fy: _span_subset(y, fx, y, fy)
                 and _span_subset(y, fy, x, fx),
             ),
-            _sweep_commutative_sandwich(f),
+            p.pair_flags["commutative3"],
         )
     if theorem == "marseille4":
         # For y inside the interval of x, interval equality reduces to equal
@@ -487,21 +481,21 @@ def check_alternate_definitions(
             p.marseille,
             is_negation_on_subcubes(f),
             _forall_interval(f, lambda x, fx, y, fy: (y ^ fy) == (x ^ fx)),
-            _sweep_marseille(f),
+            p.pair_flags["marseille4"],
         )
     if theorem == "lille4":
         return (
             p.lille,
             is_constant_on_arrangements(f),
             _forall_interval(f, lambda x, fx, y, fy: (y ^ fy) == (y ^ fx)),
-            _sweep_lille(f),
+            p.pair_flags["lille4"],
         )
     if theorem == "globally_idempotent3":
         tables = (update_table(f.np_image, s, p.xs) for s in range(1 << f.n))
         return (
             all(np.array_equal(tab[tab], tab) for tab in tables),
             _forall_interval(f, lambda x, fx, y, fy: _span_subset(y, fy, y, fx)),
-            _sweep_intersection_bound(f),
+            p.pair_flags["globally_idempotent3"],
         )
     if theorem == "sink_terminal5":
         fix = p.fixed_bitset
@@ -532,6 +526,7 @@ def trapspace_equivalent(
 ) -> tuple[bool, bool, bool, bool, bool]:
     """The five equal-trapspace-structure conditions, evaluated independently."""
     _check_same_dimension(f, g)
+    check_cap("enumeration", f.n)
     pf = pf if pf is not None else NetworkProfile(f)
     pg = pg if pg is not None else NetworkProfile(g)
     return (
@@ -549,6 +544,7 @@ def min_trapspace_equivalent(
 ) -> tuple[bool, bool, bool, bool]:
     """The four equal-minimal-trapspace conditions, evaluated independently."""
     _check_same_dimension(f, g)
+    check_cap("table", f.n)
     pf = pf if pf is not None else NetworkProfile(f)
     pg = pg if pg is not None else NetworkProfile(g)
     mf, covered_f = pf.minimal
@@ -795,7 +791,6 @@ def load_fixture(diagram: str, label: str) -> BooleanNetwork:
 def verify_diagram(
     diagram: DiagramSpec,
     population,
-    check_counterexamples: bool = True,
 ) -> list[DiagramViolation]:
     """Check correctness over a population and completeness over fixtures.
 
@@ -820,19 +815,18 @@ def verify_diagram(
                         p.f,
                     )
                 )
-    if check_counterexamples:
-        for ce in diagram.counterexamples:
-            net = load_fixture(diagram.id, ce.label)
-            p = NetworkProfile(net)
-            ok = p.prop(ce.guard) and p.prop(ce.source) and not p.prop(ce.target)
-            if not ok:
-                violations.append(
-                    DiagramViolation(
-                        diagram.id,
-                        "counterexample",
-                        f"fixture {ce.label} fails to refute "
-                        f"{ce.source} [{ce.guard}] -> {ce.target}",
-                        net,
-                    )
+    for ce in diagram.counterexamples:
+        net = load_fixture(diagram.id, ce.label)
+        p = NetworkProfile(net)
+        ok = p.prop(ce.guard) and p.prop(ce.source) and not p.prop(ce.target)
+        if not ok:
+            violations.append(
+                DiagramViolation(
+                    diagram.id,
+                    "counterexample",
+                    f"fixture {ce.label} fails to refute "
+                    f"{ce.source} [{ce.guard}] -> {ce.target}",
+                    net,
                 )
+            )
     return violations

@@ -12,13 +12,12 @@ import json
 import sys
 
 from .classes import (
-    ST_SWEEP_MAX_N,
     NetworkProfile,
     classify_network,
     min_trapspace_equivalent,
     trapspace_equivalent,
 )
-from .core import MAX_DIMENSION
+from .core import CAPS
 from .dynamics import GRAPH_PROPERTIES, graph_property, transient_and_period
 from .generators import (
     exhaustive_networks,
@@ -29,11 +28,7 @@ from .generators import (
     random_network,
 )
 from .netio import NetParseError, export_dot, network_to_text, parse_truth_table
-from .trapspaces import ENUMERATION_MAX_N, TABLE_MAX_N
 from .verify import run_verification, sample_population
-
-ANALYZE_MAX_N = ENUMERATION_MAX_N
-MINIMAL_ONLY_MAX_N = TABLE_MAX_N
 
 
 def _int_at_least(low: int):
@@ -51,21 +46,24 @@ def _int_at_least(low: int):
     return parse
 
 
+def _refuse(message: str) -> int:
+    """Print a refusal to stderr and return its exit code, 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _load_network(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        raise SystemExit(_refuse(str(exc))) from None
     except UnicodeDecodeError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        raise SystemExit(_refuse(f"{path}: {exc}")) from None
     try:
         return parse_truth_table(text, name=path)
     except NetParseError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        raise SystemExit(_refuse(f"{path}: {exc}")) from None
 
 
 def _analysis_report(doc, minimal_only: bool) -> dict:
@@ -125,11 +123,10 @@ def _print_text_report(report: dict) -> None:
 
 def cmd_analyze(args) -> int:
     doc = _load_network(args.file)
-    cap = MINIMAL_ONLY_MAX_N if args.minimal_only else ANALYZE_MAX_N
+    cap = CAPS["table"] if args.minimal_only else CAPS["enumeration"]
     if doc.n > cap:
         mode = "minimal-only" if args.minimal_only else "full"
-        print(f"error: {mode} analysis is capped at n={cap}", file=sys.stderr)
-        return 2
+        return _refuse(f"{mode} analysis is capped at n={cap}")
     report = _analysis_report(doc, args.minimal_only)
     if args.format == "json":
         print(json.dumps(report, indent=2))
@@ -140,9 +137,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_graph(args) -> int:
     doc = _load_network(args.file)
-    if doc.n > ANALYZE_MAX_N:
-        print(f"error: graph export is capped at n={ANALYZE_MAX_N}", file=sys.stderr)
-        return 2
+    if doc.n > CAPS["enumeration"]:
+        return _refuse(f"graph export is capped at n={CAPS['enumeration']}")
     profile = NetworkProfile(doc.network)
     chain = [
         ("asynchronous", profile.graph_a),
@@ -177,15 +173,10 @@ def cmd_equiv(args) -> int:
     doc_a = _load_network(args.file_a)
     doc_b = _load_network(args.file_b)
     if doc_a.n != doc_b.n:
-        print(
-            f"error: dimension mismatch: {doc_a.n} != {doc_b.n}",
-            file=sys.stderr,
-        )
-        return 2
-    cap = ENUMERATION_MAX_N if args.mode == "trapspace" else TABLE_MAX_N
+        return _refuse(f"dimension mismatch: {doc_a.n} != {doc_b.n}")
+    cap = CAPS["enumeration"] if args.mode == "trapspace" else CAPS["table"]
     if doc_a.n > cap:
-        print(f"error: {args.mode} equivalence is capped at n={cap}", file=sys.stderr)
-        return 2
+        return _refuse(f"{args.mode} equivalence is capped at n={cap}")
     if args.mode == "trapspace":
         vector = trapspace_equivalent(doc_a.network, doc_b.network)
         names = TRAPSPACE_CONDITIONS
@@ -201,24 +192,20 @@ def cmd_equiv(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.exhaustive and args.samples is not None:
-        print("error: choose either --exhaustive or --samples", file=sys.stderr)
-        return 2
-    if args.n <= 2:
+        return _refuse("choose either --exhaustive or --samples")
+    exhaustive_n = CAPS["exhaustive"]
+    if args.n <= exhaustive_n:
         if not args.exhaustive:
-            print("error: n <= 2 requires --exhaustive", file=sys.stderr)
-            return 2
+            return _refuse(f"n <= {exhaustive_n} requires --exhaustive")
         networks = exhaustive_networks(args.n)
         pairs = [(f, g) for f in networks for g in networks]
     else:
         if args.exhaustive:
-            print("error: --exhaustive is only available for n <= 2", file=sys.stderr)
-            return 2
+            return _refuse(f"--exhaustive is only available for n <= {exhaustive_n}")
         if args.samples is None:
-            print("error: n >= 3 requires --samples", file=sys.stderr)
-            return 2
-        if args.n > ST_SWEEP_MAX_N:
-            print(f"error: sampled verification is capped at n={ST_SWEEP_MAX_N}", file=sys.stderr)
-            return 2
+            return _refuse(f"n >= {exhaustive_n + 1} requires --samples")
+        if args.n > CAPS["pair_sweep"]:
+            return _refuse(f"sampled verification is capped at n={CAPS['pair_sweep']}")
         networks = sample_population(args.n, args.samples, args.seed)
         pairs = None
     violations = run_verification(networks, args.suite, monotonicity_pairs=pairs)
@@ -233,11 +220,9 @@ def cmd_verify(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.kind == "long-transient" and args.n < 3:
-        print("error: long-transient requires n >= 3", file=sys.stderr)
-        return 2
-    if args.n > MAX_DIMENSION:
-        print(f"error: networks are capped at n={MAX_DIMENSION}", file=sys.stderr)
-        return 2
+        return _refuse("long-transient requires n >= 3")
+    if args.n > CAPS["network"]:
+        return _refuse(f"networks are capped at n={CAPS['network']}")
     if args.kind == "random":
         net = random_network(args.n, args.seed)
     elif args.kind == "commutative":
@@ -253,11 +238,10 @@ def cmd_gen(args) -> int:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(str(exc))
     transient, period = transient_and_period(net)
-    if args.n > ANALYZE_MAX_N:
-        summary = f"classes skipped above n={ANALYZE_MAX_N}"
+    if args.n > CAPS["enumeration"]:
+        summary = f"classes skipped above n={CAPS['enumeration']}"
     else:
         report = classify_network(net)
         summary = ", ".join(
@@ -279,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--minimal-only", action="store_true",
-                   help="skip full enumeration; allows n up to 16")
+                   help=f"skip full enumeration; allows n up to {CAPS['table']}")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("graph", help="export a dynamics graph as DOT")

@@ -4,22 +4,40 @@ Everything is encoded on machine integers: bit i-1 of a word holds
 coordinate x_i, so the binary string "110" (x_1=1, x_2=1, x_3=0) is the
 integer 0b011 = 3.  Values are immutable and hashable; all operations are
 pure functions.
+
+Every exact computation has a dimension cap.  ``CAPS`` is the one read-only
+table of them and ``check_cap(kind, n)`` the one check, made before any
+work; the CLI reads its refusal values from the same table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator
 
 import numpy as np
 
-MAX_DIMENSION = 20
+# kind of work: (cap on n, the work as a refusal names it); the README's
+# "Caps" table says which computations and commands read each entry.
+_CAPPED_WORK = {
+    "network": (20, "a network"),
+    "table": (16, "the 3^n subcube table"),
+    "enumeration": (13, "trapspace enumeration"),
+    "closure": (13, "the 4^n union-closure pair table"),
+    "global_sweep": (16, "the global subset sweep"),
+    "pair_sweep": (8, "the subset-pair sweep"),
+    "exhaustive": (2, "the exhaustive sweep"),
+}
+CAPS = MappingProxyType({kind: cap for kind, (cap, _) in _CAPPED_WORK.items()})
 
 
-def _check_dimension(n: int) -> None:
-    if not 1 <= n <= MAX_DIMENSION:
-        raise ValueError(f"dimension must be between 1 and {MAX_DIMENSION}, got {n}")
+def check_cap(kind: str, n: int) -> None:
+    """Raise ValueError unless 1 <= n <= CAPS[kind]; call it before any work."""
+    cap, work = _CAPPED_WORK[kind]
+    if not 1 <= n <= cap:
+        raise ValueError(f"{work} is capped at n={cap} and needs n >= 1, got n={n}")
 
 
 def _check_same_dimension(a, b) -> None:
@@ -58,7 +76,7 @@ class Configuration:
     bits: int
 
     def __post_init__(self):
-        _check_dimension(self.n)
+        check_cap("network", self.n)
         if not 0 <= self.bits < 1 << self.n:
             raise ValueError(f"configuration bits {self.bits} out of range for n={self.n}")
 
@@ -89,7 +107,7 @@ class Mask:
     bits: int
 
     def __post_init__(self):
-        _check_dimension(self.n)
+        check_cap("network", self.n)
         if not 0 <= self.bits < 1 << self.n:
             raise ValueError(f"mask bits {self.bits} out of range for n={self.n}")
 
@@ -145,7 +163,7 @@ class Subcube:
     base: int
 
     def __post_init__(self):
-        _check_dimension(self.n)
+        check_cap("network", self.n)
         full = (1 << self.n) - 1
         if not 0 <= self.free <= full:
             raise ValueError(f"free mask {self.free} out of range for n={self.n}")
@@ -308,7 +326,7 @@ class BooleanNetwork:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        _check_dimension(self.n)
+        check_cap("network", self.n)
         size = 1 << self.n
         if len(self.image) != size:
             raise ValueError(f"image table must have {size} entries, got {len(self.image)}")
@@ -344,7 +362,7 @@ class UpdateWord:
     steps: tuple[Mask, ...]
 
     def __post_init__(self):
-        _check_dimension(self.n)
+        check_cap("network", self.n)
         for s in self.steps:
             if s.n != self.n:
                 raise ValueError(f"dimension mismatch in update word: {s.n} != {self.n}")

@@ -20,10 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import BooleanNetwork, Configuration, Subcube, _check_same_dimension
-
-TABLE_MAX_N = 16
-CLOSURE_MAX_N = 13
+from .core import BooleanNetwork, Configuration, Subcube, _check_same_dimension, check_cap
 
 
 # A subcube's ternary index has digit i equal to 0 or 1 when coordinate i is
@@ -52,21 +49,16 @@ def _free_of_index(n: int) -> np.ndarray:
     return free
 
 
-def _check_table_n(n: int) -> None:
-    if not 1 <= n <= TABLE_MAX_N:
-        raise ValueError(f"subcube collections are capped at n={TABLE_MAX_N}, got n={n}")
-
-
 @dataclass(frozen=True, eq=False)
 class SubcubeCollection:
     """A set of subcubes of B^n: ``mask[T]`` says whether the subcube with
-    ternary index T is a member (n <= 16).  The mask is made read-only."""
+    ternary index T is a member (the ``table`` cap).  The mask is made read-only."""
 
     n: int
     mask: np.ndarray
 
     def __post_init__(self):
-        _check_table_n(self.n)
+        check_cap("table", self.n)
         if self.mask.dtype != bool or self.mask.shape != (3**self.n,):
             raise ValueError(f"a collection at n={self.n} is a bool mask of 3^{self.n} entries")
         self.mask.setflags(write=False)
@@ -74,7 +66,7 @@ class SubcubeCollection:
     @classmethod
     def from_pairs(cls, n: int, free: np.ndarray, base: np.ndarray) -> "SubcubeCollection":
         """The subcubes (free[i], base[i]); each base has its free bits cleared."""
-        _check_table_n(n)
+        check_cap("table", n)
         tern = _ternary_of_masks(n)
         mask = np.zeros(3**n, dtype=bool)
         mask[tern[base] + 2 * tern[free]] = True
@@ -192,11 +184,10 @@ def realize(collection: SubcubeCollection) -> BooleanNetwork:
 
 def _union_pairs(collection: SubcubeCollection) -> np.ndarray:
     """Entry (T, x) of the 4^n pairs of a subcube and a point in it: whether
-    some member inside T contains x (n <= 13).  Pair digit 0 or 1: T fixes
+    some member inside T contains x (the ``closure`` cap).  Pair digit 0 or 1: T fixes
     the coordinate to that value; 2 or 3: T frees it and x_j is 0 or 1."""
     n = collection.n
-    if n > CLOSURE_MAX_N:
-        raise ValueError(f"union closure is capped at n={CLOSURE_MAX_N}")
+    check_cap("closure", n)
     # Whether T is a member, then or in the half of T through x fixing j.
     pairs = collection.mask.reshape((3,) * n)[np.ix_(*[[0, 1, 2, 2]] * n)].ravel()
     for j in range(n):
@@ -215,7 +206,7 @@ def _all_points(pairs: np.ndarray, n: int) -> np.ndarray:
 
 def lambda_closure(collection: SubcubeCollection) -> SubcubeCollection:
     """All subcubes expressible as unions of members: T belongs iff every
-    x in T lies in a member inside T (n <= 13)."""
+    x in T lies in a member inside T (the ``closure`` cap)."""
     return SubcubeCollection(collection.n, _all_points(_union_pairs(collection), collection.n))
 
 
@@ -236,7 +227,8 @@ class CollectionFlags:
 
 def is_pre_principal(collection: SubcubeCollection) -> bool:
     """Three conditions: members cover B^n; each pairwise intersection is a
-    union of members; no member is a union of other members (n <= 13)."""
+    union of members; no member is a union of other members (the ``closure``
+    cap)."""
     n = collection.n
     union = _union_pairs(collection)
     # Entry (T, x): whether some member strictly inside T contains x, that
@@ -278,8 +270,8 @@ def is_convex(collection: SubcubeCollection) -> bool:
 
 
 def classify_collection(collection: SubcubeCollection) -> CollectionFlags:
-    """Evaluate the four recognisers, each from its own definition (n <= 13,
-    the cap of the union-closure pair table that ``is_pre_principal`` reads)."""
+    """Evaluate the four recognisers, each from its own definition (the
+    ``closure`` cap of the pair table that ``is_pre_principal`` reads)."""
     return CollectionFlags(
         pre_principal=is_pre_principal(collection),
         pre_ideal=is_pre_ideal(collection),

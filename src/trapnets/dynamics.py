@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import BooleanNetwork, _check_dimension, bitset_members, cube_bitset
+from .core import BooleanNetwork, bitset_members, check_cap, cube_bitset
 
 GRAPH_PROPERTIES = (
     "reflexive",
@@ -57,7 +57,7 @@ class HypercubeGraph:
     out: tuple[int, ...]
 
     def __post_init__(self):
-        _check_dimension(self.n)
+        check_cap("network", self.n)
         size = 1 << self.n
         if len(self.out) != size:
             raise ValueError(f"out table must have {size} entries, got {len(self.out)}")

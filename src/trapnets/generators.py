@@ -17,10 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BooleanNetwork, Configuration, Subcube, _check_dimension, is_commutative
+from .core import BooleanNetwork, Configuration, Subcube, check_cap, is_commutative
 from .core import bitset_array, bitset_members
-
-EXHAUSTIVE_MAX_N = 2
 
 
 class ValidationFailed(ValueError):
@@ -169,7 +167,7 @@ def negation_on_subcubes(cubes: Sequence[Subcube], n: int | None = None) -> Bool
             raise ValueError("dimension required for an empty cube list")
         return BooleanNetwork.identity(n)
     n = cubes[0].n
-    _check_dimension(n)
+    check_cap("network", n)
     image = list(range(1 << n))
     used = 0
     for cube in cubes:
@@ -244,7 +242,7 @@ def long_transient_trapping(n: int) -> BooleanNetwork:
     """
     if n < 3:
         raise ValueError("construction requires n >= 3")
-    _check_dimension(n)
+    check_cap("network", n)
 
     def chain_point(i: int) -> int:
         bits = 0
@@ -264,9 +262,8 @@ def long_transient_trapping(n: int) -> BooleanNetwork:
 
 def exhaustive_networks(n: int) -> list[BooleanNetwork]:
     """Every network of dimension n, in the order of their codes: digit x
-    of the base-2^n code is the image of x (only sane for n <= 2)."""
-    if n > EXHAUSTIVE_MAX_N:
-        raise ValueError(f"exhaustive sweeps are capped at n={EXHAUSTIVE_MAX_N}")
+    of the base-2^n code is the image of x (the ``exhaustive`` cap)."""
+    check_cap("exhaustive", n)
     size = 1 << n
     return [
         BooleanNetwork(n, tuple(code // size**x % size for x in range(size)))
@@ -276,7 +273,7 @@ def exhaustive_networks(n: int) -> list[BooleanNetwork]:
 
 def random_network(n: int, seed: int) -> BooleanNetwork:
     """Uniformly random network of dimension n, deterministic per seed."""
-    _check_dimension(n)
+    check_cap("network", n)
     rng = np.random.default_rng(seed)
     table = rng.integers(0, 1 << n, size=1 << n, dtype=np.int64)
     return BooleanNetwork(n, tuple(int(v) for v in table))
@@ -292,7 +289,7 @@ def _random_subcube_through(rng, n: int, anchor: int) -> Subcube:
 
 def random_negation_on_subcubes(n: int, seed: int, parts: int = 2) -> BooleanNetwork:
     """Negation on randomly placed pairwise-disjoint subcubes."""
-    _check_dimension(n)
+    check_cap("network", n)
     rng = np.random.default_rng(seed)
     used = 0
     cubes: list[Subcube] = []
@@ -311,7 +308,7 @@ def random_negation_on_subcubes(n: int, seed: int, parts: int = 2) -> BooleanNet
 
 def random_constant_on_arrangements(n: int, seed: int, parts: int = 2) -> BooleanNetwork:
     """Constant maps on randomly placed disjoint arrangement contents."""
-    _check_dimension(n)
+    check_cap("network", n)
     rng = np.random.default_rng(seed)
     used = 0
     chosen: list[tuple[Arrangement, Configuration]] = []
@@ -347,7 +344,7 @@ def random_commutative(n: int, seed: int, parts: int = 2) -> BooleanNetwork:
     retries per part; parts that cannot be placed are skipped, so the
     result may use fewer than ``parts`` pieces (down to the identity).
     """
-    _check_dimension(n)
+    check_cap("network", n)
     if parts < 1:
         raise ValueError("parts must be at least 1")
     rng = np.random.default_rng(seed)

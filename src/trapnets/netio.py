@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_DIMENSION, BooleanNetwork, _bits_to_string, _string_to_bits
+from .core import CAPS, BooleanNetwork, _bits_to_string, _string_to_bits
 from .dynamics import HypercubeGraph
 
 DOT_PALETTE = ("blue", "magenta", "orange", "violet", "red", "green")
@@ -70,7 +70,7 @@ def _parse_canonical(text: str) -> tuple[int, np.ndarray] | None:
         return None
     n = int(header[2:])
     width = 2 * n + 2
-    if not 1 <= n <= MAX_DIMENSION or len(body) != width << n:
+    if not 1 <= n <= CAPS["network"] or len(body) != width << n:
         return None
     rows = np.frombuffer(body.encode("ascii"), dtype=np.uint8).reshape(1 << n, width)
     expect = np.frombuffer(f"{'1' * n} {'1' * n}\n".encode("ascii"), dtype=np.uint8)
@@ -111,7 +111,7 @@ def _parse_lines(text: str, name: str | None) -> NetworkDocument:
         n = int(header[2:])
     except ValueError:
         raise NetParseError(line_no, f"bad dimension in header {header!r}") from None
-    if not 1 <= n <= MAX_DIMENSION:
+    if not 1 <= n <= CAPS["network"]:
         raise NetParseError(line_no, f"dimension {n} out of range")
 
     image: list[int | None] = [None] * (1 << n)
@@ -267,9 +267,9 @@ def parse_expression_network(text: str, name: str | None = None) -> NetworkDocum
             raise NetParseError(line_no, f"bad coordinate name {head!r}") from None
         if i < 1:
             raise NetParseError(line_no, f"coordinate index {i} must be positive")
-        if i > MAX_DIMENSION:
+        if i > CAPS["network"]:
             raise NetParseError(
-                line_no, f"coordinate index {i} is above the cap n={MAX_DIMENSION}"
+                line_no, f"coordinate index {i} is above the cap n={CAPS['network']}"
             )
         if i in exprs:
             raise NetParseError(line_no, f"duplicate coordinate x{i}")

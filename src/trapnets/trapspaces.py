@@ -7,7 +7,7 @@ Kaski & Koivisto, "Fourier meets Mobius: fast subset convolution", STOC
 2007) that gives entry T the OR of one value per member of T:
 
 - the moved table ORs ``x ^ f(x)``, so T is a trapspace iff that OR moves
-  no coordinate T fixes; at the cap n = 16 it takes 86 MB as uint16;
+  no coordinate T fixes; at n = 16 it takes 86 MB as uint16;
 - the fixed-point table ORs ``f(x) == x``, so entry T says whether T
   contains a fixed point.
 
@@ -47,13 +47,13 @@ from .core import (
     Configuration,
     Subcube,
     _check_same_dimension,
+    check_cap,
     cube_bitset,
     iter_submasks,
 )
-from .cubesets import TABLE_MAX_N, SubcubeCollection, _free_of_index, _ternary_of_masks
+from .cubesets import SubcubeCollection, _free_of_index, _ternary_of_masks
 from .dynamics import HypercubeGraph
 
-ENUMERATION_MAX_N = 13
 # The digits stage 1 of ``_subcube_or`` takes; see the module notes.
 _LOW_DIGITS = 7
 
@@ -91,8 +91,7 @@ def is_trapspace(f: BooleanNetwork, cube: Subcube) -> bool:
 
 def _subcube_or(leaves: np.ndarray, n: int) -> np.ndarray:
     """Entry T: the OR of ``leaves[x]`` over the members x of subcube T."""
-    if n > TABLE_MAX_N:
-        raise ValueError(f"the subcube table is capped at n={TABLE_MAX_N}")
+    check_cap("table", n)
     k = min(n, _LOW_DIGITS)
     # Stage 1: digits 0..k-1 over the leaves only, as a (3^k, 2^(n-k)) array
     # with the high bits innermost, so that no run is shorter than 2^(n-k).
@@ -123,7 +122,7 @@ def _moved_table(f: BooleanNetwork) -> np.ndarray:
 
 
 def fixed_point_table(f: BooleanNetwork) -> np.ndarray:
-    """Entry T: whether subcube T contains a fixed point of f (n <= 16)."""
+    """Entry T: whether subcube T contains a fixed point of f (the ``table`` cap)."""
     return _subcube_or(np.arange(1 << f.n) == f.np_image, f.n)
 
 
@@ -133,7 +132,7 @@ def principal_pairs(f: BooleanNetwork) -> tuple[np.ndarray, np.ndarray]:
     Entry x of each read-only int64 array describes the principal trapspace
     of x.  Each step frees every coordinate some member of the current
     subcube moves; a step that frees nothing new leaves a trapspace, so at
-    most n steps are taken.  Capped at n <= 16.
+    most n steps are taken.  The ``table`` cap applies.
     """
     tern = _ternary_of_masks(f.n)
     table = _moved_table(f)
@@ -153,15 +152,14 @@ def principal_pairs(f: BooleanNetwork) -> tuple[np.ndarray, np.ndarray]:
 
 
 def trapspace_mask(f: BooleanNetwork) -> np.ndarray:
-    """Entry T: whether subcube T is a trapspace of f (capped at n <= 13)."""
+    """Entry T: whether subcube T is a trapspace of f (the ``enumeration`` cap)."""
     n = f.n
-    if n > ENUMERATION_MAX_N:
-        raise ValueError(f"trapspace enumeration is capped at n={ENUMERATION_MAX_N}")
+    check_cap("enumeration", n)
     return (_moved_table(f) & ~_free_of_index(n)) == 0
 
 
 def enumerate_trapspaces(f: BooleanNetwork) -> SubcubeCollection:
-    """All trapspaces of f: the collection whose mask is ``trapspace_mask`` (n <= 13)."""
+    """All trapspaces of f: the collection whose mask is ``trapspace_mask``."""
     return SubcubeCollection(f.n, trapspace_mask(f))
 
 
@@ -175,7 +173,7 @@ def minimal_trapspaces(
     while a larger trapspace contains a smaller one whose members do not.
     A principal trapspace T is therefore minimal iff exactly |T|
     configurations have T as their principal trapspace.  ``pairs`` are the
-    principal pairs of f when already computed; capped at n <= 16.
+    principal pairs of f when already computed; the ``table`` cap applies.
     """
     free, base = principal_pairs(f) if pairs is None else pairs
     tern = _ternary_of_masks(f.n)

@@ -1,9 +1,9 @@
 """Population-level verification of the library's structural claims.
 
-The suites sweep whole populations of networks (exhaustive at n <= 2,
-sampled above) and report violations of the class equivalences, the
-closure-operator laws, the collection round-trips and the implication
-diagrams.  Any violation carries the offending network so it can be dumped
+The suites sweep whole populations of networks (exhaustive up to the
+``exhaustive`` cap, sampled above) and report violations of the class
+equivalences, the closure-operator laws, the collection round-trips and the
+implication diagrams.  Any violation carries the offending network so it can be dumped
 as a ready-to-run truth-table reproducer.
 """
 
@@ -292,7 +292,6 @@ def run_verification(
     networks: list[BooleanNetwork],
     suite: str = "all",
     monotonicity_pairs: list[tuple[BooleanNetwork, BooleanNetwork]] | None = None,
-    check_fixtures: bool = True,
 ) -> list[Violation]:
     """Run the requested suite over the population; returns all violations."""
     if suite not in SUITES:
@@ -331,6 +330,6 @@ def run_verification(
         for diagram in DIAGRAMS.values():
             violations += [
                 Violation(f"diagram-{v.diagram}", f"{v.kind}: {v.detail}", v.network)
-                for v in verify_diagram(diagram, profiles, check_counterexamples=check_fixtures)
+                for v in verify_diagram(diagram, profiles)
             ]
     return violations

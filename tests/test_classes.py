@@ -2,21 +2,28 @@ import numpy as np
 import pytest
 
 from trapnets import (
+    CAPS,
     BooleanNetwork,
     DIAGRAMS,
+    SubcubeCollection,
     NetworkProfile,
     check_alternate_definitions,
+    classify_collection,
     classify_network,
+    enumerate_trapspaces,
     is_commutative,
+    lambda_closure,
     load_fixture,
     min_trapspace_equivalent,
     min_trapping_extension,
+    minimal_trapspaces,
     random_network,
     trapping_closure,
     trapspace_equivalent,
     verify_diagram,
 )
-from trapnets.classes import DiagramSpec, Counterexample
+from trapnets.classes import THEOREM_SIZES, DiagramSpec, Counterexample
+from trapnets.core import update_table
 from trapnets.generators import (
     exhaustive_networks,
     long_transient_trapping,
@@ -81,27 +88,93 @@ def test_globally_sweep_dimension_cap():
         classify_network(BooleanNetwork.identity(17))
 
 
+def _empty_collection(n):
+    return SubcubeCollection(n, np.zeros(3**n, dtype=bool))
+
+
+# Each entry point runs as call(f, profile) on the identity at the cap + 1.
+CAPPED_ENTRY_POINTS = [
+    pytest.param("enumeration", classify_network, id="classify_network-enumeration"),
+    pytest.param("global_sweep", classify_network, id="classify_network-global_sweep"),
+    *[
+        pytest.param(
+            "enumeration" if theorem == "sink_terminal5" else "pair_sweep",
+            lambda f, p, theorem=theorem: check_alternate_definitions(f, theorem, p),
+            id=theorem,
+        )
+        for theorem in THEOREM_SIZES
+    ],
+    pytest.param(
+        "enumeration", lambda f, p: trapspace_equivalent(f, f, p, p), id="trapspace_equivalent"
+    ),
+    pytest.param(
+        "table", lambda f, p: min_trapspace_equivalent(f, f, p, p), id="min_trapspace_equivalent"
+    ),
+    pytest.param("enumeration", lambda f, p: enumerate_trapspaces(f), id="enumerate_trapspaces"),
+    pytest.param("table", lambda f, p: minimal_trapspaces(f), id="minimal_trapspaces"),
+    pytest.param(
+        "closure", lambda f, p: lambda_closure(_empty_collection(f.n)), id="lambda_closure"
+    ),
+    pytest.param(
+        "closure", lambda f, p: classify_collection(_empty_collection(f.n)),
+        id="classify_collection",
+    ),
+    pytest.param("exhaustive", lambda f, p: exhaustive_networks(f.n), id="exhaustive_networks"),
+    pytest.param(
+        "table", lambda f, p: SubcubeCollection(f.n, np.zeros(0, dtype=bool)),
+        id="SubcubeCollection",
+    ),
+]
+
+
+@pytest.mark.parametrize("kind, call", CAPPED_ENTRY_POINTS)
+def test_capped_entry_points_refuse_before_any_work(kind, call):
+    f = BooleanNetwork.identity(CAPS[kind] + 1)
+    p = NetworkProfile(f)
+    with pytest.raises(ValueError, match=r"is capped at n=\d+ and needs n >= 1"):
+        call(f, p)
+    assert set(vars(p)) == {"f", "n"}  # no profile fact was computed
+
+
+def test_cap_table_is_read_only():
+    with pytest.raises(TypeError):
+        CAPS["table"] = CAPS["table"] + 1
+
+
 # --- alternate definitions
 
 
-def test_pairwise_sweep_blocks_pass_every_subset_once():
-    from trapnets.classes import _pairwise_sweep, update_tables
+def _pair_condition_oracles(f):
+    """Each subset-pair condition of ``NetworkProfile.pair_flags`` by a plain
+    loop over every (s, t); comp updates s, then t."""
+    xs = np.arange(1 << f.n, dtype=np.int64)
+    U = [update_table(f.np_image, s, xs) for s in range(1 << f.n)]
 
-    for n in range(1, 7):
-        f = random_network(n, n)
-        U = update_tables(f)
-        seen = []
+    def leq(a, b):
+        return bool(np.all(((xs ^ a) & ~(xs ^ b)) == 0))
 
-        def record(comp, s, U_, xs, ts):
-            # comp[t, k, x] updates s[k] then t; ts | s[k] indexes the t rows.
-            for k, sk in enumerate(s.tolist()):
-                assert np.array_equal(comp[:, k, :], U[:, U[sk]])
-                assert np.array_equal(U_[ts | s][:, k, :], U[np.arange(1 << n) | sk])
-            seen.extend(s.tolist())
-            return True
+    holds = dict.fromkeys(
+        ("trapping7", "commutative3", "marseille4", "lille4", "globally_idempotent3"), True
+    )
+    for s in range(1 << f.n):
+        for t in range(1 << f.n):
+            comp = U[t][U[s]]
+            holds["trapping7"] &= leq(comp, U[s | t])
+            holds["commutative3"] &= leq(U[s ^ t], comp) and leq(comp, U[s | t])
+            holds["marseille4"] &= bool(np.array_equal(comp, U[s ^ t]))
+            holds["lille4"] &= bool(np.array_equal(comp, U[s | t]))
+            holds["globally_idempotent3"] &= leq(U[s & t], comp) and leq(comp, U[s | t])
+    return holds
 
-        assert _pairwise_sweep(f, record)
-        assert seen == list(range(1 << n))
+
+def test_pair_flags_match_plain_loop_over_every_subset_pair():
+    seen = set()
+    for f in [*exhaustive_networks(1), *exhaustive_networks(2), *sampled_networks(range(3, 6))]:
+        flags = NetworkProfile(f).pair_flags
+        assert flags == _pair_condition_oracles(f), f
+        seen.update(flags.items())
+    # Every condition both holds and fails somewhere in the population.
+    assert len(seen) == 10
 
 
 def test_negation_trapping7_all_true():
@@ -262,7 +335,7 @@ def test_verify_diagram_reports_implication_violation():
         tuple(),
     )
     four_cycle = net_from_arcs(2, ["00>10", "10>11", "11>01", "01>00"])
-    violations = verify_diagram(bogus, [four_cycle], check_counterexamples=False)
+    violations = verify_diagram(bogus, [four_cycle])
     assert len(violations) == 1
     assert violations[0].kind == "implication"
 
@@ -321,7 +394,7 @@ def test_run_verification_builds_one_profile_per_related_network(monkeypatch):
 
     monkeypatch.setattr(verify, "NetworkProfile", CountingProfile)
     nets = sample_population(4, 20, 1)
-    assert run_verification(nets, check_fixtures=False) == []
+    assert run_verification(nets) == []
     expected = 0
     for f in nets:
         p = NetworkProfile(f)
