@@ -788,33 +788,31 @@ def load_fixture(diagram: str, label: str) -> BooleanNetwork:
     return parse_truth_table(text).network
 
 
-def verify_diagram(
-    diagram: DiagramSpec,
-    population,
+def diagram_implication_violations(
+    diagram: DiagramSpec, p: NetworkProfile
 ) -> list[DiagramViolation]:
-    """Check correctness over a population and completeness over fixtures.
-
-    ``population`` holds networks or NetworkProfile objects.  Correctness:
-    every population member satisfying an edge's source and guard must
-    satisfy its target.  Completeness: every registered counterexample
-    fixture must satisfy its non-edge's source and guard while violating
-    the target.
-    """
+    """Correctness on one network: if it satisfies an edge's source and guard,
+    it must satisfy the edge's target."""
     violations = []
-    for item in population:
-        p = item if isinstance(item, NetworkProfile) else NetworkProfile(item)
-        for edge in diagram.edges:
-            if not p.prop(edge.guard):
-                continue
-            if p.prop(edge.source) and not p.prop(edge.target):
-                violations.append(
-                    DiagramViolation(
-                        diagram.id,
-                        "implication",
-                        f"{edge.source} [{edge.guard}] -> {edge.target}",
-                        p.f,
-                    )
+    for edge in diagram.edges:
+        if not p.prop(edge.guard):
+            continue
+        if p.prop(edge.source) and not p.prop(edge.target):
+            violations.append(
+                DiagramViolation(
+                    diagram.id,
+                    "implication",
+                    f"{edge.source} [{edge.guard}] -> {edge.target}",
+                    p.f,
                 )
+            )
+    return violations
+
+
+def diagram_counterexample_violations(diagram: DiagramSpec) -> list[DiagramViolation]:
+    """Completeness: every registered counterexample fixture must satisfy its
+    non-edge's source and guard while violating the target."""
+    violations = []
     for ce in diagram.counterexamples:
         net = load_fixture(diagram.id, ce.label)
         p = NetworkProfile(net)
@@ -830,3 +828,19 @@ def verify_diagram(
                 )
             )
     return violations
+
+
+def verify_diagram(
+    diagram: DiagramSpec,
+    population,
+) -> list[DiagramViolation]:
+    """Check correctness over a population and completeness over fixtures.
+
+    ``population`` holds networks or NetworkProfile objects.  The implication
+    violations come in population order, then the fixture ones.
+    """
+    violations = []
+    for item in population:
+        p = item if isinstance(item, NetworkProfile) else NetworkProfile(item)
+        violations += diagram_implication_violations(diagram, p)
+    return violations + diagram_counterexample_violations(diagram)

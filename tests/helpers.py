@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from trapnets import BooleanNetwork, Configuration, Subcube, SubcubeCollection
-from trapnets.core import iter_submasks
+from trapnets.core import iter_submasks, update_table
 from trapnets.cubesets import _ternary_of_masks
 from trapnets.generators import (
     exhaustive_networks,
@@ -129,6 +129,19 @@ def bitset_trapspace_fp(f: BooleanNetwork) -> bool:
     member bitset meets the bitset of fixed points."""
     fixed = sum(1 << x for x, fx in enumerate(f.image) if x == fx)
     return all(c.point_bitset() & fixed for c in enumerate_trapspaces(f).members)
+
+
+def pairwise_is_commutative(f: BooleanNetwork) -> bool:
+    """Independent oracle (the library's former `is_commutative`): compose the
+    two single-coordinate update tables of every pair in both orders over all
+    2^n configurations."""
+    xs = np.arange(1 << f.n, dtype=np.int64)
+    singles = [update_table(f.np_image, 1 << i, xs) for i in range(f.n)]
+    return all(
+        np.array_equal(singles[j][singles[i]], singles[i][singles[j]])
+        for i in range(f.n)
+        for j in range(i + 1, f.n)
+    )
 
 
 # Oracles for the collection algebra (the library's former methods): each

@@ -28,6 +28,8 @@ from trapnets.generators import (
     exhaustive_networks,
     long_transient_trapping,
     random_commutative,
+    random_constant_on_arrangements,
+    random_negation_on_subcubes,
 )
 
 from trapnets import verify
@@ -40,6 +42,7 @@ from helpers import (
     f_ex3,
     net_from_arcs,
     oracle_population,
+    pairwise_is_commutative,
     sampled_networks,
 )
 
@@ -379,6 +382,22 @@ def test_is_commutative_matches_update_composition():
         assert is_commutative(f) == direct
 
 
+def test_is_commutative_matches_pairwise_oracle():
+    nets = exhaustive_networks(2) + list(sampled_networks(range(3, 7)))
+    for n in range(10, 15):
+        nets += [random_network(n, n), random_commutative(n, n),
+                 random_negation_on_subcubes(n, n), random_constant_on_arrangements(n, n),
+                 long_transient_trapping(n), BooleanNetwork.negation(n)]
+    # one image entry of each commutative network moved by one coordinate
+    for f in [f for f in nets if f.n >= 3 and is_commutative(f)]:
+        image = list(f.image)
+        image[5] ^= 1 << (f.n - 1)
+        nets.append(BooleanNetwork(f.n, tuple(image)))
+    verdicts = [is_commutative(f) for f in nets]
+    assert verdicts == [pairwise_is_commutative(f) for f in nets]
+    assert 0 < sum(verdicts) < len(nets)
+
+
 # --- verify orchestration
 
 
@@ -393,6 +412,8 @@ def test_run_verification_builds_one_profile_per_related_network(monkeypatch):
             super().__init__(f)
 
     monkeypatch.setattr(verify, "NetworkProfile", CountingProfile)
+    # Profiles built in a forked child are not seen here: one process only.
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
     nets = sample_population(4, 20, 1)
     assert run_verification(nets) == []
     expected = 0

@@ -306,3 +306,13 @@ def test_network_validation():
         BooleanNetwork(2, (0, 1, 2))
     with pytest.raises(ValueError):
         BooleanNetwork(2, (0, 1, 2, 4))
+
+
+def test_network_pickles_as_its_fields():
+    import pickle
+
+    f = random_net(4, 3)
+    f.np_image  # a cached array is not part of the pickle
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f and "np_image" not in vars(g)
+    assert not g.np_image.flags.writeable
