@@ -10,6 +10,14 @@ A collection is a boolean mask over the 3^n subcubes of B^n.  The operators
 are passes over the subcube lattice, one digit of the ternary index at a
 time, in the style of Yates and of Bjorklund, Husfeldt, Kaski & Koivisto
 (STOC 2007); ``Subcube`` objects are decoded only for output.
+
+Every pass works on a stack of collections of one dimension: a (k, 3^n)
+array with one mask per row, and (k, 4^n) for the tables of subcube and
+point pairs.  So a caller with many collections, such as ``verify`` with a
+block of networks, runs each pass once for all of them.  The ``*_rows``
+functions, ``pointwise_free`` and ``pointwise_cubes`` take and return such
+stacks; the single-collection functions run the same passes on a stack of
+one and read row 0.
 """
 
 from __future__ import annotations
@@ -137,30 +145,44 @@ def format_collection(collection: SubcubeCollection) -> str:
     return "".join(f"{cube}\n" for cube in collection.sorted_members())
 
 
-def _superset(table: np.ndarray, ufunc: np.ufunc, n: int) -> np.ndarray:
-    """Entry T becomes ``ufunc`` over the entries of every subcube containing
-    T: each digit pass folds the entry that frees a coordinate into the two
-    that fix it.  Works in place."""
+def _superset(tables: np.ndarray, ufunc: np.ufunc, n: int) -> np.ndarray:
+    """Entry (r, T) of a (k, 3^n) stack becomes ``ufunc`` over the entries
+    (r, S) of every subcube S containing T: each digit pass folds the entry
+    that frees a coordinate into the two that fix it.  Works in place."""
     for j in range(n):
-        v = table.reshape(3 ** (n - 1 - j), 3, 3**j)
-        ufunc(v[:, 0, :], v[:, 2, :], out=v[:, 0, :])
-        ufunc(v[:, 1, :], v[:, 2, :], out=v[:, 1, :])
-    return table
+        v = tables.reshape(len(tables), 3 ** (n - 1 - j), 3, 3**j)
+        ufunc(v[..., 0, :], v[..., 2, :], out=v[..., 0, :])
+        ufunc(v[..., 1, :], v[..., 2, :], out=v[..., 1, :])
+    return tables
 
 
-def _meet_table(collection: SubcubeCollection) -> np.ndarray:
-    """Entry T: the AND of the free masks of the members containing T, all
-    coordinates when none does.  At a point x it is the free mask of the
-    pointwise intersection, whose base is x outside that mask."""
-    n = collection.n
-    table = np.where(collection.mask, _free_of_index(n), np.uint16((1 << n) - 1))
-    return _superset(table, np.bitwise_and, n)
+def _meet_table(masks: np.ndarray, n: int) -> np.ndarray:
+    """Entry (r, T): the AND of the free masks of the members of row r
+    containing T, all coordinates when none does.  At a point x it is the
+    free mask of the pointwise intersection, whose base is x outside that mask."""
+    tables = np.where(masks, _free_of_index(n), np.uint16((1 << n) - 1))
+    return _superset(tables, np.bitwise_and, n)
 
 
-def _intersections(collection: SubcubeCollection) -> np.ndarray:
-    """Entry T: whether the members containing T meet in T, that is whether
-    T is B^n or an intersection of members."""
-    return _meet_table(collection) == _free_of_index(collection.n)
+def _intersections(masks: np.ndarray, n: int) -> np.ndarray:
+    """Entry (r, T): whether the members of row r containing T meet in T,
+    that is whether T is B^n or an intersection of members."""
+    return _meet_table(masks, n) == _free_of_index(n)
+
+
+def pointwise_free(masks: np.ndarray, n: int) -> np.ndarray:
+    """Entry (r, x): the free mask of the pointwise intersection of row r at
+    x.  The realisation of row r maps x to x ^ entry (r, x)."""
+    return _meet_table(masks, n)[:, _ternary_of_masks(n)]
+
+
+def pointwise_cubes(free: np.ndarray, n: int) -> np.ndarray:
+    """Row r: the mask of the subcubes (free[r, x], x outside it) over all x,
+    the pointwise reduction of a stack whose ``pointwise_free`` is ``free``."""
+    tern = _ternary_of_masks(n)
+    masks = np.zeros((len(free), 3**n), dtype=bool)
+    masks[np.arange(len(free))[:, None], tern[np.arange(1 << n) & ~free] + 2 * tern[free]] = True
+    return masks
 
 
 def collection_at(collection: SubcubeCollection, x: Configuration) -> Subcube:
@@ -178,43 +200,50 @@ def collection_at(collection: SubcubeCollection, x: Configuration) -> Subcube:
 def realize(collection: SubcubeCollection) -> BooleanNetwork:
     """The network whose interval at each x is the pointwise intersection."""
     n = collection.n
-    free = _meet_table(collection)[_ternary_of_masks(n)]
+    free = pointwise_free(collection.mask[None], n)[0]
     return BooleanNetwork(n, tuple((np.arange(1 << n) ^ free).tolist()))
 
 
-def _union_pairs(collection: SubcubeCollection) -> np.ndarray:
-    """Entry (T, x) of the 4^n pairs of a subcube and a point in it: whether
-    some member inside T contains x (the ``closure`` cap).  Pair digit 0 or 1: T fixes
-    the coordinate to that value; 2 or 3: T frees it and x_j is 0 or 1."""
-    n = collection.n
+def _union_pairs(masks: np.ndarray, n: int) -> np.ndarray:
+    """Entry (r, (T, x)) over the 4^n pairs of a subcube and a point in it:
+    whether some member of row r inside T contains x (the ``closure`` cap).
+    Pair digit 0 or 1: T fixes the coordinate to that value; 2 or 3: T frees
+    it and x_j is 0 or 1."""
     check_cap("closure", n)
+    k = len(masks)
     # Whether T is a member, then or in the half of T through x fixing j.
-    pairs = collection.mask.reshape((3,) * n)[np.ix_(*[[0, 1, 2, 2]] * n)].ravel()
+    digits = np.ix_(*[[0, 1, 2, 2]] * n)
+    pairs = masks.reshape(k, *(3,) * n)[(slice(None), *digits)].reshape(k, 4**n)
     for j in range(n):
-        v = pairs.reshape(4 ** (n - 1 - j), 4, 4**j)
-        v[:, 2:, :] |= v[:, :2, :]
+        v = pairs.reshape(k, 4 ** (n - 1 - j), 4, 4**j)
+        v[..., 2:, :] |= v[..., :2, :]
     return pairs
 
 
 def _all_points(pairs: np.ndarray, n: int) -> np.ndarray:
-    """Entry T: the AND of pair entry (T, x) over the points x of T."""
+    """Entry (r, T): the AND of pair entry (r, (T, x)) over the points x of T."""
+    k = len(pairs)
     for j in range(n):
-        v = pairs.reshape(4 ** (n - 1 - j), 4, 4**j)
-        v[:, 2, :] &= v[:, 3, :]
-    return np.ascontiguousarray(pairs.reshape((4,) * n)[(slice(0, 3),) * n]).ravel()
+        v = pairs.reshape(k, 4 ** (n - 1 - j), 4, 4**j)
+        v[..., 2, :] &= v[..., 3, :]
+    return pairs.reshape(k, *(4,) * n)[(slice(None), *(slice(0, 3),) * n)].reshape(k, 3**n)
+
+
+def lambda_rows(masks: np.ndarray, n: int) -> np.ndarray:
+    """The union closure of each row: T belongs iff every x in T lies in a
+    member inside T (the ``closure`` cap)."""
+    return _all_points(_union_pairs(masks, n), n)
 
 
 def lambda_closure(collection: SubcubeCollection) -> SubcubeCollection:
-    """All subcubes expressible as unions of members: T belongs iff every
-    x in T lies in a member inside T (the ``closure`` cap)."""
-    return SubcubeCollection(collection.n, _all_points(_union_pairs(collection), collection.n))
+    """All subcubes expressible as unions of members (the ``closure`` cap)."""
+    return SubcubeCollection(collection.n, lambda_rows(collection.mask[None], collection.n)[0])
 
 
 def mu_reduction(collection: SubcubeCollection) -> SubcubeCollection:
     """The set of pointwise intersections over all configurations."""
     n = collection.n
-    free = _meet_table(collection)[_ternary_of_masks(n)]
-    return SubcubeCollection.from_pairs(n, free, np.arange(1 << n) & ~free)
+    return SubcubeCollection(n, pointwise_cubes(pointwise_free(collection.mask[None], n), n)[0])
 
 
 @dataclass(frozen=True)
@@ -225,48 +254,65 @@ class CollectionFlags:
     convex: bool
 
 
-def is_pre_principal(collection: SubcubeCollection) -> bool:
-    """Three conditions: members cover B^n; each pairwise intersection is a
-    union of members; no member is a union of other members (the ``closure``
-    cap)."""
-    n = collection.n
-    union = _union_pairs(collection)
+def pre_principal_rows(masks: np.ndarray, n: int) -> np.ndarray:
+    """Per row, three conditions: members cover B^n; each pairwise
+    intersection is a union of members; no member is a union of other members
+    (the ``closure`` cap)."""
+    union = _union_pairs(masks, n)
     # Entry (T, x): whether some member strictly inside T contains x, that
     # is inside T with one more coordinate fixed to its value in x.
     strict = np.zeros_like(union)
     for j in range(n):
-        v = strict.reshape(4 ** (n - 1 - j), 4, 4**j)
-        v[:, 2:, :] |= union.reshape(v.shape)[:, :2, :]
+        v = strict.reshape(len(masks), 4 ** (n - 1 - j), 4, 4**j)
+        v[..., 2:, :] |= union.reshape(v.shape)[..., :2, :]
     closed = _all_points(union, n)
     # Pairwise intersections are unions of members iff all intersections are.
-    if not closed[-1] or np.any(_intersections(collection) & ~closed):
-        return False
-    return not np.any(_all_points(strict, n) & collection.mask)
+    covered = closed[:, -1] & ~np.any(_intersections(masks, n) & ~closed, axis=1)
+    return covered & ~np.any(_all_points(strict, n) & masks, axis=1)
+
+
+def pre_ideal_rows(masks: np.ndarray, n: int) -> np.ndarray:
+    """Per row: B^n present, closed under non-empty intersections,
+    union-closed (the ``closure`` cap)."""
+    meets_closed = ~np.any(_intersections(masks, n) & ~masks, axis=1)
+    return masks[:, -1] & meets_closed & np.all(lambda_rows(masks, n) == masks, axis=1)
+
+
+def min_ideal_rows(masks: np.ndarray, n: int) -> np.ndarray:
+    """Per row, all members pairwise disjoint: no subcube lies in two of them."""
+    return np.all(_superset(masks.astype(np.int32), np.add, n) <= 1, axis=1)
+
+
+def convex_rows(masks: np.ndarray, n: int) -> np.ndarray:
+    """Per row, every subcube between two nested members is itself a member:
+    freeing one coordinate at a time, no member grows into a non-member
+    inside one."""
+    above = _superset(masks.copy(), np.logical_or, n)
+    convex = np.ones(len(masks), dtype=bool)
+    for j in range(n):
+        m, a = (t.reshape(len(masks), 3 ** (n - 1 - j), 3, 3**j) for t in (masks, above))
+        convex &= ~np.any(a[..., 2, :] & ~m[..., 2, :] & (m[..., 0, :] | m[..., 1, :]), axis=(1, 2))
+    return convex
+
+
+def is_pre_principal(collection: SubcubeCollection) -> bool:
+    """``pre_principal_rows`` of one collection."""
+    return bool(pre_principal_rows(collection.mask[None], collection.n)[0])
 
 
 def is_pre_ideal(collection: SubcubeCollection) -> bool:
-    """B^n present, closed under non-empty intersections, union-closed."""
-    mask = collection.mask  # its last entry is B^n
-    if not mask[-1] or np.any(_intersections(collection) & ~mask):
-        return False
-    return lambda_closure(collection) == collection
+    """``pre_ideal_rows`` of one collection."""
+    return bool(pre_ideal_rows(collection.mask[None], collection.n)[0])
 
 
 def is_min_ideal(collection: SubcubeCollection) -> bool:
-    """All members pairwise disjoint: no subcube lies in two of them."""
-    return bool(np.all(_superset(collection.mask.astype(np.int32), np.add, collection.n) <= 1))
+    """``min_ideal_rows`` of one collection."""
+    return bool(min_ideal_rows(collection.mask[None], collection.n)[0])
 
 
 def is_convex(collection: SubcubeCollection) -> bool:
-    """Every subcube between two nested members is itself a member: freeing
-    one coordinate at a time, no member grows into a non-member inside one."""
-    n, mask = collection.n, collection.mask
-    above = _superset(mask.copy(), np.logical_or, n)
-    for j in range(n):
-        m, a = (t.reshape(3 ** (n - 1 - j), 3, 3**j) for t in (mask, above))
-        if np.any(a[:, 2, :] & ~m[:, 2, :] & (m[:, 0, :] | m[:, 1, :])):
-            return False
-    return True
+    """``convex_rows`` of one collection."""
+    return bool(convex_rows(collection.mask[None], collection.n)[0])
 
 
 def classify_collection(collection: SubcubeCollection) -> CollectionFlags:

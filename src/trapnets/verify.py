@@ -6,17 +6,23 @@ equivalences, the closure-operator laws, the collection round-trips and the
 implication diagrams.  Any violation carries the offending network so it can be dumped
 as a ready-to-run truth-table reproducer.
 
-Networks are independent of each other, so ``run_verification`` checks the
-population in contiguous chunks, one per CPU of the process's affinity mask
-(one chunk where ``os.fork`` or the mask is missing).  The calling process
-checks the first chunk and a forked child each other one; the results are
-joined in chunk order, so the violations, and their order, do not depend on
-the number of chunks.  The checks that span networks (monotonicity pairs)
-and the diagrams' fixture counterexamples then run once, in the caller.
+Networks are independent of each other, so ``run_verification`` deals the
+population into chunks, one network to each chunk in turn, one chunk per
+CPU of the process's affinity mask (one chunk where ``os.fork`` or the mask
+is missing).  The calling process checks the first chunk and a forked child
+each other one; the results are rejoined by index, so the violations, and
+their order, do not depend on the number of chunks.  A chunk is checked in
+blocks of at most ``_block_size(n)`` networks whose profiles live together:
+the collection facts of a block (recognisers, union closure, pointwise
+reduction, realisation) are single lattice passes over the stacked masks of
+its networks, and the per-network checks read them.  The checks that span
+networks (monotonicity pairs, compared in one broadcast) and the diagrams'
+fixture counterexamples then run once, in the caller.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -34,11 +40,13 @@ from .classes import (
 )
 from .core import BooleanNetwork, is_commutative, iter_submasks, lattice_combine, order_leq
 from .cubesets import (
-    is_min_ideal,
-    is_pre_ideal,
-    lambda_closure,
-    mu_reduction,
-    realize,
+    convex_rows,
+    lambda_rows,
+    min_ideal_rows,
+    pointwise_cubes,
+    pointwise_free,
+    pre_ideal_rows,
+    pre_principal_rows,
 )
 from .dynamics import network_power, transient_and_period
 from .generators import (
@@ -130,13 +138,42 @@ def closure_law_violations(p: NetworkProfile, profile=NetworkProfile) -> list[Vi
     return out
 
 
+NOT_MONOTONE = "trapping closure is not monotone on this pair"
+
+
 def monotonicity_violations(
     f: BooleanNetwork, g: BooleanNetwork,
     closed_f: BooleanNetwork, closed_g: BooleanNetwork,
 ) -> list[Violation]:
     if order_leq(f, g) and not order_leq(closed_f, closed_g):
-        return [Violation("closure", "trapping closure is not monotone on this pair", f)]
+        return [Violation("closure", NOT_MONOTONE, f)]
     return []
+
+
+def monotone_pairs_violations(
+    pairs: list[tuple[BooleanNetwork, BooleanNetwork]],
+    closures: dict[BooleanNetwork, BooleanNetwork],
+) -> list[Violation]:
+    """``monotonicity_violations`` of every pair (f, g), in pair order, with
+    ``closures[f]`` where given and the trapping closure of f elsewhere.  The
+    networks and their closures are held as (N, 2^n) arrays of moved
+    coordinates, and ``order_leq`` of all pairs is one broadcast."""
+    if not pairs:
+        return []
+    index = {f: i for i, f in enumerate(dict.fromkeys(itertools.chain.from_iterable(pairs)))}
+    nets = list(index)
+    xs = np.arange(1 << nets[0].n)
+    moved = np.array([f.image for f in nets]) ^ xs
+    moved_closed = np.array(
+        [(closures[f] if f in closures else trapping_closure(f)).image for f in nets]
+    ) ^ xs
+    fi, gi = np.array([(index[f], index[g]) for f, g in pairs]).T
+
+    def leq(m):
+        return ~np.any(m[fi] & ~m[gi], axis=1)
+
+    bad = np.flatnonzero(leq(moved) & ~leq(moved_closed))
+    return [Violation("closure", NOT_MONOTONE, pairs[i][0]) for i in bad.tolist()]
 
 
 def equivalence_vector_violations(p: NetworkProfile, partner: NetworkProfile) -> list[Violation]:
@@ -151,52 +188,89 @@ def equivalence_vector_violations(p: NetworkProfile, partner: NetworkProfile) ->
     return out
 
 
-def collection_roundtrip_violations(p: NetworkProfile, profile=NetworkProfile) -> list[Violation]:
-    """Realisation, union-closure and pointwise-reduction round-trips."""
+def _block_size(n: int) -> int:
+    """Networks per block at dimension n: a block's pair tables (4^n entries
+    per network) stay near 2^20 entries, 1 MB."""
+    return max(1, 2**20 // 4**n)
+
+
+def _blocks(networks: list[BooleanNetwork]):
+    """Consecutive runs of at most ``_block_size(n)`` networks of one dimension n."""
+    for n, run in itertools.groupby(networks, key=lambda f: f.n):
+        run = list(run)
+        size = _block_size(n)
+        for start in range(0, len(run), size):
+            yield run[start : start + size]
+
+
+def _same_rows(a: np.ndarray, b: np.ndarray) -> list[bool]:
+    return np.all(a == b, axis=1).tolist()
+
+
+class CollectionBlock:
+    """The collection facts of a block of profiles of one dimension: each is
+    one stacked lattice pass over the block's principal (P), trapspace (J) or
+    minimal (N) masks.  Entry i of every list belongs to ``profiles[i]``,
+    whose related networks ``related[i]`` profiles (see ``_related_profiles``)."""
+
+    def __init__(self, profiles: list[NetworkProfile], related: list):
+        n = profiles[0].n
+        P = np.stack([p.pt_collection.mask for p in profiles])
+        J = np.stack([p.trapspace_collection.mask for p in profiles])
+        N = np.stack([p.minimal[0].mask for p in profiles])
+        self.profiles, self.related = profiles, related
+        self.pre_principal = pre_principal_rows(P, n).tolist()
+        self.convex = convex_rows(P, n).tolist()
+        self.pre_ideal = pre_ideal_rows(J, n).tolist()
+        self.min_ideal = min_ideal_rows(N, n).tolist()
+        free_p, free_j = pointwise_free(P, n), pointwise_free(J, n)
+        mu_j, lam_p = pointwise_cubes(free_j, n), lambda_rows(P, n)
+        self.mu_p_is_p = _same_rows(pointwise_cubes(free_p, n), P)
+        self.lam_p_is_j = _same_rows(lam_p, J)
+        self.mu_j_is_p = _same_rows(mu_j, P)
+        self.mu_lam_p_is_p = _same_rows(pointwise_cubes(pointwise_free(lam_p, n), n), P)
+        self.lam_mu_j_is_j = _same_rows(lambda_rows(mu_j, n), J)
+        xs = np.arange(1 << n)
+        # The realisations of P, J and N.
+        self.realized_p, self.realized_j, self.realized_n = (
+            [BooleanNetwork(n, tuple(image)) for image in (xs ^ free).tolist()]
+            for free in (free_p, free_j, pointwise_free(N, n))
+        )
+
+
+def collection_roundtrip_violations(block: CollectionBlock) -> list[list[Violation]]:
+    """Realisation, union-closure and pointwise-reduction round-trips: one
+    list per network of the block."""
     out = []
-    f = p.f
-
-    def bad(detail):
-        out.append(Violation("collections", detail, f))
-
-    principal = p.pt_collection
-    ideals = p.trapspace_collection
-    if not p.pt_flags.pre_principal:
-        bad("principal trapspaces are not pre-principal")
-    if mu_reduction(principal) != principal:
-        bad("principal trapspaces not fixed by pointwise reduction")
-    if not is_pre_ideal(ideals):
-        bad("trapspaces are not pre-ideal")
-
-    realized_q = realize(principal)
-    realized_j = realize(ideals)
-    if realized_q != p.closure:
-        bad("realizing the principal collection misses the closure")
-    if realized_j != p.closure:
-        bad("realizing the trapspace collection misses the closure")
-    if profile(realized_q).pt_collection != principal:
-        bad("principal collection does not round-trip through realization")
-    if profile(realized_j).trapspace_collection != ideals:
-        bad("trapspace collection does not round-trip through realization")
-    lam = lambda_closure(principal)
-    if lam != ideals:
-        bad("union closure of principal trapspaces misses the trapspaces")
-    mu = mu_reduction(ideals)
-    if mu != principal:
-        bad("pointwise reduction of trapspaces misses the principal ones")
-    if mu_reduction(lam) != principal or lambda_closure(mu) != ideals:
-        bad("union closure and pointwise reduction do not invert each other")
-
-    minimal, _ = p.minimal
-    if not is_min_ideal(minimal):
-        bad("minimal trapspaces are not pairwise disjoint")
-    realized_n = realize(minimal)
-    if realized_n != p.min_extension:
-        bad("realizing the minimal collection misses the min extension")
-    if profile(realized_n).minimal[0] != minimal:
-        bad("minimal collection does not round-trip through realization")
-    if p.min_trapping and realized_n != f:
-        bad("min-trapping network is not recovered from its minimal trapspaces")
+    for i, p in enumerate(block.profiles):
+        profile = block.related[i]
+        principal, ideals = p.pt_collection, p.trapspace_collection
+        minimal, _ = p.minimal
+        realized_q, realized_j = block.realized_p[i], block.realized_j[i]
+        realized_n = block.realized_n[i]
+        checks = (
+            (block.pre_principal[i], "principal trapspaces are not pre-principal"),
+            (block.mu_p_is_p[i], "principal trapspaces not fixed by pointwise reduction"),
+            (block.pre_ideal[i], "trapspaces are not pre-ideal"),
+            (realized_q == p.closure, "realizing the principal collection misses the closure"),
+            (realized_j == p.closure, "realizing the trapspace collection misses the closure"),
+            (profile(realized_q).pt_collection == principal,
+             "principal collection does not round-trip through realization"),
+            (profile(realized_j).trapspace_collection == ideals,
+             "trapspace collection does not round-trip through realization"),
+            (block.lam_p_is_j[i], "union closure of principal trapspaces misses the trapspaces"),
+            (block.mu_j_is_p[i], "pointwise reduction of trapspaces misses the principal ones"),
+            (block.mu_lam_p_is_p[i] and block.lam_mu_j_is_j[i],
+             "union closure and pointwise reduction do not invert each other"),
+            (block.min_ideal[i], "minimal trapspaces are not pairwise disjoint"),
+            (realized_n == p.min_extension,
+             "realizing the minimal collection misses the min extension"),
+            (profile(realized_n).minimal[0] == minimal,
+             "minimal collection does not round-trip through realization"),
+            (not p.min_trapping or realized_n == p.f,
+             "min-trapping network is not recovered from its minimal trapspaces"),
+        )
+        out.append([Violation("collections", detail, p.f) for holds, detail in checks if not holds])
     return out
 
 
@@ -233,7 +307,11 @@ def distance_bound_violation(f: BooleanNetwork) -> str | None:
     return None
 
 
-def commutative_claim_violations(p: NetworkProfile) -> list[Violation]:
+def commutative_claim_violations(
+    p: NetworkProfile, convex: bool, realized: BooleanNetwork
+) -> list[Violation]:
+    """Commutative facts; ``convex`` says whether p's principal collection is
+    convex and ``realized`` is that collection's realisation."""
     out = []
     f = p.f
     if p.commutative:
@@ -242,12 +320,12 @@ def commutative_claim_violations(p: NetworkProfile) -> list[Violation]:
         problem = distance_bound_violation(f)
         if problem:
             out.append(Violation("commutative", problem, f))
-        if not p.pt_flags.convex:
+        if not convex:
             out.append(
                 Violation("commutative", "principal trapspaces are not convex", f)
             )
-    if p.pt_flags.convex:
-        if not is_commutative(realize(p.pt_collection)):
+    if convex:
+        if not is_commutative(realized):
             out.append(
                 Violation(
                     "commutative",
@@ -298,34 +376,42 @@ def _related_profiles(p: NetworkProfile):
     return lambda g: known[g] if g in known else known.setdefault(g, NetworkProfile(g))
 
 
-def _check_chunk(networks: list[BooleanNetwork], suite: str):
-    """Every per-network check of ``suite`` on a run of the population, one
-    profile at a time.
+def _check_chunk(networks: list[BooleanNetwork], suite: str) -> list[tuple]:
+    """Every per-network check of ``suite`` on part of the population, one
+    block of profiles at a time; a block's collection facts are stacked
+    lattice passes, and its profiles are dropped after it.
 
-    Returns the theorem violations, the closure-law violations, the closure
-    of each network (for the monotonicity pairs) and, per diagram of
-    ``DIAGRAMS``, the implication violations, each in population order.
+    Returns, per network in order, its theorem violations, its closure-law
+    violations, its closure (for the monotonicity pairs; None outside the
+    closure suite) and, per diagram of ``DIAGRAMS``, its implication violations.
     """
-    theorems, laws, closures = [], [], []
-    implications = [[] for _ in DIAGRAMS]
-    for f in networks:
-        p = NetworkProfile(f)
-        profile = _related_profiles(p)
-        if suite in ("all", "theorems"):
-            theorems += alternate_definition_violations(p)
-            theorems += collection_roundtrip_violations(p, profile)
-            theorems += dynamics_claim_violations(p)
-            theorems += commutative_claim_violations(p)
-            theorems += hierarchy_violations(p)
-            theorems += equivalence_vector_violations(p, profile(p.closure))
-            theorems += equivalence_vector_violations(p, profile(p.min_extension))
-        if suite in ("all", "closure"):
-            laws += closure_law_violations(p, profile)
-            closures.append(p.closure)
-        if suite in ("all", "diagrams"):
-            for out, diagram in zip(implications, DIAGRAMS.values()):
-                out += _diagram_violations(diagram_implication_violations(diagram, p))
-    return theorems, laws, closures, implications
+    theorem_suite = suite in ("all", "theorems")
+    records = []
+    for block in _blocks(networks):
+        profiles = [NetworkProfile(f) for f in block]
+        related = [_related_profiles(p) for p in profiles]
+        if theorem_suite:
+            facts = CollectionBlock(profiles, related)
+            roundtrips = collection_roundtrip_violations(facts)
+        for i, (p, profile) in enumerate(zip(profiles, related)):
+            theorems, laws, closure = [], [], None
+            if theorem_suite:
+                theorems += alternate_definition_violations(p)
+                theorems += roundtrips[i]
+                theorems += dynamics_claim_violations(p)
+                theorems += commutative_claim_violations(p, facts.convex[i], facts.realized_p[i])
+                theorems += hierarchy_violations(p)
+                theorems += equivalence_vector_violations(p, profile(p.closure))
+                theorems += equivalence_vector_violations(p, profile(p.min_extension))
+            if suite in ("all", "closure"):
+                laws = closure_law_violations(p, profile)
+                closure = p.closure
+            implications = [[] for _ in DIAGRAMS]
+            if suite in ("all", "diagrams"):
+                implications = [_diagram_violations(diagram_implication_violations(d, p))
+                                for d in DIAGRAMS.values()]
+            records.append((theorems, laws, closure, implications))
+    return records
 
 
 def _diagram_violations(found) -> list[Violation]:
@@ -427,31 +513,36 @@ def run_verification(
 ) -> list[Violation]:
     """Run the requested suite over the population; returns all violations.
 
-    The per-network checks run on contiguous chunks of the population, one
-    chunk per usable CPU; the violations come in the same order whatever the
-    number of chunks: theorems, closure laws and monotonicity, then per
-    diagram the implications and the counterexample fixtures.
+    The per-network checks run on k chunks of the population, one per usable
+    CPU, dealt round by round; the violations come in the same order
+    whatever k is: theorems, closure laws and monotonicity, then per diagram
+    the implications and the counterexample fixtures.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     k = max(1, min(_usable_cpus(), len(networks)))
-    bounds = [len(networks) * i // k for i in range(k + 1)]
-    chunks = [networks[a:b] for a, b in zip(bounds, bounds[1:])]
+    # Dealt, not cut: sample_population puts the structured networks, the
+    # costly ones, last.  Network i goes to chunk i mod k, except that an
+    # incomplete last round goes to the last chunks: the first chunk is the
+    # caller's, which also forks, collects and runs the cross-network checks.
+    full, rest = divmod(len(networks), k)
+    owner = [i % k for i in range(full * k)] + list(range(k - rest, k))
+    chunks = [[] for _ in range(k)]
+    for f, c in zip(networks, owner):
+        chunks[c].append(f)
     results = _map_chunks(lambda chunk: _check_chunk(chunk, suite), chunks)
-    theorems, laws, closed, implications = zip(*results)
-    violations = [v for part in theorems + laws for v in part]
+    records = [results[c][i // k] for i, c in enumerate(owner)]
+    violations = [v for r in records for v in r[0]]
+    violations += [v for r in records for v in r[1]]
     if suite in ("all", "closure"):
-        closures = dict(zip(networks, (c for part in closed for c in part)))
+        closures = {f: r[2] for f, r in zip(networks, records)}
         if monotonicity_pairs is None:
             monotonicity_pairs = [
                 (f, lattice_combine(f, g, "join")) for f, g in zip(networks, networks[1:])
             ]
-        for f, g in monotonicity_pairs:
-            cf = closures[f] if f in closures else trapping_closure(f)
-            cg = closures[g] if g in closures else trapping_closure(g)
-            violations += monotonicity_violations(f, g, cf, cg)
+        violations += monotone_pairs_violations(monotonicity_pairs, closures)
     if suite in ("all", "diagrams"):
         for d, diagram in enumerate(DIAGRAMS.values()):
-            violations += [v for part in implications for v in part[d]]
+            violations += [v for r in records for v in r[3][d]]
             violations += _diagram_violations(diagram_counterexample_violations(diagram))
     return violations

@@ -6,7 +6,14 @@ import numpy as np
 
 from trapnets import BooleanNetwork, Configuration, Subcube, SubcubeCollection
 from trapnets.core import iter_submasks, update_table
-from trapnets.cubesets import _ternary_of_masks
+from trapnets.cubesets import (
+    _ternary_of_masks,
+    is_min_ideal,
+    is_pre_ideal,
+    lambda_closure,
+    mu_reduction,
+    realize,
+)
 from trapnets.generators import (
     exhaustive_networks,
     long_transient_trapping,
@@ -17,6 +24,7 @@ from trapnets.generators import (
 )
 from trapnets.dynamics import GRAPH_PROPERTIES, HypercubeGraph
 from trapnets.trapspaces import enumerate_trapspaces, principal_pair
+from trapnets.verify import Violation
 
 
 def cfg(s: str) -> Configuration:
@@ -259,6 +267,57 @@ def nested_pairs_convex(collection: SubcubeCollection) -> bool:
                 if mid not in members:
                     return False
     return True
+
+
+def per_network_roundtrip_violations(p, profile) -> list:
+    """Oracle (the library's former check): the collection round-trips of one
+    network, through the single-collection operators and recognisers.
+    ``profile`` profiles the networks related to p's."""
+    out = []
+    f = p.f
+
+    def bad(detail):
+        out.append(Violation("collections", detail, f))
+
+    principal = p.pt_collection
+    ideals = p.trapspace_collection
+    if not p.pt_flags.pre_principal:
+        bad("principal trapspaces are not pre-principal")
+    if mu_reduction(principal) != principal:
+        bad("principal trapspaces not fixed by pointwise reduction")
+    if not is_pre_ideal(ideals):
+        bad("trapspaces are not pre-ideal")
+
+    realized_q = realize(principal)
+    realized_j = realize(ideals)
+    if realized_q != p.closure:
+        bad("realizing the principal collection misses the closure")
+    if realized_j != p.closure:
+        bad("realizing the trapspace collection misses the closure")
+    if profile(realized_q).pt_collection != principal:
+        bad("principal collection does not round-trip through realization")
+    if profile(realized_j).trapspace_collection != ideals:
+        bad("trapspace collection does not round-trip through realization")
+    lam = lambda_closure(principal)
+    if lam != ideals:
+        bad("union closure of principal trapspaces misses the trapspaces")
+    mu = mu_reduction(ideals)
+    if mu != principal:
+        bad("pointwise reduction of trapspaces misses the principal ones")
+    if mu_reduction(lam) != principal or lambda_closure(mu) != ideals:
+        bad("union closure and pointwise reduction do not invert each other")
+
+    minimal, _ = p.minimal
+    if not is_min_ideal(minimal):
+        bad("minimal trapspaces are not pairwise disjoint")
+    realized_n = realize(minimal)
+    if realized_n != p.min_extension:
+        bad("realizing the minimal collection misses the min extension")
+    if profile(realized_n).minimal[0] != minimal:
+        bad("minimal collection does not round-trip through realization")
+    if p.min_trapping and realized_n != f:
+        bad("min-trapping network is not recovered from its minimal trapspaces")
+    return out
 
 
 def brute_force_principals(f: BooleanNetwork) -> list[Subcube]:

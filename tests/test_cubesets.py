@@ -21,7 +21,21 @@ from trapnets import (
     trapping_closure,
 )
 
-from trapnets.cubesets import is_convex, is_min_ideal, is_pre_ideal, is_pre_principal
+import numpy as np
+
+from trapnets.cubesets import (
+    convex_rows,
+    is_convex,
+    is_min_ideal,
+    is_pre_ideal,
+    is_pre_principal,
+    lambda_rows,
+    min_ideal_rows,
+    pointwise_cubes,
+    pointwise_free,
+    pre_ideal_rows,
+    pre_principal_rows,
+)
 
 from helpers import (
     cfg,
@@ -264,6 +278,54 @@ def test_lattice_passes_match_member_loop_oracles():
         for name, got, oracle in flags:
             assert got == oracle, (name, format_collection(coll))
             seen.add((name, got))
+    assert len(seen) == 8  # every recogniser answered both ways
+
+
+def _random_stacks():
+    """Per n = 1..6: a stack of the empty collection, {B^n} and random masks
+    of several densities, then a stack of one."""
+    rng = np.random.default_rng(12)
+    for n in range(1, 7):
+        empty, whole = np.zeros(3**n, dtype=bool), np.zeros(3**n, dtype=bool)
+        whole[-1] = True
+        rows = [empty, whole] + [rng.random(3**n) < d for d in (0.03, 0.1, 0.3, 0.6, 0.95)]
+        yield n, np.array(rows)
+        yield n, np.array(rows[4:5])
+
+
+def test_stacked_kernels_match_row_by_row_and_member_loop_oracles():
+    seen = set()
+    for n, stack in _random_stacks():
+        before = stack.copy()
+        free = pointwise_free(stack, n)
+        rows = {
+            "lambda": lambda_rows(stack, n),
+            "mu": pointwise_cubes(free, n),
+            "pre_principal": pre_principal_rows(stack, n),
+            "pre_ideal": pre_ideal_rows(stack, n),
+            "min_ideal": min_ideal_rows(stack, n),
+            "convex": convex_rows(stack, n),
+        }
+        assert np.array_equal(stack, before)  # the passes leave their input alone
+        for r, mask in enumerate(stack):
+            coll = SubcubeCollection(n, mask.copy())
+            assert np.array_equal(rows["lambda"][r], lambda_closure(coll).mask)
+            assert np.array_equal(rows["mu"][r], mu_reduction(coll).mask)
+            assert realize(coll).image == tuple(x ^ int(fr) for x, fr in enumerate(free[r]))
+            flags = {name: bool(rows[name][r]) for name in
+                     ("pre_principal", "pre_ideal", "min_ideal", "convex")}
+            assert flags == vars(classify_collection(coll))
+            seen.update(flags.items())
+            if len(coll) > 60:  # the member loops are quadratic or worse in the members
+                continue
+            assert set(lambda_closure(coll).members) == sweep_lambda_closure(coll)
+            assert list(free[r]) == member_scan_pointwise_free(coll)
+            assert flags == {
+                "pre_principal": pairwise_pre_principal(coll),
+                "pre_ideal": pairwise_pre_ideal(coll),
+                "min_ideal": pairwise_min_ideal(coll),
+                "convex": nested_pairs_convex(coll),
+            }
     assert len(seen) == 8  # every recogniser answered both ways
 
 

@@ -1,0 +1,130 @@
+"""The stacked forms in `verify`: the collection checks of a block of
+networks, the monotonicity pairs in one broadcast, and the block size."""
+
+from functools import cached_property
+
+import numpy as np
+
+from trapnets import NetworkProfile, SubcubeCollection, realize, trapping_closure
+from trapnets.core import lattice_combine
+from trapnets.generators import exhaustive_networks
+from trapnets import verify
+from trapnets.verify import (
+    CollectionBlock,
+    collection_roundtrip_violations,
+    monotone_pairs_violations,
+    monotonicity_violations,
+    run_verification,
+    sample_population,
+)
+
+from helpers import per_network_roundtrip_violations
+
+
+def toggled(coll: SubcubeCollection, t: int) -> SubcubeCollection:
+    """coll with subcube t added, or removed if it is a member."""
+    mask = coll.mask.copy()
+    mask[t] ^= True
+    return SubcubeCollection(coll.n, mask)
+
+
+def perturbed_profiles(n, samples, seed):
+    """Profiles of a sampled population; in three of every four, one subcube
+    is added to or removed from the principal, trapspace or minimal
+    collection, in turn.  The closure and min extension are those of the
+    network."""
+    rng = np.random.default_rng(seed)
+    profiles = []
+    for i, f in enumerate(sample_population(n, samples, seed)):
+        p = NetworkProfile(f)
+        p.closure, p.min_extension  # from the network's own collections
+        t = int(rng.integers(3**n))
+        if i % 4 == 1:
+            p.pt_collection = toggled(p.pt_collection, t)
+        elif i % 4 == 2:
+            p.trapspace_collection = toggled(p.trapspace_collection, t)
+        elif i % 4 == 3:
+            p.minimal = (toggled(p.minimal[0], t), p.minimal[1])
+        profiles.append(p)
+    return profiles
+
+
+def test_block_roundtrips_match_the_per_network_oracle():
+    fired = set()
+    for n, samples, seed in ((2, 12, 1), (3, 20, 2), (4, 20, 3), (5, 8, 4)):
+        profiles = perturbed_profiles(n, samples, seed)
+        related = [verify._related_profiles(p) for p in profiles]
+        block = CollectionBlock(profiles, related)
+        got = collection_roundtrip_violations(block)
+        assert got == [per_network_roundtrip_violations(p, r) for p, r in zip(profiles, related)]
+        assert block.convex == [p.pt_flags.convex for p in profiles]
+        assert block.realized_p == [realize(p.pt_collection) for p in profiles]
+        assert not any(got[0::4])  # the unperturbed profiles
+        fired.update(v.detail for vs in got for v in vs)
+    assert len(fired) >= 13, sorted(fired)
+
+
+class PerturbedProfile(NetworkProfile):
+    """A profile whose principal collection gains or loses one subcube on
+    networks with an even image sum, so that collection checks fire."""
+
+    @cached_property
+    def pt_collection(self):
+        coll = SubcubeCollection.from_pairs(self.n, *self.pt_pairs)
+        total = sum(self.f.image)
+        return coll if total % 2 else toggled(coll, total % 3**self.n)
+
+
+def test_violations_do_not_depend_on_the_block_size(monkeypatch):
+    monkeypatch.setattr(verify, "NetworkProfile", PerturbedProfile)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    default = verify._block_size
+    # The closure suite pairs neighbours, so only the theorems take two dimensions.
+    for nets, suite in ((sample_population(3, 12, 5), "all"),
+                        (sample_population(3, 8, 5) + sample_population(4, 6, 6), "theorems")):
+        runs = []
+        for block_size in (default, lambda n: 1, lambda n: 2, lambda n: 3):
+            monkeypatch.setattr(verify, "_block_size", block_size)
+            runs.append(run_verification(nets, suite))
+        assert {"collections", "commutative"} <= {v.check for v in runs[0]}
+        assert all(run == runs[0] for run in runs[1:])
+
+
+def test_block_size_bounds_the_pair_tables():
+    assert [verify._block_size(n) for n in (2, 4, 6, 8, 10, 11, 13)] == [
+        65536, 4096, 256, 16, 1, 1, 1
+    ]
+
+
+def per_pair(pairs, closures):
+    return [
+        v
+        for f, g in pairs
+        for v in monotonicity_violations(f, g, closures[f], closures[g])
+    ]
+
+
+def test_monotone_pairs_broadcast_matches_the_per_pair_definition():
+    rng = np.random.default_rng(3)
+    for n in (1, 2):
+        nets = exhaustive_networks(n)
+        pairs = [(f, g) for f in nets for g in nets]
+        closures = {f: trapping_closure(f) for f in nets}
+        # Closures dealt at random: not monotone on many pairs.
+        dealt = dict(zip(nets, (nets[i] for i in rng.permutation(len(nets)))))
+        for given in (closures, dealt) if n == 1 else (dealt,):
+            expected = per_pair(pairs, given)
+            assert monotone_pairs_violations(pairs, given) == expected
+        assert expected
+    nets = sample_population(4, 40, 8)
+    pairs = [(f, lattice_combine(f, g, "join")) for f, g in zip(nets, nets[1:])]
+    closures = {f: trapping_closure(f) for pair in pairs for f in pair}
+    # Closures of the first networks only: the others are computed.
+    given = {f: closures[f] for f, _ in pairs}
+    assert monotone_pairs_violations(pairs, given) == per_pair(pairs, closures) == []
+    dealt = {f: nets[i] for f, i in zip(nets, rng.permutation(len(nets)))}
+    joined = {**{g: g for _, g in pairs}, **dealt}
+    expected = per_pair(pairs, joined)
+    assert monotone_pairs_violations(pairs, joined) == expected
+    assert expected
+    assert monotone_pairs_violations([], {}) == []
