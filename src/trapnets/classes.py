@@ -34,6 +34,7 @@ from .generators import exhaustive_networks
 from .netio import parse_truth_table
 from .trapspaces import (
     fixed_point_table,
+    minimal_cover,
     minimal_trapspaces,
     principal_pairs,
     trapping_closure,
@@ -245,6 +246,12 @@ class NetworkProfile:
     @cached_property
     def trapspace_collection(self) -> SubcubeCollection:
         return SubcubeCollection(self.n, trapspace_mask(self.f))
+
+    @cached_property
+    def minimal_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(free, base) of the minimal trapspaces, in ``pairs()`` order, and
+        the configurations they cover; no 3^n mask is built."""
+        return minimal_cover(self.f, self.pt_pairs)
 
     @cached_property
     def minimal(self) -> tuple[SubcubeCollection, np.ndarray]:

@@ -18,6 +18,7 @@ from .classes import (
     trapspace_equivalent,
 )
 from .core import CAPS
+from .cubesets import format_pairs
 from .dynamics import GRAPH_PROPERTIES, graph_property, transient_and_period
 from .generators import (
     exhaustive_networks,
@@ -69,7 +70,7 @@ def _load_network(path: str):
 def _analysis_report(doc, minimal_only: bool) -> dict:
     f = doc.network
     profile = NetworkProfile(f)
-    minimal, covered = profile.minimal
+    free, base, covered = profile.minimal_pairs
     transient, period = transient_and_period(f)
     report: dict = {
         "name": doc.name,
@@ -78,9 +79,9 @@ def _analysis_report(doc, minimal_only: bool) -> dict:
         "period": period,
         "trapspaces": {
             "principal_distinct": profile.pt_distinct,
-            "minimal": len(minimal),
+            "minimal": len(free),
             "min_configs": int(covered.sum()),
-            "minimal_cubes": [str(c) for c in minimal.sorted_members()],
+            "minimal_cubes": format_pairs(f.n, free, base).splitlines(),
         },
     }
     if minimal_only:

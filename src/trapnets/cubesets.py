@@ -141,8 +141,17 @@ def parse_collection(text: str, n: int | None = None) -> SubcubeCollection:
     return SubcubeCollection.of(n, cubes)
 
 
+def format_pairs(n: int, free: np.ndarray, base: np.ndarray) -> str:
+    """One line per subcube (free[i], base[i]) of B^n in star notation, the
+    text ``str(Subcube)`` gives, encoded as one byte array."""
+    lines = np.full((len(free), n + 1), ord("\n"), dtype=np.uint8)
+    for i in range(n):
+        lines[:, i] = np.where(free >> i & 1, ord("*"), ord("0") + (base >> i & 1))
+    return lines.tobytes().decode("ascii")
+
+
 def format_collection(collection: SubcubeCollection) -> str:
-    return "".join(f"{cube}\n" for cube in collection.sorted_members())
+    return format_pairs(collection.n, *collection.pairs())
 
 
 def _superset(tables: np.ndarray, ufunc: np.ufunc, n: int) -> np.ndarray:

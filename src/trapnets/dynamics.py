@@ -270,34 +270,48 @@ def network_power(f: BooleanNetwork, k: int) -> BooleanNetwork:
 def transient_and_period(f: BooleanNetwork) -> tuple[int, int]:
     """Smallest t >= 0 and p >= 1 with f^(t+p) == f^t as full tables.
 
-    One walk of the functional graph of f: t is the longest tail leading
-    into a cycle and p is the lcm of the cycle lengths, so the cost is
-    O(2^n) whatever the order of f as a permutation.
+    t is the longest tail leading into a cycle and p the lcm of the cycle
+    lengths, found by array passes over the powers f^(2^j): O(n 2^n)
+    whatever the order of f as a permutation.
     """
-    image = f.image
-    # Steps from x to its cycle once x is finished; -1 unvisited, -2 on the
-    # current walk.
-    tail = [-1] * len(image)
-    transient, period = 0, 1
-    for start in range(len(image)):
-        if tail[start] >= 0:
-            continue
-        path = []
-        x = start
-        while tail[x] == -1:
-            tail[x] = -2
-            path.append(x)
-            x = image[x]
-        if tail[x] == -2:
-            # The walk closed a new cycle at x.
-            k = path.index(x)
-            period = math.lcm(period, len(path) - k)
-            for y in path[k:]:
-                tail[y] = 0
-            del path[k:]
-        steps = tail[x]
-        for y in reversed(path):
-            steps += 1
-            tail[y] = steps
-        transient = max(transient, steps)
-    return transient, period
+    size = 1 << f.n
+    # The image of f^k shrinks as k grows until k = t, where it is the set of
+    # cyclic configurations; powers[j] = f^(2^j) up to the first 2^j >= t.
+    powers = [f.np_image]
+    cyclic = _image_mask(powers[0], size)
+    while True:
+        square = powers[-1][powers[-1]]
+        image = _image_mask(square, size)
+        if np.count_nonzero(image) == np.count_nonzero(cyclic):
+            break
+        powers.append(square)
+        cyclic = image
+    # t by binary lifting: the largest steps whose image leaves some
+    # configuration off its cycle, plus one.
+    transient = 0
+    if not cyclic.all():
+        ys = np.arange(size)
+        for j in range(len(powers) - 2, -1, -1):
+            zs = powers[j][ys]
+            if not cyclic[zs].all():
+                ys, transient = zs, transient + (1 << j)
+        transient += 1
+    # Label each cyclic configuration by the least one on its cycle: a min
+    # over 2^j steps, doubled until no label changes, which holds once
+    # 2^j steps cover every cycle.  The others stay put, labelled size.
+    xs = np.arange(size)
+    step = np.where(cyclic, powers[0], xs)
+    label = np.where(cyclic, xs, size)
+    while True:
+        doubled = np.minimum(label, label[step])
+        if (doubled == label).all():
+            break
+        label, step = doubled, step[step]
+    lengths = np.bincount(label)[:size]
+    return transient, math.lcm(*set(lengths[lengths > 0].tolist()))
+
+
+def _image_mask(image: np.ndarray, size: int) -> np.ndarray:
+    mask = np.zeros(size, dtype=bool)
+    mask[image] = True
+    return mask

@@ -133,12 +133,15 @@ def _parse_lines(text: str, name: str | None) -> NetworkDocument:
 def write_truth_table(doc: NetworkDocument) -> str:
     """Canonical serialisation: header then rows in increasing order."""
     n = doc.n
-    # One string per configuration, read for both columns; bit i is
-    # character i, so the binary form is reversed.
-    strings = [format(x, f"0{n}b")[::-1] for x in range(1 << n)]
-    rows = [f"n={n}\n"]
-    rows.extend(f"{strings[x]} {strings[y]}\n" for x, y in enumerate(doc.network.image))
-    return "".join(rows)
+    # The rows as one (2^n, 2n + 2) byte array; bit i of a configuration is
+    # character i of its column.
+    xs = np.arange(1 << n)
+    rows = np.full((1 << n, 2 * n + 2), ord(" "), dtype=np.uint8)
+    rows[:, -1] = ord("\n")
+    for i in range(n):
+        rows[:, i] = ord("0") + (xs >> i & 1)
+        rows[:, n + 1 + i] = ord("0") + (doc.network.np_image >> i & 1)
+    return f"n={n}\n" + rows.tobytes().decode("ascii")
 
 
 def network_to_text(f: BooleanNetwork) -> str:

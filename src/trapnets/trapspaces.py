@@ -1,43 +1,56 @@
 """Principal, minimal and full trapspace computation; trapping closure and graph.
 
 A trapspace is a subcube mapped into itself by the network.  Whole-network
-questions read tables over the 3^n subcubes, all filled by one OR kernel,
-a Yates-style pass over the subcube lattice (cf. Bjorklund, Husfeldt,
-Kaski & Koivisto, "Fourier meets Mobius: fast subset convolution", STOC
-2007) that gives entry T the OR of one value per member of T:
+questions read tables over subcubes, all filled by one OR kernel, a
+Yates-style pass over the subcube lattice (cf. Bjorklund, Husfeldt, Kaski
+& Koivisto, "Fourier meets Mobius: fast subset convolution", STOC 2007)
+that gives entry T the OR of one value per member of T:
 
 - the moved table ORs ``x ^ f(x)``, so T is a trapspace iff that OR moves
-  no coordinate T fixes; at n = 16 it takes 86 MB as uint16;
+  no coordinate T fixes;
 - the fixed-point table ORs ``f(x) == x``, so entry T says whether T
   contains a fixed point.
 
-The kernel fills digit j (coordinate j + 1) of the ternary index with one
-OR pass: free from fixed 0 and fixed 1.  It runs in two stages.  Stage 1
-takes the low k = min(n, 7) digits on a compact (3^k, 2^(n-k)) array of
-the leaves alone, with the high bits innermost; a pass over the whole 3^n
-table would there work on runs of only 3^j entries.  Stage 2 scatters its
-rows into the 3^n table and passes over the high digits, each pass only
-over the entries with no free digit above its own, so that every entry is
-written exactly once.  At n = 16 the splits k = 5, 6 and 7 took within
-10 % of each other; k = 7 leaves every table up to n = 7, where sampled
-``verify`` spends its time, to stage 1 alone, which is the plain digit
-pass.  Stage 1's array is 2.2 MB at n = 16, so the peak is still one 3^n
-buffer.
+The kernel works on a stack of tables at once, leaves of shape
+(batch, 2^n) to a (batch, 3^n) table, and fills digit j (coordinate
+j + 1) of the ternary index with one OR pass: free from fixed 0 and fixed
+1.  It runs in two stages.  Stage 1 takes the low k = min(n, 7) digits on a compact
+(3^k, batch 2^(n-k)) array of the leaves alone, with the row and high bits
+innermost; a pass over the whole table would there work on runs of only
+3^j entries.  Stage 2 scatters its rows into the table and passes over the
+high digits, each pass only over the entries with no free digit above its
+own, so that every entry is written exactly once.  At n = 16 the splits
+k = 5, 6 and 7 took within 10 % of each other; k = 7 leaves every table
+up to n = 7, where sampled ``verify`` spends its time, to stage 1 alone,
+which is the plain digit pass.  Stage 1's array is 2.2 MB at n = 16, so
+the peak is still one table buffer.
+
+Enumeration reads the whole 3^n moved table (the ``enumeration`` cap,
+n = 13).  The principal map reads a stacked one instead: m = min(n, 12)
+ternary digits, and the top n - m coordinates left binary, one row of
+3^m subcubes per setting of their bits.  The OR over a subcube is then the
+OR of the rows its free high coordinates can select, at most 2^(n-m)
+gathers.  At n = 16 that table takes 17 MB as uint16, where the whole
+3^16 table took 86 MB; its size grows as 2^n 3^12 above n = 12.
 
 The trapspaces are a boolean mask over the subcube index, the form a
 ``SubcubeCollection`` stores.  The principal map is one read-only
 ``(free, base)`` pair of int64 arrays over the 2^n configurations, the
 shape ``SubcubeCollection.pairs()`` returns; the trapping closure is
 ``x ^ free`` and the trapping graph the bitsets of those subcubes.
-``minimal_trapspaces`` counts the configurations per principal subcube
-with one ``np.unique`` over their ternary indices and returns the
-configurations it covers as a read-only bool array over the 2^n
-configurations.  A single principal trapspace is instead grown from a
-frontier of newly-added members, with no table and no cap.
+``minimal_cover`` counts the configurations per principal subcube with
+one ``np.unique`` over their keys ``free << n | base``, and returns the
+minimal trapspaces as (free, base) arrays in ``pairs()`` order with the
+configurations they cover, as a read-only bool array over the 2^n
+configurations; ``minimal_trapspaces`` puts them in a collection.  A
+single principal trapspace is instead grown from a frontier of
+newly-added members, with no table and no cap.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +69,9 @@ from .dynamics import HypercubeGraph
 
 # The digits stage 1 of ``_subcube_or`` takes; see the module notes.
 _LOW_DIGITS = 7
+# The ternary digits of the table ``principal_pairs`` reads; the coordinates
+# above them stay binary, one table row per setting.  See the module notes.
+_TABLE_DIGITS = 12
 
 
 def principal_pair(f: BooleanNetwork, x_bits: int) -> tuple[int, int]:
@@ -90,40 +106,71 @@ def is_trapspace(f: BooleanNetwork, cube: Subcube) -> bool:
 
 
 def _subcube_or(leaves: np.ndarray, n: int) -> np.ndarray:
-    """Entry T: the OR of ``leaves[x]`` over the members x of subcube T."""
+    """Entry (..., T): the OR of ``leaves[..., x]`` over the members x of
+    subcube T.  Leaves of shape (..., 2^n) give a table of shape (..., 3^n):
+    every row over the leading axes is one table, and one kernel fills all."""
     check_cap("table", n)
     k = min(n, _LOW_DIGITS)
-    # Stage 1: digits 0..k-1 over the leaves only, as a (3^k, 2^(n-k)) array
-    # with the high bits innermost, so that no run is shorter than 2^(n-k).
-    low = np.zeros((3**k, 1 << (n - k)), dtype=leaves.dtype)
-    low[_ternary_of_masks(k)] = leaves.reshape(-1, 1 << k).T
+    rows = leaves.reshape(-1, 1 << n)
+    batch = len(rows)
+    # Stage 1: digits 0..k-1 over the leaves only, as a (3^k, batch * 2^(n-k))
+    # array with the row and high bits innermost, so that no run is shorter
+    # than batch * 2^(n-k).
+    low = np.zeros((3**k, batch << (n - k)), dtype=leaves.dtype)
+    low[_ternary_of_masks(k)] = rows.reshape(-1, 1 << k).T
     for j in range(k):
         v = low.reshape(3 ** (k - 1 - j), 3, -1)
         np.bitwise_or(v[:, 0, :], v[:, 1, :], out=v[:, 2, :])
+    shape = leaves.shape[:-1] + (3**n,)
     if k == n:
-        return low.reshape(-1)
+        return np.ascontiguousarray(low.T).reshape(shape)
     # Stage 2, in place, as a copy of the 3^n buffer would triple the peak.
-    # Read as (3^(n-k), 3^k), row t of the table holds the subcubes whose
-    # high digits are t; the scatter fills the rows with no free high digit.
+    # Read as (batch, 3^(n-k), 3^k), slice t of a row holds the subcubes whose
+    # high digits are t; the scatter fills the slices with no free high digit.
     # The view of pass j keeps every digit above j fixed, so each entry is
     # written once, by the pass of its highest free digit.
-    table = np.empty(3**n, dtype=leaves.dtype)
-    table.reshape(3 ** (n - k), 3**k)[_ternary_of_masks(n - k)] = low.T
+    table = np.empty((batch, 3**n), dtype=leaves.dtype)
+    high = table.reshape(batch, 3 ** (n - k), 3**k)
+    high[:, _ternary_of_masks(n - k)] = low.T.reshape(batch, -1, 3**k)
     for j in range(k, n):
         above = n - 1 - j
-        v = table.reshape((3,) * above + (3, 3**j))[(slice(2),) * above]
+        v = table.reshape((batch,) + (3,) * above + (3, 3**j))[(slice(None),) + (slice(2),) * above]
         np.bitwise_or(v[..., 0, :], v[..., 1, :], out=v[..., 2, :])
-    return table
+    return table.reshape(shape)
+
+
+def _moved_rows(f: BooleanNetwork, digits: int) -> np.ndarray:
+    """Row r, entry T: the OR of ``x ^ f(x)`` over the members x of the
+    subcube whose low ``digits`` coordinates have ternary index T and whose
+    other coordinates are fixed to the bits of r."""
+    moves = (np.arange(1 << f.n) ^ f.np_image).astype(np.uint16)
+    return _subcube_or(moves.reshape(-1, 1 << digits), digits)
 
 
 def _moved_table(f: BooleanNetwork) -> np.ndarray:
     """Entry T: the OR of ``x ^ f(x)`` over the members x of subcube T."""
-    return _subcube_or((np.arange(1 << f.n) ^ f.np_image).astype(np.uint16), f.n)
+    return _moved_rows(f, f.n)[0]
 
 
 def fixed_point_table(f: BooleanNetwork) -> np.ndarray:
     """Entry T: whether subcube T contains a fixed point of f (the ``table`` cap)."""
     return _subcube_or(np.arange(1 << f.n) == f.np_image, f.n)
+
+
+@functools.cache
+def _positions(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """How a configuration's position in the flat stacked table of m ternary
+    digits changes: fixing the coordinates of mask s to 1 adds ``fixed[s]``
+    and freeing the low coordinates of s adds ``freed[s]``.  A low coordinate
+    i weighs 3^i in the ternary index; a high one selects rows, 3^m entries
+    each."""
+    xs = np.arange(1 << n, dtype=np.int64)
+    tern = _ternary_of_masks(m)[xs & ((1 << m) - 1)]
+    fixed = tern + (xs >> m) * 3**m
+    freed = 2 * tern
+    for table in (fixed, freed):
+        table.setflags(write=False)  # shared by every caller at this n
+    return fixed, freed
 
 
 def principal_pairs(f: BooleanNetwork) -> tuple[np.ndarray, np.ndarray]:
@@ -132,19 +179,34 @@ def principal_pairs(f: BooleanNetwork) -> tuple[np.ndarray, np.ndarray]:
     Entry x of each read-only int64 array describes the principal trapspace
     of x.  Each step frees every coordinate some member of the current
     subcube moves; a step that frees nothing new leaves a trapspace, so at
-    most n steps are taken.  The ``table`` cap applies.
+    most n steps are taken.  The moves are read from the stacked table of
+    ``_moved_rows(f, m)``: the OR over a subcube is the OR of the rows its
+    free high coordinates can select, at its low ternary index.  The
+    ``table`` cap applies.
     """
-    tern = _ternary_of_masks(f.n)
-    table = _moved_table(f)
-    xs = np.arange(1 << f.n, dtype=np.int64)
+    n = f.n
+    check_cap("table", n)
+    m = min(n, _TABLE_DIGITS)
+    row = 3**m
+    table = _moved_rows(f, m).reshape(-1)
+    fixed, freed = _positions(n, m)
+    xs = np.arange(1 << n, dtype=np.int64)
     free = np.zeros_like(xs)
-    index = tern.copy()
+    position = fixed.copy()  # of the row with every free high coordinate 0
+    spread = 0  # the high coordinates free in some current subcube
     while True:
-        grow = table[index] & ~free
-        if not grow.any():
+        moved = table[position]
+        if spread:
+            high = free >> m
+            for s in itertools.islice(iter_submasks(spread), 1, None):
+                moved |= table[position + (high & s) * row]
+        grow = moved & ~free
+        grown = int(np.bitwise_or.reduce(grow))
+        if not grown:
             break
         free |= grow
-        index += 2 * tern[grow] - tern[xs & grow]
+        position += freed[grow] - fixed[xs & grow]
+        spread |= grown >> m
     base = xs & ~free
     free.setflags(write=False)
     base.setflags(write=False)
@@ -163,11 +225,11 @@ def enumerate_trapspaces(f: BooleanNetwork) -> SubcubeCollection:
     return SubcubeCollection(f.n, trapspace_mask(f))
 
 
-def minimal_trapspaces(
+def minimal_cover(
     f: BooleanNetwork, pairs: tuple[np.ndarray, np.ndarray] | None = None
-) -> tuple[SubcubeCollection, np.ndarray]:
-    """Minimal trapspaces of f and the read-only bool array of the
-    configurations they cover.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(free, base) of the minimal trapspaces of f, sorted by free mask, then
+    base, and the read-only bool array of the configurations they cover.
 
     Every member of a minimal trapspace has it as its principal trapspace,
     while a larger trapspace contains a smaller one whose members do not.
@@ -176,17 +238,27 @@ def minimal_trapspaces(
     principal pairs of f when already computed; the ``table`` cap applies.
     """
     free, base = principal_pairs(f) if pairs is None else pairs
-    tern = _ternary_of_masks(f.n)
-    index = tern[base] + 2 * tern[free]
-    _, inverse, counts = np.unique(index, return_inverse=True, return_counts=True)
+    n = f.n
+    # Keys sort by free mask, then base.  The inverse and counts keep
+    # np.unique off the numpy.ma import of its plain form.
+    keys, inverse, counts = np.unique(free << n | base, return_inverse=True, return_counts=True)
+    free, base = keys >> n, keys & ((1 << n) - 1)
     size = np.ones_like(free)  # 2^|free|, as np.bitwise_count needs numpy 2
-    for j in range(f.n):
+    for j in range(n):
         size <<= free >> j & 1
-    covered = counts[inverse] == size
+    minimal = counts == size
+    covered = minimal[inverse]
     covered.setflags(write=False)
-    mask = np.zeros(3**f.n, dtype=bool)
-    mask[index[covered]] = True
-    return SubcubeCollection(f.n, mask), covered
+    return free[minimal], base[minimal], covered
+
+
+def minimal_trapspaces(
+    f: BooleanNetwork, pairs: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[SubcubeCollection, np.ndarray]:
+    """Minimal trapspaces of f and the read-only bool array of the
+    configurations they cover: ``minimal_cover`` as a collection."""
+    free, base, covered = minimal_cover(f, pairs)
+    return SubcubeCollection.from_pairs(f.n, free, base), covered
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,13 @@ CPU of the process's affinity mask (one chunk where ``os.fork`` or the mask
 is missing).  The calling process checks the first chunk and a forked child
 each other one; the results are rejoined by index, so the violations, and
 their order, do not depend on the number of chunks.  A chunk is checked in
-blocks of at most ``_block_size(n)`` networks whose profiles live together:
-the collection facts of a block (recognisers, union closure, pointwise
-reduction, realisation) are single lattice passes over the stacked masks of
-its networks, and the per-network checks read them.  The checks that span
-networks (monotonicity pairs, compared in one broadcast) and the diagrams'
-fixture counterexamples then run once, in the caller.
+blocks of at most ``_block_size(n)`` and at most ``_MAX_BLOCK`` networks,
+whose profiles live together: the collection facts of a block
+(recognisers, union closure, pointwise reduction, realisation) are single
+lattice passes over the stacked masks of its networks, and the per-network
+checks read them.  The checks that span networks (monotonicity pairs,
+compared in one broadcast) and the diagrams' fixture counterexamples then
+run once, in the caller.
 """
 
 from __future__ import annotations
@@ -188,17 +189,24 @@ def equivalence_vector_violations(p: NetworkProfile, partner: NetworkProfile) ->
     return out
 
 
+# The most networks in one block: each profile, with those of its closure
+# and min extension, holds tens of KB, which the pair-table bound of
+# ``_block_size`` does not see at small n.
+_MAX_BLOCK = 256
+
+
 def _block_size(n: int) -> int:
-    """Networks per block at dimension n: a block's pair tables (4^n entries
-    per network) stay near 2^20 entries, 1 MB."""
+    """Networks per block at dimension n by the pair tables alone: they
+    (4^n entries per network) stay near 2^20 entries, 1 MB."""
     return max(1, 2**20 // 4**n)
 
 
 def _blocks(networks: list[BooleanNetwork]):
-    """Consecutive runs of at most ``_block_size(n)`` networks of one dimension n."""
+    """Consecutive runs of at most ``_block_size(n)`` networks of one
+    dimension n, and of at most ``_MAX_BLOCK``."""
     for n, run in itertools.groupby(networks, key=lambda f: f.n):
         run = list(run)
-        size = _block_size(n)
+        size = min(_block_size(n), _MAX_BLOCK)
         for start in range(0, len(run), size):
             yield run[start : start + size]
 

@@ -132,6 +132,22 @@ def digitwise_subcube_or(leaves: np.ndarray, n: int) -> np.ndarray:
     return table
 
 
+def single_table_principal_pairs(f: BooleanNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle (the library's former method): the principal-map iteration on
+    one moved table over all 3^n subcubes, filled by the digitwise kernel."""
+    tern = _ternary_of_masks(f.n)
+    table = digitwise_subcube_or((np.arange(1 << f.n) ^ f.np_image).astype(np.uint16), f.n)
+    xs = np.arange(1 << f.n, dtype=np.int64)
+    free = np.zeros_like(xs)
+    index = tern.copy()
+    while True:
+        grow = table[index] & ~free
+        if not grow.any():
+            return free, xs & ~free
+        free |= grow
+        index += 2 * tern[grow] - tern[xs & grow]
+
+
 def bitset_trapspace_fp(f: BooleanNetwork) -> bool:
     """Oracle (the library's former method): every enumerated trapspace's
     member bitset meets the bitset of fixed points."""
@@ -361,6 +377,14 @@ def pairwise_minimal_trapspaces(f: BooleanNetwork) -> set[Subcube]:
         if inside.sum() == 1:  # only candidate k itself
             minimal.add(Subcube(f.n, int(free[k]), int(base[k])))
     return minimal
+
+
+def rowwise_truth_table(f: BooleanNetwork) -> str:
+    """Oracle (the library's former writer): one formatted string per row."""
+    strings = [format(x, f"0{f.n}b")[::-1] for x in range(1 << f.n)]
+    rows = [f"n={f.n}\n"]
+    rows.extend(f"{strings[x]} {strings[y]}\n" for x, y in enumerate(f.image))
+    return "".join(rows)
 
 
 def power_iteration_transient_and_period(f: BooleanNetwork) -> tuple[int, int]:

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -352,3 +354,18 @@ def test_gen_above_analyze_cap_skips_classes(tmp_path, capsys):
     transient, period = stepwise_transient_and_period(random_network(14, 1))
     assert "classes skipped above n=13" in summary
     assert f"transient={transient}, period={period}" in summary
+
+
+def test_minimal_only_analyze_imports_no_masked_arrays(tmp_path):
+    # The plain form of np.unique imports numpy.ma (about 14 ms a call under
+    # numpy 2.4); numpy 1 imports it with numpy itself.
+    path = write_net(tmp_path, "c.tt", random_constant_on_arrangements(8, 1))
+    script = (
+        "import sys; from trapnets.cli import main\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        f"main(['analyze', {path!r}, '--minimal-only'])\n"
+        "print(before, 'numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    before, after = out.stdout.split("\n")[-2].split()
+    assert before == after

@@ -25,6 +25,7 @@ import numpy as np
 
 from trapnets.cubesets import (
     convex_rows,
+    format_collection,
     is_convex,
     is_min_ideal,
     is_pre_ideal,
@@ -340,3 +341,12 @@ def test_collection_is_a_read_only_mask():
         SubcubeCollection.of(3, [cube("0*")])
     with pytest.raises(ValueError, match="capped at n=16"):
         SubcubeCollection.of(17, ())
+
+
+def test_star_encoder_matches_subcube_str():
+    rng = np.random.default_rng(9)
+    for n in range(1, 9):
+        for density in (0.0, 0.05, 0.5):
+            collection = SubcubeCollection(n, rng.random(3**n) < density)
+            expected = "".join(f"{c}\n" for c in collection.sorted_members())
+            assert format_collection(collection) == expected

@@ -1,4 +1,5 @@
 import networkx as nx
+import numpy as np
 import pytest
 
 from trapnets import (
@@ -14,7 +15,13 @@ from trapnets import (
     transient_and_period,
 )
 from trapnets.dynamics import GRAPH_PROPERTIES, HypercubeGraph, arc_subset
-from trapnets.generators import exhaustive_networks, long_transient_trapping
+from trapnets.generators import (
+    exhaustive_networks,
+    long_transient_trapping,
+    random_commutative,
+    random_constant_on_arrangements,
+    random_negation_on_subcubes,
+)
 from trapnets.trapspaces import trapping_graph
 
 from helpers import (
@@ -367,3 +374,31 @@ def test_transient_period_random_n16():
     f = random_network(16, 1)
     assert transient_and_period(f) == stepwise_transient_and_period(f)
     assert transient_and_period(f)[1] == 1624260
+
+
+def test_transient_period_matches_both_oracles_exhaustively_and_sampled():
+    networks = exhaustive_networks(1) + exhaustive_networks(2) + list(sampled_networks())
+    for f in networks:
+        expected = power_iteration_transient_and_period(f)
+        assert transient_and_period(f) == expected == stepwise_transient_and_period(f)
+
+
+def test_transient_period_of_random_permutations_and_maps():
+    # Random permutations have several long cycles, so a large lcm.
+    rng = np.random.default_rng(7)
+    for n in (5, 8, 11, 14):
+        for image in (rng.permutation(1 << n), rng.integers(0, 1 << n, 1 << n)):
+            f = BooleanNetwork(n, tuple(image.tolist()))
+            assert transient_and_period(f) == stepwise_transient_and_period(f)
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_transient_period_of_every_kind_at_large_n(n):
+    # Random at n = 16 only: the stepwise oracle takes one whole-table step
+    # per unit of a random network's transient.
+    kinds = [random_commutative, random_negation_on_subcubes, random_constant_on_arrangements]
+    networks = [kind(n, 3) for kind in kinds] + [long_transient_trapping(n)]
+    if n == 16:
+        networks.append(random_network(n, 3))
+    for f in networks:
+        assert transient_and_period(f) == stepwise_transient_and_period(f)

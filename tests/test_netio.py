@@ -18,9 +18,10 @@ from trapnets import (
     trapping_graph,
     write_truth_table,
 )
+from trapnets.generators import exhaustive_networks, random_network
 from trapnets.netio import _parse_canonical, _parse_lines
 
-from helpers import F_EX3_ROWS, cfg, f_ex3
+from helpers import F_EX3_ROWS, cfg, f_ex3, rowwise_truth_table, sampled_networks
 
 
 def f_ex3_text():
@@ -314,3 +315,14 @@ def test_dot_is_byte_stable():
 def test_roundtrip_via_network_text():
     f = f_ex3()
     assert parse_truth_table(network_to_text(f)).network == f
+
+
+def test_byte_array_writer_matches_rowwise_oracle_and_roundtrips():
+    networks = [
+        *exhaustive_networks(1), *exhaustive_networks(2),
+        *sampled_networks(range(3, 9)), random_network(13, 4),
+    ]
+    for f in networks:
+        text = network_to_text(f)
+        assert text == rowwise_truth_table(f)
+        assert parse_truth_table(text).network == f

@@ -128,3 +128,9 @@ def test_monotone_pairs_broadcast_matches_the_per_pair_definition():
     assert monotone_pairs_violations(pairs, joined) == expected
     assert expected
     assert monotone_pairs_violations([], {}) == []
+
+
+def test_blocks_hold_at_most_max_block_networks():
+    networks = exhaustive_networks(2) + exhaustive_networks(2)[:44] + exhaustive_networks(1)
+    sizes = [len(block) for block in verify._blocks(networks)]
+    assert sizes == [verify._MAX_BLOCK, 300 - verify._MAX_BLOCK, 4]
