@@ -51,7 +51,6 @@ from .dynamics import (
     transient_and_period,
 )
 from .trapspaces import (
-    TrapspaceReport,
     enumerate_trapspaces,
     is_trapspace,
     min_trapping_extension,
@@ -59,7 +58,6 @@ from .trapspaces import (
     principal_trapspace,
     trapping_closure,
     trapping_graph,
-    trapspace_report,
 )
 from .classes import (
     ClassReport,

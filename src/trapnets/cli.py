@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .classes import (
@@ -28,8 +29,8 @@ from .generators import (
     random_negation_on_subcubes,
     random_network,
 )
-from .netio import NetParseError, export_dot, network_to_text, parse_truth_table
-from .verify import run_verification, sample_population
+from .netio import NetParseError, iter_dot, network_to_text, parse_truth_table
+from .verify import SUITES, run_verification, sample_population
 
 
 def _int_at_least(low: int):
@@ -141,17 +142,17 @@ def cmd_graph(args) -> int:
     if doc.n > CAPS["enumeration"]:
         return _refuse(f"graph export is capped at n={CAPS['enumeration']}")
     profile = NetworkProfile(doc.network)
-    chain = [
-        ("asynchronous", profile.graph_a),
-        ("general asynchronous", profile.graph_ga),
-        ("trapping", profile.graph_tg),
-    ]
-    depth = {"async": 1, "ga": 2, "tg": 3}[args.kind]
-    if args.layered:
-        depth = 3
-    layers = [g for _, g in chain[:depth]]
-    labels = [name for name, _ in chain[:depth]]
-    sys.stdout.write(export_dot(layers, labels))
+    depth = 3 if args.layered else {"async": 1, "ga": 2, "tg": 3}[args.kind]
+    layers = [getattr(profile, a) for a in ("graph_a", "graph_ga", "graph_tg")[:depth]]
+    labels = ["asynchronous", "general asynchronous", "trapping"][:depth]
+    try:
+        for piece in iter_dot(layers, labels):
+            sys.stdout.write(piece)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (as with ``| head``): stop quietly, and send
+        # what is left in the buffer to /dev/null so the exit flush is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 
@@ -285,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--samples", type=_int_at_least(1))
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--suite", choices=("all", "theorems", "diagrams", "closure"), default="all")
+    p.add_argument("--suite", choices=SUITES, default="all")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="generate a network and write its truth table")

@@ -95,9 +95,6 @@ class Configuration:
     def negate(self) -> "Configuration":
         return Configuration(self.n, self.bits ^ ((1 << self.n) - 1))
 
-    def flip(self, i: int) -> "Configuration":
-        return Configuration(self.n, self.bits ^ (1 << (i - 1)))
-
 
 @dataclass(frozen=True)
 class Mask:
@@ -128,23 +125,11 @@ class Mask:
     def empty(cls, n: int) -> "Mask":
         return cls(n, 0)
 
-    @classmethod
-    def single(cls, n: int, i: int) -> "Mask":
-        return cls.from_coords(n, (i,))
-
     def coords(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(self.n) if self.bits >> i & 1)
 
     def size(self) -> int:
         return self.bits.bit_count()
-
-    def union(self, other: "Mask") -> "Mask":
-        _check_same_dimension(self, other)
-        return Mask(self.n, self.bits | other.bits)
-
-    def intersection(self, other: "Mask") -> "Mask":
-        _check_same_dimension(self, other)
-        return Mask(self.n, self.bits & other.bits)
 
     def __str__(self) -> str:
         return "{" + ",".join(str(i) for i in self.coords()) + "}"

@@ -66,20 +66,11 @@ class HypercubeGraph:
             if not 0 <= row <= full:
                 raise ValueError("out-neighbourhood bitset out of range")
 
-    def has_arc(self, x: int, y: int) -> bool:
-        return bool(self.out[x] >> y & 1)
-
     def arcs(self, include_loops: bool = True) -> Iterator[tuple[int, int]]:
         for x, row in enumerate(self.out):
             for y in bitset_members(row):
                 if include_loops or x != y:
                     yield (x, y)
-
-    def arc_count(self, include_loops: bool = True) -> int:
-        total = sum(row.bit_count() for row in self.out)
-        if not include_loops:
-            total -= sum(1 for x, row in enumerate(self.out) if row >> x & 1)
-        return total
 
     @cached_property
     def into(self) -> tuple[int, ...]:
@@ -114,19 +105,6 @@ class HypercubeGraph:
     def components(self) -> tuple[tuple[tuple[int, ...], ...], tuple[bool, ...]]:
         """``strongly_connected_components`` of this graph, computed once."""
         return strongly_connected_components(self)
-
-
-def arc_subset(g: HypercubeGraph, h: HypercubeGraph) -> bool:
-    """True when every arc of g is an arc of h."""
-    if g.n != h.n:
-        raise ValueError(f"dimension mismatch: {g.n} != {h.n}")
-    return all(gr | hr == hr for gr, hr in zip(g.out, h.out))
-
-
-def arc_union(g: HypercubeGraph, h: HypercubeGraph) -> HypercubeGraph:
-    if g.n != h.n:
-        raise ValueError(f"dimension mismatch: {g.n} != {h.n}")
-    return HypercubeGraph(g.n, tuple(gr | hr for gr, hr in zip(g.out, h.out)))
 
 
 def build_graph(f: BooleanNetwork, kind: str) -> HypercubeGraph:

@@ -16,10 +16,11 @@ operators ! & ^ | with precedence ! > & > ^ > |.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .core import CAPS, BooleanNetwork, _bits_to_string, _string_to_bits
+from .core import CAPS, BooleanNetwork, _bits_to_string, _string_to_bits, bitset_members
 from .dynamics import HypercubeGraph
 
 DOT_PALETTE = ("blue", "magenta", "orange", "violet", "red", "green")
@@ -303,15 +304,17 @@ def parse_expression_network(text: str, name: str | None = None) -> NetworkDocum
     return NetworkDocument(n, "expression", net, name)
 
 
-def export_dot(
+def iter_dot(
     layers: list[HypercubeGraph],
     labels: list[str] | None = None,
     palette: tuple[str, ...] = DOT_PALETTE,
-) -> str:
-    """Layered DOT export; loops dropped, arcs coloured by their first layer.
+) -> Iterator[str]:
+    """Layered DOT export, one piece per vertex and layer; loops dropped,
+    arcs coloured by their first layer.
 
     The layers must be increasing under arc inclusion (e.g. asynchronous,
-    then general asynchronous, then trapping).
+    then general asynchronous, then trapping); they are checked before the
+    first piece is yielded.
     """
     if not layers:
         raise ValueError("need at least one graph layer")
@@ -325,25 +328,29 @@ def export_dot(
     if labels is not None and len(labels) != len(layers):
         raise ValueError("one label per layer required")
 
-    out = ["digraph {\n"]
+    yield "digraph {\n"
     if labels:
         for k, label in enumerate(labels):
-            out.append(f"  // layer {k}: {label} ({palette[k % len(palette)]})\n")
-    for x in range(1 << n):
-        out.append(f'  "{_bits_to_string(x, n)}";\n')
+            yield f"  // layer {k}: {label} ({palette[k % len(palette)]})\n"
+    names = [f'"{_bits_to_string(x, n)}"' for x in range(1 << n)]
+    for name in names:
+        yield f"  {name};\n"
     seen = [0] * (1 << n)
     for k, g in enumerate(layers):
-        color = palette[k % len(palette)]
-        for x in range(1 << n):
+        tail = f" [color={palette[k % len(palette)]}];\n"
+        for x, name in enumerate(names):
             fresh = g.out[x] & ~seen[x] & ~(1 << x)
             seen[x] |= g.out[x]
-            while fresh:
-                low = fresh & -fresh
-                y = low.bit_length() - 1
-                fresh ^= low
-                out.append(
-                    f'  "{_bits_to_string(x, n)}" -> "{_bits_to_string(y, n)}"'
-                    f" [color={color}];\n"
-                )
-    out.append("}\n")
-    return "".join(out)
+            if fresh:
+                head = f"  {name} -> "
+                yield "".join(head + names[y] + tail for y in bitset_members(fresh))
+    yield "}\n"
+
+
+def export_dot(
+    layers: list[HypercubeGraph],
+    labels: list[str] | None = None,
+    palette: tuple[str, ...] = DOT_PALETTE,
+) -> str:
+    """``iter_dot`` as one string."""
+    return "".join(iter_dot(layers, labels, palette))

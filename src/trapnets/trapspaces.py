@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -259,26 +258,6 @@ def minimal_trapspaces(
     configurations they cover: ``minimal_cover`` as a collection."""
     free, base, covered = minimal_cover(f, pairs)
     return SubcubeCollection.from_pairs(f.n, free, base), covered
-
-
-@dataclass(frozen=True)
-class TrapspaceReport:
-    """Everything trapspace-related about one network."""
-
-    principal: dict[Configuration, Subcube]
-    all: SubcubeCollection
-    minimal: SubcubeCollection
-    min_configs: np.ndarray
-
-
-def trapspace_report(f: BooleanNetwork) -> TrapspaceReport:
-    pairs = principal_pairs(f)
-    principal = {
-        Configuration(f.n, x): Subcube(f.n, free, base)
-        for x, (free, base) in enumerate(zip(*(a.tolist() for a in pairs)))
-    }
-    minimal, min_configs = minimal_trapspaces(f, pairs)
-    return TrapspaceReport(principal, enumerate_trapspaces(f), minimal, min_configs)
 
 
 def trapping_closure(

@@ -255,14 +255,15 @@ def test_min_trapping_flag_finds_minimal_trapspaces_once(monkeypatch):
 
     calls = []
 
-    def counting_minimal(*args):
+    def counting_cover(*args):
         calls.append(args)
-        return minimal_trapspaces(*args)
+        return minimal_cover(*args)
 
-    minimal_trapspaces = trapspaces.minimal_trapspaces
+    minimal_cover = trapspaces.minimal_cover
     for module in (classes, trapspaces):
-        monkeypatch.setattr(module, "minimal_trapspaces", counting_minimal)
+        monkeypatch.setattr(module, "minimal_cover", counting_cover)
     profile = NetworkProfile(f_ex3())
+    assert len(profile.minimal_pairs[0]) == 3
     assert len(profile.minimal[0]) == 3
     assert not profile.min_trapping
     assert len(calls) == 1
@@ -333,7 +334,6 @@ def test_verify_diagram_reports_implication_violation():
 
     bogus = DiagramSpec(
         "symmetric",
-        ("bijective", "involutive"),
         (DiagramEdge("bijective", "involutive", "all"),),
         tuple(),
     )
@@ -346,7 +346,6 @@ def test_verify_diagram_reports_implication_violation():
 def test_missing_fixture_raises():
     bogus = DiagramSpec(
         "symmetric",
-        ("bijective",),
         tuple(),
         (Counterexample("zz", "bijective", "all", "involutive"),),
     )

@@ -191,6 +191,18 @@ def test_graph_layered_is_full_stack_for_any_kind(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_graph_stops_quietly_when_the_reader_closes(tmp_path):
+    # About 660 KB of DOT, ten times a pipe's buffer: the writes after the
+    # reader closes fail with EPIPE.
+    path = write_net(tmp_path, "r7.tt", random_network(7, 1))
+    child = subprocess.Popen([sys.executable, "-m", "trapnets.cli", "graph", path, "--kind", "tg"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.readline() == b"digraph {\n"
+    child.stdout.close()
+    assert child.stderr.read() == b""
+    assert child.wait(timeout=60) == 0
+
+
 def test_graph_above_analyze_cap_exits_2(tmp_path, capsys):
     path = write_net(tmp_path, "id14.tt", BooleanNetwork.identity(14))
     assert main(["graph", path, "--kind", "async"]) == 2

@@ -21,7 +21,6 @@ from trapnets import (
     update,
 )
 from trapnets.core import _string_to_bits
-from trapnets.dynamics import arc_subset, arc_union
 
 from helpers import all_subcubes, cfg, cube, f_ex3
 
@@ -245,8 +244,10 @@ def test_order_equivalent_to_graph_inclusion():
     for seed in range(10):
         f, g = random_net(3, seed), random_net(3, seed + 100)
         leq = order_leq(f, g)
-        a_incl = arc_subset(build_graph(f, "asynchronous"), build_graph(g, "asynchronous"))
-        ga_incl = arc_subset(build_graph(f, "general"), build_graph(g, "general"))
+        a_incl, ga_incl = (
+            all(r | s == s for r, s in zip(build_graph(f, kind).out, build_graph(g, kind).out))
+            for kind in ("asynchronous", "general")
+        )
         assert leq == a_incl == ga_incl
 
 
@@ -278,9 +279,8 @@ def test_join_unions_asynchronous_arcs():
     for seed in range(6):
         f, g = random_net(3, seed), random_net(3, seed + 31)
         join = lattice_combine(f, g, "join")
-        assert build_graph(join, "asynchronous") == arc_union(
-            build_graph(f, "asynchronous"), build_graph(g, "asynchronous")
-        )
+        rows = zip(build_graph(f, "asynchronous").out, build_graph(g, "asynchronous").out)
+        assert build_graph(join, "asynchronous").out == tuple(r | s for r, s in rows)
 
 
 def test_update_monotone_in_subset_and_network():

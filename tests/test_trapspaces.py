@@ -15,7 +15,6 @@ from trapnets import (
     random_network,
     trapping_closure,
     trapping_graph,
-    trapspace_report,
 )
 from trapnets.core import Mask, update
 from trapnets.trapspaces import (
@@ -263,13 +262,13 @@ def test_extension_is_not_monotone():
     assert not order_leq(min_trapping_extension(low), min_trapping_extension(high))
 
 
-def test_report_bundles_everything():
+def test_worked_example_trapspace_facts():
     f = f_ex3()
-    report = trapspace_report(f)
-    assert len(report.all) == 9
-    assert len(report.minimal) == 3
-    assert report.principal[cfg("000")] == cube("**0")
-    covered = np.flatnonzero(report.min_configs)
+    minimal, min_configs = minimal_trapspaces(f)
+    assert len(enumerate_trapspaces(f)) == 9
+    assert len(minimal) == 3
+    assert principal_trapspace(f, cfg("000")) == cube("**0")
+    covered = np.flatnonzero(min_configs)
     assert {str(Configuration(3, x)) for x in covered} == {"100", "101", "110"}
 
 
@@ -336,7 +335,7 @@ def test_principal_arrays_and_cover_are_read_only():
     _, covered = minimal_trapspaces(f, (free, base))
     assert free.dtype == base.dtype == np.int64 and free.shape == base.shape == (8,)
     assert covered.dtype == bool and covered.shape == (8,)
-    for array in (free, base, covered, trapspace_report(f).min_configs):
+    for array in (free, base, covered, minimal_trapspaces(f)[1]):
         with pytest.raises(ValueError):
             array[0] = 1
 
