@@ -241,10 +241,16 @@ class NetworkProfile:
         return SubcubeCollection(self.n, trapspace_mask(self.f))
 
     @cached_property
+    def cover(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """``minimal_cover``: the minimal trapspaces, the configurations they
+        cover and the number of distinct principal trapspaces, from one count."""
+        return minimal_cover(self.f, self.pt_pairs)
+
+    @cached_property
     def minimal_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(free, base) of the minimal trapspaces, in ``pairs()`` order, and
         the configurations they cover; no 3^n mask is built."""
-        return minimal_cover(self.f, self.pt_pairs)
+        return self.cover[:3]
 
     @cached_property
     def minimal(self) -> tuple[SubcubeCollection, np.ndarray]:
@@ -253,7 +259,7 @@ class NetworkProfile:
 
     @cached_property
     def min_extension(self) -> BooleanNetwork:
-        return min_trapping_extension(self.f, self.minimal[0])
+        return min_trapping_extension(self.f, self.pt_pairs, self.minimal_pairs[2])
 
     @cached_property
     def pt_flags(self):
@@ -339,8 +345,7 @@ class NetworkProfile:
     @cached_property
     def pt_distinct(self) -> int:
         """The number of distinct principal trapspaces."""
-        free, base = self.pt_pairs
-        return int(np.count_nonzero(np.diff(np.sort(free << self.n | base)))) + 1
+        return self.cover[3]
 
     @cached_property
     def dpt(self) -> bool:

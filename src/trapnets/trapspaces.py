@@ -42,9 +42,20 @@ shape ``SubcubeCollection.pairs()`` returns; the trapping closure is
 one ``np.unique`` over their keys ``free << n | base``, and returns the
 minimal trapspaces as (free, base) arrays in ``pairs()`` order with the
 configurations they cover, as a read-only bool array over the 2^n
-configurations; ``minimal_trapspaces`` puts them in a collection.  A
-single principal trapspace is instead grown from a frontier of
-newly-added members, with no table and no cap.
+configurations, and the number of distinct principal trapspaces;
+``minimal_trapspaces`` puts them in a collection.  A member x of a
+minimal trapspace has it as its principal trapspace, so the min-trapping
+extension sends x to ``x ^ free`` and every other configuration to its
+negation.  A single principal trapspace is instead grown from a frontier
+of newly-added members, with no table and no cap.
+
+Every whole-network kernel has one body, over a stack of k networks of
+one dimension given as a (k, 2^n) array of image rows: ``principal_rows``,
+``trapspace_rows``, ``fixed_point_rows``, ``cover_rows`` (one
+``np.unique`` over the keys ``i << 2n | free << n | base`` of all k
+principal maps) and ``min_extension_rows``.  Sampled ``verify`` fills a
+block of profiles with one call of each; the per-network functions run
+the same body on a stack of one network and read its row.
 """
 
 from __future__ import annotations
@@ -138,22 +149,29 @@ def _subcube_or(leaves: np.ndarray, n: int) -> np.ndarray:
     return table.reshape(shape)
 
 
-def _moved_rows(f: BooleanNetwork, digits: int) -> np.ndarray:
-    """Row r, entry T: the OR of ``x ^ f(x)`` over the members x of the
-    subcube whose low ``digits`` coordinates have ternary index T and whose
-    other coordinates are fixed to the bits of r."""
-    moves = (np.arange(1 << f.n) ^ f.np_image).astype(np.uint16)
-    return _subcube_or(moves.reshape(-1, 1 << digits), digits)
+def _moved_rows(images: np.ndarray, n: int, digits: int) -> np.ndarray:
+    """Entry (i, r, T): the OR of ``x ^ f(x)``, for f the network of image
+    row i, over the members x of the subcube whose low ``digits`` coordinates
+    have ternary index T and whose other coordinates are fixed to the bits
+    of r."""
+    moves = (np.arange(1 << n) ^ images).astype(np.uint16)
+    return _subcube_or(moves.reshape(len(images), -1, 1 << digits), digits)
 
 
 def _moved_table(f: BooleanNetwork) -> np.ndarray:
     """Entry T: the OR of ``x ^ f(x)`` over the members x of subcube T."""
-    return _moved_rows(f, f.n)[0]
+    return _moved_rows(f.np_image[None], f.n, f.n)[0, 0]
+
+
+def fixed_point_rows(images: np.ndarray, n: int) -> np.ndarray:
+    """Entry (i, T): whether subcube T contains a fixed point of the network
+    of image row i (the ``table`` cap)."""
+    return _subcube_or(np.arange(1 << n) == images, n)
 
 
 def fixed_point_table(f: BooleanNetwork) -> np.ndarray:
     """Entry T: whether subcube T contains a fixed point of f (the ``table`` cap)."""
-    return _subcube_or(np.arange(1 << f.n) == f.np_image, f.n)
+    return fixed_point_rows(f.np_image[None], f.n)[0]
 
 
 @functools.cache
@@ -172,26 +190,28 @@ def _positions(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return fixed, freed
 
 
-def principal_pairs(f: BooleanNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """(free, base) arrays of the principal trapspace of every configuration.
+def principal_rows(images: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(free, base) arrays of the principal trapspaces of a stack of networks:
+    entry (i, x) describes the principal trapspace of x under the network
+    of image row i.
 
-    Entry x of each read-only int64 array describes the principal trapspace
-    of x.  Each step frees every coordinate some member of the current
-    subcube moves; a step that frees nothing new leaves a trapspace, so at
-    most n steps are taken.  The moves are read from the stacked table of
-    ``_moved_rows(f, m)``: the OR over a subcube is the OR of the rows its
-    free high coordinates can select, at its low ternary index.  The
-    ``table`` cap applies.
+    Each step frees every coordinate some member of the current subcube
+    moves; a step that frees nothing new leaves a trapspace, so at most n
+    steps are taken.  The moves are read from the stacked tables of
+    ``_moved_rows(images, n, m)``: the OR over a subcube is the OR of the
+    rows its free high coordinates can select, at its low ternary index.
+    Both arrays are read-only int64 of shape (k, 2^n); the ``table`` cap
+    applies.
     """
-    n = f.n
     check_cap("table", n)
     m = min(n, _TABLE_DIGITS)
     row = 3**m
-    table = _moved_rows(f, m).reshape(-1)
+    table = _moved_rows(images, n, m).reshape(-1)
     fixed, freed = _positions(n, m)
     xs = np.arange(1 << n, dtype=np.int64)
-    free = np.zeros_like(xs)
-    position = fixed.copy()  # of the row with every free high coordinate 0
+    free = np.zeros((len(images), 1 << n), dtype=np.int64)
+    # Of the row with every free high coordinate 0, in its network's table.
+    position = fixed + (np.arange(len(images), dtype=np.int64) * (row << (n - m)))[:, None]
     spread = 0  # the high coordinates free in some current subcube
     while True:
         moved = table[position]
@@ -200,7 +220,7 @@ def principal_pairs(f: BooleanNetwork) -> tuple[np.ndarray, np.ndarray]:
             for s in itertools.islice(iter_submasks(spread), 1, None):
                 moved |= table[position + (high & s) * row]
         grow = moved & ~free
-        grown = int(np.bitwise_or.reduce(grow))
+        grown = int(np.bitwise_or.reduce(grow, axis=None))
         if not grown:
             break
         free |= grow
@@ -212,11 +232,24 @@ def principal_pairs(f: BooleanNetwork) -> tuple[np.ndarray, np.ndarray]:
     return free, base
 
 
+def principal_pairs(f: BooleanNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """(free, base) arrays of the principal trapspace of every configuration:
+    row 0 of ``principal_rows``, so entry x of each read-only int64 array
+    describes the principal trapspace of x.  The ``table`` cap applies."""
+    free, base = principal_rows(f.np_image[None], f.n)
+    return free[0], base[0]
+
+
+def trapspace_rows(images: np.ndarray, n: int) -> np.ndarray:
+    """Entry (i, T): whether subcube T is a trapspace of the network of image
+    row i (the ``enumeration`` cap)."""
+    check_cap("enumeration", n)
+    return (_moved_rows(images, n, n)[:, 0] & ~_free_of_index(n)) == 0
+
+
 def trapspace_mask(f: BooleanNetwork) -> np.ndarray:
     """Entry T: whether subcube T is a trapspace of f (the ``enumeration`` cap)."""
-    n = f.n
-    check_cap("enumeration", n)
-    return (_moved_table(f) & ~_free_of_index(n)) == 0
+    return trapspace_rows(f.np_image[None], f.n)[0]
 
 
 def enumerate_trapspaces(f: BooleanNetwork) -> SubcubeCollection:
@@ -224,31 +257,53 @@ def enumerate_trapspaces(f: BooleanNetwork) -> SubcubeCollection:
     return SubcubeCollection(f.n, trapspace_mask(f))
 
 
-def minimal_cover(
-    f: BooleanNetwork, pairs: tuple[np.ndarray, np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(free, base) of the minimal trapspaces of f, sorted by free mask, then
-    base, and the read-only bool array of the configurations they cover.
+def cover_rows(
+    free: np.ndarray, base: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The minimal trapspaces of a stack of networks, from their (k, 2^n)
+    principal pairs as ``principal_rows`` returns them.
 
     Every member of a minimal trapspace has it as its principal trapspace,
     while a larger trapspace contains a smaller one whose members do not.
-    A principal trapspace T is therefore minimal iff exactly |T|
-    configurations have T as their principal trapspace.  ``pairs`` are the
-    principal pairs of f when already computed; the ``table`` cap applies.
+    A principal trapspace T of network i is therefore minimal iff exactly
+    |T| configurations have T as their principal trapspace under network i.
+    One ``np.unique`` over the keys ``i << 2n | free << n | base`` counts them.
+
+    Returns the network index, free mask and base of every minimal
+    trapspace, sorted by index, free mask, then base; the read-only (k, 2^n)
+    bool array of the configurations they cover; and the number of distinct
+    principal trapspaces of each network.
     """
-    free, base = principal_pairs(f) if pairs is None else pairs
-    n = f.n
-    # Keys sort by free mask, then base.  The inverse and counts keep
-    # np.unique off the numpy.ma import of its plain form.
-    keys, inverse, counts = np.unique(free << n | base, return_inverse=True, return_counts=True)
-    free, base = keys >> n, keys & ((1 << n) - 1)
+    k = len(free)
+    index = np.arange(k, dtype=np.int64)[:, None] << 2 * n
+    # The inverse and counts keep np.unique off the numpy.ma import of its plain form.
+    keys, inverse, counts = np.unique(
+        (index | free << n | base).ravel(), return_inverse=True, return_counts=True
+    )
+    cell = (1 << n) - 1
+    index, free, base = keys >> 2 * n, keys >> n & cell, keys & cell
     size = np.ones_like(free)  # 2^|free|, as np.bitwise_count needs numpy 2
     for j in range(n):
         size <<= free >> j & 1
     minimal = counts == size
-    covered = minimal[inverse]
+    covered = minimal[inverse].reshape(k, 1 << n)
     covered.setflags(write=False)
-    return free[minimal], base[minimal], covered
+    distinct = np.bincount(index, minlength=k)
+    return index[minimal], free[minimal], base[minimal], covered, distinct
+
+
+def minimal_cover(
+    f: BooleanNetwork, pairs: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Row 0 of ``cover_rows``: (free, base) of the minimal trapspaces of f,
+    sorted by free mask, then base, the read-only bool array of the
+    configurations they cover, and the number of distinct principal
+    trapspaces.  ``pairs`` are the principal pairs of f when already
+    computed; the ``table`` cap applies.
+    """
+    free, base = principal_pairs(f) if pairs is None else pairs
+    _, free, base, covered, distinct = cover_rows(free[None], base[None], f.n)
+    return free, base, covered[0], int(distinct[0])
 
 
 def minimal_trapspaces(
@@ -256,7 +311,7 @@ def minimal_trapspaces(
 ) -> tuple[SubcubeCollection, np.ndarray]:
     """Minimal trapspaces of f and the read-only bool array of the
     configurations they cover: ``minimal_cover`` as a collection."""
-    free, base, covered = minimal_cover(f, pairs)
+    free, base, covered, _ = minimal_cover(f, pairs)
     return SubcubeCollection.from_pairs(f.n, free, base), covered
 
 
@@ -284,20 +339,30 @@ def trapping_graph(
     return HypercubeGraph(f.n, tuple(map(cube_bitset, free.tolist(), base.tolist())))
 
 
+def min_extension_rows(free: np.ndarray, covered: np.ndarray, n: int) -> np.ndarray:
+    """Entry (i, x): the image of x under the min-trapping extension of
+    network i, from its principal free masks and the configurations its
+    minimal trapspaces cover, both (k, 2^n).  A member x of a minimal
+    trapspace M has M as its principal trapspace, so it moves to its
+    opposite in M, ``x ^ free``; every other configuration moves to its
+    full negation."""
+    return np.arange(1 << n) ^ np.where(covered, free, (1 << n) - 1)
+
+
 def min_trapping_extension(
-    f: BooleanNetwork, minimal: SubcubeCollection | None = None
+    f: BooleanNetwork,
+    pairs: tuple[np.ndarray, np.ndarray] | None = None,
+    covered: np.ndarray | None = None,
 ) -> BooleanNetwork:
-    """Realisation of the minimal-trapspace collection.
+    """Realisation of the minimal-trapspace collection: row 0 of
+    ``min_extension_rows``.
 
     Inside a minimal trapspace each configuration moves to its opposite in
     that trapspace; every other configuration maps to its full negation.
-    ``minimal`` is the minimal-trapspace collection of f when already
-    computed.
+    ``pairs`` are the principal pairs of f and ``covered`` the configurations
+    its minimal trapspaces cover, when already computed.
     """
-    minimal = minimal_trapspaces(f)[0] if minimal is None else minimal
-    full = (1 << f.n) - 1
-    image = [x ^ full for x in range(1 << f.n)]
-    for free, base in zip(*(a.tolist() for a in minimal.pairs())):
-        for s in iter_submasks(free):
-            image[base | s] = base | (s ^ free)
-    return BooleanNetwork(f.n, tuple(image))
+    pairs = principal_pairs(f) if pairs is None else pairs
+    covered = minimal_cover(f, pairs)[2] if covered is None else covered
+    image = min_extension_rows(pairs[0][None], covered[None], f.n)[0]
+    return BooleanNetwork(f.n, tuple(image.tolist()))

@@ -13,12 +13,15 @@ is missing).  The calling process checks the first chunk and a forked child
 each other one; the results are rejoined by index, so the violations, and
 their order, do not depend on the number of chunks.  A chunk is checked in
 blocks of at most ``_block_size(n)`` and at most ``_MAX_BLOCK`` networks,
-whose profiles live together: the collection facts of a block
-(recognisers, union closure, pointwise reduction, realisation) are single
-lattice passes over the stacked masks of its networks, and the per-network
-checks read them.  The checks that span networks (monotonicity pairs,
-compared in one broadcast) and the diagrams' fixture counterexamples then
-run once, in the caller.
+whose profiles live together.  The trapspace facts of a block (principal
+pairs, trapspaces, minimal cover, fixed points, min extension) are one
+stacked call of each kernel over the image rows of its networks, and a
+second call fills one profile per distinct closure and min extension of
+the block.  Its collection facts (recognisers, union closure, pointwise
+reduction, realisation) are single lattice passes over the stacked masks
+of its networks, and the per-network checks read them.  The checks that
+span networks (monotonicity pairs, compared in one broadcast) and the
+diagrams' fixture counterexamples then run once, in the caller.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .classes import (
 )
 from .core import BooleanNetwork, is_commutative, iter_submasks, lattice_combine, order_leq
 from .cubesets import (
+    SubcubeCollection,
     convex_rows,
     lambda_rows,
     min_ideal_rows,
@@ -56,7 +60,13 @@ from .generators import (
     random_constant_on_arrangements,
     random_negation_on_subcubes,
 )
-from .trapspaces import trapping_closure
+from .trapspaces import (
+    cover_rows,
+    fixed_point_rows,
+    min_extension_rows,
+    principal_rows,
+    trapspace_rows,
+)
 
 SUITES = ("all", "theorems", "diagrams", "closure")
 
@@ -158,16 +168,21 @@ def monotone_pairs_violations(
     """``monotonicity_violations`` of every pair (f, g), in pair order, with
     ``closures[f]`` where given and the trapping closure of f elsewhere.  The
     networks and their closures are held as (N, 2^n) arrays of moved
-    coordinates, and ``order_leq`` of all pairs is one broadcast."""
+    coordinates, and ``order_leq`` of all pairs is one broadcast.  The
+    closures not given are computed as stacked principal passes, one per
+    block of networks: the closure moves x by its principal free mask."""
     if not pairs:
         return []
     index = {f: i for i, f in enumerate(dict.fromkeys(itertools.chain.from_iterable(pairs)))}
     nets = list(index)
-    xs = np.arange(1 << nets[0].n)
-    moved = np.array([f.image for f in nets]) ^ xs
-    moved_closed = np.array(
-        [(closures[f] if f in closures else trapping_closure(f)).image for f in nets]
-    ) ^ xs
+    n = nets[0].n
+    xs = np.arange(1 << n)
+    moved = _images(nets) ^ xs
+    moved_closed = _images([closures.get(f, f) for f in nets]) ^ xs
+    missing = [i for i, f in enumerate(nets) if f not in closures]
+    for block in _blocks([nets[i] for i in missing]):
+        rows, missing = missing[: len(block)], missing[len(block) :]
+        moved_closed[rows] = principal_rows(_images(block), n)[0]
     fi, gi = np.array([(index[f], index[g]) for f, g in pairs]).T
 
     def leq(m):
@@ -209,6 +224,42 @@ def _blocks(networks: list[BooleanNetwork]):
         size = min(_block_size(n), _MAX_BLOCK)
         for start in range(0, len(run), size):
             yield run[start : start + size]
+
+
+def _images(networks: list[BooleanNetwork]) -> np.ndarray:
+    """The (k, 2^n) image rows of k networks of one dimension n."""
+    return np.array([f.image for f in networks], dtype=np.int64)
+
+
+def _profiles(networks: list[BooleanNetwork]) -> list[NetworkProfile]:
+    """Profiles of networks of one dimension, each primary trapspace fact of
+    which is one stacked call over all of them: the principal pairs, the
+    trapspace mask, the minimal cover, whether every trapspace holds a fixed
+    point, and the min extension.  Facts derived from these stay lazy."""
+    if not networks:
+        return []
+    n = networks[0].n
+    images = _images(networks)
+    free, base = principal_rows(images, n)
+    masks = trapspace_rows(images, n)
+    index, min_free, min_base, covered, distinct = cover_rows(free, base, n)
+    splits = np.cumsum(np.bincount(index, minlength=len(networks)))[:-1]
+    minimal = zip(np.split(min_free, splits), np.split(min_base, splits))
+    trapspace_fp = np.all(fixed_point_rows(images, n) | ~masks, axis=1).tolist()
+    extensions = min_extension_rows(free, covered, n).tolist()
+    profiles = []
+    for i, (f, (min_f, min_b)) in enumerate(zip(networks, minimal)):
+        p = NetworkProfile(f)
+        # A cached property reads its value from the instance dictionary.
+        vars(p).update(
+            pt_pairs=(free[i], base[i]),
+            trapspace_collection=SubcubeCollection(n, masks[i]),
+            cover=(min_f, min_b, covered[i], int(distinct[i])),
+            trapspace_fp=trapspace_fp[i],
+            min_extension=BooleanNetwork(n, tuple(extensions[i])),
+        )
+        profiles.append(p)
+    return profiles
 
 
 def _same_rows(a: np.ndarray, b: np.ndarray) -> list[bool]:
@@ -377,17 +428,18 @@ def hierarchy_violations(p: NetworkProfile) -> list[Violation]:
 # orchestration
 
 
-def _related_profiles(p: NetworkProfile):
-    """``profile(g)`` for the networks checked beside p (closure, min extension,
-    realisations): p for p's network, else one profile each, built on first use."""
-    known = {p.f: p}
+def _related_profiles(*profiles: NetworkProfile):
+    """``profile(g)`` for the networks checked beside ``profiles`` (closures,
+    min extensions, realisations): the one of ``profiles`` for its network,
+    else one profile per network, built on first use."""
+    known = {p.f: p for p in profiles}
     return lambda g: known[g] if g in known else known.setdefault(g, NetworkProfile(g))
 
 
 def _check_chunk(networks: list[BooleanNetwork], suite: str) -> list[tuple]:
     """Every per-network check of ``suite`` on part of the population, one
-    block of profiles at a time; a block's collection facts are stacked
-    lattice passes, and its profiles are dropped after it.
+    block of profiles at a time; a block's trapspace and collection facts
+    are stacked passes, and its profiles are dropped after it.
 
     Returns, per network in order, its theorem violations, its closure-law
     violations, its closure (for the monotonicity pairs; None outside the
@@ -396,12 +448,21 @@ def _check_chunk(networks: list[BooleanNetwork], suite: str) -> list[tuple]:
     theorem_suite = suite in ("all", "theorems")
     records = []
     for block in _blocks(networks):
-        profiles = [NetworkProfile(f) for f in block]
-        related = [_related_profiles(p) for p in profiles]
+        profiles = _profiles(block)
+        related = []
+        if suite != "diagrams":
+            # One stacked profile per distinct closure and min extension of
+            # the block that is not one of its networks; the realisations of
+            # the collections are these networks too.
+            own = {p.f for p in profiles}
+            related = _profiles(list(dict.fromkeys(
+                g for p in profiles for g in (p.closure, p.min_extension) if g not in own
+            )))
+        profile = _related_profiles(*profiles, *related)
         if theorem_suite:
-            facts = CollectionBlock(profiles, related)
+            facts = CollectionBlock(profiles, [profile] * len(profiles))
             roundtrips = collection_roundtrip_violations(facts)
-        for i, (p, profile) in enumerate(zip(profiles, related)):
+        for i, p in enumerate(profiles):
             theorems, laws, closure = [], [], None
             if theorem_suite:
                 theorems += alternate_definition_violations(p)

@@ -23,7 +23,7 @@ from trapnets.generators import (
     random_network,
 )
 from trapnets.dynamics import GRAPH_PROPERTIES, HypercubeGraph
-from trapnets.trapspaces import enumerate_trapspaces, principal_pair
+from trapnets.trapspaces import enumerate_trapspaces, minimal_trapspaces, principal_pair
 from trapnets.verify import Violation
 
 
@@ -146,6 +146,18 @@ def single_table_principal_pairs(f: BooleanNetwork) -> tuple[np.ndarray, np.ndar
             return free, xs & ~free
         free |= grow
         index += 2 * tern[grow] - tern[xs & grow]
+
+
+def member_loop_min_extension(f: BooleanNetwork) -> BooleanNetwork:
+    """Oracle (the library's former method): each member of a minimal
+    trapspace moves to its opposite there, any other configuration to its
+    full negation."""
+    full = (1 << f.n) - 1
+    image = [x ^ full for x in range(1 << f.n)]
+    for free, base in zip(*(a.tolist() for a in minimal_trapspaces(f)[0].pairs())):
+        for s in iter_submasks(free):
+            image[base | s] = base | (s ^ free)
+    return BooleanNetwork(f.n, tuple(image))
 
 
 def bitset_trapspace_fp(f: BooleanNetwork) -> bool:

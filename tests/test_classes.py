@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -400,9 +402,9 @@ def test_is_commutative_matches_pairwise_oracle():
 # --- verify orchestration
 
 
-def test_run_verification_builds_one_profile_per_related_network(monkeypatch):
-    # The checks of one network share a profile per distinct network among
-    # itself, its closure, its min extension and their realisations.
+def test_run_verification_builds_one_profile_per_distinct_network_of_a_block(monkeypatch):
+    # The checks of a block share one profile per distinct network among its
+    # networks, their closures, their min extensions and the realisations.
     built = []
 
     class CountingProfile(NetworkProfile):
@@ -414,9 +416,15 @@ def test_run_verification_builds_one_profile_per_related_network(monkeypatch):
     # Profiles built in a forked child are not seen here: one process only.
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
     nets = sample_population(4, 20, 1)
-    assert run_verification(nets) == []
-    expected = 0
-    for f in nets:
-        p = NetworkProfile(f)
-        expected += len({f, p.closure, p.min_extension})
-    assert len(built) == expected
+    for size in (len(nets), 5):
+        monkeypatch.setattr(verify, "_block_size", lambda n: size)
+        built.clear()
+        assert run_verification(nets) == []
+        expected = []
+        for start in range(0, len(nets), size):
+            block = nets[start : start + size]
+            related = {g for f in block for g in (trapping_closure(f), min_trapping_extension(f))}
+            expected += block + list(related - set(block))
+        assert Counter(built) == Counter(expected)
+    # Closures and min extensions are shared across networks of one block.
+    assert len(built) < 3 * len(nets)
