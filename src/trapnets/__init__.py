@@ -16,11 +16,7 @@ from .core import (
     Configuration,
     Mask,
     Subcube,
-    UpdateWord,
     check_cap,
-    compose_word,
-    delta_mask,
-    hamming,
     interval,
     lattice_combine,
     opposite,
@@ -33,7 +29,6 @@ from .cubesets import (
     SubcubeCollection,
     classify_collection,
     collection_at,
-    format_collection,
     lambda_closure,
     mu_reduction,
     parse_collection,
@@ -41,18 +36,14 @@ from .cubesets import (
 )
 from .dynamics import (
     HypercubeGraph,
-    NotReflexive,
-    NotSubcube,
     build_graph,
     graph_property,
-    network_from_graph,
     network_power,
     strongly_connected_components,
     transient_and_period,
 )
 from .trapspaces import (
     enumerate_trapspaces,
-    is_trapspace,
     min_trapping_extension,
     minimal_trapspaces,
     principal_trapspace,

@@ -3,10 +3,13 @@
 Every class predicate is computed from its own primary definition; the
 ``check_alternate_definitions`` entry point evaluates each of a class's
 equivalent defining conditions independently so their agreement can be
-verified over whole populations.  The implication diagrams encode which
-class memberships force which others (unconditionally, for trapping
-networks, or for commutative networks) together with the counterexample
-fixtures witnessing the absent arrows.
+verified over whole populations.  Flags and conditions are the columns of
+a ``ClassBlock``, filled for a block of networks by stacked ``*_rows``
+kernels over their (k, 2^n) image rows; the per-network functions and the
+flags of a ``NetworkProfile`` read the row of a block of one network.
+The implication diagrams encode which class memberships force which others
+(unconditionally, for trapping networks, or for commutative networks)
+together with the counterexample fixtures witnessing the absent arrows.
 """
 
 from __future__ import annotations
@@ -22,17 +25,18 @@ from .core import (
     CAPS,
     BooleanNetwork,
     _check_same_dimension,
+    bit_counts,
     check_cap,
-    cube_bitset,
+    commutative_rows,
     is_commutative,
-    iter_submasks,
     update_table,
 )
-from .cubesets import SubcubeCollection, classify_collection
+from .cubesets import SubcubeCollection, _ternary_of_masks, classify_collection
 from .dynamics import HypercubeGraph, build_graph, graph_property
 from .generators import exhaustive_networks
 from .netio import parse_truth_table
 from .trapspaces import (
+    _subcube_or,
     fixed_point_table,
     minimal_cover,
     principal_pairs,
@@ -42,161 +46,273 @@ from .trapspaces import (
     min_trapping_extension,
 )
 
-THEOREM_SIZES = {
-    "trapping7": 7,
-    "commutative3": 3,
-    "marseille4": 4,
-    "lille4": 4,
-    "globally_idempotent3": 3,
-    "sink_terminal5": 5,
+# The theorems with a subset-pair and an interval condition.
+PAIR_THEOREMS = ("trapping7", "commutative3", "marseille4", "lille4", "globally_idempotent3")
+
+# The defining conditions of each theorem, as ``ClassBlock`` columns.  Each
+# condition is its own test: two conditions of one theorem may read the same
+# index arrays, never the same predicate.
+VECTORS = {
+    "trapping7": ("trapping", "trapping7.intervals", "principal_moves", "closure_fixed",
+                  "some_closure", "tg_is_ga", "trapping7.pairs"),
+    "commutative3": ("commutative", "commutative3.intervals", "commutative3.pairs"),
+    "marseille4": ("marseille", "negation_on_subcubes", "marseille4.intervals",
+                   "marseille4.pairs"),
+    "lille4": ("lille", "constant_on_arrangements", "lille4.intervals", "lille4.pairs"),
+    "globally_idempotent3": ("subset_idempotent", "globally_idempotent3.intervals",
+                             "globally_idempotent3.pairs"),
+    "sink_terminal5": ("sink_terminal_tg", "descent", "minimal_fixed", "principal_fp",
+                       "trapspace_fp"),
 }
+THEOREM_SIZES = {theorem: len(names) for theorem, names in VECTORS.items()}
 
 
 # ---------------------------------------------------------------------------
-# vectorised update-table machinery
+# stacked kernels: each takes a (k, 2^n) stack of image rows and returns one
+# boolean entry per row
 
 
-def _leq_rows(xs: np.ndarray, a: np.ndarray, b: np.ndarray) -> bool:
-    """Transition order, broadcast over rows of update tables."""
-    return bool(np.all(((xs ^ a) & ~(xs ^ b)) == 0))
+def _submasks(masks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, s) for every entry i of the flattened ``masks`` and every subset s
+    of masks[i], in order of i, then of s (as ``iter_submasks``): the j-th
+    subset of m puts the bits of j, low first, on the coordinates of m."""
+    masks = masks.reshape(-1)
+    count = 1 << bit_counts(n)[masks]
+    i = np.repeat(np.arange(len(masks)), count)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
+    m = masks[i]
+    s = np.zeros_like(m)
+    for bit in range(n):
+        here = m >> bit & 1
+        s |= (j & here) << bit
+        j >>= here
+    return i, s
 
 
-def _pair_sweep(f: BooleanNetwork) -> dict[str, bool]:
-    """The subset-pair condition of five theorems, by theorem, in one pass.
-
-    Blocks of up to 4096 / 4^n subsets s go through together: comp[t, k, x]
-    is the table of updating s[k] then t.  Each condition is its own test
-    and is dropped once it fails; the pass ends when all five have failed.
-    """
-    check_cap("pair_sweep", f.n)
-    size = 1 << f.n
-    xs = np.arange(size, dtype=np.int64)
-    ts = xs[:, None]
-    U = update_table(f.np_image, ts, xs)  # U[s, x]: x under the update of subset s
-    block = max(1, 4096 // (size * size))
-    holds = dict.fromkeys(
-        ("trapping7", "commutative3", "marseille4", "lille4", "globally_idempotent3"), True
-    )
-    for start in range(0, size, block):
-        s = xs[start:start + block]
-        comp = np.take(U, U[s], axis=1)
-        union = U[ts | s]
-        # update(s) then update(t) never moves more than update(s | t); the
-        # trapping, sandwich and intersection-bound conditions all need it.
-        below_union = (
-            holds["trapping7"] or holds["commutative3"] or holds["globally_idempotent3"]
-        ) and _leq_rows(xs, comp, union)
-        holds["trapping7"] &= below_union
-        if holds["commutative3"] or holds["marseille4"]:
-            sym = U[ts ^ s]
-            if holds["commutative3"]:
-                holds["commutative3"] = below_union and _leq_rows(xs, sym, comp)
-            if holds["marseille4"]:
-                holds["marseille4"] = bool(np.all(comp == sym))
-        if holds["lille4"]:
-            holds["lille4"] = bool(np.all(comp == union))
-        if holds["globally_idempotent3"]:
-            # Both bounds are needed: the lower bound alone is strictly weaker
-            # than global idempotence (26 of the 256 two-coordinate networks
-            # satisfy it without being globally idempotent).
-            holds["globally_idempotent3"] = below_union and _leq_rows(xs, U[ts & s], comp)
-        if not any(holds.values()):
-            break
-    return holds
+def _all_by_row(holds: np.ndarray, row: np.ndarray, k: int) -> np.ndarray:
+    """Whether ``holds`` is true at every entry of each of rows 0..k-1."""
+    out = np.ones(k, dtype=bool)
+    out[row[~holds]] = False
+    return out
 
 
-# ---------------------------------------------------------------------------
-# interval-quantified conditions ("for all x and y in the interval of x")
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The tables a after b, row by row over the last axis."""
+    return np.take_along_axis(a, b, axis=-1)
 
 
-def _forall_interval(f: BooleanNetwork, cond) -> bool:
-    """cond(x, fx, y, fy) for every x and every y in the interval of x."""
-    img = f.image
-    return all(
-        cond(x, fx, x ^ s, img[x ^ s])
-        for x, fx in enumerate(img)
-        for s in iter_submasks(x ^ fx)
-    )
+def _table_flags(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(bijective, involutive, idempotent) of each table over the last axis;
+    a permutation sorts to the identity."""
+    xs, twice = np.arange(tables.shape[-1]), _compose(tables, tables)
+    bijective = np.all(np.sort(tables, axis=-1) == xs, axis=-1)
+    return bijective, np.all(twice == xs, axis=-1), np.all(twice == tables, axis=-1)
 
 
-def _span_subset(y: int, fy: int, x: int, fx: int) -> bool:
-    # span{y, fy} subseteq span{x, fx}
-    free_small, free_big = y ^ fy, x ^ fx
-    if free_small & ~free_big:
-        return False
-    return (y ^ x) & ~free_big == 0
+def single_update_rows(images: np.ndarray, n: int) -> np.ndarray:
+    """Entry (r, i, x): x under the update of coordinate i + 1 alone, for the
+    network of image row r."""
+    xs = np.arange(1 << n)
+    return update_table(images[:, None, :], (1 << np.arange(n))[:, None], xs)
 
 
-def is_negation_on_subcubes(f: BooleanNetwork) -> bool:
-    """True when the moved configurations split into disjoint subcubes on
-    which f is the opposite map (flip all free coordinates)."""
-    img = f.image
-    # y = x ^ s must move to its opposite y ^ (x ^ fx) = fx ^ s.
-    return all(
-        img[x ^ s] == fx ^ s
-        for x, fx in enumerate(img)
-        if fx != x
-        for s in iter_submasks(x ^ fx)
-    )
+_IMAGE_FLAGS = ("bijective", "involutive", "idempotent", "locally_bijective",
+                "locally_involutive", "locally_idempotent", "dynamically_local")
 
 
-def is_constant_on_arrangements(f: BooleanNetwork) -> bool:
-    """True when each moved configuration belongs to a fiber that targets a
-    fixed point and is closed under the intervals toward that target."""
-    img = f.image
-    for x, fx in enumerate(img):
-        if fx == x:
-            continue
-        if img[fx] != fx:
-            return False
-        # The fiber of fx must contain the whole span of {x, fx}.
-        if any(img[x ^ s] != fx for s in iter_submasks(x ^ fx)):
-            return False
-    return True
+def image_flag_rows(images: np.ndarray, n: int) -> dict[str, np.ndarray]:
+    """The flags of each row read off its image table, off its single-
+    coordinate update tables (the ``locally_*`` flags) and off f^3 = f
+    (dynamically local)."""
+    local = (flag.all(axis=1) for flag in _table_flags(single_update_rows(images, n)))
+    dynamic = np.all(_compose(images, _compose(images, images)) == images, axis=1)
+    return dict(zip(_IMAGE_FLAGS, (*_table_flags(images), *local, dynamic)))
 
 
-# ---------------------------------------------------------------------------
-# simple whole-network predicates
-
-
-def _is_permutation(table: np.ndarray) -> bool:
-    return bool(np.all(np.bincount(table, minlength=len(table)) == 1))
-
-
-def _globally_sweep(f: BooleanNetwork) -> tuple[bool, bool, bool]:
-    """(bijective, involutive, idempotent) of every subset update.
-
-    Walks the subsets in Gray-code order, rewriting one coordinate of the
-    running table per step.
-    """
-    n = f.n
+def globally_rows(images: np.ndarray, n: int) -> dict[str, np.ndarray]:
+    """Whether every subset update of each row is bijective, involutive and
+    idempotent: a walk over the subsets in Gray-code order, rewriting one
+    coordinate of the running tables per step, that a row leaves once all
+    three fail.  The tables hold positions in the flattened stack, row r's
+    offset by r * 2^n, so one gather composes every table with itself."""
     check_cap("global_sweep", n)
     size = 1 << n
-    xs = np.arange(size, dtype=np.int64)
-    img = f.np_image
-    tab = xs.copy()
+    xs = np.arange(size)
+    holds = np.zeros((3, len(images)), dtype=bool)
+    live, img, flags = np.arange(len(images)), images, np.ones_like(holds)
+    ident = xs + (live * size)[:, None]
+    tab = ident.copy()
     bij = inv = idem = True
     for k in range(size):
         if k:
-            gray_prev = (k - 1) ^ ((k - 1) >> 1)
             gray = k ^ (k >> 1)
-            bit = gray ^ gray_prev
+            bit = gray ^ (k - 1) ^ ((k - 1) >> 1)
             src = img if gray & bit else xs
             tab = (tab & ~bit) | (src & bit)
-        if bij and np.bincount(tab, minlength=size).max() > 1:
-            bij = False
-        twice = tab[tab]
-        if inv and not np.array_equal(twice, xs):
-            inv = False
-        if idem and not np.array_equal(twice, tab):
-            idem = False
-        if not (bij or inv or idem):
-            break
-    return bij, inv, idem
+        # Per-row answers only when a whole-stack test fails.
+        fails = []
+        if bij:
+            counts = np.bincount(tab.reshape(-1), minlength=tab.size)
+            if counts.max() > 1:
+                fails.append((0, counts.reshape(tab.shape).max(axis=1) == 1))
+        if inv or idem:
+            twice = tab.reshape(-1)[tab]
+            if inv and not np.array_equal(twice, ident):
+                fails.append((1, np.all(twice == ident, axis=1)))
+            if idem and not np.array_equal(twice, tab):
+                fails.append((2, np.all(twice == tab, axis=1)))
+        if fails:
+            for j, ok in fails:
+                flags[j] &= ok
+            bij, inv, idem = flags.any(axis=1).tolist()
+            keep = flags.any(axis=0)
+            if not keep.all():
+                live, img, flags = live[keep], img[keep], flags[:, keep]
+                ident = xs + (np.arange(len(live)) * size)[:, None]
+                tab = (tab[keep] & (size - 1)) + ident - xs
+                if not len(live):
+                    break
+    holds[:, live] = flags
+    return dict(zip(("globally_bijective", "globally_involutive", "globally_idempotent"), holds))
+
+
+def subset_idempotent_rows(images: np.ndarray, n: int) -> np.ndarray:
+    """Whether the update of every subset is idempotent, for each row: all
+    2^n update tables of a row at once, with no Gray-code walk.  A table is
+    held as its moves: the update of s moves x to y, and must not move y."""
+    xs = np.arange(1 << n, dtype=np.uint8 if n <= 8 else np.int64)
+    moves = (images ^ xs).astype(xs.dtype)[:, None, :]
+    first = moves & xs[:, None]  # [r, s, x]
+    return ~np.any(_compose(moves, xs ^ first) & xs[:, None], axis=(1, 2))
+
+
+def pair_rows(images: np.ndarray, n: int) -> dict[str, np.ndarray]:
+    """The subset-pair condition of five theorems for each row, in one pass
+    over the subsets s for all rows.  A table is held as its moves, table ^ x:
+    the update of t moves x by f(x) ^ x on t, and comp[r, t, x], updating s
+    then t, moves x by that of s, then by f(y) ^ y on t at the y it reaches.
+    Each condition is its own test over every t and x; a row leaves the pass
+    once all five have failed."""
+    check_cap("pair_sweep", n)
+    xs = np.arange(1 << n)
+    ts = xs[:, None].astype(np.uint8)
+    moves = (images ^ xs).astype(np.uint8)  # n <= 8
+    holds = np.zeros((len(PAIR_THEOREMS), len(images)), dtype=bool)
+    live, live_holds = np.arange(len(images)), np.ones_like(holds)
+
+    def within(a, b):
+        """Every move of a is one of b, for every t and x: a is below b in
+        the transition order."""
+        return ~np.any(a & ~b, axis=(1, 2))
+
+    for s in range(1 << n):
+        first = moves & s
+        then = np.take_along_axis(moves, xs ^ first, axis=1)
+        comp = (then[:, None, :] & ts) ^ first[:, None, :]
+        spread = moves[:, None, :]
+        union, sym = spread & (ts | s), spread & (ts ^ s)
+        # update(s) then update(t) never moves more than update(s | t); the
+        # trapping, sandwich and intersection-bound conditions all need it.
+        below_union = within(comp, union)
+        live_holds &= np.array([
+            below_union,
+            below_union & within(sym, comp),
+            np.all(comp == sym, axis=(1, 2)),
+            np.all(comp == union, axis=(1, 2)),
+            # Both bounds are needed: the lower bound alone is strictly weaker
+            # than global idempotence (26 of the 256 two-coordinate networks
+            # satisfy it without being globally idempotent).
+            below_union & within(spread & (ts & s), comp),
+        ])
+        keep = live_holds.any(axis=0)
+        if not keep.all():
+            live, moves, live_holds = live[keep], moves[keep], live_holds[:, keep]
+            if not len(live):
+                break
+    holds[:, live] = live_holds
+    return {f"{theorem}.pairs": row for theorem, row in zip(PAIR_THEOREMS, holds)}
+
+
+def interval_arrays(images: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(at, s): one entry per row r, configuration x and subset s of x ^ f(x),
+    so that y = x ^ s runs over [x, f(x)]; at = r * 2^n + x is x's position
+    in the flattened image stack and at ^ s is y's.  In order of r, x, then
+    s; row r has the sum over x of 2^|x ^ f(x)| entries, at most 4^n."""
+    return _submasks(np.arange(1 << n) ^ images, n)
+
+
+def _span_subset(a, fa, b, fb):
+    """span{a, fa} is a subset of span{b, fb}, entry by entry."""
+    free = b ^ fb
+    return ((a ^ fa) & ~free == 0) & ((a ^ b) & ~free == 0)
+
+
+def interval_rows(images: np.ndarray, n: int, intervals) -> dict[str, np.ndarray]:
+    """The conditions of each row quantified over every x and every y in
+    [x, f(x)], on its ``interval_arrays``: the interval
+    condition of the five pair theorems, ``negation_on_subcubes`` (y moves
+    to its opposite f(x) ^ s) and ``constant_on_arrangements`` (y moves to
+    f(x), a fixed point)."""
+    at, s = intervals
+    flat = images.reshape(-1)
+    x = at & ((1 << n) - 1)
+    y, fx, fy = x ^ s, flat[at], flat[at ^ s]
+    conditions = {
+        "trapping7.intervals": _span_subset(y, fy, x, fx),
+        "commutative3.intervals": _span_subset(y, fx, y, fy) & _span_subset(y, fy, x, fx),
+        # For y inside the interval of x, interval equality reduces to equal
+        # difference masks.
+        "marseille4.intervals": (y ^ fy) == (x ^ fx),
+        "lille4.intervals": (y ^ fy) == (y ^ fx),
+        "globally_idempotent3.intervals": _span_subset(y, fy, y, fx),
+        "negation_on_subcubes": fy == fx ^ s,
+        # f(x) is in the interval too, so it is then a fixed point.
+        "constant_on_arrangements": fy == fx,
+    }
+    row = at >> n
+    return {name: _all_by_row(holds, row, len(images)) for name, holds in conditions.items()}
+
+
+def interval_fixed_rows(images: np.ndarray, n: int) -> dict[str, np.ndarray]:
+    """Whether every interval [x, f(x)] of each row holds a fixed point
+    (``interval_fp``) and exactly one (``interval_ufp``): the counts are read
+    from a table of fixed-point counts over the 3^n subcubes."""
+    xs = np.arange(1 << n)
+    counts = _subcube_or((images == xs).astype(np.int32), n, np.add)
+    tern = _ternary_of_masks(n)
+    inside = np.take_along_axis(counts, tern[xs & images] + 2 * tern[xs ^ images], axis=1)
+    return {"interval_fp": np.all(inside >= 1, axis=1), "interval_ufp": np.all(inside == 1, axis=1)}
+
+
+def descent_rows(
+    images: np.ndarray, free: np.ndarray, base: np.ndarray, n: int
+) -> dict[str, np.ndarray]:
+    """Two sink_terminal5 conditions of each row, given its principal (free,
+    base) arrays, over the members of each distinct principal trapspace of a
+    moving configuration: ``descent`` (none is the principal trapspace of
+    all its members) and ``principal_fp`` (each holds a fixed point)."""
+    k, cell = len(images), (1 << n) - 1
+    fixed = images == np.arange(1 << n)
+    keys = np.unique(((np.arange(k)[:, None] << 2 * n) | free << n | base)[~fixed])
+    row, cube_free, cube_base = keys >> 2 * n, keys >> n & cell, keys & cell
+    i, s = _submasks(cube_free, n)
+    at = row[i] << n | cube_base[i] | s
+    same = (free.reshape(-1)[at] == cube_free[i]) & (base.reshape(-1)[at] == cube_base[i])
+    stuck = _all_by_row(same, i, len(keys))
+    holds_fixed = ~_all_by_row(~fixed.reshape(-1)[at], i, len(keys))
+    return {"descent": _all_by_row(~stuck, row, k),
+            "principal_fp": _all_by_row(holds_fixed, row, k)}
 
 
 # ---------------------------------------------------------------------------
 # the per-network profile: everything computed once, lazily
+
+
+class _Flag(cached_property):
+    """A class flag: the profile's entry in that column of its ``classes``."""
+
+    def __init__(self):
+        super().__init__(lambda profile: profile.prop(self.attrname))
 
 
 class NetworkProfile:
@@ -267,27 +383,21 @@ class NetworkProfile:
 
     @cached_property
     def fixed_bitset(self) -> int:
-        bs = 0
-        for x, fx in enumerate(self.f.image):
-            if x == fx:
-                bs |= 1 << x
-        return bs
+        return sum(1 << x for x, fx in enumerate(self.f.image) if x == fx)
 
     @cached_property
-    def xs(self) -> np.ndarray:
-        return np.arange(1 << self.n, dtype=np.int64)
+    def singles(self) -> np.ndarray:
+        """The (n, 2^n) single-coordinate update tables."""
+        return single_update_rows(self.f.np_image[None], self.n)[0]
 
     @cached_property
-    def singles(self) -> list[np.ndarray]:
-        return [update_table(self.f.np_image, 1 << i, self.xs) for i in range(self.n)]
+    def classes(self) -> "ClassBlock":
+        """This network alone as a block of the class layer."""
+        return ClassBlock([self])
 
     @cached_property
     def globally_flags(self) -> tuple[bool, bool, bool]:
-        return _globally_sweep(self.f)
-
-    @cached_property
-    def pair_flags(self) -> dict[str, bool]:
-        return _pair_sweep(self.f)
+        return tuple(self.prop(f"globally_{w}") for w in ("bijective", "involutive", "idempotent"))
 
     # -- individual class predicates, each from its primary definition
 
@@ -295,52 +405,19 @@ class NetworkProfile:
     def trapping(self) -> bool:
         return graph_property(self.graph_ga, "transitive")
 
-    @cached_property
-    def commutative(self) -> bool:
-        return is_commutative(self.f)
-
-    @cached_property
-    def bijective(self) -> bool:
-        return _is_permutation(self.f.np_image)
-
-    @cached_property
-    def locally_bijective(self) -> bool:
-        return all(_is_permutation(t) for t in self.singles)
-
-    @cached_property
-    def involutive(self) -> bool:
-        img = self.f.np_image
-        return np.array_equal(img[img], self.xs)
-
-    @cached_property
-    def locally_involutive(self) -> bool:
-        return all(np.array_equal(t[t], self.xs) for t in self.singles)
-
-    @cached_property
-    def idempotent(self) -> bool:
-        img = self.f.np_image
-        return np.array_equal(img[img], img)
-
-    @cached_property
-    def locally_idempotent(self) -> bool:
-        return all(np.array_equal(t[t], t) for t in self.singles)
-
-    @cached_property
-    def marseille(self) -> bool:
-        return self.commutative and self.bijective
-
-    @cached_property
-    def lille(self) -> bool:
-        return self.commutative and self.idempotent
-
-    @cached_property
-    def globally_idempotent(self) -> bool:
-        return self.globally_flags[2]
-
-    @cached_property
-    def dynamically_local(self) -> bool:
-        img = self.f.np_image
-        return np.array_equal(img[img[img]], img)
+    commutative = _Flag()
+    bijective = _Flag()
+    locally_bijective = _Flag()
+    involutive = _Flag()
+    locally_involutive = _Flag()
+    idempotent = _Flag()
+    locally_idempotent = _Flag()
+    marseille = _Flag()
+    lille = _Flag()
+    globally_idempotent = _Flag()
+    dynamically_local = _Flag()
+    interval_fp = _Flag()
+    interval_ufp = _Flag()
 
     @cached_property
     def pt_distinct(self) -> int:
@@ -360,40 +437,126 @@ class NetworkProfile:
         # Every trapspace contains a fixed point.
         return bool(fixed_point_table(self.f)[self.trapspace_collection.mask].all())
 
-    def _interval_fixed_counts(self):
-        for x, fx in enumerate(self.f.image):
-            yield (cube_bitset(x ^ fx, x & fx) & self.fixed_bitset).bit_count()
-
-    @cached_property
-    def interval_fp(self) -> bool:
-        return all(c >= 1 for c in self._interval_fixed_counts())
-
-    @cached_property
-    def interval_ufp(self) -> bool:
-        return all(c == 1 for c in self._interval_fixed_counts())
-
     @cached_property
     def min_trapping(self) -> bool:
         return self.f == self.min_extension
 
     def prop(self, name: str) -> bool:
-        if name == "all":
-            return True
-        if name == "globally_bijective":
-            return self.globally_flags[0]
-        if name == "globally_involutive":
-            return self.globally_flags[1]
-        if name == "interval_ufp_idempotent":
-            return self.interval_ufp and self.idempotent
-        head, _, tail = name.rpartition("_")
-        if tail in ("a", "ga", "tg") and head in (
-            "symmetric",
-            "oriented",
-            "triangular",
-            "sink_terminal",
-        ):
-            return graph_property(getattr(self, f"graph_{tail}"), head.replace("_", "-"))
-        return bool(getattr(self, name))
+        """The class flag or condition ``name`` (a ``ClassBlock`` column)."""
+        return bool(self.classes[name][0])
+
+
+@functools.lru_cache(maxsize=None)
+def _all_closure_tables(n: int) -> frozenset[tuple[int, ...]]:
+    # Exhaustive image of the trapping-closure operator.
+    return frozenset(trapping_closure(g).image for g in exhaustive_networks(n))
+
+
+_GRAPH_PREDICATES = ("symmetric", "oriented", "triangular", "sink_terminal")
+_SUBCUBE_CONDITIONS = ("negation_on_subcubes", "constant_on_arrangements")
+# Flags read off each profile's own facts: graphs, cover, min extension.
+_PROFILE_FACTS = ("trapping", "fixable", "dpt", "trapspace_fp", "min_trapping")
+
+
+class ClassBlock:
+    """The class layer of a block of profiles of one dimension: one boolean
+    column per class flag, per diagram node and per alternate-definition
+    condition (the names in ``VECTORS``), entry i of which is ``profiles[i]``'s.
+
+    A column is filled on first use, with the others of its kernel: a
+    stacked ``*_rows`` kernel over the block's (k, 2^n) image rows, the
+    profiles' own facts, or an expression in other columns.  A graph
+    predicate is computed once per distinct graph.  A column that is a
+    ``NetworkProfile`` flag is also written into each profile."""
+
+    def __init__(self, profiles: list[NetworkProfile]):
+        self.profiles = profiles
+        self.n = profiles[0].n
+        self.images = np.stack([p.f.np_image for p in profiles])
+        self._columns: dict[str, np.ndarray] = {}
+        self._graph_flags: dict[tuple[int, str], bool] = {}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name not in self._columns:
+            filled = self._fill(name)
+            for flag, column in filled.items():
+                if isinstance(vars(NetworkProfile).get(flag), _Flag):
+                    for p, value in zip(self.profiles, column.tolist()):
+                        vars(p).setdefault(flag, value)
+            self._columns.update(filled)
+        return self._columns[name]
+
+    def vector(self, theorem: str) -> np.ndarray:
+        """The (k, m) table of the theorem's m defining conditions."""
+        return np.stack([self[name] for name in VECTORS[theorem]], axis=1)
+
+    @cached_property
+    def intervals(self) -> tuple[np.ndarray, np.ndarray]:
+        """``interval_arrays`` of the block, built once."""
+        return interval_arrays(self.images, self.n)
+
+    def _each(self, fact) -> np.ndarray:
+        return np.array([fact(p) for p in self.profiles])
+
+    def _graph_column(self, kind: str, prop: str) -> np.ndarray:
+        flags = self._graph_flags
+        for p in self.profiles:
+            g = getattr(p, f"graph_{kind}")
+            if (id(g), prop) not in flags:
+                flags[id(g), prop] = graph_property(g, prop)
+        return self._each(lambda p: flags[id(getattr(p, f"graph_{kind}")), prop])
+
+    def _fill(self, name: str) -> dict[str, np.ndarray]:
+        n, images = self.n, self.images
+        xs = np.arange(1 << n)
+        head, _, kind = name.rpartition("_")
+        if kind in ("a", "ga", "tg") and head in _GRAPH_PREDICATES:
+            return {name: self._graph_column(kind, head.replace("_", "-"))}
+        if name.endswith(".pairs"):
+            return pair_rows(images, n)
+        if name.endswith(".intervals") or name in _SUBCUBE_CONDITIONS:
+            return interval_rows(images, n, self.intervals)
+        if name in ("descent", "principal_fp"):
+            return descent_rows(images, *(self._each(lambda p: p.pt_pairs[i]) for i in (0, 1)), n)
+        if name.startswith("globally_"):
+            return globally_rows(images, n)
+        if name in ("interval_fp", "interval_ufp"):
+            return interval_fixed_rows(images, n)
+        if name in _IMAGE_FLAGS:
+            return image_flag_rows(images, n)
+        if name in _PROFILE_FACTS:
+            return {name: self._each(lambda p: getattr(p, name))}
+        return {name: {
+            "all": lambda: np.ones(len(images), dtype=bool),
+            "commutative": lambda: commutative_rows(images, n),
+            "subset_idempotent": lambda: subset_idempotent_rows(images, n),
+            "marseille": lambda: self["commutative"] & self["bijective"],
+            "lille": lambda: self["commutative"] & self["idempotent"],
+            "interval_ufp_idempotent": lambda: self["interval_ufp"] & self["idempotent"],
+            "tg_is_ga": lambda: self._each(lambda p: p.graph_tg == p.graph_ga),
+            "closure_fixed": lambda: self._each(lambda p: p.f == p.closure),
+            # Above the exhaustive cap: the closure operator is idempotent
+            # (tested separately), so its image is its fixed-point set.
+            "some_closure": lambda: self._each(
+                lambda p: p.f.image in _all_closure_tables(n) if n <= CAPS["exhaustive"]
+                else p.closure == p.f),
+            "principal_moves": lambda: np.all((xs ^ images) == self._each(
+                lambda p: p.pt_pairs[0]), axis=1),
+            "minimal_fixed": lambda: np.all(self._each(
+                lambda p: p.minimal_pairs[2]) == (xs == images), axis=1),
+        }[name]()}
+
+
+def is_negation_on_subcubes(f: BooleanNetwork) -> bool:
+    """True when the moved configurations split into disjoint subcubes on
+    which f is the opposite map (flip all free coordinates)."""
+    return NetworkProfile(f).prop("negation_on_subcubes")
+
+
+def is_constant_on_arrangements(f: BooleanNetwork) -> bool:
+    """True when each moved configuration belongs to a fiber that targets a
+    fixed point and is closed under the intervals toward that target."""
+    return NetworkProfile(f).prop("constant_on_arrangements")
 
 
 @dataclass(frozen=True)
@@ -424,7 +587,8 @@ class ClassReport:
 
 
 def classify_network(f: BooleanNetwork, profile: NetworkProfile | None = None) -> ClassReport:
-    """Evaluate every class flag from its own primary definition."""
+    """Evaluate every class flag from its own primary definition: f's row of
+    the class layer."""
     check_cap("enumeration", f.n)
     p = profile if profile is not None else NetworkProfile(f)
     return ClassReport(**{field.name: p.prop(field.name) for field in fields(ClassReport)})
@@ -434,24 +598,11 @@ def classify_network(f: BooleanNetwork, profile: NetworkProfile | None = None) -
 # alternate-definition cross-checkers
 
 
-@functools.lru_cache(maxsize=None)
-def _all_closure_tables(n: int) -> frozenset[tuple[int, ...]]:
-    # Exhaustive image of the trapping-closure operator.
-    return frozenset(trapping_closure(g).image for g in exhaustive_networks(n))
-
-
-def _is_some_trapping_closure(f: BooleanNetwork, profile: NetworkProfile) -> bool:
-    if f.n <= CAPS["exhaustive"]:
-        return f.image in _all_closure_tables(f.n)
-    # The closure operator is idempotent (tested separately), so its image
-    # is exactly its fixed-point set.
-    return profile.closure == f
-
-
 def check_alternate_definitions(
     f: BooleanNetwork, theorem: str, profile: NetworkProfile | None = None
 ) -> tuple[bool, ...]:
-    """Evaluate each equivalent defining condition of a class independently.
+    """Evaluate each equivalent defining condition of a class independently:
+    f's row of ``ClassBlock.vector``.
 
     Returns one boolean per condition; a mixed vector on any network
     contradicts the corresponding equivalence and is a build-breaking
@@ -459,71 +610,10 @@ def check_alternate_definitions(
     cap for sink_terminal5) before any work.
     """
     check_cap("enumeration" if theorem == "sink_terminal5" else "pair_sweep", f.n)
+    if theorem not in VECTORS:
+        raise ValueError(f"unknown theorem {theorem!r}")
     p = profile if profile is not None else NetworkProfile(f)
-    if theorem == "trapping7":
-        return (
-            graph_property(p.graph_ga, "transitive"),
-            _forall_interval(f, lambda x, fx, y, fy: _span_subset(y, fy, x, fx)),
-            np.array_equal(p.xs ^ f.np_image, p.pt_pairs[0]),
-            f == p.closure,
-            _is_some_trapping_closure(f, p),
-            p.graph_tg == p.graph_ga,
-            p.pair_flags["trapping7"],
-        )
-    if theorem == "commutative3":
-        return (
-            p.commutative,
-            _forall_interval(
-                f,
-                lambda x, fx, y, fy: _span_subset(y, fx, y, fy)
-                and _span_subset(y, fy, x, fx),
-            ),
-            p.pair_flags["commutative3"],
-        )
-    if theorem == "marseille4":
-        # For y inside the interval of x, interval equality reduces to equal
-        # difference masks.
-        return (
-            p.marseille,
-            is_negation_on_subcubes(f),
-            _forall_interval(f, lambda x, fx, y, fy: (y ^ fy) == (x ^ fx)),
-            p.pair_flags["marseille4"],
-        )
-    if theorem == "lille4":
-        return (
-            p.lille,
-            is_constant_on_arrangements(f),
-            _forall_interval(f, lambda x, fx, y, fy: (y ^ fy) == (y ^ fx)),
-            p.pair_flags["lille4"],
-        )
-    if theorem == "globally_idempotent3":
-        tables = (update_table(f.np_image, s, p.xs) for s in range(1 << f.n))
-        return (
-            all(np.array_equal(tab[tab], tab) for tab in tables),
-            _forall_interval(f, lambda x, fx, y, fy: _span_subset(y, fy, y, fx)),
-            p.pair_flags["globally_idempotent3"],
-        )
-    if theorem == "sink_terminal5":
-        fix = p.fixed_bitset
-        frees, bases = (a.tolist() for a in p.pt_pairs)
-        descend_ok = True
-        for x in range(1 << f.n):
-            if fix >> x & 1:
-                continue
-            free, base = frees[x], bases[x]
-            if all(frees[base | s] == free and bases[base | s] == base
-                   for s in iter_submasks(free)):
-                descend_ok = False
-                break
-        principal_fp = all(cube_bitset(fr, ba) & fix for fr, ba in set(zip(frees, bases)))
-        return (
-            graph_property(p.graph_tg, "sink-terminal"),
-            descend_ok,
-            np.array_equal(p.minimal[1], p.xs == f.np_image),
-            principal_fp,
-            p.trapspace_fp,
-        )
-    raise ValueError(f"unknown theorem {theorem!r}")
+    return tuple(p.classes.vector(theorem)[0].tolist())
 
 
 def trapspace_equivalent(
@@ -753,25 +843,24 @@ def load_fixture(diagram: str, label: str) -> BooleanNetwork:
     return parse_truth_table(text).network
 
 
+def implication_rows(diagram: DiagramSpec, block: ClassBlock) -> list[list[DiagramViolation]]:
+    """``diagram_implication_violations`` of each network of a block: an
+    edge fails on the rows of its column ``guard & source & ~target``."""
+    fails = np.array([block[e.guard] & block[e.source] & ~block[e.target] for e in diagram.edges])
+    out = [[] for _ in block.profiles]
+    for e, i in zip(*(a.tolist() for a in np.nonzero(fails))):
+        edge = diagram.edges[e]
+        detail = f"{edge.source} [{edge.guard}] -> {edge.target}"
+        out[i].append(DiagramViolation(diagram.id, "implication", detail, block.profiles[i].f))
+    return out
+
+
 def diagram_implication_violations(
     diagram: DiagramSpec, p: NetworkProfile
 ) -> list[DiagramViolation]:
     """Correctness on one network: if it satisfies an edge's source and guard,
-    it must satisfy the edge's target."""
-    violations = []
-    for edge in diagram.edges:
-        if not p.prop(edge.guard):
-            continue
-        if p.prop(edge.source) and not p.prop(edge.target):
-            violations.append(
-                DiagramViolation(
-                    diagram.id,
-                    "implication",
-                    f"{edge.source} [{edge.guard}] -> {edge.target}",
-                    p.f,
-                )
-            )
-    return violations
+    it must satisfy the edge's target.  Row 0 of ``implication_rows``."""
+    return implication_rows(diagram, p.classes)[0]
 
 
 def diagram_counterexample_violations(diagram: DiagramSpec) -> list[DiagramViolation]:
@@ -781,17 +870,9 @@ def diagram_counterexample_violations(diagram: DiagramSpec) -> list[DiagramViola
     for ce in diagram.counterexamples:
         net = load_fixture(diagram.id, ce.label)
         p = NetworkProfile(net)
-        ok = p.prop(ce.guard) and p.prop(ce.source) and not p.prop(ce.target)
-        if not ok:
-            violations.append(
-                DiagramViolation(
-                    diagram.id,
-                    "counterexample",
-                    f"fixture {ce.label} fails to refute "
-                    f"{ce.source} [{ce.guard}] -> {ce.target}",
-                    net,
-                )
-            )
+        if not (p.prop(ce.guard) and p.prop(ce.source) and not p.prop(ce.target)):
+            detail = f"fixture {ce.label} fails to refute {ce.source} [{ce.guard}] -> {ce.target}"
+            violations.append(DiagramViolation(diagram.id, "counterexample", detail, net))
     return violations
 
 

@@ -12,6 +12,7 @@ work; the CLI reads its refusal values from the same table.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -56,6 +57,16 @@ def _string_to_bits(s: str) -> int:
     if bad:
         raise ValueError(f"bad character {bad[0]!r} in {s!r}")
     return int(s[::-1], 2) if s else 0
+
+
+@functools.cache
+def bit_counts(n: int) -> np.ndarray:
+    """Entry m: the number of coordinates in mask m < 2^n (np.bitwise_count needs numpy 2)."""
+    counts = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):  # the masks with top coordinate i add one to those below
+        counts[1 << i : 2 << i] = counts[: 1 << i] + 1
+    counts.setflags(write=False)  # shared by every caller at this n
+    return counts
 
 
 def iter_submasks(mask: int) -> Iterator[int]:
@@ -158,14 +169,6 @@ class Subcube:
             raise ValueError("subcube base must have its free bits cleared")
 
     @classmethod
-    def singleton(cls, x: Configuration) -> "Subcube":
-        return cls(x.n, 0, x.bits)
-
-    @classmethod
-    def full_cube(cls, n: int) -> "Subcube":
-        return cls(n, (1 << n) - 1, 0)
-
-    @classmethod
     def from_string(cls, s: str) -> "Subcube":
         """Parse star notation: position i is x_i, one of '0', '1', '*'."""
         n = len(s)
@@ -198,12 +201,6 @@ class Subcube:
         _check_same_dimension(self, x)
         return self.contains_bits(x.bits)
 
-    def is_subset(self, other: "Subcube") -> bool:
-        _check_same_dimension(self, other)
-        if self.free & ~other.free:
-            return False
-        return (self.base ^ other.base) & ~other.free == 0
-
     def intersects(self, other: "Subcube") -> bool:
         _check_same_dimension(self, other)
         return (self.base ^ other.base) & ~self.free & ~other.free == 0
@@ -222,10 +219,6 @@ class Subcube:
     def members(self) -> Iterator[Configuration]:
         for bits in self.member_bits():
             yield Configuration(self.n, bits)
-
-    def member_array(self) -> np.ndarray:
-        """All members as an int64 array, in increasing order."""
-        return np.fromiter(self.member_bits(), dtype=np.int64, count=self.size())
 
     def point_bitset(self) -> int:
         """The member set as a 2^n-bit integer (bit y set iff y in the cube)."""
@@ -250,19 +243,15 @@ def bitset_array(bs: int, size: int) -> np.ndarray:
 
 
 def bitset_members(bs: int) -> list[int]:
-    """The set bits of ``bs`` in increasing order."""
-    return np.flatnonzero(bitset_array(bs, bs.bit_length())).tolist()
-
-
-def delta_mask(x: Configuration, y: Configuration) -> Mask:
-    """The set of coordinates where ``x`` and ``y`` differ."""
-    _check_same_dimension(x, y)
-    return Mask(x.n, x.bits ^ y.bits)
-
-
-def hamming(x: Configuration, y: Configuration) -> int:
-    _check_same_dimension(x, y)
-    return (x.bits ^ y.bits).bit_count()
+    """The set bits of ``bs`` in increasing order.  Up to 32 bits, the graphs
+    of n <= 5, stepping over the lowest set bit beats the numpy round trip."""
+    if bs.bit_length() > 32:
+        return np.flatnonzero(bitset_array(bs, bs.bit_length())).tolist()
+    out = []
+    while bs:
+        out.append((bs & -bs).bit_length() - 1)
+        bs &= bs - 1
+    return out
 
 
 def span(points: Iterable[Configuration]) -> Subcube:
@@ -343,24 +332,6 @@ class BooleanNetwork:
         return BooleanNetwork, (self.n, self.image)
 
 
-@dataclass(frozen=True)
-class UpdateWord:
-    """An ordered sequence of coordinate subsets, applied left to right."""
-
-    n: int
-    steps: tuple[Mask, ...]
-
-    def __post_init__(self):
-        check_cap("network", self.n)
-        for s in self.steps:
-            if s.n != self.n:
-                raise ValueError(f"dimension mismatch in update word: {s.n} != {self.n}")
-
-    @classmethod
-    def from_coord_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "UpdateWord":
-        return cls(n, tuple(Mask.from_coords(n, s) for s in sets))
-
-
 def update(f: BooleanNetwork, subset: Mask) -> BooleanNetwork:
     """The network updating only the coordinates in ``subset``.
 
@@ -382,34 +353,31 @@ def update_table(image: np.ndarray, subset_bits, xs: np.ndarray) -> np.ndarray:
     return (image & subset_bits) | (xs & ~subset_bits)
 
 
-def is_commutative(f: BooleanNetwork) -> bool:
-    """All local updates commute: single-coordinate updates commute pairwise.
+def commutative_rows(images: np.ndarray, n: int) -> np.ndarray:
+    """Whether all local updates commute, for each row of a (k, 2^n) stack
+    of image rows: single-coordinate updates commute pairwise.
 
     Updates i and j, in either order, fix a configuration that neither moves.
     At an x that update i moves, the two orders agree for every j iff f(x)
     and f(x ^ e_i) agree off coordinate i; j's side is the same test for j.
     So each coordinate is checked once, on the configurations its own update
-    moves: no work where f leaves the coordinate alone.
+    moves.
     """
-    img = f.np_image
-    moved = img ^ np.arange(1 << f.n, dtype=np.int64)
-    for i in range(f.n):
+    flat = images.reshape(-1)  # x of row r at r * 2^n + x
+    moved = (images ^ np.arange(1 << n)).reshape(-1)
+    holds = np.ones(len(images), dtype=bool)
+    for i in range(n):
         bit = 1 << i
-        x = np.flatnonzero(moved & bit)
-        if ((img[x ^ bit] ^ img[x]) & ~bit).any():
-            return False
-    return True
+        at = np.flatnonzero(moved & bit)
+        holds[at[(flat[at ^ bit] ^ flat[at]) & ~bit != 0] >> n] = False
+        if not holds.any():
+            break
+    return holds
 
 
-def compose_word(f: BooleanNetwork, word: UpdateWord) -> BooleanNetwork:
-    """Apply the word's subset updates in order; the empty word is the identity."""
-    _check_same_dimension(f, word)
-    xs = np.arange(1 << f.n, dtype=np.int64)
-    acc = xs
-    img = f.np_image
-    for step in word.steps:
-        acc = update_table(img, step.bits, xs)[acc]
-    return BooleanNetwork(f.n, tuple(int(v) for v in acc))
+def is_commutative(f: BooleanNetwork) -> bool:
+    """Row 0 of ``commutative_rows`` on f alone."""
+    return bool(commutative_rows(f.np_image[None], f.n)[0])
 
 
 def order_leq(f: BooleanNetwork, g: BooleanNetwork) -> bool:

@@ -150,10 +150,6 @@ def format_pairs(n: int, free: np.ndarray, base: np.ndarray) -> str:
     return lines.tobytes().decode("ascii")
 
 
-def format_collection(collection: SubcubeCollection) -> str:
-    return format_pairs(collection.n, *collection.pairs())
-
-
 def _superset(tables: np.ndarray, ufunc: np.ufunc, n: int) -> np.ndarray:
     """Entry (r, T) of a (k, 3^n) stack becomes ``ufunc`` over the entries
     (r, S) of every subcube S containing T: each digit pass folds the entry

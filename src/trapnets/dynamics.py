@@ -33,22 +33,6 @@ GRAPH_PROPERTIES = (
 )
 
 
-class NotReflexive(ValueError):
-    """A vertex is missing its loop."""
-
-    def __init__(self, vertex: int):
-        self.vertex = vertex
-        super().__init__(f"graph is not reflexive at vertex {vertex}")
-
-
-class NotSubcube(ValueError):
-    """An out-neighbourhood is not a subcube."""
-
-    def __init__(self, vertex: int):
-        self.vertex = vertex
-        super().__init__(f"out-neighbourhood of vertex {vertex} is not a subcube")
-
-
 @dataclass(frozen=True)
 class HypercubeGraph:
     """A digraph on B^n; ``out[x]`` is the successor set of x as a bitset."""
@@ -130,27 +114,6 @@ def build_graph(f: BooleanNetwork, kind: str) -> HypercubeGraph:
             tuple(cube_bitset(x ^ fx, x & fx) for x, fx in enumerate(f.image)),
         )
     raise ValueError(f"kind must be 'asynchronous' or 'general', got {kind!r}")
-
-
-def network_from_graph(g: HypercubeGraph) -> BooleanNetwork:
-    """Recover the network whose general asynchronous graph is ``g``.
-
-    Requires g to be reflexive with subcube out-neighbourhoods; raises
-    NotReflexive or NotSubcube otherwise.
-    """
-    image = []
-    for x, row in enumerate(g.out):
-        if not row >> x & 1:
-            raise NotReflexive(x)
-        members = bitset_members(row)
-        free = 0
-        for m in members:
-            free |= m ^ members[0]
-        # Every member agrees with members[0] outside free; the count decides.
-        if len(members) != 1 << free.bit_count():
-            raise NotSubcube(x)
-        image.append(x ^ free)
-    return BooleanNetwork(g.n, tuple(image))
 
 
 def strongly_connected_components(

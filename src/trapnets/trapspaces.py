@@ -70,6 +70,7 @@ from .core import (
     Configuration,
     Subcube,
     _check_same_dimension,
+    bit_counts,
     check_cap,
     cube_bitset,
     iter_submasks,
@@ -108,17 +109,10 @@ def principal_trapspace(f: BooleanNetwork, x: Configuration) -> Subcube:
     return Subcube(f.n, free, base)
 
 
-def is_trapspace(f: BooleanNetwork, cube: Subcube) -> bool:
-    """True when f maps every member of the subcube back into it."""
-    _check_same_dimension(f, cube)
-    members = cube.member_array()
-    return bool(np.all((f.np_image[members] & ~cube.free) == cube.base))
-
-
-def _subcube_or(leaves: np.ndarray, n: int) -> np.ndarray:
-    """Entry (..., T): the OR of ``leaves[..., x]`` over the members x of
-    subcube T.  Leaves of shape (..., 2^n) give a table of shape (..., 3^n):
-    every row over the leading axes is one table, and one kernel fills all."""
+def _subcube_or(leaves: np.ndarray, n: int, op: np.ufunc = np.bitwise_or) -> np.ndarray:
+    """Entry (..., T): the OR (or ``op``) of ``leaves[..., x]`` over the members
+    x of subcube T.  Leaves of shape (..., 2^n) give a table of shape
+    (..., 3^n): every row over the leading axes is one table, one kernel."""
     check_cap("table", n)
     k = min(n, _LOW_DIGITS)
     rows = leaves.reshape(-1, 1 << n)
@@ -130,7 +124,7 @@ def _subcube_or(leaves: np.ndarray, n: int) -> np.ndarray:
     low[_ternary_of_masks(k)] = rows.reshape(-1, 1 << k).T
     for j in range(k):
         v = low.reshape(3 ** (k - 1 - j), 3, -1)
-        np.bitwise_or(v[:, 0, :], v[:, 1, :], out=v[:, 2, :])
+        op(v[:, 0, :], v[:, 1, :], out=v[:, 2, :])
     shape = leaves.shape[:-1] + (3**n,)
     if k == n:
         return np.ascontiguousarray(low.T).reshape(shape)
@@ -145,7 +139,7 @@ def _subcube_or(leaves: np.ndarray, n: int) -> np.ndarray:
     for j in range(k, n):
         above = n - 1 - j
         v = table.reshape((batch,) + (3,) * above + (3, 3**j))[(slice(None),) + (slice(2),) * above]
-        np.bitwise_or(v[..., 0, :], v[..., 1, :], out=v[..., 2, :])
+        op(v[..., 0, :], v[..., 1, :], out=v[..., 2, :])
     return table.reshape(shape)
 
 
@@ -156,11 +150,6 @@ def _moved_rows(images: np.ndarray, n: int, digits: int) -> np.ndarray:
     of r."""
     moves = (np.arange(1 << n) ^ images).astype(np.uint16)
     return _subcube_or(moves.reshape(len(images), -1, 1 << digits), digits)
-
-
-def _moved_table(f: BooleanNetwork) -> np.ndarray:
-    """Entry T: the OR of ``x ^ f(x)`` over the members x of subcube T."""
-    return _moved_rows(f.np_image[None], f.n, f.n)[0, 0]
 
 
 def fixed_point_rows(images: np.ndarray, n: int) -> np.ndarray:
@@ -282,10 +271,7 @@ def cover_rows(
     )
     cell = (1 << n) - 1
     index, free, base = keys >> 2 * n, keys >> n & cell, keys & cell
-    size = np.ones_like(free)  # 2^|free|, as np.bitwise_count needs numpy 2
-    for j in range(n):
-        size <<= free >> j & 1
-    minimal = counts == size
+    minimal = counts == 1 << bit_counts(n)[free]
     covered = minimal[inverse].reshape(k, 1 << n)
     covered.setflags(write=False)
     distinct = np.bincount(index, minlength=k)

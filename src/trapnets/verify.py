@@ -19,9 +19,14 @@ stacked call of each kernel over the image rows of its networks, and a
 second call fills one profile per distinct closure and min extension of
 the block.  Its collection facts (recognisers, union closure, pointwise
 reduction, realisation) are single lattice passes over the stacked masks
-of its networks, and the per-network checks read them.  The checks that
-span networks (monotonicity pairs, compared in one broadcast) and the
-diagrams' fixture counterexamples then run once, in the caller.
+of its networks.  Its class layer is a ``ClassBlock``: one boolean column
+per class flag and per alternate-definition condition, each from a stacked
+kernel over the image rows (graph predicates once per distinct graph).  A
+mixed row of a theorem's (k, m) vector table is a violation, as is a true
+entry of an edge's ``guard & source & ~target`` or of a hierarchy fact's
+column.  The checks that span networks (monotonicity pairs, compared in
+one broadcast) and the diagrams' fixture counterexamples then run once,
+in the caller.
 """
 
 from __future__ import annotations
@@ -34,15 +39,16 @@ import numpy as np
 
 from .classes import (
     DIAGRAMS,
+    ClassBlock,
     NetworkProfile,
     THEOREM_SIZES,
-    check_alternate_definitions,
     diagram_counterexample_violations,
-    diagram_implication_violations,
+    implication_rows,
+    interval_arrays,
     min_trapspace_equivalent,
     trapspace_equivalent,
 )
-from .core import BooleanNetwork, is_commutative, iter_submasks, lattice_combine, order_leq
+from .core import BooleanNetwork, bit_counts, commutative_rows, lattice_combine, order_leq
 from .cubesets import (
     SubcubeCollection,
     convex_rows,
@@ -101,19 +107,15 @@ def sample_population(n: int, samples: int, seed: int) -> list[BooleanNetwork]:
 # per-network checks
 
 
-def alternate_definition_violations(p: NetworkProfile) -> list[Violation]:
-    """Every alternate-definition vector must be constant."""
-    out = []
+def alternate_definition_violations(block: ClassBlock) -> list[list[Violation]]:
+    """Every alternate-definition vector must be constant: one list per
+    network of the block, whose row of a theorem's vector table is mixed."""
+    out = [[] for _ in block.profiles]
     for theorem in THEOREM_SIZES:
-        vector = check_alternate_definitions(p.f, theorem, p)
-        if len(set(vector)) != 1:
-            out.append(
-                Violation(
-                    "alternate-definitions",
-                    f"{theorem} vector is mixed: {vector}",
-                    p.f,
-                )
-            )
+        vectors = block.vector(theorem)
+        for i in np.flatnonzero(vectors.any(axis=1) & ~vectors.all(axis=1)).tolist():
+            detail = f"{theorem} vector is mixed: {tuple(vectors[i].tolist())}"
+            out[i].append(Violation("alternate-definitions", detail, block.profiles[i].f))
     return out
 
 
@@ -349,78 +351,83 @@ def dynamics_claim_violations(p: NetworkProfile) -> list[Violation]:
     return out
 
 
-def distance_bound_violation(f: BooleanNetwork) -> str | None:
-    """Distance bound on commutative networks, with its equality case."""
-    img = f.image
-    for x, fx in enumerate(img):
-        dx = (x ^ fx).bit_count()
-        for s in iter_submasks(x ^ fx):
-            y = x ^ s
-            fy = img[y]
-            dy = (y ^ fy).bit_count()
-            dist = s.bit_count()
-            if not dist >= dx - dy >= 0:
-                return f"distance bound fails at x={x}, y={y}"
-            if (dist == dx - dy) != (fy == fx):
-                return f"equality case fails at x={x}, y={y}"
-    return None
-
-
-def commutative_claim_violations(
-    p: NetworkProfile, convex: bool, realized: BooleanNetwork
-) -> list[Violation]:
-    """Commutative facts; ``convex`` says whether p's principal collection is
-    convex and ``realized`` is that collection's realisation."""
-    out = []
-    f = p.f
-    if p.commutative:
-        if not p.dynamically_local:
-            out.append(Violation("commutative", "commutative but not dynamically local", f))
-        problem = distance_bound_violation(f)
-        if problem:
-            out.append(Violation("commutative", problem, f))
-        if not convex:
-            out.append(
-                Violation("commutative", "principal trapspaces are not convex", f)
-            )
-    if convex:
-        if not is_commutative(realized):
-            out.append(
-                Violation(
-                    "commutative",
-                    "convex principal collection realizes a non-commutative network",
-                    f,
-                )
-            )
+def distance_bound_rows(images: np.ndarray, n: int, intervals) -> list[str | None]:
+    """``distance_bound_violation`` of each row of a (k, 2^n) image stack, on
+    its ``interval_arrays``: the first failing (x, y) in order of x, then
+    y ^ x."""
+    at, s = intervals
+    flat, width = images.reshape(-1), bit_counts(n)
+    x = at & ((1 << n) - 1)
+    fx, fy = flat[at], flat[at ^ s]
+    dx, dy, dist = width[x ^ fx], width[x ^ s ^ fy], width[s]
+    bound_fails = (dist < dx - dy) | (dx < dy)
+    equality_fails = (dist == dx - dy) != (fy == fx)
+    bad = np.flatnonzero(bound_fails | equality_fails)
+    rows, first = np.unique(at[bad] >> n, return_index=True)
+    out = [None] * len(images)
+    for row, e in zip(rows.tolist(), bad[first].tolist()):
+        what = "distance bound" if bound_fails[e] else "equality case"
+        out[row] = f"{what} fails at x={int(x[e])}, y={int(x[e] ^ s[e])}"
     return out
 
 
-def hierarchy_violations(p: NetworkProfile) -> list[Violation]:
-    """Class-containment facts not already edges of a single diagram."""
+def distance_bound_violation(f: BooleanNetwork) -> str | None:
+    """Distance bound on commutative networks and its equality case: one row."""
+    image = f.np_image[None]
+    return distance_bound_rows(image, f.n, interval_arrays(image, f.n))[0]
+
+
+def commutative_claim_violations(
+    block: ClassBlock, convex: list[bool], realized: list[BooleanNetwork]
+) -> list[list[Violation]]:
+    """Commutative facts, one list per network i of the block, given whether
+    its principal collection is convex (``convex[i]``) and its realisation."""
+    commutative, local = (block[name].tolist() for name in ("commutative", "dynamically_local"))
+    problems = distance_bound_rows(block.images, block.n, block.intervals)
+    realized_commutative = commutative_rows(_images(realized), block.n).tolist()
     out = []
-    f = p.f
+    for i, p in enumerate(block.profiles):
+        checks = (
+            (commutative[i] and not local[i], "commutative but not dynamically local"),
+            (commutative[i] and problems[i], problems[i]),
+            (commutative[i] and not convex[i], "principal trapspaces are not convex"),
+            (convex[i] and not realized_commutative[i],
+             "convex principal collection realizes a non-commutative network"),
+        )
+        out.append([Violation("commutative", detail, p.f) for bad, detail in checks if bad])
+    return out
 
-    def implies(a, b, name):
-        if a and not b:
-            out.append(Violation("hierarchy", name, f))
 
-    g_bij, g_inv, g_idem = p.globally_flags
-    implies(p.marseille, p.commutative, "marseille without commutative")
-    implies(p.lille, p.commutative, "lille without commutative")
-    implies(p.commutative, p.trapping, "commutative without trapping")
-    implies(g_idem, p.trapping, "globally idempotent without trapping")
-    if p.commutative:
-        if not (p.bijective == p.locally_bijective == g_bij):
-            out.append(Violation("hierarchy", "bijectivity variants split", f))
-        if not (p.idempotent == p.locally_idempotent == g_idem):
-            out.append(Violation("hierarchy", "idempotence variants split", f))
-        implies(p.fixable, p.lille, "commutative fixable without lille")
-    implies(p.marseille, g_inv, "marseille without globally involutive")
-    implies(g_inv, p.prop("symmetric_ga"), "globally involutive without symmetric graph")
-    implies(p.prop("symmetric_ga"), p.marseille, "symmetric graph without marseille")
-    if p.trapping:
-        implies(p.locally_bijective, p.marseille, "trapping locally bijective without marseille")
-        implies(p.trapspace_fp, p.fixable, "trapping trapspace-fp without fixable")
+def hierarchy_violations(block: ClassBlock) -> list[list[Violation]]:
+    """Class-containment facts not already edges of a single diagram, one
+    list per network of the block: each fact is one column expression, true
+    on the networks that break it."""
+    c = block
+    trapping, commutative, marseille, lille = (
+        c[name] for name in ("trapping", "commutative", "marseille", "lille")
+    )
+    g_bij, g_inv, g_idem = (c[f"globally_{w}"] for w in ("bijective", "involutive", "idempotent"))
+    bij_split = (c["bijective"] != c["locally_bijective"]) | (c["locally_bijective"] != g_bij)
+    idem_split = (c["idempotent"] != c["locally_idempotent"]) | (c["locally_idempotent"] != g_idem)
+    facts = (
+        ("marseille without commutative", marseille & ~commutative),
+        ("lille without commutative", lille & ~commutative),
+        ("commutative without trapping", commutative & ~trapping),
+        ("globally idempotent without trapping", g_idem & ~trapping),
+        ("bijectivity variants split", commutative & bij_split),
+        ("idempotence variants split", commutative & idem_split),
+        ("commutative fixable without lille", commutative & c["fixable"] & ~lille),
+        ("marseille without globally involutive", marseille & ~g_inv),
+        ("globally involutive without symmetric graph", g_inv & ~c["symmetric_ga"]),
+        ("symmetric graph without marseille", c["symmetric_ga"] & ~marseille),
+        ("trapping locally bijective without marseille",
+         trapping & c["locally_bijective"] & ~marseille),
+        ("trapping trapspace-fp without fixable", trapping & c["trapspace_fp"] & ~c["fixable"]),
+    )
+    out = [[] for _ in c.profiles]
+    broken = np.array([column for _, column in facts])
+    for j, i in zip(*(a.tolist() for a in np.nonzero(broken))):
+        out[i].append(Violation("hierarchy", facts[j][0], c.profiles[i].f))
     return out
 
 
@@ -446,6 +453,7 @@ def _check_chunk(networks: list[BooleanNetwork], suite: str) -> list[tuple]:
     closure suite) and, per diagram of ``DIAGRAMS``, its implication violations.
     """
     theorem_suite = suite in ("all", "theorems")
+    diagram_suite = suite in ("all", "diagrams")
     records = []
     for block in _blocks(networks):
         profiles = _profiles(block)
@@ -459,27 +467,33 @@ def _check_chunk(networks: list[BooleanNetwork], suite: str) -> list[tuple]:
                 g for p in profiles for g in (p.closure, p.min_extension) if g not in own
             )))
         profile = _related_profiles(*profiles, *related)
+        if suite != "closure":
+            classes = ClassBlock(profiles)
         if theorem_suite:
             facts = CollectionBlock(profiles, [profile] * len(profiles))
             roundtrips = collection_roundtrip_violations(facts)
+            alternates = alternate_definition_violations(classes)
+            commutative = commutative_claim_violations(classes, facts.convex, facts.realized_p)
+            hierarchy = hierarchy_violations(classes)
+        if diagram_suite:
+            implications = [implication_rows(d, classes) for d in DIAGRAMS.values()]
         for i, p in enumerate(profiles):
             theorems, laws, closure = [], [], None
             if theorem_suite:
-                theorems += alternate_definition_violations(p)
+                theorems += alternates[i]
                 theorems += roundtrips[i]
                 theorems += dynamics_claim_violations(p)
-                theorems += commutative_claim_violations(p, facts.convex[i], facts.realized_p[i])
-                theorems += hierarchy_violations(p)
+                theorems += commutative[i]
+                theorems += hierarchy[i]
                 theorems += equivalence_vector_violations(p, profile(p.closure))
                 theorems += equivalence_vector_violations(p, profile(p.min_extension))
             if suite in ("all", "closure"):
                 laws = closure_law_violations(p, profile)
                 closure = p.closure
-            implications = [[] for _ in DIAGRAMS]
-            if suite in ("all", "diagrams"):
-                implications = [_diagram_violations(diagram_implication_violations(d, p))
-                                for d in DIAGRAMS.values()]
-            records.append((theorems, laws, closure, implications))
+            diagram_rows = [[] for _ in DIAGRAMS]
+            if diagram_suite:
+                diagram_rows = [_diagram_violations(rows[i]) for rows in implications]
+            records.append((theorems, laws, closure, diagram_rows))
     return records
 
 

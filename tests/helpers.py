@@ -5,7 +5,8 @@ import math
 import numpy as np
 
 from trapnets import BooleanNetwork, Configuration, Subcube, SubcubeCollection
-from trapnets.core import iter_submasks, update_table
+from trapnets.classes import DIAGRAMS, VECTORS
+from trapnets.core import bitset_members, cube_bitset, iter_submasks, update_table
 from trapnets.cubesets import (
     _ternary_of_masks,
     is_min_ideal,
@@ -22,8 +23,13 @@ from trapnets.generators import (
     random_negation_on_subcubes,
     random_network,
 )
-from trapnets.dynamics import GRAPH_PROPERTIES, HypercubeGraph
-from trapnets.trapspaces import enumerate_trapspaces, minimal_trapspaces, principal_pair
+from trapnets.dynamics import GRAPH_PROPERTIES, HypercubeGraph, graph_property
+from trapnets.trapspaces import (
+    enumerate_trapspaces,
+    minimal_trapspaces,
+    principal_pair,
+    trapping_closure,
+)
 from trapnets.verify import Violation
 
 
@@ -33,6 +39,71 @@ def cfg(s: str) -> Configuration:
 
 def cube(s: str) -> Subcube:
     return Subcube.from_string(s)
+
+
+def full_cube(n: int) -> Subcube:
+    return Subcube(n, (1 << n) - 1, 0)
+
+
+def singleton(x: Configuration) -> Subcube:
+    return Subcube(x.n, 0, x.bits)
+
+
+def is_subcube_of(small: Subcube, big: Subcube) -> bool:
+    """Whether every member of ``small`` lies in ``big``."""
+    return not small.free & ~big.free and (small.base ^ big.base) & ~big.free == 0
+
+
+def compose_word(f: BooleanNetwork, steps) -> BooleanNetwork:
+    """Oracle (the library's former function): apply the subset updates of
+    ``steps`` (Masks) left to right; no steps give the identity."""
+    xs = np.arange(1 << f.n, dtype=np.int64)
+    acc = xs
+    for step in steps:
+        acc = update_table(f.np_image, step.bits, xs)[acc]
+    return BooleanNetwork(f.n, tuple(int(v) for v in acc))
+
+
+def is_trapspace(f: BooleanNetwork, c: Subcube) -> bool:
+    """Oracle (the library's former function): f maps every member of the
+    subcube back into it."""
+    members = np.fromiter(c.member_bits(), dtype=np.int64)
+    return bool(np.all((f.np_image[members] & ~c.free) == c.base))
+
+
+class NotReflexive(ValueError):
+    """A vertex is missing its loop."""
+
+    def __init__(self, vertex: int):
+        self.vertex = vertex
+        super().__init__(f"graph is not reflexive at vertex {vertex}")
+
+
+class NotSubcube(ValueError):
+    """An out-neighbourhood is not a subcube."""
+
+    def __init__(self, vertex: int):
+        self.vertex = vertex
+        super().__init__(f"out-neighbourhood of vertex {vertex} is not a subcube")
+
+
+def network_from_graph(g: HypercubeGraph) -> BooleanNetwork:
+    """Oracle (the library's former function): the network whose general
+    asynchronous graph is ``g``; raises NotReflexive or NotSubcube unless g
+    is reflexive with subcube out-neighbourhoods."""
+    image = []
+    for x, row in enumerate(g.out):
+        if not row >> x & 1:
+            raise NotReflexive(x)
+        members = bitset_members(row)
+        free = 0
+        for m in members:
+            free |= m ^ members[0]
+        # Every member agrees with members[0] outside free; the count decides.
+        if len(members) != 1 << free.bit_count():
+            raise NotSubcube(x)
+        image.append(x ^ free)
+    return BooleanNetwork(g.n, tuple(image))
 
 
 def net_from_rows(rows: dict[str, str]) -> BooleanNetwork:
@@ -259,7 +330,7 @@ def pairwise_pre_ideal(collection: SubcubeCollection) -> bool:
     """Oracle: B^n present, every pairwise intersection of member bitsets a
     member, and the member set equal to ``sweep_lambda_closure``."""
     members = collection.members
-    if Subcube.full_cube(collection.n) not in members:
+    if full_cube(collection.n) not in members:
         return False
     pbs = [c.point_bitset() for c in members]
     pb_set = set(pbs)
@@ -287,7 +358,7 @@ def nested_pairs_convex(collection: SubcubeCollection) -> bool:
     members = collection.members
     for small in members:
         for big in members:
-            if small == big or not small.is_subset(big):
+            if small == big or not is_subcube_of(small, big):
                 continue
             extra = big.free & ~small.free
             for grow in iter_submasks(extra):
@@ -540,3 +611,305 @@ def arcwise_graph_property(g: HypercubeGraph, prop: str) -> bool:
     if prop == "triangular":
         return all(len(c) == 1 for c in components)
     return all(len(c) == 1 for c, t in zip(components, terminal) if t)
+
+
+# Oracles for the class layer (the library's former per-network bodies):
+# each loops over one network's subsets or intervals in Python.
+
+
+def leq_rows(xs: np.ndarray, a: np.ndarray, b: np.ndarray) -> bool:
+    """Transition order, broadcast over rows of update tables."""
+    return bool(np.all(((xs ^ a) & ~(xs ^ b)) == 0))
+
+
+def pair_sweep(f: BooleanNetwork) -> dict[str, bool]:
+    """Oracle: the subset-pair condition of five theorems, by theorem, in
+    blocks of up to 4096 / 4^n subsets s; comp[t, k, x] is the table of
+    updating s[k] then t, and a condition is dropped once it fails."""
+    size = 1 << f.n
+    xs = np.arange(size, dtype=np.int64)
+    ts = xs[:, None]
+    U = update_table(f.np_image, ts, xs)  # U[s, x]: x under the update of subset s
+    block = max(1, 4096 // (size * size))
+    holds = dict.fromkeys(
+        ("trapping7", "commutative3", "marseille4", "lille4", "globally_idempotent3"), True
+    )
+    for start in range(0, size, block):
+        s = xs[start:start + block]
+        comp = np.take(U, U[s], axis=1)
+        union = U[ts | s]
+        below_union = (
+            holds["trapping7"] or holds["commutative3"] or holds["globally_idempotent3"]
+        ) and leq_rows(xs, comp, union)
+        holds["trapping7"] &= below_union
+        if holds["commutative3"] or holds["marseille4"]:
+            sym = U[ts ^ s]
+            if holds["commutative3"]:
+                holds["commutative3"] = below_union and leq_rows(xs, sym, comp)
+            if holds["marseille4"]:
+                holds["marseille4"] = bool(np.all(comp == sym))
+        if holds["lille4"]:
+            holds["lille4"] = bool(np.all(comp == union))
+        if holds["globally_idempotent3"]:
+            holds["globally_idempotent3"] = below_union and leq_rows(xs, U[ts & s], comp)
+        if not any(holds.values()):
+            break
+    return holds
+
+
+def globally_sweep(f: BooleanNetwork) -> tuple[bool, bool, bool]:
+    """Oracle: (bijective, involutive, idempotent) of every subset update,
+    walking the subsets in Gray-code order on one running table."""
+    n = f.n
+    size = 1 << n
+    xs = np.arange(size, dtype=np.int64)
+    img = f.np_image
+    tab = xs.copy()
+    bij = inv = idem = True
+    for k in range(size):
+        if k:
+            gray_prev = (k - 1) ^ ((k - 1) >> 1)
+            gray = k ^ (k >> 1)
+            bit = gray ^ gray_prev
+            src = img if gray & bit else xs
+            tab = (tab & ~bit) | (src & bit)
+        if bij and np.bincount(tab, minlength=size).max() > 1:
+            bij = False
+        twice = tab[tab]
+        if inv and not np.array_equal(twice, xs):
+            inv = False
+        if idem and not np.array_equal(twice, tab):
+            idem = False
+        if not (bij or inv or idem):
+            break
+    return bij, inv, idem
+
+
+def forall_interval(f: BooleanNetwork, cond) -> bool:
+    """Oracle: cond(x, fx, y, fy) for every x and every y in the interval of x."""
+    img = f.image
+    return all(
+        cond(x, fx, x ^ s, img[x ^ s])
+        for x, fx in enumerate(img)
+        for s in iter_submasks(x ^ fx)
+    )
+
+
+def span_subset(y: int, fy: int, x: int, fx: int) -> bool:
+    """span{y, fy} is a subset of span{x, fx}."""
+    free_small, free_big = y ^ fy, x ^ fx
+    if free_small & ~free_big:
+        return False
+    return (y ^ x) & ~free_big == 0
+
+
+def loop_is_negation_on_subcubes(f: BooleanNetwork) -> bool:
+    """Oracle: every y = x ^ s in the interval of a moving x moves to fx ^ s."""
+    img = f.image
+    return all(
+        img[x ^ s] == fx ^ s
+        for x, fx in enumerate(img)
+        if fx != x
+        for s in iter_submasks(x ^ fx)
+    )
+
+
+def loop_is_constant_on_arrangements(f: BooleanNetwork) -> bool:
+    """Oracle: each moving x moves to a fixed point, as does its whole interval."""
+    img = f.image
+    for x, fx in enumerate(img):
+        if fx == x:
+            continue
+        if img[fx] != fx:
+            return False
+        if any(img[x ^ s] != fx for s in iter_submasks(x ^ fx)):
+            return False
+    return True
+
+
+def loop_descent(p) -> tuple[bool, bool]:
+    """Oracle: sink_terminal5's descent condition (no moving x has a
+    principal trapspace shared by all its members) and whether every
+    distinct principal trapspace holds a fixed point, by member loops."""
+    fix = p.fixed_bitset
+    frees, bases = (a.tolist() for a in p.pt_pairs)
+    descend_ok = True
+    for x in range(1 << p.n):
+        if fix >> x & 1:
+            continue
+        free, base = frees[x], bases[x]
+        if all(frees[base | s] == free and bases[base | s] == base for s in iter_submasks(free)):
+            descend_ok = False
+            break
+    principal_fp = all(cube_bitset(fr, ba) & fix for fr, ba in set(zip(frees, bases)))
+    return descend_ok, principal_fp
+
+
+def interval_fixed_counts(p):
+    """Oracle: the number of fixed points in each interval [x, f(x)], by bitsets."""
+    for x, fx in enumerate(p.f.image):
+        yield (cube_bitset(x ^ fx, x & fx) & p.fixed_bitset).bit_count()
+
+
+def loop_distance_bound_violation(f: BooleanNetwork) -> str | None:
+    """Oracle: the distance bound on commutative networks and its equality
+    case, at the first failing (x, y)."""
+    img = f.image
+    for x, fx in enumerate(img):
+        dx = (x ^ fx).bit_count()
+        for s in iter_submasks(x ^ fx):
+            y = x ^ s
+            fy = img[y]
+            dy = (y ^ fy).bit_count()
+            dist = s.bit_count()
+            if not dist >= dx - dy >= 0:
+                return f"distance bound fails at x={x}, y={y}"
+            if (dist == dx - dy) != (fy == fx):
+                return f"equality case fails at x={x}, y={y}"
+    return None
+
+
+def _is_permutation(table: np.ndarray) -> bool:
+    return bool(np.all(np.bincount(table, minlength=len(table)) == 1))
+
+
+def loop_class_flags(p) -> dict[str, bool]:
+    """Oracle: the class flags of ``ClassBlock`` that its stacked kernels fill,
+    each by its former per-network definition."""
+    f = p.f
+    img, xs = f.np_image, np.arange(1 << f.n, dtype=np.int64)
+    singles = [update_table(img, 1 << i, xs) for i in range(f.n)]
+    commutative = pairwise_is_commutative(f)
+    counts = list(interval_fixed_counts(p))
+    flags = {
+        "commutative": commutative,
+        "bijective": _is_permutation(img),
+        "locally_bijective": all(_is_permutation(t) for t in singles),
+        "involutive": np.array_equal(img[img], xs),
+        "locally_involutive": all(np.array_equal(t[t], xs) for t in singles),
+        "idempotent": np.array_equal(img[img], img),
+        "locally_idempotent": all(np.array_equal(t[t], t) for t in singles),
+        "dynamically_local": np.array_equal(img[img[img]], img),
+        "interval_fp": all(c >= 1 for c in counts),
+        "interval_ufp": all(c == 1 for c in counts),
+    }
+    flags["marseille"] = commutative and flags["bijective"]
+    flags["lille"] = commutative and flags["idempotent"]
+    flags["interval_ufp_idempotent"] = flags["interval_ufp"] and flags["idempotent"]
+    bij, inv, idem = globally_sweep(f)
+    flags.update(globally_bijective=bij, globally_involutive=inv, globally_idempotent=idem)
+    for kind in ("a", "ga", "tg"):
+        for prop in ("symmetric", "oriented", "triangular", "sink_terminal"):
+            flags[f"{prop}_{kind}"] = arcwise_graph_property(getattr(p, f"graph_{kind}"), prop)
+    return flags
+
+
+def loop_alternate_definitions(p, theorem: str) -> tuple[bool, ...]:
+    """Oracle (the library's former ``check_alternate_definitions`` body):
+    each condition of the theorem by its own loop or per-network call."""
+    f = p.f
+    img, xs = f.np_image, np.arange(1 << f.n, dtype=np.int64)
+    flags = loop_class_flags(p)
+    pairs = pair_sweep(f)
+    if theorem == "trapping7":
+        if f.n <= 2:
+            some_closure = f.image in {trapping_closure(g).image for g in exhaustive_networks(f.n)}
+        else:
+            some_closure = p.closure == f
+        return (
+            graph_property(p.graph_ga, "transitive"),
+            forall_interval(f, lambda x, fx, y, fy: span_subset(y, fy, x, fx)),
+            np.array_equal(xs ^ img, p.pt_pairs[0]),
+            f == p.closure,
+            some_closure,
+            p.graph_tg == p.graph_ga,
+            pairs["trapping7"],
+        )
+    if theorem == "commutative3":
+        return (
+            flags["commutative"],
+            forall_interval(
+                f, lambda x, fx, y, fy: span_subset(y, fx, y, fy) and span_subset(y, fy, x, fx)
+            ),
+            pairs["commutative3"],
+        )
+    if theorem == "marseille4":
+        return (
+            flags["marseille"],
+            loop_is_negation_on_subcubes(f),
+            forall_interval(f, lambda x, fx, y, fy: (y ^ fy) == (x ^ fx)),
+            pairs["marseille4"],
+        )
+    if theorem == "lille4":
+        return (
+            flags["lille"],
+            loop_is_constant_on_arrangements(f),
+            forall_interval(f, lambda x, fx, y, fy: (y ^ fy) == (y ^ fx)),
+            pairs["lille4"],
+        )
+    if theorem == "globally_idempotent3":
+        tables = (update_table(img, s, xs) for s in range(1 << f.n))
+        return (
+            all(np.array_equal(tab[tab], tab) for tab in tables),
+            forall_interval(f, lambda x, fx, y, fy: span_subset(y, fy, y, fx)),
+            pairs["globally_idempotent3"],
+        )
+    assert theorem == "sink_terminal5", theorem
+    descend_ok, principal_fp = loop_descent(p)
+    return (
+        graph_property(p.graph_tg, "sink-terminal"),
+        descend_ok,
+        np.array_equal(p.minimal[1], xs == img),
+        principal_fp,
+        bitset_trapspace_fp(f),
+    )
+
+
+def per_network_class_violations(f: BooleanNetwork, flag) -> tuple[list, list, dict]:
+    """Oracle (the library's former per-network checks): the alternate-
+    definition and hierarchy violations of one network and its implication
+    violations by diagram, given ``flag(name)``, its class flags and
+    conditions by ``ClassBlock`` column name."""
+    alternates = []
+    for theorem, names in VECTORS.items():
+        vector = tuple(flag(name) for name in names)
+        if len(set(vector)) != 1:
+            alternates.append(
+                Violation("alternate-definitions", f"{theorem} vector is mixed: {vector}", f)
+            )
+    hierarchy = []
+
+    def implies(a, b, name):
+        if a and not b:
+            hierarchy.append(Violation("hierarchy", name, f))
+
+    g_bij, g_inv, g_idem = (flag(f"globally_{w}") for w in ("bijective", "involutive", "idempotent"))
+    implies(flag("marseille"), flag("commutative"), "marseille without commutative")
+    implies(flag("lille"), flag("commutative"), "lille without commutative")
+    implies(flag("commutative"), flag("trapping"), "commutative without trapping")
+    implies(g_idem, flag("trapping"), "globally idempotent without trapping")
+    if flag("commutative"):
+        if not (flag("bijective") == flag("locally_bijective") == g_bij):
+            hierarchy.append(Violation("hierarchy", "bijectivity variants split", f))
+        if not (flag("idempotent") == flag("locally_idempotent") == g_idem):
+            hierarchy.append(Violation("hierarchy", "idempotence variants split", f))
+        implies(flag("fixable"), flag("lille"), "commutative fixable without lille")
+    implies(flag("marseille"), g_inv, "marseille without globally involutive")
+    implies(g_inv, flag("symmetric_ga"), "globally involutive without symmetric graph")
+    implies(flag("symmetric_ga"), flag("marseille"), "symmetric graph without marseille")
+    if flag("trapping"):
+        implies(flag("locally_bijective"), flag("marseille"),
+                "trapping locally bijective without marseille")
+        implies(flag("trapspace_fp"), flag("fixable"), "trapping trapspace-fp without fixable")
+    implications = {}
+    for diagram in DIAGRAMS.values():
+        implications[diagram.id] = [
+            Violation(
+                f"diagram-{diagram.id}",
+                f"implication: {edge.source} [{edge.guard}] -> {edge.target}",
+                f,
+            )
+            for edge in diagram.edges
+            if flag(edge.guard) and flag(edge.source) and not flag(edge.target)
+        ]
+    return alternates, hierarchy, implications

@@ -1,0 +1,100 @@
+"""The class layer of sampled `verify` as stacked passes: every column of a
+``ClassBlock`` against its labelled oracle, the former per-network body,
+exhaustively at n <= 2 and on samples at n = 3..6, for blocks of one network
+and of many."""
+
+import numpy as np
+from trapnets import BooleanNetwork, NetworkProfile, check_alternate_definitions
+from trapnets import verify
+from trapnets.classes import (
+    VECTORS,
+    ClassBlock,
+    _submasks,
+    interval_arrays,
+    is_constant_on_arrangements,
+    is_negation_on_subcubes,
+)
+from trapnets.core import iter_submasks
+from trapnets.generators import exhaustive_networks
+from trapnets.verify import distance_bound_rows, distance_bound_violation, sample_population
+
+from helpers import (
+    loop_alternate_definitions,
+    loop_class_flags,
+    loop_distance_bound_violation,
+    loop_is_constant_on_arrangements,
+    loop_is_negation_on_subcubes,
+)
+
+
+def populations():
+    """Networks of one dimension each: all of n = 1 and n = 2, and sampled
+    populations (random and structured) at n = 3..6, with the identity and
+    the negation."""
+    yield exhaustive_networks(1)
+    yield exhaustive_networks(2)
+    for n in range(3, 7):
+        extra = [BooleanNetwork.identity(n), BooleanNetwork.negation(n)]
+        yield sample_population(n, 10 if n < 6 else 4, 40 + n) + extra
+
+
+def test_block_columns_match_the_per_network_oracles():
+    seen = set()
+    for networks in populations():
+        n = networks[0].n
+        whole = ClassBlock([NetworkProfile(f) for f in networks])
+        problems = distance_bound_rows(whole.images, n, whole.intervals)
+        for i, f in enumerate(networks):
+            p = NetworkProfile(f)
+            alone = ClassBlock([p])
+            for name, expected in loop_class_flags(p).items():
+                assert bool(whole[name][i]) == bool(alone[name][0]) == expected, (name, f.image)
+                seen.add((name, expected))
+            for theorem, names in VECTORS.items():
+                expected = loop_alternate_definitions(p, theorem)
+                assert tuple(whole.vector(theorem)[i].tolist()) == expected, (theorem, f.image)
+                assert check_alternate_definitions(f, theorem) == expected
+                seen.update(zip(names, expected))
+            assert is_negation_on_subcubes(f) == loop_is_negation_on_subcubes(f)
+            assert is_constant_on_arrangements(f) == loop_is_constant_on_arrangements(f)
+            expected = loop_distance_bound_violation(f)
+            assert problems[i] == distance_bound_violation(f) == expected, f.image
+            seen.add(("distance", expected is None))
+    # Every flag and condition both holds and fails somewhere.
+    names = {name for name, _ in seen}
+    assert names >= {name for names in VECTORS.values() for name in names}
+    assert {name for name in names if {(name, True), (name, False)} <= seen} == names
+
+
+def test_graph_predicates_are_computed_once_per_distinct_graph(monkeypatch):
+    calls = []
+    original = ClassBlock._graph_column.__globals__["graph_property"]
+
+    def counting(g, prop):
+        calls.append((id(g), prop))
+        return original(g, prop)
+
+    monkeypatch.setitem(ClassBlock._graph_column.__globals__, "graph_property", counting)
+    # The general and trapping graphs of a trapping network are one object.
+    block = ClassBlock([NetworkProfile(BooleanNetwork.negation(3))])
+    assert block["symmetric_ga"][0] and block["symmetric_tg"][0]
+    assert len(calls) == len(set(calls)) == 1
+
+
+def test_submasks_come_in_iter_submasks_order():
+    rng = np.random.default_rng(3)
+    for n in (1, 3, 6, 9):
+        masks = rng.integers(0, 1 << n, (2, 5))
+        i, s = _submasks(masks, n)
+        expected = [(k, t) for k, m in enumerate(masks.ravel().tolist()) for t in iter_submasks(m)]
+        assert list(zip(i.tolist(), s.tolist())) == expected
+
+
+def test_interval_arrays_of_a_negation_block_stay_inside_the_block_bound():
+    # The negation has the most interval entries: 2^n per configuration.
+    n = 6
+    size = min(verify._block_size(n), verify._MAX_BLOCK)
+    block = [BooleanNetwork.negation(n)] * size
+    at, s = interval_arrays(verify._images(block), n)
+    assert len(at) == len(s) == size * 4**n <= verify._block_size(n) * 4**n == 2**20
+    assert ClassBlock([NetworkProfile(f) for f in block[:2]])["negation_on_subcubes"].all()

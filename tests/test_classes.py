@@ -24,8 +24,8 @@ from trapnets import (
     trapspace_equivalent,
     verify_diagram,
 )
-from trapnets.classes import THEOREM_SIZES, DiagramSpec, Counterexample
-from trapnets.core import update_table
+from trapnets.classes import PAIR_THEOREMS, THEOREM_SIZES, DiagramSpec, Counterexample, pair_rows
+from trapnets.core import Mask, update_table
 from trapnets.generators import (
     exhaustive_networks,
     long_transient_trapping,
@@ -39,6 +39,7 @@ from trapnets.verify import closure_law_violations, run_verification, sample_pop
 
 from helpers import (
     bitset_trapspace_fp,
+    compose_word,
     brute_force_principals,
     brute_force_trapspaces,
     f_ex3,
@@ -150,7 +151,7 @@ def test_cap_table_is_read_only():
 
 
 def _pair_condition_oracles(f):
-    """Each subset-pair condition of ``NetworkProfile.pair_flags`` by a plain
+    """Each subset-pair condition of ``pair_rows`` by a plain
     loop over every (s, t); comp updates s, then t."""
     xs = np.arange(1 << f.n, dtype=np.int64)
     U = [update_table(f.np_image, s, xs) for s in range(1 << f.n)]
@@ -174,10 +175,16 @@ def _pair_condition_oracles(f):
 
 def test_pair_flags_match_plain_loop_over_every_subset_pair():
     seen = set()
-    for f in [*exhaustive_networks(1), *exhaustive_networks(2), *sampled_networks(range(3, 6))]:
-        flags = NetworkProfile(f).pair_flags
-        assert flags == _pair_condition_oracles(f), f
-        seen.update(flags.items())
+    networks = [*exhaustive_networks(1), *exhaustive_networks(2), *sampled_networks(range(3, 6))]
+    for n in range(1, 6):
+        nets = [f for f in networks if f.n == n]
+        stacked = pair_rows(np.array([f.image for f in nets]), n)
+        for i, f in enumerate(nets):
+            flags = {t: bool(stacked[f"{t}.pairs"][i]) for t in PAIR_THEOREMS}
+            alone = pair_rows(f.np_image[None], n)
+            assert flags == {t: bool(alone[f"{t}.pairs"][0]) for t in PAIR_THEOREMS}
+            assert flags == _pair_condition_oracles(f), f
+            seen.update(flags.items())
     # Every condition both holds and fails somewhere in the population.
     assert len(seen) == 10
 
@@ -370,13 +377,11 @@ def test_fixture_headers_name_the_implication():
 
 
 def test_is_commutative_matches_update_composition():
-    from trapnets import UpdateWord, compose_word
-
     randoms = [random_network(3, seed) for seed in range(15)]
     for f in randoms + exhaustive_networks(2) + list(sampled_networks()):
         direct = all(
-            compose_word(f, UpdateWord.from_coord_sets(f.n, [[i], [j]]))
-            == compose_word(f, UpdateWord.from_coord_sets(f.n, [[j], [i]]))
+            compose_word(f, [Mask.from_coords(f.n, [i]), Mask.from_coords(f.n, [j])])
+            == compose_word(f, [Mask.from_coords(f.n, [j]), Mask.from_coords(f.n, [i])])
             for i in range(1, f.n + 1)
             for j in range(1, f.n + 1)
         )

@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,20 +10,16 @@ from trapnets import (
     Configuration,
     Mask,
     Subcube,
-    UpdateWord,
     build_graph,
-    compose_word,
-    delta_mask,
-    hamming,
     lattice_combine,
     opposite,
     order_leq,
     span,
     update,
 )
-from trapnets.core import _string_to_bits
+from trapnets.core import _string_to_bits, bitset_array, bitset_members
 
-from helpers import all_subcubes, cfg, cube, f_ex3
+from helpers import all_subcubes, cfg, compose_word, cube, f_ex3, full_cube, singleton
 
 
 def random_net(n, seed):
@@ -72,27 +69,27 @@ def test_mask_coords_roundtrip():
     assert str(m) == "{1,3,5}"
 
 
-# --- delta_mask
+# --- the coordinates where two configurations differ: the free mask of their span
 
 
 def test_delta_spans_all_coordinates():
-    assert delta_mask(cfg("001"), cfg("110")).coords() == (1, 2, 3)
+    assert Mask(3, span([cfg("001"), cfg("110")]).free).coords() == (1, 2, 3)
 
 
 def test_delta_identity_is_empty():
     x = cfg("0110")
-    assert delta_mask(x, x).coords() == ()
-    assert hamming(x, x) == 0
+    assert Mask(4, span([x, x]).free).coords() == ()
+    assert span([x, x]).dimension() == 0
 
 
 def test_delta_single_flip():
-    assert delta_mask(cfg("00"), cfg("10")).coords() == (1,)
-    assert hamming(cfg("00"), cfg("10")) == 1
+    assert Mask(2, span([cfg("00"), cfg("10")]).free).coords() == (1,)
+    assert span([cfg("00"), cfg("10")]).dimension() == 1
 
 
 def test_delta_dimension_mismatch():
     with pytest.raises(ValueError):
-        delta_mask(cfg("00"), cfg("000"))
+        span([cfg("00"), cfg("000")])
 
 
 # --- span
@@ -113,13 +110,13 @@ def test_span_of_two_configurations():
 
 
 def test_span_singleton():
-    assert span([cfg("101")]) == Subcube.singleton(cfg("101"))
+    assert span([cfg("101")]) == singleton(cfg("101"))
 
 
 def test_span_three_points_derived():
     points = [cfg("00"), cfg("01"), cfg("10")]
-    assert minimal_containing_subcube(points) == Subcube.full_cube(2)
-    assert span(points) == Subcube.full_cube(2)
+    assert minimal_containing_subcube(points) == full_cube(2)
+    assert span(points) == full_cube(2)
 
 
 def test_span_empty_is_error():
@@ -143,12 +140,12 @@ def test_opposite_flips_free_coordinates():
 
 
 def test_opposite_in_singleton():
-    assert opposite(Subcube.singleton(cfg("0101")), cfg("0101")) == cfg("0101")
+    assert opposite(singleton(cfg("0101")), cfg("0101")) == cfg("0101")
 
 
 def test_opposite_in_full_cube_is_negation():
     x = cfg("0110")
-    assert opposite(Subcube.full_cube(4), x) == x.negate()
+    assert opposite(full_cube(4), x) == x.negate()
 
 
 def test_opposite_requires_membership():
@@ -196,18 +193,18 @@ def test_update_negation_coordinate():
 
 def test_compose_word_steps_left_to_right():
     f = f_ex3()
-    w = UpdateWord.from_coord_sets(3, [[1], [2]])
+    w = [Mask.from_coords(3, [1]), Mask.from_coords(3, [2])]
     assert compose_word(f, w)(cfg("000")) == cfg("100")
 
 
 def test_compose_empty_word_is_identity():
     f = f_ex3()
-    assert compose_word(f, UpdateWord(3, ())) == BooleanNetwork.identity(3)
+    assert compose_word(f, []) == BooleanNetwork.identity(3)
 
 
 def test_compose_double_negation():
     neg = BooleanNetwork.negation(1)
-    w = UpdateWord.from_coord_sets(1, [[1], [1]])
+    w = [Mask.from_coords(1, [1]), Mask.from_coords(1, [1])]
     assert compose_word(neg, w) == BooleanNetwork.identity(1)
 
 
@@ -219,7 +216,7 @@ def test_compose_matches_direct_definition():
             s, t = Mask(4, s_bits), Mask(4, t_bits)
             direct = update(f, t).image
             expected = tuple(direct[v] for v in update(f, s).image)
-            w = compose_word(f, UpdateWord(4, (s, t)))
+            w = compose_word(f, [s, t])
             assert w.image == expected
 
 
@@ -316,3 +313,15 @@ def test_network_pickles_as_its_fields():
     g = pickle.loads(pickle.dumps(f))
     assert g == f and "np_image" not in vars(g)
     assert not g.np_image.flags.writeable
+
+
+# --- bitset members
+
+
+def test_bitset_members_match_the_unpacked_bits_on_both_sides_of_32_bits():
+    rng = np.random.default_rng(4)
+    for width in (0, 1, 16, 31, 32, 33, 64, 200):
+        for density in (0.05, 0.5, 1.0):
+            bits = rng.random(width) < density
+            bs = sum(1 << i for i in np.flatnonzero(bits).tolist())
+            assert bitset_members(bs) == np.flatnonzero(bitset_array(bs, width)).tolist()

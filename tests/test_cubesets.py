@@ -11,7 +11,6 @@ from trapnets import (
     classify_collection,
     collection_at,
     enumerate_trapspaces,
-    format_collection,
     lambda_closure,
     minimal_trapspaces,
     mu_reduction,
@@ -25,7 +24,7 @@ import numpy as np
 
 from trapnets.cubesets import (
     convex_rows,
-    format_collection,
+    format_pairs,
     is_convex,
     is_min_ideal,
     is_pre_ideal,
@@ -42,6 +41,7 @@ from helpers import (
     cfg,
     cube,
     f_ex3,
+    full_cube,
     member_scan_pointwise_free,
     nested_pairs_convex,
     oracle_population,
@@ -70,7 +70,7 @@ def test_collection_at_worked_example():
 
 def test_collection_at_empty_is_full_cube():
     empty = SubcubeCollection.of(3, ())
-    assert collection_at(empty, cfg("010")) == Subcube.full_cube(3)
+    assert collection_at(empty, cfg("010")) == full_cube(3)
 
 
 def test_collection_at_singleton_member():
@@ -216,8 +216,8 @@ def test_parse_and_format_collection():
     text = "**0\n100\n# comment\n\n1*0\n"
     coll = parse_collection(text)
     assert coll == collection(3, "**0", "100", "1*0")
-    assert format_collection(coll) == "100\n1*0\n**0\n"
-    assert parse_collection(format_collection(coll)) == coll
+    assert format_pairs(coll.n, *coll.pairs()) == "100\n1*0\n**0\n"
+    assert parse_collection(format_pairs(coll.n, *coll.pairs())) == coll
 
 
 def test_parse_collection_rejects_mixed_width():
@@ -242,7 +242,7 @@ def _random_collections():
     for n in range(1, 6):
         cubes = list(_subcubes(n))
         yield SubcubeCollection.of(n, ())
-        yield SubcubeCollection.of(n, [Subcube.full_cube(n)])
+        yield SubcubeCollection.of(n, [full_cube(n)])
         for density in (0.05, 0.2, 0.5, 0.9):
             for _ in range(6):
                 yield SubcubeCollection.of(n, [c for c in cubes if rng.random() < density])
@@ -277,7 +277,7 @@ def test_lattice_passes_match_member_loop_oracles():
             ("convex", is_convex(coll), nested_pairs_convex(coll)),
         )
         for name, got, oracle in flags:
-            assert got == oracle, (name, format_collection(coll))
+            assert got == oracle, (name, format_pairs(coll.n, *coll.pairs()))
             seen.add((name, got))
     assert len(seen) == 8  # every recogniser answered both ways
 
@@ -349,4 +349,4 @@ def test_star_encoder_matches_subcube_str():
         for density in (0.0, 0.05, 0.5):
             collection = SubcubeCollection(n, rng.random(3**n) < density)
             expected = "".join(f"{c}\n" for c in collection.sorted_members())
-            assert format_collection(collection) == expected
+            assert format_pairs(collection.n, *collection.pairs()) == expected

@@ -4,11 +4,8 @@ import pytest
 
 from trapnets import (
     BooleanNetwork,
-    NotReflexive,
-    NotSubcube,
     build_graph,
     graph_property,
-    network_from_graph,
     network_power,
     random_network,
     strongly_connected_components,
@@ -25,10 +22,13 @@ from trapnets.generators import (
 from trapnets.trapspaces import trapping_graph
 
 from helpers import (
+    NotReflexive,
+    NotSubcube,
     arcwise_graph_property,
     cfg,
     f_ex3,
     net_from_arcs,
+    network_from_graph,
     power_iteration_transient_and_period,
     sampled_networks,
     stepwise_transient_and_period,

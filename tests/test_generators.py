@@ -28,7 +28,7 @@ from trapnets.generators import (
     random_negation_on_subcubes,
 )
 
-from helpers import cfg, cube, net_from_rows
+from helpers import cfg, cube, full_cube, net_from_rows
 
 
 # --- random networks
@@ -99,7 +99,7 @@ def test_crossed_faces_has_three_arrangement_networks():
 
 
 def test_full_cube_negate_is_negation():
-    arr = Arrangement((Subcube.full_cube(1),))
+    arr = Arrangement((full_cube(1),))
     assert arrangement_network(arr, {1: FreeDimBehavior.NEGATE}) == BooleanNetwork.negation(1)
 
 
@@ -127,7 +127,7 @@ def test_negating_a_core_fixed_dimension_fails_validation():
 
 
 def test_negation_on_full_cube():
-    assert negation_on_subcubes([Subcube.full_cube(3)]) == BooleanNetwork.negation(3)
+    assert negation_on_subcubes([full_cube(3)]) == BooleanNetwork.negation(3)
 
 
 def test_negation_on_no_cubes_is_identity():
@@ -151,7 +151,7 @@ def test_negation_rejects_overlap():
 
 
 def test_constant_on_full_cube():
-    net = constant_on_arrangements([(Arrangement((Subcube.full_cube(2),)), cfg("10"))])
+    net = constant_on_arrangements([(Arrangement((full_cube(2),)), cfg("10"))])
     assert all(v == cfg("10").bits for v in net.image)
 
 

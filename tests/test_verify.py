@@ -29,28 +29,38 @@ def flag_checks(monkeypatch, flagged):
     def index(f):
         return str(flagged.index(f)) if f in flagged else None
 
-    def wrap(name, check):
-        original = getattr(verify, name)
+    def flag(out, f, violation):
+        i = index(f)
+        return out if i is None else out + [violation(i)]
 
-        def patched(p, *args):
-            out = original(p, *args)
-            i = index(p.f)
-            return out if i is None else out + [Violation(check, i, p.f)]
+    original_laws = verify.closure_law_violations
 
-        monkeypatch.setattr(verify, name, patched)
+    def laws(p, *args):
+        return flag(original_laws(p, *args), p.f, lambda i: Violation("flag-closure", i, p.f))
 
-    wrap("hierarchy_violations", "flag-theorem")
-    wrap("closure_law_violations", "flag-closure")
-    original = verify.diagram_implication_violations
+    # The class checks take a block and return one list per network.
+    original_hierarchy = verify.hierarchy_violations
 
-    def implications(diagram, p):
-        out = original(diagram, p)
-        i = index(p.f)
-        if i is None or diagram.id != "marseille":
-            return out
-        return out + [DiagramViolation(diagram.id, "implication", i, p.f)]
+    def hierarchy(block):
+        return [
+            flag(out, p.f, lambda i, p=p: Violation("flag-theorem", i, p.f))
+            for p, out in zip(block.profiles, original_hierarchy(block))
+        ]
 
-    monkeypatch.setattr(verify, "diagram_implication_violations", implications)
+    original_implications = verify.implication_rows
+
+    def implications(diagram, block):
+        rows = original_implications(diagram, block)
+        if diagram.id != "marseille":
+            return rows
+        return [
+            flag(out, p.f, lambda i, p=p: DiagramViolation(diagram.id, "implication", i, p.f))
+            for p, out in zip(block.profiles, rows)
+        ]
+
+    monkeypatch.setattr(verify, "closure_law_violations", laws)
+    monkeypatch.setattr(verify, "hierarchy_violations", hierarchy)
+    monkeypatch.setattr(verify, "implication_rows", implications)
 
 
 @pytest.mark.parametrize("size", [0, 1, 2, 16])
@@ -73,8 +83,8 @@ def test_violations_keep_their_order_for_any_process_count(monkeypatch, size):
 
 @pytest.mark.skipif(not FORKS, reason="one process where fork is missing")
 def test_chunks_run_in_one_process_each(monkeypatch):
-    def pid_of(p):
-        return [Violation("pid", str(os.getpid()), p.f)]
+    def pid_of(block):
+        return [[Violation("pid", str(os.getpid()), p.f)] for p in block.profiles]
 
     monkeypatch.setattr(verify, "hierarchy_violations", pid_of)
     nets = sample_population(3, 12, 5)

@@ -1,11 +1,13 @@
 """The stacked forms in `verify`: the collection checks of a block of
 networks, the monotonicity pairs in one broadcast, and the block size."""
 
+import re
 from functools import cached_property
 
 import numpy as np
 
 from trapnets import NetworkProfile, SubcubeCollection, realize, trapping_closure
+from trapnets.classes import VECTORS, ClassBlock
 from trapnets.core import lattice_combine
 from trapnets.generators import exhaustive_networks
 from trapnets import verify
@@ -18,7 +20,7 @@ from trapnets.verify import (
     sample_population,
 )
 
-from helpers import per_network_roundtrip_violations
+from helpers import per_network_class_violations, per_network_roundtrip_violations
 
 
 def toggled(coll: SubcubeCollection, t: int) -> SubcubeCollection:
@@ -134,3 +136,60 @@ def test_blocks_hold_at_most_max_block_networks():
     networks = exhaustive_networks(2) + exhaustive_networks(2)[:44] + exhaustive_networks(1)
     sizes = [len(block) for block in verify._blocks(networks)]
     assert sizes == [verify._MAX_BLOCK, 300 - verify._MAX_BLOCK, 4]
+
+
+# One condition of each theorem and one diagram node.
+FLIPPED = (
+    "trapping7.pairs", "commutative3.intervals", "negation_on_subcubes",
+    "constant_on_arrangements", "subset_idempotent", "descent", "symmetric_ga",
+)
+
+
+class PerturbedClasses(ClassBlock):
+    """A class block whose ``FLIPPED`` columns are negated on the networks
+    with an image sum divisible by 3, so that the alternate-definition,
+    hierarchy and diagram checks fire."""
+
+    def _fill(self, name):
+        filled = super()._fill(name)
+        chosen = np.array([sum(p.f.image) % 3 == 0 for p in self.profiles])
+        return {c: column ^ chosen if c in FLIPPED else column for c, column in filled.items()}
+
+
+def class_layer(violations):
+    return [v for v in violations if v.check in ("alternate-definitions", "hierarchy")
+            or v.detail.startswith("implication: ")]
+
+
+def test_class_violations_do_not_depend_on_the_block_size(monkeypatch):
+    monkeypatch.setattr(verify, "ClassBlock", PerturbedClasses)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    default = verify._block_size
+    for nets, suite in ((sample_population(3, 12, 5), "all"),
+                        (sample_population(3, 8, 5) + sample_population(4, 6, 6), "theorems")):
+        runs = []
+        for block_size in (default, lambda n: 1, lambda n: 2, lambda n: 3):
+            monkeypatch.setattr(verify, "_block_size", block_size)
+            runs.append(run_verification(nets, suite))
+        assert all(run == runs[0] for run in runs[1:])
+        # The per-network oracle path, on the same flipped columns.
+        expected, diagrams = [], {}
+        for f in nets:
+            row = PerturbedClasses([NetworkProfile(f)])
+            alternates, hierarchy, implications = per_network_class_violations(
+                f, lambda name: bool(row[name][0])
+            )
+            expected += alternates + hierarchy
+            for diagram, found in implications.items():
+                diagrams.setdefault(diagram, []).extend(found)
+        if suite == "all":
+            expected += [v for found in diagrams.values() for v in found]
+        got = class_layer(runs[0])
+        assert got == expected
+        checks = {v.check for v in got}
+        assert {"alternate-definitions", "hierarchy"} <= checks
+        assert suite != "all" or "diagram-symmetric" in checks
+        for v in got:
+            if v.check == "alternate-definitions":
+                assert re.fullmatch(r"\w+ vector is mixed: \((True|False)(, (True|False))+\)", v.detail)
+        assert {v.detail.split()[0] for v in got if v.check == "alternate-definitions"} == set(VECTORS)
