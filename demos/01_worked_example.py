@@ -29,7 +29,7 @@ n=3
 111 110
 """
 
-f = parse_truth_table(TABLE).network
+f = parse_truth_table(TABLE)
 print("the network, row by row:")
 print(network_to_text(f))
 

@@ -76,16 +76,7 @@ from .generators import (
     random_network,
     union_disjoint,
 )
-from .netio import (
-    ExpressionError,
-    NetParseError,
-    NetworkDocument,
-    export_dot,
-    network_to_text,
-    parse_expression_network,
-    parse_truth_table,
-    write_truth_table,
-)
+from .netio import NetParseError, export_dot, network_to_text, parse_truth_table
 from .verify import Violation, run_verification, sample_population
 
 __version__ = "0.1.0"

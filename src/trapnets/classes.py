@@ -840,7 +840,7 @@ def load_fixture(diagram: str, label: str) -> BooleanNetwork:
         text = path.read_text(encoding="utf-8")
     except (FileNotFoundError, OSError) as exc:
         raise FileNotFoundError(f"missing fixture {diagram}/{label}.tt") from exc
-    return parse_truth_table(text).network
+    return parse_truth_table(text)
 
 
 def implication_rows(diagram: DiagramSpec, block: ClassBlock) -> list[list[DiagramViolation]]:

@@ -63,18 +63,17 @@ def _load_network(path: str):
     except UnicodeDecodeError as exc:
         raise SystemExit(_refuse(f"{path}: {exc}")) from None
     try:
-        return parse_truth_table(text, name=path)
+        return parse_truth_table(text)
     except NetParseError as exc:
         raise SystemExit(_refuse(f"{path}: {exc}")) from None
 
 
-def _analysis_report(doc, minimal_only: bool) -> dict:
-    f = doc.network
+def _analysis_report(f, name: str, minimal_only: bool) -> dict:
     profile = NetworkProfile(f)
     free, base, covered = profile.minimal_pairs
     transient, period = transient_and_period(f)
     report: dict = {
-        "name": doc.name,
+        "name": name,
         "n": f.n,
         "transient": transient,
         "period": period,
@@ -124,12 +123,12 @@ def _print_text_report(report: dict) -> None:
 
 
 def cmd_analyze(args) -> int:
-    doc = _load_network(args.file)
+    f = _load_network(args.file)
     cap = CAPS["table"] if args.minimal_only else CAPS["enumeration"]
-    if doc.n > cap:
+    if f.n > cap:
         mode = "minimal-only" if args.minimal_only else "full"
         return _refuse(f"{mode} analysis is capped at n={cap}")
-    report = _analysis_report(doc, args.minimal_only)
+    report = _analysis_report(f, args.file, args.minimal_only)
     if args.format == "json":
         print(json.dumps(report, indent=2))
     else:
@@ -138,10 +137,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    doc = _load_network(args.file)
-    if doc.n > CAPS["enumeration"]:
+    f = _load_network(args.file)
+    if f.n > CAPS["enumeration"]:
         return _refuse(f"graph export is capped at n={CAPS['enumeration']}")
-    profile = NetworkProfile(doc.network)
+    profile = NetworkProfile(f)
     depth = 3 if args.layered else {"async": 1, "ga": 2, "tg": 3}[args.kind]
     layers = [getattr(profile, a) for a in ("graph_a", "graph_ga", "graph_tg")[:depth]]
     labels = ["asynchronous", "general asynchronous", "trapping"][:depth]
@@ -172,18 +171,18 @@ MIN_CONDITIONS = (
 
 
 def cmd_equiv(args) -> int:
-    doc_a = _load_network(args.file_a)
-    doc_b = _load_network(args.file_b)
-    if doc_a.n != doc_b.n:
-        return _refuse(f"dimension mismatch: {doc_a.n} != {doc_b.n}")
+    f = _load_network(args.file_a)
+    g = _load_network(args.file_b)
+    if f.n != g.n:
+        return _refuse(f"dimension mismatch: {f.n} != {g.n}")
     cap = CAPS["enumeration"] if args.mode == "trapspace" else CAPS["table"]
-    if doc_a.n > cap:
+    if f.n > cap:
         return _refuse(f"{args.mode} equivalence is capped at n={cap}")
     if args.mode == "trapspace":
-        vector = trapspace_equivalent(doc_a.network, doc_b.network)
+        vector = trapspace_equivalent(f, g)
         names = TRAPSPACE_CONDITIONS
     else:
-        vector = min_trapspace_equivalent(doc_a.network, doc_b.network)
+        vector = min_trapspace_equivalent(f, g)
         names = MIN_CONDITIONS
     for name, value in zip(names, vector):
         print(f"{name}: {'yes' if value else 'no'}")

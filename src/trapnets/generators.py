@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -287,54 +288,65 @@ def _random_subcube_through(rng, n: int, anchor: int) -> Subcube:
     return Subcube(n, free, anchor & ~free)
 
 
+def _random_arrangement_through(rng, n: int, anchor: int) -> tuple[Arrangement, int]:
+    """One or two random subcubes through ``anchor``, with their content."""
+    cubes = tuple(_random_subcube_through(rng, n, anchor) for _ in range(int(rng.integers(1, 3))))
+    arrangement = Arrangement(cubes)
+    return arrangement, arrangement.content_bitset()
+
+
+def _place_disjoint(rng, n: int, parts: int, draw, finish) -> list:
+    """Up to ``parts`` pieces on pairwise disjoint contents.
+
+    Each part gets up to 100 attempts.  An attempt draws an anchor
+    configuration, and ``draw(anchor)`` gives a shape and its content
+    bitset.  A shape whose content meets an earlier part's is redrawn;
+    otherwise ``finish(shape)`` makes the piece, or returns None to redraw.
+    A part that is not placed within its attempts is skipped.
+    """
+    used = 0
+    pieces = []
+    for _ in range(parts):
+        for _attempt in range(100):
+            shape, content = draw(int(rng.integers(0, 1 << n)))
+            if content & used:
+                continue
+            piece = finish(shape)
+            if piece is None:
+                continue
+            pieces.append(piece)
+            used |= content
+            break
+    return pieces
+
+
 def random_negation_on_subcubes(n: int, seed: int, parts: int = 2) -> BooleanNetwork:
     """Negation on randomly placed pairwise-disjoint subcubes."""
     check_cap("network", n)
     rng = np.random.default_rng(seed)
-    used = 0
-    cubes: list[Subcube] = []
-    for _ in range(parts):
-        for _attempt in range(100):
-            anchor = int(rng.integers(0, 1 << n))
-            cube = _random_subcube_through(rng, n, anchor)
-            pb = cube.point_bitset()
-            if pb & used:
-                continue
-            cubes.append(cube)
-            used |= pb
-            break
-    return negation_on_subcubes(cubes, n)
+
+    def draw(anchor):
+        cube = _random_subcube_through(rng, n, anchor)
+        return cube, cube.point_bitset()
+
+    return negation_on_subcubes(_place_disjoint(rng, n, parts, draw, lambda cube: cube), n)
 
 
 def random_constant_on_arrangements(n: int, seed: int, parts: int = 2) -> BooleanNetwork:
     """Constant maps on randomly placed disjoint arrangement contents."""
     check_cap("network", n)
     rng = np.random.default_rng(seed)
-    used = 0
-    chosen: list[tuple[Arrangement, Configuration]] = []
-    for _ in range(parts):
-        for _attempt in range(100):
-            anchor = int(rng.integers(0, 1 << n))
-            cubes = tuple(
-                _random_subcube_through(rng, n, anchor)
-                for _ in range(int(rng.integers(1, 3)))
-            )
-            arrangement = Arrangement(cubes)
-            content = arrangement.content_bitset()
-            if content & used:
-                continue
-            core = arrangement.core()
-            pick = core.base
-            free = core.free
-            while free:
-                bit = free & -free
-                if rng.random() < 0.5:
-                    pick |= bit
-                free ^= bit
-            chosen.append((arrangement, Configuration(n, pick)))
-            used |= content
-            break
-    return constant_on_arrangements(chosen, n)
+
+    def target(arrangement):
+        core = arrangement.core()
+        pick = core.base
+        for i in bitset_members(core.free):
+            if rng.random() < 0.5:
+                pick |= 1 << i
+        return arrangement, Configuration(n, pick)
+
+    draw = partial(_random_arrangement_through, rng, n)
+    return constant_on_arrangements(_place_disjoint(rng, n, parts, draw, target), n)
 
 
 def random_commutative(n: int, seed: int, parts: int = 2) -> BooleanNetwork:
@@ -348,39 +360,27 @@ def random_commutative(n: int, seed: int, parts: int = 2) -> BooleanNetwork:
     if parts < 1:
         raise ValueError("parts must be at least 1")
     rng = np.random.default_rng(seed)
-    used = 0
-    nets: list[BooleanNetwork] = []
-    for _ in range(parts):
-        for _attempt in range(100):
-            anchor = int(rng.integers(0, 1 << n))
-            cubes = tuple(
-                _random_subcube_through(rng, n, anchor)
-                for _ in range(int(rng.integers(1, 3)))
-            )
-            arrangement = Arrangement(cubes)
-            content = arrangement.content_bitset()
-            if content & used:
-                continue
-            core = arrangement.core()
-            options = (FreeDimBehavior.CONST0, FreeDimBehavior.CONST1, FreeDimBehavior.NEGATE)
-            behaviors = {}
-            for i in bitset_members(arrangement.free_dimensions()):
-                bit = 1 << i
-                if core.free & bit:
-                    behaviors[i + 1] = options[int(rng.integers(0, 3))]
-                else:
-                    # The core pins this coordinate, so only the matching
-                    # constant can keep images inside it.
-                    behaviors[i + 1] = (
-                        FreeDimBehavior.CONST1 if core.base & bit else FreeDimBehavior.CONST0
-                    )
-            try:
-                net = arrangement_network(arrangement, behaviors)
-            except ValidationFailed:
-                continue
-            nets.append(net)
-            used |= content
-            break
+    options = (FreeDimBehavior.CONST0, FreeDimBehavior.CONST1, FreeDimBehavior.NEGATE)
+
+    def network(arrangement):
+        core = arrangement.core()
+        behaviors = {}
+        for i in bitset_members(arrangement.free_dimensions()):
+            bit = 1 << i
+            if core.free & bit:
+                behaviors[i + 1] = options[int(rng.integers(0, 3))]
+            else:
+                # The core pins this coordinate, so only the matching
+                # constant can keep images inside it.
+                behaviors[i + 1] = (
+                    FreeDimBehavior.CONST1 if core.base & bit else FreeDimBehavior.CONST0
+                )
+        try:
+            return arrangement_network(arrangement, behaviors)
+        except ValidationFailed:
+            return None
+
+    nets = _place_disjoint(rng, n, parts, partial(_random_arrangement_through, rng, n), network)
     if not nets:
         return BooleanNetwork.identity(n)
     return union_disjoint(nets)

@@ -1,21 +1,17 @@
-"""Parsing and serialising networks, plus layered DOT export.
+"""Reading and writing networks as truth tables, plus layered DOT export.
 
-Truth-table format: UTF-8 with LF line ends, optional ``#`` comments, an
-``n=<k>`` header, then exactly 2^k rows ``<config> <image>`` written as
-width-k binary strings x_1 x_2 ... x_k.  Rows may arrive in any order; the
-writer always emits them in increasing configuration order, so
-write(parse(text)) is a canonical form.  A document in the writer's exact
-byte layout, rows in any order, is read as one numpy byte array; any
-other goes through the line loop, which raises every ``NetParseError``.
-
-Expression format: one ``x<i>, <expr>`` line per coordinate, where the
-expression uses identifiers x1..xn, constants 0/1, parentheses and the
-operators ! & ^ | with precedence ! > & > ^ > |.
+The truth table is the one network file format: UTF-8 with LF line ends,
+optional ``#`` comments, an ``n=<k>`` header with k in ASCII digits, then
+exactly 2^k rows ``<config> <image>`` written as width-k binary strings
+x_1 x_2 ... x_k.  Rows may arrive in any order; the writer always emits
+them in increasing configuration order, so write(parse(text)) is a
+canonical form.  A document in the writer's exact byte layout, rows in any
+order, is read as one numpy byte array; any other goes through the line
+loop, which raises every ``NetParseError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -32,14 +28,6 @@ class NetParseError(ValueError):
     def __init__(self, line: int, message: str):
         self.line = line
         super().__init__(f"line {line}: {message}")
-
-
-@dataclass(frozen=True)
-class NetworkDocument:
-    n: int
-    source: str  # "truth-table" | "expression"
-    network: BooleanNetwork
-    name: str | None = None
 
 
 def _significant_lines(text: str):
@@ -90,16 +78,16 @@ def _parse_canonical(text: str) -> tuple[int, np.ndarray] | None:
     return n, image
 
 
-def parse_truth_table(text: str, name: str | None = None) -> NetworkDocument:
+def parse_truth_table(text: str) -> BooleanNetwork:
     """Parse a truth-table document; every configuration must appear once."""
     canonical = _parse_canonical(text)
     if canonical is None:
-        return _parse_lines(text, name)
+        return _parse_lines(text)
     n, image = canonical
-    return NetworkDocument(n, "truth-table", BooleanNetwork(n, tuple(image.tolist())), name)
+    return BooleanNetwork(n, tuple(image.tolist()))
 
 
-def _parse_lines(text: str, name: str | None) -> NetworkDocument:
+def _parse_lines(text: str) -> BooleanNetwork:
     """Any truth-table document, one line at a time; raises every NetParseError."""
     lines = _significant_lines(text)
     try:
@@ -108,10 +96,11 @@ def _parse_lines(text: str, name: str | None) -> NetworkDocument:
         raise NetParseError(1, "empty document, expected 'n=<k>' header") from None
     if not header.startswith("n="):
         raise NetParseError(line_no, f"expected 'n=<k>' header, got {header!r}")
-    try:
-        n = int(header[2:])
-    except ValueError:
-        raise NetParseError(line_no, f"bad dimension in header {header!r}") from None
+    digits = header[2:]
+    # ASCII digits only; a leading minus is read so that it is refused as out of range.
+    if not (digits.isascii() and digits.removeprefix("-").isdigit()):
+        raise NetParseError(line_no, f"bad dimension in header {header!r}")
+    n = int(digits)
     if not 1 <= n <= CAPS["network"]:
         raise NetParseError(line_no, f"dimension {n} out of range")
 
@@ -128,12 +117,12 @@ def _parse_lines(text: str, name: str | None) -> NetworkDocument:
     for x, y in enumerate(image):
         if y is None:
             raise NetParseError(line_no, f"missing configuration {_bits_to_string(x, n)}")
-    return NetworkDocument(n, "truth-table", BooleanNetwork(n, tuple(image)), name)
+    return BooleanNetwork(n, tuple(image))
 
 
-def write_truth_table(doc: NetworkDocument) -> str:
+def network_to_text(f: BooleanNetwork) -> str:
     """Canonical serialisation: header then rows in increasing order."""
-    n = doc.n
+    n = f.n
     # The rows as one (2^n, 2n + 2) byte array; bit i of a configuration is
     # character i of its column.
     xs = np.arange(1 << n)
@@ -141,174 +130,11 @@ def write_truth_table(doc: NetworkDocument) -> str:
     rows[:, -1] = ord("\n")
     for i in range(n):
         rows[:, i] = ord("0") + (xs >> i & 1)
-        rows[:, n + 1 + i] = ord("0") + (doc.network.np_image >> i & 1)
+        rows[:, n + 1 + i] = ord("0") + (f.np_image >> i & 1)
     return f"n={n}\n" + rows.tobytes().decode("ascii")
 
 
-def network_to_text(f: BooleanNetwork) -> str:
-    return write_truth_table(NetworkDocument(f.n, "truth-table", f))
-
-
-class ExpressionError(ValueError):
-    """A malformed coordinate expression; carries line and column."""
-
-    def __init__(self, line: int, column: int, message: str):
-        self.line = line
-        self.column = column
-        super().__init__(f"line {line}, column {column}: {message}")
-
-
-class _ExprParser:
-    # Recursive descent with precedence ! > & > ^ > |.
-
-    def __init__(self, text: str, line_no: int):
-        self.text = text
-        self.line_no = line_no
-        self.pos = 0
-
-    def error(self, message: str):
-        raise ExpressionError(self.line_no, self.pos + 1, message)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse(self):
-        node = self.parse_or()
-        if self.peek():
-            self.error(f"unexpected {self.text[self.pos]!r}")
-        return node
-
-    def parse_or(self):
-        node = self.parse_xor()
-        while self.peek() == "|":
-            self.pos += 1
-            node = ("or", node, self.parse_xor())
-        return node
-
-    def parse_xor(self):
-        node = self.parse_and()
-        while self.peek() == "^":
-            self.pos += 1
-            node = ("xor", node, self.parse_and())
-        return node
-
-    def parse_and(self):
-        node = self.parse_not()
-        while self.peek() == "&":
-            self.pos += 1
-            node = ("and", node, self.parse_not())
-        return node
-
-    def parse_not(self):
-        if self.peek() == "!":
-            self.pos += 1
-            return ("not", self.parse_not())
-        return self.parse_atom()
-
-    def parse_atom(self):
-        c = self.peek()
-        if c == "":
-            self.error("unexpected end of expression")
-        if c == "(":
-            self.pos += 1
-            node = self.parse_or()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.pos += 1
-            return node
-        if c in ("0", "1"):
-            self.pos += 1
-            return ("const", int(c))
-        if c == "x":
-            start = self.pos
-            self.pos += 1
-            digits = ""
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                digits += self.text[self.pos]
-                self.pos += 1
-            if not digits:
-                self.pos = start
-                self.error("expected variable index after 'x'")
-            return ("var", int(digits))
-        self.error(f"unexpected {c!r}")
-
-
-def eval_expression(node, xs: np.ndarray) -> np.ndarray:
-    """Evaluate an expression tree over an array of configurations (0/1 arrays)."""
-    op = node[0]
-    if op == "const":
-        return np.full(xs.shape, node[1], dtype=np.int64)
-    if op == "var":
-        return (xs >> (node[1] - 1)) & 1
-    if op == "not":
-        return 1 - eval_expression(node[1], xs)
-    a = eval_expression(node[1], xs)
-    b = eval_expression(node[2], xs)
-    if op == "and":
-        return a & b
-    if op == "xor":
-        return a ^ b
-    return a | b
-
-
-def parse_expression_network(text: str, name: str | None = None) -> NetworkDocument:
-    """Materialise a truth table from one expression per coordinate."""
-    exprs: dict[int, tuple] = {}
-    max_index = 0
-    for line_no, line in _significant_lines(text):
-        head, sep, rest = line.partition(",")
-        head = head.strip()
-        if not sep or not head.startswith("x"):
-            raise NetParseError(line_no, f"expected 'x<i>, <expr>', got {line!r}")
-        try:
-            i = int(head[1:])
-        except ValueError:
-            raise NetParseError(line_no, f"bad coordinate name {head!r}") from None
-        if i < 1:
-            raise NetParseError(line_no, f"coordinate index {i} must be positive")
-        if i > CAPS["network"]:
-            raise NetParseError(
-                line_no, f"coordinate index {i} is above the cap n={CAPS['network']}"
-            )
-        if i in exprs:
-            raise NetParseError(line_no, f"duplicate coordinate x{i}")
-        exprs[i] = _ExprParser(rest, line_no).parse()
-        max_index = max(max_index, i)
-    if not exprs:
-        raise NetParseError(1, "no coordinate lines found")
-    n = max_index
-    for i in range(1, n + 1):
-        if i not in exprs:
-            raise NetParseError(1, f"missing coordinate line for x{i}")
-
-    def check_vars(node, line_hint):
-        if node[0] == "var" and node[1] > n:
-            raise NetParseError(line_hint, f"undefined variable x{node[1]} (n={n})")
-        for child in node[1:]:
-            if isinstance(child, tuple):
-                check_vars(child, line_hint)
-
-    for i, node in exprs.items():
-        check_vars(node, i)
-
-    xs = np.arange(1 << n, dtype=np.int64)
-    image = np.zeros(1 << n, dtype=np.int64)
-    for i in range(1, n + 1):
-        image |= eval_expression(exprs[i], xs) << (i - 1)
-    net = BooleanNetwork(n, tuple(int(v) for v in image))
-    return NetworkDocument(n, "expression", net, name)
-
-
-def iter_dot(
-    layers: list[HypercubeGraph],
-    labels: list[str] | None = None,
-    palette: tuple[str, ...] = DOT_PALETTE,
-) -> Iterator[str]:
+def iter_dot(layers: list[HypercubeGraph], labels: list[str] | None = None) -> Iterator[str]:
     """Layered DOT export, one piece per vertex and layer; loops dropped,
     arcs coloured by their first layer.
 
@@ -331,13 +157,13 @@ def iter_dot(
     yield "digraph {\n"
     if labels:
         for k, label in enumerate(labels):
-            yield f"  // layer {k}: {label} ({palette[k % len(palette)]})\n"
+            yield f"  // layer {k}: {label} ({DOT_PALETTE[k % len(DOT_PALETTE)]})\n"
     names = [f'"{_bits_to_string(x, n)}"' for x in range(1 << n)]
     for name in names:
         yield f"  {name};\n"
     seen = [0] * (1 << n)
     for k, g in enumerate(layers):
-        tail = f" [color={palette[k % len(palette)]}];\n"
+        tail = f" [color={DOT_PALETTE[k % len(DOT_PALETTE)]}];\n"
         for x, name in enumerate(names):
             fresh = g.out[x] & ~seen[x] & ~(1 << x)
             seen[x] |= g.out[x]
@@ -347,10 +173,6 @@ def iter_dot(
     yield "}\n"
 
 
-def export_dot(
-    layers: list[HypercubeGraph],
-    labels: list[str] | None = None,
-    palette: tuple[str, ...] = DOT_PALETTE,
-) -> str:
+def export_dot(layers: list[HypercubeGraph], labels: list[str] | None = None) -> str:
     """``iter_dot`` as one string."""
-    return "".join(iter_dot(layers, labels, palette))
+    return "".join(iter_dot(layers, labels))

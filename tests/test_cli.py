@@ -73,6 +73,18 @@ def test_analyze_parse_error_exits_2(tmp_path):
     assert info.value.code == 2
 
 
+def test_analyze_signed_header_exits_2(tmp_path, capsys):
+    # A complete n = 1 table under a header that int() would accept.
+    path = tmp_path / "signed.tt"
+    path.write_text("n=+1\n0 0\n1 1\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as info:
+        main(["analyze", str(path)])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: line 1: bad dimension in header 'n=+1'\n"
+
+
 def test_analyze_undecodable_file_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.tt"
     path.write_bytes(b"n=1\n0 \xff\n")
@@ -310,7 +322,7 @@ def test_gen_long_transient(tmp_path, capsys):
     assert "transient=4" in summary and "period=2" in summary
     from trapnets import parse_truth_table, transient_and_period
 
-    net = parse_truth_table(open(out_file).read()).network
+    net = parse_truth_table(open(out_file).read())
     assert transient_and_period(net) == (4, 2)
 
 
@@ -342,7 +354,7 @@ def test_gen_random_roundtrips(tmp_path, capsys):
                  "--out", out_file]) == 0
     from trapnets import parse_truth_table, random_network
 
-    net = parse_truth_table(open(out_file).read()).network
+    net = parse_truth_table(open(out_file).read())
     assert net == random_network(3, 5)
 
 

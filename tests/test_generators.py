@@ -260,23 +260,45 @@ def test_random_commutative_deterministic():
     assert random_commutative(3, 5, parts=2) == random_commutative(3, 5, parts=2)
 
 
-# sha256 of the image tables of random_commutative(n, seed) for seeds 0..9,
-# as uint32 little-endian, first 16 hex digits: pins the generated networks
-# across rewrites of the arrangement checks.
-RANDOM_COMMUTATIVE_DIGESTS = {
-    1: "5ac34ad9961feabe", 2: "8cb70e852792d3df", 3: "84aff1c3c6874594",
-    4: "8bf3f2c85cc7b309", 5: "bdc6b8f47aa7b840", 6: "e5e8f0d2bd1d968e",
-    7: "f1736d6184a572ac", 8: "663c4520a988b82f", 9: "4b12f2a934fce629",
-    10: "bcc6357d9656d81f", 11: "759d3a0453fe3313", 12: "dd7a9848737ef5f6",
+# sha256 of the image tables of generate(n, seed) for seeds 0..9, as uint32
+# little-endian, first 16 hex digits: pins the generated networks across
+# rewrites of the arrangement checks and of the placement loop.
+RANDOM_GENERATOR_DIGESTS = {
+    random_commutative: {
+        1: "5ac34ad9961feabe", 2: "8cb70e852792d3df", 3: "84aff1c3c6874594",
+        4: "8bf3f2c85cc7b309", 5: "bdc6b8f47aa7b840", 6: "e5e8f0d2bd1d968e",
+        7: "f1736d6184a572ac", 8: "663c4520a988b82f", 9: "4b12f2a934fce629",
+        10: "bcc6357d9656d81f", 11: "759d3a0453fe3313", 12: "dd7a9848737ef5f6",
+    },
+    random_negation_on_subcubes: {
+        1: "b5d52ae1ab4ba287", 2: "536e3ccfdeff8eab", 3: "c44602c65239a1db",
+        4: "1237ea73b2c2cb60", 5: "c55d557fed7b4eda", 6: "1bb68c82dff4b15a",
+        7: "f35ea528ed8dad45", 8: "91faf66da9452421", 9: "5d2b8b0206dbfc61",
+        10: "e4c6d474172b1273", 11: "43e547f568bfbe16", 12: "24f5e049bc31f75c",
+    },
+    random_constant_on_arrangements: {
+        1: "19709bd89b21181d", 2: "226a0e2b277d94d7", 3: "8a58410bf1ebdf28",
+        4: "caf5f2b51d11dfcd", 5: "1bd555601b603d90", 6: "04fa563f1056818d",
+        7: "8be80b3aaf0e64d9", 8: "3564c8b5649136cb", 9: "96f1da0473dcffb8",
+        10: "d8ccdc0106bc2909", 11: "fb11dbf75e036df0", 12: "7ccf6ae9b328aaf3",
+    },
 }
 
 
-@pytest.mark.parametrize("n", range(1, 13))
-def test_random_commutative_networks_unchanged(n):
+def _digest_id(generate, n):
+    # The random_commutative cases keep their bare ids [n].
+    return str(n) if generate is random_commutative else f"{generate.__name__}-{n}"
+
+
+@pytest.mark.parametrize("generate, n", [
+    pytest.param(generate, n, id=_digest_id(generate, n))
+    for generate in RANDOM_GENERATOR_DIGESTS for n in range(1, 13)
+])
+def test_random_commutative_networks_unchanged(generate, n):
     h = hashlib.sha256()
     for seed in range(10):
-        h.update(np.array(random_commutative(n, seed).image, dtype="<u4").tobytes())
-    assert h.hexdigest()[:16] == RANDOM_COMMUTATIVE_DIGESTS[n]
+        h.update(np.array(generate(n, seed).image, dtype="<u4").tobytes())
+    assert h.hexdigest()[:16] == RANDOM_GENERATOR_DIGESTS[generate][n]
 
 
 def test_random_negation_and_constant_generators():

@@ -7,16 +7,12 @@ from hypothesis import strategies as st
 
 from trapnets import (
     BooleanNetwork,
-    ExpressionError,
     NetParseError,
-    NetworkDocument,
     build_graph,
     export_dot,
     network_to_text,
-    parse_expression_network,
     parse_truth_table,
     trapping_graph,
-    write_truth_table,
 )
 from trapnets.generators import exhaustive_networks, random_network
 from trapnets.netio import _parse_canonical, _parse_lines
@@ -32,15 +28,14 @@ def f_ex3_text():
 
 
 def test_parse_worked_example():
-    doc = parse_truth_table(f_ex3_text())
-    assert doc.n == 3
-    assert doc.network == f_ex3()
-    assert doc.network(cfg("000")) == cfg("110")
+    f = parse_truth_table(f_ex3_text())
+    assert f.n == 3
+    assert f == f_ex3()
+    assert f(cfg("000")) == cfg("110")
 
 
 def test_parse_identity_on_one_bit():
-    doc = parse_truth_table("n=1\n0 0\n1 1")
-    assert doc.network == BooleanNetwork.identity(1)
+    assert parse_truth_table("n=1\n0 0\n1 1") == BooleanNetwork.identity(1)
 
 
 def test_missing_row_reported():
@@ -75,24 +70,37 @@ def test_bad_character_reported():
 
 
 def test_comments_and_blank_lines_ignored():
-    doc = parse_truth_table("# header\n\nn=1\n0 1  # negate\n1 0\n")
-    assert doc.network == BooleanNetwork.negation(1)
+    f = parse_truth_table("# header\n\nn=1\n0 1  # negate\n1 0\n")
+    assert f == BooleanNetwork.negation(1)
+
+
+@pytest.mark.parametrize("header", ["n=1_0", "n=+1", "n= 1", "n=\u0663"])
+def test_header_dimension_must_be_ascii_digits(header):
+    # int() would read these as 10, 1, 1 and 3 (an Arabic-Indic digit).
+    message = f"line 1: bad dimension in header {header!r}"
+    with pytest.raises(NetParseError, match=re.escape(message)):
+        parse_truth_table(f"{header}\n0 0\n1 1\n")
+
+
+def test_negative_header_is_out_of_range():
+    with pytest.raises(NetParseError, match="line 1: dimension -1 out of range"):
+        parse_truth_table("n=-1\n")
 
 
 def test_write_is_canonical_and_roundtrips():
-    doc = parse_truth_table(f_ex3_text())
-    text = write_truth_table(doc)
+    f = parse_truth_table(f_ex3_text())
+    text = network_to_text(f)
     again = parse_truth_table(text)
-    assert again.network == doc.network
-    assert write_truth_table(again) == text
+    assert again == f
+    assert network_to_text(again) == text
     # shuffled rows parse to the same network and re-serialise sorted
     lines = f_ex3_text().strip().splitlines()
     shuffled = [lines[0]] + random.Random(1).sample(lines[1:], len(lines) - 1)
-    assert write_truth_table(parse_truth_table("\n".join(shuffled))) == text
+    assert network_to_text(parse_truth_table("\n".join(shuffled))) == text
 
 
 def test_write_identity_on_two_bits():
-    text = write_truth_table(NetworkDocument(2, "truth-table", BooleanNetwork.identity(2)))
+    text = network_to_text(BooleanNetwork.identity(2))
     assert text == "n=2\n00 00\n10 10\n01 01\n11 11\n"
 
 
@@ -101,10 +109,10 @@ def test_write_identity_on_two_bits():
 
 def _outcome(parse, text):
     try:
-        doc = parse(text)
+        f = parse(text)
     except NetParseError as exc:
         return "error", exc.line, str(exc)
-    return "ok", doc.n, doc.network
+    return "ok", f.n, f
 
 
 def _lines(rows, end="\n"):
@@ -159,108 +167,12 @@ def test_numpy_reader_matches_line_loop(n, edit, data):
     body, canonical = _EDITS[edit](rows, data)
     text = f"n={n}\n{body}"
     assert (_parse_canonical(text) is not None) == canonical
-    loop = _outcome(lambda t: _parse_lines(t, None), text)
+    loop = _outcome(_parse_lines, text)
     assert _outcome(parse_truth_table, text) == loop
     if canonical:
         assert loop == ("ok", n, BooleanNetwork(n, tuple(image)))
     elif edit in ("a 2", "duplicate row", "missing row"):
         assert loop[0] == "error" and len(body) == (2 * n + 2) << n
-
-
-# --- expression networks
-
-
-def test_expression_example_table():
-    doc = parse_expression_network("x1, x1 | x2\nx2, x2")
-    f = doc.network
-    assert f(cfg("00")) == cfg("00")
-    assert f(cfg("01")) == cfg("11")
-    assert f(cfg("10")) == cfg("10")
-    assert f(cfg("11")) == cfg("11")
-
-
-def test_expression_negation():
-    assert parse_expression_network("x1, !x1").network == BooleanNetwork.negation(1)
-
-
-def test_expression_syntax_error_at_end():
-    with pytest.raises(ExpressionError):
-        parse_expression_network("x1, x2 &\nx2, x1")
-
-
-def test_expression_missing_coordinate():
-    with pytest.raises(NetParseError, match="missing coordinate line for x2"):
-        parse_expression_network("x1, x1\nx3, x3")
-
-
-def test_expression_undefined_variable():
-    with pytest.raises(NetParseError, match="undefined variable x4"):
-        parse_expression_network("x1, x4\nx2, x2\nx3, x3")
-
-
-def test_expression_index_above_dimension_cap():
-    # Rejected while parsing, before any 2^n table is built.
-    with pytest.raises(NetParseError, match="line 2: coordinate index 25 is above the cap n=20"):
-        parse_expression_network("x1, x1\nx25, 0")
-
-
-def test_expression_precedence():
-    # ! binds tighter than &, & tighter than ^, ^ tighter than |
-    doc = parse_expression_network("x1, !x1 & x2 ^ x2 | x1\nx2, x2")
-    f = doc.network
-    for bits in range(4):
-        x1, x2 = bits & 1, bits >> 1 & 1
-        expected = (((1 - x1) & x2) ^ x2) | x1
-        assert f.image[bits] & 1 == expected
-
-
-def random_tree(rng, n, depth):
-    if depth == 0 or rng.random() < 0.3:
-        if rng.random() < 0.2:
-            return ("const", rng.randrange(2))
-        return ("var", rng.randrange(1, n + 1))
-    op = rng.choice(["and", "xor", "or", "not"])
-    if op == "not":
-        return ("not", random_tree(rng, n, depth - 1))
-    return (op, random_tree(rng, n, depth - 1), random_tree(rng, n, depth - 1))
-
-
-def render(node):
-    op = node[0]
-    if op == "const":
-        return str(node[1])
-    if op == "var":
-        return f"x{node[1]}"
-    if op == "not":
-        return f"!({render(node[1])})"
-    sym = {"and": "&", "xor": "^", "or": "|"}[op]
-    return f"({render(node[1])} {sym} {render(node[2])})"
-
-
-def eval_tree(node, x, n):
-    # independent recursive evaluator over a single configuration
-    op = node[0]
-    if op == "const":
-        return node[1]
-    if op == "var":
-        return x >> (node[1] - 1) & 1
-    if op == "not":
-        return 1 - eval_tree(node[1], x, n)
-    a, b = eval_tree(node[1], x, n), eval_tree(node[2], x, n)
-    return {"and": a & b, "xor": a ^ b, "or": a | b}[op]
-
-
-def test_expression_network_matches_independent_evaluator():
-    rng = random.Random(42)
-    for n in range(1, 7):
-        trees = [random_tree(rng, n, 4) for _ in range(n)]
-        text = "\n".join(f"x{i + 1}, {render(t)}" for i, t in enumerate(trees))
-        f = parse_expression_network(text).network
-        for x in range(1 << n):
-            expected = 0
-            for i, t in enumerate(trees):
-                expected |= eval_tree(t, x, n) << i
-            assert f.image[x] == expected
 
 
 # --- DOT export
@@ -314,7 +226,7 @@ def test_dot_is_byte_stable():
 
 def test_roundtrip_via_network_text():
     f = f_ex3()
-    assert parse_truth_table(network_to_text(f)).network == f
+    assert parse_truth_table(network_to_text(f)) == f
 
 
 def test_byte_array_writer_matches_rowwise_oracle_and_roundtrips():
@@ -325,4 +237,4 @@ def test_byte_array_writer_matches_rowwise_oracle_and_roundtrips():
     for f in networks:
         text = network_to_text(f)
         assert text == rowwise_truth_table(f)
-        assert parse_truth_table(text).network == f
+        assert parse_truth_table(text) == f
