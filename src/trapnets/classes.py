@@ -3,10 +3,12 @@
 Every class predicate is computed from its own primary definition; the
 ``check_alternate_definitions`` entry point evaluates each of a class's
 equivalent defining conditions independently so their agreement can be
-verified over whole populations.  Flags and conditions are the columns of
-a ``ClassBlock``, filled for a block of networks by stacked ``*_rows``
-kernels over their (k, 2^n) image rows; the per-network functions and the
-flags of a ``NetworkProfile`` read the row of a block of one network.
+verified over whole populations.  A ``NetworkProfile`` is a row of a
+``ProfileBlock``, which owns the facts of a block of networks: its
+trapspace stacks and its class columns (flags and conditions), each filled
+on first use by one stacked ``*_rows`` kernel over their (k, 2^n) image
+rows.  A profile that no block took is row 0 of a block of itself, so the
+per-network functions read the same kernels.
 The implication diagrams encode which class memberships force which others
 (unconditionally, for trapping networks, or for commutative networks)
 together with the counterexample fixtures witnessing the absent arrows.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import importlib.resources
+import weakref
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -37,19 +40,19 @@ from .generators import exhaustive_networks
 from .netio import parse_truth_table
 from .trapspaces import (
     _subcube_or,
-    fixed_point_table,
-    minimal_cover,
-    principal_pairs,
+    cover_rows,
+    fixed_point_rows,
+    min_extension_rows,
+    principal_rows,
     trapping_closure,
     trapping_graph,
-    trapspace_mask,
-    min_trapping_extension,
+    trapspace_rows,
 )
 
 # The theorems with a subset-pair and an interval condition.
 PAIR_THEOREMS = ("trapping7", "commutative3", "marseille4", "lille4", "globally_idempotent3")
 
-# The defining conditions of each theorem, as ``ClassBlock`` columns.  Each
+# The defining conditions of each theorem, as ``ProfileBlock`` columns.  Each
 # condition is its own test: two conditions of one theorem may read the same
 # index arrays, never the same predicate.
 VECTORS = {
@@ -309,18 +312,25 @@ def descent_rows(
 
 
 class _Flag(cached_property):
-    """A class flag: the profile's entry in that column of its ``classes``."""
+    """A class flag: the profile's entry in that column of its block."""
 
     def __init__(self):
         super().__init__(lambda profile: profile.prop(self.attrname))
 
 
 class NetworkProfile:
-    """Lazily computed facts about one network, shared across checks."""
+    """Lazily computed facts about one network, shared across checks.  Its
+    trapspace facts and class flags are its row of a ``ProfileBlock``."""
 
     def __init__(self, f: BooleanNetwork):
         self.f = f
         self.n = f.n
+
+    @cached_property
+    def block_row(self) -> tuple["ProfileBlock", int]:
+        """(block, row) of this profile: where a ``ProfileBlock`` took it,
+        else row 0 of a block of itself."""
+        return ProfileBlock([self]), 0
 
     def _shared(self, g: HypercubeGraph) -> HypercubeGraph:
         # Equal graphs (e.g. the general and trapping graphs of a trapping
@@ -338,7 +348,9 @@ class NetworkProfile:
 
     @cached_property
     def pt_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        return principal_pairs(self.f)
+        block, i = self.block_row
+        free, base = block.principal
+        return free[i], base[i]
 
     @cached_property
     def closure(self) -> BooleanNetwork:
@@ -354,19 +366,17 @@ class NetworkProfile:
 
     @cached_property
     def trapspace_collection(self) -> SubcubeCollection:
-        return SubcubeCollection(self.n, trapspace_mask(self.f))
-
-    @cached_property
-    def cover(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """``minimal_cover``: the minimal trapspaces, the configurations they
-        cover and the number of distinct principal trapspaces, from one count."""
-        return minimal_cover(self.f, self.pt_pairs)
+        block, i = self.block_row
+        return SubcubeCollection(self.n, block.trapspaces[i])
 
     @cached_property
     def minimal_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(free, base) of the minimal trapspaces, in ``pairs()`` order, and
         the configurations they cover; no 3^n mask is built."""
-        return self.cover[:3]
+        block, i = self.block_row
+        index, free, base, covered, _ = block.cover
+        start, stop = np.searchsorted(index, (i, i + 1)).tolist()
+        return free[start:stop], base[start:stop], covered[i]
 
     @cached_property
     def minimal(self) -> tuple[SubcubeCollection, np.ndarray]:
@@ -374,8 +384,15 @@ class NetworkProfile:
         return SubcubeCollection.from_pairs(self.n, free, base), covered
 
     @cached_property
+    def pt_distinct(self) -> int:
+        """The number of distinct principal trapspaces."""
+        block, i = self.block_row
+        return int(block.cover[4][i])
+
+    @cached_property
     def min_extension(self) -> BooleanNetwork:
-        return min_trapping_extension(self.f, self.pt_pairs, self.minimal_pairs[2])
+        block, i = self.block_row
+        return BooleanNetwork(self.n, tuple(block.min_extensions[i].tolist()))
 
     @cached_property
     def pt_flags(self):
@@ -391,11 +408,6 @@ class NetworkProfile:
         return single_update_rows(self.f.np_image[None], self.n)[0]
 
     @cached_property
-    def classes(self) -> "ClassBlock":
-        """This network alone as a block of the class layer."""
-        return ClassBlock([self])
-
-    @cached_property
     def globally_flags(self) -> tuple[bool, bool, bool]:
         return tuple(self.prop(f"globally_{w}") for w in ("bijective", "involutive", "idempotent"))
 
@@ -404,6 +416,10 @@ class NetworkProfile:
     @cached_property
     def trapping(self) -> bool:
         return graph_property(self.graph_ga, "transitive")
+
+    @cached_property
+    def fixable(self) -> bool:
+        return graph_property(self.graph_a, "sink-terminal")
 
     commutative = _Flag()
     bijective = _Flag()
@@ -416,34 +432,16 @@ class NetworkProfile:
     lille = _Flag()
     globally_idempotent = _Flag()
     dynamically_local = _Flag()
+    dpt = _Flag()
+    trapspace_fp = _Flag()
     interval_fp = _Flag()
     interval_ufp = _Flag()
-
-    @cached_property
-    def pt_distinct(self) -> int:
-        """The number of distinct principal trapspaces."""
-        return self.cover[3]
-
-    @cached_property
-    def dpt(self) -> bool:
-        return self.pt_distinct == 1 << self.n
-
-    @cached_property
-    def fixable(self) -> bool:
-        return graph_property(self.graph_a, "sink-terminal")
-
-    @cached_property
-    def trapspace_fp(self) -> bool:
-        # Every trapspace contains a fixed point.
-        return bool(fixed_point_table(self.f)[self.trapspace_collection.mask].all())
-
-    @cached_property
-    def min_trapping(self) -> bool:
-        return self.f == self.min_extension
+    min_trapping = _Flag()
 
     def prop(self, name: str) -> bool:
-        """The class flag or condition ``name`` (a ``ClassBlock`` column)."""
-        return bool(self.classes[name][0])
+        """The class flag or condition ``name`` (a ``ProfileBlock`` column)."""
+        block, i = self.block_row
+        return bool(block[name][i])
 
 
 @functools.lru_cache(maxsize=None)
@@ -454,36 +452,63 @@ def _all_closure_tables(n: int) -> frozenset[tuple[int, ...]]:
 
 _GRAPH_PREDICATES = ("symmetric", "oriented", "triangular", "sink_terminal")
 _SUBCUBE_CONDITIONS = ("negation_on_subcubes", "constant_on_arrangements")
-# Flags read off each profile's own facts: graphs, cover, min extension.
-_PROFILE_FACTS = ("trapping", "fixable", "dpt", "trapspace_fp", "min_trapping")
+# Flags read off each profile's own graphs.
+_PROFILE_FACTS = ("trapping", "fixable")
 
 
-class ClassBlock:
-    """The class layer of a block of profiles of one dimension: one boolean
-    column per class flag, per diagram node and per alternate-definition
-    condition (the names in ``VECTORS``), entry i of which is ``profiles[i]``'s.
+class ProfileBlock:
+    """The facts of a block of profiles of one dimension, each filled on
+    first use over their (k, 2^n) image rows; entry i of each is
+    ``profiles[i]``'s, which reads its trapspace facts and flags there.
 
-    A column is filled on first use, with the others of its kernel: a
-    stacked ``*_rows`` kernel over the block's (k, 2^n) image rows, the
-    profiles' own facts, or an expression in other columns.  A graph
-    predicate is computed once per distinct graph.  A column that is a
-    ``NetworkProfile`` flag is also written into each profile."""
+    The trapspace stacks are one call each of ``principal_rows``,
+    ``trapspace_rows``, ``cover_rows`` and ``min_extension_rows``, and the
+    ``trapspace_fp`` column one of ``fixed_point_rows``.  The class layer
+    holds one boolean column per class flag, per diagram node and per
+    alternate-definition condition (the names in ``VECTORS``), filled with
+    the others of its kernel: a stacked ``*_rows`` kernel, the trapspace
+    stacks, the profiles' own graphs, or an expression in other columns.  A
+    graph predicate is computed once per distinct graph.
+
+    Each profile holds its block, and the block refers to its profiles
+    weakly: with no cycle between them, a block is freed with the last of
+    its profiles, not at the next full collection.  Whoever builds a block
+    keeps its profiles while it reads the columns of their own facts."""
 
     def __init__(self, profiles: list[NetworkProfile]):
-        self.profiles = profiles
+        self.profiles = [weakref.proxy(p) for p in profiles]
         self.n = profiles[0].n
-        self.images = np.stack([p.f.np_image for p in profiles])
+        images = [p.f.np_image for p in profiles]
+        # A block of one, as ``analyze`` builds, views its image: no 2^n copy.
+        self.images = images[0][None] if len(images) == 1 else np.stack(images)
         self._columns: dict[str, np.ndarray] = {}
         self._graph_flags: dict[tuple[int, str], bool] = {}
+        for i, p in enumerate(profiles):
+            p.block_row = self, i
+
+    @cached_property
+    def principal(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (free, base) stacks of ``principal_rows``."""
+        return principal_rows(self.images, self.n)
+
+    @cached_property
+    def trapspaces(self) -> np.ndarray:
+        """The (k, 3^n) trapspace masks of ``trapspace_rows``."""
+        return trapspace_rows(self.images, self.n)
+
+    @cached_property
+    def cover(self) -> tuple[np.ndarray, ...]:
+        """``cover_rows`` of the principal stacks."""
+        return cover_rows(*self.principal, self.n)
+
+    @cached_property
+    def min_extensions(self) -> np.ndarray:
+        """The (k, 2^n) images of ``min_extension_rows``."""
+        return min_extension_rows(self.principal[0], self.cover[3], self.n)
 
     def __getitem__(self, name: str) -> np.ndarray:
         if name not in self._columns:
-            filled = self._fill(name)
-            for flag, column in filled.items():
-                if isinstance(vars(NetworkProfile).get(flag), _Flag):
-                    for p, value in zip(self.profiles, column.tolist()):
-                        vars(p).setdefault(flag, value)
-            self._columns.update(filled)
+            self._columns.update(self._fill(name))
         return self._columns[name]
 
     def vector(self, theorem: str) -> np.ndarray:
@@ -517,7 +542,7 @@ class ClassBlock:
         if name.endswith(".intervals") or name in _SUBCUBE_CONDITIONS:
             return interval_rows(images, n, self.intervals)
         if name in ("descent", "principal_fp"):
-            return descent_rows(images, *(self._each(lambda p: p.pt_pairs[i]) for i in (0, 1)), n)
+            return descent_rows(images, *self.principal, n)
         if name.startswith("globally_"):
             return globally_rows(images, n)
         if name in ("interval_fp", "interval_ufp"):
@@ -540,10 +565,12 @@ class ClassBlock:
             "some_closure": lambda: self._each(
                 lambda p: p.f.image in _all_closure_tables(n) if n <= CAPS["exhaustive"]
                 else p.closure == p.f),
-            "principal_moves": lambda: np.all((xs ^ images) == self._each(
-                lambda p: p.pt_pairs[0]), axis=1),
-            "minimal_fixed": lambda: np.all(self._each(
-                lambda p: p.minimal_pairs[2]) == (xs == images), axis=1),
+            "principal_moves": lambda: np.all((xs ^ images) == self.principal[0], axis=1),
+            "minimal_fixed": lambda: np.all(self.cover[3] == (xs == images), axis=1),
+            "dpt": lambda: self.cover[4] == 1 << n,
+            # Every trapspace contains a fixed point.
+            "trapspace_fp": lambda: np.all(fixed_point_rows(images, n) | ~self.trapspaces, axis=1),
+            "min_trapping": lambda: np.all(self.min_extensions == images, axis=1),
         }[name]()}
 
 
@@ -602,7 +629,7 @@ def check_alternate_definitions(
     f: BooleanNetwork, theorem: str, profile: NetworkProfile | None = None
 ) -> tuple[bool, ...]:
     """Evaluate each equivalent defining condition of a class independently:
-    f's row of ``ClassBlock.vector``.
+    f's row of ``ProfileBlock.vector``.
 
     Returns one boolean per condition; a mixed vector on any network
     contradicts the corresponding equivalence and is a build-breaking
@@ -613,7 +640,8 @@ def check_alternate_definitions(
     if theorem not in VECTORS:
         raise ValueError(f"unknown theorem {theorem!r}")
     p = profile if profile is not None else NetworkProfile(f)
-    return tuple(p.classes.vector(theorem)[0].tolist())
+    block, i = p.block_row
+    return tuple(block.vector(theorem)[i].tolist())
 
 
 def trapspace_equivalent(
@@ -843,7 +871,7 @@ def load_fixture(diagram: str, label: str) -> BooleanNetwork:
     return parse_truth_table(text)
 
 
-def implication_rows(diagram: DiagramSpec, block: ClassBlock) -> list[list[DiagramViolation]]:
+def implication_rows(diagram: DiagramSpec, block: ProfileBlock) -> list[list[DiagramViolation]]:
     """``diagram_implication_violations`` of each network of a block: an
     edge fails on the rows of its column ``guard & source & ~target``."""
     fails = np.array([block[e.guard] & block[e.source] & ~block[e.target] for e in diagram.edges])
@@ -859,8 +887,9 @@ def diagram_implication_violations(
     diagram: DiagramSpec, p: NetworkProfile
 ) -> list[DiagramViolation]:
     """Correctness on one network: if it satisfies an edge's source and guard,
-    it must satisfy the edge's target.  Row 0 of ``implication_rows``."""
-    return implication_rows(diagram, p.classes)[0]
+    it must satisfy the edge's target.  Its row of ``implication_rows``."""
+    block, i = p.block_row
+    return implication_rows(diagram, block)[i]
 
 
 def diagram_counterexample_violations(diagram: DiagramSpec) -> list[DiagramViolation]:

@@ -34,13 +34,13 @@ from .verify import SUITES, run_verification, sample_population
 
 
 def _int_at_least(low: int):
-    """An argparse type for integers of at least ``low``."""
+    """An argparse type for integers of at least ``low``, written as ASCII
+    digits with an optional leading minus, as in a truth-table header."""
 
     def parse(value: str) -> int:
-        try:
-            n = int(value)
-        except ValueError:
+        if not (value.isascii() and value.removeprefix("-").isdigit()):
             raise argparse.ArgumentTypeError(f"{value!r} is not an integer")
+        n = int(value)
         if n < low:
             raise argparse.ArgumentTypeError(f"value must be at least {low}")
         return n

@@ -53,9 +53,10 @@ Every whole-network kernel has one body, over a stack of k networks of
 one dimension given as a (k, 2^n) array of image rows: ``principal_rows``,
 ``trapspace_rows``, ``fixed_point_rows``, ``cover_rows`` (one
 ``np.unique`` over the keys ``i << 2n | free << n | base`` of all k
-principal maps) and ``min_extension_rows``.  Sampled ``verify`` fills a
-block of profiles with one call of each; the per-network functions run
-the same body on a stack of one network and read its row.
+principal maps) and ``min_extension_rows``.  A ``classes.ProfileBlock``
+calls each at most once, on first use, for the profiles it holds; the
+per-network functions run the same body on a stack of one network and
+read its row.
 """
 
 from __future__ import annotations
@@ -278,26 +279,20 @@ def cover_rows(
     return index[minimal], free[minimal], base[minimal], covered, distinct
 
 
-def minimal_cover(
-    f: BooleanNetwork, pairs: tuple[np.ndarray, np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def minimal_cover(f: BooleanNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Row 0 of ``cover_rows``: (free, base) of the minimal trapspaces of f,
     sorted by free mask, then base, the read-only bool array of the
     configurations they cover, and the number of distinct principal
-    trapspaces.  ``pairs`` are the principal pairs of f when already
-    computed; the ``table`` cap applies.
+    trapspaces.  The ``table`` cap applies.
     """
-    free, base = principal_pairs(f) if pairs is None else pairs
-    _, free, base, covered, distinct = cover_rows(free[None], base[None], f.n)
+    _, free, base, covered, distinct = cover_rows(*principal_rows(f.np_image[None], f.n), f.n)
     return free, base, covered[0], int(distinct[0])
 
 
-def minimal_trapspaces(
-    f: BooleanNetwork, pairs: tuple[np.ndarray, np.ndarray] | None = None
-) -> tuple[SubcubeCollection, np.ndarray]:
+def minimal_trapspaces(f: BooleanNetwork) -> tuple[SubcubeCollection, np.ndarray]:
     """Minimal trapspaces of f and the read-only bool array of the
     configurations they cover: ``minimal_cover`` as a collection."""
-    free, base, covered, _ = minimal_cover(f, pairs)
+    free, base, covered, _ = minimal_cover(f)
     return SubcubeCollection.from_pairs(f.n, free, base), covered
 
 
@@ -335,20 +330,13 @@ def min_extension_rows(free: np.ndarray, covered: np.ndarray, n: int) -> np.ndar
     return np.arange(1 << n) ^ np.where(covered, free, (1 << n) - 1)
 
 
-def min_trapping_extension(
-    f: BooleanNetwork,
-    pairs: tuple[np.ndarray, np.ndarray] | None = None,
-    covered: np.ndarray | None = None,
-) -> BooleanNetwork:
+def min_trapping_extension(f: BooleanNetwork) -> BooleanNetwork:
     """Realisation of the minimal-trapspace collection: row 0 of
     ``min_extension_rows``.
 
     Inside a minimal trapspace each configuration moves to its opposite in
     that trapspace; every other configuration maps to its full negation.
-    ``pairs`` are the principal pairs of f and ``covered`` the configurations
-    its minimal trapspaces cover, when already computed.
     """
-    pairs = principal_pairs(f) if pairs is None else pairs
-    covered = minimal_cover(f, pairs)[2] if covered is None else covered
-    image = min_extension_rows(pairs[0][None], covered[None], f.n)[0]
+    free, base = principal_rows(f.np_image[None], f.n)
+    image = min_extension_rows(free, cover_rows(free, base, f.n)[3], f.n)[0]
     return BooleanNetwork(f.n, tuple(image.tolist()))

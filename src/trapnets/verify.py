@@ -13,20 +13,20 @@ is missing).  The calling process checks the first chunk and a forked child
 each other one; the results are rejoined by index, so the violations, and
 their order, do not depend on the number of chunks.  A chunk is checked in
 blocks of at most ``_block_size(n)`` and at most ``_MAX_BLOCK`` networks,
-whose profiles live together.  The trapspace facts of a block (principal
-pairs, trapspaces, minimal cover, fixed points, min extension) are one
-stacked call of each kernel over the image rows of its networks, and a
-second call fills one profile per distinct closure and min extension of
-the block.  Its collection facts (recognisers, union closure, pointwise
-reduction, realisation) are single lattice passes over the stacked masks
-of its networks.  Its class layer is a ``ClassBlock``: one boolean column
-per class flag and per alternate-definition condition, each from a stacked
-kernel over the image rows (graph predicates once per distinct graph).  A
-mixed row of a theorem's (k, m) vector table is a violation, as is a true
-entry of an edge's ``guard & source & ~target`` or of a hierarchy fact's
-column.  The checks that span networks (monotonicity pairs, compared in
-one broadcast) and the diagrams' fixture counterexamples then run once,
-in the caller.
+whose profiles are the rows of one ``ProfileBlock``.  That block owns the
+trapspace facts of its networks (principal pairs, trapspaces, minimal
+cover, fixed points, min extension), each one stacked kernel call over
+their image rows on first use, and its class layer: one boolean column per
+class flag and per alternate-definition condition, each from a stacked
+kernel over the image rows (graph predicates once per distinct graph).
+The distinct closures and min extensions of the block are the rows of a
+second block.  The first block's collection facts (recognisers, union
+closure, pointwise reduction, realisation) are single lattice passes over
+the stacked masks of its networks.  A mixed row of a theorem's (k, m)
+vector table is a violation, as is a true entry of an edge's
+``guard & source & ~target`` or of a hierarchy fact's column.  The checks
+that span networks (monotonicity pairs, compared in one broadcast) and
+the diagrams' fixture counterexamples then run once, in the caller.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ import numpy as np
 
 from .classes import (
     DIAGRAMS,
-    ClassBlock,
     NetworkProfile,
+    ProfileBlock,
     THEOREM_SIZES,
     diagram_counterexample_violations,
     implication_rows,
@@ -50,7 +50,6 @@ from .classes import (
 )
 from .core import BooleanNetwork, bit_counts, commutative_rows, lattice_combine, order_leq
 from .cubesets import (
-    SubcubeCollection,
     convex_rows,
     lambda_rows,
     min_ideal_rows,
@@ -66,13 +65,7 @@ from .generators import (
     random_constant_on_arrangements,
     random_negation_on_subcubes,
 )
-from .trapspaces import (
-    cover_rows,
-    fixed_point_rows,
-    min_extension_rows,
-    principal_rows,
-    trapspace_rows,
-)
+from .trapspaces import principal_rows
 
 SUITES = ("all", "theorems", "diagrams", "closure")
 
@@ -107,7 +100,7 @@ def sample_population(n: int, samples: int, seed: int) -> list[BooleanNetwork]:
 # per-network checks
 
 
-def alternate_definition_violations(block: ClassBlock) -> list[list[Violation]]:
+def alternate_definition_violations(block: ProfileBlock) -> list[list[Violation]]:
     """Every alternate-definition vector must be constant: one list per
     network of the block, whose row of a theorem's vector table is mixed."""
     out = [[] for _ in block.profiles]
@@ -233,37 +226,6 @@ def _images(networks: list[BooleanNetwork]) -> np.ndarray:
     return np.array([f.image for f in networks], dtype=np.int64)
 
 
-def _profiles(networks: list[BooleanNetwork]) -> list[NetworkProfile]:
-    """Profiles of networks of one dimension, each primary trapspace fact of
-    which is one stacked call over all of them: the principal pairs, the
-    trapspace mask, the minimal cover, whether every trapspace holds a fixed
-    point, and the min extension.  Facts derived from these stay lazy."""
-    if not networks:
-        return []
-    n = networks[0].n
-    images = _images(networks)
-    free, base = principal_rows(images, n)
-    masks = trapspace_rows(images, n)
-    index, min_free, min_base, covered, distinct = cover_rows(free, base, n)
-    splits = np.cumsum(np.bincount(index, minlength=len(networks)))[:-1]
-    minimal = zip(np.split(min_free, splits), np.split(min_base, splits))
-    trapspace_fp = np.all(fixed_point_rows(images, n) | ~masks, axis=1).tolist()
-    extensions = min_extension_rows(free, covered, n).tolist()
-    profiles = []
-    for i, (f, (min_f, min_b)) in enumerate(zip(networks, minimal)):
-        p = NetworkProfile(f)
-        # A cached property reads its value from the instance dictionary.
-        vars(p).update(
-            pt_pairs=(free[i], base[i]),
-            trapspace_collection=SubcubeCollection(n, masks[i]),
-            cover=(min_f, min_b, covered[i], int(distinct[i])),
-            trapspace_fp=trapspace_fp[i],
-            min_extension=BooleanNetwork(n, tuple(extensions[i])),
-        )
-        profiles.append(p)
-    return profiles
-
-
 def _same_rows(a: np.ndarray, b: np.ndarray) -> list[bool]:
     return np.all(a == b, axis=1).tolist()
 
@@ -271,15 +233,15 @@ def _same_rows(a: np.ndarray, b: np.ndarray) -> list[bool]:
 class CollectionBlock:
     """The collection facts of a block of profiles of one dimension: each is
     one stacked lattice pass over the block's principal (P), trapspace (J) or
-    minimal (N) masks.  Entry i of every list belongs to ``profiles[i]``,
-    whose related networks ``related[i]`` profiles (see ``_related_profiles``)."""
+    minimal (N) masks.  Entry i of every list belongs to ``profiles[i]``;
+    ``profile`` profiles their related networks (see ``_related_profiles``)."""
 
-    def __init__(self, profiles: list[NetworkProfile], related: list):
+    def __init__(self, profiles: list[NetworkProfile], profile):
         n = profiles[0].n
         P = np.stack([p.pt_collection.mask for p in profiles])
         J = np.stack([p.trapspace_collection.mask for p in profiles])
         N = np.stack([p.minimal[0].mask for p in profiles])
-        self.profiles, self.related = profiles, related
+        self.profiles, self.profile = profiles, profile
         self.pre_principal = pre_principal_rows(P, n).tolist()
         self.convex = convex_rows(P, n).tolist()
         self.pre_ideal = pre_ideal_rows(J, n).tolist()
@@ -303,8 +265,8 @@ def collection_roundtrip_violations(block: CollectionBlock) -> list[list[Violati
     """Realisation, union-closure and pointwise-reduction round-trips: one
     list per network of the block."""
     out = []
+    profile = block.profile
     for i, p in enumerate(block.profiles):
-        profile = block.related[i]
         principal, ideals = p.pt_collection, p.trapspace_collection
         minimal, _ = p.minimal
         realized_q, realized_j = block.realized_p[i], block.realized_j[i]
@@ -378,7 +340,7 @@ def distance_bound_violation(f: BooleanNetwork) -> str | None:
 
 
 def commutative_claim_violations(
-    block: ClassBlock, convex: list[bool], realized: list[BooleanNetwork]
+    block: ProfileBlock, convex: list[bool], realized: list[BooleanNetwork]
 ) -> list[list[Violation]]:
     """Commutative facts, one list per network i of the block, given whether
     its principal collection is convex (``convex[i]``) and its realisation."""
@@ -398,7 +360,7 @@ def commutative_claim_violations(
     return out
 
 
-def hierarchy_violations(block: ClassBlock) -> list[list[Violation]]:
+def hierarchy_violations(block: ProfileBlock) -> list[list[Violation]]:
     """Class-containment facts not already edges of a single diagram, one
     list per network of the block: each fact is one column expression, true
     on the networks that break it."""
@@ -445,55 +407,61 @@ def _related_profiles(*profiles: NetworkProfile):
 
 def _check_chunk(networks: list[BooleanNetwork], suite: str) -> list[tuple]:
     """Every per-network check of ``suite`` on part of the population, one
-    block of profiles at a time; a block's trapspace and collection facts
-    are stacked passes, and its profiles are dropped after it.
+    block of networks at a time (``_check_block``).
 
     Returns, per network in order, its theorem violations, its closure-law
     violations, its closure (for the monotonicity pairs; None outside the
     closure suite) and, per diagram of ``DIAGRAMS``, its implication violations.
     """
+    return [record for nets in _blocks(networks) for record in _check_block(nets, suite)]
+
+
+def _check_block(nets: list[BooleanNetwork], suite: str) -> list[tuple]:
+    """``_check_chunk`` of one block: its trapspace, class and collection
+    facts are stacked passes, and its profiles and their blocks are freed on
+    return, before the next block's are built."""
     theorem_suite = suite in ("all", "theorems")
     diagram_suite = suite in ("all", "diagrams")
     records = []
-    for block in _blocks(networks):
-        profiles = _profiles(block)
-        related = []
-        if suite != "diagrams":
-            # One stacked profile per distinct closure and min extension of
-            # the block that is not one of its networks; the realisations of
-            # the collections are these networks too.
-            own = {p.f for p in profiles}
-            related = _profiles(list(dict.fromkeys(
-                g for p in profiles for g in (p.closure, p.min_extension) if g not in own
-            )))
-        profile = _related_profiles(*profiles, *related)
-        if suite != "closure":
-            classes = ClassBlock(profiles)
+    profiles = [NetworkProfile(f) for f in nets]
+    block = ProfileBlock(profiles)
+    related = []
+    if suite != "diagrams":
+        # One profile per distinct closure and min extension of the block
+        # that is not one of its networks, all rows of one more block; the
+        # realisations of the collections are these networks too.
+        own = set(nets)
+        related = [NetworkProfile(g) for g in dict.fromkeys(
+            g for p in profiles for g in (p.closure, p.min_extension) if g not in own
+        )]
+        if related:
+            ProfileBlock(related)
+    profile = _related_profiles(*profiles, *related)
+    if theorem_suite:
+        facts = CollectionBlock(profiles, profile)
+        roundtrips = collection_roundtrip_violations(facts)
+        alternates = alternate_definition_violations(block)
+        commutative = commutative_claim_violations(block, facts.convex, facts.realized_p)
+        hierarchy = hierarchy_violations(block)
+    if diagram_suite:
+        implications = [implication_rows(d, block) for d in DIAGRAMS.values()]
+    for i, p in enumerate(profiles):
+        theorems, laws, closure = [], [], None
         if theorem_suite:
-            facts = CollectionBlock(profiles, [profile] * len(profiles))
-            roundtrips = collection_roundtrip_violations(facts)
-            alternates = alternate_definition_violations(classes)
-            commutative = commutative_claim_violations(classes, facts.convex, facts.realized_p)
-            hierarchy = hierarchy_violations(classes)
+            theorems += alternates[i]
+            theorems += roundtrips[i]
+            theorems += dynamics_claim_violations(p)
+            theorems += commutative[i]
+            theorems += hierarchy[i]
+            theorems += equivalence_vector_violations(p, profile(p.closure))
+            theorems += equivalence_vector_violations(p, profile(p.min_extension))
+        if suite in ("all", "closure"):
+            laws = closure_law_violations(p, profile)
+            closure = p.closure
+        diagram_rows = [[] for _ in DIAGRAMS]
         if diagram_suite:
-            implications = [implication_rows(d, classes) for d in DIAGRAMS.values()]
-        for i, p in enumerate(profiles):
-            theorems, laws, closure = [], [], None
-            if theorem_suite:
-                theorems += alternates[i]
-                theorems += roundtrips[i]
-                theorems += dynamics_claim_violations(p)
-                theorems += commutative[i]
-                theorems += hierarchy[i]
-                theorems += equivalence_vector_violations(p, profile(p.closure))
-                theorems += equivalence_vector_violations(p, profile(p.min_extension))
-            if suite in ("all", "closure"):
-                laws = closure_law_violations(p, profile)
-                closure = p.closure
-            diagram_rows = [[] for _ in DIAGRAMS]
-            if diagram_suite:
-                diagram_rows = [_diagram_violations(rows[i]) for rows in implications]
-            records.append((theorems, laws, closure, diagram_rows))
+            diagram_rows = [_diagram_violations(rows[i]) for rows in implications]
+        records.append((theorems, laws, closure, diagram_rows))
     return records
 
 

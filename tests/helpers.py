@@ -774,7 +774,7 @@ def _is_permutation(table: np.ndarray) -> bool:
 
 
 def loop_class_flags(p) -> dict[str, bool]:
-    """Oracle: the class flags of ``ClassBlock`` that its stacked kernels fill,
+    """Oracle: the class flags of ``ProfileBlock`` that its stacked kernels fill,
     each by its former per-network definition."""
     f = p.f
     img, xs = f.np_image, np.arange(1 << f.n, dtype=np.int64)
@@ -869,7 +869,7 @@ def per_network_class_violations(f: BooleanNetwork, flag) -> tuple[list, list, d
     """Oracle (the library's former per-network checks): the alternate-
     definition and hierarchy violations of one network and its implication
     violations by diagram, given ``flag(name)``, its class flags and
-    conditions by ``ClassBlock`` column name."""
+    conditions by ``ProfileBlock`` column name."""
     alternates = []
     for theorem, names in VECTORS.items():
         vector = tuple(flag(name) for name in names)

@@ -1,14 +1,17 @@
 """The class layer of sampled `verify` as stacked passes: every column of a
-``ClassBlock`` against its labelled oracle, the former per-network body,
+``ProfileBlock`` against its labelled oracle, the former per-network body,
 exhaustively at n <= 2 and on samples at n = 3..6, for blocks of one network
 and of many."""
+
+import gc
+import weakref
 
 import numpy as np
 from trapnets import BooleanNetwork, NetworkProfile, check_alternate_definitions
 from trapnets import verify
 from trapnets.classes import (
     VECTORS,
-    ClassBlock,
+    ProfileBlock,
     _submasks,
     interval_arrays,
     is_constant_on_arrangements,
@@ -42,11 +45,12 @@ def test_block_columns_match_the_per_network_oracles():
     seen = set()
     for networks in populations():
         n = networks[0].n
-        whole = ClassBlock([NetworkProfile(f) for f in networks])
+        profiles = [NetworkProfile(f) for f in networks]
+        whole = ProfileBlock(profiles)
         problems = distance_bound_rows(whole.images, n, whole.intervals)
         for i, f in enumerate(networks):
             p = NetworkProfile(f)
-            alone = ClassBlock([p])
+            alone = ProfileBlock([p])
             for name, expected in loop_class_flags(p).items():
                 assert bool(whole[name][i]) == bool(alone[name][0]) == expected, (name, f.image)
                 seen.add((name, expected))
@@ -68,15 +72,16 @@ def test_block_columns_match_the_per_network_oracles():
 
 def test_graph_predicates_are_computed_once_per_distinct_graph(monkeypatch):
     calls = []
-    original = ClassBlock._graph_column.__globals__["graph_property"]
+    original = ProfileBlock._graph_column.__globals__["graph_property"]
 
     def counting(g, prop):
         calls.append((id(g), prop))
         return original(g, prop)
 
-    monkeypatch.setitem(ClassBlock._graph_column.__globals__, "graph_property", counting)
+    monkeypatch.setitem(ProfileBlock._graph_column.__globals__, "graph_property", counting)
     # The general and trapping graphs of a trapping network are one object.
-    block = ClassBlock([NetworkProfile(BooleanNetwork.negation(3))])
+    p = NetworkProfile(BooleanNetwork.negation(3))
+    block = ProfileBlock([p])
     assert block["symmetric_ga"][0] and block["symmetric_tg"][0]
     assert len(calls) == len(set(calls)) == 1
 
@@ -97,4 +102,21 @@ def test_interval_arrays_of_a_negation_block_stay_inside_the_block_bound():
     block = [BooleanNetwork.negation(n)] * size
     at, s = interval_arrays(verify._images(block), n)
     assert len(at) == len(s) == size * 4**n <= verify._block_size(n) * 4**n == 2**20
-    assert ClassBlock([NetworkProfile(f) for f in block[:2]])["negation_on_subcubes"].all()
+    assert ProfileBlock([NetworkProfile(f) for f in block[:2]])["negation_on_subcubes"].all()
+
+
+def test_a_block_is_freed_with_its_profiles_without_a_collection():
+    # A cycle between a block and its profiles would keep every fact of a
+    # verify block alive until the next full collection.
+    gc.disable()
+    try:
+        profiles = [NetworkProfile(f) for f in sample_population(3, 6, 1)]
+        block = ProfileBlock(profiles)
+        assert block["symmetric_tg"].shape == block["trapspace_fp"].shape == (len(profiles),)
+        alone = NetworkProfile(BooleanNetwork.negation(3))
+        assert alone.prop("symmetric_ga") and alone.min_extension
+        refs = [weakref.ref(block), weakref.ref(alone.block_row[0])]
+        del profiles, block, alone
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

@@ -266,11 +266,11 @@ def test_min_trapping_flag_finds_minimal_trapspaces_once(monkeypatch):
 
     def counting_cover(*args):
         calls.append(args)
-        return minimal_cover(*args)
+        return cover_rows(*args)
 
-    minimal_cover = trapspaces.minimal_cover
+    cover_rows = trapspaces.cover_rows
     for module in (classes, trapspaces):
-        monkeypatch.setattr(module, "minimal_cover", counting_cover)
+        monkeypatch.setattr(module, "cover_rows", counting_cover)
     profile = NetworkProfile(f_ex3())
     assert len(profile.minimal_pairs[0]) == 3
     assert len(profile.minimal[0]) == 3

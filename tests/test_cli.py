@@ -308,6 +308,13 @@ def test_verify_negative_seed_exits_2(capsys):
     assert "value must be at least 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["diagrams", "closure"])
+def test_verify_single_suite(suite, capsys):
+    assert main(["verify", "--n", "3", "--samples", "12", "--seed", "7", "--suite", suite]) == 0
+    out = capsys.readouterr().out
+    assert f"suite={suite})" in out and out.endswith("violations: 0\n")
+
+
 def test_verify_flag_conflict(capsys):
     assert main(["verify", "--n", "2", "--exhaustive", "--samples", "5"]) == 2
 
@@ -345,6 +352,25 @@ def test_gen_negative_seed_exits_2(tmp_path, capsys):
         main(["gen", "--kind", "random", "--n", "3", "--seed", "-1", "--out", str(out_file)])
     assert info.value.code == 2
     assert "value must be at least 0" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("value", ["1_0", "+1", " 1", "\u0663"])
+@pytest.mark.parametrize("option", ["--n", "--seed", "--samples", "--parts"])
+def test_integer_options_take_ascii_digits_only(tmp_path, capsys, option, value):
+    # int() would read each of these values as 10, 1, 1 and 3.
+    out_file = tmp_path / "x.tt"
+    gen = ["gen", "--kind", "random", "--out", str(out_file)]
+    command = {
+        "--n": gen,
+        "--seed": gen + ["--n", "3"],
+        "--samples": ["verify", "--n", "3"],
+        "--parts": gen + ["--n", "3"],
+    }[option]
+    with pytest.raises(SystemExit) as info:
+        main(command + [option, value])
+    assert info.value.code == 2
+    assert f"{value!r} is not an integer" in capsys.readouterr().err
     assert not out_file.exists()
 
 

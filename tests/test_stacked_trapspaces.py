@@ -1,12 +1,17 @@
 """The stacked trapspace kernels against their per-network calls: every fact
-a verify block seeds into its profiles, row by row, for blocks of one
-network, full blocks and populations that change dimension."""
+a profile reads off its block, row by row, for blocks of one network, full
+blocks and populations that change dimension, with each kernel called once
+per block."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from trapnets import verify
+from trapnets import classes, verify
 from trapnets import trapspaces
+from trapnets.classes import NetworkProfile, ProfileBlock
+from trapnets.cli import _analysis_report
 from trapnets.core import lattice_combine
 from trapnets.generators import (
     exhaustive_networks,
@@ -17,33 +22,79 @@ from trapnets.trapspaces import (
     fixed_point_table,
     min_trapping_extension,
     minimal_cover,
+    minimal_trapspaces,
     principal_pairs,
     principal_rows,
     trapspace_mask,
 )
-from trapnets.verify import _profiles, sample_population
+from trapnets.verify import sample_population
 
 from helpers import member_loop_min_extension, single_table_principal_pairs, table_population
 
+KERNELS = ("principal_rows", "trapspace_rows", "cover_rows", "fixed_point_rows",
+           "min_extension_rows")
 
-def assert_seeded_facts_match_per_network_calls(networks):
-    profiles = _profiles(networks)
-    assert [p.f for p in profiles] == networks
-    for p in profiles:
-        f, seeded = p.f, vars(p)
-        free, base = seeded["pt_pairs"]
-        expected_free, expected_base = principal_pairs(f)
-        assert np.array_equal(free, expected_free) and np.array_equal(base, expected_base)
-        assert not free.flags.writeable and not base.flags.writeable
-        mask = trapspace_mask(f)
-        assert np.array_equal(seeded["trapspace_collection"].mask, mask)
-        min_free, min_base, covered, distinct = seeded["cover"]
-        expected = minimal_cover(f)
-        assert np.array_equal(min_free, expected[0]) and np.array_equal(min_base, expected[1])
-        assert np.array_equal(covered, expected[2]) and not covered.flags.writeable
-        assert distinct == expected[3]
-        assert seeded["trapspace_fp"] == bool(fixed_point_table(f)[mask].all())
-        assert seeded["min_extension"] == min_trapping_extension(f) == member_loop_min_extension(f)
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Calls of each stacked trapspace kernel from ``classes``, by name."""
+    calls = Counter()
+    for name in KERNELS:
+        def counting(*args, kernel=getattr(classes, name), name=name):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(classes, name, counting)
+    return calls
+
+
+def profile_facts(p):
+    """Every trapspace fact and flag a profile reads off its block."""
+    free, base = p.pt_pairs
+    min_free, min_base, covered = p.minimal_pairs
+    for array in (free, base, covered):
+        assert not array.flags.writeable
+    return {
+        "pt_pairs": (free.tolist(), base.tolist()),
+        "trapspaces": p.trapspace_collection.mask.tolist(),
+        "minimal": (min_free.tolist(), min_base.tolist(), covered.tolist()),
+        "minimal_collection": p.minimal[0],
+        "pt_distinct": p.pt_distinct,
+        "min_extension": p.min_extension,
+        "trapspace_fp": p.trapspace_fp,
+        "dpt": p.dpt,
+        "min_trapping": p.min_trapping,
+    }
+
+
+def wrapper_facts(f):
+    """The same facts from the per-network wrappers."""
+    free, base = principal_pairs(f)
+    mask = trapspace_mask(f)
+    min_free, min_base, covered, distinct = minimal_cover(f)
+    extension = min_trapping_extension(f)
+    assert extension == member_loop_min_extension(f)
+    return {
+        "pt_pairs": (free.tolist(), base.tolist()),
+        "trapspaces": mask.tolist(),
+        "minimal": (min_free.tolist(), min_base.tolist(), covered.tolist()),
+        "minimal_collection": minimal_trapspaces(f)[0],
+        "pt_distinct": distinct,
+        "min_extension": extension,
+        "trapspace_fp": bool(fixed_point_table(f)[mask].all()),
+        "dpt": distinct == 1 << f.n,
+        "min_trapping": f == extension,
+    }
+
+
+def assert_block_facts_match_per_network_calls(calls, networks):
+    calls.clear()
+    profiles = [NetworkProfile(f) for f in networks]
+    ProfileBlock(profiles)
+    read = [profile_facts(p) for p in profiles]
+    assert calls == Counter(KERNELS)
+    for f, facts in zip(networks, read):
+        assert facts == profile_facts(NetworkProfile(f)) == wrapper_facts(f)
 
 
 def blocks(monkeypatch, networks, size):
@@ -52,31 +103,31 @@ def blocks(monkeypatch, networks, size):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_sampled_blocks_seed_the_per_network_facts(monkeypatch, n):
+def test_sampled_blocks_seed_the_per_network_facts(monkeypatch, kernel_calls, n):
     networks = sample_population(n, 12 if n < 8 else 4, n)
     for size in (1, verify._MAX_BLOCK):
         for block in blocks(monkeypatch, networks, size):
-            assert_seeded_facts_match_per_network_calls(block)
+            assert_block_facts_match_per_network_calls(kernel_calls, block)
 
 
-def test_exhaustive_blocks_seed_the_per_network_facts(monkeypatch):
+def test_exhaustive_blocks_seed_the_per_network_facts(monkeypatch, kernel_calls):
     networks = exhaustive_networks(1) + exhaustive_networks(2)
     sizes = [len(block) for block in verify._blocks(networks)]
     assert sizes == [4, verify._MAX_BLOCK]
     for block in verify._blocks(networks):
-        assert_seeded_facts_match_per_network_calls(block)
+        assert_block_facts_match_per_network_calls(kernel_calls, block)
     for block in blocks(monkeypatch, networks[:20], 1):
-        assert_seeded_facts_match_per_network_calls(block)
+        assert_block_facts_match_per_network_calls(kernel_calls, block)
 
 
-def test_population_that_changes_dimension_seeds_each_block(monkeypatch):
+def test_population_that_changes_dimension_seeds_each_block(monkeypatch, kernel_calls):
     networks = sample_population(3, 10, 2) + sample_population(5, 6, 3) + sample_population(3, 4, 4)
     dims = [block[0].n for block in verify._blocks(networks)]
     assert dims == [3, 5, 3]
     for size in (1, 7, verify._MAX_BLOCK):
         for block in blocks(monkeypatch, networks, size):
             assert len({f.n for f in block}) == 1
-            assert_seeded_facts_match_per_network_calls(block)
+            assert_block_facts_match_per_network_calls(kernel_calls, block)
 
 
 @pytest.mark.parametrize("digits", [1, 2])
@@ -112,3 +163,10 @@ def test_monotone_pairs_closures_do_not_depend_on_the_block_size(monkeypatch):
         monkeypatch.setattr(verify, "_block_size", lambda n: size)
         runs.append(verify.monotone_pairs_violations(pairs, dealt))
     assert runs[0] and all(run == runs[0] for run in runs[1:])
+
+
+def test_minimal_only_report_reads_no_trapspace_or_fixed_point_table(kernel_calls):
+    # The minimal report needs neither 3^n table; trapspace_rows refuses above n = 13.
+    report = _analysis_report(random_network(16, 1), "random16", minimal_only=True)
+    assert report["trapspaces"]["minimal"] >= 1
+    assert kernel_calls == Counter(principal_rows=1, cover_rows=1)

@@ -4,6 +4,7 @@ import pytest
 from trapnets import (
     BooleanNetwork,
     Configuration,
+    NetworkProfile,
     Subcube,
     build_graph,
     enumerate_trapspaces,
@@ -334,10 +335,10 @@ def test_table_principal_pairs_match_frontier_and_brute_force():
 def test_principal_arrays_and_cover_are_read_only():
     f = f_ex3()
     free, base = principal_pairs(f)
-    _, covered = minimal_trapspaces(f, (free, base))
+    _, covered = minimal_trapspaces(f)
     assert free.dtype == base.dtype == np.int64 and free.shape == base.shape == (8,)
     assert covered.dtype == bool and covered.shape == (8,)
-    for array in (free, base, covered, minimal_trapspaces(f)[1]):
+    for array in (free, base, covered, NetworkProfile(f).minimal[1]):
         with pytest.raises(ValueError):
             array[0] = 1
 

@@ -7,7 +7,7 @@ from functools import cached_property
 import numpy as np
 
 from trapnets import NetworkProfile, SubcubeCollection, realize, trapping_closure
-from trapnets.classes import VECTORS, ClassBlock
+from trapnets.classes import VECTORS, ProfileBlock
 from trapnets.core import lattice_combine
 from trapnets.generators import exhaustive_networks
 from trapnets import verify
@@ -55,10 +55,10 @@ def test_block_roundtrips_match_the_per_network_oracle():
     fired = set()
     for n, samples, seed in ((2, 12, 1), (3, 20, 2), (4, 20, 3), (5, 8, 4)):
         profiles = perturbed_profiles(n, samples, seed)
-        related = [verify._related_profiles(p) for p in profiles]
-        block = CollectionBlock(profiles, related)
+        profile = verify._related_profiles(*profiles)
+        block = CollectionBlock(profiles, profile)
         got = collection_roundtrip_violations(block)
-        assert got == [per_network_roundtrip_violations(p, r) for p, r in zip(profiles, related)]
+        assert got == [per_network_roundtrip_violations(p, profile) for p in profiles]
         assert block.convex == [p.pt_flags.convex for p in profiles]
         assert block.realized_p == [realize(p.pt_collection) for p in profiles]
         assert not any(got[0::4])  # the unperturbed profiles
@@ -145,8 +145,8 @@ FLIPPED = (
 )
 
 
-class PerturbedClasses(ClassBlock):
-    """A class block whose ``FLIPPED`` columns are negated on the networks
+class PerturbedClasses(ProfileBlock):
+    """A profile block whose ``FLIPPED`` columns are negated on the networks
     with an image sum divisible by 3, so that the alternate-definition,
     hierarchy and diagram checks fire."""
 
@@ -162,7 +162,7 @@ def class_layer(violations):
 
 
 def test_class_violations_do_not_depend_on_the_block_size(monkeypatch):
-    monkeypatch.setattr(verify, "ClassBlock", PerturbedClasses)
+    monkeypatch.setattr(verify, "ProfileBlock", PerturbedClasses)
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
     default = verify._block_size
     for nets, suite in ((sample_population(3, 12, 5), "all"),
@@ -175,7 +175,8 @@ def test_class_violations_do_not_depend_on_the_block_size(monkeypatch):
         # The per-network oracle path, on the same flipped columns.
         expected, diagrams = [], {}
         for f in nets:
-            row = PerturbedClasses([NetworkProfile(f)])
+            p = NetworkProfile(f)
+            row = PerturbedClasses([p])
             alternates, hierarchy, implications = per_network_class_violations(
                 f, lambda name: bool(row[name][0])
             )
@@ -193,3 +194,12 @@ def test_class_violations_do_not_depend_on_the_block_size(monkeypatch):
             if v.check == "alternate-definitions":
                 assert re.fullmatch(r"\w+ vector is mixed: \((True|False)(, (True|False))+\)", v.detail)
         assert {v.detail.split()[0] for v in got if v.check == "alternate-definitions"} == set(VECTORS)
+
+
+def test_all_suite_is_the_other_suites_concatenated(monkeypatch):
+    monkeypatch.setattr(verify, "NetworkProfile", PerturbedProfile)
+    monkeypatch.setattr(verify, "ProfileBlock", PerturbedClasses)
+    nets = sample_population(3, 12, 5)
+    sections = [run_verification(nets, suite) for suite in ("theorems", "closure", "diagrams")]
+    assert all(sections)
+    assert run_verification(nets, "all") == [v for section in sections for v in section]
