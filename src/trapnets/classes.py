@@ -34,12 +34,23 @@ from .core import (
     is_commutative,
     update_table,
 )
-from .cubesets import SubcubeCollection, _ternary_of_masks, classify_collection
-from .dynamics import HypercubeGraph, build_graph, graph_property
+from .cubesets import SubcubeCollection, _subcube_or, _ternary_of_masks, classify_collection
+from .dynamics import (
+    GRAPH_PROPERTIES,
+    HypercubeGraph,
+    build_graph,
+    component_predicates,
+    distinct_rows,
+    general_rows,
+    graph_property,
+    move_components,
+    move_row_predicates,
+    subcube_components,
+    subcube_row_predicates,
+)
 from .generators import exhaustive_networks
 from .netio import parse_truth_table
 from .trapspaces import (
-    _subcube_or,
     cover_rows,
     fixed_point_rows,
     min_extension_rows,
@@ -287,6 +298,13 @@ def interval_fixed_rows(images: np.ndarray, n: int) -> dict[str, np.ndarray]:
     return {"interval_fp": np.all(inside >= 1, axis=1), "interval_ufp": np.all(inside == 1, axis=1)}
 
 
+def fixable_rows(images: np.ndarray, label: np.ndarray, terminal: np.ndarray) -> np.ndarray:
+    """Whether a fixed point is reachable from every configuration of each
+    row, given the ``move_components`` of its asynchronous graph: every
+    terminal component is a fixed point, so its least vertex is one."""
+    return np.all((np.take_along_axis(images, label, axis=1) == label) | ~terminal, axis=1)
+
+
 def descent_rows(
     images: np.ndarray, free: np.ndarray, base: np.ndarray, n: int
 ) -> dict[str, np.ndarray]:
@@ -417,10 +435,7 @@ class NetworkProfile:
     def trapping(self) -> bool:
         return graph_property(self.graph_ga, "transitive")
 
-    @cached_property
-    def fixable(self) -> bool:
-        return graph_property(self.graph_a, "sink-terminal")
-
+    fixable = _Flag()
     commutative = _Flag()
     bijective = _Flag()
     locally_bijective = _Flag()
@@ -450,10 +465,10 @@ def _all_closure_tables(n: int) -> frozenset[tuple[int, ...]]:
     return frozenset(trapping_closure(g).image for g in exhaustive_networks(n))
 
 
-_GRAPH_PREDICATES = ("symmetric", "oriented", "triangular", "sink_terminal")
+_GRAPH_PREDICATES = tuple(prop.replace("-", "_") for prop in GRAPH_PROPERTIES)
 _SUBCUBE_CONDITIONS = ("negation_on_subcubes", "constant_on_arrangements")
-# Flags read off each profile's own graphs.
-_PROFILE_FACTS = ("trapping", "fixable")
+# The predicates a non-transitive GA reads off its bitset graph.
+_ARC_PREDICATES = ("oriented", "triangular", "sink-terminal")
 
 
 class ProfileBlock:
@@ -467,8 +482,10 @@ class ProfileBlock:
     holds one boolean column per class flag, per diagram node and per
     alternate-definition condition (the names in ``VECTORS``), filled with
     the others of its kernel: a stacked ``*_rows`` kernel, the trapspace
-    stacks, the profiles' own graphs, or an expression in other columns.  A
-    graph predicate is computed once per distinct graph.
+    stacks, the profiles' own graphs, or an expression in other columns.
+    The six predicates of a graph kind are one pass over its row form (see
+    ``dynamics``); only ``trapping``, ``tg_is_ga`` and a GA that is not
+    transitive read the profiles' bitset graphs.
 
     Each profile holds its block, and the block refers to its profiles
     weakly: with no cycle between them, a block is freed with the last of
@@ -482,7 +499,6 @@ class ProfileBlock:
         # A block of one, as ``analyze`` builds, views its image: no 2^n copy.
         self.images = images[0][None] if len(images) == 1 else np.stack(images)
         self._columns: dict[str, np.ndarray] = {}
-        self._graph_flags: dict[tuple[int, str], bool] = {}
         for i, p in enumerate(profiles):
             p.block_row = self, i
 
@@ -520,23 +536,39 @@ class ProfileBlock:
         """``interval_arrays`` of the block, built once."""
         return interval_arrays(self.images, self.n)
 
+    @cached_property
+    def async_components(self) -> tuple[np.ndarray, np.ndarray]:
+        """``move_components`` of the asynchronous graphs."""
+        return move_components(np.arange(1 << self.n) ^ self.images, self.n)
+
     def _each(self, fact) -> np.ndarray:
         return np.array([fact(p) for p in self.profiles])
 
-    def _graph_column(self, kind: str, prop: str) -> np.ndarray:
-        flags = self._graph_flags
-        for p in self.profiles:
-            g = getattr(p, f"graph_{kind}")
-            if (id(g), prop) not in flags:
-                flags[id(g), prop] = graph_property(g, prop)
-        return self._each(lambda p: flags[id(getattr(p, f"graph_{kind}")), prop])
+    def _graph_columns(self, kind: str) -> dict[str, np.ndarray]:
+        """The six predicates of the graph ``kind`` (a, ga or tg) of each row."""
+        n = self.n
+        if kind == "a":
+            holds = move_row_predicates(np.arange(1 << n) ^ self.images, n)
+            holds.update(component_predicates(*self.async_components))
+        else:
+            free, base = self.principal if kind == "tg" else general_rows(self.images, n)
+            holds = subcube_row_predicates(free, base, n)
+            holds["oriented"] = distinct_rows(free, base, n)
+            holds.update(component_predicates(*subcube_components(free, base, n)))
+            # Those three hold on transitive rows (the TG's always); a GA
+            # that is not transitive has its SCCs found on its bitsets.
+            for i in np.flatnonzero(~holds["transitive"]).tolist():
+                g = getattr(self.profiles[i], f"graph_{kind}")
+                for prop in _ARC_PREDICATES:
+                    holds[prop][i] = graph_property(g, prop)
+        return {f"{prop.replace('-', '_')}_{kind}": holds[prop] for prop in GRAPH_PROPERTIES}
 
     def _fill(self, name: str) -> dict[str, np.ndarray]:
         n, images = self.n, self.images
         xs = np.arange(1 << n)
         head, _, kind = name.rpartition("_")
         if kind in ("a", "ga", "tg") and head in _GRAPH_PREDICATES:
-            return {name: self._graph_column(kind, head.replace("_", "-"))}
+            return self._graph_columns(kind)
         if name.endswith(".pairs"):
             return pair_rows(images, n)
         if name.endswith(".intervals") or name in _SUBCUBE_CONDITIONS:
@@ -549,8 +581,6 @@ class ProfileBlock:
             return interval_fixed_rows(images, n)
         if name in _IMAGE_FLAGS:
             return image_flag_rows(images, n)
-        if name in _PROFILE_FACTS:
-            return {name: self._each(lambda p: getattr(p, name))}
         return {name: {
             "all": lambda: np.ones(len(images), dtype=bool),
             "commutative": lambda: commutative_rows(images, n),
@@ -558,7 +588,9 @@ class ProfileBlock:
             "marseille": lambda: self["commutative"] & self["bijective"],
             "lille": lambda: self["commutative"] & self["idempotent"],
             "interval_ufp_idempotent": lambda: self["interval_ufp"] & self["idempotent"],
+            "trapping": lambda: self._each(lambda p: p.trapping),
             "tg_is_ga": lambda: self._each(lambda p: p.graph_tg == p.graph_ga),
+            "fixable": lambda: fixable_rows(images, *self.async_components),
             "closure_fixed": lambda: self._each(lambda p: p.f == p.closure),
             # Above the exhaustive cap: the closure operator is idempotent
             # (tested separately), so its image is its fixed-point set.

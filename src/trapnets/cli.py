@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success (or an equivalent/no-violation verdict), 1 for a
 negative verdict (not equivalent, violations found), 2 for usage or parse
-errors.
+errors.  A command whose reader closes its standard output early (as with
+``| head``) stops at the failed write, prints nothing to stderr and exits 0.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .classes import (
 )
 from .core import CAPS
 from .cubesets import format_pairs
-from .dynamics import GRAPH_PROPERTIES, graph_property, transient_and_period
+from .dynamics import GRAPH_PROPERTIES, transient_and_period
 from .generators import (
     exhaustive_networks,
     long_transient_trapping,
@@ -88,14 +89,10 @@ def _analysis_report(f, name: str, minimal_only: bool) -> dict:
         return report
     report["trapspaces"]["all"] = len(profile.trapspace_collection)
     report["classes"] = classify_network(f, profile).as_dict()
-    graphs = {}
-    for key, g in (
-        ("asynchronous", profile.graph_a),
-        ("general", profile.graph_ga),
-        ("trapping", profile.graph_tg),
-    ):
-        graphs[key] = {p: graph_property(g, p) for p in GRAPH_PROPERTIES}
-    report["graphs"] = graphs
+    report["graphs"] = {
+        key: {p: profile.prop(f"{p.replace('-', '_')}_{kind}") for p in GRAPH_PROPERTIES}
+        for key, kind in (("asynchronous", "a"), ("general", "ga"), ("trapping", "tg"))
+    }
     return report
 
 
@@ -144,14 +141,8 @@ def cmd_graph(args) -> int:
     depth = 3 if args.layered else {"async": 1, "ga": 2, "tg": 3}[args.kind]
     layers = [getattr(profile, a) for a in ("graph_a", "graph_ga", "graph_tg")[:depth]]
     labels = ["asynchronous", "general asynchronous", "trapping"][:depth]
-    try:
-        for piece in iter_dot(layers, labels):
-            sys.stdout.write(piece)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader has gone (as with ``| head``): stop quietly, and send
-        # what is left in the buffer to /dev/null so the exit flush is quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    for piece in iter_dot(layers, labels):
+        sys.stdout.write(piece)
     return 0
 
 
@@ -302,7 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # here, so that a failed write is caught below
+    except BrokenPipeError:
+        # The reader has gone: stop quietly, and send what is left in the
+        # buffer to /dev/null so the flush at exit is quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -1,15 +1,37 @@
 """Dynamics graphs on the hypercube and their structural predicates.
 
-A graph on B^n keeps one out-neighbourhood per vertex, stored as a 2^n-bit
-integer so arc-set comparisons are word-parallel.  Loops are kept in every
-graph built here; only the DOT exporter drops them.
+Each of the three graphs has a row form read off a (k, 2^n) stack of image
+rows, and the six predicates and the strongly connected components (SCCs)
+are stacked array passes over these rows:
 
-Each graph caches its transposed rows ``into``, its transitivity and its
-SCCs, found once by Kosaraju on the bitsets: each step of either search
-ANDs one row with the set still to visit, so V = 2^n vertices cost
-O(V^2/64) word operations whatever the arc count.  Every predicate is
-read from its own definition on these rows; none walks the arcs one by
-one.
+- a general asynchronous (GA) row is the interval [x, f(x)], the subcube
+  ``(x ^ f(x), x & f(x))`` (``general_rows``);
+- a trapping-graph (TG) row is the principal trapspace pt(x), the
+  ``(free, base)`` stacks of ``trapspaces.principal_rows``;
+- an asynchronous row is x and its neighbours across the coordinates of
+  the move mask ``x ^ f(x)``, at most n + 1 arcs.
+
+On subcube rows that hold their own vertex, the graph is symmetric iff
+each half of row(x) across a free coordinate i has i free in all its rows
+(an AND table over the 3^n subcubes), and transitive iff the OR of the
+free masks of row(x) lies in free(x) (an OR table).  On a transitive graph
+x and y reach each other iff their rows are equal, so the SCCs are the
+classes of equal rows, and the graph is oriented iff no two rows are
+equal.  The TG is always transitive, and the GA is when the network is
+trapping.  Move rows give symmetry, orientation and transitivity in n
+passes, one per coordinate, and their SCCs in one Tarjan walk over the
+move masks, O(n 2^n) steps.
+
+``HypercubeGraph`` keeps one out-neighbourhood per vertex as a 2^n-bit
+integer.  It is built only where a question needs the arcs themselves:
+whether the GA is transitive (the ``trapping`` flag, kept apart from the
+row forms so that it stays an independent test of them), graph equality
+(``tg_is_ga`` and equal trapping graphs), the DOT export, and the
+orientation and SCCs of a GA that is not transitive.  There Kosaraju runs
+on the bitsets and their transposed rows ``into``: each step of either
+search ANDs one row with the set still to visit, so V = 2^n vertices cost
+O(V^2/64) word operations whatever the arc count.  Loops are kept in every
+graph; only the DOT exporter drops them.
 """
 
 from __future__ import annotations
@@ -21,7 +43,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import BooleanNetwork, bitset_members, check_cap, cube_bitset
+from .core import BooleanNetwork, bit_counts, bitset_members, check_cap, cube_bitset
+from .cubesets import _subcube_or, _ternary_of_masks
 
 GRAPH_PROPERTIES = (
     "reflexive",
@@ -61,18 +84,17 @@ class HypercubeGraph:
         """The transposed rows: ``into[y]`` is the predecessor set of y."""
         size = 1 << self.n
         width = (size + 7) // 8
-        rows = np.frombuffer(
-            b"".join(row.to_bytes(width, "little") for row in self.out), dtype=np.uint8
-        ).reshape(size, width)
-        cols = np.empty_like(rows)
-        for start in range(0, size, 256):  # 256 x 2^n unpacked bits at a time
-            block = np.unpackbits(rows[start:start + 256], axis=1, count=size, bitorder="little")
+        cols = np.empty((size, width), dtype=np.uint8)
+        for start in range(0, size, 256):  # 256 rows, as 256 x 2^n unpacked bits, at a time
+            chunk = self.out[start:start + 256]
+            raw = b"".join(row.to_bytes(width, "little") for row in chunk)
+            block = np.unpackbits(
+                np.frombuffer(raw, dtype=np.uint8).reshape(len(chunk), width),
+                axis=1, count=size, bitorder="little",
+            )
             packed = np.packbits(np.ascontiguousarray(block.T), axis=1, bitorder="little")
             cols[:, start // 8:start // 8 + packed.shape[1]] = packed
-        data = cols.tobytes()
-        return tuple(
-            int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)
-        )
+        return tuple(int.from_bytes(col, "little") for col in cols)
 
     @cached_property
     def transitive(self) -> bool:
@@ -192,6 +214,172 @@ def graph_property(g: HypercubeGraph, prop: str) -> bool:
         return all(len(c) == 1 for c in components)
     # sink-terminal
     return all(len(c) == 1 for c, t in zip(components, terminal) if t)
+
+
+def general_rows(images: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(free, base) of each GA row: the interval [x, f(x)] for every x of
+    every row of an image stack."""
+    xs = np.arange(1 << n)
+    return xs ^ images, xs & images
+
+
+def subcube_row_predicates(free: np.ndarray, base: np.ndarray, n: int) -> dict[str, np.ndarray]:
+    """Reflexive, symmetric and transitive for each graph of a stack whose
+    row x is the subcube (free[r, x], base[r, x]).
+
+    The other two read rows that hold their own vertex, so that row(y) is
+    y plus the span of free(y).  Then x is in row(y) iff x ^ y lies in
+    free(y): symmetry asks, for each free coordinate i of row(x), that i be
+    free at every y in the half of row(x) across i, through the AND of the
+    free masks over that half.  And for y in row(x), row(y) lies in row(x)
+    iff free(y) lies in free(x): transitivity asks that the OR of the free
+    masks over row(x) lie in free(x)."""
+    k, size = free.shape
+    xs = np.arange(size)
+    tern = _ternary_of_masks(n)
+    at = tern[base] + 2 * tern[free] + (np.arange(k) * 3**n)[:, None]
+    leaves = free.astype(np.uint16)
+    union = _subcube_or(leaves, n).reshape(-1)
+    transitive = np.all(union[at] & ~free == 0, axis=1)
+    del union
+    common = _subcube_or(leaves, n, np.bitwise_and).reshape(-1)
+    symmetric = np.ones(k, dtype=bool)
+    for i in range(n):
+        bit = 1 << i
+        # Digit i of the row is 2 (free); the half holds it at the opposite of x.
+        half = np.where(free & bit, at - (1 + (xs >> i & 1)) * 3**i, at)
+        symmetric &= np.all((common[half] & bit != 0) | (free & bit == 0), axis=1)
+    return {
+        "reflexive": np.all(xs & ~free == base, axis=1),
+        "symmetric": symmetric,
+        "transitive": transitive,
+    }
+
+
+def _row_keys(free: np.ndarray, base: np.ndarray, n: int) -> np.ndarray:
+    """One int64 key per row entry, equal iff the subcubes and graphs are."""
+    return np.arange(len(free))[:, None] << 2 * n | free << n | base
+
+
+def distinct_rows(free: np.ndarray, base: np.ndarray, n: int) -> np.ndarray:
+    """Whether the rows of each subcube-row graph are pairwise distinct: on
+    a transitive graph, x and y != x with arcs both ways have equal rows, so
+    this is orientation."""
+    keys = np.sort(_row_keys(free, base, n), axis=1)
+    return np.all(keys[:, 1:] != keys[:, :-1], axis=1)
+
+
+def subcube_components(
+    free: np.ndarray, base: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(label, terminal) of each transitive subcube-row graph of a stack:
+    label[r, x] is the least vertex of the SCC of x and terminal[r, x] says
+    whether no arc leaves it.
+
+    On a transitive graph whose rows hold their vertices the SCCs are the
+    classes of equal rows, each inside its row, and a class is terminal iff
+    it is its whole row: it has 2^|free| members."""
+    k, size = free.shape
+    _, first, inverse, counts = np.unique(
+        _row_keys(free, base, n).ravel(),
+        return_index=True, return_inverse=True, return_counts=True,
+    )
+    # The sort is stable, so the first of each key is the least vertex.
+    label = (first[inverse] & (size - 1)).reshape(k, size)
+    terminal = counts[inverse].reshape(k, size) == 1 << bit_counts(n)[free]
+    return label, terminal
+
+
+def move_row_predicates(moves: np.ndarray, n: int) -> dict[str, np.ndarray]:
+    """Reflexive, symmetric, transitive and oriented for each asynchronous
+    graph of a stack of move masks, one pass per coordinate i over the arcs
+    x -> x ^ e_i with i in moves[r, x]: the reverse arc exists iff i moves
+    at x ^ e_i, and row(x) holds the rows of its members iff nothing but
+    i moves there.  Every row holds its loop."""
+    k, size = moves.shape
+    xs = np.arange(size)
+    symmetric, transitive, oriented = (np.ones(k, dtype=bool) for _ in range(3))
+    for i in range(n):
+        bit = 1 << i
+        arc = moves & bit != 0
+        back = moves[:, xs ^ bit]
+        symmetric &= ~np.any(arc & (back & bit == 0), axis=1)
+        oriented &= ~np.any(arc & (back & bit != 0), axis=1)
+        transitive &= ~np.any(arc & (back & ~bit != 0), axis=1)
+    return {
+        "reflexive": np.ones(k, dtype=bool),
+        "symmetric": symmetric,
+        "transitive": transitive,
+        "oriented": oriented,
+    }
+
+
+def move_components(moves: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(label, terminal) of each asynchronous graph of a stack of move masks,
+    as ``subcube_components`` gives them.
+
+    One iterative Tarjan walk over the whole stack, vertex r * 2^n + x for x
+    in row r, whose arcs flip one coordinate and so stay in their row; a
+    fixed point is its own component and is never walked.  A component is
+    terminal when no arc, one pass per coordinate, leaves it."""
+    k, size = moves.shape
+    flat = moves.ravel()
+    steps = flat.tolist()
+    total = len(steps)
+    comp = [v if not m else -1 for v, m in enumerate(steps)]
+    index = [0 if m else -1 for m in steps]  # visit order from 1; -1 done
+    low = [0] * total
+    stack: list[int] = []
+    counter = 0
+    for root in range(total):
+        if index[root]:
+            continue
+        counter += 1
+        index[root] = low[root] = counter
+        stack.append(root)
+        work = [[root, steps[root]]]
+        while work:
+            top = work[-1]
+            v, rest = top
+            if rest:
+                bit = rest & -rest
+                top[1] = rest ^ bit
+                w = v ^ bit
+                if not index[w]:
+                    counter += 1
+                    index[w] = low[w] = counter
+                    stack.append(w)
+                    work.append([w, steps[w]])
+                elif comp[w] < 0 and index[w] < low[v]:  # w is on the stack
+                    low[v] = index[w]
+                continue
+            work.pop()
+            if work and low[v] < low[work[-1][0]]:
+                low[work[-1][0]] = low[v]
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    comp[w] = v
+                    if w == v:
+                        break
+    comp = np.array(comp, dtype=np.int64)
+    least = np.full(total, total, dtype=np.int64)
+    np.minimum.at(least, comp, np.arange(total))
+    label = least[comp]
+    leaves = np.zeros(total, dtype=bool)
+    for i in range(n):
+        src = np.flatnonzero(flat & 1 << i)
+        out = label[src] != label[src ^ 1 << i]
+        leaves[label[src[out]]] = True
+    return (label & (size - 1)).reshape(k, size), ~leaves[label].reshape(k, size)
+
+
+def component_predicates(label: np.ndarray, terminal: np.ndarray) -> dict[str, np.ndarray]:
+    """Triangular (every SCC is one vertex) and sink-terminal (every terminal
+    SCC is) for each graph of a stack, from its (label, terminal) arrays:
+    x is alone in its SCC iff it is the least vertex there."""
+    alone = label == np.arange(label.shape[1])
+    return {"triangular": np.all(alone, axis=1), "sink-terminal": np.all(alone | ~terminal, axis=1)}
 
 
 def network_power(f: BooleanNetwork, k: int) -> BooleanNetwork:

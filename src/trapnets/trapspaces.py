@@ -1,29 +1,14 @@
 """Principal, minimal and full trapspace computation; trapping closure and graph.
 
 A trapspace is a subcube mapped into itself by the network.  Whole-network
-questions read tables over subcubes, all filled by one OR kernel, a
-Yates-style pass over the subcube lattice (cf. Bjorklund, Husfeldt, Kaski
-& Koivisto, "Fourier meets Mobius: fast subset convolution", STOC 2007)
-that gives entry T the OR of one value per member of T:
+questions read tables over subcubes, all filled by the one subcube OR
+kernel ``cubesets._subcube_or``, which gives entry T the OR of one value
+per member of T:
 
 - the moved table ORs ``x ^ f(x)``, so T is a trapspace iff that OR moves
   no coordinate T fixes;
 - the fixed-point table ORs ``f(x) == x``, so entry T says whether T
   contains a fixed point.
-
-The kernel works on a stack of tables at once, leaves of shape
-(batch, 2^n) to a (batch, 3^n) table, and fills digit j (coordinate
-j + 1) of the ternary index with one OR pass: free from fixed 0 and fixed
-1.  It runs in two stages.  Stage 1 takes the low k = min(n, 7) digits on a compact
-(3^k, batch 2^(n-k)) array of the leaves alone, with the row and high bits
-innermost; a pass over the whole table would there work on runs of only
-3^j entries.  Stage 2 scatters its rows into the table and passes over the
-high digits, each pass only over the entries with no free digit above its
-own, so that every entry is written exactly once.  At n = 16 the splits
-k = 5, 6 and 7 took within 10 % of each other; k = 7 leaves every table
-up to n = 7, where sampled ``verify`` spends its time, to stage 1 alone,
-which is the plain digit pass.  Stage 1's array is 2.2 MB at n = 16, so
-the peak is still one table buffer.
 
 Enumeration reads the whole 3^n moved table (the ``enumeration`` cap,
 n = 13).  The principal map reads a stacked one instead: m = min(n, 12)
@@ -76,11 +61,9 @@ from .core import (
     cube_bitset,
     iter_submasks,
 )
-from .cubesets import SubcubeCollection, _free_of_index, _ternary_of_masks
+from .cubesets import SubcubeCollection, _free_of_index, _subcube_or, _ternary_of_masks
 from .dynamics import HypercubeGraph
 
-# The digits stage 1 of ``_subcube_or`` takes; see the module notes.
-_LOW_DIGITS = 7
 # The ternary digits of the table ``principal_pairs`` reads; the coordinates
 # above them stay binary, one table row per setting.  See the module notes.
 _TABLE_DIGITS = 12
@@ -110,40 +93,6 @@ def principal_trapspace(f: BooleanNetwork, x: Configuration) -> Subcube:
     return Subcube(f.n, free, base)
 
 
-def _subcube_or(leaves: np.ndarray, n: int, op: np.ufunc = np.bitwise_or) -> np.ndarray:
-    """Entry (..., T): the OR (or ``op``) of ``leaves[..., x]`` over the members
-    x of subcube T.  Leaves of shape (..., 2^n) give a table of shape
-    (..., 3^n): every row over the leading axes is one table, one kernel."""
-    check_cap("table", n)
-    k = min(n, _LOW_DIGITS)
-    rows = leaves.reshape(-1, 1 << n)
-    batch = len(rows)
-    # Stage 1: digits 0..k-1 over the leaves only, as a (3^k, batch * 2^(n-k))
-    # array with the row and high bits innermost, so that no run is shorter
-    # than batch * 2^(n-k).
-    low = np.zeros((3**k, batch << (n - k)), dtype=leaves.dtype)
-    low[_ternary_of_masks(k)] = rows.reshape(-1, 1 << k).T
-    for j in range(k):
-        v = low.reshape(3 ** (k - 1 - j), 3, -1)
-        op(v[:, 0, :], v[:, 1, :], out=v[:, 2, :])
-    shape = leaves.shape[:-1] + (3**n,)
-    if k == n:
-        return np.ascontiguousarray(low.T).reshape(shape)
-    # Stage 2, in place, as a copy of the 3^n buffer would triple the peak.
-    # Read as (batch, 3^(n-k), 3^k), slice t of a row holds the subcubes whose
-    # high digits are t; the scatter fills the slices with no free high digit.
-    # The view of pass j keeps every digit above j fixed, so each entry is
-    # written once, by the pass of its highest free digit.
-    table = np.empty((batch, 3**n), dtype=leaves.dtype)
-    high = table.reshape(batch, 3 ** (n - k), 3**k)
-    high[:, _ternary_of_masks(n - k)] = low.T.reshape(batch, -1, 3**k)
-    for j in range(k, n):
-        above = n - 1 - j
-        v = table.reshape((batch,) + (3,) * above + (3, 3**j))[(slice(None),) + (slice(2),) * above]
-        op(v[..., 0, :], v[..., 1, :], out=v[..., 2, :])
-    return table.reshape(shape)
-
-
 def _moved_rows(images: np.ndarray, n: int, digits: int) -> np.ndarray:
     """Entry (i, r, T): the OR of ``x ^ f(x)``, for f the network of image
     row i, over the members x of the subcube whose low ``digits`` coordinates
@@ -157,11 +106,6 @@ def fixed_point_rows(images: np.ndarray, n: int) -> np.ndarray:
     """Entry (i, T): whether subcube T contains a fixed point of the network
     of image row i (the ``table`` cap)."""
     return _subcube_or(np.arange(1 << n) == images, n)
-
-
-def fixed_point_table(f: BooleanNetwork) -> np.ndarray:
-    """Entry T: whether subcube T contains a fixed point of f (the ``table`` cap)."""
-    return fixed_point_rows(f.np_image[None], f.n)[0]
 
 
 @functools.cache

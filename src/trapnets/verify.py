@@ -18,7 +18,7 @@ trapspace facts of its networks (principal pairs, trapspaces, minimal
 cover, fixed points, min extension), each one stacked kernel call over
 their image rows on first use, and its class layer: one boolean column per
 class flag and per alternate-definition condition, each from a stacked
-kernel over the image rows (graph predicates once per distinct graph).
+kernel over the image rows (graph predicates from the graphs' row forms).
 The distinct closures and min extensions of the block are the rows of a
 second block.  The first block's collection facts (recognisers, union
 closure, pointwise reduction, realisation) are single lattice passes over
@@ -58,7 +58,7 @@ from .cubesets import (
     pre_ideal_rows,
     pre_principal_rows,
 )
-from .dynamics import network_power, transient_and_period
+from .dynamics import general_rows, network_power, transient_and_period
 from .generators import (
     long_transient_trapping,
     random_commutative,
@@ -126,7 +126,10 @@ def closure_law_violations(p: NetworkProfile, profile=NetworkProfile) -> list[Vi
         out.append(Violation("closure", "trapspaces change under the closure", f))
     if p.pt_collection != pt_closure.pt_collection:
         out.append(Violation("closure", "principal trapspaces change under the closure", f))
-    if p.graph_tg != pt_closure.graph_ga or p.graph_tg != pt_closure.graph_tg:
+    # The trapping graph against the closure's general and trapping graphs,
+    # as their (free, base) rows.
+    rows = (general_rows(ft.np_image, f.n), pt_closure.pt_pairs)
+    if not all(np.array_equal(a, b) for other in rows for a, b in zip(p.pt_pairs, other)):
         out.append(Violation("closure", "trapping graph disagrees with closure graphs", f))
 
     fm = p.min_extension

@@ -8,8 +8,9 @@ import weakref
 
 import numpy as np
 from trapnets import BooleanNetwork, NetworkProfile, check_alternate_definitions
-from trapnets import verify
+from trapnets import classes, verify
 from trapnets.classes import (
+    _ARC_PREDICATES,
     VECTORS,
     ProfileBlock,
     _submasks,
@@ -22,6 +23,8 @@ from trapnets.generators import exhaustive_networks
 from trapnets.verify import distance_bound_rows, distance_bound_violation, sample_population
 
 from helpers import (
+    arcwise_graph_property,
+    f_ex3,
     loop_alternate_definitions,
     loop_class_flags,
     loop_distance_bound_violation,
@@ -72,18 +75,26 @@ def test_block_columns_match_the_per_network_oracles():
 
 def test_graph_predicates_are_computed_once_per_distinct_graph(monkeypatch):
     calls = []
-    original = ProfileBlock._graph_column.__globals__["graph_property"]
+    original = classes.graph_property
 
     def counting(g, prop):
         calls.append((id(g), prop))
         return original(g, prop)
 
-    monkeypatch.setitem(ProfileBlock._graph_column.__globals__, "graph_property", counting)
-    # The general and trapping graphs of a trapping network are one object.
+    monkeypatch.setattr(classes, "graph_property", counting)
+    # The general and trapping graphs of a trapping network are transitive,
+    # so their predicates are read off their rows.
     p = NetworkProfile(BooleanNetwork.negation(3))
     block = ProfileBlock([p])
-    assert block["symmetric_ga"][0] and block["symmetric_tg"][0]
-    assert len(calls) == len(set(calls)) == 1
+    assert block["symmetric_ga"][0] and block["symmetric_tg"][0] and not block["triangular_ga"][0]
+    assert calls == []
+    # A general graph that is not transitive reads its SCC predicates off its
+    # bitset graph, once each.
+    p = NetworkProfile(f_ex3())
+    block = ProfileBlock([p])
+    got = [block[f"{prop.replace('-', '_')}_ga"][0] for prop in _ARC_PREDICATES]
+    assert got == [arcwise_graph_property(p.graph_ga, prop) for prop in _ARC_PREDICATES]
+    assert sorted(calls) == sorted((id(p.graph_ga), prop) for prop in _ARC_PREDICATES)
 
 
 def test_submasks_come_in_iter_submasks_order():

@@ -312,8 +312,9 @@ def test_all_fixtures_load_and_refute():
             assert not p.prop(ce.target), (diagram.id, ce.label)
 
 
-@pytest.mark.parametrize("tail, built", [("a", {"graph_a"}), ("ga", {"graph_ga"}),
-                                         ("tg", {"pt_pairs", "graph_tg"})])
+# The predicates are read off the graphs' rows; the worked example's general
+# graph is not transitive, so it alone is built, for its SCCs.
+@pytest.mark.parametrize("tail, built", [("a", set()), ("ga", {"graph_ga"}), ("tg", set())])
 def test_graph_prop_builds_only_its_graph(tail, built):
     p = NetworkProfile(f_ex3())
     p.prop(f"symmetric_{tail}")

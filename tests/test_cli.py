@@ -215,6 +215,26 @@ def test_graph_stops_quietly_when_the_reader_closes(tmp_path):
     assert child.wait(timeout=60) == 0
 
 
+@pytest.mark.parametrize("command", [
+    ["analyze", "{net}", "--format", "json"],
+    ["analyze", "{net}"],
+    ["graph", "{net}", "--kind", "tg"],
+    ["equiv", "{net}", "{net}"],
+    ["verify", "--n", "3", "--samples", "5", "--seed", "1"],
+    ["gen", "--kind", "random", "--n", "3", "--out", "{out}"],
+], ids=["analyze-json", "analyze-text", "graph-tg", "equiv", "verify", "gen"])
+def test_command_stops_quietly_when_the_reader_has_closed(tmp_path, command):
+    # The reader closes before the child writes: its first write, at the
+    # latest the flush at exit, fails with EPIPE however short the output.
+    net = write_net(tmp_path, "r6.tt", random_network(6, 1))
+    args = [a.format(net=net, out=tmp_path / "gen.tt") for a in command]
+    child = subprocess.Popen([sys.executable, "-m", "trapnets.cli", *args],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    child.stdout.close()
+    assert child.stderr.read() == b""
+    assert child.wait(timeout=60) == 0
+
+
 def test_graph_above_analyze_cap_exits_2(tmp_path, capsys):
     path = write_net(tmp_path, "id14.tt", BooleanNetwork.identity(14))
     assert main(["graph", path, "--kind", "async"]) == 2

@@ -19,7 +19,7 @@ from trapnets.generators import (
     random_network,
 )
 from trapnets.trapspaces import (
-    fixed_point_table,
+    fixed_point_rows,
     min_trapping_extension,
     minimal_cover,
     minimal_trapspaces,
@@ -81,7 +81,7 @@ def wrapper_facts(f):
         "minimal_collection": minimal_trapspaces(f)[0],
         "pt_distinct": distinct,
         "min_extension": extension,
-        "trapspace_fp": bool(fixed_point_table(f)[mask].all()),
+        "trapspace_fp": bool(fixed_point_rows(f.np_image[None], f.n)[0][mask].all()),
         "dpt": distinct == 1 << f.n,
         "min_trapping": f == extension,
     }

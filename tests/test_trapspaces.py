@@ -22,7 +22,7 @@ from trapnets.trapspaces import (
     _moved_rows,
     _subcube_or,
     _ternary_of_masks,
-    fixed_point_table,
+    fixed_point_rows,
     principal_pair,
     principal_pairs,
     trapspace_mask,
@@ -305,7 +305,7 @@ def test_two_stage_or_kernel_matches_digitwise_oracle(n):
 def test_fixed_point_table_entry_is_member_scan():
     for f in oracle_population():
         tern = _ternary_of_masks(f.n)
-        table = fixed_point_table(f)
+        table = fixed_point_rows(f.np_image[None], f.n)[0]
         assert table.dtype == bool
         for c in all_subcubes(f.n):
             scan = any(f.image[m] == m for m in c.member_bits())
