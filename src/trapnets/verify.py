@@ -6,12 +6,7 @@ equivalences, the closure-operator laws, the collection round-trips and the
 implication diagrams.  Any violation carries the offending network so it can be dumped
 as a ready-to-run truth-table reproducer.
 
-Networks are independent of each other, so ``run_verification`` deals the
-population into chunks, one network to each chunk in turn, one chunk per
-CPU of the process's affinity mask (one chunk where ``os.fork`` or the mask
-is missing).  The calling process checks the first chunk and a forked child
-each other one; the results are rejoined by index, so the violations, and
-their order, do not depend on the number of chunks.  A chunk is checked in
+``run_verification`` checks the population in one process, in consecutive
 blocks of at most ``_block_size(n)`` and at most ``_MAX_BLOCK`` networks,
 whose profiles are the rows of one ``ProfileBlock``.  That block owns the
 trapspace facts of its networks (principal pairs, trapspaces, minimal
@@ -26,13 +21,12 @@ the stacked masks of its networks.  A mixed row of a theorem's (k, m)
 vector table is a violation, as is a true entry of an edge's
 ``guard & source & ~target`` or of a hierarchy fact's column.  The checks
 that span networks (monotonicity pairs, compared in one broadcast) and
-the diagrams' fixture counterexamples then run once, in the caller.
+the diagrams' fixture counterexamples then run once, after the blocks.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -408,21 +402,16 @@ def _related_profiles(*profiles: NetworkProfile):
     return lambda g: known[g] if g in known else known.setdefault(g, NetworkProfile(g))
 
 
-def _check_chunk(networks: list[BooleanNetwork], suite: str) -> list[tuple]:
-    """Every per-network check of ``suite`` on part of the population, one
-    block of networks at a time (``_check_block``).
+def _check_block(nets: list[BooleanNetwork], suite: str) -> list[tuple]:
+    """Every per-network check of ``suite`` on one block of networks: its
+    trapspace, class and collection facts are stacked passes, and its
+    profiles and their blocks are freed on return, before the next block's
+    are built.
 
     Returns, per network in order, its theorem violations, its closure-law
     violations, its closure (for the monotonicity pairs; None outside the
     closure suite) and, per diagram of ``DIAGRAMS``, its implication violations.
     """
-    return [record for nets in _blocks(networks) for record in _check_block(nets, suite)]
-
-
-def _check_block(nets: list[BooleanNetwork], suite: str) -> list[tuple]:
-    """``_check_chunk`` of one block: its trapspace, class and collection
-    facts are stacked passes, and its profiles and their blocks are freed on
-    return, before the next block's are built."""
     theorem_suite = suite in ("all", "theorems")
     diagram_suite = suite in ("all", "diagrams")
     records = []
@@ -473,93 +462,6 @@ def _diagram_violations(found) -> list[Violation]:
             for v in found]
 
 
-def _usable_cpus() -> int:
-    """CPUs in this process's affinity mask; 1 where fork or the mask is missing."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _child(work, chunk, w: int, inherited: list[int]) -> None:
-    """Body of a forked child: send ``work(chunk)`` or its exception down pipe
-    ``w``, then ``os._exit``, so that no exit handler of the parent runs."""
-    import pickle
-    import traceback
-
-    status = 1
-    try:
-        for fd in inherited:  # read ends: the parent's must be the last reader
-            os.close(fd)
-        try:
-            message = ("ok", work(chunk))
-        except BaseException as exc:  # re-raised by the parent
-            message = ("raised", exc, traceback.format_exc())
-        try:
-            data = pickle.dumps(message)
-        except Exception as exc:
-            text = message[2] if message[0] == "raised" else ""
-            data = pickle.dumps(("raised", RuntimeError(f"cannot send result: {exc!r}"), text))
-        with open(w, "wb") as fh:
-            fh.write(data)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _map_chunks(work, chunks: list) -> list:
-    """``[work(c) for c in chunks]``: chunks[0] here, each other one in a
-    forked child that pickles its result, or its exception, into a pipe.
-
-    An exception in any chunk is raised here, after every child is gone.  A
-    child whose parent has died fails on its write to the pipe, which nothing
-    reads any more, and exits: it never outlives its own chunk.  Children are
-    forked, not spawned, because a spawned one imports numpy and the package
-    again (about 0.3 s, the whole gain of a sampled call at n = 6) and the
-    work is a closure over networks already in memory.
-    """
-    if len(chunks) == 1:
-        return [work(chunks[0])]
-    import pickle
-    import signal
-    import warnings
-
-    children = []  # (pid, read end of its pipe)
-    try:
-        for chunk in chunks[1:]:
-            r, w = os.pipe()
-            with warnings.catch_warnings():
-                # Python 3.12+ warns that fork in a multi-threaded process may
-                # deadlock the child.  The only other threads here are numpy's
-                # OpenBLAS pool: OpenBLAS shuts it down around fork with its
-                # own pthread_atfork handler, and the checks call no BLAS
-                # routine anyway.  Silenced so that stderr stays the same on
-                # every Python version and under -W error.
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
-            if pid == 0:
-                _child(work, chunk, w, [r] + [fd for _, fd in children])
-            os.close(w)
-            children.append((pid, r))
-        results = [work(chunks[0])]
-        for pid, r in children:
-            with open(r, "rb", closefd=False) as fh:
-                data = fh.read()
-            if not data:
-                raise RuntimeError(f"verification worker {pid} ended without a result")
-            message = pickle.loads(data)
-            if message[0] == "raised":
-                raise message[1] from RuntimeError(f"in worker {pid}:\n{message[2]}")
-            results.append(message[1])
-        return results
-    finally:
-        # A child that has sent its result is exiting anyway; any other one is
-        # no longer wanted.
-        for pid, r in children:
-            os.close(r)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def run_verification(
     networks: list[BooleanNetwork],
     suite: str = "all",
@@ -567,25 +469,13 @@ def run_verification(
 ) -> list[Violation]:
     """Run the requested suite over the population; returns all violations.
 
-    The per-network checks run on k chunks of the population, one per usable
-    CPU, dealt round by round; the violations come in the same order
-    whatever k is: theorems, closure laws and monotonicity, then per diagram
-    the implications and the counterexample fixtures.
+    The per-network checks run block by block (``_check_block``); the
+    violations come in this order: theorems, closure laws and monotonicity,
+    then per diagram the implications and the counterexample fixtures.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    k = max(1, min(_usable_cpus(), len(networks)))
-    # Dealt, not cut: sample_population puts the structured networks, the
-    # costly ones, last.  Network i goes to chunk i mod k, except that an
-    # incomplete last round goes to the last chunks: the first chunk is the
-    # caller's, which also forks, collects and runs the cross-network checks.
-    full, rest = divmod(len(networks), k)
-    owner = [i % k for i in range(full * k)] + list(range(k - rest, k))
-    chunks = [[] for _ in range(k)]
-    for f, c in zip(networks, owner):
-        chunks[c].append(f)
-    results = _map_chunks(lambda chunk: _check_chunk(chunk, suite), chunks)
-    records = [results[c][i // k] for i, c in enumerate(owner)]
+    records = [record for nets in _blocks(networks) for record in _check_block(nets, suite)]
     violations = [v for r in records for v in r[0]]
     violations += [v for r in records for v in r[1]]
     if suite in ("all", "closure"):

@@ -419,8 +419,6 @@ def test_run_verification_builds_one_profile_per_distinct_network_of_a_block(mon
             super().__init__(f)
 
     monkeypatch.setattr(verify, "NetworkProfile", CountingProfile)
-    # Profiles built in a forked child are not seen here: one process only.
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
     nets = sample_population(4, 20, 1)
     for size in (len(nets), 5):
         monkeypatch.setattr(verify, "_block_size", lambda n: size)

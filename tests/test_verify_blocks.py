@@ -79,7 +79,6 @@ class PerturbedProfile(NetworkProfile):
 
 def test_violations_do_not_depend_on_the_block_size(monkeypatch):
     monkeypatch.setattr(verify, "NetworkProfile", PerturbedProfile)
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
     default = verify._block_size
     # The closure suite pairs neighbours, so only the theorems take two dimensions.
     for nets, suite in ((sample_population(3, 12, 5), "all"),
@@ -163,7 +162,6 @@ def class_layer(violations):
 
 def test_class_violations_do_not_depend_on_the_block_size(monkeypatch):
     monkeypatch.setattr(verify, "ProfileBlock", PerturbedClasses)
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
     default = verify._block_size
     for nets, suite in ((sample_population(3, 12, 5), "all"),
                         (sample_population(3, 8, 5) + sample_population(4, 6, 6), "theorems")):
