@@ -5,10 +5,12 @@ Every class predicate is computed from its own primary definition; the
 equivalent defining conditions independently so their agreement can be
 verified over whole populations.  A ``NetworkProfile`` is a row of a
 ``ProfileBlock``, which owns the facts of a block of networks: its
-trapspace stacks and its class columns (flags and conditions), each filled
-on first use by one stacked ``*_rows`` kernel over their (k, 2^n) image
-rows.  A profile that no block took is row 0 of a block of itself, so the
-per-network functions read the same kernels.
+trapspace stacks, its class columns (flags and conditions) and its
+collection columns, each filled on first use by one stacked ``*_rows``
+kernel over their (k, 2^n) image rows or their collection masks, and the
+profiles of the networks related to its rows.  A profile that no block
+took is row 0 of a block of itself, so the per-network functions read the
+same kernels.
 The implication diagrams encode which class memberships force which others
 (unconditionally, for trapping networks, or for commutative networks)
 together with the counterexample fixtures witnessing the absent arrows.
@@ -34,7 +36,19 @@ from .core import (
     is_commutative,
     update_table,
 )
-from .cubesets import SubcubeCollection, _subcube_or, _ternary_of_masks, classify_collection
+from .cubesets import (
+    SubcubeCollection,
+    _subcube_or,
+    _ternary_of_masks,
+    classify_collection,
+    convex_rows,
+    lambda_rows,
+    min_ideal_rows,
+    pointwise_cubes,
+    pointwise_free,
+    pre_ideal_rows,
+    pre_principal_rows,
+)
 from .dynamics import (
     GRAPH_PROPERTIES,
     HypercubeGraph,
@@ -145,7 +159,7 @@ def image_flag_rows(images: np.ndarray, n: int) -> dict[str, np.ndarray]:
 
 def globally_rows(images: np.ndarray, n: int) -> dict[str, np.ndarray]:
     """Whether every subset update of each row is bijective, involutive and
-    idempotent: a walk over the subsets in Gray-code order, rewriting one
+    idempotent: a walk over the subsets in Gray-code order, toggling one
     coordinate of the running tables per step, that a row leaves once all
     three fail.  The tables hold positions in the flattened stack, row r's
     offset by r * 2^n, so one gather composes every table with itself."""
@@ -153,16 +167,16 @@ def globally_rows(images: np.ndarray, n: int) -> dict[str, np.ndarray]:
     size = 1 << n
     xs = np.arange(size)
     holds = np.zeros((3, len(images)), dtype=bool)
-    live, img, flags = np.arange(len(images)), images, np.ones_like(holds)
+    live, moves, flags = np.arange(len(images)), images ^ xs, np.ones_like(holds)
     ident = xs + (live * size)[:, None]
     tab = ident.copy()
     bij = inv = idem = True
     for k in range(size):
         if k:
-            gray = k ^ (k >> 1)
-            bit = gray ^ (k - 1) ^ ((k - 1) >> 1)
-            src = img if gray & bit else xs
-            tab = (tab & ~bit) | (src & bit)
+            # Adding or dropping coordinate ``bit`` of the subset switches
+            # that coordinate of each table entry between x's and f(x)'s.
+            bit = k ^ (k >> 1) ^ (k - 1) ^ ((k - 1) >> 1)
+            tab ^= moves & bit
         # Per-row answers only when a whole-stack test fails.
         fails = []
         if bij:
@@ -181,7 +195,7 @@ def globally_rows(images: np.ndarray, n: int) -> dict[str, np.ndarray]:
             bij, inv, idem = flags.any(axis=1).tolist()
             keep = flags.any(axis=0)
             if not keep.all():
-                live, img, flags = live[keep], img[keep], flags[:, keep]
+                live, moves, flags = live[keep], moves[keep], flags[:, keep]
                 ident = xs + (np.arange(len(live)) * size)[:, None]
                 tab = (tab[keep] & (size - 1)) + ident - xs
                 if not len(live):
@@ -323,6 +337,35 @@ def descent_rows(
     holds_fixed = ~_all_by_row(~fixed.reshape(-1)[at], i, len(keys))
     return {"descent": _all_by_row(~stuck, row, k),
             "principal_fp": _all_by_row(holds_fixed, row, k)}
+
+
+_COLLECTION_COLUMNS = ("pre_principal", "convex", "pre_ideal", "min_ideal", "mu_fixes_p",
+                       "lambda_p_is_j", "mu_j_is_p", "mu_lambda_invert")
+
+
+def collection_rows(
+    masks: dict[str, np.ndarray], free: dict[str, np.ndarray], n: int
+) -> dict[str, np.ndarray]:
+    """The recognisers of each row's principal (P), trapspace (J) and minimal
+    (N) masks, and the round trips of union closure (lambda) and pointwise
+    reduction (mu) between P and J, given their ``pointwise_free`` stacks."""
+    P, J, N = masks["P"], masks["J"], masks["N"]
+    mu_j, lam_p = pointwise_cubes(free["J"], n), lambda_rows(P, n)
+
+    def same(a, b):
+        return np.all(a == b, axis=1)
+
+    return {
+        "pre_principal": pre_principal_rows(P, n),
+        "convex": convex_rows(P, n),
+        "pre_ideal": pre_ideal_rows(J, n),
+        "min_ideal": min_ideal_rows(N, n),
+        "mu_fixes_p": same(pointwise_cubes(free["P"], n), P),
+        "lambda_p_is_j": same(lam_p, J),
+        "mu_j_is_p": same(mu_j, P),
+        "mu_lambda_invert": same(pointwise_cubes(pointwise_free(lam_p, n), n), P)
+        & same(lambda_rows(mu_j, n), J),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -485,12 +528,17 @@ class ProfileBlock:
     stacks, the profiles' own graphs, or an expression in other columns.
     The six predicates of a graph kind are one pass over its row form (see
     ``dynamics``); only ``trapping``, ``tg_is_ga`` and a GA that is not
-    transitive read the profiles' bitset graphs.
+    transitive read the profiles' bitset graphs.  The collection columns
+    (``collection_rows``) and the realisations read the principal,
+    trapspace and minimal collections that the profiles give.  The networks
+    related to the rows (closures, min extensions, realisations) are the
+    rows of one more block, read through ``profile_of``.
 
     Each profile holds its block, and the block refers to its profiles
     weakly: with no cycle between them, a block is freed with the last of
     its profiles, not at the next full collection.  Whoever builds a block
-    keeps its profiles while it reads the columns of their own facts."""
+    keeps its profiles while it reads the columns of their own facts; the
+    block holds the related profiles."""
 
     def __init__(self, profiles: list[NetworkProfile]):
         self.profiles = [weakref.proxy(p) for p in profiles]
@@ -521,6 +569,49 @@ class ProfileBlock:
     def min_extensions(self) -> np.ndarray:
         """The (k, 2^n) images of ``min_extension_rows``."""
         return min_extension_rows(self.principal[0], self.cover[3], self.n)
+
+    @cached_property
+    def collections(self) -> dict[str, np.ndarray]:
+        """The (k, 3^n) masks of the principal (P), trapspace (J) and minimal
+        (N) collections, as each profile gives them."""
+        return {
+            "P": np.stack([p.pt_collection.mask for p in self.profiles]),
+            "J": np.stack([p.trapspace_collection.mask for p in self.profiles]),
+            "N": np.stack([p.minimal[0].mask for p in self.profiles]),
+        }
+
+    @cached_property
+    def pointwise(self) -> dict[str, np.ndarray]:
+        """The (k, 2^n) ``pointwise_free`` stack of each of ``collections``:
+        its realisation moves x by that mask."""
+        return {c: pointwise_free(masks, self.n) for c, masks in self.collections.items()}
+
+    @cached_property
+    def realized(self) -> dict[str, list[BooleanNetwork]]:
+        """The realisation of each row's P, J and N collections."""
+        xs = np.arange(1 << self.n)
+        return {
+            c: [BooleanNetwork(self.n, tuple(image)) for image in (xs ^ free).tolist()]
+            for c, free in self.pointwise.items()
+        }
+
+    @cached_property
+    def _by_network(self) -> dict[BooleanNetwork, NetworkProfile]:
+        """Each row's profile, and one of each closure, min extension and
+        realisation of the rows that is no row's network: the rows of one
+        more block of this kind, profiled as the rows are (a proxy gives its
+        profile's class)."""
+        own = {p.f: p for p in self.profiles}
+        nets = [g for p in self.profiles for g in (p.closure, p.min_extension)]
+        nets += [g for found in self.realized.values() for g in found]
+        related = {g: self.profiles[0].__class__(g) for g in dict.fromkeys(nets) if g not in own}
+        if related:
+            type(self)(list(related.values()))
+        return {**related, **own}
+
+    def profile_of(self, g: BooleanNetwork) -> NetworkProfile:
+        """The profile of g: a row's network or one related to the rows."""
+        return self._by_network[g]
 
     def __getitem__(self, name: str) -> np.ndarray:
         if name not in self._columns:
@@ -581,6 +672,8 @@ class ProfileBlock:
             return interval_fixed_rows(images, n)
         if name in _IMAGE_FLAGS:
             return image_flag_rows(images, n)
+        if name in _COLLECTION_COLUMNS:
+            return collection_rows(self.collections, self.pointwise, n)
         return {name: {
             "all": lambda: np.ones(len(images), dtype=bool),
             "commutative": lambda: commutative_rows(images, n),
@@ -604,18 +697,6 @@ class ProfileBlock:
             "trapspace_fp": lambda: np.all(fixed_point_rows(images, n) | ~self.trapspaces, axis=1),
             "min_trapping": lambda: np.all(self.min_extensions == images, axis=1),
         }[name]()}
-
-
-def is_negation_on_subcubes(f: BooleanNetwork) -> bool:
-    """True when the moved configurations split into disjoint subcubes on
-    which f is the opposite map (flip all free coordinates)."""
-    return NetworkProfile(f).prop("negation_on_subcubes")
-
-
-def is_constant_on_arrangements(f: BooleanNetwork) -> bool:
-    """True when each moved configuration belongs to a fiber that targets a
-    fixed point and is closed under the intervals toward that target."""
-    return NetworkProfile(f).prop("constant_on_arrangements")
 
 
 @dataclass(frozen=True)
@@ -903,25 +984,21 @@ def load_fixture(diagram: str, label: str) -> BooleanNetwork:
     return parse_truth_table(text)
 
 
-def implication_rows(diagram: DiagramSpec, block: ProfileBlock) -> list[list[DiagramViolation]]:
-    """``diagram_implication_violations`` of each network of a block: an
-    edge fails on the rows of its column ``guard & source & ~target``."""
-    fails = np.array([block[e.guard] & block[e.source] & ~block[e.target] for e in diagram.edges])
-    out = [[] for _ in block.profiles]
-    for e, i in zip(*(a.tolist() for a in np.nonzero(fails))):
-        edge = diagram.edges[e]
-        detail = f"{edge.source} [{edge.guard}] -> {edge.target}"
-        out[i].append(DiagramViolation(diagram.id, "implication", detail, block.profiles[i].f))
-    return out
+def implication_columns(diagram: DiagramSpec, block: ProfileBlock) -> list[tuple[np.ndarray, str]]:
+    """(fails, edge) for each edge of the diagram: it fails on the rows of a
+    block where its column ``guard & source & ~target`` is true."""
+    return [(block[e.guard] & block[e.source] & ~block[e.target],
+             f"{e.source} [{e.guard}] -> {e.target}") for e in diagram.edges]
 
 
 def diagram_implication_violations(
     diagram: DiagramSpec, p: NetworkProfile
 ) -> list[DiagramViolation]:
     """Correctness on one network: if it satisfies an edge's source and guard,
-    it must satisfy the edge's target.  Its row of ``implication_rows``."""
+    it must satisfy the edge's target.  Its row of ``implication_columns``."""
     block, i = p.block_row
-    return implication_rows(diagram, block)[i]
+    return [DiagramViolation(diagram.id, "implication", edge, p.f)
+            for fails, edge in implication_columns(diagram, block) if fails[i]]
 
 
 def diagram_counterexample_violations(diagram: DiagramSpec) -> list[DiagramViolation]:

@@ -34,7 +34,8 @@ from trapnets import (
 )
 from trapnets.generators import long_transient_trapping, random_commutative
 from trapnets.netio import export_dot, network_to_text
-from trapnets.verify import distance_bound_violation
+from trapnets.classes import ProfileBlock
+from trapnets.verify import distance_bound_rows
 
 from helpers import brute_force_trapspaces, cfg, cube, f_ex3
 
@@ -181,7 +182,12 @@ def test_ac6_distance_bound_on_commutative_networks():
         for seed in range(130):
             samples.append(random_commutative(n, seed * 7 + n, parts=1 + seed % 3))
     assert len(samples) >= 500
-    bad = [f for f in samples if distance_bound_violation(f) is not None]
+    bad = []
+    for n in (2, 3, 4, 5):
+        profiles = [NetworkProfile(f) for f in samples if f.n == n]
+        block = ProfileBlock(profiles)
+        problems = distance_bound_rows(block.images, n, block.intervals)
+        bad += [p.f for p, problem in zip(profiles, problems) if problem is not None]
     for f in bad[:3]:
         print("  distance bound fails:", f.image)
     report("AC6 distance bound", not bad, f"{len(samples)} commutative samples")

@@ -14,17 +14,23 @@ from trapnets.classes import (
     VECTORS,
     ProfileBlock,
     _submasks,
+    globally_rows,
     interval_arrays,
-    is_constant_on_arrangements,
-    is_negation_on_subcubes,
 )
 from trapnets.core import iter_submasks
-from trapnets.generators import exhaustive_networks
-from trapnets.verify import distance_bound_rows, distance_bound_violation, sample_population
+from trapnets.generators import (
+    exhaustive_networks,
+    random_commutative,
+    random_constant_on_arrangements,
+    random_negation_on_subcubes,
+    random_network,
+)
+from trapnets.verify import distance_bound_rows, sample_population
 
 from helpers import (
     arcwise_graph_property,
     f_ex3,
+    globally_sweep,
     loop_alternate_definitions,
     loop_class_flags,
     loop_distance_bound_violation,
@@ -62,15 +68,33 @@ def test_block_columns_match_the_per_network_oracles():
                 assert tuple(whole.vector(theorem)[i].tolist()) == expected, (theorem, f.image)
                 assert check_alternate_definitions(f, theorem) == expected
                 seen.update(zip(names, expected))
-            assert is_negation_on_subcubes(f) == loop_is_negation_on_subcubes(f)
-            assert is_constant_on_arrangements(f) == loop_is_constant_on_arrangements(f)
+            assert p.prop("negation_on_subcubes") == loop_is_negation_on_subcubes(f)
+            assert p.prop("constant_on_arrangements") == loop_is_constant_on_arrangements(f)
             expected = loop_distance_bound_violation(f)
-            assert problems[i] == distance_bound_violation(f) == expected, f.image
+            alone_problem = distance_bound_rows(alone.images, n, alone.intervals)[0]
+            assert problems[i] == alone_problem == expected, f.image
             seen.add(("distance", expected is None))
     # Every flag and condition both holds and fails somewhere.
     names = {name for name, _ in seen}
     assert names >= {name for names in VECTORS.values() for name in names}
     assert {name for name in names if {(name, True), (name, False)} <= seen} == names
+
+
+def test_globally_rows_match_the_rewriting_sweep():
+    # The oracle rewrites the switched coordinate as (tab & ~bit) | (src & bit);
+    # the stacked sweep toggles it in place with moves & bit.
+    seen = set()
+    for n in range(1, 10):
+        nets = [make(n, seed) for seed in range(3) for make in (
+            random_network, random_commutative, random_negation_on_subcubes,
+            random_constant_on_arrangements,
+        )]
+        got = globally_rows(np.stack([f.np_image for f in nets]), n)
+        columns = [got[f"globally_{w}"].tolist() for w in ("bijective", "involutive", "idempotent")]
+        for f, flags in zip(nets, zip(*columns)):
+            assert flags == globally_sweep(f), (n, f.image)
+            seen.update(enumerate(flags))
+    assert seen == {(j, holds) for j in range(3) for holds in (True, False)}
 
 
 def test_graph_predicates_are_computed_once_per_distinct_graph(monkeypatch):
@@ -111,23 +135,28 @@ def test_interval_arrays_of_a_negation_block_stay_inside_the_block_bound():
     n = 6
     size = min(verify._block_size(n), verify._MAX_BLOCK)
     block = [BooleanNetwork.negation(n)] * size
-    at, s = interval_arrays(verify._images(block), n)
+    at, s = interval_arrays(np.stack([f.np_image for f in block]), n)
     assert len(at) == len(s) == size * 4**n <= verify._block_size(n) * 4**n == 2**20
     assert ProfileBlock([NetworkProfile(f) for f in block[:2]])["negation_on_subcubes"].all()
 
 
 def test_a_block_is_freed_with_its_profiles_without_a_collection():
-    # A cycle between a block and its profiles would keep every fact of a
-    # verify block alive until the next full collection.
+    # A cycle between a block and its profiles, or its related profiles,
+    # would keep every fact of a verify block alive until the next full
+    # collection.
     gc.disable()
     try:
         profiles = [NetworkProfile(f) for f in sample_population(3, 6, 1)]
         block = ProfileBlock(profiles)
         assert block["symmetric_tg"].shape == block["trapspace_fp"].shape == (len(profiles),)
+        related = block.profile_of(profiles[0].closure)
+        assert related.f not in {p.f for p in profiles} and related.trapspace_collection
+        assert block.profile_of(profiles[0].f) == profiles[0]
         alone = NetworkProfile(BooleanNetwork.negation(3))
         assert alone.prop("symmetric_ga") and alone.min_extension
-        refs = [weakref.ref(block), weakref.ref(alone.block_row[0])]
-        del profiles, block, alone
-        assert [ref() for ref in refs] == [None, None]
+        refs = [weakref.ref(block), weakref.ref(alone.block_row[0]),
+                weakref.ref(related.block_row[0]), weakref.ref(related)]
+        del profiles, block, alone, related
+        assert [ref() for ref in refs] == [None] * 4
     finally:
         gc.enable()

@@ -284,7 +284,7 @@ def test_equivalence_and_closure_law_match_collection_oracles():
     previous = {}
     for f in oracle_population():
         pf = NetworkProfile(f)
-        assert closure_law_violations(pf) == []
+        assert closure_law_violations(pf.block_row[0]) == [[]]
         for g in (pf.closure, previous.get(f.n)):
             if g is None:
                 continue

@@ -6,49 +6,31 @@ import os
 import pytest
 
 from trapnets import cli, verify
-from trapnets.classes import DiagramViolation
 from trapnets.verify import Violation, run_verification, sample_population
 
 
 def flag_checks(monkeypatch, flagged):
     """One check per section reports every network of ``flagged`` (a list),
-    with its index there; the real checks still run."""
+    with its index there; the real checks still run.  A check takes a block
+    last and returns one list per network."""
 
-    def index(f):
-        return str(flagged.index(f)) if f in flagged else None
+    def flagging(name, violation, applies=lambda *args: True):
+        original = getattr(verify, name)
 
-    def flag(out, f, violation):
-        i = index(f)
-        return out if i is None else out + [violation(i)]
+        def check(*args):
+            found = original(*args)
+            if not applies(*args):
+                return found
+            return [out + [violation(str(flagged.index(p.f)), p.f)] if p.f in flagged else out
+                    for p, out in zip(args[-1].profiles, found)]
 
-    original_laws = verify.closure_law_violations
+        monkeypatch.setattr(verify, name, check)
 
-    def laws(p, *args):
-        return flag(original_laws(p, *args), p.f, lambda i: Violation("flag-closure", i, p.f))
-
-    # The class checks take a block and return one list per network.
-    original_hierarchy = verify.hierarchy_violations
-
-    def hierarchy(block):
-        return [
-            flag(out, p.f, lambda i, p=p: Violation("flag-theorem", i, p.f))
-            for p, out in zip(block.profiles, original_hierarchy(block))
-        ]
-
-    original_implications = verify.implication_rows
-
-    def implications(diagram, block):
-        rows = original_implications(diagram, block)
-        if diagram.id != "marseille":
-            return rows
-        return [
-            flag(out, p.f, lambda i, p=p: DiagramViolation(diagram.id, "implication", i, p.f))
-            for p, out in zip(block.profiles, rows)
-        ]
-
-    monkeypatch.setattr(verify, "closure_law_violations", laws)
-    monkeypatch.setattr(verify, "hierarchy_violations", hierarchy)
-    monkeypatch.setattr(verify, "implication_rows", implications)
+    flagging("hierarchy_violations", lambda i, f: Violation("flag-theorem", i, f))
+    flagging("closure_law_violations", lambda i, f: Violation("flag-closure", i, f))
+    flagging("implication_violations",
+             lambda i, f: Violation("diagram-marseille", f"implication: {i}", f),
+             lambda diagram, block: diagram.id == "marseille")
 
 
 @pytest.mark.parametrize("size", [0, 1, 2, 16])
@@ -74,10 +56,10 @@ def test_exception_in_a_check_propagates_unchanged(monkeypatch):
     failure = CheckFailed("bad network")
     original = verify.dynamics_claim_violations
 
-    def patched(p):
-        if p.f == nets[-1]:
+    def patched(block):
+        if nets[-1] in [p.f for p in block.profiles]:
             raise failure
-        return original(p)
+        return original(block)
 
     monkeypatch.setattr(verify, "dynamics_claim_violations", patched)
     with pytest.raises(CheckFailed) as info:

@@ -2,17 +2,17 @@
 networks, the monotonicity pairs in one broadcast, and the block size."""
 
 import re
+from collections import Counter
 from functools import cached_property
 
 import numpy as np
 
 from trapnets import NetworkProfile, SubcubeCollection, realize, trapping_closure
-from trapnets.classes import VECTORS, ProfileBlock
+from trapnets.classes import DIAGRAMS, VECTORS, ProfileBlock
 from trapnets.core import lattice_combine
 from trapnets.generators import exhaustive_networks
 from trapnets import verify
 from trapnets.verify import (
-    CollectionBlock,
     collection_roundtrip_violations,
     monotone_pairs_violations,
     monotonicity_violations,
@@ -55,12 +55,11 @@ def test_block_roundtrips_match_the_per_network_oracle():
     fired = set()
     for n, samples, seed in ((2, 12, 1), (3, 20, 2), (4, 20, 3), (5, 8, 4)):
         profiles = perturbed_profiles(n, samples, seed)
-        profile = verify._related_profiles(*profiles)
-        block = CollectionBlock(profiles, profile)
+        block = ProfileBlock(profiles)
         got = collection_roundtrip_violations(block)
-        assert got == [per_network_roundtrip_violations(p, profile) for p in profiles]
-        assert block.convex == [p.pt_flags.convex for p in profiles]
-        assert block.realized_p == [realize(p.pt_collection) for p in profiles]
+        assert got == [per_network_roundtrip_violations(p, block.profile_of) for p in profiles]
+        assert block["convex"].tolist() == [p.pt_flags.convex for p in profiles]
+        assert block.realized["P"] == [realize(p.pt_collection) for p in profiles]
         assert not any(got[0::4])  # the unperturbed profiles
         fired.update(v.detail for vs in got for v in vs)
     assert len(fired) >= 13, sorted(fired)
@@ -137,17 +136,19 @@ def test_blocks_hold_at_most_max_block_networks():
     assert sizes == [verify._MAX_BLOCK, 300 - verify._MAX_BLOCK, 4]
 
 
-# One condition of each theorem and one diagram node.
+# One condition of each theorem, one node of each diagram and the
+# dynamically-local flag, which the transient check compares with f^3 = f.
 FLIPPED = (
     "trapping7.pairs", "commutative3.intervals", "negation_on_subcubes",
     "constant_on_arrangements", "subset_idempotent", "descent", "symmetric_ga",
+    "involutive", "oriented_a", "interval_fp", "dynamically_local",
 )
 
 
 class PerturbedClasses(ProfileBlock):
     """A profile block whose ``FLIPPED`` columns are negated on the networks
     with an image sum divisible by 3, so that the alternate-definition,
-    hierarchy and diagram checks fire."""
+    hierarchy, diagram and transient checks fire."""
 
     def _fill(self, name):
         filled = super()._fill(name)
@@ -201,3 +202,31 @@ def test_all_suite_is_the_other_suites_concatenated(monkeypatch):
     sections = [run_verification(nets, suite) for suite in ("theorems", "closure", "diagrams")]
     assert all(sections)
     assert run_verification(nets, "all") == [v for section in sections for v in section]
+
+
+# The per-network checks of ``run_verification``'s section table.
+CHECKS = (
+    "alternate_definition_violations", "collection_roundtrip_violations",
+    "dynamics_claim_violations", "commutative_claim_violations", "hierarchy_violations",
+    "equivalence_vector_violations", "closure_law_violations", "implication_violations",
+)
+
+
+def test_every_check_fires_on_the_perturbed_population(monkeypatch):
+    # A check dropped from the section table leaves its name unrecorded.
+    monkeypatch.setattr(verify, "NetworkProfile", PerturbedProfile)
+    monkeypatch.setattr(verify, "ProfileBlock", PerturbedClasses)
+    fired = Counter()
+    for name in CHECKS:
+
+        def recording(*args, name=name, check=getattr(verify, name)):
+            found = check(*args)
+            fired.update((name, v.check) for vs in found for v in vs)
+            return found
+
+        monkeypatch.setattr(verify, name, recording)
+    violations = run_verification(sample_population(3, 12, 5))
+    assert {name for name, _ in fired} == set(CHECKS), fired
+    diagrams = {check for name, check in fired if name == "implication_violations"}
+    assert diagrams == {f"diagram-{d}" for d in DIAGRAMS}
+    assert sum(fired.values()) == len(violations)
