@@ -530,9 +530,9 @@ class ProfileBlock:
     ``dynamics``); only ``trapping``, ``tg_is_ga`` and a GA that is not
     transitive read the profiles' bitset graphs.  The collection columns
     (``collection_rows``) and the realisations read the principal,
-    trapspace and minimal collections that the profiles give.  The networks
-    related to the rows (closures, min extensions, realisations) are the
-    rows of one more block, read through ``profile_of``.
+    trapspace and minimal collections that the profiles give.  The closures
+    and min extensions of the rows are the rows of one more block, read
+    through ``profile_of`` with any realisation that is neither.
 
     Each profile holds its block, and the block refers to its profiles
     weakly: with no cycle between them, a block is freed with the last of
@@ -597,20 +597,24 @@ class ProfileBlock:
 
     @cached_property
     def _by_network(self) -> dict[BooleanNetwork, NetworkProfile]:
-        """Each row's profile, and one of each closure, min extension and
-        realisation of the rows that is no row's network: the rows of one
-        more block of this kind, profiled as the rows are (a proxy gives its
-        profile's class)."""
+        """Each row's profile, and one of each closure and min extension of
+        the rows that is no row's network: the rows of one more block of
+        this kind, profiled as the rows are (a proxy gives its profile's
+        class)."""
         own = {p.f: p for p in self.profiles}
         nets = [g for p in self.profiles for g in (p.closure, p.min_extension)]
-        nets += [g for found in self.realized.values() for g in found]
         related = {g: self.profiles[0].__class__(g) for g in dict.fromkeys(nets) if g not in own}
         if related:
             type(self)(list(related.values()))
         return {**related, **own}
 
     def profile_of(self, g: BooleanNetwork) -> NetworkProfile:
-        """The profile of g: a row's network or one related to the rows."""
+        """The profile of g: a row's network or one related to the rows.
+        The realisations of P and J are the closure and that of N is the
+        min extension, so another network is a realisation that breaks
+        them; it is profiled on first use, as the rows are, and kept."""
+        if g not in self._by_network:
+            self._by_network[g] = self.profiles[0].__class__(g)
         return self._by_network[g]
 
     def __getitem__(self, name: str) -> np.ndarray:

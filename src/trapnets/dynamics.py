@@ -27,11 +27,12 @@ integer.  It is built only where a question needs the arcs themselves:
 whether the GA is transitive (the ``trapping`` flag, kept apart from the
 row forms so that it stays an independent test of them), graph equality
 (``tg_is_ga`` and equal trapping graphs), the DOT export, and the
-orientation and SCCs of a GA that is not transitive.  There Kosaraju runs
-on the bitsets and their transposed rows ``into``: each step of either
-search ANDs one row with the set still to visit, so V = 2^n vertices cost
-O(V^2/64) word operations whatever the arc count.  Loops are kept in every
-graph; only the DOT exporter drops them.
+orientation and SCCs of a GA that is not transitive.  There one
+path-based depth-first search finds the SCCs on the out-rows alone, with no
+transposed rows: each step ANDs one row with the set still to visit or the
+set on the search path, so V = 2^n vertices cost O(V^2/64) word operations
+whatever the arc count.  Loops are kept in every graph; only the DOT
+exporter drops them.
 """
 
 from __future__ import annotations
@@ -78,23 +79,6 @@ class HypercubeGraph:
             for y in bitset_members(row):
                 if include_loops or x != y:
                     yield (x, y)
-
-    @cached_property
-    def into(self) -> tuple[int, ...]:
-        """The transposed rows: ``into[y]`` is the predecessor set of y."""
-        size = 1 << self.n
-        width = (size + 7) // 8
-        cols = np.empty((size, width), dtype=np.uint8)
-        for start in range(0, size, 256):  # 256 rows, as 256 x 2^n unpacked bits, at a time
-            chunk = self.out[start:start + 256]
-            raw = b"".join(row.to_bytes(width, "little") for row in chunk)
-            block = np.unpackbits(
-                np.frombuffer(raw, dtype=np.uint8).reshape(len(chunk), width),
-                axis=1, count=size, bitorder="little",
-            )
-            packed = np.packbits(np.ascontiguousarray(block.T), axis=1, bitorder="little")
-            cols[:, start // 8:start // 8 + packed.shape[1]] = packed
-        return tuple(int.from_bytes(col, "little") for col in cols)
 
     @cached_property
     def transitive(self) -> bool:
@@ -145,48 +129,47 @@ def strongly_connected_components(
 
     Returns (components, terminal) where components[k] is a sorted vertex
     tuple and terminal[k] says whether component k has no arc leaving it.
-    Kosaraju on bitsets: a depth-first search on the rows gives the
-    finishing order, then in reverse finishing order each unassigned
-    vertex grows its component through the transposed rows.
+    Gabow's path-based search, one depth-first search on the rows: the
+    ``opened`` set holds the visited vertices in no component yet, and each
+    vertex that may root a component holds the part of it below itself.  A
+    newly visited vertex pops every root whose below-set meets its arcs,
+    which merges those roots' parts with it; the search leaving a root
+    closes the part above that root as one component.  Components are found
+    sinks first.
     """
-    out, into = g.out, g.into
-    everything = (1 << (1 << g.n)) - 1
-
-    finished: list[int] = []
-    unvisited = everything
-    while unvisited:
-        root = unvisited & -unvisited
-        unvisited ^= root
-        stack = [root.bit_length() - 1]
-        while stack:
-            succ = out[stack[-1]] & unvisited
-            if succ:
-                low = succ & -succ
-                unvisited ^= low
-                stack.append(low.bit_length() - 1)
-            else:
-                finished.append(stack.pop())
-
+    out = g.out
+    unvisited = (1 << (1 << g.n)) - 1
+    opened = 0
+    roots: list[tuple[int, int]] = []  # (vertex, the opened set below it)
     components: list[tuple[int, ...]] = []
     terminal: list[bool] = []
-    unassigned = everything
-    for root in reversed(finished):
-        if not unassigned >> root & 1:
+    path: list[int] = []
+    while path or unvisited:
+        # The least unvisited successor of the top of the path, or a new root.
+        step = (out[path[-1]] if path else unvisited) & unvisited
+        step &= -step
+        if step:
+            v = step.bit_length() - 1
+            unvisited ^= step
+            # Pushed before the pops, so an arc back to the parent merges v.
+            roots.append((v, opened))
+            opened |= step
+            back = out[v] & opened
+            while back & roots[-1][1]:
+                roots.pop()
+            path.append(v)
             continue
-        comp = 1 << root
-        unassigned ^= comp
-        members = [root]
-        reach = 0
-        for v in members:  # grows while it is walked
-            reach |= out[v]
-            new = into[v] & unassigned
-            if new:
-                unassigned ^= new
-                comp |= new
-                members.extend(bitset_members(new))
-        components.append(tuple(sorted(members)))
-        terminal.append(reach | comp == comp)
-    return tuple(components), tuple(terminal)
+        v = path.pop()
+        if roots[-1][0] == v:  # the search leaves a root: close its part
+            below = roots.pop()[1]
+            comp, opened = opened ^ below, below
+            members = [v] if comp == 1 << v else bitset_members(comp)
+            reach = 0
+            for x in members:
+                reach |= out[x]
+            components.append(tuple(members))
+            terminal.append(reach | comp == comp)
+    return tuple(reversed(components)), tuple(reversed(terminal))
 
 
 def graph_property(g: HypercubeGraph, prop: str) -> bool:
@@ -194,22 +177,31 @@ def graph_property(g: HypercubeGraph, prop: str) -> bool:
 
     ``oriented`` ignores loops; ``triangular`` means the only cycles are
     loops; ``sink-terminal`` means every terminal component is a single
-    vertex.
+    vertex.  ``symmetric`` and ``oriented`` read the arcs inside each
+    component: an arc and its reverse lie in one, and no arc leaves a
+    component of a symmetric graph.
     """
     prop = prop.replace("_", "-")
     if prop not in GRAPH_PROPERTIES:
         raise ValueError(f"unknown graph property {prop!r}")
     if prop == "reflexive":
         return all(row >> x & 1 for x, row in enumerate(g.out))
-    if prop == "symmetric":
-        return g.out == g.into
     if prop == "transitive":
         return g.transitive
-    if prop == "oriented":
-        return all(
-            not row & back & ~(1 << x) for x, (row, back) in enumerate(zip(g.out, g.into))
-        )
     components, terminal = g.components
+    if prop in ("symmetric", "oriented"):
+        symmetric = prop == "symmetric"
+        if symmetric and not all(terminal):
+            return False
+        for comp in components:
+            if len(comp) == 1:
+                continue
+            inside = sum(1 << x for x in comp)
+            for x in comp:
+                for y in bitset_members(g.out[x] & inside & ~(1 << x)):
+                    if (g.out[y] >> x & 1) != symmetric:
+                        return False
+        return True
     if prop == "triangular":
         return all(len(c) == 1 for c in components)
     # sink-terminal

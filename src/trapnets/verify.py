@@ -14,9 +14,9 @@ its rows: the trapspace facts (principal pairs, trapspaces, minimal cover,
 fixed points, min extension), one boolean column per class flag and per
 alternate-definition condition (graph predicates from the graphs' row
 forms), the collection recognisers and round trips, and the realisations.
-The closures, min extensions and realisations that are none of the block's
-networks are the rows of one related block, read through
-``ProfileBlock.profile_of``.
+The closures and min extensions that are none of the block's networks are
+the rows of one related block, read through ``ProfileBlock.profile_of``,
+which profiles a realisation that is neither on first use.
 
 Every per-network check takes the block and returns one violation list per
 network, built by ``_violations`` from (broken column, detail) pairs: a

@@ -272,16 +272,59 @@ def test_graphs_match_oracles_identity_negation_long_transient(n):
             assert_graph_matches_oracles(g)
 
 
-def test_into_is_the_transpose_across_row_blocks():
-    # n = 9 has 512 rows, so the transpose is built from two blocks.
-    for n in (1, 2, 3, 9):
-        for g in three_graphs(random_network(n, 5)):
-            size = 1 << n
-            assert all(
-                (g.out[x] >> y & 1) == (g.into[y] >> x & 1)
-                for x in range(size)
-                for y in range(size)
-            )
+def gray_walk(n, cycle):
+    """The network stepping along the Gray code: g_i -> g_(i+1), with the
+    last code fixed (a chain) or stepping back to the first (a cycle)."""
+    codes = [i ^ i >> 1 for i in range(1 << n)]
+    image = [0] * (1 << n)
+    for a, b in zip(codes, codes[1:] + [codes[0] if cycle else codes[-1]]):
+        image[a] = b
+    return BooleanNetwork(n, tuple(image))
+
+
+def random_graphs(n, rng):
+    """Generic digraphs on B^n: random rows at several densities, with and
+    without loops, their symmetrised forms, and the empty and complete
+    graphs."""
+    size = 1 << n
+    full = (1 << size) - 1
+    graphs = [HypercubeGraph(n, (0,) * size), HypercubeGraph(n, (full,) * size)]
+    for density in (0.02, 0.1, 0.3, 0.7):
+        for _ in range(6):
+            bits = rng.random((size, size)) < density
+            rows = [sum(1 << y for y in np.flatnonzero(row).tolist()) for row in bits]
+            back = [sum(1 << x for x in np.flatnonzero(bits[:, y]).tolist()) for y in range(size)]
+            graphs.append(HypercubeGraph(n, tuple(rows)))
+            graphs.append(HypercubeGraph(n, tuple(r | 1 << x for x, r in enumerate(rows))))
+            graphs.append(HypercubeGraph(n, tuple(r | b for r, b in zip(rows, back))))
+    return graphs
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_scc_search_on_gray_chains_and_cycles(n):
+    # The chain's search is as deep as the cube, with one component per
+    # vertex; the cycle is one component.
+    for cycle, count in ((False, 1 << n), (True, 1)):
+        g = build_graph(gray_walk(n, cycle), "general")
+        assert_graph_matches_oracles(g)
+        assert len(g.components[0]) == count
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_scc_search_on_a_dense_graph_that_is_not_transitive(n):
+    # Negation with f(0) = 1: every row is the whole cube but 0's, {0, 1}.
+    # At n = 1 that is negation, whose graph is complete.
+    image = list(BooleanNetwork.negation(n).image)
+    image[0] = 1
+    g = build_graph(BooleanNetwork(n, tuple(image)), "general")
+    assert_graph_matches_oracles(g)
+    assert graph_property(g, "transitive") == (n == 1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_scc_search_on_random_generic_graphs(n):
+    for g in random_graphs(n, np.random.default_rng(n)):
+        assert_graph_matches_oracles(g)
 
 
 def test_scc_matches_tarjan_random_n9():
@@ -298,7 +341,7 @@ def test_cached_rows_leave_equality_and_hash_unchanged():
     before = (hash(ga), hash(tg))
     assert ga == tg
     for g in (ga, tg):
-        assert g.into and g.components
+        assert g.components
     assert ga == tg
     assert (hash(ga), hash(tg)) == before == (hash(build_graph(f, "general")),) * 2
 

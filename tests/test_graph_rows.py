@@ -7,7 +7,7 @@ samples at n = 3..8 and on every generator kind at n = 9..12, in blocks of
 import numpy as np
 import pytest
 
-from trapnets import BooleanNetwork, NetworkProfile
+from trapnets import BooleanNetwork, NetworkProfile, dynamics
 from trapnets.classes import ProfileBlock
 from trapnets.cli import _analysis_report
 from trapnets.dynamics import (
@@ -132,23 +132,23 @@ def test_rows_match_the_arc_oracles_on_every_gen_kind_at_n_9():
 
 @pytest.mark.parametrize("n", range(10, 13))
 def test_rows_match_the_bitset_graphs_on_every_gen_kind(n):
-    # Above n = 9 the arc oracles walk up to 4^n arcs; Kosaraju on the
-    # bitsets is checked against them in test_dynamics.
+    # Above n = 9 the arc oracles walk up to 4^n arcs; the path-based search
+    # on the bitsets is checked against them in test_dynamics.
     assert_rows_match(gen_kinds(n), graph_property, strongly_connected_components)
 
 
 @pytest.mark.parametrize("kind", ["commutative", "negation", "constant", "long-transient"])
 def test_full_analyze_of_a_trapping_network_builds_only_its_general_graph(monkeypatch, kind):
-    built, transposed = [], []
+    built, searched = [], []
     post_init = HypercubeGraph.__post_init__
     monkeypatch.setattr(HypercubeGraph, "__post_init__", lambda g: (built.append(g), post_init(g)))
-    into = vars(HypercubeGraph)["into"]
-    transpose = into.func
-    monkeypatch.setattr(into, "func", lambda g: (transposed.append(g), transpose(g))[1])
+    search = dynamics.strongly_connected_components
+    monkeypatch.setattr(dynamics, "strongly_connected_components",
+                        lambda g: (searched.append(g), search(g))[1])
     f = GEN_KINDS[kind](11)
     report = _analysis_report(f, "net", minimal_only=False)
     assert report["classes"]["trapping"]
-    assert transposed == []
+    assert searched == []
     general = [g.out for g in built]
     monkeypatch.undo()
     assert general == [NetworkProfile(f).graph_ga.out]

@@ -11,7 +11,8 @@ from trapnets import NetworkProfile, SubcubeCollection, realize, trapping_closur
 from trapnets.classes import DIAGRAMS, VECTORS, ProfileBlock
 from trapnets.core import lattice_combine
 from trapnets.generators import exhaustive_networks
-from trapnets import verify
+from trapnets import classes, cubesets, verify
+from trapnets.cli import main
 from trapnets.verify import (
     collection_roundtrip_violations,
     monotone_pairs_violations,
@@ -230,3 +231,16 @@ def test_every_check_fires_on_the_perturbed_population(monkeypatch):
     diagrams = {check for name, check in fired if name == "implication_violations"}
     assert diagrams == {f"diagram-{d}" for d in DIAGRAMS}
     assert sum(fired.values()) == len(violations)
+
+
+def test_the_closure_suite_builds_no_realisation(monkeypatch):
+    calls = []
+    for module in (classes, cubesets):
+        patched = module.pointwise_free
+        monkeypatch.setattr(module, "pointwise_free",
+                            lambda masks, n, patched=patched: (calls.append(n), patched(masks, n))[1])
+    argv = ["verify", "--n", "3", "--samples", "60", "--seed", "5", "--suite"]
+    assert main(argv + ["closure"]) == 0
+    assert calls == []
+    assert main(argv + ["theorems"]) == 0  # the realisations are built there
+    assert calls
