@@ -14,12 +14,17 @@ same kernels.
 The implication diagrams encode which class memberships force which others
 (unconditionally, for trapping networks, or for commutative networks)
 together with the counterexample fixtures witnessing the absent arrows.
+This module owns the one diagram check, ``implication_violations``, and the
+population cut, ``population_blocks``, that ``verify_diagram`` and
+``verify.run_verification`` both profile; ``block_violations`` turns a
+block's broken columns into per-network ``Violation`` lists.
 """
 
 from __future__ import annotations
 
 import functools
 import importlib.resources
+import itertools
 import weakref
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -393,19 +398,13 @@ class NetworkProfile:
         else row 0 of a block of itself."""
         return ProfileBlock([self]), 0
 
-    def _shared(self, g: HypercubeGraph) -> HypercubeGraph:
-        # Equal graphs (e.g. the general and trapping graphs of a trapping
-        # network) share one object, so its cached rows and SCCs are built once.
-        built = (vars(self).get(name) for name in ("graph_a", "graph_ga", "graph_tg"))
-        return next((h for h in built if h == g), g)
-
     @cached_property
     def graph_a(self) -> HypercubeGraph:
-        return self._shared(build_graph(self.f, "asynchronous"))
+        return build_graph(self.f, "asynchronous")
 
     @cached_property
     def graph_ga(self) -> HypercubeGraph:
-        return self._shared(build_graph(self.f, "general"))
+        return build_graph(self.f, "general")
 
     @cached_property
     def pt_pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -419,7 +418,7 @@ class NetworkProfile:
 
     @cached_property
     def graph_tg(self) -> HypercubeGraph:
-        return self._shared(trapping_graph(self.f, self.pt_pairs))
+        return trapping_graph(self.f, self.pt_pairs)
 
     @cached_property
     def pt_collection(self) -> SubcubeCollection:
@@ -801,7 +800,7 @@ def min_trapspace_equivalent(
 
 
 # ---------------------------------------------------------------------------
-# implication diagrams
+# implication diagrams, and the block check that ``verify`` shares
 
 
 @dataclass(frozen=True)
@@ -969,14 +968,6 @@ DIAGRAMS = {
 }
 
 
-@dataclass(frozen=True)
-class DiagramViolation:
-    diagram: str
-    kind: str  # "implication" | "counterexample"
-    detail: str
-    network: BooleanNetwork
-
-
 def load_fixture(diagram: str, label: str) -> BooleanNetwork:
     """Load a counterexample fixture shipped with the package."""
     root = importlib.resources.files(__package__) / "fixtures" / diagram
@@ -988,24 +979,57 @@ def load_fixture(diagram: str, label: str) -> BooleanNetwork:
     return parse_truth_table(text)
 
 
-def implication_columns(diagram: DiagramSpec, block: ProfileBlock) -> list[tuple[np.ndarray, str]]:
-    """(fails, edge) for each edge of the diagram: it fails on the rows of a
-    block where its column ``guard & source & ~target`` is true."""
-    return [(block[e.guard] & block[e.source] & ~block[e.target],
-             f"{e.source} [{e.guard}] -> {e.target}") for e in diagram.edges]
+@dataclass(frozen=True)
+class Violation:
+    check: str
+    detail: str
+    network: BooleanNetwork
 
 
-def diagram_implication_violations(
-    diagram: DiagramSpec, p: NetworkProfile
-) -> list[DiagramViolation]:
-    """Correctness on one network: if it satisfies an edge's source and guard,
-    it must satisfy the edge's target.  Its row of ``implication_columns``."""
-    block, i = p.block_row
-    return [DiagramViolation(diagram.id, "implication", edge, p.f)
-            for fails, edge in implication_columns(diagram, block) if fails[i]]
+def block_violations(block: ProfileBlock, check: str, pairs) -> list[list[Violation]]:
+    """One list per network of the block: for each (broken, detail) pair, in
+    order, a violation of ``check`` at each network where the column
+    ``broken`` is true.  ``detail`` is a string or a function of the row."""
+    out = [[] for _ in block.profiles]
+    for broken, detail in pairs:
+        for i in np.flatnonzero(broken).tolist():
+            text = detail if isinstance(detail, str) else detail(i)
+            out[i].append(Violation(check, text, block.profiles[i].f))
+    return out
 
 
-def diagram_counterexample_violations(diagram: DiagramSpec) -> list[DiagramViolation]:
+# The most networks in one block: each profile, with those of its closure
+# and min extension, holds tens of KB, which the pair-table bound of
+# ``_block_size`` does not see at small n.
+_MAX_BLOCK = 256
+
+
+def _block_size(n: int) -> int:
+    """Networks per block at dimension n by the pair tables alone: they
+    (4^n entries per network) stay near 2^20 entries, 1 MB."""
+    return max(1, 2**20 // 4**n)
+
+
+def population_blocks(networks: list[BooleanNetwork]):
+    """Consecutive runs of at most ``_block_size(n)`` networks of one
+    dimension n, and of at most ``_MAX_BLOCK``."""
+    for n, run in itertools.groupby(networks, key=lambda f: f.n):
+        run = list(run)
+        size = min(_block_size(n), _MAX_BLOCK)
+        for start in range(0, len(run), size):
+            yield run[start : start + size]
+
+
+def implication_violations(diagram: DiagramSpec, block: ProfileBlock) -> list[list[Violation]]:
+    """Correctness on each network of the block: an edge fails where its
+    column ``guard & source & ~target`` is true."""
+    return block_violations(block, f"diagram-{diagram.id}", [
+        (block[e.guard] & block[e.source] & ~block[e.target],
+         f"implication: {e.source} [{e.guard}] -> {e.target}") for e in diagram.edges
+    ])
+
+
+def diagram_counterexample_violations(diagram: DiagramSpec) -> list[Violation]:
     """Completeness: every registered counterexample fixture must satisfy its
     non-edge's source and guard while violating the target."""
     violations = []
@@ -1014,21 +1038,17 @@ def diagram_counterexample_violations(diagram: DiagramSpec) -> list[DiagramViola
         p = NetworkProfile(net)
         if not (p.prop(ce.guard) and p.prop(ce.source) and not p.prop(ce.target)):
             detail = f"fixture {ce.label} fails to refute {ce.source} [{ce.guard}] -> {ce.target}"
-            violations.append(DiagramViolation(diagram.id, "counterexample", detail, net))
+            violations.append(Violation(f"diagram-{diagram.id}", f"counterexample: {detail}", net))
     return violations
 
 
-def verify_diagram(
-    diagram: DiagramSpec,
-    population,
-) -> list[DiagramViolation]:
-    """Check correctness over a population and completeness over fixtures.
-
-    ``population`` holds networks or NetworkProfile objects.  The implication
-    violations come in population order, then the fixture ones.
-    """
+def verify_diagram(diagram: DiagramSpec, population: list[BooleanNetwork]) -> list[Violation]:
+    """Check correctness over a population of networks, cut by
+    ``population_blocks``, and completeness over the fixtures.  The
+    implication violations come in population order, then the fixture ones."""
     violations = []
-    for item in population:
-        p = item if isinstance(item, NetworkProfile) else NetworkProfile(item)
-        violations += diagram_implication_violations(diagram, p)
+    for nets in population_blocks(population):
+        profiles = [NetworkProfile(f) for f in nets]
+        for found in implication_violations(diagram, ProfileBlock(profiles)):
+            violations += found
     return violations + diagram_counterexample_violations(diagram)

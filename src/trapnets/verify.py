@@ -6,31 +6,33 @@ equivalences, the closure-operator laws, the collection round-trips and the
 implication diagrams.  Any violation carries the offending network so it can be dumped
 as a ready-to-run truth-table reproducer.
 
-``run_verification`` checks the population in one process, in consecutive
-blocks of at most ``_block_size(n)`` and at most ``_MAX_BLOCK`` networks,
-whose profiles are the rows of one ``ProfileBlock``.  That block owns every
-fact the checks read, each filled on first use by one stacked kernel over
-its rows: the trapspace facts (principal pairs, trapspaces, minimal cover,
-fixed points, min extension), one boolean column per class flag and per
-alternate-definition condition (graph predicates from the graphs' row
-forms), the collection recognisers and round trips, and the realisations.
+``run_verification`` checks the population in one process, in the
+consecutive blocks of ``classes.population_blocks``, whose profiles are the
+rows of one ``ProfileBlock``.  That block owns every fact the checks read,
+each filled on first use by one stacked kernel over its rows: the trapspace
+facts (principal pairs, trapspaces, minimal cover, fixed points, min
+extension), one boolean column per class flag and per alternate-definition
+condition (graph predicates from the graphs' row forms), the collection
+recognisers and round trips, and the realisations.
 The closures and min extensions that are none of the block's networks are
 the rows of one related block, read through ``ProfileBlock.profile_of``,
 which profiles a realisation that is neither on first use.
 
 Every per-network check takes the block and returns one violation list per
-network, built by ``_violations`` from (broken column, detail) pairs: a
-mixed row of a theorem's (k, m) vector table, a true entry of an edge's
-``guard & source & ~target`` or of a hierarchy fact's column.  The checks
-that span networks (monotonicity pairs, compared in one broadcast) and the
-diagrams' fixture counterexamples then run once, after the blocks.
+network, built by ``classes.block_violations`` from (broken column, detail)
+pairs: a mixed row of a theorem's (k, m) vector table, or a true entry of a
+hierarchy fact's column.  ``classes`` owns the block cut, ``Violation`` and
+the diagram check (``implication_violations`` on the blocks, then the
+fixture counterexamples), which ``classes.verify_diagram`` runs on its own;
+this module imports them.  The checks that span networks (monotonicity
+pairs, compared in one broadcast, and the fixtures) run once, after the
+blocks.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +41,12 @@ from .classes import (
     NetworkProfile,
     ProfileBlock,
     THEOREM_SIZES,
+    Violation,
+    block_violations,
     diagram_counterexample_violations,
-    implication_columns,
+    implication_violations,
     min_trapspace_equivalent,
+    population_blocks,
     trapspace_equivalent,
 )
 from .core import BooleanNetwork, bit_counts, commutative_rows, lattice_combine, order_leq
@@ -55,13 +60,6 @@ from .generators import (
 from .trapspaces import principal_rows
 
 SUITES = ("all", "theorems", "diagrams", "closure")
-
-
-@dataclass(frozen=True)
-class Violation:
-    check: str
-    detail: str
-    network: BooleanNetwork
 
 
 def sample_population(n: int, samples: int, seed: int) -> list[BooleanNetwork]:
@@ -87,18 +85,6 @@ def sample_population(n: int, samples: int, seed: int) -> list[BooleanNetwork]:
 # per-network checks: each takes a block and returns one list per network
 
 
-def _violations(block: ProfileBlock, check: str, pairs) -> list[list[Violation]]:
-    """One list per network of the block: for each (broken, detail) pair, in
-    order, a violation of ``check`` at each network where the column
-    ``broken`` is true.  ``detail`` is a string or a function of the row."""
-    out = [[] for _ in block.profiles]
-    for broken, detail in pairs:
-        for i in np.flatnonzero(broken).tolist():
-            text = detail if isinstance(detail, str) else detail(i)
-            out[i].append(Violation(check, text, block.profiles[i].f))
-    return out
-
-
 def _concat(lists: list[list[list[Violation]]]) -> list[list[Violation]]:
     """Per network, its lists of ``lists`` in order, concatenated."""
     return [[v for found in per_network for v in found] for per_network in zip(*lists)]
@@ -113,7 +99,7 @@ def alternate_definition_violations(block: ProfileBlock) -> list[list[Violation]
         return (vectors.any(axis=1) & ~vectors.all(axis=1),
                 lambda i: f"{theorem} vector is mixed: {tuple(vectors[i].tolist())}")
 
-    return _violations(block, "alternate-definitions", [mixed(t) for t in THEOREM_SIZES])
+    return block_violations(block, "alternate-definitions", [mixed(t) for t in THEOREM_SIZES])
 
 
 def closure_law_violations(block: ProfileBlock) -> list[list[Violation]]:
@@ -128,7 +114,7 @@ def closure_law_violations(block: ProfileBlock) -> list[list[Violation]]:
         rows = (general_rows(p.closure.np_image, p.n), pt.pt_pairs)
         return all(np.array_equal(a, b) for other in rows for a, b in zip(p.pt_pairs, other))
 
-    closure = _violations(block, "closure", (
+    closure = block_violations(block, "closure", (
         ([not order_leq(p.f, p.closure) for p in P], "network not below its trapping closure"),
         ([pt.closure != p.closure for p, pt in zip(P, closed)],
          "trapping closure is not idempotent"),
@@ -139,7 +125,7 @@ def closure_law_violations(block: ProfileBlock) -> list[list[Violation]]:
         ([not same_tg(p, pt) for p, pt in zip(P, closed)],
          "trapping graph disagrees with closure graphs"),
     ))
-    min_extension = _violations(block, "min-extension", (
+    min_extension = block_violations(block, "min-extension", (
         ([not order_leq(p.f, p.min_extension) for p in P], "network not below its min extension"),
         ([pm.min_extension != p.min_extension for p, pm in zip(P, extended)],
          "min extension is not idempotent"),
@@ -158,6 +144,9 @@ def monotonicity_violations(
     f: BooleanNetwork, g: BooleanNetwork,
     closed_f: BooleanNetwork, closed_g: BooleanNetwork,
 ) -> list[Violation]:
+    """Oracle, read only by the tests and the benchmark's tracer: the trapping
+    closure's monotonicity on one pair, given the closures.  ``run_verification``
+    checks its pairs in one broadcast, ``monotone_pairs_violations``."""
     if order_leq(f, g) and not order_leq(closed_f, closed_g):
         return [Violation("closure", NOT_MONOTONE, f)]
     return []
@@ -186,7 +175,7 @@ def monotone_pairs_violations(
     moved = images(nets) ^ xs
     moved_closed = images([closures.get(f, f) for f in nets]) ^ xs
     missing = [i for i, f in enumerate(nets) if f not in closures]
-    for block in _blocks([nets[i] for i in missing]):
+    for block in population_blocks([nets[i] for i in missing]):
         rows, missing = missing[: len(block)], missing[len(block) :]
         moved_closed[rows] = principal_rows(images(block), n)[0]
     fi, gi = np.array([(index[f], index[g]) for f, g in pairs]).T
@@ -207,32 +196,10 @@ def equivalence_vector_violations(block: ProfileBlock) -> list[list[Violation]]:
         for check, equivalent in (("trapspace-equivalence", trapspace_equivalent),
                                   ("min-trapspace-equivalence", min_trapspace_equivalent)):
             vectors = [equivalent(p.f, q.f, p, q) for p, q in pairs]
-            found.append(_violations(block, check, [
+            found.append(block_violations(block, check, [
                 ([len(set(v)) != 1 for v in vectors], lambda i: f"mixed vector {vectors[i]}"),
             ]))
     return _concat(found)
-
-
-# The most networks in one block: each profile, with those of its closure
-# and min extension, holds tens of KB, which the pair-table bound of
-# ``_block_size`` does not see at small n.
-_MAX_BLOCK = 256
-
-
-def _block_size(n: int) -> int:
-    """Networks per block at dimension n by the pair tables alone: they
-    (4^n entries per network) stay near 2^20 entries, 1 MB."""
-    return max(1, 2**20 // 4**n)
-
-
-def _blocks(networks: list[BooleanNetwork]):
-    """Consecutive runs of at most ``_block_size(n)`` networks of one
-    dimension n, and of at most ``_MAX_BLOCK``."""
-    for n, run in itertools.groupby(networks, key=lambda f: f.n):
-        run = list(run)
-        size = min(_block_size(n), _MAX_BLOCK)
-        for start in range(0, len(run), size):
-            yield run[start : start + size]
 
 
 def collection_roundtrip_violations(block: ProfileBlock) -> list[list[Violation]]:
@@ -240,7 +207,7 @@ def collection_roundtrip_violations(block: ProfileBlock) -> list[list[Violation]
     network of the block."""
     P = block.profiles
     realized_p, realized_j, realized_n = (block.realized[c] for c in "PJN")
-    return _violations(block, "collections", (
+    return block_violations(block, "collections", (
         (~block["pre_principal"], "principal trapspaces are not pre-principal"),
         (~block["mu_fixes_p"], "principal trapspaces not fixed by pointwise reduction"),
         (~block["pre_ideal"], "trapspaces are not pre-ideal"),
@@ -272,7 +239,7 @@ def dynamics_claim_violations(block: ProfileBlock) -> list[list[Violation]]:
     dynamically-local flag against f^3 = f, of each network of the block."""
     nets, trapping = [p.f for p in block.profiles], block["trapping"].tolist()
     periods = [transient_and_period(f)[1] if t else 0 for f, t in zip(nets, trapping)]
-    return _violations(block, "transient", (
+    return block_violations(block, "transient", (
         ([t and network_power(f, f.n + 2) != network_power(f, f.n) for f, t in zip(nets, trapping)],
          "trapping network with long transient"),
         ([period > 2 for period in periods], lambda i: f"trapping network with period {periods[i]}"),
@@ -308,7 +275,7 @@ def commutative_claim_violations(block: ProfileBlock) -> list[list[Violation]]:
                                                            "convex"))
     problems = distance_bound_rows(block.images, block.n, block.intervals)
     realized = commutative_rows(np.arange(1 << block.n) ^ block.pointwise["P"], block.n)
-    return _violations(block, "commutative", (
+    return block_violations(block, "commutative", (
         (commutative & ~local, "commutative but not dynamically local"),
         (commutative & [d is not None for d in problems], problems.__getitem__),
         (commutative & ~convex, "principal trapspaces are not convex"),
@@ -317,8 +284,13 @@ def commutative_claim_violations(block: ProfileBlock) -> list[list[Violation]]:
 
 
 def hierarchy_violations(block: ProfileBlock) -> list[list[Violation]]:
-    """Class-containment facts not already edges of a single diagram: each
-    fact is one column expression, true on the networks that break it."""
+    """Class-containment facts, each one column expression, true on the
+    networks that break it.  Three are also edges of a single diagram
+    (globally involutive -> symmetric GA, symmetric GA -> Marseille and
+    trapping trapspace-fp -> fixable), repeated here so that ``--suite
+    theorems`` checks them.  The last two test the row forms' transitivity,
+    which no other claim reads: the general graph's against the ``trapping``
+    flag, read off its bitsets, and the trapping graph's, which always holds."""
     c = block
     trapping, commutative, marseille, lille = (
         c[name] for name in ("trapping", "commutative", "marseille", "lille")
@@ -326,7 +298,7 @@ def hierarchy_violations(block: ProfileBlock) -> list[list[Violation]]:
     g_bij, g_inv, g_idem = (c[f"globally_{w}"] for w in ("bijective", "involutive", "idempotent"))
     bij_split = (c["bijective"] != c["locally_bijective"]) | (c["locally_bijective"] != g_bij)
     idem_split = (c["idempotent"] != c["locally_idempotent"]) | (c["locally_idempotent"] != g_idem)
-    return _violations(block, "hierarchy", (
+    return block_violations(block, "hierarchy", (
         (marseille & ~commutative, "marseille without commutative"),
         (lille & ~commutative, "lille without commutative"),
         (commutative & ~trapping, "commutative without trapping"),
@@ -340,14 +312,9 @@ def hierarchy_violations(block: ProfileBlock) -> list[list[Violation]]:
         (trapping & c["locally_bijective"] & ~marseille,
          "trapping locally bijective without marseille"),
         (trapping & c["trapspace_fp"] & ~c["fixable"], "trapping trapspace-fp without fixable"),
+        (trapping != c["transitive_ga"], "trapping flag disagrees with transitive general graph"),
+        (~c["transitive_tg"], "trapping graph not transitive"),
     ))
-
-
-def implication_violations(diagram, block: ProfileBlock) -> list[list[Violation]]:
-    """The diagram's edges that fail on each network of the block."""
-    return _violations(block, f"diagram-{diagram.id}", [
-        (fails, f"implication: {edge}") for fails, edge in implication_columns(diagram, block)
-    ])
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +353,6 @@ def run_verification(
             pairs = [(f, lattice_combine(f, g, "join")) for f, g in zip(networks, networks[1:])]
         return monotone_pairs_violations(pairs, {})
 
-    def counterexamples(diagram):
-        return [Violation(f"diagram-{v.diagram}", f"{v.kind}: {v.detail}", v.network)
-                for v in diagram_counterexample_violations(diagram)]
-
     # (suite, per-network checks, check spanning networks) of each section;
     # built here, so a check rebound in this module is the one that runs.
     sections = [
@@ -398,11 +361,11 @@ def run_verification(
                       hierarchy_violations, equivalence_vector_violations), lambda: []),
         ("closure", (closure_law_violations,), monotonicity),
         *(("diagrams", (functools.partial(implication_violations, d),),
-           functools.partial(counterexamples, d)) for d in DIAGRAMS.values()),
+           functools.partial(diagram_counterexample_violations, d)) for d in DIAGRAMS.values()),
     ]
     sections = [section for section in sections if suite in ("all", section[0])]
     found = [[] for _ in sections]
-    for nets in _blocks(networks):
+    for nets in population_blocks(networks):
         for out, violations in zip(found, _check_block(nets, [s[1] for s in sections])):
             out += violations
     return [v for (_, _, once), out in zip(sections, found) for v in out + once()]

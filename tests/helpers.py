@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from trapnets import BooleanNetwork, Configuration, Subcube, SubcubeCollection
-from trapnets.classes import DIAGRAMS, VECTORS
+from trapnets.classes import DIAGRAMS, VECTORS, Violation
 from trapnets.core import bitset_members, cube_bitset, iter_submasks, update_table
 from trapnets.cubesets import (
     _ternary_of_masks,
@@ -30,7 +30,6 @@ from trapnets.trapspaces import (
     principal_pair,
     trapping_closure,
 )
-from trapnets.verify import Violation
 
 
 def cfg(s: str) -> Configuration:
@@ -901,6 +900,11 @@ def per_network_class_violations(f: BooleanNetwork, flag) -> tuple[list, list, d
         implies(flag("locally_bijective"), flag("marseille"),
                 "trapping locally bijective without marseille")
         implies(flag("trapspace_fp"), flag("fixable"), "trapping trapspace-fp without fixable")
+    if flag("trapping") != flag("transitive_ga"):
+        detail = "trapping flag disagrees with transitive general graph"
+        hierarchy.append(Violation("hierarchy", detail, f))
+    if not flag("transitive_tg"):
+        hierarchy.append(Violation("hierarchy", "trapping graph not transitive", f))
     implications = {}
     for diagram in DIAGRAMS.values():
         implications[diagram.id] = [

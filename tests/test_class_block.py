@@ -133,10 +133,10 @@ def test_submasks_come_in_iter_submasks_order():
 def test_interval_arrays_of_a_negation_block_stay_inside_the_block_bound():
     # The negation has the most interval entries: 2^n per configuration.
     n = 6
-    size = min(verify._block_size(n), verify._MAX_BLOCK)
+    size = min(classes._block_size(n), classes._MAX_BLOCK)
     block = [BooleanNetwork.negation(n)] * size
     at, s = interval_arrays(np.stack([f.np_image for f in block]), n)
-    assert len(at) == len(s) == size * 4**n <= verify._block_size(n) * 4**n == 2**20
+    assert len(at) == len(s) == size * 4**n <= classes._block_size(n) * 4**n == 2**20
     assert ProfileBlock([NetworkProfile(f) for f in block[:2]])["negation_on_subcubes"].all()
 
 

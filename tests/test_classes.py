@@ -24,7 +24,14 @@ from trapnets import (
     trapspace_equivalent,
     verify_diagram,
 )
-from trapnets.classes import PAIR_THEOREMS, THEOREM_SIZES, DiagramSpec, Counterexample, pair_rows
+from trapnets.classes import (
+    PAIR_THEOREMS,
+    THEOREM_SIZES,
+    Counterexample,
+    DiagramSpec,
+    Violation,
+    pair_rows,
+)
 from trapnets.core import Mask, update_table
 from trapnets.generators import (
     exhaustive_networks,
@@ -34,7 +41,7 @@ from trapnets.generators import (
     random_negation_on_subcubes,
 )
 
-from trapnets import verify
+from trapnets import classes, verify
 from trapnets.verify import closure_law_violations, run_verification, sample_population
 
 from helpers import (
@@ -322,15 +329,6 @@ def test_graph_prop_builds_only_its_graph(tail, built):
     assert lazy & vars(p).keys() == built
 
 
-def test_profile_shares_equal_graphs():
-    p = NetworkProfile(BooleanNetwork.identity(3))  # loops only, three times
-    assert p.graph_tg is p.graph_ga is p.graph_a
-    p = NetworkProfile(long_transient_trapping(5))
-    assert p.graph_tg is p.graph_ga and p.graph_a != p.graph_ga
-    p = NetworkProfile(random_network(5, 1))
-    assert p.graph_tg != p.graph_ga and p.graph_tg is not p.graph_ga
-
-
 def test_verify_diagram_counts_nothing_on_conforming_population():
     population = [random_network(3, seed) for seed in range(25)]
     population += [random_commutative(3, seed) for seed in range(10)]
@@ -349,8 +347,22 @@ def test_verify_diagram_reports_implication_violation():
     )
     four_cycle = net_from_arcs(2, ["00>10", "10>11", "11>01", "01>00"])
     violations = verify_diagram(bogus, [four_cycle])
-    assert len(violations) == 1
-    assert violations[0].kind == "implication"
+    assert violations == [
+        Violation("diagram-symmetric", "implication: bijective [all] -> involutive", four_cycle)
+    ]
+
+
+def test_verify_diagram_reports_a_fixture_that_fails_to_refute():
+    # Fixture a refutes symmetric_tg -> symmetric_a, not its converse.
+    bogus = DiagramSpec(
+        "symmetric",
+        tuple(),
+        (Counterexample("a", "symmetric_a", "all", "symmetric_tg"),),
+    )
+    detail = "counterexample: fixture a fails to refute symmetric_a [all] -> symmetric_tg"
+    assert verify_diagram(bogus, []) == [
+        Violation("diagram-symmetric", detail, load_fixture("symmetric", "a"))
+    ]
 
 
 def test_missing_fixture_raises():
@@ -419,11 +431,15 @@ def test_run_verification_builds_one_profile_per_distinct_network_of_a_block(mon
             super().__init__(f)
 
     monkeypatch.setattr(verify, "NetworkProfile", CountingProfile)
+    blocks, check = [], verify._check_block
+    monkeypatch.setattr(verify, "_check_block", lambda *args: (blocks.append(1), check(*args))[1])
     nets = sample_population(4, 20, 1)
     for size in (len(nets), 5):
-        monkeypatch.setattr(verify, "_block_size", lambda n: size)
+        monkeypatch.setattr(classes, "_block_size", lambda n: size)
         built.clear()
+        blocks.clear()
         assert run_verification(nets) == []
+        assert len(blocks) == -(-len(nets) // size)
         expected = []
         for start in range(0, len(nets), size):
             block = nets[start : start + size]

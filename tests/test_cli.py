@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from trapnets.cli import main
+from trapnets.cli import MAX_PARTS, main
 from trapnets.classes import NetworkProfile
 from trapnets.dynamics import GRAPH_PROPERTIES
 from trapnets.generators import random_constant_on_arrangements
@@ -391,6 +391,20 @@ def test_integer_options_take_ascii_digits_only(tmp_path, capsys, option, value)
         main(command + [option, value])
     assert info.value.code == 2
     assert f"{value!r} is not an integer" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("kind", ["commutative", "negation", "constant"])
+def test_gen_parts_is_bounded(tmp_path, capsys, kind):
+    out_file = tmp_path / "x.tt"
+    gen = ["gen", "--kind", kind, "--n", "4", "--seed", "1", "--out", str(out_file)]
+    assert main(gen + ["--parts", str(MAX_PARTS)]) == 0
+    assert out_file.exists()
+    out_file.unlink()
+    with pytest.raises(SystemExit) as info:
+        main(gen + ["--parts", str(MAX_PARTS + 1)])
+    assert info.value.code == 2
+    assert f"value must be at most {MAX_PARTS}" in capsys.readouterr().err
     assert not out_file.exists()
 
 

@@ -98,36 +98,46 @@ def assert_block_facts_match_per_network_calls(calls, networks):
 
 
 def blocks(monkeypatch, networks, size):
-    monkeypatch.setattr(verify, "_block_size", lambda n: size)
-    return list(verify._blocks(networks))
+    monkeypatch.setattr(classes, "_block_size", lambda n: size)
+    return list(classes.population_blocks(networks))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_sampled_blocks_seed_the_per_network_facts(monkeypatch, kernel_calls, n):
     networks = sample_population(n, 12 if n < 8 else 4, n)
-    for size in (1, verify._MAX_BLOCK):
-        for block in blocks(monkeypatch, networks, size):
+    counts = []
+    for size in (1, classes._MAX_BLOCK):
+        cut = blocks(monkeypatch, networks, size)
+        counts.append(len(cut))
+        for block in cut:
             assert_block_facts_match_per_network_calls(kernel_calls, block)
+    assert counts == [len(networks), 1]
 
 
 def test_exhaustive_blocks_seed_the_per_network_facts(monkeypatch, kernel_calls):
     networks = exhaustive_networks(1) + exhaustive_networks(2)
-    sizes = [len(block) for block in verify._blocks(networks)]
-    assert sizes == [4, verify._MAX_BLOCK]
-    for block in verify._blocks(networks):
+    sizes = [len(block) for block in classes.population_blocks(networks)]
+    assert sizes == [4, classes._MAX_BLOCK]
+    for block in classes.population_blocks(networks):
         assert_block_facts_match_per_network_calls(kernel_calls, block)
-    for block in blocks(monkeypatch, networks[:20], 1):
+    cut = blocks(monkeypatch, networks[:20], 1)
+    assert len(cut) == 20
+    for block in cut:
         assert_block_facts_match_per_network_calls(kernel_calls, block)
 
 
 def test_population_that_changes_dimension_seeds_each_block(monkeypatch, kernel_calls):
     networks = sample_population(3, 10, 2) + sample_population(5, 6, 3) + sample_population(3, 4, 4)
-    dims = [block[0].n for block in verify._blocks(networks)]
+    dims = [block[0].n for block in classes.population_blocks(networks)]
     assert dims == [3, 5, 3]
-    for size in (1, 7, verify._MAX_BLOCK):
-        for block in blocks(monkeypatch, networks, size):
+    counts = []
+    for size in (1, 7, classes._MAX_BLOCK):
+        cut = blocks(monkeypatch, networks, size)
+        counts.append(len(cut))
+        for block in cut:
             assert len({f.n for f in block}) == 1
             assert_block_facts_match_per_network_calls(kernel_calls, block)
+    assert counts[0] == len(networks) and counts[0] > counts[1] > counts[2] == 3
 
 
 @pytest.mark.parametrize("digits", [1, 2])
@@ -158,11 +168,18 @@ def test_monotone_pairs_closures_do_not_depend_on_the_block_size(monkeypatch):
     # Closures dealt at random to the first networks: some pairs violate.
     rng = np.random.default_rng(9)
     dealt = {f: nets[i] for f, i in zip(nets[::2], rng.permutation(len(nets))[::2])}
-    runs = []
-    for size in (1, 3, verify._MAX_BLOCK):
-        monkeypatch.setattr(verify, "_block_size", lambda n: size)
+    # One stacked principal pass per block of the closures not dealt.
+    passes, principal = [], verify.principal_rows
+    monkeypatch.setattr(verify, "principal_rows",
+                        lambda *args: (passes.append(1), principal(*args))[1])
+    runs, counts = [], []
+    for size in (1, 3, classes._MAX_BLOCK):
+        monkeypatch.setattr(classes, "_block_size", lambda n: size)
+        passes.clear()
         runs.append(verify.monotone_pairs_violations(pairs, dealt))
+        counts.append(len(passes))
     assert runs[0] and all(run == runs[0] for run in runs[1:])
+    assert counts[0] > counts[1] > counts[2] == 1
 
 
 def test_minimal_only_report_reads_no_trapspace_or_fixed_point_table(kernel_calls):

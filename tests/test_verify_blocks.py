@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 
 from trapnets import NetworkProfile, SubcubeCollection, realize, trapping_closure
-from trapnets.classes import DIAGRAMS, VECTORS, ProfileBlock
+from trapnets.classes import DIAGRAMS, VECTORS, ProfileBlock, verify_diagram
 from trapnets.core import lattice_combine
 from trapnets.generators import exhaustive_networks
 from trapnets import classes, cubesets, verify
@@ -77,22 +77,39 @@ class PerturbedProfile(NetworkProfile):
         return coll if total % 2 else toggled(coll, total % 3**self.n)
 
 
+def runs_by_block_size(monkeypatch, nets, suite):
+    """``run_verification`` of nets at the default block size and at 1, 2
+    and 3 networks per block, each of which cuts nets into a different
+    number of blocks."""
+    blocks, check = [], verify._check_block
+    monkeypatch.setattr(verify, "_check_block", lambda *args: (blocks.append(1), check(*args))[1])
+    runs, counts = [], []
+    for size in (None, 1, 2, 3):
+        with monkeypatch.context() as patch:
+            if size is not None:
+                patch.setattr(classes, "_block_size", lambda n: size)
+            blocks.clear()
+            runs.append(run_verification(nets, suite))
+        counts.append(len(blocks))
+    assert len(set(counts)) == len(counts), counts
+    return runs
+
+
+# The closure suite pairs neighbours, so only the theorems take two dimensions.
+BLOCK_SIZE_RUNS = ((sample_population(3, 12, 5), "all"),
+                   (sample_population(3, 8, 5) + sample_population(4, 6, 6), "theorems"))
+
+
 def test_violations_do_not_depend_on_the_block_size(monkeypatch):
     monkeypatch.setattr(verify, "NetworkProfile", PerturbedProfile)
-    default = verify._block_size
-    # The closure suite pairs neighbours, so only the theorems take two dimensions.
-    for nets, suite in ((sample_population(3, 12, 5), "all"),
-                        (sample_population(3, 8, 5) + sample_population(4, 6, 6), "theorems")):
-        runs = []
-        for block_size in (default, lambda n: 1, lambda n: 2, lambda n: 3):
-            monkeypatch.setattr(verify, "_block_size", block_size)
-            runs.append(run_verification(nets, suite))
+    for nets, suite in BLOCK_SIZE_RUNS:
+        runs = runs_by_block_size(monkeypatch, nets, suite)
         assert {"collections", "commutative"} <= {v.check for v in runs[0]}
         assert all(run == runs[0] for run in runs[1:])
 
 
 def test_block_size_bounds_the_pair_tables():
-    assert [verify._block_size(n) for n in (2, 4, 6, 8, 10, 11, 13)] == [
+    assert [classes._block_size(n) for n in (2, 4, 6, 8, 10, 11, 13)] == [
         65536, 4096, 256, 16, 1, 1, 1
     ]
 
@@ -133,16 +150,19 @@ def test_monotone_pairs_broadcast_matches_the_per_pair_definition():
 
 def test_blocks_hold_at_most_max_block_networks():
     networks = exhaustive_networks(2) + exhaustive_networks(2)[:44] + exhaustive_networks(1)
-    sizes = [len(block) for block in verify._blocks(networks)]
-    assert sizes == [verify._MAX_BLOCK, 300 - verify._MAX_BLOCK, 4]
+    sizes = [len(block) for block in classes.population_blocks(networks)]
+    assert sizes == [classes._MAX_BLOCK, 300 - classes._MAX_BLOCK, 4]
 
 
-# One condition of each theorem, one node of each diagram and the
-# dynamically-local flag, which the transient check compares with f^3 = f.
+# One condition of each theorem, one node of each diagram, the
+# dynamically-local flag, which the transient check compares with f^3 = f,
+# and the transitivity of the general and trapping graphs' rows, which two
+# hierarchy facts read.
 FLIPPED = (
     "trapping7.pairs", "commutative3.intervals", "negation_on_subcubes",
     "constant_on_arrangements", "subset_idempotent", "descent", "symmetric_ga",
-    "involutive", "oriented_a", "interval_fp", "dynamically_local",
+    "involutive", "oriented_a", "interval_fp", "dynamically_local", "transitive_ga",
+    "transitive_tg",
 )
 
 
@@ -164,13 +184,8 @@ def class_layer(violations):
 
 def test_class_violations_do_not_depend_on_the_block_size(monkeypatch):
     monkeypatch.setattr(verify, "ProfileBlock", PerturbedClasses)
-    default = verify._block_size
-    for nets, suite in ((sample_population(3, 12, 5), "all"),
-                        (sample_population(3, 8, 5) + sample_population(4, 6, 6), "theorems")):
-        runs = []
-        for block_size in (default, lambda n: 1, lambda n: 2, lambda n: 3):
-            monkeypatch.setattr(verify, "_block_size", block_size)
-            runs.append(run_verification(nets, suite))
+    for nets, suite in BLOCK_SIZE_RUNS:
+        runs = runs_by_block_size(monkeypatch, nets, suite)
         assert all(run == runs[0] for run in runs[1:])
         # The per-network oracle path, on the same flipped columns.
         expected, diagrams = [], {}
@@ -194,6 +209,19 @@ def test_class_violations_do_not_depend_on_the_block_size(monkeypatch):
             if v.check == "alternate-definitions":
                 assert re.fullmatch(r"\w+ vector is mixed: \((True|False)(, (True|False))+\)", v.detail)
         assert {v.detail.split()[0] for v in got if v.check == "alternate-definitions"} == set(VECTORS)
+
+
+def test_verify_diagram_is_the_diagram_section_of_run_verification(monkeypatch):
+    # The same flipped columns in both modules, on a population of two
+    # dimensions, so that implications fire.
+    monkeypatch.setattr(verify, "ProfileBlock", PerturbedClasses)
+    monkeypatch.setattr(classes, "ProfileBlock", PerturbedClasses)
+    nets = sample_population(3, 8, 5) + sample_population(4, 6, 6)
+    section = run_verification(nets, "diagrams")
+    for diagram in DIAGRAMS.values():
+        found = verify_diagram(diagram, nets)
+        assert found == [v for v in section if v.check == f"diagram-{diagram.id}"]
+        assert {v.network.n for v in found if v.detail.startswith("implication: ")} == {3, 4}
 
 
 def test_all_suite_is_the_other_suites_concatenated(monkeypatch):
