@@ -84,7 +84,12 @@ PAIR_THEOREMS = ("trapping7", "commutative3", "marseille4", "lille4", "globally_
 
 # The defining conditions of each theorem, as ``ProfileBlock`` columns.  Each
 # condition is its own test: two conditions of one theorem may read the same
-# index arrays, never the same predicate.
+# index arrays, never the same predicate.  ``principal_moves``,
+# ``closure_fixed`` and ``tg_is_ga`` are one test, pt(x) = [x, f(x)] for
+# every x, in three encodings (the free masks, the closure's image and the
+# two graphs' rows), and ``some_closure`` is that test above the
+# ``exhaustive`` cap; they are kept because the paper states them as
+# separate conditions.
 VECTORS = {
     "trapping7": ("trapping", "trapping7.intervals", "principal_moves", "closure_fixed",
                   "some_closure", "tg_is_ga", "trapping7.pairs"),
@@ -473,10 +478,7 @@ class NetworkProfile:
 
     # -- individual class predicates, each from its primary definition
 
-    @cached_property
-    def trapping(self) -> bool:
-        return graph_property(self.graph_ga, "transitive")
-
+    trapping = _Flag()
     fixable = _Flag()
     commutative = _Flag()
     bijective = _Flag()
@@ -508,6 +510,8 @@ def _all_closure_tables(n: int) -> frozenset[tuple[int, ...]]:
 
 
 _GRAPH_PREDICATES = tuple(prop.replace("-", "_") for prop in GRAPH_PROPERTIES)
+# The predicates of a GA or TG read off its rows with no SCC search.
+_ROW_PREDICATES = ("reflexive", "symmetric", "transitive")
 _SUBCUBE_CONDITIONS = ("negation_on_subcubes", "constant_on_arrangements")
 # The predicates a non-transitive GA reads off its bitset graph.
 _ARC_PREDICATES = ("oriented", "triangular", "sink-terminal")
@@ -525,13 +529,15 @@ class ProfileBlock:
     alternate-definition condition (the names in ``VECTORS``), filled with
     the others of its kernel: a stacked ``*_rows`` kernel, the trapspace
     stacks, the profiles' own graphs, or an expression in other columns.
-    The six predicates of a graph kind are one pass over its row form (see
-    ``dynamics``); only ``trapping``, ``tg_is_ga`` and a GA that is not
-    transitive read the profiles' bitset graphs.  The collection columns
-    (``collection_rows``) and the realisations read the principal,
-    trapspace and minimal collections that the profiles give.  The closures
-    and min extensions of the rows are the rows of one more block, read
-    through ``profile_of`` with any realisation that is neither.
+    The predicates of a graph kind are read off its row form (see
+    ``dynamics``), a GA's or TG's in two fills: the ``_ROW_PREDICATES``
+    with no SCC search, then the three that read SCCs, for which only a GA
+    that is not transitive reads its profile's bitset graph.  ``trapping``
+    is the GA's transitive column, as the paper defines it.  The
+    collection columns (``collection_rows``) and the realisations read the
+    principal, trapspace and minimal collections that the profiles give.
+    The closures and min extensions of the rows are the rows of one more
+    block, read through ``profile_of`` with any realisation that is neither.
 
     Each profile holds its block, and the block refers to its profiles
     weakly: with no cycle between them, a block is freed with the last of
@@ -635,34 +641,37 @@ class ProfileBlock:
         """``move_components`` of the asynchronous graphs."""
         return move_components(np.arange(1 << self.n) ^ self.images, self.n)
 
-    def _each(self, fact) -> np.ndarray:
-        return np.array([fact(p) for p in self.profiles])
-
-    def _graph_columns(self, kind: str) -> dict[str, np.ndarray]:
-        """The six predicates of the graph ``kind`` (a, ga or tg) of each row."""
+    def _graph_columns(self, kind: str, head: str) -> dict[str, np.ndarray]:
+        """Predicates of the graph ``kind`` (a, ga or tg) of each row: all six
+        of an asynchronous graph; of a GA or TG, the ``_ROW_PREDICATES`` if
+        they hold ``head``, else the three that read the SCCs."""
         n = self.n
         if kind == "a":
             holds = move_row_predicates(np.arange(1 << n) ^ self.images, n)
             holds.update(component_predicates(*self.async_components))
         else:
             free, base = self.principal if kind == "tg" else general_rows(self.images, n)
-            holds = subcube_row_predicates(free, base, n)
-            holds["oriented"] = distinct_rows(free, base, n)
-            holds.update(component_predicates(*subcube_components(free, base, n)))
-            # Those three hold on transitive rows (the TG's always); a GA
-            # that is not transitive has its SCCs found on its bitsets.
-            for i in np.flatnonzero(~holds["transitive"]).tolist():
-                g = getattr(self.profiles[i], f"graph_{kind}")
-                for prop in _ARC_PREDICATES:
-                    holds[prop][i] = graph_property(g, prop)
-        return {f"{prop.replace('-', '_')}_{kind}": holds[prop] for prop in GRAPH_PROPERTIES}
+            if head in _ROW_PREDICATES:
+                holds = subcube_row_predicates(free, base, n)
+            else:
+                holds = {"oriented": distinct_rows(free, base, n),
+                         **component_predicates(*subcube_components(free, base, n))}
+                # Those three hold on transitive rows (the TG's always); a GA
+                # that is not transitive has its SCCs found on its bitsets.
+                # The rows are those of a false ``transitive`` column, so a
+                # block whose column is flipped searches the flipped rows.
+                for i in np.flatnonzero(~self[f"transitive_{kind}"]).tolist():
+                    g = getattr(self.profiles[i], f"graph_{kind}")
+                    for prop in _ARC_PREDICATES:
+                        holds[prop][i] = graph_property(g, prop)
+        return {f"{prop.replace('-', '_')}_{kind}": column for prop, column in holds.items()}
 
     def _fill(self, name: str) -> dict[str, np.ndarray]:
         n, images = self.n, self.images
         xs = np.arange(1 << n)
         head, _, kind = name.rpartition("_")
         if kind in ("a", "ga", "tg") and head in _GRAPH_PREDICATES:
-            return self._graph_columns(kind)
+            return self._graph_columns(kind, head)
         if name.endswith(".pairs"):
             return pair_rows(images, n)
         if name.endswith(".intervals") or name in _SUBCUBE_CONDITIONS:
@@ -684,15 +693,15 @@ class ProfileBlock:
             "marseille": lambda: self["commutative"] & self["bijective"],
             "lille": lambda: self["commutative"] & self["idempotent"],
             "interval_ufp_idempotent": lambda: self["interval_ufp"] & self["idempotent"],
-            "trapping": lambda: self._each(lambda p: p.trapping),
-            "tg_is_ga": lambda: self._each(lambda p: p.graph_tg == p.graph_ga),
+            "trapping": lambda: self["transitive_ga"],
+            "tg_is_ga": lambda: np.all(np.equal(self.principal, general_rows(images, n)), axis=(0, 2)),
             "fixable": lambda: fixable_rows(images, *self.async_components),
-            "closure_fixed": lambda: self._each(lambda p: p.f == p.closure),
+            # The closure moves x by its principal free mask.
+            "closure_fixed": lambda: np.all(images == xs ^ self.principal[0], axis=1),
             # Above the exhaustive cap: the closure operator is idempotent
             # (tested separately), so its image is its fixed-point set.
-            "some_closure": lambda: self._each(
-                lambda p: p.f.image in _all_closure_tables(n) if n <= CAPS["exhaustive"]
-                else p.closure == p.f),
+            "some_closure": lambda: self["closure_fixed"] if n > CAPS["exhaustive"] else np.array(
+                [row in _all_closure_tables(n) for row in map(tuple, images.tolist())]),
             "principal_moves": lambda: np.all((xs ^ images) == self.principal[0], axis=1),
             "minimal_fixed": lambda: np.all(self.cover[3] == (xs == images), axis=1),
             "dpt": lambda: self.cover[4] == 1 << n,
@@ -773,7 +782,7 @@ def trapspace_equivalent(
         pf.pt_collection == pg.pt_collection,
         pf.trapspace_collection == pg.trapspace_collection,
         np.array_equal(pf.pt_pairs[0], pg.pt_pairs[0]),
-        pf.graph_tg == pg.graph_tg,
+        all(np.array_equal(a, b) for a, b in zip(pf.pt_pairs, pg.pt_pairs)),
         pf.closure == pg.closure,
     )
 

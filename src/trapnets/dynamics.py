@@ -23,16 +23,14 @@ passes, one per coordinate, and their SCCs in one Tarjan walk over the
 move masks, O(n 2^n) steps.
 
 ``HypercubeGraph`` keeps one out-neighbourhood per vertex as a 2^n-bit
-integer.  It is built only where a question needs the arcs themselves:
-whether the GA is transitive (the ``trapping`` flag, kept apart from the
-row forms so that it stays an independent test of them), graph equality
-(``tg_is_ga`` and equal trapping graphs), the DOT export, and the
-orientation and SCCs of a GA that is not transitive.  There one
-path-based depth-first search finds the SCCs on the out-rows alone, with no
-transposed rows: each step ANDs one row with the set still to visit or the
-set on the search path, so V = 2^n vertices cost O(V^2/64) word operations
-whatever the arc count.  Loops are kept in every graph; only the DOT
-exporter drops them.
+integer.  It is built for two jobs only, where a question needs the arcs
+themselves: the DOT export, and the orientation and SCCs of a GA that is
+not transitive.  There one path-based depth-first search finds the SCCs on
+the out-rows alone, with no transposed rows: each step ANDs one row with
+the set still to visit or the set on the search path, so V = 2^n vertices
+cost O(V^2/64) word operations whatever the arc count.  The tests keep it,
+with ``graph_property``, as the arc-by-arc oracle of the row forms.  Loops
+are kept in every graph; only the DOT exporter drops them.
 """
 
 from __future__ import annotations
@@ -79,17 +77,6 @@ class HypercubeGraph:
             for y in bitset_members(row):
                 if include_loops or x != y:
                     yield (x, y)
-
-    @cached_property
-    def transitive(self) -> bool:
-        """Whether each distinct row holds the rows of its members; computed once."""
-        for row in set(self.out):
-            reach = 0
-            for y in bitset_members(row):
-                reach |= self.out[y]
-            if reach | row != row:
-                return False
-        return True
 
     @cached_property
     def components(self) -> tuple[tuple[tuple[int, ...], ...], tuple[bool, ...]]:
@@ -187,7 +174,14 @@ def graph_property(g: HypercubeGraph, prop: str) -> bool:
     if prop == "reflexive":
         return all(row >> x & 1 for x, row in enumerate(g.out))
     if prop == "transitive":
-        return g.transitive
+        # Each distinct row holds the rows of its members.
+        for row in set(g.out):
+            reach = 0
+            for y in bitset_members(row):
+                reach |= g.out[y]
+            if reach | row != row:
+                return False
+        return True
     components, terminal = g.components
     if prop in ("symmetric", "oriented"):
         symmetric = prop == "symmetric"

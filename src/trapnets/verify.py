@@ -154,30 +154,25 @@ def monotonicity_violations(
 
 def monotone_pairs_violations(
     pairs: list[tuple[BooleanNetwork, BooleanNetwork]],
-    closures: dict[BooleanNetwork, BooleanNetwork],
 ) -> list[Violation]:
-    """``monotonicity_violations`` of every pair (f, g), in pair order, with
-    ``closures[f]`` where given and the trapping closure of f elsewhere.  The
-    networks and their closures are held as (N, 2^n) arrays of moved
-    coordinates, and ``order_leq`` of all pairs is one broadcast.  The
-    closures not given are computed as stacked principal passes, one per
-    block of networks: the closure moves x by its principal free mask."""
+    """``monotonicity_violations`` of every pair (f, g), in pair order.  The
+    networks and their trapping closures are held as (N, 2^n) arrays of
+    moved coordinates, and ``order_leq`` of all pairs is one broadcast.  The
+    closures are computed as stacked principal passes, one per block of
+    networks: the closure moves x by its principal free mask."""
     if not pairs:
         return []
     index = {f: i for i, f in enumerate(dict.fromkeys(itertools.chain.from_iterable(pairs)))}
     nets = list(index)
     n = nets[0].n
-    xs = np.arange(1 << n)
 
     def images(networks):
         return np.array([f.image for f in networks], dtype=np.int64)
 
-    moved = images(nets) ^ xs
-    moved_closed = images([closures.get(f, f) for f in nets]) ^ xs
-    missing = [i for i, f in enumerate(nets) if f not in closures]
-    for block in population_blocks([nets[i] for i in missing]):
-        rows, missing = missing[: len(block)], missing[len(block) :]
-        moved_closed[rows] = principal_rows(images(block), n)[0]
+    moved = images(nets) ^ np.arange(1 << n)
+    moved_closed = np.concatenate(
+        [principal_rows(images(block), n)[0] for block in population_blocks(nets)]
+    )
     fi, gi = np.array([(index[f], index[g]) for f, g in pairs]).T
 
     def leq(m):
@@ -288,9 +283,10 @@ def hierarchy_violations(block: ProfileBlock) -> list[list[Violation]]:
     networks that break it.  Three are also edges of a single diagram
     (globally involutive -> symmetric GA, symmetric GA -> Marseille and
     trapping trapspace-fp -> fixable), repeated here so that ``--suite
-    theorems`` checks them.  The last two test the row forms' transitivity,
-    which no other claim reads: the general graph's against the ``trapping``
-    flag, read off its bitsets, and the trapping graph's, which always holds."""
+    theorems`` checks them.  The last two test facts that no other claim
+    reads: every graph keeps its loops, and the trapping graph's rows are
+    transitive.  The ``trapping`` flag is the general graph's row
+    transitivity, so the ``trapping7`` vector tests that column."""
     c = block
     trapping, commutative, marseille, lille = (
         c[name] for name in ("trapping", "commutative", "marseille", "lille")
@@ -312,7 +308,7 @@ def hierarchy_violations(block: ProfileBlock) -> list[list[Violation]]:
         (trapping & c["locally_bijective"] & ~marseille,
          "trapping locally bijective without marseille"),
         (trapping & c["trapspace_fp"] & ~c["fixable"], "trapping trapspace-fp without fixable"),
-        (trapping != c["transitive_ga"], "trapping flag disagrees with transitive general graph"),
+        (~(c["reflexive_a"] & c["reflexive_ga"] & c["reflexive_tg"]), "graph without its loops"),
         (~c["transitive_tg"], "trapping graph not transitive"),
     ))
 
@@ -351,7 +347,7 @@ def run_verification(
         pairs = monotonicity_pairs
         if pairs is None:
             pairs = [(f, lattice_combine(f, g, "join")) for f, g in zip(networks, networks[1:])]
-        return monotone_pairs_violations(pairs, {})
+        return monotone_pairs_violations(pairs)
 
     # (suite, per-network checks, check spanning networks) of each section;
     # built here, so a check rebound in this module is the one that runs.

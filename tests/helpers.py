@@ -900,9 +900,8 @@ def per_network_class_violations(f: BooleanNetwork, flag) -> tuple[list, list, d
         implies(flag("locally_bijective"), flag("marseille"),
                 "trapping locally bijective without marseille")
         implies(flag("trapspace_fp"), flag("fixable"), "trapping trapspace-fp without fixable")
-    if flag("trapping") != flag("transitive_ga"):
-        detail = "trapping flag disagrees with transitive general graph"
-        hierarchy.append(Violation("hierarchy", detail, f))
+    if not (flag("reflexive_a") and flag("reflexive_ga") and flag("reflexive_tg")):
+        hierarchy.append(Violation("hierarchy", "graph without its loops", f))
     if not flag("transitive_tg"):
         hierarchy.append(Violation("hierarchy", "trapping graph not transitive", f))
     implications = {}

@@ -45,12 +45,14 @@ from trapnets import classes, verify
 from trapnets.verify import closure_law_violations, run_verification, sample_population
 
 from helpers import (
+    arcwise_graph_property,
     bitset_trapspace_fp,
     compose_word,
     brute_force_principals,
     brute_force_trapspaces,
     f_ex3,
     net_from_arcs,
+    net_from_rows,
     oracle_population,
     pairwise_is_commutative,
     sampled_networks,
@@ -286,19 +288,35 @@ def test_min_trapping_flag_finds_minimal_trapspaces_once(monkeypatch):
 
 
 def test_equivalence_and_closure_law_match_collection_oracles():
-    # Each network against its closure (same trapspaces) and against the
-    # previous network of its dimension (mostly different ones).
+    # Each network against its closure (same trapspaces), against the
+    # previous network of its dimension and against a random one (mostly
+    # different ones).  "Same trapping graph" compares the principal pairs;
+    # its oracle compares the bitset graphs.
     previous = {}
-    for f in oracle_population():
+    for seed, f in enumerate([*exhaustive_networks(1), *oracle_population()]):
         pf = NetworkProfile(f)
         assert closure_law_violations(pf.block_row[0]) == [[]]
-        for g in (pf.closure, previous.get(f.n)):
+        for g in (pf.closure, previous.get(f.n), random_network(f.n, seed)):
             if g is None:
                 continue
-            vector = trapspace_equivalent(f, g, pf, NetworkProfile(g))
+            pg = NetworkProfile(g)
+            vector = trapspace_equivalent(f, g, pf, pg)
             same = brute_force_trapspaces(f) == brute_force_trapspaces(g)
             assert vector == (same,) * 5
+            assert vector[3] == (pf.graph_tg == pg.graph_tg)
         previous[f.n] = f
+
+
+def test_asynchronous_transitivity_does_not_imply_trapping():
+    # No claim reads transitive_a: the asynchronous graph of 000 -> 110 is
+    # 000's two neighbours, both fixed, but its general graph holds 110,
+    # which moves on to 111.
+    p = NetworkProfile(net_from_rows({"000": "110", "110": "111"} | {
+        x: x for x in ("001", "010", "011", "100", "101", "111")
+    }))
+    assert p.prop("transitive_a") and not p.trapping
+    assert arcwise_graph_property(p.graph_a, "transitive")
+    assert not arcwise_graph_property(p.graph_ga, "transitive")
 
 
 def test_equivalence_requires_same_dimension():
@@ -320,12 +338,16 @@ def test_all_fixtures_load_and_refute():
 
 
 # The predicates are read off the graphs' rows; the worked example's general
-# graph is not transitive, so it alone is built, for its SCCs.
+# graph is not transitive, so it alone is built, for its SCCs, and only for a
+# predicate that reads them.
 @pytest.mark.parametrize("tail, built", [("a", set()), ("ga", {"graph_ga"}), ("tg", set())])
 def test_graph_prop_builds_only_its_graph(tail, built):
     p = NetworkProfile(f_ex3())
-    p.prop(f"symmetric_{tail}")
     lazy = {"graph_a", "graph_ga", "pt_pairs", "graph_tg"}
+    for prop in ("reflexive", "symmetric", "transitive"):
+        p.prop(f"{prop}_{tail}")
+    assert lazy & vars(p).keys() == set()
+    p.prop(f"oriented_{tail}")
     assert lazy & vars(p).keys() == built
 
 

@@ -346,25 +346,6 @@ def test_cached_rows_leave_equality_and_hash_unchanged():
     assert (hash(ga), hash(tg)) == before == (hash(build_graph(f, "general")),) * 2
 
 
-def test_transitivity_is_computed_once_per_graph(monkeypatch):
-    import trapnets.dynamics as dynamics
-
-    calls = []
-
-    def counting_members(row):
-        calls.append(row)
-        return bitset_members(row)
-
-    bitset_members = dynamics.bitset_members
-    monkeypatch.setattr(dynamics, "bitset_members", counting_members)
-    g = build_graph(long_transient_trapping(5), "general")
-    assert graph_property(g, "transitive")
-    first = len(calls)
-    assert first > 0
-    assert graph_property(g, "transitive")
-    assert len(calls) == first
-
-
 # --- powers, transients, periods
 
 

@@ -4,15 +4,18 @@ general asynchronous and trapping graphs, exhaustively at n <= 2, on
 samples at n = 3..8 and on every generator kind at n = 9..12, in blocks of
 1, 7 and 256 networks."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from trapnets import BooleanNetwork, NetworkProfile, dynamics
-from trapnets.classes import ProfileBlock
+from trapnets.classes import DIAGRAMS, ProfileBlock, load_fixture
 from trapnets.cli import _analysis_report
 from trapnets.dynamics import (
     GRAPH_PROPERTIES,
     HypercubeGraph,
+    build_graph,
     general_rows,
     graph_property,
     strongly_connected_components,
@@ -26,6 +29,7 @@ from trapnets.generators import (
     random_negation_on_subcubes,
     random_network,
 )
+from trapnets.verify import run_verification, sample_population
 
 from helpers import arcwise_graph_property, sampled_networks, tarjan_scc
 from test_dynamics import networkx_properties, to_networkx
@@ -137,18 +141,42 @@ def test_rows_match_the_bitset_graphs_on_every_gen_kind(n):
     assert_rows_match(gen_kinds(n), graph_property, strongly_connected_components)
 
 
-@pytest.mark.parametrize("kind", ["commutative", "negation", "constant", "long-transient"])
-def test_full_analyze_of_a_trapping_network_builds_only_its_general_graph(monkeypatch, kind):
+def counting_graphs(monkeypatch):
+    """The bitset graphs built, and the graphs whose SCCs are searched."""
     built, searched = [], []
     post_init = HypercubeGraph.__post_init__
     monkeypatch.setattr(HypercubeGraph, "__post_init__", lambda g: (built.append(g), post_init(g)))
     search = dynamics.strongly_connected_components
     monkeypatch.setattr(dynamics, "strongly_connected_components",
                         lambda g: (searched.append(g), search(g))[1])
-    f = GEN_KINDS[kind](11)
-    report = _analysis_report(f, "net", minimal_only=False)
+    return built, searched
+
+
+# Every class column and graph predicate of a trapping network is read off
+# its rows: no bitset graph is built, not even its general graph.
+@pytest.mark.parametrize("kind", ["commutative", "negation", "constant", "long-transient"])
+def test_full_analyze_of_a_trapping_network_builds_only_its_general_graph(monkeypatch, kind):
+    built, searched = counting_graphs(monkeypatch)
+    report = _analysis_report(GEN_KINDS[kind](11), "net", minimal_only=False)
     assert report["classes"]["trapping"]
-    assert searched == []
-    general = [g.out for g in built]
+    assert built == searched == []
+
+
+def test_verification_builds_a_graph_only_for_a_general_graph_that_is_not_transitive(monkeypatch):
+    built, _ = counting_graphs(monkeypatch)
+    trapping = [make(4, seed) for seed in range(5) for make in (
+        random_commutative, random_negation_on_subcubes, random_constant_on_arrangements)]
+    for suite in ("theorems", "closure"):
+        assert run_verification(trapping, suite) == []
+    assert built == []
+    # One general graph per network that is not trapping, and at most one per
+    # counterexample fixture, which the diagrams suite profiles too.
+    nets = sample_population(4, 30, 100)
+    assert run_verification(nets) == []
+    fixtures = [load_fixture(d.id, ce.label) for d in DIAGRAMS.values() for ce in d.counterexamples]
+    graphs = Counter(g.out for g in built)
     monkeypatch.undo()
-    assert general == [NetworkProfile(f).graph_ga.out]
+    general = Counter(build_graph(f, "general").out for f in nets if not NetworkProfile(f).trapping)
+    assert sum(general.values()) > 20
+    assert graphs - general <= Counter(build_graph(f, "general").out for f in fixtures)
+    assert not general - graphs

@@ -165,18 +165,24 @@ def test_stacked_rows_above_the_table_digits_match_single_calls():
 def test_monotone_pairs_closures_do_not_depend_on_the_block_size(monkeypatch):
     nets = sample_population(4, 30, 9)
     pairs = [(f, lattice_combine(f, g, "join")) for f, g in zip(nets, nets[1:])]
-    # Closures dealt at random to the first networks: some pairs violate.
+    # The first networks take the closure of a network dealt at random:
+    # some pairs violate.
     rng = np.random.default_rng(9)
-    dealt = {f: nets[i] for f, i in zip(nets[::2], rng.permutation(len(nets))[::2])}
-    # One stacked principal pass per block of the closures not dealt.
+    dealt = {f.image: nets[i].image for f, i in zip(nets[::2], rng.permutation(len(nets))[::2])}
+    # One stacked principal pass per block.
     passes, principal = [], verify.principal_rows
-    monkeypatch.setattr(verify, "principal_rows",
-                        lambda *args: (passes.append(1), principal(*args))[1])
+
+    def dealing(images, n):
+        passes.append(1)
+        rows = [dealt.get(row, row) for row in map(tuple, images.tolist())]
+        return principal(np.array(rows), n)
+
+    monkeypatch.setattr(verify, "principal_rows", dealing)
     runs, counts = [], []
     for size in (1, 3, classes._MAX_BLOCK):
         monkeypatch.setattr(classes, "_block_size", lambda n: size)
         passes.clear()
-        runs.append(verify.monotone_pairs_violations(pairs, dealt))
+        runs.append(verify.monotone_pairs_violations(pairs))
         counts.append(len(passes))
     assert runs[0] and all(run == runs[0] for run in runs[1:])
     assert counts[0] > counts[1] > counts[2] == 1

@@ -122,30 +122,47 @@ def per_pair(pairs, closures):
     ]
 
 
-def test_monotone_pairs_broadcast_matches_the_per_pair_definition():
+def dealing(monkeypatch, closures):
+    """Patch ``verify.principal_rows`` so that the trapping closure of each
+    network f is ``closures[f]``: the closure moves x by its principal free
+    mask."""
+    by_image = {f.image: g for f, g in closures.items()}
+
+    def principal_rows(images, n):
+        xs = np.arange(1 << n)
+        free = np.array([by_image[row].image for row in map(tuple, images.tolist())]) ^ xs
+        return free, xs & ~free
+
+    monkeypatch.setattr(verify, "principal_rows", principal_rows)
+
+
+def test_monotone_pairs_broadcast_matches_the_per_pair_definition(monkeypatch):
     rng = np.random.default_rng(3)
     for n in (1, 2):
         nets = exhaustive_networks(n)
         pairs = [(f, g) for f in nets for g in nets]
-        closures = {f: trapping_closure(f) for f in nets}
+        if n == 1:
+            closures = {f: trapping_closure(f) for f in nets}
+            assert monotone_pairs_violations(pairs) == per_pair(pairs, closures)
         # Closures dealt at random: not monotone on many pairs.
         dealt = dict(zip(nets, (nets[i] for i in rng.permutation(len(nets)))))
-        for given in (closures, dealt) if n == 1 else (dealt,):
-            expected = per_pair(pairs, given)
-            assert monotone_pairs_violations(pairs, given) == expected
+        with monkeypatch.context() as patch:
+            dealing(patch, dealt)
+            expected = per_pair(pairs, dealt)
+            assert monotone_pairs_violations(pairs) == expected
         assert expected
     nets = sample_population(4, 40, 8)
     pairs = [(f, lattice_combine(f, g, "join")) for f, g in zip(nets, nets[1:])]
     closures = {f: trapping_closure(f) for pair in pairs for f in pair}
-    # Closures of the first networks only: the others are computed.
-    given = {f: closures[f] for f, _ in pairs}
-    assert monotone_pairs_violations(pairs, given) == per_pair(pairs, closures) == []
+    assert monotone_pairs_violations(pairs) == per_pair(pairs, closures) == []
     dealt = {f: nets[i] for f, i in zip(nets, rng.permutation(len(nets)))}
     joined = {**{g: g for _, g in pairs}, **dealt}
-    expected = per_pair(pairs, joined)
-    assert monotone_pairs_violations(pairs, joined) == expected
+    with monkeypatch.context() as patch:
+        dealing(patch, joined)
+        expected = per_pair(pairs, joined)
+        assert monotone_pairs_violations(pairs) == expected
     assert expected
-    assert monotone_pairs_violations([], {}) == []
+    assert monotone_pairs_violations([]) == []
 
 
 def test_blocks_hold_at_most_max_block_networks():
@@ -156,13 +173,14 @@ def test_blocks_hold_at_most_max_block_networks():
 
 # One condition of each theorem, one node of each diagram, the
 # dynamically-local flag, which the transient check compares with f^3 = f,
-# and the transitivity of the general and trapping graphs' rows, which two
-# hierarchy facts read.
+# the transitivity of the general graph's rows, which the trapping flag
+# reads, and the columns of the two hierarchy facts that no other claim
+# reads: the trapping graph's transitivity and the loops of each graph.
 FLIPPED = (
     "trapping7.pairs", "commutative3.intervals", "negation_on_subcubes",
     "constant_on_arrangements", "subset_idempotent", "descent", "symmetric_ga",
     "involutive", "oriented_a", "interval_fp", "dynamically_local", "transitive_ga",
-    "transitive_tg",
+    "transitive_tg", "reflexive_a", "reflexive_ga", "reflexive_tg",
 )
 
 
@@ -204,11 +222,30 @@ def test_class_violations_do_not_depend_on_the_block_size(monkeypatch):
         assert got == expected
         checks = {v.check for v in got}
         assert {"alternate-definitions", "hierarchy"} <= checks
+        assert {"graph without its loops", "trapping graph not transitive"} <= {
+            v.detail for v in got
+        }
         assert suite != "all" or "diagram-symmetric" in checks
         for v in got:
             if v.check == "alternate-definitions":
                 assert re.fullmatch(r"\w+ vector is mixed: \((True|False)(, (True|False))+\)", v.detail)
         assert {v.detail.split()[0] for v in got if v.check == "alternate-definitions"} == set(VECTORS)
+
+
+def test_a_wrong_row_transitivity_mixes_every_trapping_vector(monkeypatch):
+    # The trapping flag is the general graph's row transitivity, and every
+    # other trapping7 condition is its own test; a hierarchy fact reads the
+    # trapping graph's.  ``classes`` binds the kernel by name.
+    predicates = classes.subcube_row_predicates
+
+    def negated(free, base, n):
+        holds = predicates(free, base, n)
+        return {**holds, "transitive": ~holds["transitive"]}
+
+    monkeypatch.setattr(classes, "subcube_row_predicates", negated)
+    nets = sample_population(3, 60, 5)
+    found = Counter(v.detail.split(":")[0] for v in run_verification(nets, "theorems"))
+    assert found["trapping7 vector is mixed"] == found["trapping graph not transitive"] == len(nets)
 
 
 def test_verify_diagram_is_the_diagram_section_of_run_verification(monkeypatch):
