@@ -338,7 +338,10 @@ def descent_rows(
     all its members) and ``principal_fp`` (each holds a fixed point)."""
     k, cell = len(images), (1 << n) - 1
     fixed = images == np.arange(1 << n)
-    keys = np.unique(((np.arange(k)[:, None] << 2 * n) | free << n | base)[~fixed])
+    # The inverse keeps np.unique off the numpy.ma import of its plain form.
+    keys = np.unique(
+        ((np.arange(k)[:, None] << 2 * n) | free << n | base)[~fixed], return_inverse=True
+    )[0]
     row, cube_free, cube_base = keys >> 2 * n, keys >> n & cell, keys & cell
     i, s = _submasks(cube_free, n)
     at = row[i] << n | cube_base[i] | s
@@ -457,7 +460,7 @@ class NetworkProfile:
     @cached_property
     def min_extension(self) -> BooleanNetwork:
         block, i = self.block_row
-        return BooleanNetwork(self.n, tuple(block.min_extensions[i].tolist()))
+        return BooleanNetwork(self.n, block.min_extensions[i])
 
     @cached_property
     def pt_flags(self):
@@ -596,7 +599,7 @@ class ProfileBlock:
         """The realisation of each row's P, J and N collections."""
         xs = np.arange(1 << self.n)
         return {
-            c: [BooleanNetwork(self.n, tuple(image)) for image in (xs ^ free).tolist()]
+            c: [BooleanNetwork(self.n, image) for image in xs ^ free]
             for c, free in self.pointwise.items()
         }
 

@@ -65,15 +65,13 @@ def _refuse(message: str) -> int:
 
 def _load_network(path: str):
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise SystemExit(_refuse(str(exc))) from None
-    except UnicodeDecodeError as exc:
-        raise SystemExit(_refuse(f"{path}: {exc}")) from None
     try:
-        return parse_truth_table(text)
-    except NetParseError as exc:
+        return parse_truth_table(data)
+    except (NetParseError, UnicodeDecodeError) as exc:
         raise SystemExit(_refuse(f"{path}: {exc}")) from None
 
 

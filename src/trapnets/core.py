@@ -284,52 +284,74 @@ def opposite(cube: Subcube, x: Configuration) -> Configuration:
 def interval(f: "BooleanNetwork", x: Configuration) -> Subcube:
     """The subcube spanned by ``x`` and its image f(x)."""
     _check_same_dimension(f, x)
-    free = x.bits ^ f.image[x.bits]
+    free = x.bits ^ int(f.np_image[x.bits])
     return Subcube(f.n, free, x.bits & ~free)
 
 
-@dataclass(frozen=True)
 class BooleanNetwork:
     """A map f: B^n -> B^n given by its full image table.
 
-    ``image[x]`` is the bit pattern of f(x); the table has exactly 2^n
-    entries.
+    ``np_image[x]`` is the bit pattern of f(x): a read-only int64 array of
+    exactly 2^n entries, the network's own copy of the table it was given.
+    ``image`` is the same table as a tuple of ints, built on first read; a
+    tuple passed in is kept as that tuple.  Networks are equal, and hash
+    equal, when their n and table bytes are.
     """
 
-    n: int
-    image: tuple[int, ...]
+    def __init__(self, n: int, image):
+        check_cap("network", n)
+        size = 1 << n
+        if len(image) != size:
+            raise ValueError(f"image table must have {size} entries, got {len(image)}")
+        try:
+            table = np.array(image, dtype=np.int64)
+        except OverflowError:  # an entry beyond int64 is out of range too
+            table = None
+        if table is None or np.count_nonzero(table >> n):
+            v = next(v for v in image if not 0 <= v < size)
+            raise ValueError(f"image entry {v} out of range for n={n}")
+        table.setflags(write=False)
+        self.__dict__.update(n=n, _table=table)
+        if type(image) is tuple:
+            self.__dict__["image"] = image
 
-    def __post_init__(self):
-        check_cap("network", self.n)
-        size = 1 << self.n
-        if len(self.image) != size:
-            raise ValueError(f"image table must have {size} entries, got {len(self.image)}")
-        for v in self.image:
-            if not 0 <= v < size:
-                raise ValueError(f"image entry {v} out of range for n={self.n}")
+    @property
+    def np_image(self) -> np.ndarray:
+        return self._table
+
+    @cached_property
+    def image(self) -> tuple[int, ...]:
+        return tuple(self._table.tolist())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BooleanNetwork):
+            return NotImplemented
+        return self.n == other.n and self._table.tobytes() == other._table.tobytes()
+
+    def __hash__(self) -> int:
+        return hash((self.n, self._table.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"BooleanNetwork(n={self.n}, image={self.image!r})"
 
     @classmethod
     def identity(cls, n: int) -> "BooleanNetwork":
-        return cls(n, tuple(range(1 << n)))
+        return cls(n, np.arange(1 << n))
 
     @classmethod
     def negation(cls, n: int) -> "BooleanNetwork":
-        full = (1 << n) - 1
-        return cls(n, tuple(x ^ full for x in range(1 << n)))
-
-    @cached_property
-    def np_image(self) -> np.ndarray:
-        arr = np.array(self.image, dtype=np.int64)
-        arr.setflags(write=False)
-        return arr
+        return cls(n, np.arange(1 << n) ^ ((1 << n) - 1))
 
     def __call__(self, x: Configuration) -> Configuration:
         _check_same_dimension(self, x)
-        return Configuration(self.n, self.image[x.bits])
+        return Configuration(self.n, int(self._table[x.bits]))
 
     def __reduce__(self):
-        # Pickle the fields only: np_image is rebuilt, read-only, on first use.
-        return BooleanNetwork, (self.n, self.image)
+        # Pickle n and the array: the tuple is rebuilt on first read.
+        return BooleanNetwork, (self.n, self._table)
 
 
 def update(f: BooleanNetwork, subset: Mask) -> BooleanNetwork:
@@ -339,9 +361,7 @@ def update(f: BooleanNetwork, subset: Mask) -> BooleanNetwork:
     set gives back ``f`` and the empty set gives the identity.
     """
     _check_same_dimension(f, subset)
-    s = subset.bits
-    keep = ~s
-    return BooleanNetwork(f.n, tuple((v & s) | (x & keep) for x, v in enumerate(f.image)))
+    return BooleanNetwork(f.n, update_table(f.np_image, subset.bits, np.arange(1 << f.n)))
 
 
 def update_table(image: np.ndarray, subset_bits, xs: np.ndarray) -> np.ndarray:
@@ -403,4 +423,4 @@ def lattice_combine(f: BooleanNetwork, g: BooleanNetwork, mode: str) -> BooleanN
         d = df & dg
     else:
         raise ValueError(f"mode must be 'join' or 'meet', got {mode!r}")
-    return BooleanNetwork(f.n, tuple(int(v) for v in xs ^ d))
+    return BooleanNetwork(f.n, xs ^ d)

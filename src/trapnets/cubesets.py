@@ -25,15 +25,16 @@ of the values of the members of T.  It works on a stack of tables at once,
 leaves of shape (batch, 2^n) to a (batch, 3^n) table, and fills digit j
 (coordinate j + 1) of the ternary index with one OR pass: free from fixed
 0 and fixed 1.  It runs in two stages.  Stage 1 takes the low
-k = min(n, 7) digits on a compact (3^k, batch 2^(n-k)) array of the leaves
+k = min(n, 7) digits on a compact (3^k, rows 2^(n-k)) array of the leaves
 alone, with the row and high bits innermost; a pass over the whole table
-would there work on runs of only 3^j entries.  Stage 2 scatters its rows
-into the table and passes over the high digits, each pass only over the
-entries with no free digit above its own, so that every entry is written
-exactly once.  At n = 16 the splits k = 5, 6 and 7 took within 10 % of
-each other; k = 7 leaves every table up to n = 7, where sampled ``verify``
-spends its time, to stage 1 alone, which is the plain digit pass.  Stage
-1's array is 2.2 MB at n = 16, so the peak is still one table buffer.
+would there work on runs of only 3^j entries.  It runs on chunks of rows
+of 2^13 leaves, so that its array, about 17 entries per leaf at k = 7,
+stays small beside the table, and scatters each chunk into the table.
+Stage 2 passes over the high digits, each pass only over the entries with
+no free digit above its own, so that every entry is written exactly once.
+At n = 16 the splits k = 5, 6 and 7 took within 10 % of each other; k = 7
+leaves every table up to n = 7, where sampled ``verify`` spends its time,
+to stage 1 alone, which is the plain digit pass.
 """
 
 from __future__ import annotations
@@ -47,8 +48,10 @@ import numpy as np
 from .core import BooleanNetwork, Configuration, Subcube, _check_same_dimension, check_cap
 
 
-# The digits stage 1 of ``_subcube_or`` takes; see the module notes.
+# The digits stage 1 of ``_subcube_or`` takes, and the leaves of one of its
+# chunks; see the module notes.
 _LOW_DIGITS = 7
+_STAGE1_LEAVES = 1 << 13
 
 # A subcube's ternary index has digit i equal to 0 or 1 when coordinate i is
 # fixed to that value, and 2 when it is free: (free, base) has index
@@ -84,30 +87,30 @@ def _subcube_or(leaves: np.ndarray, n: int, op: np.ufunc = np.bitwise_or) -> np.
     k = min(n, _LOW_DIGITS)
     rows = leaves.reshape(-1, 1 << n)
     batch = len(rows)
-    # Stage 1: digits 0..k-1 over the leaves only, as a (3^k, batch * 2^(n-k))
-    # array with the row and high bits innermost, so that no run is shorter
-    # than batch * 2^(n-k).
-    low = np.zeros((3**k, batch << (n - k)), dtype=leaves.dtype)
-    low[_ternary_of_masks(k)] = rows.reshape(-1, 1 << k).T
-    for j in range(k):
-        v = low.reshape(3 ** (k - 1 - j), 3, -1)
-        op(v[:, 0, :], v[:, 1, :], out=v[:, 2, :])
-    shape = leaves.shape[:-1] + (3**n,)
-    if k == n:
-        return np.ascontiguousarray(low.T).reshape(shape)
-    # Stage 2, in place, as a copy of the 3^n buffer would triple the peak.
+    table = np.empty((batch, 3**n), dtype=leaves.dtype)
     # Read as (batch, 3^(n-k), 3^k), slice t of a row holds the subcubes whose
-    # high digits are t; the scatter fills the slices with no free high digit.
+    # high digits are t; stage 1 fills the slices with no free high digit.
+    high = table.reshape(batch, 3 ** (n - k), 3**k)
+    step = max(1, _STAGE1_LEAVES >> n)
+    for start in range(0, batch, step):
+        chunk = rows[start : start + step]
+        # Stage 1: digits 0..k-1 over the leaves only, as a (3^k, chunk * 2^(n-k))
+        # array with the row and high bits innermost, so that no run is shorter
+        # than chunk * 2^(n-k).
+        low = np.zeros((3**k, len(chunk) << (n - k)), dtype=leaves.dtype)
+        low[_ternary_of_masks(k)] = chunk.reshape(-1, 1 << k).T
+        for j in range(k):
+            v = low.reshape(3 ** (k - 1 - j), 3, -1)
+            op(v[:, 0, :], v[:, 1, :], out=v[:, 2, :])
+        high[start : start + step, _ternary_of_masks(n - k)] = low.T.reshape(len(chunk), -1, 3**k)
+    # Stage 2, in place, as a copy of the 3^n buffer would triple the peak.
     # The view of pass j keeps every digit above j fixed, so each entry is
     # written once, by the pass of its highest free digit.
-    table = np.empty((batch, 3**n), dtype=leaves.dtype)
-    high = table.reshape(batch, 3 ** (n - k), 3**k)
-    high[:, _ternary_of_masks(n - k)] = low.T.reshape(batch, -1, 3**k)
     for j in range(k, n):
         above = n - 1 - j
         v = table.reshape((batch,) + (3,) * above + (3, 3**j))[(slice(None),) + (slice(2),) * above]
         op(v[..., 0, :], v[..., 1, :], out=v[..., 2, :])
-    return table.reshape(shape)
+    return table.reshape(leaves.shape[:-1] + (3**n,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,7 +262,7 @@ def realize(collection: SubcubeCollection) -> BooleanNetwork:
     """The network whose interval at each x is the pointwise intersection."""
     n = collection.n
     free = pointwise_free(collection.mask[None], n)[0]
-    return BooleanNetwork(n, tuple((np.arange(1 << n) ^ free).tolist()))
+    return BooleanNetwork(n, np.arange(1 << n) ^ free)
 
 
 def _union_pairs(masks: np.ndarray, n: int) -> np.ndarray:

@@ -372,12 +372,12 @@ def network_power(f: BooleanNetwork, k: int) -> BooleanNetwork:
     """The k-fold composition of f with itself (k >= 0)."""
     if k < 0:
         raise ValueError("power must be non-negative")
-    acc = tuple(range(1 << f.n))
-    step = f.image
+    acc = np.arange(1 << f.n)
+    step = f.np_image
     while k:
         if k & 1:
-            acc = tuple(step[v] for v in acc)
-        step = tuple(step[v] for v in step)
+            acc = step[acc]
+        step = step[step]
         k >>= 1
     return BooleanNetwork(f.n, acc)
 
@@ -391,8 +391,9 @@ def transient_and_period(f: BooleanNetwork) -> tuple[int, int]:
     """
     size = 1 << f.n
     # The image of f^k shrinks as k grows until k = t, where it is the set of
-    # cyclic configurations; powers[j] = f^(2^j) up to the first 2^j >= t.
-    powers = [f.np_image]
+    # cyclic configurations; powers[j] = f^(2^j) up to the first 2^j >= t,
+    # as int32, which holds every configuration up to the network cap.
+    powers = [f.np_image.astype(np.int32)]
     cyclic = _image_mask(powers[0], size)
     while True:
         square = powers[-1][powers[-1]]
@@ -414,7 +415,7 @@ def transient_and_period(f: BooleanNetwork) -> tuple[int, int]:
     # Label each cyclic configuration by the least one on its cycle: a min
     # over 2^j steps, doubled until no label changes, which holds once
     # 2^j steps cover every cycle.  The others stay put, labelled size.
-    xs = np.arange(size)
+    xs = np.arange(size, dtype=np.int32)
     step = np.where(cyclic, powers[0], xs)
     label = np.where(cyclic, xs, size)
     while True:

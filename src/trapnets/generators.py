@@ -128,7 +128,7 @@ def arrangement_network(
             else:
                 y |= core.base & bit
         image[x] = y
-    net = BooleanNetwork(n, tuple(image))
+    net = BooleanNetwork(n, image)
     _validate_arrangement_network(net, arrangement, content)
     return net
 
@@ -180,7 +180,7 @@ def negation_on_subcubes(cubes: Sequence[Subcube], n: int | None = None) -> Bool
         used |= pb
         for x in cube.member_bits():
             image[x] = x ^ cube.free
-    return BooleanNetwork(n, tuple(image))
+    return BooleanNetwork(n, image)
 
 
 def constant_on_arrangements(
@@ -211,7 +211,7 @@ def constant_on_arrangements(
         used |= content
         for x in bitset_members(content):
             image[x] = target.bits
-    return BooleanNetwork(n, tuple(image))
+    return BooleanNetwork(n, image)
 
 
 def union_disjoint(parts: Sequence[BooleanNetwork]) -> BooleanNetwork:
@@ -231,7 +231,7 @@ def union_disjoint(parts: Sequence[BooleanNetwork]) -> BooleanNetwork:
                 raise ValueError(f"supports overlap at configuration {x}")
             used |= 1 << x
             image[x] = y
-    return BooleanNetwork(n, tuple(image))
+    return BooleanNetwork(n, image)
 
 
 def long_transient_trapping(n: int) -> BooleanNetwork:
@@ -258,7 +258,7 @@ def long_transient_trapping(n: int) -> BooleanNetwork:
         image[a] = b
     c1, c2 = 0, 1 << (n - 1)
     image[c1], image[c2] = c2, c1
-    return BooleanNetwork(n, tuple(image))
+    return BooleanNetwork(n, image)
 
 
 def exhaustive_networks(n: int) -> list[BooleanNetwork]:
@@ -277,7 +277,7 @@ def random_network(n: int, seed: int) -> BooleanNetwork:
     check_cap("network", n)
     rng = np.random.default_rng(seed)
     table = rng.integers(0, 1 << n, size=1 << n, dtype=np.int64)
-    return BooleanNetwork(n, tuple(int(v) for v in table))
+    return BooleanNetwork(n, table)
 
 
 def _random_subcube_through(rng, n: int, anchor: int) -> Subcube:

@@ -6,8 +6,8 @@ exactly 2^k rows ``<config> <image>`` written as width-k binary strings
 x_1 x_2 ... x_k.  Rows may arrive in any order; the writer always emits
 them in increasing configuration order, so write(parse(text)) is a
 canonical form.  A document in the writer's exact byte layout, rows in any
-order, is read as one numpy byte array; any other goes through the line
-loop, which raises every ``NetParseError``.
+order, is read from its bytes as one numpy byte array; any other is decoded
+and goes through the line loop, which raises every ``NetParseError``.
 """
 
 from __future__ import annotations
@@ -46,30 +46,43 @@ def _parse_config_token(token: str, n: int, line_no: int) -> int:
         raise NetParseError(line_no, str(exc)) from None
 
 
-def _parse_canonical(text: str) -> tuple[int, np.ndarray] | None:
+# Rows per pass of the canonical reader's bit check, so that its temporaries
+# stay small beside the document.
+_CHUNK_ROWS = 1 << 12
+
+
+def _parse_canonical(data: str | bytes) -> tuple[int, np.ndarray] | None:
     """(n, image) of a document in exactly the writer's layout, else None.
 
     That layout is the header ``n=<k>`` and 2^k rows of k bits, a space, k
-    bits and LF, so the body reads as a (2^k, 2k + 2) byte array.  Rows may
-    come in any order.  Anything else, or any failed check, is left to the
-    line loop, which owns every error message.
+    bits and LF, so the body reads in place as a (2^k, 2k + 2) byte array.
+    Rows may come in any order.  Anything else, or any failed check, is left
+    to the line loop, which owns every error message.
     """
-    header, _, body = text.partition("\n")
-    if not (text.isascii() and header.startswith("n=") and header[2:].isdigit()):
+    if isinstance(data, str):
+        if not data.isascii():
+            return None
+        data = data.encode()
+    end = data.find(b"\n", 0, 24)  # the header is short; the body is not copied
+    if end < 0 or not (data.startswith(b"n=") and data[2:end].isdigit()):
         return None
-    n = int(header[2:])
+    n = int(data[2:end])
     width = 2 * n + 2
-    if not 1 <= n <= CAPS["network"] or len(body) != width << n:
+    if not 1 <= n <= CAPS["network"] or len(data) - end - 1 != width << n:
         return None
-    rows = np.frombuffer(body.encode("ascii"), dtype=np.uint8).reshape(1 << n, width)
+    rows = np.frombuffer(data, dtype=np.uint8, offset=end + 1).reshape(1 << n, width)
     expect = np.frombuffer(f"{'1' * n} {'1' * n}\n".encode("ascii"), dtype=np.uint8)
-    if not np.all(rows | (expect & 1) == expect):  # bits are "0" or "1"
-        return None
     # Only the low bit tells "0" from "1", and it is 0 in " " and "\n", so
     # the low bits of a row, packed little-endian, read as x + (y << (n + 1)).
     packed = np.zeros((1 << n, 8), dtype=np.uint8)
-    packed[:, : (width + 7) // 8] = np.packbits(rows & 1, axis=1, bitorder="little")
-    xy = packed.view("<u8").ravel().astype(np.int64)
+    for start in range(0, 1 << n, _CHUNK_ROWS):
+        chunk = rows[start : start + _CHUNK_ROWS]
+        if not np.all(chunk | (expect & 1) == expect):  # bits are "0" or "1"
+            return None
+        packed[start : start + _CHUNK_ROWS, : (width + 7) // 8] = np.packbits(
+            chunk & 1, axis=1, bitorder="little"
+        )
+    xy = packed.view("<i8").ravel()
     x, y = xy & (1 << n) - 1, xy >> (n + 1)
     if np.bincount(x, minlength=1 << n).max() != 1:
         return None
@@ -78,13 +91,14 @@ def _parse_canonical(text: str) -> tuple[int, np.ndarray] | None:
     return n, image
 
 
-def parse_truth_table(text: str) -> BooleanNetwork:
-    """Parse a truth-table document; every configuration must appear once."""
+def parse_truth_table(text: str | bytes) -> BooleanNetwork:
+    """Parse a truth-table document, given as text or as its UTF-8 bytes;
+    every configuration must appear once.  Bytes outside the writer's
+    layout are decoded for the line loop, which may raise UnicodeDecodeError."""
     canonical = _parse_canonical(text)
     if canonical is None:
-        return _parse_lines(text)
-    n, image = canonical
-    return BooleanNetwork(n, tuple(image.tolist()))
+        return _parse_lines(text if isinstance(text, str) else text.decode("utf-8"))
+    return BooleanNetwork(*canonical)
 
 
 def _parse_lines(text: str) -> BooleanNetwork:
@@ -117,7 +131,7 @@ def _parse_lines(text: str) -> BooleanNetwork:
     for x, y in enumerate(image):
         if y is None:
             raise NetParseError(line_no, f"missing configuration {_bits_to_string(x, n)}")
-    return BooleanNetwork(n, tuple(image))
+    return BooleanNetwork(n, image)
 
 
 def network_to_text(f: BooleanNetwork) -> str:

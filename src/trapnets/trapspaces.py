@@ -11,12 +11,15 @@ per member of T:
   contains a fixed point.
 
 Enumeration reads the whole 3^n moved table (the ``enumeration`` cap,
-n = 13).  The principal map reads a stacked one instead: m = min(n, 12)
+n = 13).  The principal map reads a stacked one instead: m = min(n, 9)
 ternary digits, and the top n - m coordinates left binary, one row of
 3^m subcubes per setting of their bits.  The OR over a subcube is then the
-OR of the rows its free high coordinates can select, at most 2^(n-m)
-gathers.  At n = 16 that table takes 17 MB as uint16, where the whole
-3^16 table took 86 MB; its size grows as 2^n 3^12 above n = 12.
+OR of the rows its free high coordinates h can select.  The configurations
+are grouped by h, and each group gathers its own 2^|h| rows, so no
+configuration pays for the free high coordinates of another; one leaves
+the loop once its subcube stops growing or is the whole cube.  At n = 16
+the table takes 5 MB as uint16, where 12 digits took 17 MB and the whole
+3^16 table 86 MB; it grows as 2^(n-9) 3^9 entries above n = 9.
 
 The trapspaces are a boolean mask over the subcube index, the form a
 ``SubcubeCollection`` stores.  The principal map is one read-only
@@ -64,9 +67,10 @@ from .core import (
 from .cubesets import SubcubeCollection, _free_of_index, _subcube_or, _ternary_of_masks
 from .dynamics import HypercubeGraph
 
-# The ternary digits of the table ``principal_pairs`` reads; the coordinates
-# above them stay binary, one table row per setting.  See the module notes.
-_TABLE_DIGITS = 12
+# The ternary digits of the stacked table ``principal_rows`` reads; the
+# coordinates above them stay binary, one table row per setting.  See the
+# module notes.
+_TABLE_DIGITS = 9
 
 
 def principal_pair(f: BooleanNetwork, x_bits: int) -> tuple[int, int]:
@@ -110,15 +114,15 @@ def fixed_point_rows(images: np.ndarray, n: int) -> np.ndarray:
 
 @functools.cache
 def _positions(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """How a configuration's position in the flat stacked table of m ternary
-    digits changes: fixing the coordinates of mask s to 1 adds ``fixed[s]``
-    and freeing the low coordinates of s adds ``freed[s]``.  A low coordinate
-    i weighs 3^i in the ternary index; a high one selects rows, 3^m entries
-    each."""
-    xs = np.arange(1 << n, dtype=np.int64)
+    """How a configuration's position in a stacked table of m ternary digits
+    changes: fixing the coordinates of mask s to 1 adds ``fixed[s]`` and
+    freeing the low coordinates of s adds ``freed[s]``.  A low coordinate i
+    weighs 3^i in the ternary index; a high one selects rows, 3^m entries
+    each.  Both are int32."""
+    xs = np.arange(1 << n)
     tern = _ternary_of_masks(m)[xs & ((1 << m) - 1)]
-    fixed = tern + (xs >> m) * 3**m
-    freed = 2 * tern
+    fixed = (tern + (xs >> m) * 3**m).astype(np.int32)
+    freed = (2 * tern).astype(np.int32)
     for table in (fixed, freed):
         table.setflags(write=False)  # shared by every caller at this n
     return fixed, freed
@@ -131,36 +135,50 @@ def principal_rows(images: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Each step frees every coordinate some member of the current subcube
     moves; a step that frees nothing new leaves a trapspace, so at most n
-    steps are taken.  The moves are read from the stacked tables of
-    ``_moved_rows(images, n, m)``: the OR over a subcube is the OR of the
-    rows its free high coordinates can select, at its low ternary index.
-    Both arrays are read-only int64 of shape (k, 2^n); the ``table`` cap
-    applies.
+    steps are taken.  A configuration leaves the loop once its subcube stops
+    growing or is the whole cube.  The moves are read from the stacked
+    tables of ``_moved_rows(images, n, m)``: the OR over a subcube is the OR
+    of the rows its free high coordinates can select, at its low ternary
+    index.  The configurations are grouped by their free high mask h, and
+    each group gathers the 2^|h| rows of h alone.  Both arrays are
+    read-only int64 of shape (k, 2^n); the ``table`` cap applies.
     """
     check_cap("table", n)
     m = min(n, _TABLE_DIGITS)
-    row = 3**m
+    row, full = 3**m, (1 << n) - 1
     table = _moved_rows(images, n, m).reshape(-1)
     fixed, freed = _positions(n, m)
-    xs = np.arange(1 << n, dtype=np.int64)
-    free = np.zeros((len(images), 1 << n), dtype=np.int64)
-    # Of the row with every free high coordinate 0, in its network's table.
-    position = fixed + (np.arange(len(images), dtype=np.int64) * (row << (n - m)))[:, None]
-    spread = 0  # the high coordinates free in some current subcube
-    while True:
+    index = np.int32 if table.size < 1 << 31 else np.int64
+    free = np.zeros(len(images) << n, dtype=np.int64)
+    # The configurations still in the loop, flat over (network, x): where
+    # their results go, their free masks and their positions, at the row of
+    # their network's table with every free high coordinate 0.
+    at = np.arange(len(images) << n, dtype=index)
+    grown = np.zeros(len(at), dtype=np.int32)
+    position = fixed[at & full] + (at >> n) * (row << (n - m))
+    while len(at):
         moved = table[position]
-        if spread:
-            high = free >> m
-            for s in itertools.islice(iter_submasks(spread), 1, None):
-                moved |= table[position + (high & s) * row]
-        grow = moved & ~free
-        grown = int(np.bitwise_or.reduce(grow, axis=None))
-        if not grown:
-            break
-        free |= grow
-        position += freed[grow] - fixed[xs & grow]
-        spread |= grown >> m
-    base = xs & ~free
+        high = (grown >> m).astype(np.uint16)
+        counts = np.bincount(high, minlength=1 << (n - m))
+        if counts[0] < len(high):
+            # A stable sort of 16-bit keys is a radix sort.
+            order = np.argsort(high, kind="stable")
+            stops = np.cumsum(counts)
+            for h in np.flatnonzero(counts[1:]) + 1:
+                group = order[stops[h] - counts[h] : stops[h]]
+                rows, ored = position[group], moved[group]
+                for s in itertools.islice(iter_submasks(int(h)), 1, None):
+                    ored |= table[rows + s * row]
+                moved[group] = ored
+        grow = moved & ~grown
+        grown |= grow
+        done = (grow == 0) | (grown == full)
+        free[at[done]] = grown[done]
+        kept = ~done
+        at, grown, grow, position = at[kept], grown[kept], grow[kept], position[kept]
+        position += freed[grow] - fixed[at & grow]
+    free = free.reshape(len(images), 1 << n)
+    base = np.arange(1 << n) & ~free
     free.setflags(write=False)
     base.setflags(write=False)
     return free, base
@@ -250,7 +268,7 @@ def trapping_closure(
     the principal pairs of f when already computed.
     """
     free, _ = principal_pairs(f) if pairs is None else pairs
-    return BooleanNetwork(f.n, tuple((np.arange(1 << f.n) ^ free).tolist()))
+    return BooleanNetwork(f.n, np.arange(1 << f.n) ^ free)
 
 
 def trapping_graph(
@@ -283,4 +301,4 @@ def min_trapping_extension(f: BooleanNetwork) -> BooleanNetwork:
     """
     free, base = principal_rows(f.np_image[None], f.n)
     image = min_extension_rows(free, cover_rows(free, base, f.n)[3], f.n)[0]
-    return BooleanNetwork(f.n, tuple(image.tolist()))
+    return BooleanNetwork(f.n, image)

@@ -67,8 +67,7 @@ def sample_population(n: int, samples: int, seed: int) -> list[BooleanNetwork]:
     rng = np.random.default_rng(seed)
     size = 1 << n
     nets = [
-        BooleanNetwork(n, tuple(int(v) for v in rng.integers(0, size, size)))
-        for _ in range(samples)
+        BooleanNetwork(n, rng.integers(0, size, size)) for _ in range(samples)
     ]
     extra = max(1, samples // 10)
     child = int(rng.integers(0, 2**31))
@@ -167,7 +166,7 @@ def monotone_pairs_violations(
     n = nets[0].n
 
     def images(networks):
-        return np.array([f.image for f in networks], dtype=np.int64)
+        return np.array([f.np_image for f in networks])
 
     moved = images(nets) ^ np.arange(1 << n)
     moved_closed = np.concatenate(

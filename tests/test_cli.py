@@ -95,6 +95,33 @@ def test_analyze_undecodable_file_exits_2(tmp_path, capsys):
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("padding", [0, 9000])
+def test_analyze_undecodable_file_names_the_byte_and_its_position(tmp_path, capsys, padding):
+    # The whole file is decoded at once, so a bad byte past the first 8 KiB
+    # is reported at its position in the file.
+    path = tmp_path / "bad.tt"
+    path.write_bytes(b"n=1\n0 0\n#" + b"x" * padding + b"\xff\n1 1\n")
+    with pytest.raises(SystemExit) as info:
+        main(["analyze", str(path)])
+    assert info.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {path}: 'utf-8' codec can't decode byte 0xff "
+                                       f"in position {9 + padding}: invalid start byte\n")
+
+
+def test_analyze_reads_crlf_line_ends_as_lf(tmp_path, capsys):
+    f = random_network(6, 3)
+    text = network_to_text(f)
+    lf, crlf = tmp_path / "lf.tt", tmp_path / "crlf.tt"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    outputs = []
+    for path in (lf, crlf):
+        assert main(["analyze", str(path), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        outputs.append({k: v for k, v in report.items() if k != "name"})
+    assert outputs[0] == outputs[1]
+
+
 def test_analyze_json_is_stable(tmp_path, capsys):
     path = f_ex3_file(tmp_path)
     assert main(["analyze", path, "--format", "json"]) == 0
@@ -448,6 +475,20 @@ def test_minimal_only_analyze_imports_no_masked_arrays(tmp_path):
         "import sys; from trapnets.cli import main\n"
         "before = 'numpy.ma' in sys.modules\n"
         f"main(['analyze', {path!r}, '--minimal-only'])\n"
+        "print(before, 'numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    before, after = out.stdout.split("\n")[-2].split()
+    assert before == after
+
+
+def test_sampled_verify_and_full_analyze_import_no_masked_arrays(tmp_path):
+    path = write_net(tmp_path, "r.tt", random_network(9, 2))
+    script = (
+        "import sys; from trapnets.cli import main\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "main(['verify', '--n', '4', '--samples', '290', '--seed', '424200'])\n"
+        f"main(['analyze', {path!r}])\n"
         "print(before, 'numpy.ma' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)

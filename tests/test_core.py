@@ -305,6 +305,42 @@ def test_network_validation():
         BooleanNetwork(2, (0, 1, 2, 4))
 
 
+def test_network_validation_messages():
+    with pytest.raises(ValueError, match=r"^image table must have 4 entries, got 3$"):
+        BooleanNetwork(2, (0, 1, 2))
+    with pytest.raises(ValueError, match=r"^image table must have 4 entries, got 5$"):
+        BooleanNetwork(2, np.zeros(5, dtype=np.int64))
+    # The first entry out of range is named, whatever the container.
+    for table in ((0, 4, -1, 3), [0, 4, -1, 3], np.array([0, 4, -1, 3])):
+        with pytest.raises(ValueError, match=r"^image entry 4 out of range for n=2$"):
+            BooleanNetwork(2, table)
+    with pytest.raises(ValueError, match=r"^image entry -1 out of range for n=2$"):
+        BooleanNetwork(2, (0, 1, -1, 3))
+    with pytest.raises(ValueError, match=rf"^image entry {2**70} out of range for n=2$"):
+        BooleanNetwork(2, (0, 1, 2**70, 3))
+
+
+def test_networks_from_a_tuple_a_list_and_an_array_are_one_network():
+    image = random_net(5, 8).image
+    array = np.array(image)
+    nets = [BooleanNetwork(5, image), BooleanNetwork(5, list(image)), BooleanNetwork(5, array)]
+    for f in nets:
+        assert f == nets[0] and hash(f) == hash(nets[0])
+        assert type(f.image) is tuple and f.image == image
+        assert f.np_image.dtype == np.int64 and not f.np_image.flags.writeable
+    assert nets[0].image is image  # a tuple passed in is kept
+    # The network owns its table: writing the caller's array changes nothing.
+    assert not np.shares_memory(nets[2].np_image, array)
+    array[0] ^= 1
+    assert nets[2] == nets[0] and nets[2].np_image[0] == image[0]
+    # Networks of different dimension or table differ.
+    assert BooleanNetwork(1, (0, 1)) != BooleanNetwork(2, (0, 1, 2, 3))
+    assert BooleanNetwork(1, (0, 1)) != BooleanNetwork(1, (1, 1))
+    assert len({*nets, BooleanNetwork.identity(5)}) == 2
+    with pytest.raises(AttributeError):
+        nets[0].n = 4
+
+
 def test_network_pickles_as_its_fields():
     import pickle
 
@@ -313,6 +349,9 @@ def test_network_pickles_as_its_fields():
     g = pickle.loads(pickle.dumps(f))
     assert g == f and "np_image" not in vars(g)
     assert not g.np_image.flags.writeable
+    for h in (BooleanNetwork(3, list(range(8))), BooleanNetwork(3, np.arange(8)[::-1])):
+        copy = pickle.loads(pickle.dumps(h))
+        assert copy == h and hash(copy) == hash(h) and copy.image == h.image
 
 
 # --- bitset members

@@ -1,10 +1,12 @@
 """The stacked moved table behind ``principal_pairs`` and the minimal pairs
 behind the minimal-only report, against the single-table forms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from trapnets import NetworkProfile
+from trapnets import BooleanNetwork, NetworkProfile
 from trapnets import trapspaces
 from trapnets.generators import (
     long_transient_trapping,
@@ -13,7 +15,13 @@ from trapnets.generators import (
     random_negation_on_subcubes,
     random_network,
 )
-from trapnets.trapspaces import _subcube_or, principal_pair, principal_pairs
+from trapnets.trapspaces import (
+    _subcube_or,
+    minimal_cover,
+    principal_pair,
+    principal_pairs,
+    principal_rows,
+)
 
 from helpers import digitwise_subcube_or, single_table_principal_pairs, table_population
 
@@ -47,15 +55,36 @@ def assert_matches_single_table(f, rng, samples: int = 16):
         assert principal_pair(f, x) == (free[x], base[x])
 
 
+def edge_networks(n: int):
+    """The identity, the negation, a network whose one fixed point is 0, and
+    one whose low half reaches the whole cube in one step while its high
+    half is fixed."""
+    xs, full = np.arange(1 << n), (1 << n) - 1
+    yield BooleanNetwork.identity(n)
+    yield BooleanNetwork.negation(n)
+    yield BooleanNetwork(n, np.where(xs == full, 0, xs + 1) * (xs != 0))
+    yield BooleanNetwork(n, np.where(xs >> (n - 1), xs, xs ^ full))
+
+
 @pytest.mark.parametrize("digits", [1, 2, -1])
 def test_high_table_rows_match_single_table(monkeypatch, digits):
     # Fewer ternary digits than coordinates, so the gathers over the rows
     # of the free high coordinates run at small n; -1 stands for n - 1.
     rng = np.random.default_rng(digits + 10)
-    for f in table_population():
-        m = f.n - 1 if digits < 0 else digits
+    by_n = {}
+    for f in [*table_population(), *(g for n in range(2, 7) for g in edge_networks(n))]:
+        by_n.setdefault(f.n, []).append(f)
+    for n, networks in by_n.items():
+        m = n - 1 if digits < 0 else digits
         monkeypatch.setattr(trapspaces, "_TABLE_DIGITS", max(m, 1))
-        assert_matches_single_table(f, rng)
+        # The whole stack at once: its configurations leave the loop at
+        # different steps, in groups of every free high mask.
+        free, base = principal_rows(np.stack([f.np_image for f in networks]), n)
+        assert free.shape == base.shape == (len(networks), 1 << n)
+        for f, row_free, row_base in zip(networks, free, base):
+            single_free, single_base = principal_pairs(f)
+            assert np.array_equal(row_free, single_free) and np.array_equal(row_base, single_base)
+            assert_matches_single_table(f, rng)
 
 
 @pytest.mark.parametrize("n", [13, 14, 15, 16])
@@ -75,3 +104,16 @@ def test_minimal_pairs_are_the_minimal_collection():
         assert np.array_equal(free, expected_free) and np.array_equal(base, expected_base)
         assert np.array_equal(covered, minimal_covered)
         assert not covered.flags.writeable
+
+
+def test_minimal_cover_at_n16_stays_small():
+    # The stacked table of 9 ternary digits takes 5 MB at n = 16; the cover
+    # peaked at 7.8-8.3 MiB with it, and at 20.3 MiB with 12 digits.
+    f = random_network(16, 1)
+    tracemalloc.start()
+    try:
+        minimal_cover(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 << 20, peak
