@@ -468,7 +468,8 @@ class NetworkProfile:
 
     @cached_property
     def fixed_bitset(self) -> int:
-        return sum(1 << x for x, fx in enumerate(self.f.image) if x == fx)
+        fixed = np.flatnonzero(self.f.np_image == np.arange(1 << self.n))
+        return sum(1 << x for x in fixed.tolist())
 
     @cached_property
     def singles(self) -> np.ndarray:
@@ -506,10 +507,14 @@ class NetworkProfile:
         return bool(block[name][i])
 
 
-@functools.lru_cache(maxsize=None)
-def _all_closure_tables(n: int) -> frozenset[tuple[int, ...]]:
-    # Exhaustive image of the trapping-closure operator.
-    return frozenset(trapping_closure(g).image for g in exhaustive_networks(n))
+@functools.cache
+def _all_closure_tables(n: int) -> np.ndarray:
+    """The trapping closure of every network of dimension n, one image row
+    each (the ``exhaustive`` cap): x moves by its principal free mask."""
+    images = np.stack([g.np_image for g in exhaustive_networks(n)])
+    closures = np.arange(1 << n) ^ principal_rows(images, n)[0]
+    closures.setflags(write=False)  # shared by every caller at this n
+    return closures
 
 
 _GRAPH_PREDICATES = tuple(prop.replace("-", "_") for prop in GRAPH_PROPERTIES)
@@ -703,8 +708,8 @@ class ProfileBlock:
             "closure_fixed": lambda: np.all(images == xs ^ self.principal[0], axis=1),
             # Above the exhaustive cap: the closure operator is idempotent
             # (tested separately), so its image is its fixed-point set.
-            "some_closure": lambda: self["closure_fixed"] if n > CAPS["exhaustive"] else np.array(
-                [row in _all_closure_tables(n) for row in map(tuple, images.tolist())]),
+            "some_closure": lambda: self["closure_fixed"] if n > CAPS["exhaustive"] else np.any(
+                np.all(images[:, None] == _all_closure_tables(n), axis=2), axis=1),
             "principal_moves": lambda: np.all((xs ^ images) == self.principal[0], axis=1),
             "minimal_fixed": lambda: np.all(self.cover[3] == (xs == images), axis=1),
             "dpt": lambda: self.cover[4] == 1 << n,

@@ -35,7 +35,7 @@ from .verify import SUITES, run_verification, sample_population
 
 
 # The most pieces ``gen --parts`` places: a part takes up to 100 draws, and 16
-# commutative parts at n = 20 take about 8 s (2 vCPUs, Python 3.11, numpy 2.4).
+# commutative parts at n = 20 take about 2 s (2 vCPUs, Python 3.11, numpy 2.4).
 MAX_PARTS = 16
 
 

@@ -92,7 +92,7 @@ def build_graph(f: BooleanNetwork, kind: str) -> HypercubeGraph:
     """
     if kind == "asynchronous":
         rows = []
-        for x, fx in enumerate(f.image):
+        for x, fx in enumerate(f.np_image.tolist()):
             row = 1 << x
             d = x ^ fx
             while d:
@@ -102,11 +102,13 @@ def build_graph(f: BooleanNetwork, kind: str) -> HypercubeGraph:
             rows.append(row)
         return HypercubeGraph(f.n, tuple(rows))
     if kind == "general":
-        return HypercubeGraph(
-            f.n,
-            tuple(cube_bitset(x ^ fx, x & fx) for x, fx in enumerate(f.image)),
-        )
+        return subcube_graph(f.n, *general_rows(f.np_image, f.n))
     raise ValueError(f"kind must be 'asynchronous' or 'general', got {kind!r}")
+
+
+def subcube_graph(n: int, free: np.ndarray, base: np.ndarray) -> HypercubeGraph:
+    """The graph whose row x is the subcube (free[x], base[x])."""
+    return HypercubeGraph(n, tuple(map(cube_bitset, free.tolist(), base.tolist())))
 
 
 def strongly_connected_components(

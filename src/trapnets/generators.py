@@ -7,6 +7,11 @@ coordinate uniformly.  Unions of such networks over disjoint contents are
 exactly the commutative networks, so these constructors provide a rich,
 always-commutative population; the long-transient construction provides a
 trapping network with the extremal transient length.
+
+A network is built as its int64 image array, written into the identity
+``np.arange(2^n)``.  A content stays a 2^n-bit integer: placement tests it
+for overlap at every draw, where an integer AND beats a bool array at the
+small n of sampled verification.
 """
 
 from __future__ import annotations
@@ -105,41 +110,35 @@ def arrangement_network(
     n = arrangement.n
     core = arrangement.core()
     free_dims = arrangement.free_dimensions()
-    given = 0
-    for i in behaviors:
+    given = ones = flips = 0
+    for i, mode in behaviors.items():
         if not 1 <= i <= n:
             raise ValueError(f"coordinate {i} out of range")
         given |= 1 << (i - 1)
+        if mode is FreeDimBehavior.CONST1:
+            ones |= 1 << (i - 1)
+        elif mode is FreeDimBehavior.NEGATE:
+            flips |= 1 << (i - 1)
     if given != free_dims:
         raise ValueError("behaviors must cover exactly the free dimensions")
 
-    content = arrangement.content_bitset()
-    image = list(range(1 << n))
-    for x in bitset_members(content):
-        y = 0
-        for i in range(n):
-            bit = 1 << i
-            if free_dims & bit:
-                mode = behaviors[i + 1]
-                if mode is FreeDimBehavior.CONST1:
-                    y |= bit
-                elif mode is FreeDimBehavior.NEGATE:
-                    y |= ~x & bit
-            else:
-                y |= core.base & bit
-        image[x] = y
+    # Inside the content, a coordinate the arrangement does not leave free
+    # goes to the core's value, and a free one follows its behaviour.
+    inside = bitset_array(arrangement.content_bitset(), 1 << n)
+    image = np.arange(1 << n)
+    members = image[inside]
+    image[inside] = core.base & ~free_dims | ones | ~members & flips
     net = BooleanNetwork(n, image)
-    _validate_arrangement_network(net, arrangement, content)
+    _validate_arrangement_network(net, arrangement, inside)
     return net
 
 
 def _validate_arrangement_network(
-    net: BooleanNetwork, arrangement: Arrangement, content: int
+    net: BooleanNetwork, arrangement: Arrangement, inside: np.ndarray
 ) -> None:
     core = arrangement.core()
     image = net.np_image
     xs = np.arange(len(image))
-    inside = bitset_array(content, len(image))
     if (image[~inside] != xs[~inside]).any():
         raise ValidationFailed("network moves a configuration outside the content")
     members, images = xs[inside], image[inside]
@@ -169,7 +168,7 @@ def negation_on_subcubes(cubes: Sequence[Subcube], n: int | None = None) -> Bool
         return BooleanNetwork.identity(n)
     n = cubes[0].n
     check_cap("network", n)
-    image = list(range(1 << n))
+    image = np.arange(1 << n)
     used = 0
     for cube in cubes:
         if cube.n != n:
@@ -178,8 +177,7 @@ def negation_on_subcubes(cubes: Sequence[Subcube], n: int | None = None) -> Bool
         if pb & used:
             raise ValueError("subcubes overlap")
         used |= pb
-        for x in cube.member_bits():
-            image[x] = x ^ cube.free
+        image[bitset_array(pb, 1 << n)] ^= cube.free
     return BooleanNetwork(n, image)
 
 
@@ -197,7 +195,7 @@ def constant_on_arrangements(
             raise ValueError("dimension required for an empty arrangement list")
         return BooleanNetwork.identity(n)
     n = parts[0][0].n
-    image = list(range(1 << n))
+    image = np.arange(1 << n)
     used = 0
     for arrangement, target in parts:
         if arrangement.n != n or target.n != n:
@@ -209,8 +207,7 @@ def constant_on_arrangements(
         if content & used:
             raise ValueError("arrangement contents overlap")
         used |= content
-        for x in bitset_members(content):
-            image[x] = target.bits
+        image[bitset_array(content, 1 << n)] = target.bits
     return BooleanNetwork(n, image)
 
 
@@ -219,18 +216,17 @@ def union_disjoint(parts: Sequence[BooleanNetwork]) -> BooleanNetwork:
     if not parts:
         raise ValueError("need at least one network")
     n = parts[0].n
-    image = list(range(1 << n))
-    used = 0
+    xs = np.arange(1 << n)
+    image, used = xs.copy(), np.zeros(1 << n, dtype=bool)
     for part in parts:
         if part.n != n:
             raise ValueError("parts of mixed dimensions")
-        for x, y in enumerate(part.image):
-            if x == y:
-                continue
-            if used >> x & 1:
-                raise ValueError(f"supports overlap at configuration {x}")
-            used |= 1 << x
-            image[x] = y
+        moved = part.np_image != xs
+        shared = np.flatnonzero(moved & used)
+        if shared.size:
+            raise ValueError(f"supports overlap at configuration {shared[0]}")
+        used |= moved
+        image[moved] = part.np_image[moved]
     return BooleanNetwork(n, image)
 
 
@@ -252,12 +248,10 @@ def long_transient_trapping(n: int) -> BooleanNetwork:
                 bits |= 1 << (j - 1)
         return bits
 
-    image = list(range(1 << n))
+    image = np.arange(1 << n)
     points = [chain_point(i) for i in range(1, n + 2)]
-    for a, b in zip(points, points[1:]):
-        image[a] = b
-    c1, c2 = 0, 1 << (n - 1)
-    image[c1], image[c2] = c2, c1
+    image[points[:-1]] = points[1:]
+    image[[0, 1 << (n - 1)]] = 1 << (n - 1), 0  # the swapped corners
     return BooleanNetwork(n, image)
 
 
@@ -266,10 +260,8 @@ def exhaustive_networks(n: int) -> list[BooleanNetwork]:
     of the base-2^n code is the image of x (the ``exhaustive`` cap)."""
     check_cap("exhaustive", n)
     size = 1 << n
-    return [
-        BooleanNetwork(n, tuple(code // size**x % size for x in range(size)))
-        for code in range(size**size)
-    ]
+    images = np.arange(size**size)[:, None] // size ** np.arange(size) % size
+    return [BooleanNetwork(n, image) for image in images]
 
 
 def random_network(n: int, seed: int) -> BooleanNetwork:

@@ -118,19 +118,19 @@ def _parse_lines(text: str) -> BooleanNetwork:
     if not 1 <= n <= CAPS["network"]:
         raise NetParseError(line_no, f"dimension {n} out of range")
 
-    image: list[int | None] = [None] * (1 << n)
+    image = np.full(1 << n, -1)  # -1 until the configuration's row is read
     for line_no, line in lines:
         tokens = line.split()
         if len(tokens) != 2:
             raise NetParseError(line_no, f"expected '<config> <image>', got {line!r}")
         x = _parse_config_token(tokens[0], n, line_no)
         y = _parse_config_token(tokens[1], n, line_no)
-        if image[x] is not None:
+        if image[x] >= 0:
             raise NetParseError(line_no, f"duplicate configuration {tokens[0]}")
         image[x] = y
-    for x, y in enumerate(image):
-        if y is None:
-            raise NetParseError(line_no, f"missing configuration {_bits_to_string(x, n)}")
+    missing = np.flatnonzero(image < 0)
+    if missing.size:
+        raise NetParseError(line_no, f"missing configuration {_bits_to_string(int(missing[0]), n)}")
     return BooleanNetwork(n, image)
 
 

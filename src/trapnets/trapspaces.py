@@ -61,11 +61,10 @@ from .core import (
     _check_same_dimension,
     bit_counts,
     check_cap,
-    cube_bitset,
     iter_submasks,
 )
 from .cubesets import SubcubeCollection, _free_of_index, _subcube_or, _ternary_of_masks
-from .dynamics import HypercubeGraph
+from .dynamics import HypercubeGraph, subcube_graph
 
 # The ternary digits of the stacked table ``principal_rows`` reads; the
 # coordinates above them stay binary, one table row per setting.  See the
@@ -101,8 +100,8 @@ def _moved_rows(images: np.ndarray, n: int, digits: int) -> np.ndarray:
     """Entry (i, r, T): the OR of ``x ^ f(x)``, for f the network of image
     row i, over the members x of the subcube whose low ``digits`` coordinates
     have ternary index T and whose other coordinates are fixed to the bits
-    of r."""
-    moves = (np.arange(1 << n) ^ images).astype(np.uint16)
+    of r.  The moves are uint16 up to n = 16 and uint32 above."""
+    moves = (np.arange(1 << n) ^ images).astype(np.uint16 if n <= 16 else np.uint32)
     return _subcube_or(moves.reshape(len(images), -1, 1 << digits), digits)
 
 
@@ -278,8 +277,7 @@ def trapping_graph(
 
     ``pairs`` are the principal pairs of f when already computed.
     """
-    free, base = principal_pairs(f) if pairs is None else pairs
-    return HypercubeGraph(f.n, tuple(map(cube_bitset, free.tolist(), base.tolist())))
+    return subcube_graph(f.n, *(principal_pairs(f) if pairs is None else pairs))
 
 
 def min_extension_rows(free: np.ndarray, covered: np.ndarray, n: int) -> np.ndarray:

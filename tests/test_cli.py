@@ -494,3 +494,31 @@ def test_sampled_verify_and_full_analyze_import_no_masked_arrays(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
     before, after = out.stdout.split("\n")[-2].split()
     assert before == after
+
+
+def test_commands_read_only_the_image_array(tmp_path, monkeypatch, capsys):
+    # Every command builds and reads networks as their int64 arrays; the
+    # tuple form is for ``repr`` and for callers outside the package.
+    from trapnets.classes import _all_closure_tables
+
+    def no_tuple(self):
+        raise AssertionError("BooleanNetwork.image was read")
+
+    monkeypatch.setattr(BooleanNetwork, "image", property(no_tuple))
+    _all_closure_tables.cache_clear()  # so that verify --exhaustive builds it here
+    files = []
+    for n in (5, 10):
+        for kind in ("random", "commutative", "negation", "constant", "long-transient"):
+            path = str(tmp_path / f"{kind}{n}.tt")
+            assert main(["gen", "--kind", kind, "--n", str(n), "--seed", "1", "--parts", "4",
+                         "--out", path]) == 0
+            files.append(path)
+    for path in files:
+        assert main(["analyze", path]) == 0
+        assert main(["analyze", path, "--minimal-only", "--format", "json"]) == 0
+    assert main(["graph", files[1], "--layered"]) == 0
+    for mode in ("trapspace", "min"):
+        assert main(["equiv", "--mode", mode, files[6], files[8]]) in (0, 1)
+    assert main(["verify", "--n", "3", "--samples", "30"]) == 0
+    assert main(["verify", "--n", "2", "--exhaustive"]) == 0
+    capsys.readouterr()

@@ -143,7 +143,7 @@ def test_negation_on_face_and_edge_is_symmetric():
 
 
 def test_negation_rejects_overlap():
-    with pytest.raises(ValueError, match="overlap"):
+    with pytest.raises(ValueError, match="^subcubes overlap$"):
         negation_on_subcubes([cube("**0"), cube("1*0")])
 
 
@@ -178,7 +178,7 @@ def test_constant_target_must_lie_in_core():
 def test_constant_rejects_content_overlap():
     a = Arrangement((cube("**0"),))
     b = Arrangement((cube("1**"),))
-    with pytest.raises(ValueError, match="overlap"):
+    with pytest.raises(ValueError, match="^arrangement contents overlap$"):
         constant_on_arrangements([(a, cfg("000")), (b, cfg("100"))])
 
 
@@ -212,8 +212,20 @@ def test_union_asynchronous_graph_is_arc_union():
 
 def test_union_rejects_overlapping_supports():
     a = negation_on_subcubes([cube("**0")])
-    with pytest.raises(ValueError, match="overlap"):
+    with pytest.raises(ValueError, match="^supports overlap at configuration 0$"):
         union_disjoint([a, a])
+
+
+def test_union_names_the_first_shared_configuration_of_a_later_part():
+    # The first two parts move {000, 010} and {011, 111}.  The third moves
+    # 101 (= 5), which no earlier part moves, then 111 (= 7), which the second does.
+    parts = [
+        negation_on_subcubes([cube("0*0")], n=3),
+        negation_on_subcubes([cube("*11")], n=3),
+        negation_on_subcubes([cube("1*1")], n=3),
+    ]
+    with pytest.raises(ValueError, match="^supports overlap at configuration 7$"):
+        union_disjoint(parts)
 
 
 # --- long transient construction
@@ -299,6 +311,39 @@ def test_random_commutative_networks_unchanged(generate, n):
     for seed in range(10):
         h.update(np.array(generate(n, seed).image, dtype="<u4").tobytes())
     assert h.hexdigest()[:16] == RANDOM_GENERATOR_DIGESTS[generate][n]
+
+
+# sha256 of the image tables of generate(n, seed, parts) for seeds 0..2, as
+# uint32 little-endian, first 16 hex digits: pins the larger networks that
+# `gen --parts` and the benchmark's inputs build.
+LARGE_GENERATOR_DIGESTS = {
+    random_commutative: {
+        (13, 1): "1590c486f1b2b31c", (13, 8): "48f598dc58d77469", (13, 16): "5238c61d59465b3a",
+        (14, 1): "ce4b2c5bf935d689", (14, 8): "a1e2903450d2e28d", (14, 16): "cb6b9fb2d1d4bee2",
+        (16, 1): "70b1c33b5b5ac568", (16, 8): "a9244517ef1140e3", (16, 16): "b35f4b55f608bf41",
+    },
+    random_negation_on_subcubes: {
+        (13, 1): "d70363994d8ffb7f", (13, 8): "589a32a849166b65", (13, 16): "2d5f19466c540c29",
+        (14, 1): "f5cc911d3a6e9f1a", (14, 8): "1c39b7fb739d1a01", (14, 16): "95069acfb571980b",
+        (16, 1): "b462f06148e1b682", (16, 8): "fd7ed89690a2d224", (16, 16): "44cad6447201985d",
+    },
+    random_constant_on_arrangements: {
+        (13, 1): "4c2f20cfcde8e947", (13, 8): "2fc4d465a2e4f1b3", (13, 16): "bfae90b652e16541",
+        (14, 1): "41c11589286f2dc5", (14, 8): "4f73e00655d7aa98", (14, 16): "8ff19ff7d6873426",
+        (16, 1): "c8b377293f86d5a5", (16, 8): "6cd24a8447b16f48", (16, 16): "37de78cba2288727",
+    },
+}
+
+
+@pytest.mark.parametrize("generate, n, parts", [
+    pytest.param(generate, n, parts, id=f"{generate.__name__}-{n}-{parts}")
+    for generate, digests in LARGE_GENERATOR_DIGESTS.items() for n, parts in digests
+])
+def test_large_generator_networks_unchanged(generate, n, parts):
+    h = hashlib.sha256()
+    for seed in range(3):
+        h.update(generate(n, seed, parts).np_image.astype("<u4").tobytes())
+    assert h.hexdigest()[:16] == LARGE_GENERATOR_DIGESTS[generate][n, parts]
 
 
 def test_random_negation_and_constant_generators():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from trapnets import BooleanNetwork, NetworkProfile
-from trapnets import trapspaces
+from trapnets import core, trapspaces
 from trapnets.generators import (
     long_transient_trapping,
     random_commutative,
@@ -92,6 +92,15 @@ def test_stacked_principal_pairs_match_single_table_at_large_n(n):
     rng = np.random.default_rng(n)
     for f in every_kind(n):
         assert_matches_single_table(f, rng)
+
+
+def test_principal_rows_keep_the_coordinates_above_16(monkeypatch):
+    # With the table cap raised to 17, a move needs 17 bits.
+    monkeypatch.setitem(core._CAPPED_WORK, "table", (17, core._CAPPED_WORK["table"][1]))
+    f = random_network(17, 1)
+    free, base = principal_pairs(f)
+    for x in np.random.default_rng(17).integers(0, 1 << 17, 16).tolist():
+        assert (free[x], base[x]) == principal_pair(f, x)
 
 
 def test_minimal_pairs_are_the_minimal_collection():
