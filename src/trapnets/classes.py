@@ -5,12 +5,14 @@ Every class predicate is computed from its own primary definition; the
 equivalent defining conditions independently so their agreement can be
 verified over whole populations.  A ``NetworkProfile`` is a row of a
 ``ProfileBlock``, which owns the facts of a block of networks: its
-trapspace stacks, its class columns (flags and conditions) and its
-collection columns, each filled on first use by one stacked ``*_rows``
-kernel over their (k, 2^n) image rows or their collection masks, and the
-profiles of the networks related to its rows.  A profile that no block
-took is row 0 of a block of itself, so the per-network functions read the
-same kernels.
+trapspace stacks, the profiles of the networks related to its rows, and
+its boolean columns (class flags, conditions and collection recognisers).
+One table, ``KERNELS``, maps each kernel to the columns it fills, and a
+column is filled on first use by its kernel over the block's (k, 2^n)
+image rows.  ``verify --suite all`` checks every column but
+``transitive_a``, on which no claim rests.  A profile that no block took
+is row 0 of a block of itself, so the per-network functions read the same
+kernels.
 The implication diagrams encode which class memberships force which others
 (unconditionally, for trapping networks, or for commutative networks)
 together with the counterexample fixtures witnessing the absent arrows.
@@ -26,7 +28,7 @@ import functools
 import importlib.resources
 import itertools
 import weakref
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, make_dataclass
 from functools import cached_property
 
 import numpy as np
@@ -167,6 +169,9 @@ def image_flag_rows(images: np.ndarray, n: int) -> dict[str, np.ndarray]:
     return dict(zip(_IMAGE_FLAGS, (*_table_flags(images), *local, dynamic)))
 
 
+_GLOBALLY_FLAGS = ("globally_bijective", "globally_involutive", "globally_idempotent")
+
+
 def globally_rows(images: np.ndarray, n: int) -> dict[str, np.ndarray]:
     """Whether every subset update of each row is bijective, involutive and
     idempotent: a walk over the subsets in Gray-code order, toggling one
@@ -211,7 +216,7 @@ def globally_rows(images: np.ndarray, n: int) -> dict[str, np.ndarray]:
                 if not len(live):
                     break
     holds[:, live] = flags
-    return dict(zip(("globally_bijective", "globally_involutive", "globally_idempotent"), holds))
+    return dict(zip(_GLOBALLY_FLAGS, holds))
 
 
 def subset_idempotent_rows(images: np.ndarray, n: int) -> np.ndarray:
@@ -222,6 +227,9 @@ def subset_idempotent_rows(images: np.ndarray, n: int) -> np.ndarray:
     moves = (images ^ xs).astype(xs.dtype)[:, None, :]
     first = moves & xs[:, None]  # [r, s, x]
     return ~np.any(_compose(moves, xs ^ first) & xs[:, None], axis=(1, 2))
+
+
+_PAIR_COLUMNS = tuple(f"{theorem}.pairs" for theorem in PAIR_THEOREMS)
 
 
 def pair_rows(images: np.ndarray, n: int) -> dict[str, np.ndarray]:
@@ -268,7 +276,7 @@ def pair_rows(images: np.ndarray, n: int) -> dict[str, np.ndarray]:
             if not len(live):
                 break
     holds[:, live] = live_holds
-    return {f"{theorem}.pairs": row for theorem, row in zip(PAIR_THEOREMS, holds)}
+    return dict(zip(_PAIR_COLUMNS, holds))
 
 
 def interval_arrays(images: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -385,13 +393,26 @@ def collection_rows(
 # the per-network profile: everything computed once, lazily
 
 
-class _Flag(cached_property):
-    """A class flag: the profile's entry in that column of its block."""
+# The class flags, in the order of ``ClassReport``'s fields.
+CLASS_FLAGS = (
+    "trapping", "commutative", "marseille", "lille", "globally_idempotent", "bijective",
+    "locally_bijective", "globally_bijective", "involutive", "locally_involutive",
+    "globally_involutive", "idempotent", "locally_idempotent", "dynamically_local", "dpt",
+    "fixable", "trapspace_fp", "interval_fp", "interval_ufp", "min_trapping",
+)
 
-    def __init__(self):
-        super().__init__(lambda profile: profile.prop(self.attrname))
+
+def _with_flags(cls):
+    """cls with a cached property per class flag: the profile's entry in
+    that column of its block."""
+    for name in CLASS_FLAGS:
+        flag = cached_property(lambda profile, name=name: profile.prop(name))
+        flag.__set_name__(cls, name)
+        setattr(cls, name, flag)
+    return cls
 
 
+@_with_flags
 class NetworkProfile:
     """Lazily computed facts about one network, shared across checks.  Its
     trapspace facts and class flags are its row of a ``ProfileBlock``."""
@@ -480,27 +501,6 @@ class NetworkProfile:
     def globally_flags(self) -> tuple[bool, bool, bool]:
         return tuple(self.prop(f"globally_{w}") for w in ("bijective", "involutive", "idempotent"))
 
-    # -- individual class predicates, each from its primary definition
-
-    trapping = _Flag()
-    fixable = _Flag()
-    commutative = _Flag()
-    bijective = _Flag()
-    locally_bijective = _Flag()
-    involutive = _Flag()
-    locally_involutive = _Flag()
-    idempotent = _Flag()
-    locally_idempotent = _Flag()
-    marseille = _Flag()
-    lille = _Flag()
-    globally_idempotent = _Flag()
-    dynamically_local = _Flag()
-    dpt = _Flag()
-    trapspace_fp = _Flag()
-    interval_fp = _Flag()
-    interval_ufp = _Flag()
-    min_trapping = _Flag()
-
     def prop(self, name: str) -> bool:
         """The class flag or condition ``name`` (a ``ProfileBlock`` column)."""
         block, i = self.block_row
@@ -517,12 +517,99 @@ def _all_closure_tables(n: int) -> np.ndarray:
     return closures
 
 
-_GRAPH_PREDICATES = tuple(prop.replace("-", "_") for prop in GRAPH_PROPERTIES)
-# The predicates of a GA or TG read off its rows with no SCC search.
-_ROW_PREDICATES = ("reflexive", "symmetric", "transitive")
-_SUBCUBE_CONDITIONS = ("negation_on_subcubes", "constant_on_arrangements")
 # The predicates a non-transitive GA reads off its bitset graph.
 _ARC_PREDICATES = ("oriented", "triangular", "sink-terminal")
+
+
+def _graph_columns(props, kind: str) -> tuple[str, ...]:
+    """The column names of the predicates ``props`` of graph ``kind`` (a, ga
+    or tg)."""
+    return tuple(f"{prop.replace('-', '_')}_{kind}" for prop in props)
+
+
+def _named(holds: dict[str, np.ndarray], kind: str) -> dict[str, np.ndarray]:
+    return dict(zip(_graph_columns(holds, kind), holds.values()))
+
+
+def _subcube_rows(block, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (free, base) rows of the block's GAs or TGs."""
+    return block.principal if kind == "tg" else general_rows(block.images, block.n)
+
+
+def _async_predicates(block) -> dict[str, np.ndarray]:
+    """All six predicates of the asynchronous graphs, off their move rows."""
+    holds = move_row_predicates(np.arange(1 << block.n) ^ block.images, block.n)
+    return _named({**holds, **component_predicates(*block.async_components)}, "a")
+
+
+def _row_predicates(block, kind: str) -> dict[str, np.ndarray]:
+    """The predicates of the GAs or TGs read off their rows with no SCC
+    search."""
+    return _named(subcube_row_predicates(*_subcube_rows(block, kind), block.n), kind)
+
+
+def _scc_predicates(block, kind: str) -> dict[str, np.ndarray]:
+    """The ``_ARC_PREDICATES`` of the GAs or TGs, read off their row SCCs."""
+    free, base = _subcube_rows(block, kind)
+    holds = {"oriented": distinct_rows(free, base, block.n),
+             **component_predicates(*subcube_components(free, base, block.n))}
+    # Those three hold on transitive rows (the TG's always); a GA that is not
+    # transitive has its SCCs found on its bitsets.  The rows are those of a
+    # false ``transitive_ga`` column, so a block whose column is flipped
+    # searches the flipped rows.
+    if kind == "ga":
+        for i in np.flatnonzero(~block["transitive_ga"]).tolist():
+            g = block.profiles[i].graph_ga
+            for prop in _ARC_PREDICATES:
+                holds[prop][i] = graph_property(g, prop)
+    return _named(holds, kind)
+
+
+# The class layer: every column, under the kernel that fills it.  A kernel
+# takes a ``ProfileBlock`` and returns a dict of its columns, or the array of
+# its one column: a stacked ``*_rows`` kernel, a reading of the trapspace
+# stacks or the graphs' row forms, or an expression in other columns.
+KERNELS = {
+    _IMAGE_FLAGS: lambda b: image_flag_rows(b.images, b.n),
+    _GLOBALLY_FLAGS: lambda b: globally_rows(b.images, b.n),
+    _PAIR_COLUMNS: lambda b: pair_rows(b.images, b.n),
+    (*(f"{theorem}.intervals" for theorem in PAIR_THEOREMS), "negation_on_subcubes",
+     "constant_on_arrangements"): lambda b: interval_rows(b.images, b.n, b.intervals),
+    ("descent", "principal_fp"): lambda b: descent_rows(b.images, *b.principal, b.n),
+    ("interval_fp", "interval_ufp"): lambda b: interval_fixed_rows(b.images, b.n),
+    _COLLECTION_COLUMNS: lambda b: collection_rows(b.collections, b.pointwise, b.n),
+    _graph_columns(GRAPH_PROPERTIES, "a"): _async_predicates,
+    **{_graph_columns(("reflexive", "symmetric", "transitive"), kind):
+       functools.partial(_row_predicates, kind=kind) for kind in ("ga", "tg")},
+    **{_graph_columns(_ARC_PREDICATES, kind): functools.partial(_scc_predicates, kind=kind)
+       for kind in ("ga", "tg")},
+    ("all",): lambda b: np.ones(len(b.images), dtype=bool),
+    ("commutative",): lambda b: commutative_rows(b.images, b.n),
+    ("subset_idempotent",): lambda b: subset_idempotent_rows(b.images, b.n),
+    ("marseille",): lambda b: b["commutative"] & b["bijective"],
+    ("lille",): lambda b: b["commutative"] & b["idempotent"],
+    ("interval_ufp_idempotent",): lambda b: b["interval_ufp"] & b["idempotent"],
+    # The paper defines trapping as the general graph's transitivity.
+    ("trapping",): lambda b: b["transitive_ga"],
+    ("tg_is_ga",): lambda b: np.all(np.equal(b.principal, general_rows(b.images, b.n)),
+                                    axis=(0, 2)),
+    ("fixable",): lambda b: fixable_rows(b.images, *b.async_components),
+    # The closure moves x by its principal free mask.
+    ("closure_fixed",): lambda b: np.all(b.images == np.arange(1 << b.n) ^ b.principal[0], axis=1),
+    # Above the exhaustive cap: the closure operator is idempotent (tested
+    # separately), so its image is its fixed-point set.
+    ("some_closure",): lambda b: b["closure_fixed"] if b.n > CAPS["exhaustive"] else np.any(
+        np.all(b.images[:, None] == _all_closure_tables(b.n), axis=2), axis=1),
+    ("principal_moves",): lambda b: np.all((np.arange(1 << b.n) ^ b.images) == b.principal[0],
+                                           axis=1),
+    ("minimal_fixed",): lambda b: np.all(b.cover[3] == (np.arange(1 << b.n) == b.images), axis=1),
+    ("dpt",): lambda b: b.cover[4] == 1 << b.n,
+    # Every trapspace contains a fixed point.
+    ("trapspace_fp",): lambda b: np.all(fixed_point_rows(b.images, b.n) | ~b.trapspaces, axis=1),
+    ("min_trapping",): lambda b: np.all(b.min_extensions == b.images, axis=1),
+}
+# Each column, with all the columns of its kernel and the kernel.
+COLUMNS = {name: (names, kernel) for names, kernel in KERNELS.items() for name in names}
 
 
 class ProfileBlock:
@@ -531,21 +618,12 @@ class ProfileBlock:
     ``profiles[i]``'s, which reads its trapspace facts and flags there.
 
     The trapspace stacks are one call each of ``principal_rows``,
-    ``trapspace_rows``, ``cover_rows`` and ``min_extension_rows``, and the
-    ``trapspace_fp`` column one of ``fixed_point_rows``.  The class layer
-    holds one boolean column per class flag, per diagram node and per
-    alternate-definition condition (the names in ``VECTORS``), filled with
-    the others of its kernel: a stacked ``*_rows`` kernel, the trapspace
-    stacks, the profiles' own graphs, or an expression in other columns.
-    The predicates of a graph kind are read off its row form (see
-    ``dynamics``), a GA's or TG's in two fills: the ``_ROW_PREDICATES``
-    with no SCC search, then the three that read SCCs, for which only a GA
-    that is not transitive reads its profile's bitset graph.  ``trapping``
-    is the GA's transitive column, as the paper defines it.  The
-    collection columns (``collection_rows``) and the realisations read the
-    principal, trapspace and minimal collections that the profiles give.
-    The closures and min extensions of the rows are the rows of one more
-    block, read through ``profile_of`` with any realisation that is neither.
+    ``trapspace_rows``, ``cover_rows`` and ``min_extension_rows``.  The
+    class layer holds one boolean column per class flag, per diagram node
+    and per alternate-definition condition (the names in ``VECTORS``),
+    filled with the other columns of its kernel in ``KERNELS``.  The
+    closures and min extensions of the rows are the rows of one more block,
+    read through ``profile_of`` with any realisation that is neither.
 
     Each profile holds its block, and the block refers to its profiles
     weakly: with no cycle between them, a block is freed with the last of
@@ -649,101 +727,17 @@ class ProfileBlock:
         """``move_components`` of the asynchronous graphs."""
         return move_components(np.arange(1 << self.n) ^ self.images, self.n)
 
-    def _graph_columns(self, kind: str, head: str) -> dict[str, np.ndarray]:
-        """Predicates of the graph ``kind`` (a, ga or tg) of each row: all six
-        of an asynchronous graph; of a GA or TG, the ``_ROW_PREDICATES`` if
-        they hold ``head``, else the three that read the SCCs."""
-        n = self.n
-        if kind == "a":
-            holds = move_row_predicates(np.arange(1 << n) ^ self.images, n)
-            holds.update(component_predicates(*self.async_components))
-        else:
-            free, base = self.principal if kind == "tg" else general_rows(self.images, n)
-            if head in _ROW_PREDICATES:
-                holds = subcube_row_predicates(free, base, n)
-            else:
-                holds = {"oriented": distinct_rows(free, base, n),
-                         **component_predicates(*subcube_components(free, base, n))}
-                # Those three hold on transitive rows (the TG's always); a GA
-                # that is not transitive has its SCCs found on its bitsets.
-                # The rows are those of a false ``transitive`` column, so a
-                # block whose column is flipped searches the flipped rows.
-                for i in np.flatnonzero(~self[f"transitive_{kind}"]).tolist():
-                    g = getattr(self.profiles[i], f"graph_{kind}")
-                    for prop in _ARC_PREDICATES:
-                        holds[prop][i] = graph_property(g, prop)
-        return {f"{prop.replace('-', '_')}_{kind}": column for prop, column in holds.items()}
-
     def _fill(self, name: str) -> dict[str, np.ndarray]:
-        n, images = self.n, self.images
-        xs = np.arange(1 << n)
-        head, _, kind = name.rpartition("_")
-        if kind in ("a", "ga", "tg") and head in _GRAPH_PREDICATES:
-            return self._graph_columns(kind, head)
-        if name.endswith(".pairs"):
-            return pair_rows(images, n)
-        if name.endswith(".intervals") or name in _SUBCUBE_CONDITIONS:
-            return interval_rows(images, n, self.intervals)
-        if name in ("descent", "principal_fp"):
-            return descent_rows(images, *self.principal, n)
-        if name.startswith("globally_"):
-            return globally_rows(images, n)
-        if name in ("interval_fp", "interval_ufp"):
-            return interval_fixed_rows(images, n)
-        if name in _IMAGE_FLAGS:
-            return image_flag_rows(images, n)
-        if name in _COLLECTION_COLUMNS:
-            return collection_rows(self.collections, self.pointwise, n)
-        return {name: {
-            "all": lambda: np.ones(len(images), dtype=bool),
-            "commutative": lambda: commutative_rows(images, n),
-            "subset_idempotent": lambda: subset_idempotent_rows(images, n),
-            "marseille": lambda: self["commutative"] & self["bijective"],
-            "lille": lambda: self["commutative"] & self["idempotent"],
-            "interval_ufp_idempotent": lambda: self["interval_ufp"] & self["idempotent"],
-            "trapping": lambda: self["transitive_ga"],
-            "tg_is_ga": lambda: np.all(np.equal(self.principal, general_rows(images, n)), axis=(0, 2)),
-            "fixable": lambda: fixable_rows(images, *self.async_components),
-            # The closure moves x by its principal free mask.
-            "closure_fixed": lambda: np.all(images == xs ^ self.principal[0], axis=1),
-            # Above the exhaustive cap: the closure operator is idempotent
-            # (tested separately), so its image is its fixed-point set.
-            "some_closure": lambda: self["closure_fixed"] if n > CAPS["exhaustive"] else np.any(
-                np.all(images[:, None] == _all_closure_tables(n), axis=2), axis=1),
-            "principal_moves": lambda: np.all((xs ^ images) == self.principal[0], axis=1),
-            "minimal_fixed": lambda: np.all(self.cover[3] == (xs == images), axis=1),
-            "dpt": lambda: self.cover[4] == 1 << n,
-            # Every trapspace contains a fixed point.
-            "trapspace_fp": lambda: np.all(fixed_point_rows(images, n) | ~self.trapspaces, axis=1),
-            "min_trapping": lambda: np.all(self.min_extensions == images, axis=1),
-        }[name]()}
+        """The columns of the kernel of column ``name``."""
+        names, kernel = COLUMNS[name]
+        filled = kernel(self)
+        return filled if len(names) > 1 else {name: filled}
 
 
-@dataclass(frozen=True)
-class ClassReport:
-    trapping: bool
-    commutative: bool
-    marseille: bool
-    lille: bool
-    globally_idempotent: bool
-    bijective: bool
-    locally_bijective: bool
-    globally_bijective: bool
-    involutive: bool
-    locally_involutive: bool
-    globally_involutive: bool
-    idempotent: bool
-    locally_idempotent: bool
-    dynamically_local: bool
-    dpt: bool
-    fixable: bool
-    trapspace_fp: bool
-    interval_fp: bool
-    interval_ufp: bool
-    min_trapping: bool
-
-    def as_dict(self) -> dict[str, bool]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+ClassReport = make_dataclass(
+    "ClassReport", [(name, bool) for name in CLASS_FLAGS], frozen=True,
+    namespace={"__module__": __name__, "as_dict": asdict},
+)
 
 
 def classify_network(f: BooleanNetwork, profile: NetworkProfile | None = None) -> ClassReport:
@@ -751,7 +745,7 @@ def classify_network(f: BooleanNetwork, profile: NetworkProfile | None = None) -
     the class layer."""
     check_cap("enumeration", f.n)
     p = profile if profile is not None else NetworkProfile(f)
-    return ClassReport(**{field.name: p.prop(field.name) for field in fields(ClassReport)})
+    return ClassReport(*map(p.prop, CLASS_FLAGS))
 
 
 # ---------------------------------------------------------------------------

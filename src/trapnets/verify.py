@@ -25,14 +25,13 @@ hierarchy fact's column.  ``classes`` owns the block cut, ``Violation`` and
 the diagram check (``implication_violations`` on the blocks, then the
 fixture counterexamples), which ``classes.verify_diagram`` runs on its own;
 this module imports them.  The checks that span networks (monotonicity
-pairs, compared in one broadcast, and the fixtures) run once, after the
-blocks.
+pairs of neighbours of one dimension, compared in one broadcast per
+dimension, and the fixtures) run once, after the blocks.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -155,30 +154,31 @@ def monotone_pairs_violations(
     pairs: list[tuple[BooleanNetwork, BooleanNetwork]],
 ) -> list[Violation]:
     """``monotonicity_violations`` of every pair (f, g), in pair order.  The
-    networks and their trapping closures are held as (N, 2^n) arrays of
-    moved coordinates, and ``order_leq`` of all pairs is one broadcast.  The
-    closures are computed as stacked principal passes, one per block of
-    networks: the closure moves x by its principal free mask."""
-    if not pairs:
-        return []
-    index = {f: i for i, f in enumerate(dict.fromkeys(itertools.chain.from_iterable(pairs)))}
-    nets = list(index)
-    n = nets[0].n
+    networks of each dimension and their trapping closures are held as
+    (N, 2^n) arrays of moved coordinates, and ``order_leq`` of their pairs
+    is one broadcast.  The closures are computed as stacked principal
+    passes, one per block of networks: the closure moves x by its principal
+    free mask."""
 
     def images(networks):
         return np.array([f.np_image for f in networks])
 
-    moved = images(nets) ^ np.arange(1 << n)
-    moved_closed = np.concatenate(
-        [principal_rows(images(block), n)[0] for block in population_blocks(nets)]
-    )
-    fi, gi = np.array([(index[f], index[g]) for f, g in pairs]).T
+    bad = np.zeros(len(pairs), dtype=bool)
+    for n in dict.fromkeys(f.n for f, _ in pairs):
+        at = [i for i, (f, _) in enumerate(pairs) if f.n == n]
+        nets = list(dict.fromkeys(f for i in at for f in pairs[i]))
+        index = {f: i for i, f in enumerate(nets)}
+        moved = images(nets) ^ np.arange(1 << n)
+        moved_closed = np.concatenate(
+            [principal_rows(images(block), n)[0] for block in population_blocks(nets)]
+        )
+        fi, gi = np.array([(index[f], index[g]) for f, g in (pairs[i] for i in at)]).T
 
-    def leq(m):
-        return ~np.any(m[fi] & ~m[gi], axis=1)
+        def leq(m):
+            return ~np.any(m[fi] & ~m[gi], axis=1)
 
-    bad = np.flatnonzero(leq(moved) & ~leq(moved_closed))
-    return [Violation("closure", NOT_MONOTONE, pairs[i][0]) for i in bad.tolist()]
+        bad[at] = leq(moved) & ~leq(moved_closed)
+    return [Violation("closure", NOT_MONOTONE, pairs[i][0]) for i in np.flatnonzero(bad).tolist()]
 
 
 def equivalence_vector_violations(block: ProfileBlock) -> list[list[Violation]]:
@@ -345,7 +345,8 @@ def run_verification(
     def monotonicity():
         pairs = monotonicity_pairs
         if pairs is None:
-            pairs = [(f, lattice_combine(f, g, "join")) for f, g in zip(networks, networks[1:])]
+            pairs = [(f, lattice_combine(f, g, "join"))
+                     for f, g in zip(networks, networks[1:]) if f.n == g.n]
         return monotone_pairs_violations(pairs)
 
     # (suite, per-network checks, check spanning networks) of each section;

@@ -95,9 +95,10 @@ def runs_by_block_size(monkeypatch, nets, suite):
     return runs
 
 
-# The closure suite pairs neighbours, so only the theorems take two dimensions.
+# The second population has two dimensions; the closure suite pairs only
+# neighbours of one.
 BLOCK_SIZE_RUNS = ((sample_population(3, 12, 5), "all"),
-                   (sample_population(3, 8, 5) + sample_population(4, 6, 6), "theorems"))
+                   (sample_population(3, 8, 5) + sample_population(4, 6, 6), "all"))
 
 
 def test_violations_do_not_depend_on_the_block_size(monkeypatch):
@@ -163,6 +164,28 @@ def test_monotone_pairs_broadcast_matches_the_per_pair_definition(monkeypatch):
         assert monotone_pairs_violations(pairs) == expected
     assert expected
     assert monotone_pairs_violations([]) == []
+    # Pairs of two dimensions, interleaved, come back in pair order.
+    small, large = exhaustive_networks(1), exhaustive_networks(2)[:4]
+    pairs = [pair for f, g in zip(small, large) for pair in ((f, f), (g, g), (f, small[0]))]
+    dealt = {**dict(zip(small, small[::-1])), **{g: g for g in large}}
+    with monkeypatch.context() as patch:
+        dealing(patch, dealt)
+        expected = per_pair(pairs, dealt)
+        assert monotone_pairs_violations(pairs) == expected
+    assert expected
+
+
+def test_monotonicity_pairs_neighbours_of_one_dimension(monkeypatch):
+    pairs, check = [], verify.monotone_pairs_violations
+    monkeypatch.setattr(verify, "monotone_pairs_violations",
+                        lambda found: (pairs.append(found), check(found))[1])
+    parts = [sample_population(3, 8, 5), sample_population(4, 6, 6)]
+    for nets in (*parts, parts[0] + parts[1]):
+        assert run_verification(nets, "closure") == []
+    assert pairs[2] == pairs[0] + pairs[1]
+    assert [len(found) for found in pairs] == [len(nets) - 1 for nets in parts] + [
+        sum(len(nets) - 1 for nets in parts)
+    ]
 
 
 def test_blocks_hold_at_most_max_block_networks():
