@@ -69,7 +69,6 @@ from .dynamics import (
     subcube_components,
     subcube_row_predicates,
 )
-from .generators import exhaustive_networks
 from .netio import parse_truth_table
 from .trapspaces import (
     cover_rows,
@@ -425,7 +424,8 @@ class NetworkProfile:
     def block_row(self) -> tuple["ProfileBlock", int]:
         """(block, row) of this profile: where a ``ProfileBlock`` took it,
         else row 0 of a block of itself."""
-        return ProfileBlock([self]), 0
+        ProfileBlock([self])  # sets this to row 0 of its twin
+        return vars(self)["block_row"]
 
     @cached_property
     def graph_a(self) -> HypercubeGraph:
@@ -511,6 +511,8 @@ class NetworkProfile:
 def _all_closure_tables(n: int) -> np.ndarray:
     """The trapping closure of every network of dimension n, one image row
     each (the ``exhaustive`` cap): x moves by its principal free mask."""
+    from .generators import exhaustive_networks  # here, as only n <= 2 reaches it
+
     images = np.stack([g.np_image for g in exhaustive_networks(n)])
     closures = np.arange(1 << n) ^ principal_rows(images, n)[0]
     closures.setflags(write=False)  # shared by every caller at this n
@@ -625,21 +627,27 @@ class ProfileBlock:
     closures and min extensions of the rows are the rows of one more block,
     read through ``profile_of`` with any realisation that is neither.
 
-    Each profile holds its block, and the block refers to its profiles
-    weakly: with no cycle between them, a block is freed with the last of
-    its profiles, not at the next full collection.  Whoever builds a block
-    keeps its profiles while it reads the columns of their own facts; the
-    block holds the related profiles."""
+    The block holds its profiles in the slot ``_held``, and each profile
+    holds a twin of the block: an instance that shares its ``__dict__``,
+    and so every fact, but not the slot.  The facts refer to the profiles
+    weakly.  With no cycle between them, either side keeps the facts for as
+    long as it is held, and both are freed with the last reference to them,
+    not at the next full collection.  The block holds the related profiles."""
+
+    __slots__ = ("__dict__", "__weakref__", "_held")
 
     def __init__(self, profiles: list[NetworkProfile]):
+        self._held = list(profiles)
         self.profiles = [weakref.proxy(p) for p in profiles]
         self.n = profiles[0].n
         images = [p.f.np_image for p in profiles]
-        # A block of one, as ``analyze`` builds, views its image: no 2^n copy.
+        # A block of one, as full ``analyze`` builds, views its image: no 2^n copy.
         self.images = images[0][None] if len(images) == 1 else np.stack(images)
         self._columns: dict[str, np.ndarray] = {}
+        twin = object.__new__(type(self))
+        twin.__dict__ = self.__dict__
         for i, p in enumerate(profiles):
-            p.block_row = self, i
+            p.block_row = twin, i
 
     @cached_property
     def principal(self) -> tuple[np.ndarray, np.ndarray]:

@@ -4,6 +4,10 @@ Exit codes: 0 for success (or an equivalent/no-violation verdict), 1 for a
 negative verdict (not equivalent, violations found), 2 for usage or parse
 errors.  A command whose reader closes its standard output early (as with
 ``| head``) stops at the failed write, prints nothing to stderr and exits 0.
+
+Each command imports the layers it runs when it runs: ``--help`` and a
+usage error load no numpy, and ``analyze --minimal-only`` loads neither the
+class layer, ``verify`` nor the generators.
 """
 
 from __future__ import annotations
@@ -13,26 +17,7 @@ import json
 import os
 import sys
 
-from .classes import (
-    NetworkProfile,
-    classify_network,
-    min_trapspace_equivalent,
-    trapspace_equivalent,
-)
-from .core import CAPS
-from .cubesets import format_pairs
-from .dynamics import GRAPH_PROPERTIES, transient_and_period
-from .generators import (
-    exhaustive_networks,
-    long_transient_trapping,
-    random_commutative,
-    random_constant_on_arrangements,
-    random_negation_on_subcubes,
-    random_network,
-)
-from .netio import NetParseError, iter_dot, network_to_text, parse_truth_table
-from .verify import SUITES, run_verification, sample_population
-
+from .caps import CAPS, SUITES
 
 # The most pieces ``gen --parts`` places: a part takes up to 100 draws, and 16
 # commutative parts at n = 20 take about 2 s (2 vCPUs, Python 3.11, numpy 2.4).
@@ -64,6 +49,8 @@ def _refuse(message: str) -> int:
 
 
 def _load_network(path: str):
+    from .netio import NetParseError, parse_truth_table
+
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -76,8 +63,18 @@ def _load_network(path: str):
 
 
 def _analysis_report(f, name: str, minimal_only: bool) -> dict:
-    profile = NetworkProfile(f)
-    free, base, covered = profile.minimal_pairs
+    from .cubesets import format_pairs
+    from .dynamics import transient_and_period
+
+    if minimal_only:
+        from .trapspaces import minimal_cover
+
+        free, base, covered, distinct = minimal_cover(f)
+    else:
+        from .classes import NetworkProfile
+
+        profile = NetworkProfile(f)
+        (free, base, covered), distinct = profile.minimal_pairs, profile.pt_distinct
     transient, period = transient_and_period(f)
     report: dict = {
         "name": name,
@@ -85,7 +82,7 @@ def _analysis_report(f, name: str, minimal_only: bool) -> dict:
         "transient": transient,
         "period": period,
         "trapspaces": {
-            "principal_distinct": profile.pt_distinct,
+            "principal_distinct": distinct,
             "minimal": len(free),
             "min_configs": int(covered.sum()),
             "minimal_cubes": format_pairs(f.n, free, base).splitlines(),
@@ -93,6 +90,9 @@ def _analysis_report(f, name: str, minimal_only: bool) -> dict:
     }
     if minimal_only:
         return report
+    from .classes import classify_network
+    from .dynamics import GRAPH_PROPERTIES
+
     report["trapspaces"]["all"] = len(profile.trapspace_collection)
     report["classes"] = classify_network(f, profile).as_dict()
     report["graphs"] = {
@@ -143,6 +143,9 @@ def cmd_graph(args) -> int:
     f = _load_network(args.file)
     if f.n > CAPS["enumeration"]:
         return _refuse(f"graph export is capped at n={CAPS['enumeration']}")
+    from .classes import NetworkProfile
+    from .netio import iter_dot
+
     profile = NetworkProfile(f)
     depth = 3 if args.layered else {"async": 1, "ga": 2, "tg": 3}[args.kind]
     layers = [getattr(profile, a) for a in ("graph_a", "graph_ga", "graph_tg")[:depth]]
@@ -175,6 +178,8 @@ def cmd_equiv(args) -> int:
     cap = CAPS["enumeration"] if args.mode == "trapspace" else CAPS["table"]
     if f.n > cap:
         return _refuse(f"{args.mode} equivalence is capped at n={cap}")
+    from .classes import min_trapspace_equivalent, trapspace_equivalent
+
     if args.mode == "trapspace":
         vector = trapspace_equivalent(f, g)
         names = TRAPSPACE_CONDITIONS
@@ -195,15 +200,20 @@ def cmd_verify(args) -> int:
     if args.n <= exhaustive_n:
         if not args.exhaustive:
             return _refuse(f"n <= {exhaustive_n} requires --exhaustive")
+    elif args.exhaustive:
+        return _refuse(f"--exhaustive is only available for n <= {exhaustive_n}")
+    elif args.samples is None:
+        return _refuse(f"n >= {exhaustive_n + 1} requires --samples")
+    elif args.n > CAPS["pair_sweep"]:
+        return _refuse(f"sampled verification is capped at n={CAPS['pair_sweep']}")
+    from .generators import exhaustive_networks
+    from .netio import network_to_text
+    from .verify import run_verification, sample_population
+
+    if args.exhaustive:
         networks = exhaustive_networks(args.n)
         pairs = [(f, g) for f in networks for g in networks]
     else:
-        if args.exhaustive:
-            return _refuse(f"--exhaustive is only available for n <= {exhaustive_n}")
-        if args.samples is None:
-            return _refuse(f"n >= {exhaustive_n + 1} requires --samples")
-        if args.n > CAPS["pair_sweep"]:
-            return _refuse(f"sampled verification is capped at n={CAPS['pair_sweep']}")
         networks = sample_population(args.n, args.samples, args.seed)
         pairs = None
     violations = run_verification(networks, args.suite, monotonicity_pairs=pairs)
@@ -221,16 +231,20 @@ def cmd_gen(args) -> int:
         return _refuse("long-transient requires n >= 3")
     if args.n > CAPS["network"]:
         return _refuse(f"networks are capped at n={CAPS['network']}")
+    from . import generators
+    from .dynamics import transient_and_period
+    from .netio import network_to_text
+
     if args.kind == "random":
-        net = random_network(args.n, args.seed)
+        net = generators.random_network(args.n, args.seed)
     elif args.kind == "commutative":
-        net = random_commutative(args.n, args.seed, args.parts)
+        net = generators.random_commutative(args.n, args.seed, args.parts)
     elif args.kind == "negation":
-        net = random_negation_on_subcubes(args.n, args.seed, args.parts)
+        net = generators.random_negation_on_subcubes(args.n, args.seed, args.parts)
     elif args.kind == "constant":
-        net = random_constant_on_arrangements(args.n, args.seed, args.parts)
+        net = generators.random_constant_on_arrangements(args.n, args.seed, args.parts)
     else:
-        net = long_transient_trapping(args.n)
+        net = generators.long_transient_trapping(args.n)
     text = network_to_text(net)
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -241,6 +255,8 @@ def cmd_gen(args) -> int:
     if args.n > CAPS["enumeration"]:
         summary = f"classes skipped above n={CAPS['enumeration']}"
     else:
+        from .classes import classify_network
+
         report = classify_network(net)
         summary = ", ".join(
             f"{name}: {'true' if getattr(report, name) else 'false'}"

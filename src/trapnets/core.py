@@ -7,7 +7,8 @@ pure functions.
 
 Every exact computation has a dimension cap.  ``CAPS`` is the one read-only
 table of them and ``check_cap(kind, n)`` the one check, made before any
-work; the CLI reads its refusal values from the same table.
+work; both live in ``caps``, and the CLI reads its refusal values from the
+same table.
 """
 
 from __future__ import annotations
@@ -15,30 +16,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 from typing import Iterable, Iterator
 
 import numpy as np
 
-# kind of work: (cap on n, the work as a refusal names it); the README's
-# "Caps" table says which computations and commands read each entry.
-_CAPPED_WORK = {
-    "network": (20, "a network"),
-    "table": (16, "the 3^n subcube table"),
-    "enumeration": (13, "trapspace enumeration"),
-    "closure": (13, "the 4^n union-closure pair table"),
-    "global_sweep": (16, "the global subset sweep"),
-    "pair_sweep": (8, "the subset-pair sweep"),
-    "exhaustive": (2, "the exhaustive sweep"),
-}
-CAPS = MappingProxyType({kind: cap for kind, (cap, _) in _CAPPED_WORK.items()})
-
-
-def check_cap(kind: str, n: int) -> None:
-    """Raise ValueError unless 1 <= n <= CAPS[kind]; call it before any work."""
-    cap, work = _CAPPED_WORK[kind]
-    if not 1 <= n <= cap:
-        raise ValueError(f"{work} is capped at n={cap} and needs n >= 1, got n={n}")
+from .caps import _CAPPED_WORK, CAPS, check_cap  # re-exported here for the layers
 
 
 def _check_same_dimension(a, b) -> None:

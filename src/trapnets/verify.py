@@ -35,6 +35,7 @@ import functools
 
 import numpy as np
 
+from .caps import SUITES
 from .classes import (
     DIAGRAMS,
     NetworkProfile,
@@ -57,8 +58,6 @@ from .generators import (
     random_negation_on_subcubes,
 )
 from .trapspaces import principal_rows
-
-SUITES = ("all", "theorems", "diagrams", "closure")
 
 
 def sample_population(n: int, samples: int, seed: int) -> list[BooleanNetwork]:

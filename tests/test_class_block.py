@@ -160,3 +160,33 @@ def test_a_block_is_freed_with_its_profiles_without_a_collection():
         assert [ref() for ref in refs] == [None] * 4
     finally:
         gc.enable()
+
+
+def test_a_block_keeps_the_profiles_its_caller_dropped():
+    # The collection columns and the GA bitset fallback read the profiles;
+    # f_ex3's general graph is not transitive.
+    f = f_ex3()
+    block = ProfileBlock([NetworkProfile(f)])
+    assert block["convex"][0] == NetworkProfile(f).prop("convex")
+    assert not block["transitive_ga"][0]
+    assert block["oriented_ga"][0] == NetworkProfile(f).prop("oriented_ga")
+    assert block.profile_of(f).f == f
+
+
+def test_a_verify_block_is_freed_when_its_check_returns_without_a_collection(monkeypatch):
+    refs = []
+
+    def recording(profiles):
+        refs.append(weakref.ref(profiles[0]))
+        return ProfileBlock(profiles)
+
+    monkeypatch.setattr(verify, "ProfileBlock", recording)
+    gc.disable()
+    try:
+        sections = [(verify.alternate_definition_violations, verify.collection_roundtrip_violations,
+                     verify.closure_law_violations)]
+        found = verify._check_block(sample_population(3, 6, 1), sections)
+        assert len(found) == 1 and len(refs) == 1
+        assert refs[0]() is None
+    finally:
+        gc.enable()

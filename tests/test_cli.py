@@ -496,6 +496,44 @@ def test_sampled_verify_and_full_analyze_import_no_masked_arrays(tmp_path):
     assert before == after
 
 
+def loaded_after(argv):
+    """The numpy and trapnets modules loaded by one ``main(argv)`` call in a
+    fresh interpreter."""
+    script = (
+        "import sys\nfrom trapnets.cli import main\n"
+        "try:\n    main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
+        "print(*sorted(m for m in sys.modules if m.partition('.')[0] in ('numpy', 'trapnets')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+    return set(out.stdout.splitlines()[-1].split()) if out.stdout.strip() else set()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"], ["verify", "--n", "0"], []])
+def test_help_and_usage_errors_import_no_numpy(argv):
+    assert loaded_after(argv) == {"trapnets", "trapnets.caps", "trapnets.cli"}
+
+
+def test_each_command_imports_only_the_layers_it_runs(tmp_path):
+    small = write_net(tmp_path, "r.tt", random_network(5, 1))
+    other = write_net(tmp_path, "c.tt", random_constant_on_arrangements(5, 1))
+    layers = {"trapnets.classes", "trapnets.verify", "trapnets.generators"}
+    minimal = loaded_after(["analyze", small, "--minimal-only"])
+    assert {"numpy", "trapnets.trapspaces"} <= minimal and not minimal & layers
+    for argv in (["analyze", small], ["graph", small, "--layered"],
+                 ["equiv", small, other], ["equiv", "--mode", "min", small, other]):
+        loaded = loaded_after(argv)
+        assert "trapnets.classes" in loaded and not loaded & layers - {"trapnets.classes"}, argv
+    loaded = loaded_after(["gen", "--kind", "random", "--n", "14", "--out", str(tmp_path / "g.tt")])
+    assert "trapnets.generators" in loaded and "trapnets.classes" not in loaded
+
+
+def test_help_runs_with_warnings_as_errors():
+    # runpy warns when the package's import already loaded ``trapnets.cli``.
+    out = subprocess.run([sys.executable, "-W", "error", "-m", "trapnets.cli", "--help"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0 and out.stdout.startswith("usage: trapnets") and out.stderr == ""
+
+
 def test_commands_read_only_the_image_array(tmp_path, monkeypatch, capsys):
     # Every command builds and reads networks as their int64 arrays; the
     # tuple form is for ``repr`` and for callers outside the package.

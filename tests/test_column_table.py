@@ -36,8 +36,7 @@ def test_every_read_column_is_a_table_key(monkeypatch):
 
 
 def test_each_kernel_fills_exactly_its_columns():
-    profile = NetworkProfile(random_network(3, 2))  # the block holds it weakly
-    block = ProfileBlock([profile])
+    block = ProfileBlock([NetworkProfile(random_network(3, 2))])  # which holds its profile
     for names, kernel in KERNELS.items():
         filled = kernel(block)
         if len(names) > 1:

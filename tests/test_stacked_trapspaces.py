@@ -37,14 +37,16 @@ KERNELS = ("principal_rows", "trapspace_rows", "cover_rows", "fixed_point_rows",
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Calls of each stacked trapspace kernel from ``classes``, by name."""
+    """Calls of each stacked trapspace kernel from ``classes`` and from the
+    wrappers in ``trapspaces``, by name."""
     calls = Counter()
-    for name in KERNELS:
-        def counting(*args, kernel=getattr(classes, name), name=name):
-            calls[name] += 1
-            return kernel(*args)
+    for module in (classes, trapspaces):
+        for name in KERNELS:
+            def counting(*args, kernel=getattr(module, name), name=name):
+                calls[name] += 1
+                return kernel(*args)
 
-        monkeypatch.setattr(classes, name, counting)
+            monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -193,3 +195,8 @@ def test_minimal_only_report_reads_no_trapspace_or_fixed_point_table(kernel_call
     report = _analysis_report(random_network(16, 1), "random16", minimal_only=True)
     assert report["trapspaces"]["minimal"] >= 1
     assert kernel_calls == Counter(principal_rows=1, cover_rows=1)
+
+
+def test_full_report_fills_each_trapspace_stack_once(kernel_calls):
+    _analysis_report(random_constant_on_arrangements(8, 1), "constant8", minimal_only=False)
+    assert kernel_calls["principal_rows"] == kernel_calls["cover_rows"] == 1
