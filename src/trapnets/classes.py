@@ -1,25 +1,21 @@
 """Network classes, alternate-definition cross-checkers and implication diagrams.
 
-Every class predicate is computed from its own primary definition; the
-``check_alternate_definitions`` entry point evaluates each of a class's
-equivalent defining conditions independently so their agreement can be
-verified over whole populations.  A ``NetworkProfile`` is a row of a
-``ProfileBlock``, which owns the facts of a block of networks: its
-trapspace stacks, the profiles of the networks related to its rows, and
-its boolean columns (class flags, conditions and collection recognisers).
-One table, ``KERNELS``, maps each kernel to the columns it fills, and a
-column is filled on first use by its kernel over the block's (k, 2^n)
-image rows.  ``verify --suite all`` checks every column but
-``transitive_a``, on which no claim rests.  A profile that no block took
-is row 0 of a block of itself, so the per-network functions read the same
-kernels.
+Every class predicate is computed from its own primary definition;
+``check_alternate_definitions`` evaluates each of a class's equivalent
+defining conditions independently so their agreement can be verified over
+whole populations.  A ``ProfileBlock`` holds a block of networks as their
+(k, 2^n) image rows and fills their facts on first use: trapspace stacks,
+collection masks, the block of the networks related to its rows, and the
+boolean columns that one table, ``KERNELS``, maps to the kernels filling
+them.  ``verify --suite all`` checks every column but ``transitive_a``, on
+which no claim rests.  A ``NetworkProfile`` views one row, so the
+per-network functions read the same kernels.
 The implication diagrams encode which class memberships force which others
 (unconditionally, for trapping networks, or for commutative networks)
 together with the counterexample fixtures witnessing the absent arrows.
-This module owns the one diagram check, ``implication_violations``, and the
-population cut, ``population_blocks``, that ``verify_diagram`` and
-``verify.run_verification`` both profile; ``block_violations`` turns a
-block's broken columns into per-network ``Violation`` lists.
+This module owns the diagram check, ``implication_violations``, the
+population cut, ``population_blocks``, and ``block_violations``, which
+turns a block's broken columns into per-network ``Violation`` lists.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ from __future__ import annotations
 import functools
 import importlib.resources
 import itertools
-import weakref
 from dataclasses import asdict, dataclass, make_dataclass
 from functools import cached_property
 
@@ -49,6 +44,7 @@ from .cubesets import (
     _ternary_of_masks,
     classify_collection,
     convex_rows,
+    cube_masks,
     lambda_rows,
     min_ideal_rows,
     pointwise_cubes,
@@ -75,7 +71,6 @@ from .trapspaces import (
     fixed_point_rows,
     min_extension_rows,
     principal_rows,
-    trapping_closure,
     trapping_graph,
     trapspace_rows,
 )
@@ -135,6 +130,11 @@ def _all_by_row(holds: np.ndarray, row: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _same(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether a and b agree at every entry of their last axis."""
+    return np.all(a == b, axis=-1)
+
+
 def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The tables a after b, row by row over the last axis."""
     return np.take_along_axis(a, b, axis=-1)
@@ -164,7 +164,7 @@ def image_flag_rows(images: np.ndarray, n: int) -> dict[str, np.ndarray]:
     coordinate update tables (the ``locally_*`` flags) and off f^3 = f
     (dynamically local)."""
     local = (flag.all(axis=1) for flag in _table_flags(single_update_rows(images, n)))
-    dynamic = np.all(_compose(images, _compose(images, images)) == images, axis=1)
+    dynamic = _same(_compose(images, _compose(images, images)), images)
     return dict(zip(_IMAGE_FLAGS, (*_table_flags(images), *local, dynamic)))
 
 
@@ -364,27 +364,25 @@ _COLLECTION_COLUMNS = ("pre_principal", "convex", "pre_ideal", "min_ideal", "mu_
 
 
 def collection_rows(
-    masks: dict[str, np.ndarray], free: dict[str, np.ndarray], n: int
+    masks: dict[str, np.ndarray], realised: dict[str, np.ndarray], n: int
 ) -> dict[str, np.ndarray]:
     """The recognisers of each row's principal (P), trapspace (J) and minimal
     (N) masks, and the round trips of union closure (lambda) and pointwise
-    reduction (mu) between P and J, given their ``pointwise_free`` stacks."""
+    reduction (mu) between P and J, given their realisations, which move x
+    by its ``pointwise_free`` mask."""
     P, J, N = masks["P"], masks["J"], masks["N"]
-    mu_j, lam_p = pointwise_cubes(free["J"], n), lambda_rows(P, n)
-
-    def same(a, b):
-        return np.all(a == b, axis=1)
-
+    mu_p, mu_j = (pointwise_cubes(np.arange(1 << n) ^ realised[c], n) for c in "PJ")
+    lam_p = lambda_rows(P, n)
     return {
         "pre_principal": pre_principal_rows(P, n),
         "convex": convex_rows(P, n),
         "pre_ideal": pre_ideal_rows(J, n),
         "min_ideal": min_ideal_rows(N, n),
-        "mu_fixes_p": same(pointwise_cubes(free["P"], n), P),
-        "lambda_p_is_j": same(lam_p, J),
-        "mu_j_is_p": same(mu_j, P),
-        "mu_lambda_invert": same(pointwise_cubes(pointwise_free(lam_p, n), n), P)
-        & same(lambda_rows(mu_j, n), J),
+        "mu_fixes_p": _same(mu_p, P),
+        "lambda_p_is_j": _same(lam_p, J),
+        "mu_j_is_p": _same(mu_j, P),
+        "mu_lambda_invert": _same(pointwise_cubes(pointwise_free(lam_p, n), n), P)
+        & _same(lambda_rows(mu_j, n), J),
     }
 
 
@@ -413,19 +411,22 @@ def _with_flags(cls):
 
 @_with_flags
 class NetworkProfile:
-    """Lazily computed facts about one network, shared across checks.  Its
-    trapspace facts and class flags are its row of a ``ProfileBlock``."""
+    """One network as a view of its row of a ``ProfileBlock``, by default
+    row 0 of a block of f alone, with the per-network objects (graphs,
+    collections, related networks) built from that row on first use."""
 
-    def __init__(self, f: BooleanNetwork):
+    row = 0
+
+    def __init__(self, f: BooleanNetwork, block: "ProfileBlock | None" = None, row: int = 0):
         self.f = f
         self.n = f.n
+        if block is not None:
+            self.block, self.row = block, row
 
     @cached_property
-    def block_row(self) -> tuple["ProfileBlock", int]:
-        """(block, row) of this profile: where a ``ProfileBlock`` took it,
-        else row 0 of a block of itself."""
-        ProfileBlock([self])  # sets this to row 0 of its twin
-        return vars(self)["block_row"]
+    def block(self) -> "ProfileBlock":
+        """The block whose row ``row`` this profile views."""
+        return ProfileBlock.of([self.f])
 
     @cached_property
     def graph_a(self) -> HypercubeGraph:
@@ -437,13 +438,12 @@ class NetworkProfile:
 
     @cached_property
     def pt_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        block, i = self.block_row
-        free, base = block.principal
-        return free[i], base[i]
+        free, base = self.block.principal
+        return free[self.row], base[self.row]
 
     @cached_property
     def closure(self) -> BooleanNetwork:
-        return trapping_closure(self.f, self.pt_pairs)
+        return BooleanNetwork(self.n, self.block.closures[self.row])
 
     @cached_property
     def graph_tg(self) -> HypercubeGraph:
@@ -451,37 +451,33 @@ class NetworkProfile:
 
     @cached_property
     def pt_collection(self) -> SubcubeCollection:
-        return SubcubeCollection.from_pairs(self.n, *self.pt_pairs)
+        return SubcubeCollection(self.n, self.block.collection("P")[self.row])
 
     @cached_property
     def trapspace_collection(self) -> SubcubeCollection:
-        block, i = self.block_row
-        return SubcubeCollection(self.n, block.trapspaces[i])
+        return SubcubeCollection(self.n, self.block.collection("J")[self.row])
 
     @cached_property
     def minimal_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(free, base) of the minimal trapspaces, in ``pairs()`` order, and
         the configurations they cover; no 3^n mask is built."""
-        block, i = self.block_row
-        index, free, base, covered, _ = block.cover
-        start, stop = np.searchsorted(index, (i, i + 1)).tolist()
-        return free[start:stop], base[start:stop], covered[i]
+        index, free, base, covered, _ = self.block.cover
+        start, stop = np.searchsorted(index, (self.row, self.row + 1)).tolist()
+        return free[start:stop], base[start:stop], covered[self.row]
 
     @cached_property
     def minimal(self) -> tuple[SubcubeCollection, np.ndarray]:
-        free, base, covered = self.minimal_pairs
-        return SubcubeCollection.from_pairs(self.n, free, base), covered
+        mask, covered = self.block.collection("N")[self.row], self.block.cover[3][self.row]
+        return SubcubeCollection(self.n, mask), covered
 
     @cached_property
     def pt_distinct(self) -> int:
         """The number of distinct principal trapspaces."""
-        block, i = self.block_row
-        return int(block.cover[4][i])
+        return int(self.block.cover[4][self.row])
 
     @cached_property
     def min_extension(self) -> BooleanNetwork:
-        block, i = self.block_row
-        return BooleanNetwork(self.n, block.min_extensions[i])
+        return BooleanNetwork(self.n, self.block.min_extensions[self.row])
 
     @cached_property
     def pt_flags(self):
@@ -503,8 +499,7 @@ class NetworkProfile:
 
     def prop(self, name: str) -> bool:
         """The class flag or condition ``name`` (a ``ProfileBlock`` column)."""
-        block, i = self.block_row
-        return bool(block[name][i])
+        return bool(self.block[name][self.row])
 
 
 @functools.cache
@@ -513,8 +508,7 @@ def _all_closure_tables(n: int) -> np.ndarray:
     each (the ``exhaustive`` cap): x moves by its principal free mask."""
     from .generators import exhaustive_networks  # here, as only n <= 2 reaches it
 
-    images = np.stack([g.np_image for g in exhaustive_networks(n)])
-    closures = np.arange(1 << n) ^ principal_rows(images, n)[0]
+    closures = ProfileBlock.of(exhaustive_networks(n)).closures
     closures.setflags(write=False)  # shared by every caller at this n
     return closures
 
@@ -561,7 +555,7 @@ def _scc_predicates(block, kind: str) -> dict[str, np.ndarray]:
     # searches the flipped rows.
     if kind == "ga":
         for i in np.flatnonzero(~block["transitive_ga"]).tolist():
-            g = block.profiles[i].graph_ga
+            g = build_graph(block.network(i), "general")
             for prop in _ARC_PREDICATES:
                 holds[prop][i] = graph_property(g, prop)
     return _named(holds, kind)
@@ -579,7 +573,8 @@ KERNELS = {
      "constant_on_arrangements"): lambda b: interval_rows(b.images, b.n, b.intervals),
     ("descent", "principal_fp"): lambda b: descent_rows(b.images, *b.principal, b.n),
     ("interval_fp", "interval_ufp"): lambda b: interval_fixed_rows(b.images, b.n),
-    _COLLECTION_COLUMNS: lambda b: collection_rows(b.collections, b.pointwise, b.n),
+    _COLLECTION_COLUMNS: lambda b: collection_rows({c: b.collection(c) for c in "PJN"},
+                                                   b.realisations, b.n),
     _graph_columns(GRAPH_PROPERTIES, "a"): _async_predicates,
     **{_graph_columns(("reflexive", "symmetric", "transitive"), kind):
        functools.partial(_row_predicates, kind=kind) for kind in ("ga", "tg")},
@@ -596,58 +591,50 @@ KERNELS = {
     ("tg_is_ga",): lambda b: np.all(np.equal(b.principal, general_rows(b.images, b.n)),
                                     axis=(0, 2)),
     ("fixable",): lambda b: fixable_rows(b.images, *b.async_components),
-    # The closure moves x by its principal free mask.
-    ("closure_fixed",): lambda b: np.all(b.images == np.arange(1 << b.n) ^ b.principal[0], axis=1),
+    ("closure_fixed",): lambda b: _same(b.images, b.closures),
     # Above the exhaustive cap: the closure operator is idempotent (tested
     # separately), so its image is its fixed-point set.
-    ("some_closure",): lambda b: b["closure_fixed"] if b.n > CAPS["exhaustive"] else np.any(
-        np.all(b.images[:, None] == _all_closure_tables(b.n), axis=2), axis=1),
-    ("principal_moves",): lambda b: np.all((np.arange(1 << b.n) ^ b.images) == b.principal[0],
-                                           axis=1),
-    ("minimal_fixed",): lambda b: np.all(b.cover[3] == (np.arange(1 << b.n) == b.images), axis=1),
+    ("some_closure",): lambda b: b["closure_fixed"] if b.n > CAPS["exhaustive"] else _same(
+        b.images[:, None], _all_closure_tables(b.n)).any(axis=1),
+    ("principal_moves",): lambda b: _same(np.arange(1 << b.n) ^ b.images, b.principal[0]),
+    ("minimal_fixed",): lambda b: _same(b.cover[3], np.arange(1 << b.n) == b.images),
     ("dpt",): lambda b: b.cover[4] == 1 << b.n,
     # Every trapspace contains a fixed point.
     ("trapspace_fp",): lambda b: np.all(fixed_point_rows(b.images, b.n) | ~b.trapspaces, axis=1),
-    ("min_trapping",): lambda b: np.all(b.min_extensions == b.images, axis=1),
+    ("min_trapping",): lambda b: _same(b.min_extensions, b.images),
 }
 # Each column, with all the columns of its kernel and the kernel.
 COLUMNS = {name: (names, kernel) for names, kernel in KERNELS.items() for name in names}
 
 
 class ProfileBlock:
-    """The facts of a block of profiles of one dimension, each filled on
-    first use over their (k, 2^n) image rows; entry i of each is
-    ``profiles[i]``'s, which reads its trapspace facts and flags there.
-
-    The trapspace stacks are one call each of ``principal_rows``,
-    ``trapspace_rows``, ``cover_rows`` and ``min_extension_rows``.  The
-    class layer holds one boolean column per class flag, per diagram node
-    and per alternate-definition condition (the names in ``VECTORS``),
+    """The facts of a block of networks of one dimension, held as nothing
+    but their (k, 2^n) image rows; each fact is filled on first use over
+    those rows, and entry i of each is row i's: the trapspace stacks, the
+    closures, the collection masks and their realisations, and one boolean
+    column per class flag, diagram node and alternate-definition condition,
     filled with the other columns of its kernel in ``KERNELS``.  The
-    closures and min extensions of the rows are the rows of one more block,
-    read through ``profile_of`` with any realisation that is neither.
+    networks related to the rows are the rows of a second block,
+    ``related``.  A block refers to no profile, so it is freed with its last
+    reference."""
 
-    The block holds its profiles in the slot ``_held``, and each profile
-    holds a twin of the block: an instance that shares its ``__dict__``,
-    and so every fact, but not the slot.  The facts refer to the profiles
-    weakly.  With no cycle between them, either side keeps the facts for as
-    long as it is held, and both are freed with the last reference to them,
-    not at the next full collection.  The block holds the related profiles."""
-
-    __slots__ = ("__dict__", "__weakref__", "_held")
-
-    def __init__(self, profiles: list[NetworkProfile]):
-        self._held = list(profiles)
-        self.profiles = [weakref.proxy(p) for p in profiles]
-        self.n = profiles[0].n
-        images = [p.f.np_image for p in profiles]
-        # A block of one, as full ``analyze`` builds, views its image: no 2^n copy.
-        self.images = images[0][None] if len(images) == 1 else np.stack(images)
+    def __init__(self, images: np.ndarray):
+        self.images = images
+        self.n = images.shape[1].bit_length() - 1
         self._columns: dict[str, np.ndarray] = {}
-        twin = object.__new__(type(self))
-        twin.__dict__ = self.__dict__
-        for i, p in enumerate(profiles):
-            p.block_row = twin, i
+        self._collections: dict[str, np.ndarray] = {}
+        self._related = None
+
+    @classmethod
+    def of(cls, networks: list[BooleanNetwork]) -> "ProfileBlock":
+        """The block of the networks' image rows.  A block of one, as full
+        ``analyze`` builds, views its image: no 2^n copy."""
+        images = [f.np_image for f in networks]
+        return cls(images[0][None] if len(images) == 1 else np.stack(images))
+
+    def network(self, i: int) -> BooleanNetwork:
+        """The network of row i."""
+        return BooleanNetwork(self.n, self.images[i])
 
     @cached_property
     def principal(self) -> tuple[np.ndarray, np.ndarray]:
@@ -665,56 +652,50 @@ class ProfileBlock:
         return cover_rows(*self.principal, self.n)
 
     @cached_property
+    def closures(self) -> np.ndarray:
+        """The (k, 2^n) images of the trapping closures: the closure moves x
+        by its principal free mask."""
+        return np.arange(1 << self.n) ^ self.principal[0]
+
+    @cached_property
     def min_extensions(self) -> np.ndarray:
         """The (k, 2^n) images of ``min_extension_rows``."""
         return min_extension_rows(self.principal[0], self.cover[3], self.n)
 
-    @cached_property
-    def collections(self) -> dict[str, np.ndarray]:
-        """The (k, 3^n) masks of the principal (P), trapspace (J) and minimal
-        (N) collections, as each profile gives them."""
-        return {
-            "P": np.stack([p.pt_collection.mask for p in self.profiles]),
-            "J": np.stack([p.trapspace_collection.mask for p in self.profiles]),
-            "N": np.stack([p.minimal[0].mask for p in self.profiles]),
-        }
+    def collection(self, c: str) -> np.ndarray:
+        """The (k, 3^n) masks of the principal (P), trapspace (J) or minimal
+        (N) collection of each row, built on first use from the principal,
+        trapspace or cover stacks."""
+        if c not in self._collections:
+            k = len(self.images)
+            if c == "J":
+                self._collections[c] = self.trapspaces
+            else:
+                cubes = (np.arange(k)[:, None], *self.principal) if c == "P" else self.cover[:3]
+                self._collections[c] = cube_masks(*cubes, k, self.n)
+        return self._collections[c]
 
     @cached_property
-    def pointwise(self) -> dict[str, np.ndarray]:
-        """The (k, 2^n) ``pointwise_free`` stack of each of ``collections``:
-        its realisation moves x by that mask."""
-        return {c: pointwise_free(masks, self.n) for c, masks in self.collections.items()}
-
-    @cached_property
-    def realized(self) -> dict[str, list[BooleanNetwork]]:
-        """The realisation of each row's P, J and N collections."""
+    def realisations(self) -> dict[str, np.ndarray]:
+        """The (k, 2^n) images realising each collection: x moves by its
+        ``pointwise_free`` mask."""
         xs = np.arange(1 << self.n)
-        return {
-            c: [BooleanNetwork(self.n, image) for image in xs ^ free]
-            for c, free in self.pointwise.items()
-        }
+        return {c: xs ^ pointwise_free(self.collection(c), self.n) for c in "PJN"}
 
-    @cached_property
-    def _by_network(self) -> dict[BooleanNetwork, NetworkProfile]:
-        """Each row's profile, and one of each closure and min extension of
-        the rows that is no row's network: the rows of one more block of
-        this kind, profiled as the rows are (a proxy gives its profile's
-        class)."""
-        own = {p.f: p for p in self.profiles}
-        nets = [g for p in self.profiles for g in (p.closure, p.min_extension)]
-        related = {g: self.profiles[0].__class__(g) for g in dict.fromkeys(nets) if g not in own}
-        if related:
-            type(self)(list(related.values()))
-        return {**related, **own}
-
-    def profile_of(self, g: BooleanNetwork) -> NetworkProfile:
-        """The profile of g: a row's network or one related to the rows.
-        The realisations of P and J are the closure and that of N is the
-        min extension, so another network is a realisation that breaks
-        them; it is profiled on first use, as the rows are, and kept."""
-        if g not in self._by_network:
-            self._by_network[g] = self.profiles[0].__class__(g)
-        return self._by_network[g]
+    def related(self, realisations: bool = False) -> tuple["ProfileBlock", dict[str, np.ndarray]]:
+        """The block, of this block's class, of the distinct closures and min
+        extensions of the rows, and of the realisations of P, J and N if
+        ``realisations``; and, by partner (``closure``, ``min_extension``, P,
+        J, N), the row there of each row's.  Rebuilt only to add those."""
+        held = self._related
+        if held is None or realisations and "P" not in held[1]:
+            partners = {"closure": self.closures, "min_extension": self.min_extensions,
+                        **(self.realisations if realisations else {})}
+            rows, inverse = np.unique(np.concatenate([*partners.values()]), axis=0,
+                                      return_inverse=True)
+            at = dict(zip(partners, inverse.reshape(len(partners), -1)))
+            held = self._related = type(self)(rows), at
+        return held
 
     def __getitem__(self, name: str) -> np.ndarray:
         if name not in self._columns:
@@ -775,47 +756,63 @@ def check_alternate_definitions(
     if theorem not in VECTORS:
         raise ValueError(f"unknown theorem {theorem!r}")
     p = profile if profile is not None else NetworkProfile(f)
-    block, i = p.block_row
-    return tuple(block.vector(theorem)[i].tolist())
+    return tuple(p.block.vector(theorem)[p.row].tolist())
+
+
+def trapspace_equivalence_rows(a: ProfileBlock, i, b: ProfileBlock, j) -> np.ndarray:
+    """The five equal-trapspace-structure conditions between rows i of
+    block a and rows j of block b, each its own test: one row of five per
+    pair."""
+    same_pt = [_same(x[i], y[j]) for x, y in zip(a.principal, b.principal)]
+    return np.stack([
+        _same(a.collection("P")[i], b.collection("P")[j]),
+        _same(a.collection("J")[i], b.collection("J")[j]),
+        same_pt[0],
+        same_pt[0] & same_pt[1],
+        _same(a.closures[i], b.closures[j]),
+    ], axis=1)
+
+
+def min_equivalence_rows(a: ProfileBlock, i, b: ProfileBlock, j) -> np.ndarray:
+    """The four equal-minimal-trapspace conditions between rows i of block
+    a and rows j of block b, each its own test: one row of four per pair."""
+    covered_a, covered_b = a.cover[3][i], b.cover[3][j]
+    # Given x and its free mask, the base of its principal trapspace is fixed.
+    same_pt = a.principal[0][i] == b.principal[0][j]
+    return np.stack([
+        _same(a.collection("N")[i], b.collection("N")[j]),
+        _same(covered_a, covered_b) & np.all(same_pt | ~covered_a, axis=-1),
+        np.all(same_pt | ~(covered_a | covered_b), axis=-1),
+        _same(a.min_extensions[i], b.min_extensions[j]),
+    ], axis=1)
+
+
+def _pair_row(rows, cap: str, f, g, pf, pg) -> tuple[bool, ...]:
+    """Row 0 of ``rows`` on the rows of f's and g's profiles, by default row
+    0 of a block of each alone; refuses above the ``cap`` cap first."""
+    _check_same_dimension(f, g)
+    check_cap(cap, f.n)
+    a, b = (p if p is not None else NetworkProfile(h) for h, p in ((f, pf), (g, pg)))
+    vector = rows(a.block, slice(a.row, a.row + 1), b.block, slice(b.row, b.row + 1))[0]
+    return tuple(vector.tolist())
 
 
 def trapspace_equivalent(
     f: BooleanNetwork, g: BooleanNetwork,
     pf: NetworkProfile | None = None, pg: NetworkProfile | None = None,
 ) -> tuple[bool, bool, bool, bool, bool]:
-    """The five equal-trapspace-structure conditions, evaluated independently."""
-    _check_same_dimension(f, g)
-    check_cap("enumeration", f.n)
-    pf = pf if pf is not None else NetworkProfile(f)
-    pg = pg if pg is not None else NetworkProfile(g)
-    return (
-        pf.pt_collection == pg.pt_collection,
-        pf.trapspace_collection == pg.trapspace_collection,
-        np.array_equal(pf.pt_pairs[0], pg.pt_pairs[0]),
-        all(np.array_equal(a, b) for a, b in zip(pf.pt_pairs, pg.pt_pairs)),
-        pf.closure == pg.closure,
-    )
+    """The five equal-trapspace-structure conditions, evaluated independently:
+    row 0 of ``trapspace_equivalence_rows``."""
+    return _pair_row(trapspace_equivalence_rows, "enumeration", f, g, pf, pg)
 
 
 def min_trapspace_equivalent(
     f: BooleanNetwork, g: BooleanNetwork,
     pf: NetworkProfile | None = None, pg: NetworkProfile | None = None,
 ) -> tuple[bool, bool, bool, bool]:
-    """The four equal-minimal-trapspace conditions, evaluated independently."""
-    _check_same_dimension(f, g)
-    check_cap("table", f.n)
-    pf = pf if pf is not None else NetworkProfile(f)
-    pg = pg if pg is not None else NetworkProfile(g)
-    mf, covered_f = pf.minimal
-    mg, covered_g = pg.minimal
-    # Given x and its free mask, the base of its principal trapspace is fixed.
-    same_pt = pf.pt_pairs[0] == pg.pt_pairs[0]
-    return (
-        mf == mg,
-        np.array_equal(covered_f, covered_g) and bool(same_pt[covered_f].all()),
-        bool(same_pt[covered_f | covered_g].all()),
-        pf.min_extension == pg.min_extension,
-    )
+    """The four equal-minimal-trapspace conditions, evaluated independently:
+    row 0 of ``min_equivalence_rows``."""
+    return _pair_row(min_equivalence_rows, "table", f, g, pf, pg)
 
 
 # ---------------------------------------------------------------------------
@@ -1009,17 +1006,20 @@ def block_violations(block: ProfileBlock, check: str, pairs) -> list[list[Violat
     """One list per network of the block: for each (broken, detail) pair, in
     order, a violation of ``check`` at each network where the column
     ``broken`` is true.  ``detail`` is a string or a function of the row."""
-    out = [[] for _ in block.profiles]
+    out = [[] for _ in block.images]
     for broken, detail in pairs:
         for i in np.flatnonzero(broken).tolist():
             text = detail if isinstance(detail, str) else detail(i)
-            out[i].append(Violation(check, text, block.profiles[i].f))
+            out[i].append(Violation(check, text, block.network(i)))
     return out
 
 
-# The most networks in one block: each profile, with those of its closure
-# and min extension, holds tens of KB, which the pair-table bound of
-# ``_block_size`` does not see at small n.
+# The most networks in one block, which ``_block_size`` allows below n = 6:
+# the checks of a block of 256 allocate at most 2.2 MiB at n = 4 and 6.1 MiB at
+# n = 5, of 4,096 at n = 4, 33.8 MiB.  The monotonicity pairs of the population
+# set the peak RSS of ``verify --n 4 --samples 20000 --seed 1``: 97.6 MiB in
+# blocks of 256, 99.7 in blocks of 4,096 (98.7 and 107.7 when each network of a
+# block had a profile; 2 vCPUs, Python 3.11, numpy 2.4).
 _MAX_BLOCK = 256
 
 
@@ -1067,7 +1067,6 @@ def verify_diagram(diagram: DiagramSpec, population: list[BooleanNetwork]) -> li
     implication violations come in population order, then the fixture ones."""
     violations = []
     for nets in population_blocks(population):
-        profiles = [NetworkProfile(f) for f in nets]
-        for found in implication_violations(diagram, ProfileBlock(profiles)):
+        for found in implication_violations(diagram, ProfileBlock.of(nets)):
             violations += found
     return violations + diagram_counterexample_violations(diagram)

@@ -382,11 +382,17 @@ def is_commutative(f: BooleanNetwork) -> bool:
     return bool(commutative_rows(f.np_image[None], f.n)[0])
 
 
+def order_leq_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Transition-wise order of image rows a and b, entry by entry over the
+    rows: every coordinate that a moves at some x, b moves there too."""
+    xs = np.arange(a.shape[-1])
+    return ~np.any((xs ^ a) & ~(xs ^ b), axis=-1)
+
+
 def order_leq(f: BooleanNetwork, g: BooleanNetwork) -> bool:
     """Transition-wise order: every coordinate moved by f is moved by g."""
     _check_same_dimension(f, g)
-    xs = np.arange(1 << f.n, dtype=np.int64)
-    return bool(np.all(((xs ^ f.np_image) & ~(xs ^ g.np_image)) == 0))
+    return bool(order_leq_rows(f.np_image, g.np_image))
 
 
 def lattice_combine(f: BooleanNetwork, g: BooleanNetwork, mode: str) -> BooleanNetwork:

@@ -131,10 +131,7 @@ class SubcubeCollection:
     def from_pairs(cls, n: int, free: np.ndarray, base: np.ndarray) -> "SubcubeCollection":
         """The subcubes (free[i], base[i]); each base has its free bits cleared."""
         check_cap("table", n)
-        tern = _ternary_of_masks(n)
-        mask = np.zeros(3**n, dtype=bool)
-        mask[tern[base] + 2 * tern[free]] = True
-        return cls(n, mask)
+        return cls(n, cube_masks(0, free, base, 1, n)[0])
 
     @classmethod
     def of(cls, n: int, cubes: Iterable[Subcube]) -> "SubcubeCollection":
@@ -237,13 +234,21 @@ def pointwise_free(masks: np.ndarray, n: int) -> np.ndarray:
     return _meet_table(masks, n)[:, _ternary_of_masks(n)]
 
 
+def cube_masks(rows, free: np.ndarray, base: np.ndarray, k: int, n: int) -> np.ndarray:
+    """The (k, 3^n) masks holding the subcube (free[i], base[i]) in row
+    rows[i], entry by entry (the arrays broadcast); each base has its free
+    bits cleared."""
+    tern = _ternary_of_masks(n)
+    masks = np.zeros((k, 3**n), dtype=bool)
+    masks[rows, tern[base] + 2 * tern[free]] = True
+    return masks
+
+
 def pointwise_cubes(free: np.ndarray, n: int) -> np.ndarray:
     """Row r: the mask of the subcubes (free[r, x], x outside it) over all x,
     the pointwise reduction of a stack whose ``pointwise_free`` is ``free``."""
-    tern = _ternary_of_masks(n)
-    masks = np.zeros((len(free), 3**n), dtype=bool)
-    masks[np.arange(len(free))[:, None], tern[np.arange(1 << n) & ~free] + 2 * tern[free]] = True
-    return masks
+    k = len(free)
+    return cube_masks(np.arange(k)[:, None], free, np.arange(1 << n) & ~free, k, n)
 
 
 def collection_at(collection: SubcubeCollection, x: Configuration) -> Subcube:

@@ -370,18 +370,25 @@ def component_predicates(label: np.ndarray, terminal: np.ndarray) -> dict[str, n
     return {"triangular": np.all(alone, axis=1), "sink-terminal": np.all(alone | ~terminal, axis=1)}
 
 
-def network_power(f: BooleanNetwork, k: int) -> BooleanNetwork:
-    """The k-fold composition of f with itself (k >= 0)."""
+def power_rows(images: np.ndarray, k: int) -> np.ndarray:
+    """Entry (r, x): the image of x under the k-fold composition of the
+    network of image row r with itself (k >= 0), by repeated squaring."""
     if k < 0:
         raise ValueError("power must be non-negative")
-    acc = np.arange(1 << f.n)
-    step = f.np_image
+    acc = np.broadcast_to(np.arange(images.shape[-1]), images.shape)
+    step = images
     while k:
         if k & 1:
-            acc = step[acc]
-        step = step[step]
+            acc = np.take_along_axis(step, acc, axis=-1)
+        step = np.take_along_axis(step, step, axis=-1)
         k >>= 1
-    return BooleanNetwork(f.n, acc)
+    return acc
+
+
+def network_power(f: BooleanNetwork, k: int) -> BooleanNetwork:
+    """The k-fold composition of f with itself (k >= 0): row 0 of
+    ``power_rows``."""
+    return BooleanNetwork(f.n, power_rows(f.np_image[None], k)[0])
 
 
 def transient_and_period(f: BooleanNetwork) -> tuple[int, int]:

@@ -39,12 +39,9 @@ of newly-added members, with no table and no cap.
 
 Every whole-network kernel has one body, over a stack of k networks of
 one dimension given as a (k, 2^n) array of image rows: ``principal_rows``,
-``trapspace_rows``, ``fixed_point_rows``, ``cover_rows`` (one
-``np.unique`` over the keys ``i << 2n | free << n | base`` of all k
-principal maps) and ``min_extension_rows``.  A ``classes.ProfileBlock``
-calls each at most once, on first use, for the profiles it holds; the
-per-network functions run the same body on a stack of one network and
-read its row.
+``trapspace_rows``, ``fixed_point_rows``, ``cover_rows`` and
+``min_extension_rows``.  A ``classes.ProfileBlock`` calls each at most
+once, on first use; the per-network functions read row 0 of a stack of one.
 """
 
 from __future__ import annotations
@@ -257,17 +254,13 @@ def minimal_trapspaces(f: BooleanNetwork) -> tuple[SubcubeCollection, np.ndarray
     return SubcubeCollection.from_pairs(f.n, free, base), covered
 
 
-def trapping_closure(
-    f: BooleanNetwork, pairs: tuple[np.ndarray, np.ndarray] | None = None
-) -> BooleanNetwork:
+def trapping_closure(f: BooleanNetwork) -> BooleanNetwork:
     """The network sending each x to its opposite in its principal trapspace.
 
     The result is the largest network (most transitions) with the same
-    trapspaces as f, and is a fixed point of this operator.  ``pairs`` are
-    the principal pairs of f when already computed.
+    trapspaces as f, and is a fixed point of this operator.
     """
-    free, _ = principal_pairs(f) if pairs is None else pairs
-    return BooleanNetwork(f.n, np.arange(1 << f.n) ^ free)
+    return BooleanNetwork(f.n, np.arange(1 << f.n) ^ principal_pairs(f)[0])
 
 
 def trapping_graph(

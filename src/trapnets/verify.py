@@ -3,30 +3,18 @@
 The suites sweep whole populations of networks (exhaustive up to the
 ``exhaustive`` cap, sampled above) and report violations of the class
 equivalences, the closure-operator laws, the collection round-trips and the
-implication diagrams.  Any violation carries the offending network so it can be dumped
+implication diagrams, each with the offending network, which the CLI dumps
 as a ready-to-run truth-table reproducer.
 
-``run_verification`` checks the population in one process, in the
-consecutive blocks of ``classes.population_blocks``, whose profiles are the
-rows of one ``ProfileBlock``.  That block owns every fact the checks read,
-each filled on first use by one stacked kernel over its rows: the trapspace
-facts (principal pairs, trapspaces, minimal cover, fixed points, min
-extension), one boolean column per class flag and per alternate-definition
-condition (graph predicates from the graphs' row forms), the collection
-recognisers and round trips, and the realisations.
-The closures and min extensions that are none of the block's networks are
-the rows of one related block, read through ``ProfileBlock.profile_of``,
-which profiles a realisation that is neither on first use.
-
-Every per-network check takes the block and returns one violation list per
-network, built by ``classes.block_violations`` from (broken column, detail)
-pairs: a mixed row of a theorem's (k, m) vector table, or a true entry of a
-hierarchy fact's column.  ``classes`` owns the block cut, ``Violation`` and
-the diagram check (``implication_violations`` on the blocks, then the
-fixture counterexamples), which ``classes.verify_diagram`` runs on its own;
-this module imports them.  The checks that span networks (monotonicity
-pairs of neighbours of one dimension, compared in one broadcast per
-dimension, and the fixtures) run once, after the blocks.
+``run_verification`` checks the population in one process, in the blocks
+of ``classes.population_blocks``, each one ``classes.ProfileBlock``, whose
+second block, ``ProfileBlock.related``, holds the closures, min extensions
+and realisations of its rows.  Every per-network check takes the block and
+returns one violation list per network, built by ``classes.block_violations``
+from (broken column, detail) pairs, each column an expression over the
+block or over the two blocks.  The checks that span networks (monotonicity
+pairs of neighbours of one dimension, in one broadcast per dimension, and
+the diagram fixtures) run once, after the blocks.
 """
 
 from __future__ import annotations
@@ -38,19 +26,26 @@ import numpy as np
 from .caps import SUITES
 from .classes import (
     DIAGRAMS,
-    NetworkProfile,
     ProfileBlock,
     THEOREM_SIZES,
     Violation,
+    _same,
     block_violations,
     diagram_counterexample_violations,
     implication_violations,
-    min_trapspace_equivalent,
+    min_equivalence_rows,
     population_blocks,
-    trapspace_equivalent,
+    trapspace_equivalence_rows,
 )
-from .core import BooleanNetwork, bit_counts, commutative_rows, lattice_combine, order_leq
-from .dynamics import general_rows, network_power, transient_and_period
+from .core import (
+    BooleanNetwork,
+    bit_counts,
+    commutative_rows,
+    lattice_combine,
+    order_leq,
+    order_leq_rows,
+)
+from .dynamics import general_rows, power_rows, transient_and_period
 from .generators import (
     long_transient_trapping,
     random_commutative,
@@ -64,9 +59,7 @@ def sample_population(n: int, samples: int, seed: int) -> list[BooleanNetwork]:
     """Random networks plus structured generator outputs, seed-deterministic."""
     rng = np.random.default_rng(seed)
     size = 1 << n
-    nets = [
-        BooleanNetwork(n, rng.integers(0, size, size)) for _ in range(samples)
-    ]
+    nets = [BooleanNetwork(n, rng.integers(0, size, size)) for _ in range(samples)]
     extra = max(1, samples // 10)
     child = int(rng.integers(0, 2**31))
     for k in range(extra):
@@ -87,49 +80,47 @@ def _concat(lists: list[list[list[Violation]]]) -> list[list[Violation]]:
     return [[v for found in per_network for v in found] for per_network in zip(*lists)]
 
 
+def _mixed(vectors: np.ndarray, text: str):
+    """(broken, detail) of a vector table: its mixed rows, with ``text`` and the row."""
+    return (vectors.any(axis=1) & ~vectors.all(axis=1),
+            lambda i: f"{text}{tuple(vectors[i].tolist())}")
+
+
 def alternate_definition_violations(block: ProfileBlock) -> list[list[Violation]]:
     """Every alternate-definition vector must be constant: a violation where
     a network's row of a theorem's vector table is mixed."""
+    return block_violations(block, "alternate-definitions", [
+        _mixed(block.vector(t), f"{t} vector is mixed: ") for t in THEOREM_SIZES
+    ])
 
-    def mixed(theorem):
-        vectors = block.vector(theorem)
-        return (vectors.any(axis=1) & ~vectors.all(axis=1),
-                lambda i: f"{theorem} vector is mixed: {tuple(vectors[i].tolist())}")
 
-    return block_violations(block, "alternate-definitions", [mixed(t) for t in THEOREM_SIZES])
+def _kept(c: str, block: ProfileBlock, related: ProfileBlock, at: np.ndarray) -> np.ndarray:
+    """Whether each row's collection c is that of its partner, row ``at`` of ``related``."""
+    return _same(related.collection(c)[at], block.collection(c))
 
 
 def closure_law_violations(block: ProfileBlock) -> list[list[Violation]]:
-    """Closure and min-extension laws of each network of the block."""
-    P = block.profiles
-    closed = [block.profile_of(p.closure) for p in P]
-    extended = [block.profile_of(p.min_extension) for p in P]
-
-    def same_tg(p, pt):
-        # The trapping graph against the closure's general and trapping
-        # graphs, as their (free, base) rows.
-        rows = (general_rows(p.closure.np_image, p.n), pt.pt_pairs)
-        return all(np.array_equal(a, b) for other in rows for a, b in zip(p.pt_pairs, other))
-
+    """Closure and min-extension laws of each network of the block, against
+    its closure's and min extension's rows of the related block."""
+    related, at = block.related()
+    c, m = at["closure"], at["min_extension"]
+    closures, extensions = block.closures, block.min_extensions
+    # The trapping graph's rows against the closure's general and trapping graphs'.
+    graphs = (general_rows(closures, block.n), [rows[c] for rows in related.principal])
+    same_tg = np.all(np.equal(block.principal, graphs), axis=(0, 1, 3))
     closure = block_violations(block, "closure", (
-        ([not order_leq(p.f, p.closure) for p in P], "network not below its trapping closure"),
-        ([pt.closure != p.closure for p, pt in zip(P, closed)],
-         "trapping closure is not idempotent"),
-        ([p.trapspace_collection != pt.trapspace_collection for p, pt in zip(P, closed)],
-         "trapspaces change under the closure"),
-        ([p.pt_collection != pt.pt_collection for p, pt in zip(P, closed)],
-         "principal trapspaces change under the closure"),
-        ([not same_tg(p, pt) for p, pt in zip(P, closed)],
-         "trapping graph disagrees with closure graphs"),
+        (~order_leq_rows(block.images, closures), "network not below its trapping closure"),
+        (~_same(related.closures[c], closures), "trapping closure is not idempotent"),
+        (~_kept("J", block, related, c), "trapspaces change under the closure"),
+        (~_kept("P", block, related, c), "principal trapspaces change under the closure"),
+        (~same_tg, "trapping graph disagrees with closure graphs"),
     ))
     min_extension = block_violations(block, "min-extension", (
-        ([not order_leq(p.f, p.min_extension) for p in P], "network not below its min extension"),
-        ([pm.min_extension != p.min_extension for p, pm in zip(P, extended)],
-         "min extension is not idempotent"),
-        ([pm.minimal[0] != p.minimal[0] for p, pm in zip(P, extended)],
-         "minimal trapspaces change under extension"),
-        ([not order_leq(p.closure, p.min_extension) for p in P], "closure not below min extension"),
-        ([not pm.trapping for pm in extended], "min extension is not trapping"),
+        (~order_leq_rows(block.images, extensions), "network not below its min extension"),
+        (~_same(related.min_extensions[m], extensions), "min extension is not idempotent"),
+        (~_kept("N", block, related, m), "minimal trapspaces change under extension"),
+        (~order_leq_rows(closures, extensions), "closure not below min extension"),
+        (~related["trapping"][m], "min extension is not trapping"),
     ))
     return _concat([closure, min_extension])
 
@@ -154,10 +145,9 @@ def monotone_pairs_violations(
 ) -> list[Violation]:
     """``monotonicity_violations`` of every pair (f, g), in pair order.  The
     networks of each dimension and their trapping closures are held as
-    (N, 2^n) arrays of moved coordinates, and ``order_leq`` of their pairs
-    is one broadcast.  The closures are computed as stacked principal
-    passes, one per block of networks: the closure moves x by its principal
-    free mask."""
+    (N, 2^n) image arrays, and ``order_leq`` of their pairs is one
+    broadcast.  The closures are computed as stacked principal passes, one
+    per block of networks: the closure moves x by its principal free mask."""
 
     def images(networks):
         return np.array([f.np_image for f in networks])
@@ -167,62 +157,57 @@ def monotone_pairs_violations(
         at = [i for i, (f, _) in enumerate(pairs) if f.n == n]
         nets = list(dict.fromkeys(f for i in at for f in pairs[i]))
         index = {f: i for i, f in enumerate(nets)}
-        moved = images(nets) ^ np.arange(1 << n)
-        moved_closed = np.concatenate(
+        closed = np.arange(1 << n) ^ np.concatenate(
             [principal_rows(images(block), n)[0] for block in population_blocks(nets)]
         )
         fi, gi = np.array([(index[f], index[g]) for f, g in (pairs[i] for i in at)]).T
-
-        def leq(m):
-            return ~np.any(m[fi] & ~m[gi], axis=1)
-
-        bad[at] = leq(moved) & ~leq(moved_closed)
+        table = images(nets)
+        bad[at] = order_leq_rows(table[fi], table[gi]) & ~order_leq_rows(closed[fi], closed[gi])
     return [Violation("closure", NOT_MONOTONE, pairs[i][0]) for i in np.flatnonzero(bad).tolist()]
 
 
 def equivalence_vector_violations(block: ProfileBlock) -> list[list[Violation]]:
     """Both equivalence vectors must be constant between each network of the
     block and its closure, then its min extension."""
+    related, at = block.related()
     found = []
     for partner in ("closure", "min_extension"):
-        pairs = [(p, block.profile_of(getattr(p, partner))) for p in block.profiles]
-        for check, equivalent in (("trapspace-equivalence", trapspace_equivalent),
-                                  ("min-trapspace-equivalence", min_trapspace_equivalent)):
-            vectors = [equivalent(p.f, q.f, p, q) for p, q in pairs]
-            found.append(block_violations(block, check, [
-                ([len(set(v)) != 1 for v in vectors], lambda i: f"mixed vector {vectors[i]}"),
-            ]))
+        for check, rows in (("trapspace-equivalence", trapspace_equivalence_rows),
+                            ("min-trapspace-equivalence", min_equivalence_rows)):
+            vectors = rows(block, slice(None), related, at[partner])
+            found.append(block_violations(block, check, [_mixed(vectors, "mixed vector ")]))
     return _concat(found)
 
 
 def collection_roundtrip_violations(block: ProfileBlock) -> list[list[Violation]]:
     """Realisation, union-closure and pointwise-reduction round-trips of each
-    network of the block."""
-    P = block.profiles
-    realized_p, realized_j, realized_n = (block.realized[c] for c in "PJN")
+    network of the block: a collection round-trips when its realisation's
+    row of the related block has it."""
+    related, at = block.related(realisations=True)
+    realised = block.realisations
+
     return block_violations(block, "collections", (
         (~block["pre_principal"], "principal trapspaces are not pre-principal"),
         (~block["mu_fixes_p"], "principal trapspaces not fixed by pointwise reduction"),
         (~block["pre_ideal"], "trapspaces are not pre-ideal"),
-        ([g != p.closure for p, g in zip(P, realized_p)],
+        (~_same(realised["P"], block.closures),
          "realizing the principal collection misses the closure"),
-        ([g != p.closure for p, g in zip(P, realized_j)],
+        (~_same(realised["J"], block.closures),
          "realizing the trapspace collection misses the closure"),
-        ([block.profile_of(g).pt_collection != p.pt_collection for p, g in zip(P, realized_p)],
+        (~_kept("P", block, related, at["P"]),
          "principal collection does not round-trip through realization"),
-        ([block.profile_of(g).trapspace_collection != p.trapspace_collection
-          for p, g in zip(P, realized_j)],
+        (~_kept("J", block, related, at["J"]),
          "trapspace collection does not round-trip through realization"),
         (~block["lambda_p_is_j"], "union closure of principal trapspaces misses the trapspaces"),
         (~block["mu_j_is_p"], "pointwise reduction of trapspaces misses the principal ones"),
         (~block["mu_lambda_invert"],
          "union closure and pointwise reduction do not invert each other"),
         (~block["min_ideal"], "minimal trapspaces are not pairwise disjoint"),
-        ([g != p.min_extension for p, g in zip(P, realized_n)],
+        (~_same(realised["N"], block.min_extensions),
          "realizing the minimal collection misses the min extension"),
-        ([block.profile_of(g).minimal[0] != p.minimal[0] for p, g in zip(P, realized_n)],
+        (~_kept("N", block, related, at["N"]),
          "minimal collection does not round-trip through realization"),
-        (block["min_trapping"] & [g != p.f for p, g in zip(P, realized_n)],
+        (block["min_trapping"] & ~_same(realised["N"], block.images),
          "min-trapping network is not recovered from its minimal trapspaces"),
     ))
 
@@ -230,13 +215,14 @@ def collection_roundtrip_violations(block: ProfileBlock) -> list[list[Violation]
 def dynamics_claim_violations(block: ProfileBlock) -> list[list[Violation]]:
     """Transient and period facts for trapping networks, and the
     dynamically-local flag against f^3 = f, of each network of the block."""
-    nets, trapping = [p.f for p in block.profiles], block["trapping"].tolist()
-    periods = [transient_and_period(f)[1] if t else 0 for f, t in zip(nets, trapping)]
+    images, n, trapping = block.images, block.n, block["trapping"]
+    periods = [transient_and_period(block.network(i))[1] if t else 0
+               for i, t in enumerate(trapping.tolist())]
     return block_violations(block, "transient", (
-        ([t and network_power(f, f.n + 2) != network_power(f, f.n) for f, t in zip(nets, trapping)],
+        (trapping & ~_same(power_rows(images, n + 2), power_rows(images, n)),
          "trapping network with long transient"),
         ([period > 2 for period in periods], lambda i: f"trapping network with period {periods[i]}"),
-        (block["dynamically_local"] != [network_power(f, 3) == f for f in nets],
+        (block["dynamically_local"] != _same(power_rows(images, 3), images),
          "dynamically-local flag disagrees"),
     ))
 
@@ -267,7 +253,7 @@ def commutative_claim_violations(block: ProfileBlock) -> list[list[Violation]]:
     commutative, local, convex = (block[name] for name in ("commutative", "dynamically_local",
                                                            "convex"))
     problems = distance_bound_rows(block.images, block.n, block.intervals)
-    realized = commutative_rows(np.arange(1 << block.n) ^ block.pointwise["P"], block.n)
+    realized = commutative_rows(block.realisations["P"], block.n)
     return block_violations(block, "commutative", (
         (commutative & ~local, "commutative but not dynamically local"),
         (commutative & [d is not None for d in problems], problems.__getitem__),
@@ -317,11 +303,9 @@ def hierarchy_violations(block: ProfileBlock) -> list[list[Violation]]:
 
 def _check_block(nets: list[BooleanNetwork], sections) -> list[list[Violation]]:
     """The violations of each section's checks on one block of networks,
-    network by network and, for each, check by check.  The block's profiles
-    and its related block are freed on return, before the next block's are
-    built."""
-    profiles = [NetworkProfile(f) for f in nets]
-    block = ProfileBlock(profiles)
+    network by network and, for each, check by check.  The block and its
+    related block are freed on return, before the next block's are built."""
+    block = ProfileBlock.of(nets)
     return [[v for found in _concat([check(block) for check in checks]) for v in found]
             for checks in sections]
 

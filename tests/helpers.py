@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from trapnets import BooleanNetwork, Configuration, Subcube, SubcubeCollection
-from trapnets.classes import DIAGRAMS, VECTORS, Violation
+from trapnets.classes import DIAGRAMS, VECTORS, NetworkProfile, ProfileBlock, Violation
 from trapnets.core import bitset_members, cube_bitset, iter_submasks, update_table
 from trapnets.cubesets import (
     _ternary_of_masks,
@@ -23,7 +23,7 @@ from trapnets.generators import (
     random_negation_on_subcubes,
     random_network,
 )
-from trapnets.dynamics import GRAPH_PROPERTIES, HypercubeGraph, graph_property
+from trapnets.dynamics import GRAPH_PROPERTIES, HypercubeGraph, build_graph, graph_property
 from trapnets.trapspaces import (
     enumerate_trapspaces,
     minimal_trapspaces,
@@ -367,10 +367,180 @@ def nested_pairs_convex(collection: SubcubeCollection) -> bool:
     return True
 
 
-def per_network_roundtrip_violations(p, profile) -> list:
+# Perturbed blocks: each perturbation depends on the network alone, so a
+# block's related block, which is of its class, perturbs its rows alike.
+
+
+class PerturbedBlock(ProfileBlock):
+    """A block whose principal collection gains or loses one subcube on
+    networks with an even image sum, so that collection checks fire."""
+
+    def collection(self, c):
+        masks = super().collection(c)
+        if c != "P":
+            return masks
+        total = self.images.sum(axis=1)
+        even = np.flatnonzero(total % 2 == 0)
+        masks = masks.copy()
+        masks[even, total[even] % 3**self.n] ^= True
+        return masks
+
+
+class PerturbedCollections(ProfileBlock):
+    """A block whose principal, trapspace or minimal collection gains or
+    loses one subcube on the networks with an image sum of 1, 2 or 3 mod 4
+    in turn; the others are clean."""
+
+    def collection(self, c):
+        masks = super().collection(c).copy()
+        total = self.images.sum(axis=1)
+        hit = np.flatnonzero(total % 4 == "PJN".index(c) + 1)
+        masks[hit, 7 * total[hit] % 3**self.n] ^= True
+        return masks
+
+
+# One condition of each theorem, one node of each diagram, the
+# dynamically-local flag, which the transient check compares with f^3 = f,
+# the transitivity of the general graph's rows, which the trapping flag
+# reads, and the columns of the two hierarchy facts that no other claim
+# reads: the trapping graph's transitivity and the loops of each graph.
+FLIPPED = (
+    "trapping7.pairs", "commutative3.intervals", "negation_on_subcubes",
+    "constant_on_arrangements", "subset_idempotent", "descent", "symmetric_ga",
+    "involutive", "oriented_a", "interval_fp", "dynamically_local", "transitive_ga",
+    "transitive_tg", "reflexive_a", "reflexive_ga", "reflexive_tg",
+)
+
+
+class PerturbedClasses(ProfileBlock):
+    """A profile block whose ``FLIPPED`` columns are negated on the networks
+    with an image sum divisible by 3, so that the alternate-definition,
+    hierarchy, diagram and transient checks fire."""
+
+    def _fill(self, name):
+        filled = super()._fill(name)
+        chosen = self.images.sum(axis=1) % 3 == 0
+        return {c: column ^ chosen if c in FLIPPED else column for c, column in filled.items()}
+
+
+class PerturbedBoth(PerturbedBlock, PerturbedClasses):
+    """Both perturbations: every per-network check fires."""
+
+
+# Oracles for the checks of `verify` on the networks related to a block's
+# rows (the library's former per-network bodies): each reads one profile and
+# the profiles of its closure, min extension and realisations.
+
+
+def related_profile(p, g: BooleanNetwork):
+    """The profile of a network related to p's: row 0 of a block of g alone,
+    of the class of p's block."""
+    return NetworkProfile(g, type(p.block).of([g]))
+
+
+def moves_within(f: BooleanNetwork, g: BooleanNetwork) -> bool:
+    """Oracle: the transition order, configuration by configuration."""
+    return all((x ^ a) & ~(x ^ b) == 0 for x, (a, b) in enumerate(zip(f.image, g.image)))
+
+
+def per_network_closure_violations(p) -> list:
+    """Oracle (the library's former check): the closure and min-extension
+    laws of one network; the trapping graphs are compared as bitset graphs."""
+    f, out = p.f, []
+    pt, pm = related_profile(p, p.closure), related_profile(p, p.min_extension)
+    for check, broken, detail in (
+        ("closure", not moves_within(f, p.closure), "network not below its trapping closure"),
+        ("closure", pt.closure != p.closure, "trapping closure is not idempotent"),
+        ("closure", p.trapspace_collection != pt.trapspace_collection,
+         "trapspaces change under the closure"),
+        ("closure", p.pt_collection != pt.pt_collection,
+         "principal trapspaces change under the closure"),
+        ("closure", not p.graph_tg == build_graph(p.closure, "general") == pt.graph_tg,
+         "trapping graph disagrees with closure graphs"),
+        ("min-extension", not moves_within(f, p.min_extension),
+         "network not below its min extension"),
+        ("min-extension", pm.min_extension != p.min_extension, "min extension is not idempotent"),
+        ("min-extension", pm.minimal[0] != p.minimal[0],
+         "minimal trapspaces change under extension"),
+        ("min-extension", not moves_within(p.closure, p.min_extension),
+         "closure not below min extension"),
+        ("min-extension", not pm.trapping, "min extension is not trapping"),
+    ):
+        if broken:
+            out.append(Violation(check, detail, f))
+    return out
+
+
+def pairwise_trapspace_equivalent(pf, pg) -> tuple[bool, ...]:
+    """Oracle (the library's former ``trapspace_equivalent`` body): the five
+    conditions on two profiles."""
+    return (
+        pf.pt_collection == pg.pt_collection,
+        pf.trapspace_collection == pg.trapspace_collection,
+        np.array_equal(pf.pt_pairs[0], pg.pt_pairs[0]),
+        all(np.array_equal(a, b) for a, b in zip(pf.pt_pairs, pg.pt_pairs)),
+        pf.closure == pg.closure,
+    )
+
+
+def pairwise_min_trapspace_equivalent(pf, pg) -> tuple[bool, ...]:
+    """Oracle (the library's former ``min_trapspace_equivalent`` body): the
+    four conditions on two profiles."""
+    mf, covered_f = pf.minimal
+    mg, covered_g = pg.minimal
+    same_pt = pf.pt_pairs[0] == pg.pt_pairs[0]
+    return (
+        mf == mg,
+        np.array_equal(covered_f, covered_g) and bool(same_pt[covered_f].all()),
+        bool(same_pt[covered_f | covered_g].all()),
+        pf.min_extension == pg.min_extension,
+    )
+
+
+def per_network_equivalence_violations(p) -> list:
+    """Oracle (the library's former check): both equivalence vectors of one
+    network against its closure, then its min extension."""
+    out = []
+    for partner in (p.closure, p.min_extension):
+        q = related_profile(p, partner)
+        for check, equivalent in (("trapspace-equivalence", pairwise_trapspace_equivalent),
+                                  ("min-trapspace-equivalence", pairwise_min_trapspace_equivalent)):
+            vector = equivalent(p, q)
+            if len(set(vector)) != 1:
+                out.append(Violation(check, f"mixed vector {vector}", p.f))
+    return out
+
+
+def squaring_network_power(f: BooleanNetwork, k: int) -> BooleanNetwork:
+    """Oracle (the library's former ``network_power``): the k-fold
+    composition of one table, by repeated squaring."""
+    acc, step = np.arange(1 << f.n), f.np_image
+    while k:
+        if k & 1:
+            acc = step[acc]
+        step = step[step]
+        k >>= 1
+    return BooleanNetwork(f.n, acc)
+
+
+def per_network_dynamics_violations(p) -> list:
+    """Oracle (the library's former check): the transient and period of one
+    trapping network, and its dynamically-local flag against f^3 = f."""
+    f, out = p.f, []
+    if p.trapping:
+        if squaring_network_power(f, f.n + 2) != squaring_network_power(f, f.n):
+            out.append(Violation("transient", "trapping network with long transient", f))
+        period = power_iteration_transient_and_period(f)[1]
+        if period > 2:
+            out.append(Violation("transient", f"trapping network with period {period}", f))
+    if p.prop("dynamically_local") != (squaring_network_power(f, 3) == f):
+        out.append(Violation("transient", "dynamically-local flag disagrees", f))
+    return out
+
+
+def per_network_roundtrip_violations(p) -> list:
     """Oracle (the library's former check): the collection round-trips of one
-    network, through the single-collection operators and recognisers.
-    ``profile`` profiles the networks related to p's."""
+    network, through the single-collection operators and recognisers."""
     out = []
     f = p.f
 
@@ -392,9 +562,9 @@ def per_network_roundtrip_violations(p, profile) -> list:
         bad("realizing the principal collection misses the closure")
     if realized_j != p.closure:
         bad("realizing the trapspace collection misses the closure")
-    if profile(realized_q).pt_collection != principal:
+    if related_profile(p, realized_q).pt_collection != principal:
         bad("principal collection does not round-trip through realization")
-    if profile(realized_j).trapspace_collection != ideals:
+    if related_profile(p, realized_j).trapspace_collection != ideals:
         bad("trapspace collection does not round-trip through realization")
     lam = lambda_closure(principal)
     if lam != ideals:
@@ -411,7 +581,7 @@ def per_network_roundtrip_violations(p, profile) -> list:
     realized_n = realize(minimal)
     if realized_n != p.min_extension:
         bad("realizing the minimal collection misses the min extension")
-    if profile(realized_n).minimal[0] != minimal:
+    if related_profile(p, realized_n).minimal[0] != minimal:
         bad("minimal collection does not round-trip through realization")
     if p.min_trapping and realized_n != f:
         bad("min-trapping network is not recovered from its minimal trapspaces")

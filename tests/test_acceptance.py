@@ -184,10 +184,10 @@ def test_ac6_distance_bound_on_commutative_networks():
     assert len(samples) >= 500
     bad = []
     for n in (2, 3, 4, 5):
-        profiles = [NetworkProfile(f) for f in samples if f.n == n]
-        block = ProfileBlock(profiles)
+        nets = [f for f in samples if f.n == n]
+        block = ProfileBlock.of(nets)
         problems = distance_bound_rows(block.images, n, block.intervals)
-        bad += [p.f for p, problem in zip(profiles, problems) if problem is not None]
+        bad += [f for f, problem in zip(nets, problems) if problem is not None]
     for f in bad[:3]:
         print("  distance bound fails:", f.image)
     report("AC6 distance bound", not bad, f"{len(samples)} commutative samples")

@@ -7,6 +7,7 @@ import gc
 import weakref
 
 import numpy as np
+import pytest
 from trapnets import BooleanNetwork, NetworkProfile, check_alternate_definitions
 from trapnets import classes, verify
 from trapnets.classes import (
@@ -54,12 +55,11 @@ def test_block_columns_match_the_per_network_oracles():
     seen = set()
     for networks in populations():
         n = networks[0].n
-        profiles = [NetworkProfile(f) for f in networks]
-        whole = ProfileBlock(profiles)
+        whole = ProfileBlock.of(networks)
         problems = distance_bound_rows(whole.images, n, whole.intervals)
         for i, f in enumerate(networks):
             p = NetworkProfile(f)
-            alone = ProfileBlock([p])
+            alone = p.block
             for name, expected in loop_class_flags(p).items():
                 assert bool(whole[name][i]) == bool(alone[name][0]) == expected, (name, f.image)
                 seen.add((name, expected))
@@ -108,17 +108,17 @@ def test_graph_predicates_are_computed_once_per_distinct_graph(monkeypatch):
     monkeypatch.setattr(classes, "graph_property", counting)
     # The general and trapping graphs of a trapping network are transitive,
     # so their predicates are read off their rows.
-    p = NetworkProfile(BooleanNetwork.negation(3))
-    block = ProfileBlock([p])
+    block = ProfileBlock.of([BooleanNetwork.negation(3)])
     assert block["symmetric_ga"][0] and block["symmetric_tg"][0] and not block["triangular_ga"][0]
     assert calls == []
-    # A general graph that is not transitive reads its SCC predicates off its
+    # A general graph that is not transitive reads its SCC predicates off one
     # bitset graph, once each.
-    p = NetworkProfile(f_ex3())
-    block = ProfileBlock([p])
+    block = ProfileBlock.of([f_ex3()])
     got = [block[f"{prop.replace('-', '_')}_ga"][0] for prop in _ARC_PREDICATES]
-    assert got == [arcwise_graph_property(p.graph_ga, prop) for prop in _ARC_PREDICATES]
-    assert sorted(calls) == sorted((id(p.graph_ga), prop) for prop in _ARC_PREDICATES)
+    graph_ga = NetworkProfile(f_ex3()).graph_ga
+    assert got == [arcwise_graph_property(graph_ga, prop) for prop in _ARC_PREDICATES]
+    assert sorted(prop for _, prop in calls) == sorted(_ARC_PREDICATES)
+    assert len({g for g, _ in calls}) == 1
 
 
 def test_submasks_come_in_iter_submasks_order():
@@ -137,56 +137,70 @@ def test_interval_arrays_of_a_negation_block_stay_inside_the_block_bound():
     block = [BooleanNetwork.negation(n)] * size
     at, s = interval_arrays(np.stack([f.np_image for f in block]), n)
     assert len(at) == len(s) == size * 4**n <= classes._block_size(n) * 4**n == 2**20
-    assert ProfileBlock([NetworkProfile(f) for f in block[:2]])["negation_on_subcubes"].all()
+    assert ProfileBlock.of(block[:2])["negation_on_subcubes"].all()
 
 
-def test_a_block_is_freed_with_its_profiles_without_a_collection():
-    # A cycle between a block and its profiles, or its related profiles,
-    # would keep every fact of a verify block alive until the next full
-    # collection.
+# A reference cycle between a block and its profiles, or its related block,
+# would keep every fact of a verify block alive until the next full
+# collection; these tests run with the collector off.
+
+
+@pytest.fixture
+def no_collection():
     gc.disable()
     try:
-        profiles = [NetworkProfile(f) for f in sample_population(3, 6, 1)]
-        block = ProfileBlock(profiles)
-        assert block["symmetric_tg"].shape == block["trapspace_fp"].shape == (len(profiles),)
-        related = block.profile_of(profiles[0].closure)
-        assert related.f not in {p.f for p in profiles} and related.trapspace_collection
-        assert block.profile_of(profiles[0].f) == profiles[0]
-        alone = NetworkProfile(BooleanNetwork.negation(3))
-        assert alone.prop("symmetric_ga") and alone.min_extension
-        refs = [weakref.ref(block), weakref.ref(alone.block_row[0]),
-                weakref.ref(related.block_row[0]), weakref.ref(related)]
-        del profiles, block, alone, related
-        assert [ref() for ref in refs] == [None] * 4
+        yield
     finally:
         gc.enable()
 
 
-def test_a_block_keeps_the_profiles_its_caller_dropped():
-    # The collection columns and the GA bitset fallback read the profiles;
-    # f_ex3's general graph is not transitive.
+def test_a_block_is_freed_with_its_profiles_without_a_collection(no_collection):
+    nets = sample_population(3, 6, 1)
+    block = ProfileBlock.of(nets)
+    assert block["symmetric_tg"].shape == block["trapspace_fp"].shape == (len(nets),)
+    related, at = block.related(realisations=True)
+    assert related.collection("J").shape == (len(related.images), 27)
+    assert related.network(at["closure"][0]) == NetworkProfile(nets[0]).closure
+    views = [NetworkProfile(f, block, i) for i, f in enumerate(nets)]
+    assert views[0].prop("symmetric_ga") == bool(block["symmetric_ga"][0])
+    alone = NetworkProfile(BooleanNetwork.negation(3))
+    assert alone.prop("symmetric_ga") and alone.min_extension
+    refs = [weakref.ref(block), weakref.ref(related), weakref.ref(alone.block)]
+    del block, related, alone
+    # The views hold the block, which holds its related block.
+    assert [ref() is None for ref in refs] == [False, False, True]
+    del views
+    assert [ref() for ref in refs] == [None] * 3
+
+
+def test_a_block_keeps_the_profiles_its_caller_dropped(no_collection):
+    # The collection columns and the GA bitset fallback read the block's
+    # rows alone; f_ex3's general graph is not transitive.
     f = f_ex3()
-    block = ProfileBlock([NetworkProfile(f)])
-    assert block["convex"][0] == NetworkProfile(f).prop("convex")
+    block = ProfileBlock.of([f])
+    p = NetworkProfile(f)
+    assert block["convex"][0] == p.prop("convex") == p.pt_flags.convex
     assert not block["transitive_ga"][0]
-    assert block["oriented_ga"][0] == NetworkProfile(f).prop("oriented_ga")
-    assert block.profile_of(f).f == f
+    assert block["oriented_ga"][0] == arcwise_graph_property(NetworkProfile(f).graph_ga, "oriented")
+    assert block.network(0) == f
+    ref = weakref.ref(block)
+    del block
+    assert ref() is None
 
 
-def test_a_verify_block_is_freed_when_its_check_returns_without_a_collection(monkeypatch):
+def test_a_verify_block_is_freed_when_its_check_returns_without_a_collection(
+    monkeypatch, no_collection
+):
     refs = []
 
-    def recording(profiles):
-        refs.append(weakref.ref(profiles[0]))
-        return ProfileBlock(profiles)
+    class Recording(ProfileBlock):
+        def __init__(self, images):
+            super().__init__(images)
+            refs.append(weakref.ref(self))
 
-    monkeypatch.setattr(verify, "ProfileBlock", recording)
-    gc.disable()
-    try:
-        sections = [(verify.alternate_definition_violations, verify.collection_roundtrip_violations,
-                     verify.closure_law_violations)]
-        found = verify._check_block(sample_population(3, 6, 1), sections)
-        assert len(found) == 1 and len(refs) == 1
-        assert refs[0]() is None
-    finally:
-        gc.enable()
+    monkeypatch.setattr(verify, "ProfileBlock", Recording)
+    sections = [(verify.alternate_definition_violations, verify.collection_roundtrip_violations,
+                 verify.closure_law_violations)]
+    found = verify._check_block(sample_population(3, 6, 1), sections)
+    assert len(found) == 1 and len(refs) == 2  # the block and its related block
+    assert [ref() for ref in refs] == [None, None]

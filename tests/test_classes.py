@@ -29,6 +29,7 @@ from trapnets.classes import (
     THEOREM_SIZES,
     Counterexample,
     DiagramSpec,
+    ProfileBlock,
     Violation,
     pair_rows,
 )
@@ -295,7 +296,7 @@ def test_equivalence_and_closure_law_match_collection_oracles():
     previous = {}
     for seed, f in enumerate([*exhaustive_networks(1), *oracle_population()]):
         pf = NetworkProfile(f)
-        assert closure_law_violations(pf.block_row[0]) == [[]]
+        assert closure_law_violations(pf.block) == [[]]
         for g in (pf.closure, previous.get(f.n), random_network(f.n, seed)):
             if g is None:
                 continue
@@ -338,17 +339,23 @@ def test_all_fixtures_load_and_refute():
 
 
 # The predicates are read off the graphs' rows; the worked example's general
-# graph is not transitive, so it alone is built, for its SCCs, and only for a
-# predicate that reads them.
-@pytest.mark.parametrize("tail, built", [("a", set()), ("ga", {"graph_ga"}), ("tg", set())])
-def test_graph_prop_builds_only_its_graph(tail, built):
+# graph is not transitive, so it alone is built, by its block, for its SCCs,
+# and only for a predicate that reads them.
+@pytest.mark.parametrize("tail, built", [("a", []), ("ga", ["general"]), ("tg", [])])
+def test_graph_prop_builds_only_its_graph(monkeypatch, tail, built):
+    import trapnets.classes as classes
+
+    kinds, build = [], classes.build_graph
+    monkeypatch.setattr(classes, "build_graph",
+                        lambda f, kind: (kinds.append(kind), build(f, kind))[1])
     p = NetworkProfile(f_ex3())
     lazy = {"graph_a", "graph_ga", "pt_pairs", "graph_tg"}
     for prop in ("reflexive", "symmetric", "transitive"):
         p.prop(f"{prop}_{tail}")
-    assert lazy & vars(p).keys() == set()
+    assert kinds == []
     p.prop(f"oriented_{tail}")
-    assert lazy & vars(p).keys() == built
+    assert kinds == built
+    assert lazy & vars(p).keys() == set()
 
 
 def test_verify_diagram_counts_nothing_on_conforming_population():
@@ -443,16 +450,17 @@ def test_is_commutative_matches_pairwise_oracle():
 
 
 def test_run_verification_builds_one_profile_per_distinct_network_of_a_block(monkeypatch):
-    # The checks of a block share one profile per distinct network among its
-    # networks, their closures, their min extensions and the realisations.
+    # The checks of a block read one row per network, and one row of its
+    # related block per distinct network among their closures, their min
+    # extensions and the realisations.
     built = []
 
-    class CountingProfile(NetworkProfile):
-        def __init__(self, f):
-            built.append(f)
-            super().__init__(f)
+    class CountingBlock(ProfileBlock):
+        def __init__(self, images):
+            super().__init__(images)
+            built.extend(self.network(i) for i in range(len(images)))
 
-    monkeypatch.setattr(verify, "NetworkProfile", CountingProfile)
+    monkeypatch.setattr(verify, "ProfileBlock", CountingBlock)
     blocks, check = [], verify._check_block
     monkeypatch.setattr(verify, "_check_block", lambda *args: (blocks.append(1), check(*args))[1])
     nets = sample_population(4, 20, 1)
@@ -466,7 +474,7 @@ def test_run_verification_builds_one_profile_per_distinct_network_of_a_block(mon
         for start in range(0, len(nets), size):
             block = nets[start : start + size]
             related = {g for f in block for g in (trapping_closure(f), min_trapping_extension(f))}
-            expected += block + list(related - set(block))
+            expected += block + list(related)
         assert Counter(built) == Counter(expected)
     # Closures and min extensions are shared across networks of one block.
     assert len(built) < 3 * len(nets)

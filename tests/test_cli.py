@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from trapnets.cli import MAX_PARTS, main
+from trapnets.cli import MAX_PARTS, MAX_SAMPLES, main
 from trapnets.classes import NetworkProfile
 from trapnets.dynamics import GRAPH_PROPERTIES
 from trapnets.generators import random_constant_on_arrangements
@@ -510,6 +510,15 @@ def loaded_after(argv):
 
 @pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"], ["verify", "--n", "0"], []])
 def test_help_and_usage_errors_import_no_numpy(argv):
+    assert loaded_after(argv) == {"trapnets", "trapnets.caps", "trapnets.cli"}
+
+
+def test_verify_samples_above_the_bound_exit_2_before_importing_numpy(capsys):
+    argv = ["verify", "--n", "3", "--samples", str(MAX_SAMPLES + 1)]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"value must be at most {MAX_SAMPLES}" in capsys.readouterr().err
     assert loaded_after(argv) == {"trapnets", "trapnets.caps", "trapnets.cli"}
 
 

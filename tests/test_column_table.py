@@ -36,7 +36,7 @@ def test_every_read_column_is_a_table_key(monkeypatch):
 
 
 def test_each_kernel_fills_exactly_its_columns():
-    block = ProfileBlock([NetworkProfile(random_network(3, 2))])  # which holds its profile
+    block = ProfileBlock.of([random_network(3, 2)])
     for names, kernel in KERNELS.items():
         filled = kernel(block)
         if len(names) > 1:
@@ -67,7 +67,7 @@ def test_every_column_is_checked_under_the_all_suite(monkeypatch):
         def flipped(self, name, column=column):
             filled = fill(self, name)
             if column in filled:
-                chosen = np.array([p.f.np_image.sum() % 3 == 0 for p in self.profiles])
+                chosen = self.images.sum(axis=1) % 3 == 0
                 filled = {**filled, column: filled[column] ^ chosen}
             return filled
 

@@ -88,7 +88,7 @@ def row_components(block, kind):
     the asynchronous graphs' always, a subcube-row graph's where it is
     transitive."""
     if kind == "a":
-        return block.async_components, np.ones(len(block.profiles), dtype=bool)
+        return block.async_components, np.ones(len(block.images), dtype=bool)
     free, base = block.principal if kind == "tg" else general_rows(block.images, block.n)
     return subcube_components(free, base, block.n), block[f"transitive_{kind}"]
 
@@ -100,8 +100,7 @@ def assert_rows_match(networks, oracle_predicate, oracle_components, networkx_ar
                 for f in networks]
     for size in BLOCK_SIZES:
         for start in range(0, len(networks), size):
-            profiles = [NetworkProfile(f) for f in networks[start:start + size]]
-            block = ProfileBlock(profiles)
+            block = ProfileBlock.of(networks[start:start + size])
             facts = expected[start:start + size]
             for kind in KINDS:
                 (label, terminal), transitive = row_components(block, kind)

@@ -91,9 +91,8 @@ def wrapper_facts(f):
 
 def assert_block_facts_match_per_network_calls(calls, networks):
     calls.clear()
-    profiles = [NetworkProfile(f) for f in networks]
-    ProfileBlock(profiles)
-    read = [profile_facts(p) for p in profiles]
+    block = ProfileBlock.of(networks)
+    read = [profile_facts(NetworkProfile(f, block, i)) for i, f in enumerate(networks)]
     assert calls == Counter(KERNELS)
     for f, facts in zip(networks, read):
         assert facts == profile_facts(NetworkProfile(f)) == wrapper_facts(f)

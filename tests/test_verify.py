@@ -9,6 +9,11 @@ from trapnets import cli, verify
 from trapnets.verify import Violation, run_verification, sample_population
 
 
+def networks(block):
+    """The networks of the block's rows."""
+    return [block.network(i) for i in range(len(block.images))]
+
+
 def flag_checks(monkeypatch, flagged):
     """One check per section reports every network of ``flagged`` (a list),
     with its index there; the real checks still run.  A check takes a block
@@ -21,8 +26,8 @@ def flag_checks(monkeypatch, flagged):
             found = original(*args)
             if not applies(*args):
                 return found
-            return [out + [violation(str(flagged.index(p.f)), p.f)] if p.f in flagged else out
-                    for p, out in zip(args[-1].profiles, found)]
+            return [out + [violation(str(flagged.index(f)), f)] if f in flagged else out
+                    for f, out in zip(networks(args[-1]), found)]
 
         monkeypatch.setattr(verify, name, check)
 
@@ -57,7 +62,7 @@ def test_exception_in_a_check_propagates_unchanged(monkeypatch):
     original = verify.dynamics_claim_violations
 
     def patched(block):
-        if nets[-1] in [p.f for p in block.profiles]:
+        if nets[-1] in networks(block):
             raise failure
         return original(block)
 

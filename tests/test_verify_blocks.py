@@ -3,12 +3,11 @@ networks, the monotonicity pairs in one broadcast, and the block size."""
 
 import re
 from collections import Counter
-from functools import cached_property
 
 import numpy as np
 
-from trapnets import NetworkProfile, SubcubeCollection, realize, trapping_closure
-from trapnets.classes import DIAGRAMS, VECTORS, ProfileBlock, verify_diagram
+from trapnets import NetworkProfile, realize, trapping_closure
+from trapnets.classes import DIAGRAMS, VECTORS, verify_diagram
 from trapnets.core import lattice_combine
 from trapnets.generators import exhaustive_networks
 from trapnets import classes, cubesets, verify
@@ -21,60 +20,34 @@ from trapnets.verify import (
     sample_population,
 )
 
-from helpers import per_network_class_violations, per_network_roundtrip_violations
-
-
-def toggled(coll: SubcubeCollection, t: int) -> SubcubeCollection:
-    """coll with subcube t added, or removed if it is a member."""
-    mask = coll.mask.copy()
-    mask[t] ^= True
-    return SubcubeCollection(coll.n, mask)
-
-
-def perturbed_profiles(n, samples, seed):
-    """Profiles of a sampled population; in three of every four, one subcube
-    is added to or removed from the principal, trapspace or minimal
-    collection, in turn.  The closure and min extension are those of the
-    network."""
-    rng = np.random.default_rng(seed)
-    profiles = []
-    for i, f in enumerate(sample_population(n, samples, seed)):
-        p = NetworkProfile(f)
-        p.closure, p.min_extension  # from the network's own collections
-        t = int(rng.integers(3**n))
-        if i % 4 == 1:
-            p.pt_collection = toggled(p.pt_collection, t)
-        elif i % 4 == 2:
-            p.trapspace_collection = toggled(p.trapspace_collection, t)
-        elif i % 4 == 3:
-            p.minimal = (toggled(p.minimal[0], t), p.minimal[1])
-        profiles.append(p)
-    return profiles
+from helpers import (
+    PerturbedBlock,
+    PerturbedBoth,
+    PerturbedClasses,
+    PerturbedCollections,
+    per_network_class_violations,
+    per_network_roundtrip_violations,
+)
 
 
 def test_block_roundtrips_match_the_per_network_oracle():
     fired = set()
     for n, samples, seed in ((2, 12, 1), (3, 20, 2), (4, 20, 3), (5, 8, 4)):
-        profiles = perturbed_profiles(n, samples, seed)
-        block = ProfileBlock(profiles)
+        nets = sample_population(n, samples, seed)
+        block = PerturbedCollections.of(nets)
+        profiles = [NetworkProfile(f, block, i) for i, f in enumerate(nets)]
         got = collection_roundtrip_violations(block)
-        assert got == [per_network_roundtrip_violations(p, block.profile_of) for p in profiles]
+        assert got == [per_network_roundtrip_violations(p) for p in profiles]
         assert block["convex"].tolist() == [p.pt_flags.convex for p in profiles]
-        assert block.realized["P"] == [realize(p.pt_collection) for p in profiles]
-        assert not any(got[0::4])  # the unperturbed profiles
+        assert [tuple(row) for row in block.realisations["P"].tolist()] == [
+            realize(p.pt_collection).image for p in profiles
+        ]
+        # The rows whose network, closure and min extension are all clean.
+        rows = (block.images, block.closures, block.min_extensions)
+        clean = ~np.any([a.sum(axis=1) % 4 for a in rows], axis=0)
+        assert clean.any() and not any(found for found, c in zip(got, clean) if c)
         fired.update(v.detail for vs in got for v in vs)
     assert len(fired) >= 13, sorted(fired)
-
-
-class PerturbedProfile(NetworkProfile):
-    """A profile whose principal collection gains or loses one subcube on
-    networks with an even image sum, so that collection checks fire."""
-
-    @cached_property
-    def pt_collection(self):
-        coll = SubcubeCollection.from_pairs(self.n, *self.pt_pairs)
-        total = sum(self.f.image)
-        return coll if total % 2 else toggled(coll, total % 3**self.n)
 
 
 def runs_by_block_size(monkeypatch, nets, suite):
@@ -102,7 +75,7 @@ BLOCK_SIZE_RUNS = ((sample_population(3, 12, 5), "all"),
 
 
 def test_violations_do_not_depend_on_the_block_size(monkeypatch):
-    monkeypatch.setattr(verify, "NetworkProfile", PerturbedProfile)
+    monkeypatch.setattr(verify, "ProfileBlock", PerturbedBlock)
     for nets, suite in BLOCK_SIZE_RUNS:
         runs = runs_by_block_size(monkeypatch, nets, suite)
         assert {"collections", "commutative"} <= {v.check for v in runs[0]}
@@ -194,30 +167,6 @@ def test_blocks_hold_at_most_max_block_networks():
     assert sizes == [classes._MAX_BLOCK, 300 - classes._MAX_BLOCK, 4]
 
 
-# One condition of each theorem, one node of each diagram, the
-# dynamically-local flag, which the transient check compares with f^3 = f,
-# the transitivity of the general graph's rows, which the trapping flag
-# reads, and the columns of the two hierarchy facts that no other claim
-# reads: the trapping graph's transitivity and the loops of each graph.
-FLIPPED = (
-    "trapping7.pairs", "commutative3.intervals", "negation_on_subcubes",
-    "constant_on_arrangements", "subset_idempotent", "descent", "symmetric_ga",
-    "involutive", "oriented_a", "interval_fp", "dynamically_local", "transitive_ga",
-    "transitive_tg", "reflexive_a", "reflexive_ga", "reflexive_tg",
-)
-
-
-class PerturbedClasses(ProfileBlock):
-    """A profile block whose ``FLIPPED`` columns are negated on the networks
-    with an image sum divisible by 3, so that the alternate-definition,
-    hierarchy, diagram and transient checks fire."""
-
-    def _fill(self, name):
-        filled = super()._fill(name)
-        chosen = np.array([sum(p.f.image) % 3 == 0 for p in self.profiles])
-        return {c: column ^ chosen if c in FLIPPED else column for c, column in filled.items()}
-
-
 def class_layer(violations):
     return [v for v in violations if v.check in ("alternate-definitions", "hierarchy")
             or v.detail.startswith("implication: ")]
@@ -231,8 +180,7 @@ def test_class_violations_do_not_depend_on_the_block_size(monkeypatch):
         # The per-network oracle path, on the same flipped columns.
         expected, diagrams = [], {}
         for f in nets:
-            p = NetworkProfile(f)
-            row = PerturbedClasses([p])
+            row = PerturbedClasses.of([f])
             alternates, hierarchy, implications = per_network_class_violations(
                 f, lambda name: bool(row[name][0])
             )
@@ -285,8 +233,7 @@ def test_verify_diagram_is_the_diagram_section_of_run_verification(monkeypatch):
 
 
 def test_all_suite_is_the_other_suites_concatenated(monkeypatch):
-    monkeypatch.setattr(verify, "NetworkProfile", PerturbedProfile)
-    monkeypatch.setattr(verify, "ProfileBlock", PerturbedClasses)
+    monkeypatch.setattr(verify, "ProfileBlock", PerturbedBoth)
     nets = sample_population(3, 12, 5)
     sections = [run_verification(nets, suite) for suite in ("theorems", "closure", "diagrams")]
     assert all(sections)
@@ -303,8 +250,7 @@ CHECKS = (
 
 def test_every_check_fires_on_the_perturbed_population(monkeypatch):
     # A check dropped from the section table leaves its name unrecorded.
-    monkeypatch.setattr(verify, "NetworkProfile", PerturbedProfile)
-    monkeypatch.setattr(verify, "ProfileBlock", PerturbedClasses)
+    monkeypatch.setattr(verify, "ProfileBlock", PerturbedBoth)
     fired = Counter()
     for name in CHECKS:
 
