@@ -23,7 +23,7 @@ from .caps import CAPS, SUITES
 # commutative parts at n = 20 take about 2 s (2 vCPUs, Python 3.11, numpy 2.4).
 MAX_PARTS = 16
 # The most random networks ``verify --samples`` draws: the whole population,
-# 26,001 networks, is built first, and checked in about 7 s at a peak RSS of 98
+# 26,001 networks, is built first, and checked in about 8 s at a peak RSS of 54
 # MiB at n = 4 (2 vCPUs, Python 3.11, numpy 2.4), and in 9-11 minutes at n = 8.
 MAX_SAMPLES = 20000
 
@@ -67,7 +67,9 @@ def _load_network(path: str):
 
 
 def _analysis_report(f, name: str, minimal_only: bool) -> dict:
-    from .cubesets import format_pairs
+    """What ``analyze`` prints, in print order.  The minimal trapspaces are
+    their (free, base) arrays, in ``pairs()`` order, under ``minimal_cubes``:
+    the printers format them in blocks, so no string per trapspace is held."""
     from .dynamics import transient_and_period
 
     if minimal_only:
@@ -89,7 +91,7 @@ def _analysis_report(f, name: str, minimal_only: bool) -> dict:
             "principal_distinct": distinct,
             "minimal": len(free),
             "min_configs": int(covered.sum()),
-            "minimal_cubes": format_pairs(f.n, free, base).splitlines(),
+            "minimal_cubes": (free, base),
         },
     }
     if minimal_only:
@@ -106,6 +108,39 @@ def _analysis_report(f, name: str, minimal_only: bool) -> dict:
     return report
 
 
+# The minimal trapspaces formatted per write.
+_CUBES_PER_WRITE = 1 << 12
+
+
+def _write_cubes(n: int, free, base, prefix: str, suffix: str) -> None:
+    """Write one line per (free, base) subcube, between ``prefix`` and
+    ``suffix``, a block at a time."""
+    from .cubesets import format_pairs
+
+    for start in range(0, len(free), _CUBES_PER_WRITE):
+        block = slice(start, start + _CUBES_PER_WRITE)
+        sys.stdout.write(format_pairs(n, free[block], base[block], prefix, suffix))
+
+
+def _print_json_report(report: dict) -> None:
+    """Print ``json.dumps(report, indent=2)`` of the report with its minimal
+    trapspaces as a list of strings, writing that list a block at a time."""
+    ts, key = report["trapspaces"], '"minimal_cubes": '
+    free, base = ts["minimal_cubes"]
+    text = json.dumps({**report, "trapspaces": {**ts, "minimal_cubes": []}}, indent=2)
+    head, _, tail = text.partition(key + "[]")
+    sys.stdout.write(head + key)
+    if len(free):
+        # indent=2 puts the list's items at depth 3 and its bracket at depth 2.
+        sys.stdout.write("[\n")
+        _write_cubes(report["n"], free[:-1], base[:-1], '      "', '",\n')
+        _write_cubes(report["n"], free[-1:], base[-1:], '      "', '"\n')
+        sys.stdout.write("    ]")
+    else:
+        sys.stdout.write("[]")
+    sys.stdout.write(tail + "\n")
+
+
 def _print_text_report(report: dict) -> None:
     print(f"name: {report['name']}")
     print(f"n: {report['n']}")
@@ -114,8 +149,7 @@ def _print_text_report(report: dict) -> None:
     if "all" in ts:
         print(f", all: {ts['all']}", end="")
     print(f", minimal: {ts['minimal']} (covering {ts['min_configs']} configurations)")
-    for cube in ts["minimal_cubes"]:
-        print(f"  minimal: {cube}")
+    _write_cubes(report["n"], *ts["minimal_cubes"], "  minimal: ", "\n")
     print(f"dynamics: transient {report['transient']}, period {report['period']}")
     if "classes" in report:
         flags = report["classes"]
@@ -136,10 +170,7 @@ def cmd_analyze(args) -> int:
         mode = "minimal-only" if args.minimal_only else "full"
         return _refuse(f"{mode} analysis is capped at n={cap}")
     report = _analysis_report(f, args.file, args.minimal_only)
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        _print_text_report(report)
+    (_print_json_report if args.format == "json" else _print_text_report)(report)
     return 0
 
 

@@ -194,12 +194,18 @@ def parse_collection(text: str, n: int | None = None) -> SubcubeCollection:
     return SubcubeCollection.of(n, cubes)
 
 
-def format_pairs(n: int, free: np.ndarray, base: np.ndarray) -> str:
-    """One line per subcube (free[i], base[i]) of B^n in star notation, the
-    text ``str(Subcube)`` gives, encoded as one byte array."""
-    lines = np.full((len(free), n + 1), ord("\n"), dtype=np.uint8)
+def format_pairs(
+    n: int, free: np.ndarray, base: np.ndarray, prefix: str = "", suffix: str = "\n"
+) -> str:
+    """One line per subcube (free[i], base[i]) of B^n: ``prefix``, the star
+    notation ``str(Subcube)`` gives, then ``suffix``, all ASCII.  The lines
+    are encoded as one byte array."""
+    ends = np.frombuffer((prefix + suffix).encode("ascii"), dtype=np.uint8)
+    lines = np.empty((len(free), len(ends) + n), dtype=np.uint8)
+    lines[:, : len(prefix)] = ends[: len(prefix)]
+    lines[:, len(prefix) + n :] = ends[len(prefix) :]
     for i in range(n):
-        lines[:, i] = np.where(free >> i & 1, ord("*"), ord("0") + (base >> i & 1))
+        lines[:, len(prefix) + i] = np.where(free >> i & 1, ord("*"), ord("0") + (base >> i & 1))
     return lines.tobytes().decode("ascii")
 
 

@@ -395,37 +395,38 @@ def transient_and_period(f: BooleanNetwork) -> tuple[int, int]:
     """Smallest t >= 0 and p >= 1 with f^(t+p) == f^t as full tables.
 
     t is the longest tail leading into a cycle and p the lcm of the cycle
-    lengths, found by array passes over the powers f^(2^j): O(n 2^n)
-    whatever the order of f as a permutation.
+    lengths, found by array passes over doubling steps: O(n 2^n) whatever
+    the order of f as a permutation, with a few int32 arrays over the
+    configurations held at a time.
     """
     size = 1 << f.n
     # The image of f^k shrinks as k grows until k = t, where it is the set of
-    # cyclic configurations; powers[j] = f^(2^j) up to the first 2^j >= t,
-    # as int32, which holds every configuration up to the network cap.
-    powers = [f.np_image.astype(np.int32)]
-    cyclic = _image_mask(powers[0], size)
+    # cyclic configurations: square f^(2^j), as int32, which holds every
+    # configuration up to the network cap, until its image stops shrinking.
+    image = f.np_image.astype(np.int32)
+    power, cyclic = image, _image_mask(image, size)
     while True:
-        square = powers[-1][powers[-1]]
-        image = _image_mask(square, size)
-        if np.count_nonzero(image) == np.count_nonzero(cyclic):
+        power = power[power]
+        shrunk = _image_mask(power, size)
+        if np.count_nonzero(shrunk) == np.count_nonzero(cyclic):
             break
-        powers.append(square)
-        cyclic = image
-    # t by binary lifting: the largest steps whose image leaves some
-    # configuration off its cycle, plus one.
-    transient = 0
-    if not cyclic.all():
-        ys = np.arange(size)
-        for j in range(len(powers) - 2, -1, -1):
-            zs = powers[j][ys]
-            if not cyclic[zs].all():
-                ys, transient = zs, transient + (1 << j)
-        transient += 1
+        cyclic = shrunk
+    del power, shrunk
+    # t is the most steps any configuration takes to its cycle, by pointer
+    # jumping over f stopped on the cycles: after j rounds, jump[x] is 2^j
+    # such steps from x and depth[x] the ones of them off the cycles.
+    xs = np.arange(size, dtype=np.int32)
+    jump = np.where(cyclic, xs, image)
+    depth = (~cyclic).astype(np.int32)
+    while not cyclic[jump].all():
+        depth += depth[jump]
+        jump = jump[jump]
+    transient = int(depth.max())
+    del jump, depth
     # Label each cyclic configuration by the least one on its cycle: a min
     # over 2^j steps, doubled until no label changes, which holds once
     # 2^j steps cover every cycle.  The others stay put, labelled size.
-    xs = np.arange(size, dtype=np.int32)
-    step = np.where(cyclic, powers[0], xs)
+    step = np.where(cyclic, image, xs)
     label = np.where(cyclic, xs, size)
     while True:
         doubled = np.minimum(label, label[step])

@@ -17,17 +17,19 @@ ternary digits, and the top n - m coordinates left binary, one row of
 OR of the rows its free high coordinates h can select.  The configurations
 are grouped by h, and each group gathers its own 2^|h| rows, so no
 configuration pays for the free high coordinates of another; one leaves
-the loop once its subcube stops growing or is the whole cube.  At n = 16
-the table takes 5 MB as uint16, where 12 digits took 17 MB and the whole
-3^16 table 86 MB; it grows as 2^(n-9) 3^9 entries above n = 9.
+the loop once its subcube stops growing or is the whole cube.  The loop
+steps the configurations in batches of at most 2^14, each a range of h,
+and keeps one int32 per configuration between passes.  At n = 16 the
+table takes 5 MB as uint16, where 12 digits took 17 MB and the whole 3^16
+table 86 MB; it grows as 2^(n-9) 3^9 entries above n = 9.
 
 The trapspaces are a boolean mask over the subcube index, the form a
 ``SubcubeCollection`` stores.  The principal map is one read-only
 ``(free, base)`` pair of int64 arrays over the 2^n configurations, the
 shape ``SubcubeCollection.pairs()`` returns; the trapping closure is
 ``x ^ free`` and the trapping graph the bitsets of those subcubes.
-``minimal_cover`` counts the configurations per principal subcube with
-one ``np.unique`` over their keys ``free << n | base``, and returns the
+``minimal_cover`` counts the configurations per principal subcube by
+sorting their keys ``free << n | base`` in place, and returns the
 minimal trapspaces as (free, base) arrays in ``pairs()`` order with the
 configurations they cover, as a read-only bool array over the 2^n
 configurations, and the number of distinct principal trapspaces;
@@ -36,6 +38,13 @@ minimal trapspace has it as its principal trapspace, so the min-trapping
 extension sends x to ``x ^ free`` and every other configuration to its
 negation.  A single principal trapspace is instead grown from a frontier
 of newly-added members, with no table and no cap.
+
+So the minimal trapspaces of one network take the stacked table plus a
+few arrays over the configurations: the image, the (free, base) pair and
+the covered mask.  At n = 16 ``principal_rows`` holds the 5 MB table plus
+about 1 MiB and ``cover_rows`` at most 2.8 MiB with its result
+(tracemalloc), where the loop over all configurations at once held the
+table plus 2.5-3 MiB and ``np.unique`` up to 4.6 MiB.
 
 Every whole-network kernel has one body, over a stack of k networks of
 one dimension given as a (k, 2^n) array of image rows: ``principal_rows``,
@@ -46,7 +55,6 @@ once, on first use; the per-network functions read row 0 of a stack of one.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 import numpy as np
@@ -108,20 +116,23 @@ def fixed_point_rows(images: np.ndarray, n: int) -> np.ndarray:
     return _subcube_or(np.arange(1 << n) == images, n)
 
 
-@functools.cache
-def _positions(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """How a configuration's position in a stacked table of m ternary digits
-    changes: fixing the coordinates of mask s to 1 adds ``fixed[s]`` and
-    freeing the low coordinates of s adds ``freed[s]``.  A low coordinate i
-    weighs 3^i in the ternary index; a high one selects rows, 3^m entries
-    each.  Both are int32."""
-    xs = np.arange(1 << n)
-    tern = _ternary_of_masks(m)[xs & ((1 << m) - 1)]
-    fixed = (tern + (xs >> m) * 3**m).astype(np.int32)
-    freed = (2 * tern).astype(np.int32)
-    for table in (fixed, freed):
-        table.setflags(write=False)  # shared by every caller at this n
-    return fixed, freed
+# Configurations per batch of ``principal_rows``, and per slice of its scans:
+# the loop's arrays are this long, whatever the size of the stack.
+_BATCH = 1 << 14
+
+
+def _batches(counts: np.ndarray) -> list[tuple[int, int]]:
+    """Ranges [lo, hi) of free high masks, in decreasing order, that split
+    the configurations counted by ``counts`` (one entry per mask) into
+    batches of at most ``_BATCH``, or of one mask that alone holds more."""
+    present = np.flatnonzero(counts)
+    ends = np.cumsum(counts[present])
+    out, i = [], 0
+    while i < len(present):
+        j = max(i + 1, int(np.searchsorted(ends, ends[i] - counts[present[i]] + _BATCH, "right")))
+        out.append((int(present[i]), int(present[j - 1]) + 1))
+        i = j
+    return out[::-1]
 
 
 def principal_rows(images: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -135,30 +146,43 @@ def principal_rows(images: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     growing or is the whole cube.  The moves are read from the stacked
     tables of ``_moved_rows(images, n, m)``: the OR over a subcube is the OR
     of the rows its free high coordinates can select, at its low ternary
-    index.  The configurations are grouped by their free high mask h, and
-    each group gathers the 2^|h| rows of h alone.  Both arrays are
-    read-only int64 of shape (k, 2^n); the ``table`` cap applies.
+    index.
+
+    The loop holds one int32 entry per configuration, ``~grown`` while the
+    configuration is in the loop and its free mask once it has left, and
+    takes its steps in passes.  A pass scans that array in slices and steps
+    the configurations in batches of at most ``_BATCH``, each batch a range
+    of free high masks h (``_batches``).  In a batch the configurations are
+    grouped by h, and each group gathers the 2^|h| rows of h alone; only a
+    group of more than ``_BATCH`` configurations is split, so the batches
+    gather no more rows than one pass over all of them would.  The ranges
+    are taken in decreasing order, and a step only frees coordinates, so no
+    configuration steps twice in a pass.  Both arrays are read-only int64 of
+    shape (k, 2^n); the ``table`` cap applies.
     """
     check_cap("table", n)
     m = min(n, _TABLE_DIGITS)
-    row, full = 3**m, (1 << n) - 1
+    row, full, low = 3**m, (1 << n) - 1, (1 << m) - 1
     table = _moved_rows(images, n, m).reshape(-1)
-    fixed, freed = _positions(n, m)
     index = np.int32 if table.size < 1 << 31 else np.int64
-    free = np.zeros(len(images) << n, dtype=np.int64)
-    # The configurations still in the loop, flat over (network, x): where
-    # their results go, their free masks and their positions, at the row of
-    # their network's table with every free high coordinate 0.
-    at = np.arange(len(images) << n, dtype=index)
-    grown = np.zeros(len(at), dtype=np.int32)
-    position = fixed[at & full] + (at >> n) * (row << (n - m))
-    while len(at):
+    tern = _ternary_of_masks(m).astype(index)
+    state = np.full(len(images) << n, -1, dtype=np.int32)
+    slices = range(0, len(state), _BATCH)
+
+    def step(at: np.ndarray) -> None:
+        grown = ~state[at]
+        # The subcube's position at the row of its network's table with
+        # every free high coordinate 0.
+        kept = at & ~grown
+        position = (kept >> m) * row
+        position += tern[kept & low]
+        position += 2 * tern[grown & low]
         moved = table[position]
-        high = (grown >> m).astype(np.uint16)
+        high = grown >> m
         counts = np.bincount(high, minlength=1 << (n - m))
         if counts[0] < len(high):
             # A stable sort of 16-bit keys is a radix sort.
-            order = np.argsort(high, kind="stable")
+            order = np.argsort(high.astype(np.uint16), kind="stable")
             stops = np.cumsum(counts)
             for h in np.flatnonzero(counts[1:]) + 1:
                 group = order[stops[h] - counts[h] : stops[h]]
@@ -168,13 +192,27 @@ def principal_rows(images: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
                 moved[group] = ored
         grow = moved & ~grown
         grown |= grow
-        done = (grow == 0) | (grown == full)
-        free[at[done]] = grown[done]
-        kept = ~done
-        at, grown, grow, position = at[kept], grown[kept], grow[kept], position[kept]
-        position += freed[grow] - fixed[at & grow]
-    free = free.reshape(len(images), 1 << n)
-    base = np.arange(1 << n) & ~free
+        state[at] = np.where((grow == 0) | (grown == full), grown, ~grown)
+
+    while True:
+        live = np.zeros(1 << (n - m), dtype=np.int64)  # by free high mask
+        for i in slices:
+            h = ~state[i : i + _BATCH] >> m
+            live += np.bincount(h[h >= 0], minlength=len(live))
+        if not live.any():
+            break
+        for lo, hi in _batches(live):
+            batch = []
+            for i in slices:
+                h = ~state[i : i + _BATCH] >> m
+                batch.append(np.flatnonzero((h >= lo) & (h < hi)) + i)
+                if sum(map(len, batch)) >= _BATCH or i == slices[-1]:
+                    at, batch = np.concatenate(batch, dtype=index), []
+                    step(at)
+    del table
+    free = state.astype(np.int64).reshape(len(images), 1 << n)
+    base = ~free
+    base &= np.arange(1 << n)
     free.setflags(write=False)
     base.setflags(write=False)
     return free, base
@@ -215,26 +253,38 @@ def cover_rows(
     while a larger trapspace contains a smaller one whose members do not.
     A principal trapspace T of network i is therefore minimal iff exactly
     |T| configurations have T as their principal trapspace under network i.
-    One ``np.unique`` over the keys ``i << 2n | free << n | base`` counts them.
+    The keys ``i << 2n | free << n | base``, sorted in place, give each
+    distinct principal trapspace as a run of its configurations.  A member
+    x of a minimal trapspace has the member ``base[x]`` with the same
+    principal trapspace, so x is covered iff ``base[x]`` is the base of a
+    minimal trapspace whose free mask is ``free[x]``.
 
     Returns the network index, free mask and base of every minimal
     trapspace, sorted by index, free mask, then base; the read-only (k, 2^n)
     bool array of the configurations they cover; and the number of distinct
     principal trapspaces of each network.
     """
-    k = len(free)
-    index = np.arange(k, dtype=np.int64)[:, None] << 2 * n
-    # The inverse and counts keep np.unique off the numpy.ma import of its plain form.
-    keys, inverse, counts = np.unique(
-        (index | free << n | base).ravel(), return_inverse=True, return_counts=True
-    )
-    cell = (1 << n) - 1
-    index, free, base = keys >> 2 * n, keys >> n & cell, keys & cell
-    minimal = counts == 1 << bit_counts(n)[free]
-    covered = minimal[inverse].reshape(k, 1 << n)
+    k, cell = len(free), (1 << n) - 1
+    keys = free << n
+    keys |= base
+    keys |= np.arange(k)[:, None] << 2 * n
+    keys = keys.reshape(-1)
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    sizes = np.diff(starts, append=len(keys))
+    keys = keys[starts]
+    del starts
+    distinct = np.bincount(keys >> 2 * n, minlength=k)
+    keys = keys[sizes == 1 << bit_counts(n)[keys >> n & cell]]
+    del sizes
+    index, min_free, min_base = keys >> 2 * n, keys >> n & cell, keys & cell
+    rows, bases = np.arange(k)[:, None], np.zeros((k, 1 << n), dtype=bool)
+    bases[index, min_base] = True
+    covered = bases[rows, base] & (free[rows, base] == free)
     covered.setflags(write=False)
-    distinct = np.bincount(index, minlength=k)
-    return index[minimal], free[minimal], base[minimal], covered, distinct
+    return index, min_free, min_base, covered, distinct
 
 
 def minimal_cover(f: BooleanNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:

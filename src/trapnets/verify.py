@@ -12,9 +12,9 @@ second block, ``ProfileBlock.related``, holds the closures, min extensions
 and realisations of its rows.  Every per-network check takes the block and
 returns one violation list per network, built by ``classes.block_violations``
 from (broken column, detail) pairs, each column an expression over the
-block or over the two blocks.  The checks that span networks (monotonicity
-pairs of neighbours of one dimension, in one broadcast per dimension, and
-the diagram fixtures) run once, after the blocks.
+block or over the two blocks.  The checks that span networks run after
+the blocks: the monotonicity pairs of neighbours of one dimension, joined
+and checked a block at a time, and the diagram fixtures.
 """
 
 from __future__ import annotations
@@ -326,11 +326,17 @@ def run_verification(
         raise ValueError(f"unknown suite {suite!r}")
 
     def monotonicity():
-        pairs = monotonicity_pairs
-        if pairs is None:
-            pairs = [(f, lattice_combine(f, g, "join"))
-                     for f, g in zip(networks, networks[1:]) if f.n == g.n]
-        return monotone_pairs_violations(pairs)
+        if monotonicity_pairs is not None:
+            return monotone_pairs_violations(monotonicity_pairs)
+        # Each network with its join with the next one, a block at a time, so
+        # that only one block's joins are held.
+        found, start = [], 0
+        for nets in population_blocks(networks):
+            nexts = networks[start + 1 : start + 1 + len(nets)]
+            found += monotone_pairs_violations(
+                [(f, lattice_combine(f, g, "join")) for f, g in zip(nets, nexts) if f.n == g.n])
+            start += len(nets)
+        return found
 
     # (suite, per-network checks, check spanning networks) of each section;
     # built here, so a check rebound in this module is the one that runs.

@@ -1086,3 +1086,33 @@ def per_network_class_violations(f: BooleanNetwork, flag) -> tuple[list, list, d
             if flag(edge.guard) and flag(edge.source) and not flag(edge.target)
         ]
     return alternates, hierarchy, implications
+
+
+def listed_report(report: dict) -> dict:
+    """Oracle (the library's former report): ``cli._analysis_report``'s
+    report with its minimal trapspaces as one string each, in order."""
+    free, base = report["trapspaces"]["minimal_cubes"]
+    cubes = [str(Subcube(report["n"], int(a), int(b))) for a, b in zip(free, base)]
+    return {**report, "trapspaces": {**report["trapspaces"], "minimal_cubes": cubes}}
+
+
+def listed_text_report(report: dict) -> str:
+    """Oracle (the library's former text printer) of a ``listed_report``."""
+    lines = [f"name: {report['name']}", f"n: {report['n']}"]
+    ts = report["trapspaces"]
+    counts = f"trapspaces: principal distinct: {ts['principal_distinct']}"
+    if "all" in ts:
+        counts += f", all: {ts['all']}"
+    lines.append(f"{counts}, minimal: {ts['minimal']} (covering {ts['min_configs']} configurations)")
+    lines += [f"  minimal: {cube}" for cube in ts["minimal_cubes"]]
+    lines.append(f"dynamics: transient {report['transient']}, period {report['period']}")
+    if "classes" in report:
+        flags = report["classes"]
+        on = [k for k, v in flags.items() if v]
+        off = [k for k, v in flags.items() if not v]
+        lines.append(f"classes (true): {', '.join(on) if on else '(none)'}")
+        lines.append(f"classes (false): {', '.join(off) if off else '(none)'}")
+    for key, props in report.get("graphs", {}).items():
+        lines.append(f"graph {key}: " + ", ".join(f"{p}={'yes' if v else 'no'}"
+                                                  for p, v in props.items()))
+    return "\n".join(lines) + "\n"

@@ -148,17 +148,40 @@ def test_monotone_pairs_broadcast_matches_the_per_pair_definition(monkeypatch):
     assert expected
 
 
-def test_monotonicity_pairs_neighbours_of_one_dimension(monkeypatch):
-    pairs, check = [], verify.monotone_pairs_violations
+def recording_monotone_pairs(monkeypatch) -> list:
+    """Patch ``verify.monotone_pairs_violations`` to record the pairs of each call."""
+    calls, check = [], verify.monotone_pairs_violations
     monkeypatch.setattr(verify, "monotone_pairs_violations",
-                        lambda found: (pairs.append(found), check(found))[1])
+                        lambda found: (calls.append(found), check(found))[1])
+    return calls
+
+
+def test_monotonicity_pairs_neighbours_of_one_dimension(monkeypatch):
+    calls, pairs = recording_monotone_pairs(monkeypatch), []
     parts = [sample_population(3, 8, 5), sample_population(4, 6, 6)]
     for nets in (*parts, parts[0] + parts[1]):
+        calls.clear()
         assert run_verification(nets, "closure") == []
+        pairs.append([pair for found in calls for pair in found])
     assert pairs[2] == pairs[0] + pairs[1]
     assert [len(found) for found in pairs] == [len(nets) - 1 for nets in parts] + [
         sum(len(nets) - 1 for nets in parts)
     ]
+
+
+def test_monotonicity_joins_are_built_a_block_at_a_time(monkeypatch):
+    nets = sample_population(3, 400, 2)  # three blocks
+    pairs = [(f, lattice_combine(f, g, "join")) for f, g in zip(nets, nets[1:])]
+    dealt = {f: nets[i] for f, i in zip(nets, np.random.default_rng(4).permutation(len(nets)))}
+    dealing(monkeypatch, {**{g: g for _, g in pairs}, **dealt})
+    expected = verify.monotone_pairs_violations(pairs)
+    calls = recording_monotone_pairs(monkeypatch)
+    # The closure laws read the block's own closures, so the dealt ones
+    # break only monotonicity, in pair order.
+    assert run_verification(nets, "closure") == expected and len(expected) > 10
+    blocks = [len(block) for block in classes.population_blocks(nets)]
+    assert [len(found) for found in calls] == [*blocks[:-1], blocks[-1] - 1] and len(blocks) == 3
+    assert [pair for found in calls for pair in found] == pairs
 
 
 def test_blocks_hold_at_most_max_block_networks():
