@@ -4,10 +4,14 @@ Every class predicate is computed from its own primary definition;
 ``check_alternate_definitions`` evaluates each of a class's equivalent
 defining conditions independently so their agreement can be verified over
 whole populations.  A ``ProfileBlock`` holds a block of networks as their
-(k, 2^n) image rows and fills their facts on first use: trapspace stacks,
-collection masks, the block of the networks related to its rows, and the
-boolean columns that one table, ``KERNELS``, maps to the kernels filling
-them.  ``verify --suite all`` checks every column but ``transitive_a``, on
+(k, 2^n) image rows, and ``block[name]`` is filled on first use by one
+path, ``ProfileBlock._fill``, into one dict.  Two tables map the kernels
+to the names they fill: ``STACKS`` the array facts (the trapspace stacks,
+the minimal trapspaces, covered mask and distinct count of the cover, the
+P, J and N collection masks, closures, min extensions, realisations,
+intervals and components) and ``KERNELS`` the boolean columns.  The block
+of the networks related to its rows, ``related()``, is kept in the same
+dict.  ``verify --suite all`` checks every column but ``transitive_a``, on
 which no claim rests.  A ``NetworkProfile`` views one row, so the
 per-network functions read the same kernels.
 The implication diagrams encode which class memberships force which others
@@ -438,12 +442,12 @@ class NetworkProfile:
 
     @cached_property
     def pt_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        free, base = self.block.principal
+        free, base = self.block["principal"]
         return free[self.row], base[self.row]
 
     @cached_property
     def closure(self) -> BooleanNetwork:
-        return BooleanNetwork(self.n, self.block.closures[self.row])
+        return BooleanNetwork(self.n, self.block["closures"][self.row])
 
     @cached_property
     def graph_tg(self) -> HypercubeGraph:
@@ -451,33 +455,33 @@ class NetworkProfile:
 
     @cached_property
     def pt_collection(self) -> SubcubeCollection:
-        return SubcubeCollection(self.n, self.block.collection("P")[self.row])
+        return SubcubeCollection(self.n, self.block["P"][self.row])
 
     @cached_property
     def trapspace_collection(self) -> SubcubeCollection:
-        return SubcubeCollection(self.n, self.block.collection("J")[self.row])
+        return SubcubeCollection(self.n, self.block["J"][self.row])
 
     @cached_property
     def minimal_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(free, base) of the minimal trapspaces, in ``pairs()`` order, and
         the configurations they cover; no 3^n mask is built."""
-        index, free, base, covered, _ = self.block.cover
+        index, free, base = self.block["minimal"]
         start, stop = np.searchsorted(index, (self.row, self.row + 1)).tolist()
-        return free[start:stop], base[start:stop], covered[self.row]
+        return free[start:stop], base[start:stop], self.block["covered"][self.row]
 
     @cached_property
     def minimal(self) -> tuple[SubcubeCollection, np.ndarray]:
-        mask, covered = self.block.collection("N")[self.row], self.block.cover[3][self.row]
-        return SubcubeCollection(self.n, mask), covered
+        block, row = self.block, self.row
+        return SubcubeCollection(self.n, block["N"][row]), block["covered"][row]
 
     @cached_property
     def pt_distinct(self) -> int:
         """The number of distinct principal trapspaces."""
-        return int(self.block.cover[4][self.row])
+        return int(self.block["pt_distinct"][self.row])
 
     @cached_property
     def min_extension(self) -> BooleanNetwork:
-        return BooleanNetwork(self.n, self.block.min_extensions[self.row])
+        return BooleanNetwork(self.n, self.block["min_extensions"][self.row])
 
     @cached_property
     def pt_flags(self):
@@ -508,7 +512,7 @@ def _all_closure_tables(n: int) -> np.ndarray:
     each (the ``exhaustive`` cap): x moves by its principal free mask."""
     from .generators import exhaustive_networks  # here, as only n <= 2 reaches it
 
-    closures = ProfileBlock.of(exhaustive_networks(n)).closures
+    closures = ProfileBlock.of(exhaustive_networks(n))["closures"]
     closures.setflags(write=False)  # shared by every caller at this n
     return closures
 
@@ -529,13 +533,13 @@ def _named(holds: dict[str, np.ndarray], kind: str) -> dict[str, np.ndarray]:
 
 def _subcube_rows(block, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """The (free, base) rows of the block's GAs or TGs."""
-    return block.principal if kind == "tg" else general_rows(block.images, block.n)
+    return block["principal"] if kind == "tg" else general_rows(block.images, block.n)
 
 
 def _async_predicates(block) -> dict[str, np.ndarray]:
     """All six predicates of the asynchronous graphs, off their move rows."""
     holds = move_row_predicates(np.arange(1 << block.n) ^ block.images, block.n)
-    return _named({**holds, **component_predicates(*block.async_components)}, "a")
+    return _named({**holds, **component_predicates(*block["async_components"])}, "a")
 
 
 def _row_predicates(block, kind: str) -> dict[str, np.ndarray]:
@@ -561,20 +565,53 @@ def _scc_predicates(block, kind: str) -> dict[str, np.ndarray]:
     return _named(holds, kind)
 
 
-# The class layer: every column, under the kernel that fills it.  A kernel
-# takes a ``ProfileBlock`` and returns a dict of its columns, or the array of
-# its one column: a stacked ``*_rows`` kernel, a reading of the trapspace
-# stacks or the graphs' row forms, or an expression in other columns.
+def _cover_facts(block) -> dict:
+    """``cover_rows`` of the principal stacks, by name."""
+    index, free, base, covered, distinct = cover_rows(*block["principal"], block.n)
+    return {"minimal": (index, free, base), "covered": covered, "pt_distinct": distinct}
+
+
+# The array facts of a block, in the form of ``KERNELS``: each under the
+# kernel that fills it.  ``covered``, ``closures``, ``min_extensions`` and
+# each of the ``realisations`` of P, J and N (by collection; x moves by its
+# ``pointwise_free`` mask) are (k, 2^n), as is each of the pairs
+# ``principal`` (free, base) and ``async_components`` (label, terminal);
+# ``trapspaces`` and the principal (P), trapspace (J) and minimal (N) masks
+# are (k, 3^n).  ``minimal`` is the (index, free, base) of every minimal
+# trapspace, sorted by row, ``pt_distinct`` the (k,) count of distinct
+# principal trapspaces and ``intervals`` the (at, s) of ``interval_arrays``.
+STACKS = {
+    ("principal",): lambda b: principal_rows(b.images, b.n),
+    ("trapspaces",): lambda b: trapspace_rows(b.images, b.n),
+    ("minimal", "covered", "pt_distinct"): _cover_facts,
+    # The closure moves x by its principal free mask.
+    ("closures",): lambda b: np.arange(1 << b.n) ^ b["principal"][0],
+    ("min_extensions",): lambda b: min_extension_rows(b["principal"][0], b["covered"], b.n),
+    ("P",): lambda b: cube_masks(np.arange(len(b.images))[:, None], *b["principal"],
+                                 len(b.images), b.n),
+    ("J",): lambda b: b["trapspaces"],
+    ("N",): lambda b: cube_masks(*b["minimal"], len(b.images), b.n),
+    ("realisations",): lambda b: {c: np.arange(1 << b.n) ^ pointwise_free(b[c], b.n)
+                                  for c in "PJN"},
+    ("intervals",): lambda b: interval_arrays(b.images, b.n),
+    ("async_components",): lambda b: move_components(np.arange(1 << b.n) ^ b.images, b.n),
+}
+
+# The class layer: every boolean column, under the kernel that fills it.  A
+# kernel takes a ``ProfileBlock`` and returns a dict of its columns, or the
+# array of its one column: a stacked ``*_rows`` kernel, a reading of the
+# ``STACKS`` facts or the graphs' row forms, or an expression in other
+# columns.
 KERNELS = {
     _IMAGE_FLAGS: lambda b: image_flag_rows(b.images, b.n),
     _GLOBALLY_FLAGS: lambda b: globally_rows(b.images, b.n),
     _PAIR_COLUMNS: lambda b: pair_rows(b.images, b.n),
     (*(f"{theorem}.intervals" for theorem in PAIR_THEOREMS), "negation_on_subcubes",
-     "constant_on_arrangements"): lambda b: interval_rows(b.images, b.n, b.intervals),
-    ("descent", "principal_fp"): lambda b: descent_rows(b.images, *b.principal, b.n),
+     "constant_on_arrangements"): lambda b: interval_rows(b.images, b.n, b["intervals"]),
+    ("descent", "principal_fp"): lambda b: descent_rows(b.images, *b["principal"], b.n),
     ("interval_fp", "interval_ufp"): lambda b: interval_fixed_rows(b.images, b.n),
-    _COLLECTION_COLUMNS: lambda b: collection_rows({c: b.collection(c) for c in "PJN"},
-                                                   b.realisations, b.n),
+    _COLLECTION_COLUMNS: lambda b: collection_rows({c: b[c] for c in "PJN"},
+                                                   b["realisations"], b.n),
     _graph_columns(GRAPH_PROPERTIES, "a"): _async_predicates,
     **{_graph_columns(("reflexive", "symmetric", "transitive"), kind):
        functools.partial(_row_predicates, kind=kind) for kind in ("ga", "tg")},
@@ -588,42 +625,48 @@ KERNELS = {
     ("interval_ufp_idempotent",): lambda b: b["interval_ufp"] & b["idempotent"],
     # The paper defines trapping as the general graph's transitivity.
     ("trapping",): lambda b: b["transitive_ga"],
-    ("tg_is_ga",): lambda b: np.all(np.equal(b.principal, general_rows(b.images, b.n)),
+    ("tg_is_ga",): lambda b: np.all(np.equal(b["principal"], general_rows(b.images, b.n)),
                                     axis=(0, 2)),
-    ("fixable",): lambda b: fixable_rows(b.images, *b.async_components),
-    ("closure_fixed",): lambda b: _same(b.images, b.closures),
+    ("fixable",): lambda b: fixable_rows(b.images, *b["async_components"]),
+    ("closure_fixed",): lambda b: _same(b.images, b["closures"]),
     # Above the exhaustive cap: the closure operator is idempotent (tested
     # separately), so its image is its fixed-point set.
     ("some_closure",): lambda b: b["closure_fixed"] if b.n > CAPS["exhaustive"] else _same(
         b.images[:, None], _all_closure_tables(b.n)).any(axis=1),
-    ("principal_moves",): lambda b: _same(np.arange(1 << b.n) ^ b.images, b.principal[0]),
-    ("minimal_fixed",): lambda b: _same(b.cover[3], np.arange(1 << b.n) == b.images),
-    ("dpt",): lambda b: b.cover[4] == 1 << b.n,
+    ("principal_moves",): lambda b: _same(np.arange(1 << b.n) ^ b.images, b["principal"][0]),
+    ("minimal_fixed",): lambda b: _same(b["covered"], np.arange(1 << b.n) == b.images),
+    ("dpt",): lambda b: b["pt_distinct"] == 1 << b.n,
     # Every trapspace contains a fixed point.
-    ("trapspace_fp",): lambda b: np.all(fixed_point_rows(b.images, b.n) | ~b.trapspaces, axis=1),
-    ("min_trapping",): lambda b: _same(b.min_extensions, b.images),
+    ("trapspace_fp",): lambda b: np.all(fixed_point_rows(b.images, b.n) | ~b["trapspaces"],
+                                        axis=1),
+    ("min_trapping",): lambda b: _same(b["min_extensions"], b.images),
 }
-# Each column, with all the columns of its kernel and the kernel.
-COLUMNS = {name: (names, kernel) for names, kernel in KERNELS.items() for name in names}
+
+
+def _by_name(table: dict) -> dict:
+    """Each name of a table, with all the names of its kernel and the kernel."""
+    return {name: (names, kernel) for names, kernel in table.items() for name in names}
+
+
+COLUMNS = _by_name(KERNELS)
+# The one index of every fact and column that ``ProfileBlock._fill`` fills.
+FILLS = _by_name(STACKS) | COLUMNS
 
 
 class ProfileBlock:
     """The facts of a block of networks of one dimension, held as nothing
-    but their (k, 2^n) image rows; each fact is filled on first use over
-    those rows, and entry i of each is row i's: the trapspace stacks, the
-    closures, the collection masks and their realisations, and one boolean
-    column per class flag, diagram node and alternate-definition condition,
-    filled with the other columns of its kernel in ``KERNELS``.  The
-    networks related to the rows are the rows of a second block,
-    ``related``.  A block refers to no profile, so it is freed with its last
-    reference."""
+    but their (k, 2^n) image rows.  ``block[name]`` is a fact of ``STACKS``
+    or a boolean column of ``KERNELS`` (one per class flag, diagram node and
+    alternate-definition condition), and entry i of each is row i's.
+    ``_fill`` fills each on first use, with the other names of its kernel,
+    into one dict, which also holds ``related``: the networks related to the
+    rows, as the rows of a second block.  A block refers to no profile, so
+    it is freed with its last reference."""
 
     def __init__(self, images: np.ndarray):
         self.images = images
         self.n = images.shape[1].bit_length() - 1
-        self._columns: dict[str, np.ndarray] = {}
-        self._collections: dict[str, np.ndarray] = {}
-        self._related = None
+        self._facts: dict = {}
 
     @classmethod
     def of(cls, networks: list[BooleanNetwork]) -> "ProfileBlock":
@@ -636,89 +679,33 @@ class ProfileBlock:
         """The network of row i."""
         return BooleanNetwork(self.n, self.images[i])
 
-    @cached_property
-    def principal(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (free, base) stacks of ``principal_rows``."""
-        return principal_rows(self.images, self.n)
-
-    @cached_property
-    def trapspaces(self) -> np.ndarray:
-        """The (k, 3^n) trapspace masks of ``trapspace_rows``."""
-        return trapspace_rows(self.images, self.n)
-
-    @cached_property
-    def cover(self) -> tuple[np.ndarray, ...]:
-        """``cover_rows`` of the principal stacks."""
-        return cover_rows(*self.principal, self.n)
-
-    @cached_property
-    def closures(self) -> np.ndarray:
-        """The (k, 2^n) images of the trapping closures: the closure moves x
-        by its principal free mask."""
-        return np.arange(1 << self.n) ^ self.principal[0]
-
-    @cached_property
-    def min_extensions(self) -> np.ndarray:
-        """The (k, 2^n) images of ``min_extension_rows``."""
-        return min_extension_rows(self.principal[0], self.cover[3], self.n)
-
-    def collection(self, c: str) -> np.ndarray:
-        """The (k, 3^n) masks of the principal (P), trapspace (J) or minimal
-        (N) collection of each row, built on first use from the principal,
-        trapspace or cover stacks."""
-        if c not in self._collections:
-            k = len(self.images)
-            if c == "J":
-                self._collections[c] = self.trapspaces
-            else:
-                cubes = (np.arange(k)[:, None], *self.principal) if c == "P" else self.cover[:3]
-                self._collections[c] = cube_masks(*cubes, k, self.n)
-        return self._collections[c]
-
-    @cached_property
-    def realisations(self) -> dict[str, np.ndarray]:
-        """The (k, 2^n) images realising each collection: x moves by its
-        ``pointwise_free`` mask."""
-        xs = np.arange(1 << self.n)
-        return {c: xs ^ pointwise_free(self.collection(c), self.n) for c in "PJN"}
-
     def related(self, realisations: bool = False) -> tuple["ProfileBlock", dict[str, np.ndarray]]:
         """The block, of this block's class, of the distinct closures and min
         extensions of the rows, and of the realisations of P, J and N if
         ``realisations``; and, by partner (``closure``, ``min_extension``, P,
         J, N), the row there of each row's.  Rebuilt only to add those."""
-        held = self._related
+        held = self._facts.get("related")
         if held is None or realisations and "P" not in held[1]:
-            partners = {"closure": self.closures, "min_extension": self.min_extensions,
-                        **(self.realisations if realisations else {})}
+            partners = {"closure": self["closures"], "min_extension": self["min_extensions"],
+                        **(self["realisations"] if realisations else {})}
             rows, inverse = np.unique(np.concatenate([*partners.values()]), axis=0,
                                       return_inverse=True)
             at = dict(zip(partners, inverse.reshape(len(partners), -1)))
-            held = self._related = type(self)(rows), at
+            held = self._facts["related"] = type(self)(rows), at
         return held
 
-    def __getitem__(self, name: str) -> np.ndarray:
-        if name not in self._columns:
-            self._columns.update(self._fill(name))
-        return self._columns[name]
+    def __getitem__(self, name: str):
+        if name not in self._facts:
+            self._facts.update(self._fill(name))
+        return self._facts[name]
 
     def vector(self, theorem: str) -> np.ndarray:
         """The (k, m) table of the theorem's m defining conditions."""
         return np.stack([self[name] for name in VECTORS[theorem]], axis=1)
 
-    @cached_property
-    def intervals(self) -> tuple[np.ndarray, np.ndarray]:
-        """``interval_arrays`` of the block, built once."""
-        return interval_arrays(self.images, self.n)
-
-    @cached_property
-    def async_components(self) -> tuple[np.ndarray, np.ndarray]:
-        """``move_components`` of the asynchronous graphs."""
-        return move_components(np.arange(1 << self.n) ^ self.images, self.n)
-
-    def _fill(self, name: str) -> dict[str, np.ndarray]:
-        """The columns of the kernel of column ``name``."""
-        names, kernel = COLUMNS[name]
+    def _fill(self, name: str) -> dict:
+        """The facts or columns of the kernel of ``name``, by name."""
+        names, kernel = FILLS[name]
         filled = kernel(self)
         return filled if len(names) > 1 else {name: filled}
 
@@ -763,27 +750,27 @@ def trapspace_equivalence_rows(a: ProfileBlock, i, b: ProfileBlock, j) -> np.nda
     """The five equal-trapspace-structure conditions between rows i of
     block a and rows j of block b, each its own test: one row of five per
     pair."""
-    same_pt = [_same(x[i], y[j]) for x, y in zip(a.principal, b.principal)]
+    same_pt = [_same(x[i], y[j]) for x, y in zip(a["principal"], b["principal"])]
     return np.stack([
-        _same(a.collection("P")[i], b.collection("P")[j]),
-        _same(a.collection("J")[i], b.collection("J")[j]),
+        _same(a["P"][i], b["P"][j]),
+        _same(a["J"][i], b["J"][j]),
         same_pt[0],
         same_pt[0] & same_pt[1],
-        _same(a.closures[i], b.closures[j]),
+        _same(a["closures"][i], b["closures"][j]),
     ], axis=1)
 
 
 def min_equivalence_rows(a: ProfileBlock, i, b: ProfileBlock, j) -> np.ndarray:
     """The four equal-minimal-trapspace conditions between rows i of block
     a and rows j of block b, each its own test: one row of four per pair."""
-    covered_a, covered_b = a.cover[3][i], b.cover[3][j]
+    covered_a, covered_b = a["covered"][i], b["covered"][j]
     # Given x and its free mask, the base of its principal trapspace is fixed.
-    same_pt = a.principal[0][i] == b.principal[0][j]
+    same_pt = a["principal"][0][i] == b["principal"][0][j]
     return np.stack([
-        _same(a.collection("N")[i], b.collection("N")[j]),
+        _same(a["N"][i], b["N"][j]),
         _same(covered_a, covered_b) & np.all(same_pt | ~covered_a, axis=-1),
         np.all(same_pt | ~(covered_a | covered_b), axis=-1),
-        _same(a.min_extensions[i], b.min_extensions[j]),
+        _same(a["min_extensions"][i], b["min_extensions"][j]),
     ], axis=1)
 
 
@@ -1016,10 +1003,9 @@ def block_violations(block: ProfileBlock, check: str, pairs) -> list[list[Violat
 
 # The most networks in one block, which ``_block_size`` allows below n = 6:
 # the checks of a block of 256 allocate at most 2.2 MiB at n = 4 and 6.1 MiB at
-# n = 5, of 4,096 at n = 4, 33.8 MiB.  The monotonicity pairs of the population
-# set the peak RSS of ``verify --n 4 --samples 20000 --seed 1``: 97.6 MiB in
-# blocks of 256, 99.7 in blocks of 4,096 (98.7 and 107.7 when each network of a
-# block had a profile; 2 vCPUs, Python 3.11, numpy 2.4).
+# n = 5, of 4,096 at n = 4, 33.8 MiB.  ``verify --n 4 --samples 20000 --seed 1``
+# peaks at 54 MiB RSS in blocks of 256 and 88 MiB in blocks of 4,096 (2 vCPUs,
+# Python 3.11, numpy 2.4).
 _MAX_BLOCK = 256
 
 

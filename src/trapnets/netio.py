@@ -46,8 +46,8 @@ def _parse_config_token(token: str, n: int, line_no: int) -> int:
         raise NetParseError(line_no, str(exc)) from None
 
 
-# Rows per pass of the canonical reader's bit check, so that its temporaries
-# stay small beside the document.
+# Rows per pass of the canonical reader, so that its temporaries stay small
+# beside the document.
 _CHUNK_ROWS = 1 << 12
 
 
@@ -56,8 +56,9 @@ def _parse_canonical(data: str | bytes) -> tuple[int, np.ndarray] | None:
 
     That layout is the header ``n=<k>`` and 2^k rows of k bits, a space, k
     bits and LF, so the body reads in place as a (2^k, 2k + 2) byte array.
-    Rows may come in any order.  Anything else, or any failed check, is left
-    to the line loop, which owns every error message.
+    Rows may come in any order; each pass writes its rows into the image.
+    Anything else, or any failed check, is left to the line loop, which
+    owns every error message.
     """
     if isinstance(data, str):
         if not data.isascii():
@@ -72,22 +73,22 @@ def _parse_canonical(data: str | bytes) -> tuple[int, np.ndarray] | None:
         return None
     rows = np.frombuffer(data, dtype=np.uint8, offset=end + 1).reshape(1 << n, width)
     expect = np.frombuffer(f"{'1' * n} {'1' * n}\n".encode("ascii"), dtype=np.uint8)
-    # Only the low bit tells "0" from "1", and it is 0 in " " and "\n", so
-    # the low bits of a row, packed little-endian, read as x + (y << (n + 1)).
-    packed = np.zeros((1 << n, 8), dtype=np.uint8)
+    image, seen = np.empty(1 << n, dtype=np.int64), np.zeros(1 << n, dtype=bool)
     for start in range(0, 1 << n, _CHUNK_ROWS):
         chunk = rows[start : start + _CHUNK_ROWS]
         if not np.all(chunk | (expect & 1) == expect):  # bits are "0" or "1"
             return None
-        packed[start : start + _CHUNK_ROWS, : (width + 7) // 8] = np.packbits(
-            chunk & 1, axis=1, bitorder="little"
-        )
-    xy = packed.view("<i8").ravel()
-    x, y = xy & (1 << n) - 1, xy >> (n + 1)
-    if np.bincount(x, minlength=1 << n).max() != 1:
+        # Only the low bit tells "0" from "1", and it is 0 in " " and "\n", so
+        # the low bits of a row, packed little-endian, read as x + (y << (n + 1)).
+        packed = np.zeros((len(chunk), 8), dtype=np.uint8)
+        packed[:, : (width + 7) // 8] = np.packbits(chunk & 1, axis=1, bitorder="little")
+        xy = packed.view("<i8").ravel()
+        x = xy & (1 << n) - 1
+        image[x] = xy >> (n + 1)
+        seen[x] = True
+    # 2^n rows, each naming a configuration, name them all iff none twice.
+    if not seen.all():
         return None
-    image = np.empty_like(y)
-    image[x] = y
     return n, image
 
 

@@ -20,8 +20,8 @@ configuration pays for the free high coordinates of another; one leaves
 the loop once its subcube stops growing or is the whole cube.  The loop
 steps the configurations in batches of at most 2^14, each a range of h,
 and keeps one int32 per configuration between passes.  At n = 16 the
-table takes 5 MB as uint16, where 12 digits took 17 MB and the whole 3^16
-table 86 MB; it grows as 2^(n-9) 3^9 entries above n = 9.
+table takes 5 MB as uint16, against 86 MB for the whole 3^16 table; it
+grows as 2^(n-9) 3^9 entries above n = 9.
 
 The trapspaces are a boolean mask over the subcube index, the form a
 ``SubcubeCollection`` stores.  The principal map is one read-only
@@ -43,8 +43,7 @@ So the minimal trapspaces of one network take the stacked table plus a
 few arrays over the configurations: the image, the (free, base) pair and
 the covered mask.  At n = 16 ``principal_rows`` holds the 5 MB table plus
 about 1 MiB and ``cover_rows`` at most 2.8 MiB with its result
-(tracemalloc), where the loop over all configurations at once held the
-table plus 2.5-3 MiB and ``np.unique`` up to 4.6 MiB.
+(tracemalloc).
 
 Every whole-network kernel has one body, over a stack of k networks of
 one dimension given as a (k, 2^n) array of image rows: ``principal_rows``,

@@ -7,14 +7,17 @@ implication diagrams, each with the offending network, which the CLI dumps
 as a ready-to-run truth-table reproducer.
 
 ``run_verification`` checks the population in one process, in the blocks
-of ``classes.population_blocks``, each one ``classes.ProfileBlock``, whose
-second block, ``ProfileBlock.related``, holds the closures, min extensions
-and realisations of its rows.  Every per-network check takes the block and
-returns one violation list per network, built by ``classes.block_violations``
-from (broken column, detail) pairs, each column an expression over the
-block or over the two blocks.  The checks that span networks run after
-the blocks: the monotonicity pairs of neighbours of one dimension, joined
-and checked a block at a time, and the diagram fixtures.
+of ``classes.population_blocks``, each one ``classes.ProfileBlock``.  A
+check reads every fact of a block as ``block[name]``, a ``STACKS`` array or
+a ``KERNELS`` column, each filled once by ``ProfileBlock._fill``; the
+block's second block, ``related()``, held in the same cache, has the
+closures, min extensions and realisations of its rows as rows.  Every
+per-network check takes the block and returns one violation list per
+network, built by ``classes.block_violations`` from (broken column,
+detail) pairs, each column an expression over the block or over the two
+blocks.  The checks that span networks run after the blocks: the
+monotonicity pairs of neighbours of one dimension, joined and checked a
+block at a time, and the diagram fixtures.
 """
 
 from __future__ import annotations
@@ -96,7 +99,7 @@ def alternate_definition_violations(block: ProfileBlock) -> list[list[Violation]
 
 def _kept(c: str, block: ProfileBlock, related: ProfileBlock, at: np.ndarray) -> np.ndarray:
     """Whether each row's collection c is that of its partner, row ``at`` of ``related``."""
-    return _same(related.collection(c)[at], block.collection(c))
+    return _same(related[c][at], block[c])
 
 
 def closure_law_violations(block: ProfileBlock) -> list[list[Violation]]:
@@ -104,20 +107,20 @@ def closure_law_violations(block: ProfileBlock) -> list[list[Violation]]:
     its closure's and min extension's rows of the related block."""
     related, at = block.related()
     c, m = at["closure"], at["min_extension"]
-    closures, extensions = block.closures, block.min_extensions
+    closures, extensions = block["closures"], block["min_extensions"]
     # The trapping graph's rows against the closure's general and trapping graphs'.
-    graphs = (general_rows(closures, block.n), [rows[c] for rows in related.principal])
-    same_tg = np.all(np.equal(block.principal, graphs), axis=(0, 1, 3))
+    graphs = (general_rows(closures, block.n), [rows[c] for rows in related["principal"]])
+    same_tg = np.all(np.equal(block["principal"], graphs), axis=(0, 1, 3))
     closure = block_violations(block, "closure", (
         (~order_leq_rows(block.images, closures), "network not below its trapping closure"),
-        (~_same(related.closures[c], closures), "trapping closure is not idempotent"),
+        (~_same(related["closures"][c], closures), "trapping closure is not idempotent"),
         (~_kept("J", block, related, c), "trapspaces change under the closure"),
         (~_kept("P", block, related, c), "principal trapspaces change under the closure"),
         (~same_tg, "trapping graph disagrees with closure graphs"),
     ))
     min_extension = block_violations(block, "min-extension", (
         (~order_leq_rows(block.images, extensions), "network not below its min extension"),
-        (~_same(related.min_extensions[m], extensions), "min extension is not idempotent"),
+        (~_same(related["min_extensions"][m], extensions), "min extension is not idempotent"),
         (~_kept("N", block, related, m), "minimal trapspaces change under extension"),
         (~order_leq_rows(closures, extensions), "closure not below min extension"),
         (~related["trapping"][m], "min extension is not trapping"),
@@ -184,15 +187,15 @@ def collection_roundtrip_violations(block: ProfileBlock) -> list[list[Violation]
     network of the block: a collection round-trips when its realisation's
     row of the related block has it."""
     related, at = block.related(realisations=True)
-    realised = block.realisations
+    realised = block["realisations"]
 
     return block_violations(block, "collections", (
         (~block["pre_principal"], "principal trapspaces are not pre-principal"),
         (~block["mu_fixes_p"], "principal trapspaces not fixed by pointwise reduction"),
         (~block["pre_ideal"], "trapspaces are not pre-ideal"),
-        (~_same(realised["P"], block.closures),
+        (~_same(realised["P"], block["closures"]),
          "realizing the principal collection misses the closure"),
-        (~_same(realised["J"], block.closures),
+        (~_same(realised["J"], block["closures"]),
          "realizing the trapspace collection misses the closure"),
         (~_kept("P", block, related, at["P"]),
          "principal collection does not round-trip through realization"),
@@ -203,7 +206,7 @@ def collection_roundtrip_violations(block: ProfileBlock) -> list[list[Violation]
         (~block["mu_lambda_invert"],
          "union closure and pointwise reduction do not invert each other"),
         (~block["min_ideal"], "minimal trapspaces are not pairwise disjoint"),
-        (~_same(realised["N"], block.min_extensions),
+        (~_same(realised["N"], block["min_extensions"]),
          "realizing the minimal collection misses the min extension"),
         (~_kept("N", block, related, at["N"]),
          "minimal collection does not round-trip through realization"),
@@ -252,8 +255,8 @@ def commutative_claim_violations(block: ProfileBlock) -> list[list[Violation]]:
     principal collection is convex and its realisation commutative."""
     commutative, local, convex = (block[name] for name in ("commutative", "dynamically_local",
                                                            "convex"))
-    problems = distance_bound_rows(block.images, block.n, block.intervals)
-    realized = commutative_rows(block.realisations["P"], block.n)
+    problems = distance_bound_rows(block.images, block.n, block["intervals"])
+    realized = commutative_rows(block["realisations"]["P"], block.n)
     return block_violations(block, "commutative", (
         (commutative & ~local, "commutative but not dynamically local"),
         (commutative & [d is not None for d in problems], problems.__getitem__),

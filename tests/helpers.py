@@ -375,15 +375,15 @@ class PerturbedBlock(ProfileBlock):
     """A block whose principal collection gains or loses one subcube on
     networks with an even image sum, so that collection checks fire."""
 
-    def collection(self, c):
-        masks = super().collection(c)
-        if c != "P":
-            return masks
+    def _fill(self, name):
+        filled = super()._fill(name)
+        if name != "P":
+            return filled
         total = self.images.sum(axis=1)
         even = np.flatnonzero(total % 2 == 0)
-        masks = masks.copy()
+        masks = filled["P"].copy()
         masks[even, total[even] % 3**self.n] ^= True
-        return masks
+        return {"P": masks}
 
 
 class PerturbedCollections(ProfileBlock):
@@ -391,12 +391,16 @@ class PerturbedCollections(ProfileBlock):
     loses one subcube on the networks with an image sum of 1, 2 or 3 mod 4
     in turn; the others are clean."""
 
-    def collection(self, c):
-        masks = super().collection(c).copy()
+    def _fill(self, name):
+        filled = super()._fill(name)
+        if name not in ("P", "J", "N"):
+            return filled
+        # J is the trapspace mask itself, which no perturbation may change.
+        masks = filled[name].copy()
         total = self.images.sum(axis=1)
-        hit = np.flatnonzero(total % 4 == "PJN".index(c) + 1)
+        hit = np.flatnonzero(total % 4 == "PJN".index(name) + 1)
         masks[hit, 7 * total[hit] % 3**self.n] ^= True
-        return masks
+        return {name: masks}
 
 
 # One condition of each theorem, one node of each diagram, the

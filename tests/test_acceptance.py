@@ -186,7 +186,7 @@ def test_ac6_distance_bound_on_commutative_networks():
     for n in (2, 3, 4, 5):
         nets = [f for f in samples if f.n == n]
         block = ProfileBlock.of(nets)
-        problems = distance_bound_rows(block.images, n, block.intervals)
+        problems = distance_bound_rows(block.images, n, block["intervals"])
         bad += [f for f, problem in zip(nets, problems) if problem is not None]
     for f in bad[:3]:
         print("  distance bound fails:", f.image)

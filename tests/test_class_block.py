@@ -56,7 +56,7 @@ def test_block_columns_match_the_per_network_oracles():
     for networks in populations():
         n = networks[0].n
         whole = ProfileBlock.of(networks)
-        problems = distance_bound_rows(whole.images, n, whole.intervals)
+        problems = distance_bound_rows(whole.images, n, whole["intervals"])
         for i, f in enumerate(networks):
             p = NetworkProfile(f)
             alone = p.block
@@ -71,7 +71,7 @@ def test_block_columns_match_the_per_network_oracles():
             assert p.prop("negation_on_subcubes") == loop_is_negation_on_subcubes(f)
             assert p.prop("constant_on_arrangements") == loop_is_constant_on_arrangements(f)
             expected = loop_distance_bound_violation(f)
-            alone_problem = distance_bound_rows(alone.images, n, alone.intervals)[0]
+            alone_problem = distance_bound_rows(alone.images, n, alone["intervals"])[0]
             assert problems[i] == alone_problem == expected, f.image
             seen.add(("distance", expected is None))
     # Every flag and condition both holds and fails somewhere.
@@ -159,7 +159,7 @@ def test_a_block_is_freed_with_its_profiles_without_a_collection(no_collection):
     block = ProfileBlock.of(nets)
     assert block["symmetric_tg"].shape == block["trapspace_fp"].shape == (len(nets),)
     related, at = block.related(realisations=True)
-    assert related.collection("J").shape == (len(related.images), 27)
+    assert related["J"].shape == (len(related.images), 27)
     assert related.network(at["closure"][0]) == NetworkProfile(nets[0]).closure
     views = [NetworkProfile(f, block, i) for i, f in enumerate(nets)]
     assert views[0].prop("symmetric_ga") == bool(block["symmetric_ga"][0])

@@ -1,6 +1,10 @@
 """The class layer's column table: every column that a check, a diagram, a
 class flag or ``analyze`` reads is filled by one kernel of ``KERNELS``, and
-every column that ``verify --suite all`` fills is checked by it."""
+every column that ``verify --suite all`` fills is checked by it.  Every
+fact of a block, a ``STACKS`` array or a column, is filled once, by
+``ProfileBlock._fill``."""
+
+from collections import Counter, defaultdict
 
 import numpy as np
 
@@ -9,12 +13,15 @@ from trapnets.classes import (
     CLASS_FLAGS,
     COLUMNS,
     DIAGRAMS,
+    FILLS,
     KERNELS,
+    STACKS,
     VECTORS,
     ProfileBlock,
 )
 from trapnets.dynamics import GRAPH_PROPERTIES
 from trapnets.generators import random_network
+from trapnets.netio import network_to_text
 from trapnets.verify import run_verification, sample_population
 
 
@@ -76,3 +83,75 @@ def test_every_column_is_checked_under_the_all_suite(monkeypatch):
             if not run_verification(nets, "all"):
                 unchecked.add(column)
     assert unchecked == UNCHECKED
+
+
+STACK_NAMES = {name for names in STACKS for name in names}
+
+
+def recorded_fills(monkeypatch):
+    """By block, the names each ``_fill`` call returned and the names read."""
+    fills, reads = defaultdict(list), defaultdict(set)
+    fill, get = ProfileBlock._fill, ProfileBlock.__getitem__
+
+    def counting(self, name):
+        filled = fill(self, name)
+        fills[self].extend(filled)
+        return filled
+
+    def reading(self, name):
+        reads[self].add(name)
+        return get(self, name)
+
+    monkeypatch.setattr(ProfileBlock, "_fill", counting)
+    monkeypatch.setattr(ProfileBlock, "__getitem__", reading)
+    return fills, reads
+
+
+def assert_each_read_filled_once(fills, reads) -> set:
+    """Every name a block reads was filled by its ``_fill``, no name twice;
+    returns the names read over all blocks."""
+    assert reads and reads.keys() <= fills.keys()
+    for block, filled in fills.items():
+        assert max(Counter(filled).values()) == 1
+        assert reads[block] <= set(filled) <= FILLS.keys()
+    return set().union(*reads.values())
+
+
+def test_every_fact_a_verify_run_reads_is_filled_once_by_fill(monkeypatch):
+    assert sum(map(len, STACKS)) + sum(map(len, KERNELS)) == len(FILLS)  # no name twice
+    fills, reads = recorded_fills(monkeypatch)
+    assert run_verification(sample_population(4, 30, 1), "all") == []
+    read = assert_each_read_filled_once(fills, reads)
+    assert STACK_NAMES | set(CLASS_FLAGS) <= read
+
+
+def test_every_fact_analyze_reads_is_filled_once_by_fill(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "net.tt"
+    path.write_text(network_to_text(random_network(5, 3)))
+    fills, reads = recorded_fills(monkeypatch)
+    assert cli.main(["analyze", str(path), "--format", "json"]) == 0
+    read = assert_each_read_filled_once(fills, reads)
+    assert {"principal", "trapspaces", "minimal", "covered", "J"} <= read
+    assert set(CLASS_FLAGS) <= read
+    assert capsys.readouterr().out
+
+
+def test_each_stack_has_its_documented_shape():
+    nets = sample_population(3, 6, 2)
+    k, size, cubes = len(nets), 1 << 3, 3**3
+    block = ProfileBlock.of(nets)
+    facts = {name: block[name] for name in STACK_NAMES}
+    for name in ("covered", "closures", "min_extensions"):
+        assert facts[name].shape == (k, size), name
+    for name in ("trapspaces", "P", "J", "N"):
+        assert facts[name].shape == (k, cubes) and facts[name].dtype == bool, name
+    for name in ("principal", "async_components"):
+        assert len(facts[name]) == 2 and all(a.shape == (k, size) for a in facts[name])
+    assert list(facts["realisations"]) == ["P", "J", "N"]
+    assert all(a.shape == (k, size) for a in facts["realisations"].values())
+    index, free, base = facts["minimal"]
+    assert index.ndim == 1 and index.shape == free.shape == base.shape
+    assert np.all(np.diff(index) >= 0) and set(index.tolist()) == set(range(k))
+    assert facts["pt_distinct"].shape == (k,)
+    at, s = facts["intervals"]
+    assert at.ndim == 1 and at.shape == s.shape

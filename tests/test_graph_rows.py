@@ -88,8 +88,8 @@ def row_components(block, kind):
     the asynchronous graphs' always, a subcube-row graph's where it is
     transitive."""
     if kind == "a":
-        return block.async_components, np.ones(len(block.images), dtype=bool)
-    free, base = block.principal if kind == "tg" else general_rows(block.images, block.n)
+        return block["async_components"], np.ones(len(block.images), dtype=bool)
+    free, base = block["principal"] if kind == "tg" else general_rows(block.images, block.n)
     return subcube_components(free, base, block.n), block[f"transitive_{kind}"]
 
 

@@ -1,6 +1,8 @@
 import random
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from trapnets import (
     NetParseError,
     build_graph,
     export_dot,
+    netio,
     network_to_text,
     parse_truth_table,
     trapping_graph,
@@ -173,6 +176,45 @@ def test_numpy_reader_matches_line_loop(n, edit, data):
         assert loop == ("ok", n, BooleanNetwork(n, tuple(image)))
     elif edit in ("a 2", "duplicate row", "missing row"):
         assert loop[0] == "error" and len(body) == (2 * n + 2) << n
+
+
+def _shuffled(text: str, seed: int) -> str:
+    header, *rows = text.splitlines(keepends=True)
+    return header + "".join(random.Random(seed).sample(rows, len(rows)))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 16])
+def test_numpy_reader_checks_every_configuration_across_its_passes(monkeypatch, chunk):
+    monkeypatch.setattr(netio, "_CHUNK_ROWS", chunk)
+    f = random_network(4, 3)
+    text = network_to_text(f)
+    header, *rows = text.splitlines(keepends=True)
+    for doc in (text, _shuffled(text, chunk)):
+        n, image = _parse_canonical(doc)
+        assert n == 4 and image.tolist() == list(f.image)
+    # A row named twice, in the first pass and in the last, and a row missing.
+    twice = header + "".join(rows[:-1]) + rows[0]
+    missing = header + "".join(rows[:-1]) + "#" * (len(rows[0]) - 1) + "\n"
+    for doc, message in ((twice, "duplicate configuration"), (missing, "missing configuration")):
+        assert _parse_canonical(doc) is None
+        with pytest.raises(NetParseError, match=message):
+            parse_truth_table(doc)
+
+
+def test_numpy_reader_holds_the_image_and_one_pass_at_n16():
+    f = random_network(16, 1)
+    text = network_to_text(f)
+    for doc in (text.encode(), _shuffled(text, 1).encode()):
+        tracemalloc.start()
+        try:
+            n, image = _parse_canonical(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 16 and np.array_equal(image, f.np_image)
+        # The int64 image and the bool mask of named configurations (0.56
+        # MiB) and one pass's temporaries over 4,096 rows: about 0.9 MiB.
+        assert peak < 5 << 18
 
 
 # --- DOT export

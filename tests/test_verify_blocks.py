@@ -39,11 +39,11 @@ def test_block_roundtrips_match_the_per_network_oracle():
         got = collection_roundtrip_violations(block)
         assert got == [per_network_roundtrip_violations(p) for p in profiles]
         assert block["convex"].tolist() == [p.pt_flags.convex for p in profiles]
-        assert [tuple(row) for row in block.realisations["P"].tolist()] == [
+        assert [tuple(row) for row in block["realisations"]["P"].tolist()] == [
             realize(p.pt_collection).image for p in profiles
         ]
         # The rows whose network, closure and min extension are all clean.
-        rows = (block.images, block.closures, block.min_extensions)
+        rows = (block.images, block["closures"], block["min_extensions"])
         clean = ~np.any([a.sum(axis=1) % 4 for a in rows], axis=0)
         assert clean.any() and not any(found for found, c in zip(got, clean) if c)
         fired.update(v.detail for vs in got for v in vs)
