@@ -9,11 +9,12 @@ path, ``ProfileBlock._fill``, into one dict.  Two tables map the kernels
 to the names they fill: ``STACKS`` the array facts (the trapspace stacks,
 the minimal trapspaces, covered mask and distinct count of the cover, the
 P, J and N collection masks, closures, min extensions, realisations,
-intervals and components) and ``KERNELS`` the boolean columns.  The block
-of the networks related to its rows, ``related()``, is kept in the same
-dict.  ``verify --suite all`` checks every column but ``transitive_a``, on
-which no claim rests.  A ``NetworkProfile`` views one row, so the
-per-network functions read the same kernels.
+intervals, the fixed-point table and components) and ``KERNELS`` the
+boolean columns, one kernel per fact.  The block of the networks related
+to its rows, ``related()``, is kept in the same dict.  ``verify --suite
+all`` checks every column but ``transitive_a``, on which no claim rests.
+A ``NetworkProfile`` views one row, so the per-network functions read the
+same kernels.
 The implication diagrams encode which class memberships force which others
 (unconditionally, for trapping networks, or for commutative networks)
 together with the counterexample fixtures witnessing the absent arrows.
@@ -67,24 +68,19 @@ from .dynamics import (
     move_components,
     move_row_predicates,
     subcube_components,
+    subcube_graph,
     subcube_row_predicates,
 )
 from .netio import parse_truth_table
-from .trapspaces import (
-    cover_rows,
-    fixed_point_rows,
-    min_extension_rows,
-    principal_rows,
-    trapping_graph,
-    trapspace_rows,
-)
+from .trapspaces import cover_rows, min_extension_rows, principal_rows, trapspace_rows
 
 # The theorems with a subset-pair and an interval condition.
 PAIR_THEOREMS = ("trapping7", "commutative3", "marseille4", "lille4", "globally_idempotent3")
 
 # The defining conditions of each theorem, as ``ProfileBlock`` columns.  Each
 # condition is its own test: two conditions of one theorem may read the same
-# index arrays, never the same predicate.  ``principal_moves``,
+# index arrays, never the same predicate.  globally_idempotent3's definition
+# is the Gray sweep's column.  ``principal_moves``,
 # ``closure_fixed`` and ``tg_is_ga`` are one test, pt(x) = [x, f(x)] for
 # every x, in three encodings (the free masks, the closure's image and the
 # two graphs' rows), and ``some_closure`` is that test above the
@@ -97,7 +93,7 @@ VECTORS = {
     "marseille4": ("marseille", "negation_on_subcubes", "marseille4.intervals",
                    "marseille4.pairs"),
     "lille4": ("lille", "constant_on_arrangements", "lille4.intervals", "lille4.pairs"),
-    "globally_idempotent3": ("subset_idempotent", "globally_idempotent3.intervals",
+    "globally_idempotent3": ("globally_idempotent", "globally_idempotent3.intervals",
                              "globally_idempotent3.pairs"),
     "sink_terminal5": ("sink_terminal_tg", "descent", "minimal_fixed", "principal_fp",
                        "trapspace_fp"),
@@ -222,16 +218,6 @@ def globally_rows(images: np.ndarray, n: int) -> dict[str, np.ndarray]:
     return dict(zip(_GLOBALLY_FLAGS, holds))
 
 
-def subset_idempotent_rows(images: np.ndarray, n: int) -> np.ndarray:
-    """Whether the update of every subset is idempotent, for each row: all
-    2^n update tables of a row at once, with no Gray-code walk.  A table is
-    held as its moves: the update of s moves x to y, and must not move y."""
-    xs = np.arange(1 << n, dtype=np.uint8 if n <= 8 else np.int64)
-    moves = (images ^ xs).astype(xs.dtype)[:, None, :]
-    first = moves & xs[:, None]  # [r, s, x]
-    return ~np.any(_compose(moves, xs ^ first) & xs[:, None], axis=(1, 2))
-
-
 _PAIR_COLUMNS = tuple(f"{theorem}.pairs" for theorem in PAIR_THEOREMS)
 
 
@@ -322,14 +308,17 @@ def interval_rows(images: np.ndarray, n: int, intervals) -> dict[str, np.ndarray
     return {name: _all_by_row(holds, row, len(images)) for name, holds in conditions.items()}
 
 
-def interval_fixed_rows(images: np.ndarray, n: int) -> dict[str, np.ndarray]:
+def _count_to_two(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """The ``_subcube_or`` op of counts saturated at 2: a + b, clipped."""
+    np.minimum(np.add(a, b, out=out), 2, out=out)
+
+
+def interval_fixed_rows(images: np.ndarray, n: int, fixed: np.ndarray) -> dict[str, np.ndarray]:
     """Whether every interval [x, f(x)] of each row holds a fixed point
-    (``interval_fp``) and exactly one (``interval_ufp``): the counts are read
-    from a table of fixed-point counts over the 3^n subcubes."""
-    xs = np.arange(1 << n)
-    counts = _subcube_or((images == xs).astype(np.int32), n, np.add)
-    tern = _ternary_of_masks(n)
-    inside = np.take_along_axis(counts, tern[xs & images] + 2 * tern[xs ^ images], axis=1)
+    (``interval_fp``) and exactly one (``interval_ufp``), read off its row
+    of the block's ``fixed_points`` table ``fixed``."""
+    xs, tern = np.arange(1 << n), _ternary_of_masks(n)
+    inside = np.take_along_axis(fixed, tern[xs & images] + 2 * tern[xs ^ images], axis=1)
     return {"interval_fp": np.all(inside >= 1, axis=1), "interval_ufp": np.all(inside == 1, axis=1)}
 
 
@@ -451,7 +440,7 @@ class NetworkProfile:
 
     @cached_property
     def graph_tg(self) -> HypercubeGraph:
-        return trapping_graph(self.f, self.pt_pairs)
+        return subcube_graph(self.n, *self.pt_pairs)
 
     @cached_property
     def pt_collection(self) -> SubcubeCollection:
@@ -577,9 +566,11 @@ def _cover_facts(block) -> dict:
 # ``pointwise_free`` mask) are (k, 2^n), as is each of the pairs
 # ``principal`` (free, base) and ``async_components`` (label, terminal);
 # ``trapspaces`` and the principal (P), trapspace (J) and minimal (N) masks
-# are (k, 3^n).  ``minimal`` is the (index, free, base) of every minimal
-# trapspace, sorted by row, ``pt_distinct`` the (k,) count of distinct
-# principal trapspaces and ``intervals`` the (at, s) of ``interval_arrays``.
+# are (k, 3^n), as is the one fixed-point table, ``fixed_points``, whose
+# uint8 entry (i, T) counts row i's fixed points in T up to 2.
+# ``minimal`` is the (index, free, base) of every minimal trapspace, sorted
+# by row, ``pt_distinct`` the (k,) count of distinct principal trapspaces
+# and ``intervals`` the (at, s) of ``interval_arrays``.
 STACKS = {
     ("principal",): lambda b: principal_rows(b.images, b.n),
     ("trapspaces",): lambda b: trapspace_rows(b.images, b.n),
@@ -594,6 +585,8 @@ STACKS = {
     ("realisations",): lambda b: {c: np.arange(1 << b.n) ^ pointwise_free(b[c], b.n)
                                   for c in "PJN"},
     ("intervals",): lambda b: interval_arrays(b.images, b.n),
+    ("fixed_points",): lambda b: _subcube_or((b.images == np.arange(1 << b.n)).astype(np.uint8),
+                                             b.n, _count_to_two),
     ("async_components",): lambda b: move_components(np.arange(1 << b.n) ^ b.images, b.n),
 }
 
@@ -609,7 +602,8 @@ KERNELS = {
     (*(f"{theorem}.intervals" for theorem in PAIR_THEOREMS), "negation_on_subcubes",
      "constant_on_arrangements"): lambda b: interval_rows(b.images, b.n, b["intervals"]),
     ("descent", "principal_fp"): lambda b: descent_rows(b.images, *b["principal"], b.n),
-    ("interval_fp", "interval_ufp"): lambda b: interval_fixed_rows(b.images, b.n),
+    ("interval_fp", "interval_ufp"): lambda b: interval_fixed_rows(b.images, b.n,
+                                                                   b["fixed_points"]),
     _COLLECTION_COLUMNS: lambda b: collection_rows({c: b[c] for c in "PJN"},
                                                    b["realisations"], b.n),
     _graph_columns(GRAPH_PROPERTIES, "a"): _async_predicates,
@@ -619,7 +613,6 @@ KERNELS = {
        for kind in ("ga", "tg")},
     ("all",): lambda b: np.ones(len(b.images), dtype=bool),
     ("commutative",): lambda b: commutative_rows(b.images, b.n),
-    ("subset_idempotent",): lambda b: subset_idempotent_rows(b.images, b.n),
     ("marseille",): lambda b: b["commutative"] & b["bijective"],
     ("lille",): lambda b: b["commutative"] & b["idempotent"],
     ("interval_ufp_idempotent",): lambda b: b["interval_ufp"] & b["idempotent"],
@@ -637,8 +630,7 @@ KERNELS = {
     ("minimal_fixed",): lambda b: _same(b["covered"], np.arange(1 << b.n) == b.images),
     ("dpt",): lambda b: b["pt_distinct"] == 1 << b.n,
     # Every trapspace contains a fixed point.
-    ("trapspace_fp",): lambda b: np.all(fixed_point_rows(b.images, b.n) | ~b["trapspaces"],
-                                        axis=1),
+    ("trapspace_fp",): lambda b: np.all((b["fixed_points"] > 0) | ~b["trapspaces"], axis=1),
     ("min_trapping",): lambda b: _same(b["min_extensions"], b.images),
 }
 

@@ -7,7 +7,8 @@ errors.  A command whose reader closes its standard output early (as with
 
 Each command imports the layers it runs when it runs: ``--help`` and a
 usage error load no numpy, and ``analyze --minimal-only`` loads neither the
-class layer, ``verify`` nor the generators.
+class layer, ``verify`` nor the generators.  A command with a cap refuses
+a regular file from its header, before its body is read.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 
 from .caps import CAPS, SUITES
@@ -64,6 +66,29 @@ def _load_network(path: str):
         return parse_truth_table(data)
     except (NetParseError, UnicodeDecodeError) as exc:
         raise SystemExit(_refuse(f"{path}: {exc}")) from None
+
+
+def _load_networks(cap: int, *paths) -> tuple[list[int], list | None]:
+    """(dims, networks) of the files at ``paths``.  When each is a regular
+    file whose header the parse accepts and one header names n above
+    ``cap``, the dims are the headers' and no body is read (networks None);
+    else each file is parsed, and one the parse refuses exits 2."""
+    from .netio import header_dimension
+
+    def header(path):
+        try:
+            if stat.S_ISREG(os.stat(path).st_mode):  # a pipe is read once, by the parse
+                with open(path, "rb") as fh:
+                    return header_dimension(fh)
+        except OSError:
+            pass  # the parse reports it
+        return None
+
+    dims = [header(path) for path in paths]
+    if None not in dims and max(dims) > cap:
+        return dims, None
+    networks = [_load_network(path) for path in paths]
+    return [f.n for f in networks], networks
 
 
 def _analysis_report(f, name: str, minimal_only: bool) -> dict:
@@ -164,20 +189,22 @@ def _print_text_report(report: dict) -> None:
 
 
 def cmd_analyze(args) -> int:
-    f = _load_network(args.file)
     cap = CAPS["table"] if args.minimal_only else CAPS["enumeration"]
-    if f.n > cap:
+    (n,), networks = _load_networks(cap, args.file)
+    if n > cap:
         mode = "minimal-only" if args.minimal_only else "full"
         return _refuse(f"{mode} analysis is capped at n={cap}")
+    (f,) = networks
     report = _analysis_report(f, args.file, args.minimal_only)
     (_print_json_report if args.format == "json" else _print_text_report)(report)
     return 0
 
 
 def cmd_graph(args) -> int:
-    f = _load_network(args.file)
-    if f.n > CAPS["enumeration"]:
+    (n,), networks = _load_networks(CAPS["enumeration"], args.file)
+    if n > CAPS["enumeration"]:
         return _refuse(f"graph export is capped at n={CAPS['enumeration']}")
+    (f,) = networks
     from .classes import NetworkProfile
     from .netio import iter_dot
 
@@ -206,13 +233,13 @@ MIN_CONDITIONS = (
 
 
 def cmd_equiv(args) -> int:
-    f = _load_network(args.file_a)
-    g = _load_network(args.file_b)
-    if f.n != g.n:
-        return _refuse(f"dimension mismatch: {f.n} != {g.n}")
     cap = CAPS["enumeration"] if args.mode == "trapspace" else CAPS["table"]
-    if f.n > cap:
+    (n, m), networks = _load_networks(cap, args.file_a, args.file_b)
+    if n != m:
+        return _refuse(f"dimension mismatch: {n} != {m}")
+    if n > cap:
         return _refuse(f"{args.mode} equivalence is capped at n={cap}")
+    f, g = networks
     from .classes import min_trapspace_equivalent, trapspace_equivalent
 
     if args.mode == "trapspace":

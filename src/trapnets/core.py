@@ -289,7 +289,7 @@ class BooleanNetwork:
             table = np.array(image, dtype=np.int64)
         except OverflowError:  # an entry beyond int64 is out of range too
             table = None
-        if table is None or np.count_nonzero(table >> n):
+        if table is None or table.min() < 0 or table.max() >= size:
             v = next(v for v in image if not 0 <= v < size)
             raise ValueError(f"image entry {v} out of range for n={n}")
         table.setflags(write=False)

@@ -367,32 +367,10 @@ def convex_rows(masks: np.ndarray, n: int) -> np.ndarray:
     return convex
 
 
-def is_pre_principal(collection: SubcubeCollection) -> bool:
-    """``pre_principal_rows`` of one collection."""
-    return bool(pre_principal_rows(collection.mask[None], collection.n)[0])
-
-
-def is_pre_ideal(collection: SubcubeCollection) -> bool:
-    """``pre_ideal_rows`` of one collection."""
-    return bool(pre_ideal_rows(collection.mask[None], collection.n)[0])
-
-
-def is_min_ideal(collection: SubcubeCollection) -> bool:
-    """``min_ideal_rows`` of one collection."""
-    return bool(min_ideal_rows(collection.mask[None], collection.n)[0])
-
-
-def is_convex(collection: SubcubeCollection) -> bool:
-    """``convex_rows`` of one collection."""
-    return bool(convex_rows(collection.mask[None], collection.n)[0])
-
-
 def classify_collection(collection: SubcubeCollection) -> CollectionFlags:
-    """Evaluate the four recognisers, each from its own definition (the
-    ``closure`` cap of the pair table that ``is_pre_principal`` reads)."""
-    return CollectionFlags(
-        pre_principal=is_pre_principal(collection),
-        pre_ideal=is_pre_ideal(collection),
-        min_ideal=is_min_ideal(collection),
-        convex=is_convex(collection),
-    )
+    """Evaluate the four recognisers, each from its own definition: row 0 of
+    each ``*_rows`` kernel on a stack of one (the ``closure`` cap of the
+    pair table that ``pre_principal_rows`` reads)."""
+    masks, n = collection.mask[None], collection.n
+    return CollectionFlags(*(bool(rows(masks, n)[0]) for rows in (
+        pre_principal_rows, pre_ideal_rows, min_ideal_rows, convex_rows)))

@@ -8,6 +8,7 @@ them in increasing configuration order, so write(parse(text)) is a
 canonical form.  A document in the writer's exact byte layout, rows in any
 order, is read from its bytes as one numpy byte array; any other is decoded
 and goes through the line loop, which raises every ``NetParseError``.
+``header_dimension`` reads a document's lines up to its header alone.
 """
 
 from __future__ import annotations
@@ -35,6 +36,33 @@ def _significant_lines(text: str):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield line_no, line
+
+
+def _header_dimension(line_no: int, header: str) -> int:
+    """The dimension that the ``n=<k>`` header line names; raises NetParseError."""
+    if not header.startswith("n="):
+        raise NetParseError(line_no, f"expected 'n=<k>' header, got {header!r}")
+    digits = header[2:]
+    # ASCII digits only; a leading minus is read so that it is refused as out of range.
+    if not (digits.isascii() and digits.removeprefix("-").isdigit()):
+        raise NetParseError(line_no, f"bad dimension in header {header!r}")
+    n = int(digits)
+    if not 1 <= n <= CAPS["network"]:
+        raise NetParseError(line_no, f"dimension {n} out of range")
+    return n
+
+
+def header_dimension(lines) -> int | None:
+    """The dimension named by the header of a document given as its byte
+    lines (a binary file), read up to the header; None where parsing the
+    lines read raises, as parsing the whole document then does."""
+    for raw in lines:
+        try:
+            for line_no, header in _significant_lines(raw.decode("utf-8")):
+                return _header_dimension(line_no, header)
+        except ValueError:  # UnicodeDecodeError and NetParseError among them
+            return None
+    return None
 
 
 def _parse_config_token(token: str, n: int, line_no: int) -> int:
@@ -106,18 +134,9 @@ def _parse_lines(text: str) -> BooleanNetwork:
     """Any truth-table document, one line at a time; raises every NetParseError."""
     lines = _significant_lines(text)
     try:
-        line_no, header = next(lines)
+        n = _header_dimension(*next(lines))
     except StopIteration:
         raise NetParseError(1, "empty document, expected 'n=<k>' header") from None
-    if not header.startswith("n="):
-        raise NetParseError(line_no, f"expected 'n=<k>' header, got {header!r}")
-    digits = header[2:]
-    # ASCII digits only; a leading minus is read so that it is refused as out of range.
-    if not (digits.isascii() and digits.removeprefix("-").isdigit()):
-        raise NetParseError(line_no, f"bad dimension in header {header!r}")
-    n = int(digits)
-    if not 1 <= n <= CAPS["network"]:
-        raise NetParseError(line_no, f"dimension {n} out of range")
 
     image = np.full(1 << n, -1)  # -1 until the configuration's row is read
     for line_no, line in lines:

@@ -2,13 +2,11 @@
 
 A trapspace is a subcube mapped into itself by the network.  Whole-network
 questions read tables over subcubes, all filled by the one subcube OR
-kernel ``cubesets._subcube_or``, which gives entry T the OR of one value
-per member of T:
-
-- the moved table ORs ``x ^ f(x)``, so T is a trapspace iff that OR moves
-  no coordinate T fixes;
-- the fixed-point table ORs ``f(x) == x``, so entry T says whether T
-  contains a fixed point.
+kernel ``cubesets._subcube_or``, which gives entry T the OR (or another
+reduction) of one value per member of T.  The moved table here ORs
+``x ^ f(x)``, so T is a trapspace iff that OR moves no coordinate T fixes.
+The one fixed-point table, which counts the members with ``f(x) == x`` up
+to 2, is a fact of the class layer's block (``classes.STACKS``).
 
 Enumeration reads the whole 3^n moved table (the ``enumeration`` cap,
 n = 13).  The principal map reads a stacked one instead: m = min(n, 9)
@@ -47,9 +45,9 @@ about 1 MiB and ``cover_rows`` at most 2.8 MiB with its result
 
 Every whole-network kernel has one body, over a stack of k networks of
 one dimension given as a (k, 2^n) array of image rows: ``principal_rows``,
-``trapspace_rows``, ``fixed_point_rows``, ``cover_rows`` and
-``min_extension_rows``.  A ``classes.ProfileBlock`` calls each at most
-once, on first use; the per-network functions read row 0 of a stack of one.
+``trapspace_rows``, ``cover_rows`` and ``min_extension_rows``.  A
+``classes.ProfileBlock`` calls each at most once, on first use; the
+per-network functions read row 0 of a stack of one.
 """
 
 from __future__ import annotations
@@ -107,12 +105,6 @@ def _moved_rows(images: np.ndarray, n: int, digits: int) -> np.ndarray:
     of r.  The moves are uint16 up to n = 16 and uint32 above."""
     moves = (np.arange(1 << n) ^ images).astype(np.uint16 if n <= 16 else np.uint32)
     return _subcube_or(moves.reshape(len(images), -1, 1 << digits), digits)
-
-
-def fixed_point_rows(images: np.ndarray, n: int) -> np.ndarray:
-    """Entry (i, T): whether subcube T contains a fixed point of the network
-    of image row i (the ``table`` cap)."""
-    return _subcube_or(np.arange(1 << n) == images, n)
 
 
 # Configurations per batch of ``principal_rows``, and per slice of its scans:
@@ -232,14 +224,10 @@ def trapspace_rows(images: np.ndarray, n: int) -> np.ndarray:
     return (_moved_rows(images, n, n)[:, 0] & ~_free_of_index(n)) == 0
 
 
-def trapspace_mask(f: BooleanNetwork) -> np.ndarray:
-    """Entry T: whether subcube T is a trapspace of f (the ``enumeration`` cap)."""
-    return trapspace_rows(f.np_image[None], f.n)[0]
-
-
 def enumerate_trapspaces(f: BooleanNetwork) -> SubcubeCollection:
-    """All trapspaces of f: the collection whose mask is ``trapspace_mask``."""
-    return SubcubeCollection(f.n, trapspace_mask(f))
+    """All trapspaces of f: the collection whose mask is row 0 of
+    ``trapspace_rows`` (the ``enumeration`` cap)."""
+    return SubcubeCollection(f.n, trapspace_rows(f.np_image[None], f.n)[0])
 
 
 def cover_rows(
@@ -312,14 +300,9 @@ def trapping_closure(f: BooleanNetwork) -> BooleanNetwork:
     return BooleanNetwork(f.n, np.arange(1 << f.n) ^ principal_pairs(f)[0])
 
 
-def trapping_graph(
-    f: BooleanNetwork, pairs: tuple[np.ndarray, np.ndarray] | None = None
-) -> HypercubeGraph:
-    """Graph with an arc x -> y whenever y lies in the principal trapspace of x.
-
-    ``pairs`` are the principal pairs of f when already computed.
-    """
-    return subcube_graph(f.n, *(principal_pairs(f) if pairs is None else pairs))
+def trapping_graph(f: BooleanNetwork) -> HypercubeGraph:
+    """Graph with an arc x -> y whenever y lies in the principal trapspace of x."""
+    return subcube_graph(f.n, *principal_pairs(f))
 
 
 def min_extension_rows(free: np.ndarray, covered: np.ndarray, n: int) -> np.ndarray:

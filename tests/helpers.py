@@ -9,10 +9,10 @@ from trapnets.classes import DIAGRAMS, VECTORS, NetworkProfile, ProfileBlock, Vi
 from trapnets.core import bitset_members, cube_bitset, iter_submasks, update_table
 from trapnets.cubesets import (
     _ternary_of_masks,
-    is_min_ideal,
-    is_pre_ideal,
     lambda_closure,
+    min_ideal_rows,
     mu_reduction,
+    pre_ideal_rows,
     realize,
 )
 from trapnets.generators import (
@@ -410,9 +410,9 @@ class PerturbedCollections(ProfileBlock):
 # reads: the trapping graph's transitivity and the loops of each graph.
 FLIPPED = (
     "trapping7.pairs", "commutative3.intervals", "negation_on_subcubes",
-    "constant_on_arrangements", "subset_idempotent", "descent", "symmetric_ga",
-    "involutive", "oriented_a", "interval_fp", "dynamically_local", "transitive_ga",
-    "transitive_tg", "reflexive_a", "reflexive_ga", "reflexive_tg",
+    "constant_on_arrangements", "globally_idempotent3.intervals", "descent",
+    "symmetric_ga", "involutive", "oriented_a", "interval_fp", "dynamically_local",
+    "transitive_ga", "transitive_tg", "reflexive_a", "reflexive_ga", "reflexive_tg",
 )
 
 
@@ -557,7 +557,7 @@ def per_network_roundtrip_violations(p) -> list:
         bad("principal trapspaces are not pre-principal")
     if mu_reduction(principal) != principal:
         bad("principal trapspaces not fixed by pointwise reduction")
-    if not is_pre_ideal(ideals):
+    if not pre_ideal_rows(ideals.mask[None], ideals.n)[0]:
         bad("trapspaces are not pre-ideal")
 
     realized_q = realize(principal)
@@ -580,7 +580,7 @@ def per_network_roundtrip_violations(p) -> list:
         bad("union closure and pointwise reduction do not invert each other")
 
     minimal, _ = p.minimal
-    if not is_min_ideal(minimal):
+    if not min_ideal_rows(minimal.mask[None], minimal.n)[0]:
         bad("minimal trapspaces are not pairwise disjoint")
     realized_n = realize(minimal)
     if realized_n != p.min_extension:

@@ -89,6 +89,25 @@ def test_trapspace_fp_matches_bitset_oracle():
         assert p.trapspace_fp == bitset_trapspace_fp(f)
 
 
+@pytest.mark.parametrize("n", [14, 16])
+def test_interval_fixed_point_flags_answer_above_the_enumeration_cap(n):
+    # The interval flags read the fixed-point table alone, under the ``table``
+    # cap; trapspace_fp also reads the trapspaces, capped at n = 13.
+    full = (1 << n) - 1
+    spread = np.arange(1 << n)
+    spread[0] = full  # every other configuration is fixed, inside [0, full]
+    for f, flags in (
+        (BooleanNetwork.identity(n), (True, True)),
+        (BooleanNetwork.negation(n), (False, False)),
+        (random_constant_on_arrangements(n, 1), (True, True)),
+        (BooleanNetwork(n, spread), (True, False)),
+    ):
+        p = NetworkProfile(f)
+        assert (p.interval_fp, p.interval_ufp) == flags
+        with pytest.raises(ValueError, match="capped at n=13"):
+            p.trapspace_fp
+
+
 def test_pt_distinct_counts_brute_force_principals():
     for f in [*exhaustive_networks(2), *sampled_networks(range(3, 5))]:
         assert NetworkProfile(f).pt_distinct == len(set(brute_force_principals(f)))

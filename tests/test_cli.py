@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -304,6 +306,62 @@ def test_equiv_above_cap_exits_2(tmp_path, capsys, mode, n, cap):
     path = write_net(tmp_path, f"id{n}.tt", BooleanNetwork.identity(n))
     assert main(["equiv", path, path, "--mode", mode]) == 2
     assert f"{mode} equivalence is capped at n={cap}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "over"], "full analysis is capped at n=13"),
+    (["analyze", "over", "--minimal-only"], "minimal-only analysis is capped at n=16"),
+    (["graph", "over", "--layered"], "graph export is capped at n=13"),
+    (["equiv", "over", "over"], "trapspace equivalence is capped at n=13"),
+    (["equiv", "over", "over", "--mode", "min"], "min equivalence is capped at n=16"),
+    (["equiv", "small", "over", "--mode", "min"], "dimension mismatch: 3 != 17"),
+])
+def test_over_cap_file_is_refused_from_its_header(tmp_path, capsys, monkeypatch, argv, message):
+    from trapnets import netio
+
+    paths = {
+        # A comment line before the header, and a body no parse reads.
+        "over": tmp_path / "over.tt",
+        "small": write_net(tmp_path, "small.tt", f_ex3()),
+    }
+    paths["over"].write_bytes(b"# over every cap but the network's\nn=17\n\xff not a row\n")
+
+    def refuse(data):
+        raise AssertionError("the body was parsed")
+
+    monkeypatch.setattr(netio, "parse_truth_table", refuse)
+    argv = [str(paths.get(arg, arg)) for arg in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_within_cap_and_refused_headers_keep_the_parse_error(tmp_path, capsys):
+    for doc, error in (
+        ("n=3\n000 001\n", "line 2: missing configuration 100"),
+        ("n=21\n", "line 1: dimension 21 out of range"),
+        ("n=17 x\n", "line 1: bad dimension in header 'n=17 x'"),
+    ):
+        path = tmp_path / "bad.tt"
+        path.write_text(doc, encoding="utf-8")
+        for argv in (["analyze", str(path)], ["equiv", str(path), str(path)]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            assert capsys.readouterr().err == f"error: {path}: {error}\n"
+
+
+def test_analyze_reads_a_network_from_a_pipe(tmp_path, capsys):
+    # A pipe is read once, in full: its header is not read ahead.
+    fifo = tmp_path / "net.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(network_to_text(f_ex3()),),
+                              daemon=True)
+    writer.start()
+    try:
+        assert main(["analyze", str(fifo), "--minimal-only"]) == 0
+    finally:
+        writer.join(timeout=60)
+    assert capsys.readouterr().out.startswith(f"name: {fifo}\nn: 3\n")
 
 
 # --- verify

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,6 +319,20 @@ def test_network_validation_messages():
         BooleanNetwork(2, (0, 1, -1, 3))
     with pytest.raises(ValueError, match=rf"^image entry {2**70} out of range for n=2$"):
         BooleanNetwork(2, (0, 1, 2**70, 3))
+
+
+def test_network_at_n20_holds_its_copy_and_no_other_table():
+    image = np.arange(1 << 20)[::-1].copy()
+    tracemalloc.start()
+    try:
+        f = BooleanNetwork(20, image)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(f.np_image, image)
+    # The network's own 8 MiB int64 copy; the range check reads its minimum
+    # and maximum, with no 2^n array of its own.
+    assert peak < 9 << 20
 
 
 def test_networks_from_a_tuple_a_list_and_an_array_are_one_network():

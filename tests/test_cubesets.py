@@ -25,10 +25,6 @@ import numpy as np
 from trapnets.cubesets import (
     convex_rows,
     format_pairs,
-    is_convex,
-    is_min_ideal,
-    is_pre_ideal,
-    is_pre_principal,
     lambda_rows,
     min_ideal_rows,
     pointwise_cubes,
@@ -270,11 +266,12 @@ def test_lattice_passes_match_member_loop_oracles():
         assert mu_reduction(coll).members == set(pointwise)
         for x, meet in enumerate(pointwise):
             assert collection_at(coll, Configuration(n, x)) == meet
+        recognised = classify_collection(coll)
         flags = (
-            ("pre_principal", is_pre_principal(coll), pairwise_pre_principal(coll)),
-            ("pre_ideal", is_pre_ideal(coll), pairwise_pre_ideal(coll)),
-            ("min_ideal", is_min_ideal(coll), pairwise_min_ideal(coll)),
-            ("convex", is_convex(coll), nested_pairs_convex(coll)),
+            ("pre_principal", recognised.pre_principal, pairwise_pre_principal(coll)),
+            ("pre_ideal", recognised.pre_ideal, pairwise_pre_ideal(coll)),
+            ("min_ideal", recognised.min_ideal, pairwise_min_ideal(coll)),
+            ("convex", recognised.convex, nested_pairs_convex(coll)),
         )
         for name, got, oracle in flags:
             assert got == oracle, (name, format_pairs(coll.n, *coll.pairs()))

@@ -18,7 +18,7 @@ from trapnets import (
     trapping_graph,
 )
 from trapnets.generators import exhaustive_networks, random_network
-from trapnets.netio import _parse_canonical, _parse_lines
+from trapnets.netio import _parse_canonical, _parse_lines, header_dimension
 
 from helpers import F_EX3_ROWS, cfg, f_ex3, rowwise_truth_table, sampled_networks
 
@@ -215,6 +215,29 @@ def test_numpy_reader_holds_the_image_and_one_pass_at_n16():
         # The int64 image and the bool mask of named configurations (0.56
         # MiB) and one pass's temporaries over 4,096 rows: about 0.9 MiB.
         assert peak < 5 << 18
+
+
+def test_header_dimension_reads_up_to_the_header_alone():
+    body = network_to_text(f_ex3()).encode()
+    for doc, n in (
+        (body, 3),
+        (b"# a comment\n\n   # another\r\nn=3  # the header\n", 3),
+        # The body is not read: bytes that no parse accepts may follow.
+        (b"n=20\n\xff\xfe not a row\n", 20),
+        # Headers the parse refuses, and documents with none: its error stands.
+        (b"n=21\n", None),
+        (b"n=-3\n", None),
+        (b"n=3.0\n", None),
+        (b"x=3\n", None),
+        (b"\xffn=3\n", None),
+        (b"# only a comment\n", None),
+        (b"", None),
+    ):
+        lines = iter(doc.splitlines(keepends=True))
+        assert header_dimension(lines) == n, doc
+        if n is not None:
+            # Nothing past the header's line was read.
+            assert b"".join(lines) == doc[doc.index(b"n=") :].partition(b"\n")[2]
 
 
 # --- DOT export

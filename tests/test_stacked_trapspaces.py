@@ -19,20 +19,24 @@ from trapnets.generators import (
     random_network,
 )
 from trapnets.trapspaces import (
-    fixed_point_rows,
+    enumerate_trapspaces,
     min_trapping_extension,
     minimal_cover,
     minimal_trapspaces,
     principal_pairs,
     principal_rows,
-    trapspace_mask,
 )
 from trapnets.verify import sample_population
 
-from helpers import member_loop_min_extension, single_table_principal_pairs, table_population
+from helpers import (
+    bitset_trapspace_fp,
+    interval_fixed_counts,
+    member_loop_min_extension,
+    single_table_principal_pairs,
+    table_population,
+)
 
-KERNELS = ("principal_rows", "trapspace_rows", "cover_rows", "fixed_point_rows",
-           "min_extension_rows")
+KERNELS = ("principal_rows", "trapspace_rows", "cover_rows", "min_extension_rows")
 
 
 @pytest.fixture
@@ -72,18 +76,17 @@ def profile_facts(p):
 def wrapper_facts(f):
     """The same facts from the per-network wrappers."""
     free, base = principal_pairs(f)
-    mask = trapspace_mask(f)
     min_free, min_base, covered, distinct = minimal_cover(f)
     extension = min_trapping_extension(f)
     assert extension == member_loop_min_extension(f)
     return {
         "pt_pairs": (free.tolist(), base.tolist()),
-        "trapspaces": mask.tolist(),
+        "trapspaces": enumerate_trapspaces(f).mask.tolist(),
         "minimal": (min_free.tolist(), min_base.tolist(), covered.tolist()),
         "minimal_collection": minimal_trapspaces(f)[0],
         "pt_distinct": distinct,
         "min_extension": extension,
-        "trapspace_fp": bool(fixed_point_rows(f.np_image[None], f.n)[0][mask].all()),
+        "trapspace_fp": bitset_trapspace_fp(f),
         "dpt": distinct == 1 << f.n,
         "min_trapping": f == extension,
     }
@@ -199,3 +202,29 @@ def test_minimal_only_report_reads_no_trapspace_or_fixed_point_table(kernel_call
 def test_full_report_fills_each_trapspace_stack_once(kernel_calls):
     _analysis_report(random_constant_on_arrangements(8, 1), "constant8", minimal_only=False)
     assert kernel_calls["principal_rows"] == kernel_calls["cover_rows"] == 1
+
+
+def test_block_fills_one_fixed_point_table_for_its_three_flags(monkeypatch):
+    # The class layer fills no other subcube table.
+    tables, fill = [], classes._subcube_or
+
+    def counting(leaves, n, op):
+        tables.append(len(leaves))
+        return fill(leaves, n, op)
+
+    monkeypatch.setattr(classes, "_subcube_or", counting)
+    networks = sample_population(4, 20, 3)
+    block = ProfileBlock.of(networks)
+    seen = set()
+    for i, f in enumerate(networks):
+        p = NetworkProfile(f, block, i)
+        counts = list(interval_fixed_counts(p))
+        flags = (p.trapspace_fp, p.interval_fp, p.interval_ufp)
+        assert flags == (bitset_trapspace_fp(f), min(counts) >= 1, set(counts) == {1})
+        seen.add(flags)
+    assert tables == [len(networks)] and len(seen) > 1
+    tables.clear()
+    _analysis_report(random_constant_on_arrangements(8, 1), "constant8", minimal_only=False)
+    assert tables == [1]
+    _analysis_report(random_network(12, 1), "random12", minimal_only=True)
+    assert tables == [1]

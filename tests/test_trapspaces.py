@@ -16,16 +16,16 @@ from trapnets import (
     trapping_closure,
     trapping_graph,
 )
+from trapnets.classes import ProfileBlock
 from trapnets.core import Mask, update
 from trapnets.trapspaces import (
     _free_of_index,
     _moved_rows,
     _subcube_or,
     _ternary_of_masks,
-    fixed_point_rows,
     principal_pair,
     principal_pairs,
-    trapspace_mask,
+    trapspace_rows,
 )
 
 from helpers import (
@@ -140,7 +140,9 @@ def test_identity_has_all_subcubes_negation_only_full():
 
 
 def test_enumeration_dimension_cap():
-    for whole_collection_query in (enumerate_trapspaces, trapspace_mask):
+    for whole_collection_query in (
+        enumerate_trapspaces, lambda f: trapspace_rows(f.np_image[None], f.n)
+    ):
         with pytest.raises(ValueError):
             whole_collection_query(BooleanNetwork.identity(14))
 
@@ -303,13 +305,18 @@ def test_two_stage_or_kernel_matches_digitwise_oracle(n):
 
 
 def test_fixed_point_table_entry_is_member_scan():
+    # One uint8 table of fixed-point counts saturated at 2: every count from
+    # 0 to 2 appears, identity's subcubes holding up to 2^n fixed points.
+    seen = set()
     for f in oracle_population():
         tern = _ternary_of_masks(f.n)
-        table = fixed_point_rows(f.np_image[None], f.n)[0]
-        assert table.dtype == bool
+        table = ProfileBlock.of([f])["fixed_points"][0]
+        assert table.dtype == np.uint8
         for c in all_subcubes(f.n):
-            scan = any(f.image[m] == m for m in c.member_bits())
-            assert table[tern[c.base] + 2 * tern[c.free]] == scan
+            scan = sum(f.image[m] == m for m in c.member_bits())
+            assert table[tern[c.base] + 2 * tern[c.free]] == min(scan, 2)
+            seen.add(min(scan, 2))
+    assert seen == {0, 1, 2}
 
 
 def test_lattice_constants_reject_writes():
@@ -354,10 +361,12 @@ def test_table_minimal_matches_pairwise_oracle():
 
 def test_table_enumeration_matches_brute_force():
     for f in oracle_population():
-        mask = trapspace_mask(f)
         collection = enumerate_trapspaces(f)
-        assert set(collection.members) == brute_force_trapspaces(f)
-        assert np.count_nonzero(mask) == len(collection)
+        brute = brute_force_trapspaces(f)
+        assert set(collection.members) == brute
+        tern = _ternary_of_masks(f.n)
+        for c in all_subcubes(f.n):
+            assert collection.mask[tern[c.base] + 2 * tern[c.free]] == (c in brute)
 
 
 def test_table_dimension_cap():
