@@ -46,7 +46,12 @@ def _header_dimension(line_no: int, header: str) -> int:
     # ASCII digits only; a leading minus is read so that it is refused as out of range.
     if not (digits.isascii() and digits.removeprefix("-").isdigit()):
         raise NetParseError(line_no, f"bad dimension in header {header!r}")
-    n = int(digits)
+    # int() reads at most 4,300 digits, leading zeros among them: measure first.
+    sign = "-" if digits.startswith("-") else ""
+    magnitude = digits.lstrip("-0") or "0"
+    if len(magnitude) > len(str(CAPS["network"])):
+        raise NetParseError(line_no, f"dimension {sign}{magnitude} out of range")
+    n = int(sign + magnitude)
     if not 1 <= n <= CAPS["network"]:
         raise NetParseError(line_no, f"dimension {n} out of range")
     return n
@@ -134,9 +139,10 @@ def _parse_lines(text: str) -> BooleanNetwork:
     """Any truth-table document, one line at a time; raises every NetParseError."""
     lines = _significant_lines(text)
     try:
-        n = _header_dimension(*next(lines))
+        line_no, header = next(lines)  # the line a header-only document's error names
     except StopIteration:
         raise NetParseError(1, "empty document, expected 'n=<k>' header") from None
+    n = _header_dimension(line_no, header)
 
     image = np.full(1 << n, -1)  # -1 until the configuration's row is read
     for line_no, line in lines:

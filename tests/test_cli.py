@@ -5,6 +5,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trapnets.cli import MAX_PARTS, MAX_SAMPLES, main
 from trapnets.classes import NetworkProfile
@@ -340,14 +342,67 @@ def test_within_cap_and_refused_headers_keep_the_parse_error(tmp_path, capsys):
         ("n=3\n000 001\n", "line 2: missing configuration 100"),
         ("n=21\n", "line 1: dimension 21 out of range"),
         ("n=17 x\n", "line 1: bad dimension in header 'n=17 x'"),
+        # Past int()'s 4,300 digits, and a header with no rows.
+        ("n=" + "9" * 5000 + "\n", f"line 1: dimension {'9' * 5000} out of range"),
+        ("n=" + "0" * 5000 + "2\n", "line 1: missing configuration 00"),
+        ("n=2\r\n", "line 1: missing configuration 00"),
+        ("# c\nn=1\n# only comments\n", "line 2: missing configuration 0"),
     ):
         path = tmp_path / "bad.tt"
         path.write_text(doc, encoding="utf-8")
-        for argv in (["analyze", str(path)], ["equiv", str(path), str(path)]):
+        for argv in (["analyze", str(path)], ["graph", str(path)], ["equiv", str(path), str(path)]):
             with pytest.raises(SystemExit) as info:
                 main(argv)
             assert info.value.code == 2
             assert capsys.readouterr().err == f"error: {path}: {error}\n"
+
+
+# Each mutation takes a document, a position in it and a byte.
+_MUTATIONS = {
+    "flip": lambda doc, i, b: doc[:i] + bytes(x ^ b for x in doc[i : i + 1]) + doc[i + 1 :],
+    "insert": lambda doc, i, b: doc[:i] + bytes([b]) + doc[i:],
+    "delete": lambda doc, i, b: doc[:i] + doc[i + 1 :],
+    "truncate": lambda doc, i, b: doc[:i],
+    "crlf": lambda doc, i, b: doc.replace(b"\n", b"\r\n"),
+    "bom": lambda doc, i, b: b"\xef\xbb\xbf" + doc,
+    "non-utf-8": lambda doc, i, b: doc[:i] + b"\xff" + doc[i:],
+}
+_HEADERS = st.sampled_from(["", "-", "-3", "+3", "0003", "-0"]) | st.integers(4299, 5001).flatmap(
+    lambda k: st.sampled_from(["9" * k, "0" * (k - 1) + "3", "-" + "9" * k])
+)
+
+
+@st.composite
+def _documents(draw):
+    """A written network of n <= 4, with a header swapped in and a few bytes
+    mutated."""
+    n = draw(st.integers(1, 4))
+    image = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1 << n, max_size=1 << n))
+    doc = network_to_text(BooleanNetwork(n, tuple(image))).encode()
+    header = draw(st.none() | _HEADERS)
+    if header is not None:
+        doc = f"n={header}".encode() + doc[doc.index(b"\n") :]
+    for name in draw(st.lists(st.sampled_from(sorted(_MUTATIONS)), max_size=3)):
+        doc = _MUTATIONS[name](doc, draw(st.integers(0, len(doc))), draw(st.integers(0, 255)))
+    return doc
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze"], ["analyze", "--minimal-only"], ["graph"], ["equiv"], ["equiv", "--mode", "min"],
+])
+@given(doc=_documents())
+@example(doc=b"n=" + b"9" * 5000 + b"\n")
+@example(doc=b"n=2\n")
+@settings(max_examples=200, deadline=None)
+def test_any_document_exits_0_1_or_2(tmp_path_factory, command, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.tt"
+    path.write_bytes(doc)
+    files = [str(path)] * (2 if command[0] == "equiv" else 1)
+    try:
+        code = main([*command, *files])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2)
 
 
 def test_analyze_reads_a_network_from_a_pipe(tmp_path, capsys):

@@ -134,6 +134,7 @@ _EDITS = {
     "trailing spaces": lambda rows, data: (_lines(r + "  " for r in rows), False),
     "tab separator": lambda rows, data: (_lines(r.replace(" ", "\t") for r in rows), False),
     "no final newline": lambda rows, data: (_lines(rows)[:-1], False),
+    "no rows": lambda rows, data: ("", False),
     "a 2": lambda rows, data: _replace_char(rows, data, "2"),
     "duplicate row": lambda rows, data: _copy_row(rows, data),
     "missing row": lambda rows, data: _comment_row(rows, data),
@@ -176,6 +177,8 @@ def test_numpy_reader_matches_line_loop(n, edit, data):
         assert loop == ("ok", n, BooleanNetwork(n, tuple(image)))
     elif edit in ("a 2", "duplicate row", "missing row"):
         assert loop[0] == "error" and len(body) == (2 * n + 2) << n
+    elif edit == "no rows":
+        assert loop[:2] == ("error", 1)
 
 
 def _shuffled(text: str, seed: int) -> str:
