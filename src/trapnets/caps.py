@@ -2,8 +2,8 @@
 and the names of the ``verify`` suites.
 
 ``CAPS`` is the one read-only table of caps and ``check_cap(kind, n)`` the
-one check.  The CLI's parser reads ``CAPS`` and ``SUITES`` from here, so
-that ``--help`` and a usage error import no numpy.
+one check.  The CLI's parser reads ``CAPS``, ``SUITES`` and ``decimal``
+from here, so that ``--help`` and a usage error import no numpy.
 """
 
 from __future__ import annotations
@@ -32,3 +32,14 @@ def check_cap(kind: str, n: int) -> None:
     cap, work = _CAPPED_WORK[kind]
     if not 1 <= n <= cap:
         raise ValueError(f"{work} is capped at n={cap} and needs n >= 1, got n={n}")
+
+
+def decimal(text: str) -> str | None:
+    """``text``, ASCII digits after an optional minus, less its leading zeros
+    and the sign of zero; None where ``text`` is not so written.  Measure it
+    before calling int() on it: on Python 3.11+, int() reads at most 4,300
+    digits, leading zeros among them."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        return None
+    magnitude = text.lstrip("-0") or "0"
+    return "-" + magnitude if text.startswith("-") and magnitude != "0" else magnitude

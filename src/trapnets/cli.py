@@ -15,19 +15,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import stat
 import sys
 
-from .caps import CAPS, SUITES
+from .caps import CAPS, SUITES, decimal
 
 # The most pieces ``gen --parts`` places: a part takes up to 100 draws, and 16
-# commutative parts at n = 20 take about 2 s (2 vCPUs, Python 3.11, numpy 2.4).
+# commutative parts at n = 20 take about 1 s (2 vCPUs, Python 3.11, numpy 2.4).
 MAX_PARTS = 16
 # The most random networks ``verify --samples`` draws: the whole population,
 # 26,001 networks, is built first, and checked in about 8 s at a peak RSS of 54
 # MiB at n = 4 (2 vCPUs, Python 3.11, numpy 2.4), and in 9-11 minutes at n = 8.
 MAX_SAMPLES = 20000
+# The most digits of an integer option: as many as int() reads on Python 3.11+.
+INT_DIGITS = 4300
 
 
 def _int_at_least(low: int, most: int | None = None):
@@ -36,13 +39,17 @@ def _int_at_least(low: int, most: int | None = None):
     minus, as in a truth-table header."""
 
     def parse(value: str) -> int:
-        if not (value.isascii() and value.removeprefix("-").isdigit()):
+        digits = decimal(value)
+        if digits is None:
             raise argparse.ArgumentTypeError(f"{value!r} is not an integer")
-        n = int(value)
+        # float() reads a longer value as an infinity, beyond every bound on its side.
+        n = int(digits) if len(digits) <= INT_DIGITS else float(digits)
         if n < low:
             raise argparse.ArgumentTypeError(f"value must be at least {low}")
         if most is not None and n > most:
             raise argparse.ArgumentTypeError(f"value must be at most {most}")
+        if n == math.inf:
+            raise argparse.ArgumentTypeError(f"value must have at most {INT_DIGITS} digits")
         return n
 
     return parse

@@ -4,9 +4,10 @@ An arrangement is a family of subcubes with a non-empty common
 intersection; an arrangement network is the identity outside the family's
 content, funnels the content into the common intersection, and treats each
 coordinate uniformly.  Unions of such networks over disjoint contents are
-exactly the commutative networks, so these constructors provide a rich,
-always-commutative population; the long-transient construction provides a
-trapping network with the extremal transient length.
+exactly the commutative networks, which the random unions sample; the
+long-transient network is trapping with the extremal transient length.
+Each constructor checks its caller's input and then writes the network by
+its construction's formula, which meets the construction's conditions.
 
 A network is built as its int64 image array, written into the identity
 ``np.arange(2^n)``.  A content stays a 2^n-bit integer: placement tests it
@@ -23,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BooleanNetwork, Configuration, Subcube, check_cap, is_commutative
+from .core import BooleanNetwork, Configuration, Subcube, check_cap
 from .core import bitset_array, bitset_members
 
 
@@ -102,10 +103,11 @@ def arrangement_network(
     """Build the arrangement network with the given per-free-dimension behaviour.
 
     ``behaviors`` maps each free dimension (1-based) of the arrangement to
-    const0, const1 or negate.  The result is validated against the three
-    arrangement-network conditions plus commutativity and the construction
-    aborts with ValidationFailed when the choice is inconsistent (for
-    example negating a coordinate the core fixes).
+    const0, const1 or negate.  A free dimension that the core fixes takes
+    only the constant equal to the core's bit: any other choice there raises
+    ValidationFailed before anything is built.  The image formula meets the
+    three arrangement-network conditions, and the structure theorem makes
+    the network commutative.
     """
     n = arrangement.n
     core = arrangement.core()
@@ -121,6 +123,8 @@ def arrangement_network(
             flips |= 1 << (i - 1)
     if given != free_dims:
         raise ValueError("behaviors must cover exactly the free dimensions")
+    if (flips | ones ^ core.base) & free_dims & ~core.free:
+        raise ValidationFailed("image of a content member falls outside the core")
 
     # Inside the content, a coordinate the arrangement does not leave free
     # goes to the core's value, and a free one follows its behaviour.
@@ -128,32 +132,7 @@ def arrangement_network(
     image = np.arange(1 << n)
     members = image[inside]
     image[inside] = core.base & ~free_dims | ones | ~members & flips
-    net = BooleanNetwork(n, image)
-    _validate_arrangement_network(net, arrangement, inside)
-    return net
-
-
-def _validate_arrangement_network(
-    net: BooleanNetwork, arrangement: Arrangement, inside: np.ndarray
-) -> None:
-    core = arrangement.core()
-    image = net.np_image
-    xs = np.arange(len(image))
-    if (image[~inside] != xs[~inside]).any():
-        raise ValidationFailed("network moves a configuration outside the content")
-    members, images = xs[inside], image[inside]
-    if (images & ~core.free != core.base).any():
-        raise ValidationFailed("image of a content member falls outside the core")
-    for i in range(net.n):
-        bit = 1 << i
-        for value in (0, bit):
-            outs = images[members & bit == value] & bit
-            if outs.size and (outs != outs[0]).any():
-                raise ValidationFailed(
-                    f"coordinate {i + 1} is not uniform over the content"
-                )
-    if not is_commutative(net):
-        raise ValidationFailed("constructed network is not commutative")
+    return BooleanNetwork(n, image)
 
 
 def negation_on_subcubes(cubes: Sequence[Subcube], n: int | None = None) -> BooleanNetwork:
@@ -293,8 +272,8 @@ def _place_disjoint(rng, n: int, parts: int, draw, finish) -> list:
     Each part gets up to 100 attempts.  An attempt draws an anchor
     configuration, and ``draw(anchor)`` gives a shape and its content
     bitset.  A shape whose content meets an earlier part's is redrawn;
-    otherwise ``finish(shape)`` makes the piece, or returns None to redraw.
-    A part that is not placed within its attempts is skipped.
+    otherwise ``finish(shape)`` makes the piece.  A part that is not placed
+    within its attempts is skipped.
     """
     used = 0
     pieces = []
@@ -303,10 +282,7 @@ def _place_disjoint(rng, n: int, parts: int, draw, finish) -> list:
             shape, content = draw(int(rng.integers(0, 1 << n)))
             if content & used:
                 continue
-            piece = finish(shape)
-            if piece is None:
-                continue
-            pieces.append(piece)
+            pieces.append(finish(shape))
             used |= content
             break
     return pieces
@@ -346,7 +322,9 @@ def random_commutative(n: int, seed: int, parts: int = 2) -> BooleanNetwork:
 
     Arrangements are placed greedily on disjoint contents with up to 100
     retries per part; parts that cannot be placed are skipped, so the
-    result may use fewer than ``parts`` pieces (down to the identity).
+    result may use fewer than ``parts`` pieces (down to the identity).  A
+    free dimension that the core leaves free draws its behaviour, and one
+    that the core fixes gets the core's constant, the only valid choice.
     """
     check_cap("network", n)
     if parts < 1:
@@ -356,21 +334,11 @@ def random_commutative(n: int, seed: int, parts: int = 2) -> BooleanNetwork:
 
     def network(arrangement):
         core = arrangement.core()
-        behaviors = {}
-        for i in bitset_members(arrangement.free_dimensions()):
-            bit = 1 << i
-            if core.free & bit:
-                behaviors[i + 1] = options[int(rng.integers(0, 3))]
-            else:
-                # The core pins this coordinate, so only the matching
-                # constant can keep images inside it.
-                behaviors[i + 1] = (
-                    FreeDimBehavior.CONST1 if core.base & bit else FreeDimBehavior.CONST0
-                )
-        try:
-            return arrangement_network(arrangement, behaviors)
-        except ValidationFailed:
-            return None
+        behaviors = {
+            i + 1: options[int(rng.integers(0, 3)) if core.free >> i & 1 else core.base >> i & 1]
+            for i in bitset_members(arrangement.free_dimensions())
+        }
+        return arrangement_network(arrangement, behaviors)
 
     nets = _place_disjoint(rng, n, parts, partial(_random_arrangement_through, rng, n), network)
     if not nets:

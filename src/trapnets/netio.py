@@ -17,6 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .caps import decimal
 from .core import CAPS, BooleanNetwork, _bits_to_string, _string_to_bits, bitset_members
 from .dynamics import HypercubeGraph
 
@@ -42,19 +43,12 @@ def _header_dimension(line_no: int, header: str) -> int:
     """The dimension that the ``n=<k>`` header line names; raises NetParseError."""
     if not header.startswith("n="):
         raise NetParseError(line_no, f"expected 'n=<k>' header, got {header!r}")
-    digits = header[2:]
-    # ASCII digits only; a leading minus is read so that it is refused as out of range.
-    if not (digits.isascii() and digits.removeprefix("-").isdigit()):
+    digits = decimal(header[2:])
+    if digits is None:
         raise NetParseError(line_no, f"bad dimension in header {header!r}")
-    # int() reads at most 4,300 digits, leading zeros among them: measure first.
-    sign = "-" if digits.startswith("-") else ""
-    magnitude = digits.lstrip("-0") or "0"
-    if len(magnitude) > len(str(CAPS["network"])):
-        raise NetParseError(line_no, f"dimension {sign}{magnitude} out of range")
-    n = int(sign + magnitude)
-    if not 1 <= n <= CAPS["network"]:
-        raise NetParseError(line_no, f"dimension {n} out of range")
-    return n
+    if len(digits) > len(str(CAPS["network"])) or not 1 <= int(digits) <= CAPS["network"]:
+        raise NetParseError(line_no, f"dimension {digits} out of range")
+    return int(digits)
 
 
 def header_dimension(lines) -> int | None:

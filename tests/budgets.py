@@ -25,7 +25,7 @@ SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 sys.path.insert(0, SRC)
 
 from trapnets.caps import CAPS, SUITES  # noqa: E402  (neither module imports numpy)
-from trapnets.cli import MAX_PARTS, MAX_SAMPLES  # noqa: E402
+from trapnets.cli import INT_DIGITS, MAX_PARTS, MAX_SAMPLES  # noqa: E402
 
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 ADDRESS_SPACE = 512 << 20  # every row's RLIMIT_AS, set in its child alone
@@ -114,6 +114,7 @@ def _small_rows(n: int, kind: str) -> tuple:
 
 ENUMERATION, TABLE, NETWORK = CAPS["enumeration"], CAPS["table"], CAPS["network"]
 PAIR_SWEEP, EXHAUSTIVE = CAPS["pair_sweep"], CAPS["exhaustive"]
+HUGE = "9" * 5000  # more digits than int() reads on Python 3.11+
 # Each command that refuses a file from its header: the arguments before the
 # files, the cap it reads and the work its refusal names.
 HEADER_REFUSALS = (
@@ -144,9 +145,14 @@ ROWS = (
         seconds=60, codes=(0, 1), cap="enumeration"),
     Row(("equiv", "--mode", "trapspace", Net("negation", ENUMERATION), Net("constant", ENUMERATION)),
         seconds=60, codes=(0, 1), cap="enumeration"),
+    # min equivalence peaks at 97-100 MiB here: its bound leaves a fifth above that.
     Row(("equiv", "--mode", "min", Net("random", TABLE), Net("constant", TABLE)),
-        seconds=60, codes=(0, 1), cap="table"),
+        seconds=60, codes=(0, 1), peak_mib=120, cap="table"),
     Row(("graph", Net("random", 11), "--kind", "tg"), seconds=120),
+    # The layered export writes its DOT to a discarded stdout: about 3.4 GB
+    # for negation-f0-is-1, whose general graph is nearly complete.
+    *(Row(("graph", Net(kind, ENUMERATION), "--layered"), seconds=60, peak_mib=80, cap="enumeration")
+      for kind in KINDS + SHAPES),
     # One dimension above each cap, and the largest file, refused from the header.
     *(refusal((*args, *[Net("random", n)] * (2 if args[0] == "equiv" else 1)),
               f"error: {work} is capped at n={CAPS[cap]}", cap if n == CAPS[cap] + 1 else "network")
@@ -169,6 +175,15 @@ ROWS = (
             f"error: --exhaustive is only available for n <= {EXHAUSTIVE}", "exhaustive"),
     refusal(("verify", "--n", "3", "--samples", str(MAX_SAMPLES + 1)),
             f"trapnets verify: error: argument --samples: value must be at most {MAX_SAMPLES}"),
+    # An integer option longer than int() reads is refused by its bound.
+    refusal(("verify", "--n", HUGE),
+            f"trapnets verify: error: argument --n: value must have at most {INT_DIGITS} digits"),
+    refusal(("verify", "--n", "3", "--samples", HUGE),
+            f"trapnets verify: error: argument --samples: value must be at most {MAX_SAMPLES}"),
+    refusal(("gen", "--kind", "random", "--n", "3", "--seed", HUGE, "--out", Net("random", 3)),
+            f"trapnets gen: error: argument --seed: value must have at most {INT_DIGITS} digits"),
+    refusal(("gen", "--kind", "random", "--n", "3", "--parts", HUGE, "--out", Net("random", 3)),
+            f"trapnets gen: error: argument --parts: value must be at most {MAX_PARTS}"),
     *(row for n in (3, 8) for kind in KINDS for row in _small_rows(n, kind)),
 )
 
@@ -215,7 +230,7 @@ def check(row: Row, tmp: str, bare_mib: float) -> tuple[list[str], str]:
         (peak - bare_mib >= row.above_import_mib, f"{peak - bare_mib:.1f} MiB above import, over {row.above_import_mib}"),
         (row.out is not None and wrote != (code == 0), f"exit {code}, and --out written: {wrote}"),
     ) if failed]
-    shown = " ".join(a.name if isinstance(a, Net) else a for a in row.args)
+    shown = " ".join(a.name if isinstance(a, Net) else a if len(a) < 40 else f"<{len(a)} chars>" for a in row.args)
     return broken, f"{wall:7.2f} s {peak:6.1f} MiB  exit {code}  {shown}"
 
 

@@ -6,7 +6,14 @@ import numpy as np
 
 from trapnets import BooleanNetwork, Configuration, Subcube, SubcubeCollection
 from trapnets.classes import DIAGRAMS, VECTORS, NetworkProfile, ProfileBlock, Violation
-from trapnets.core import bitset_members, cube_bitset, iter_submasks, update_table
+from trapnets.core import (
+    bitset_array,
+    bitset_members,
+    cube_bitset,
+    is_commutative,
+    iter_submasks,
+    update_table,
+)
 from trapnets.cubesets import (
     _ternary_of_masks,
     lambda_closure,
@@ -16,6 +23,9 @@ from trapnets.cubesets import (
     realize,
 )
 from trapnets.generators import (
+    Arrangement,
+    FreeDimBehavior,
+    ValidationFailed,
     exhaustive_networks,
     long_transient_trapping,
     random_commutative,
@@ -248,6 +258,58 @@ def pairwise_is_commutative(f: BooleanNetwork) -> bool:
         for i in range(f.n)
         for j in range(i + 1, f.n)
     )
+
+
+def validate_arrangement_network(net: BooleanNetwork, arrangement: Arrangement) -> None:
+    """Independent oracle (the library's former post-construction check in
+    `arrangement_network`): raise ValidationFailed where ``net`` moves a
+    configuration outside the content, sends a content member outside the
+    core, treats a coordinate non-uniformly over the content, or does not
+    commute."""
+    core = arrangement.core()
+    inside = bitset_array(arrangement.content_bitset(), 1 << net.n)
+    image = net.np_image
+    xs = np.arange(len(image))
+    if (image[~inside] != xs[~inside]).any():
+        raise ValidationFailed("network moves a configuration outside the content")
+    members, images = xs[inside], image[inside]
+    if (images & ~core.free != core.base).any():
+        raise ValidationFailed("image of a content member falls outside the core")
+    for i in range(net.n):
+        bit = 1 << i
+        for value in (0, bit):
+            outs = images[members & bit == value] & bit
+            if outs.size and (outs != outs[0]).any():
+                raise ValidationFailed(
+                    f"coordinate {i + 1} is not uniform over the content"
+                )
+    if not is_commutative(net):
+        raise ValidationFailed("constructed network is not commutative")
+
+
+def pointwise_arrangement_network(
+    arrangement: Arrangement, behaviors: dict[int, FreeDimBehavior]
+) -> BooleanNetwork:
+    """The arrangement network's image written one configuration and one
+    coordinate at a time, with no check: each member of the content keeps
+    the core's bit on a coordinate that is not free, and follows the
+    coordinate's behaviour on a free one."""
+    n, core = arrangement.n, arrangement.core()
+    content = arrangement.content_bitset()
+    image = list(range(1 << n))
+    for x in bitset_members(content):
+        y = 0
+        for i in range(n):
+            mode = behaviors.get(i + 1)
+            if mode is None:
+                bit = core.base >> i & 1
+            elif mode is FreeDimBehavior.NEGATE:
+                bit = 1 - (x >> i & 1)
+            else:
+                bit = int(mode is FreeDimBehavior.CONST1)
+            y |= bit << i
+        image[x] = y
+    return BooleanNetwork(n, tuple(image))
 
 
 # Oracles for the collection algebra (the library's former methods): each

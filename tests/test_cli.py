@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trapnets.cli import MAX_PARTS, MAX_SAMPLES, main
+from trapnets.cli import INT_DIGITS, MAX_PARTS, MAX_SAMPLES, main
 from trapnets.classes import NetworkProfile
 from trapnets.dynamics import GRAPH_PROPERTIES
 from trapnets.generators import random_constant_on_arrangements
@@ -532,6 +532,22 @@ def test_integer_options_take_ascii_digits_only(tmp_path, capsys, option, value)
     assert info.value.code == 2
     assert f"{value!r} is not an integer" in capsys.readouterr().err
     assert not out_file.exists()
+
+
+def test_integer_options_ignore_leading_zeros_and_refuse_by_digit_count(tmp_path, capsys):
+    # int() reads at most INT_DIGITS digits, leading zeros among them.
+    padded, plain = tmp_path / "padded.tt", tmp_path / "plain.tt"
+    gen = ["gen", "--kind", "commutative", "--n", "3"]
+    assert main(gen + ["--parts", "0" * 5000 + "2", "--seed", "0" * 5000 + "1", "--out", str(padded)]) == 0
+    assert main(gen + ["--parts", "2", "--seed", "1", "--out", str(plain)]) == 0
+    assert padded.read_bytes() == plain.read_bytes()
+    assert main(gen + ["--seed", "9" * INT_DIGITS, "--out", str(plain)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(gen + ["--seed", "1" + "0" * INT_DIGITS, "--out", str(tmp_path / "x.tt")])
+    assert info.value.code == 2
+    assert f"argument --seed: value must have at most {INT_DIGITS} digits" in capsys.readouterr().err
+    assert not (tmp_path / "x.tt").exists()
 
 
 @pytest.mark.parametrize("kind", ["commutative", "negation", "constant"])

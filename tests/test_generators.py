@@ -28,7 +28,16 @@ from trapnets.generators import (
     random_negation_on_subcubes,
 )
 
-from helpers import cfg, cube, full_cube, net_from_rows
+from helpers import (
+    all_subcubes,
+    cfg,
+    cube,
+    full_cube,
+    net_from_rows,
+    pairwise_is_commutative,
+    pointwise_arrangement_network,
+    validate_arrangement_network,
+)
 
 
 # --- random networks
@@ -121,6 +130,39 @@ def test_negating_a_core_fixed_dimension_fails_validation():
         arrangement_network(arr, {1: FreeDimBehavior.NEGATE})
     ok = arrangement_network(arr, {1: FreeDimBehavior.CONST0})
     assert ok(cfg("100")) == cfg("000")
+
+
+def test_behaviours_are_refused_exactly_where_the_former_check_fails():
+    # Every arrangement of one to three distinct subcubes at n <= 3, with
+    # every behaviour: arrangement_network refuses the behaviours up front
+    # exactly where the network they give fails the former post-construction
+    # check, and what it builds passes that check and commutes.
+    options = (FreeDimBehavior.CONST0, FreeDimBehavior.CONST1, FreeDimBehavior.NEGATE)
+    built = refused = 0
+    for n in range(1, 4):
+        for size in range(1, 4):
+            for family in itertools.combinations(all_subcubes(n), size):
+                try:
+                    arr = Arrangement(family)
+                except ValueError:  # no common point
+                    continue
+                dims = [i + 1 for i in range(n) if arr.free_dimensions() >> i & 1]
+                for combo in itertools.product(options, repeat=len(dims)):
+                    behaviors = dict(zip(dims, combo))
+                    expected = pointwise_arrangement_network(arr, behaviors)
+                    try:
+                        validate_arrangement_network(expected, arr)
+                    except ValidationFailed:
+                        with pytest.raises(ValidationFailed):
+                            arrangement_network(arr, behaviors)
+                        refused += 1
+                        continue
+                    net = arrangement_network(arr, behaviors)
+                    assert net == expected
+                    validate_arrangement_network(net, arr)
+                    assert pairwise_is_commutative(net)
+                    built += 1
+    assert (built, refused) == (999, 5240)
 
 
 # --- negation on subcubes
