@@ -1,10 +1,12 @@
 """Sweeping whole populations against the structural claims.
 
 The exhaustive sweep checks every two-coordinate network (all 256 of
-them): constant alternate-definition vectors, closure laws, collection
-round-trips, and the four implication diagrams with their counterexample
-fixtures.  The sampled sweep repeats the same suites on random and
-generated networks one dimension up.
+them): constant alternate-definition vectors, closure laws, the
+closure's monotonicity on every ordered pair, collection round-trips, and
+the four implication diagrams with their counterexample fixtures.  The
+sampled sweep repeats the same suites on random and generated networks
+one dimension up, checking monotonicity on each network and its join with
+the next one.
 """
 
 import time
@@ -14,8 +16,7 @@ from trapnets.netio import network_to_text
 
 t0 = time.perf_counter()
 networks = exhaustive_networks(2)
-pairs = [(f, g) for f in networks for g in networks]
-violations = run_verification(networks, "all", monotonicity_pairs=pairs)
+violations = run_verification(networks, "all", every_pair=True)
 print(f"exhaustive n=2: {len(networks)} networks, "
       f"{len(violations)} violations, {time.perf_counter() - t0:.1f}s")
 

@@ -281,11 +281,9 @@ def cmd_verify(args) -> int:
 
     if args.exhaustive:
         networks = exhaustive_networks(args.n)
-        pairs = [(f, g) for f in networks for g in networks]
     else:
         networks = sample_population(args.n, args.samples, args.seed)
-        pairs = None
-    violations = run_verification(networks, args.suite, monotonicity_pairs=pairs)
+    violations = run_verification(networks, args.suite, every_pair=args.exhaustive)
     print(f"checked {len(networks)} networks (n={args.n}, suite={args.suite})")
     for v in violations:
         print(f"violation [{v.check}]: {v.detail}")

@@ -75,15 +75,18 @@ class Arrangement:
 
     def free_dimensions(self) -> int:
         """Mask of coordinates whose flip leaves the content invariant."""
-        content = self.content_bitset()
-        out = 0
-        for i in range(self.n):
-            bit = 1 << i
-            low_mask = _even_positions(self.n, i)
-            flipped = (content & low_mask) << bit | (content & ~low_mask) >> bit
-            if flipped == content:
-                out |= bit
-        return out
+        return _free_dimensions(self.n, self.content_bitset())
+
+
+def _free_dimensions(n: int, content: int) -> int:
+    out = 0
+    for i in range(n):
+        bit = 1 << i
+        low_mask = _even_positions(n, i)
+        flipped = (content & low_mask) << bit | (content & ~low_mask) >> bit
+        if flipped == content:
+            out |= bit
+    return out
 
 
 def _even_positions(n: int, i: int) -> int:
@@ -95,6 +98,13 @@ def _even_positions(n: int, i: int) -> int:
         out |= out << width
         width <<= 1
     return out
+
+
+def _arrangement_images(members, core: Subcube, free_dims: int, ones: int, flips: int):
+    """An arrangement network's images of its content's members: a coordinate
+    the arrangement does not leave free goes to the core's value, and a free
+    one to 1 in ``ones``, its negation in ``flips`` and 0 otherwise."""
+    return core.base & ~free_dims | ones | ~members & flips
 
 
 def arrangement_network(
@@ -126,12 +136,9 @@ def arrangement_network(
     if (flips | ones ^ core.base) & free_dims & ~core.free:
         raise ValidationFailed("image of a content member falls outside the core")
 
-    # Inside the content, a coordinate the arrangement does not leave free
-    # goes to the core's value, and a free one follows its behaviour.
     inside = bitset_array(arrangement.content_bitset(), 1 << n)
     image = np.arange(1 << n)
-    members = image[inside]
-    image[inside] = core.base & ~free_dims | ones | ~members & flips
+    image[inside] = _arrangement_images(image[inside], core, free_dims, ones, flips)
     return BooleanNetwork(n, image)
 
 
@@ -266,26 +273,29 @@ def _random_arrangement_through(rng, n: int, anchor: int) -> tuple[Arrangement, 
     return arrangement, arrangement.content_bitset()
 
 
-def _place_disjoint(rng, n: int, parts: int, draw, finish) -> list:
-    """Up to ``parts`` pieces on pairwise disjoint contents.
+def _place_disjoint(rng, n: int, parts: int, draw, images) -> BooleanNetwork:
+    """The network of up to ``parts`` pieces on pairwise disjoint contents.
 
     Each part gets up to 100 attempts.  An attempt draws an anchor
     configuration, and ``draw(anchor)`` gives a shape and its content
     bitset.  A shape whose content meets an earlier part's is redrawn;
-    otherwise ``finish(shape)`` makes the piece.  A part that is not placed
-    within its attempts is skipped.
+    otherwise the content's members take ``images(shape, content, members)``.
+    A part that is not placed within its attempts is skipped, and the rest
+    of the cube is fixed.  The placement meets the public constructors'
+    checks, so they are not run.
     """
+    image = np.arange(1 << n)
     used = 0
-    pieces = []
     for _ in range(parts):
         for _attempt in range(100):
             shape, content = draw(int(rng.integers(0, 1 << n)))
             if content & used:
                 continue
-            pieces.append(finish(shape))
+            inside = bitset_array(content, 1 << n)
+            image[inside] = images(shape, content, image[inside])
             used |= content
             break
-    return pieces
+    return BooleanNetwork(n, image)
 
 
 def random_negation_on_subcubes(n: int, seed: int, parts: int = 2) -> BooleanNetwork:
@@ -297,7 +307,7 @@ def random_negation_on_subcubes(n: int, seed: int, parts: int = 2) -> BooleanNet
         cube = _random_subcube_through(rng, n, anchor)
         return cube, cube.point_bitset()
 
-    return negation_on_subcubes(_place_disjoint(rng, n, parts, draw, lambda cube: cube), n)
+    return _place_disjoint(rng, n, parts, draw, lambda cube, _, members: members ^ cube.free)
 
 
 def random_constant_on_arrangements(n: int, seed: int, parts: int = 2) -> BooleanNetwork:
@@ -305,16 +315,16 @@ def random_constant_on_arrangements(n: int, seed: int, parts: int = 2) -> Boolea
     check_cap("network", n)
     rng = np.random.default_rng(seed)
 
-    def target(arrangement):
+    def target(arrangement, _content, _members):
         core = arrangement.core()
         pick = core.base
         for i in bitset_members(core.free):
             if rng.random() < 0.5:
                 pick |= 1 << i
-        return arrangement, Configuration(n, pick)
+        return pick
 
     draw = partial(_random_arrangement_through, rng, n)
-    return constant_on_arrangements(_place_disjoint(rng, n, parts, draw, target), n)
+    return _place_disjoint(rng, n, parts, draw, target)
 
 
 def random_commutative(n: int, seed: int, parts: int = 2) -> BooleanNetwork:
@@ -323,24 +333,22 @@ def random_commutative(n: int, seed: int, parts: int = 2) -> BooleanNetwork:
     Arrangements are placed greedily on disjoint contents with up to 100
     retries per part; parts that cannot be placed are skipped, so the
     result may use fewer than ``parts`` pieces (down to the identity).  A
-    free dimension that the core leaves free draws its behaviour, and one
-    that the core fixes gets the core's constant, the only valid choice.
+    free dimension that the core leaves free draws its behaviour (const0,
+    const1 or negate), and one that the core fixes gets the core's constant,
+    the only valid choice.
     """
     check_cap("network", n)
     if parts < 1:
         raise ValueError("parts must be at least 1")
     rng = np.random.default_rng(seed)
-    options = (FreeDimBehavior.CONST0, FreeDimBehavior.CONST1, FreeDimBehavior.NEGATE)
 
-    def network(arrangement):
-        core = arrangement.core()
-        behaviors = {
-            i + 1: options[int(rng.integers(0, 3)) if core.free >> i & 1 else core.base >> i & 1]
-            for i in bitset_members(arrangement.free_dimensions())
-        }
-        return arrangement_network(arrangement, behaviors)
+    def network(arrangement, content, members):
+        core, free_dims = arrangement.core(), _free_dimensions(n, content)
+        ones = flips = 0
+        for i in bitset_members(free_dims):
+            choice = int(rng.integers(0, 3)) if core.free >> i & 1 else core.base >> i & 1
+            ones |= (choice == 1) << i
+            flips |= (choice == 2) << i
+        return _arrangement_images(members, core, free_dims, ones, flips)
 
-    nets = _place_disjoint(rng, n, parts, partial(_random_arrangement_through, rng, n), network)
-    if not nets:
-        return BooleanNetwork.identity(n)
-    return union_disjoint(nets)
+    return _place_disjoint(rng, n, parts, partial(_random_arrangement_through, rng, n), network)

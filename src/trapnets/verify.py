@@ -15,9 +15,10 @@ closures, min extensions and realisations of its rows as rows.  Every
 per-network check takes the block and returns one violation list per
 network, built by ``classes.block_violations`` from (broken column,
 detail) pairs, each column an expression over the block or over the two
-blocks.  The checks that span networks run after the blocks: the
-monotonicity pairs of neighbours of one dimension, joined and checked a
-block at a time, and the diagram fixtures.
+blocks.  The checks that span networks run after the blocks: the closure's
+monotonicity on image rows, each network against its join with the next
+one or, in the exhaustive sweep, against every network of its dimension,
+and the diagram fixtures.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .core import (
     BooleanNetwork,
     bit_counts,
     commutative_rows,
-    lattice_combine,
     order_leq,
     order_leq_rows,
 )
@@ -137,36 +137,38 @@ def monotonicity_violations(
 ) -> list[Violation]:
     """Oracle, read only by the tests and the benchmark's tracer: the trapping
     closure's monotonicity on one pair, given the closures.  ``run_verification``
-    checks its pairs in one broadcast, ``monotone_pairs_violations``."""
+    checks its pairs on image rows, ``monotone_closure_violations``."""
     if order_leq(f, g) and not order_leq(closed_f, closed_g):
         return [Violation("closure", NOT_MONOTONE, f)]
     return []
 
 
-def monotone_pairs_violations(
-    pairs: list[tuple[BooleanNetwork, BooleanNetwork]],
+def monotone_closure_violations(
+    networks: list[BooleanNetwork], every_pair: bool = False,
 ) -> list[Violation]:
-    """``monotonicity_violations`` of every pair (f, g), in pair order.  The
-    networks of each dimension and their trapping closures are held as
-    (N, 2^n) image arrays, and ``order_leq`` of their pairs is one
-    broadcast.  The closures are computed as stacked principal passes, one
-    per block of networks: the closure moves x by its principal free mask."""
-
-    def images(networks):
-        return np.array([f.np_image for f in networks])
-
-    bad = np.zeros(len(pairs), dtype=bool)
-    for n in dict.fromkeys(f.n for f, _ in pairs):
-        at = [i for i, (f, _) in enumerate(pairs) if f.n == n]
-        nets = list(dict.fromkeys(f for i in at for f in pairs[i]))
-        index = {f: i for i, f in enumerate(nets)}
-        closed = np.arange(1 << n) ^ np.concatenate(
-            [principal_rows(images(block), n)[0] for block in population_blocks(nets)]
-        )
-        fi, gi = np.array([(index[f], index[g]) for f, g in (pairs[i] for i in at)]).T
-        table = images(nets)
-        bad[at] = order_leq_rows(table[fi], table[gi]) & ~order_leq_rows(closed[fi], closed[gi])
-    return [Violation("closure", NOT_MONOTONE, pairs[i][0]) for i in np.flatnonzero(bad).tolist()]
+    """``monotonicity_violations`` of the pairs (f, g) of one dimension, in
+    the order of f, then of g: g is every network of f's dimension with
+    ``every_pair``, and otherwise f's join with the next network.  The
+    closures are one principal pass per block of ``population_blocks`` and
+    one per block's joins (x moves by its principal free mask)."""
+    bad, held, start = np.zeros(len(networks), dtype=int), {}, 0
+    for nets in population_blocks(networks):
+        n, end, xs = nets[0].n, start + len(nets), np.arange(1 << nets[0].n)
+        images = np.array([f.np_image for f in nets])
+        closed = xs ^ principal_rows(images, n)[0]
+        if every_pair:
+            held.setdefault(n, []).append((np.arange(start, end), images, closed))
+        elif nexts := [g.np_image for g in networks[start + 1 : end + 1] if g.n == n]:
+            m = len(nexts)
+            joins = xs ^ ((xs ^ images[:m]) | (xs ^ np.array(nexts)))
+            bad[start : start + m] = ~order_leq_rows(closed[:m], xs ^ principal_rows(joins, n)[0])
+        start = end
+    for parts in held.values():
+        at, images, closed = (np.concatenate(stack) for stack in zip(*parts))
+        below = order_leq_rows(images[:, None], images) & ~order_leq_rows(closed[:, None], closed)
+        bad[at] = below.sum(axis=1)
+    return [Violation("closure", NOT_MONOTONE, networks[i])
+            for i in np.repeat(np.arange(len(networks)), bad).tolist()]
 
 
 def equivalence_vector_violations(block: ProfileBlock) -> list[list[Violation]]:
@@ -218,12 +220,14 @@ def collection_roundtrip_violations(block: ProfileBlock) -> list[list[Violation]
 def dynamics_claim_violations(block: ProfileBlock) -> list[list[Violation]]:
     """Transient and period facts for trapping networks, and the
     dynamically-local flag against f^3 = f, of each network of the block."""
-    images, n, trapping = block.images, block.n, block["trapping"]
+    images, n = block.images, block.n
+    moving = block["trapping"] & ~_same(power_rows(images, n + 2), power_rows(images, n))
+    # A cycle whose length does not divide 2 moves its points between f^n
+    # and f^(n+2), so a row that moves none has period 1 or 2.
     periods = [transient_and_period(block.network(i))[1] if t else 0
-               for i, t in enumerate(trapping.tolist())]
+               for i, t in enumerate(moving.tolist())]
     return block_violations(block, "transient", (
-        (trapping & ~_same(power_rows(images, n + 2), power_rows(images, n)),
-         "trapping network with long transient"),
+        (moving, "trapping network with long transient"),
         ([period > 2 for period in periods], lambda i: f"trapping network with period {periods[i]}"),
         (block["dynamically_local"] != _same(power_rows(images, 3), images),
          "dynamically-local flag disagrees"),
@@ -316,30 +320,18 @@ def _check_block(nets: list[BooleanNetwork], sections) -> list[list[Violation]]:
 def run_verification(
     networks: list[BooleanNetwork],
     suite: str = "all",
-    monotonicity_pairs: list[tuple[BooleanNetwork, BooleanNetwork]] | None = None,
+    every_pair: bool = False,
 ) -> list[Violation]:
     """Run the requested suite over the population; returns all violations.
 
     Each section runs its per-network checks block by block
-    (``_check_block``), then once its check that spans networks.  The
-    violations come in this order: theorems, closure laws and monotonicity,
-    then per diagram the implications and the counterexample fixtures.
+    (``_check_block``), then once its check that spans networks; see
+    ``monotone_closure_violations`` for ``every_pair``.  The violations come
+    in this order: theorems, closure laws and monotonicity, then per diagram
+    the implications and the counterexample fixtures.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-
-    def monotonicity():
-        if monotonicity_pairs is not None:
-            return monotone_pairs_violations(monotonicity_pairs)
-        # Each network with its join with the next one, a block at a time, so
-        # that only one block's joins are held.
-        found, start = [], 0
-        for nets in population_blocks(networks):
-            nexts = networks[start + 1 : start + 1 + len(nets)]
-            found += monotone_pairs_violations(
-                [(f, lattice_combine(f, g, "join")) for f, g in zip(nets, nexts) if f.n == g.n])
-            start += len(nets)
-        return found
 
     # (suite, per-network checks, check spanning networks) of each section;
     # built here, so a check rebound in this module is the one that runs.
@@ -347,7 +339,8 @@ def run_verification(
         ("theorems", (alternate_definition_violations, collection_roundtrip_violations,
                       dynamics_claim_violations, commutative_claim_violations,
                       hierarchy_violations, equivalence_vector_violations), lambda: []),
-        ("closure", (closure_law_violations,), monotonicity),
+        ("closure", (closure_law_violations,),
+         functools.partial(monotone_closure_violations, networks, every_pair)),
         *(("diagrams", (functools.partial(implication_violations, d),),
            functools.partial(diagram_counterexample_violations, d)) for d in DIAGRAMS.values()),
     ]

@@ -91,8 +91,7 @@ def test_ac1_worked_example():
 def test_ac2_exhaustive_two_coordinates():
     t0 = time.perf_counter()
     nets = exhaustive_networks(2)
-    pairs = [(f, g) for f in nets for g in nets]
-    violations = run_verification(nets, "all", monotonicity_pairs=pairs)
+    violations = run_verification(nets, "all", every_pair=True)
     elapsed = time.perf_counter() - t0
     for v in violations[:5]:
         print("  violation:", v.check, v.detail, v.network.image)

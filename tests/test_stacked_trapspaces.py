@@ -12,7 +12,6 @@ from trapnets import classes, verify
 from trapnets import trapspaces
 from trapnets.classes import NetworkProfile, ProfileBlock
 from trapnets.cli import _analysis_report
-from trapnets.core import lattice_combine
 from trapnets.generators import (
     exhaustive_networks,
     random_constant_on_arrangements,
@@ -168,12 +167,11 @@ def test_stacked_rows_above_the_table_digits_match_single_calls():
 
 def test_monotone_pairs_closures_do_not_depend_on_the_block_size(monkeypatch):
     nets = sample_population(4, 30, 9)
-    pairs = [(f, lattice_combine(f, g, "join")) for f, g in zip(nets, nets[1:])]
     # The first networks take the closure of a network dealt at random:
     # some pairs violate.
     rng = np.random.default_rng(9)
     dealt = {f.image: nets[i].image for f, i in zip(nets[::2], rng.permutation(len(nets))[::2])}
-    # One stacked principal pass per block.
+    # One stacked principal pass per block, and one for its joins if it has any.
     passes, principal = [], verify.principal_rows
 
     def dealing(images, n):
@@ -182,14 +180,15 @@ def test_monotone_pairs_closures_do_not_depend_on_the_block_size(monkeypatch):
         return principal(np.array(rows), n)
 
     monkeypatch.setattr(verify, "principal_rows", dealing)
-    runs, counts = [], []
-    for size in (1, 3, classes._MAX_BLOCK):
-        monkeypatch.setattr(classes, "_block_size", lambda n: size)
-        passes.clear()
-        runs.append(verify.monotone_pairs_violations(pairs))
-        counts.append(len(passes))
-    assert runs[0] and all(run == runs[0] for run in runs[1:])
-    assert counts[0] > counts[1] > counts[2] == 1
+    for every_pair, expected_passes in ((False, (2 * 40 - 1, 2 * 14 - 1, 2)), (True, (40, 14, 1))):
+        runs, counts = [], []
+        for size in (1, 3, classes._MAX_BLOCK):
+            monkeypatch.setattr(classes, "_block_size", lambda n: size)
+            passes.clear()
+            runs.append(verify.monotone_closure_violations(nets, every_pair))
+            counts.append(len(passes))
+        assert runs[0] and all(run == runs[0] for run in runs[1:])
+        assert len(nets) == 40 and tuple(counts) == expected_passes
 
 
 def test_minimal_only_report_reads_no_trapspace_or_fixed_point_table(kernel_calls):

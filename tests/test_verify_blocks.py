@@ -1,5 +1,5 @@
 """The stacked forms in `verify`: the collection checks of a block of
-networks, the monotonicity pairs in one broadcast, and the block size."""
+networks, the closure's monotonicity on image rows, and the block size."""
 
 import re
 from collections import Counter
@@ -14,7 +14,7 @@ from trapnets import classes, cubesets, verify
 from trapnets.cli import main
 from trapnets.verify import (
     collection_roundtrip_violations,
-    monotone_pairs_violations,
+    monotone_closure_violations,
     monotonicity_violations,
     run_verification,
     sample_population,
@@ -96,6 +96,17 @@ def per_pair(pairs, closures):
     ]
 
 
+def join_pairs(nets):
+    """The pairs the sampled check implies: each network with its join with
+    the next one, when both have one dimension."""
+    return [(f, lattice_combine(f, g, "join")) for f, g in zip(nets, nets[1:]) if f.n == g.n]
+
+
+def every_pair(nets):
+    """The pairs the exhaustive check implies: every ordered pair of one dimension."""
+    return [(f, g) for f in nets for g in nets if f.n == g.n]
+
+
 def dealing(monkeypatch, closures):
     """Patch ``verify.principal_rows`` so that the trapping closure of each
     network f is ``closures[f]``: the closure moves x by its principal free
@@ -110,78 +121,120 @@ def dealing(monkeypatch, closures):
     monkeypatch.setattr(verify, "principal_rows", principal_rows)
 
 
+def dealt_closures(nets, seed, joins=()):
+    """The closure of each network is a network of nets dealt at random, and
+    each join's is the join itself unless the join is one of nets."""
+    order = np.random.default_rng(seed).permutation(len(nets))
+    return {**{g: g for _, g in joins}, **{f: nets[i] for f, i in zip(nets, order)}}
+
+
 def test_monotone_pairs_broadcast_matches_the_per_pair_definition(monkeypatch):
-    rng = np.random.default_rng(3)
     for n in (1, 2):
         nets = exhaustive_networks(n)
-        pairs = [(f, g) for f in nets for g in nets]
+        pairs = every_pair(nets)
         if n == 1:
             closures = {f: trapping_closure(f) for f in nets}
-            assert monotone_pairs_violations(pairs) == per_pair(pairs, closures)
+            assert monotone_closure_violations(nets, every_pair=True) == per_pair(pairs, closures)
         # Closures dealt at random: not monotone on many pairs.
-        dealt = dict(zip(nets, (nets[i] for i in rng.permutation(len(nets)))))
+        dealt = dealt_closures(nets, 3)
         with monkeypatch.context() as patch:
             dealing(patch, dealt)
             expected = per_pair(pairs, dealt)
-            assert monotone_pairs_violations(pairs) == expected
+            assert monotone_closure_violations(nets, every_pair=True) == expected
         assert expected
     nets = sample_population(4, 40, 8)
-    pairs = [(f, lattice_combine(f, g, "join")) for f, g in zip(nets, nets[1:])]
+    pairs = join_pairs(nets)
     closures = {f: trapping_closure(f) for pair in pairs for f in pair}
-    assert monotone_pairs_violations(pairs) == per_pair(pairs, closures) == []
-    dealt = {f: nets[i] for f, i in zip(nets, rng.permutation(len(nets)))}
-    joined = {**{g: g for _, g in pairs}, **dealt}
-    with monkeypatch.context() as patch:
-        dealing(patch, joined)
-        expected = per_pair(pairs, joined)
-        assert monotone_pairs_violations(pairs) == expected
-    assert expected
-    assert monotone_pairs_violations([]) == []
-    # Pairs of two dimensions, interleaved, come back in pair order.
-    small, large = exhaustive_networks(1), exhaustive_networks(2)[:4]
-    pairs = [pair for f, g in zip(small, large) for pair in ((f, f), (g, g), (f, small[0]))]
-    dealt = {**dict(zip(small, small[::-1])), **{g: g for g in large}}
+    assert monotone_closure_violations(nets) == per_pair(pairs, closures) == []
+    dealt = dealt_closures(nets, 3, pairs)
     with monkeypatch.context() as patch:
         dealing(patch, dealt)
         expected = per_pair(pairs, dealt)
-        assert monotone_pairs_violations(pairs) == expected
+        assert monotone_closure_violations(nets) == expected
+        assert monotone_closure_violations(nets, every_pair=True) == per_pair(every_pair(nets), dealt)
+    assert expected
+    assert monotone_closure_violations([]) == monotone_closure_violations([], every_pair=True) == []
+    # Networks of two dimensions, interleaved: every pair of one dimension
+    # comes back in the order of f, and no neighbours share a dimension.
+    small, large = exhaustive_networks(1), exhaustive_networks(2)[:4]
+    nets = [f for pair in zip(small, large) for f in pair]
+    dealt = {**dict(zip(small, small[::-1])), **{g: g for g in large}}
+    with monkeypatch.context() as patch:
+        dealing(patch, dealt)
+        expected = per_pair(every_pair(nets), dealt)
+        assert monotone_closure_violations(nets, every_pair=True) == expected
+        assert monotone_closure_violations(nets) == []
     assert expected
 
 
-def recording_monotone_pairs(monkeypatch) -> list:
-    """Patch ``verify.monotone_pairs_violations`` to record the pairs of each call."""
-    calls, check = [], verify.monotone_pairs_violations
-    monkeypatch.setattr(verify, "monotone_pairs_violations",
-                        lambda found: (calls.append(found), check(found))[1])
+def recording_closure_stacks(monkeypatch) -> list:
+    """Patch ``verify.principal_rows`` to record the image rows of each call."""
+    calls, principal = [], verify.principal_rows
+    monkeypatch.setattr(verify, "principal_rows",
+                        lambda images, n: (calls.append(images.tolist()), principal(images, n))[1])
     return calls
 
 
+def join_rows(pairs):
+    return [list(g.image) for _, g in pairs]
+
+
 def test_monotonicity_pairs_neighbours_of_one_dimension(monkeypatch):
-    calls, pairs = recording_monotone_pairs(monkeypatch), []
+    calls, joins = recording_closure_stacks(monkeypatch), []
     parts = [sample_population(3, 8, 5), sample_population(4, 6, 6)]
     for nets in (*parts, parts[0] + parts[1]):
         calls.clear()
         assert run_verification(nets, "closure") == []
-        pairs.append([pair for found in calls for pair in found])
-    assert pairs[2] == pairs[0] + pairs[1]
-    assert [len(found) for found in pairs] == [len(nets) - 1 for nets in parts] + [
+        # Each block is one stack, then its joins are another.
+        assert calls[::2] == [[list(f.image) for f in b] for b in classes.population_blocks(nets)]
+        joins.append([row for stack in calls[1::2] for row in stack])
+    assert joins[2] == joins[0] + joins[1] == join_rows(join_pairs(parts[0]) + join_pairs(parts[1]))
+    assert [len(found) for found in joins] == [len(nets) - 1 for nets in parts] + [
         sum(len(nets) - 1 for nets in parts)
     ]
 
 
 def test_monotonicity_joins_are_built_a_block_at_a_time(monkeypatch):
     nets = sample_population(3, 400, 2)  # three blocks
-    pairs = [(f, lattice_combine(f, g, "join")) for f, g in zip(nets, nets[1:])]
-    dealt = {f: nets[i] for f, i in zip(nets, np.random.default_rng(4).permutation(len(nets)))}
-    dealing(monkeypatch, {**{g: g for _, g in pairs}, **dealt})
-    expected = verify.monotone_pairs_violations(pairs)
-    calls = recording_monotone_pairs(monkeypatch)
+    pairs = join_pairs(nets)
+    dealt = dealt_closures(nets, 4, pairs)
+    dealing(monkeypatch, dealt)
+    expected = per_pair(pairs, dealt)
+    calls = recording_closure_stacks(monkeypatch)
     # The closure laws read the block's own closures, so the dealt ones
     # break only monotonicity, in pair order.
     assert run_verification(nets, "closure") == expected and len(expected) > 10
     blocks = [len(block) for block in classes.population_blocks(nets)]
-    assert [len(found) for found in calls] == [*blocks[:-1], blocks[-1] - 1] and len(blocks) == 3
-    assert [pair for found in calls for pair in found] == pairs
+    # A block's joins reach the next block's first row; the last block's cannot.
+    assert [len(stack) for stack in calls] == [
+        *(size for b in blocks[:-1] for size in (b, b)), blocks[-1], blocks[-1] - 1
+    ] and len(blocks) == 3
+    assert [row for stack in calls[1::2] for row in stack] == join_rows(pairs)
+
+
+def test_monotonicity_of_blocks_with_no_join(monkeypatch):
+    # One network: its block has no join, and no closure pass is made of one.
+    calls = recording_closure_stacks(monkeypatch)
+    f = sample_population(3, 1, 4)[0]
+    assert run_verification([f], "closure") == [] and [len(stack) for stack in calls] == [1]
+    # A last block of one network, after a full block.
+    nets = exhaustive_networks(2)
+    nets = [*nets, nets[7]]
+    pairs = join_pairs(nets)
+    dealt = dealt_closures(nets[:-1], 5)
+    with monkeypatch.context() as patch:
+        dealing(patch, dealt)
+        calls = recording_closure_stacks(patch)
+        expected = per_pair(pairs, dealt)
+        assert monotone_closure_violations(nets) == expected and expected
+        assert [len(stack) for stack in calls] == [classes._MAX_BLOCK, classes._MAX_BLOCK, 1]
+        assert join_rows(pairs[-1:]) == calls[1][-1:]
+    # A block of one network before a block of another dimension: no join across them.
+    nets = [f, *sample_population(4, 1, 7)]
+    with monkeypatch.context() as patch:
+        calls = recording_closure_stacks(patch)
+        assert monotone_closure_violations(nets) == []
+        assert [len(stack) for stack in calls] == [1, 5, 4]
 
 
 def test_blocks_hold_at_most_max_block_networks():
