@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -698,3 +700,86 @@ def test_commands_read_only_the_image_array(tmp_path, monkeypatch, capsys):
     assert main(["verify", "--n", "3", "--samples", "30"]) == 0
     assert main(["verify", "--n", "2", "--exhaustive"]) == 0
     capsys.readouterr()
+
+
+# --- the process entry
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_script_target_is_a_function_of_the_cli():
+    # Read as text: Python 3.10 has no tomllib.
+    with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as fh:
+        scripts = fh.read().split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    (target,) = re.findall(r'^trapnets = "(.*)"$', scripts, re.M)
+    module, _, name = target.partition(":")
+    import trapnets.cli
+
+    assert module == "trapnets.cli" and callable(getattr(trapnets.cli, name, None))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--n", "2", "--exhaustive"], 0),
+    (["verify", "--n", "3"], 2),
+    (["verify", "--n", "0"], 2),
+], ids=["success", "refusal", "usage-error"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["collecting", "paused"])
+def test_main_leaves_the_collector_as_it_found_it(capsys, argv, code, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        try:
+            assert main(argv) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        assert gc.isenabled() == enabled and gc.get_freeze_count() == frozen
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+def test_entry_leaves_the_collector_frozen_after_a_refusal_inside_a_command(tmp_path):
+    script = (
+        "import gc\nfrom trapnets.cli import entry\n"
+        "try:\n    entry()\nexcept SystemExit as exc:\n"
+        "    print(exc.code, gc.isenabled(), gc.get_freeze_count() > 0)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script, "analyze", str(tmp_path / "none.tt")],
+                         capture_output=True, text=True)
+    assert out.stdout.split() == ["2", "False", "True"], out.stderr
+
+
+def garbage_after(argv):
+    """What ``gc.collect()`` finds after one ``main(argv)`` call in a fresh
+    interpreter whose collector was paused from the start."""
+    script = (
+        "import gc, sys\ngc.disable()\nfrom trapnets.cli import main\n"
+        "main(sys.argv[1:])\nsys.stdout.flush()\nprint(gc.collect(), file=sys.stderr)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return int(out.stderr.split()[-1])
+
+
+def test_a_commands_cyclic_garbage_does_not_grow_with_its_input(tmp_path):
+    # What makes it safe for ``entry`` to pause the collector for a whole call.
+    verify = ["verify", "--n", "4", "--seed", "424200", "--samples"]
+    assert garbage_after([*verify, "29"]) == garbage_after([*verify, "290"])
+    small, large = (write_net(tmp_path, f"r{n}.tt", random_network(n, 2)) for n in (5, 10))
+    assert garbage_after(["analyze", small]) == garbage_after(["analyze", large])
+
+
+def test_a_reader_that_has_closed_leaves_no_descriptor_open():
+    # The lowest free descriptor is the same before and after the call.
+    script = (
+        "import os, sys\nfrom trapnets.cli import main\n"
+        "def lowest():\n    fd = os.open(os.devnull, os.O_RDONLY)\n    os.close(fd)\n    return fd\n"
+        "before = lowest()\ncode = main(sys.argv[1:])\n"
+        "print(code, before == lowest(), file=sys.stderr)\n"
+    )
+    child = subprocess.Popen([sys.executable, "-c", script, "verify", "--n", "2", "--exhaustive"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    child.stdout.close()
+    assert child.stderr.read().split() == [b"0", b"True"]
+    assert child.wait(timeout=60) == 0
