@@ -28,28 +28,35 @@ from trapnets.caps import CAPS, SUITES  # noqa: E402  (neither module imports nu
 from trapnets.cli import INT_DIGITS, MAX_PARTS, MAX_SAMPLES  # noqa: E402
 
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+# The shape writer also imports this module.
+SHAPE_ENV = {**ENV, "PYTHONPATH": os.pathsep.join((os.path.dirname(os.path.abspath(__file__)), ENV["PYTHONPATH"]))}
 ADDRESS_SPACE = 512 << 20  # every row's RLIMIT_AS, set in its child alone
 KINDS = ("random", "commutative", "negation", "constant", "long-transient")
 # Two stress shapes for the strongly connected components: the Gray chain
 # g_i -> g_(i+1), whose search is as deep as the cube, and negation with
 # f(0) = 1, which is dense and not transitive.
 SHAPES = ("gray-chain", "negation-f0-is-1")
-WRITE_SHAPE = """
-import sys
-from trapnets import BooleanNetwork
-from trapnets.netio import network_to_text
-shape, n, path = sys.argv[1], int(sys.argv[2]), sys.argv[3]
-if shape == "gray-chain":
-    codes = [i ^ i >> 1 for i in range(1 << n)]
-    image = [0] * (1 << n)
-    for a, b in zip(codes, codes[1:] + codes[-1:]):
-        image[a] = b
-else:
-    image = list(BooleanNetwork.negation(n).image)
-    image[0] = 1
-with open(path, "w") as fh:
-    fh.write(network_to_text(BooleanNetwork(n, tuple(image))))
-"""
+
+
+def write_shape(shape: str, n: int, path: str) -> None:
+    """Write stress shape ``shape`` at dimension n as a truth table to ``path``."""
+    from trapnets import BooleanNetwork
+    from trapnets.netio import network_to_text
+
+    if shape == "gray-chain":
+        codes = [i ^ i >> 1 for i in range(1 << n)]
+        image = [0] * (1 << n)
+        for a, b in zip(codes, codes[1:] + codes[-1:]):
+            image[a] = b
+    else:
+        image = list(BooleanNetwork.negation(n).image)
+        image[0] = 1
+    with open(path, "w") as fh:
+        fh.write(network_to_text(BooleanNetwork(n, tuple(image))))
+
+
+# The child that writes a shape's file, so that this runner imports no numpy.
+WRITE_SHAPE = "import sys, budgets; budgets.write_shape(sys.argv[1], int(sys.argv[2]), sys.argv[3])"
 
 
 @dataclass(frozen=True)
@@ -220,7 +227,7 @@ def check(row: Row, tmp: str, bare_mib: float) -> tuple[list[str], str]:
         if not os.path.exists(path[net]):
             argv = (["-c", WRITE_SHAPE, net.kind, str(net.n), path[net]] if net.kind in SHAPES
                     else ["-m", "trapnets.cli", *(path[net] if a is net else a for a in net.gen())])
-            subprocess.run([sys.executable, *argv], env=ENV, check=True, stdout=subprocess.DEVNULL)
+            subprocess.run([sys.executable, *argv], env=SHAPE_ENV, check=True, stdout=subprocess.DEVNULL)
     if row.out and os.path.exists(path[row.out]):
         os.remove(path[row.out])
     code, err, wall, peak = run(["-m", "trapnets.cli", *(path.get(a, a) for a in row.args)], row.seconds)
