@@ -3,15 +3,16 @@
 Every class predicate is computed from its own primary definition;
 ``check_alternate_definitions`` evaluates each of a class's equivalent
 defining conditions independently so their agreement can be verified over
-whole populations.  A ``ProfileBlock`` holds a block of networks as their
-(k, 2^n) image rows, and ``block[name]`` is filled on first use by one
-path, ``ProfileBlock._fill``, into one dict.  Two tables map the kernels
-to the names they fill: ``STACKS`` the array facts (the trapspace stacks,
-the minimal trapspaces, covered mask and distinct count of the cover, the
-P, J and N collection masks, closures, min extensions, realisations,
-intervals, the fixed-point table and components) and ``KERNELS`` the
-boolean columns, one kernel per fact.  The block of the networks related
-to its rows, ``related()``, is kept in the same dict.  ``verify --suite
+whole populations.  A ``ProfileBlock`` is a ``trapspaces.TrapspaceBlock``,
+which holds a block of networks as their (k, 2^n) image rows and fills
+``block[name]`` on first use by one path, ``_fill``, into one dict; every
+trapspace fact (principal pairs, trapspaces, the minimal cover, P, J and
+N, closures and min extensions) is that module's.  Two tables here map
+the class layer's kernels to the names they fill: ``STACKS`` its array
+facts (realisations, intervals, the fixed-point table and the
+asynchronous components) and ``KERNELS`` the boolean columns, one kernel
+per fact; ``FILLS`` indexes both with the trapspace facts.  The block of
+the networks related to its rows, ``related()``, is kept in the same dict.  ``verify --suite
 all`` checks every column but ``transitive_a``, on which no claim rests.
 A ``NetworkProfile`` views one row, so the per-network functions read the
 same kernels.
@@ -49,7 +50,6 @@ from .cubesets import (
     _ternary_of_masks,
     classify_collection,
     convex_rows,
-    cube_masks,
     lambda_rows,
     min_ideal_rows,
     pointwise_cubes,
@@ -72,7 +72,7 @@ from .dynamics import (
     subcube_row_predicates,
 )
 from .netio import parse_truth_table
-from .trapspaces import cover_rows, min_extension_rows, principal_rows, trapspace_rows
+from .trapspaces import TrapspaceBlock, _by_name
 
 # The theorems with a subset-pair and an interval condition.
 PAIR_THEOREMS = ("trapping7", "commutative3", "marseille4", "lille4", "globally_idempotent3")
@@ -451,22 +451,9 @@ class NetworkProfile:
         return SubcubeCollection(self.n, self.block["J"][self.row])
 
     @cached_property
-    def minimal_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(free, base) of the minimal trapspaces, in ``pairs()`` order, and
-        the configurations they cover; no 3^n mask is built."""
-        index, free, base = self.block["minimal"]
-        start, stop = np.searchsorted(index, (self.row, self.row + 1)).tolist()
-        return free[start:stop], base[start:stop], self.block["covered"][self.row]
-
-    @cached_property
     def minimal(self) -> tuple[SubcubeCollection, np.ndarray]:
         block, row = self.block, self.row
         return SubcubeCollection(self.n, block["N"][row]), block["covered"][row]
-
-    @cached_property
-    def pt_distinct(self) -> int:
-        """The number of distinct principal trapspaces."""
-        return int(self.block["pt_distinct"][self.row])
 
     @cached_property
     def min_extension(self) -> BooleanNetwork:
@@ -554,34 +541,14 @@ def _scc_predicates(block, kind: str) -> dict[str, np.ndarray]:
     return _named(holds, kind)
 
 
-def _cover_facts(block) -> dict:
-    """``cover_rows`` of the principal stacks, by name."""
-    index, free, base, covered, distinct = cover_rows(*block["principal"], block.n)
-    return {"minimal": (index, free, base), "covered": covered, "pt_distinct": distinct}
-
-
-# The array facts of a block, in the form of ``KERNELS``: each under the
-# kernel that fills it.  ``covered``, ``closures``, ``min_extensions`` and
-# each of the ``realisations`` of P, J and N (by collection; x moves by its
-# ``pointwise_free`` mask) are (k, 2^n), as is each of the pairs
-# ``principal`` (free, base) and ``async_components`` (label, terminal);
-# ``trapspaces`` and the principal (P), trapspace (J) and minimal (N) masks
-# are (k, 3^n), as is the one fixed-point table, ``fixed_points``, whose
-# uint8 entry (i, T) counts row i's fixed points in T up to 2.
-# ``minimal`` is the (index, free, base) of every minimal trapspace, sorted
-# by row, ``pt_distinct`` the (k,) count of distinct principal trapspaces
-# and ``intervals`` the (at, s) of ``interval_arrays``.
+# The array facts the class layer adds to ``trapspaces.STACKS``, in the
+# form of ``KERNELS``: each under the kernel that fills it.  Each of the
+# ``realisations`` of P, J and N (by collection; x moves by its
+# ``pointwise_free`` mask) is (k, 2^n), as is the pair ``async_components``
+# (label, terminal); the one fixed-point table, ``fixed_points``, is
+# (k, 3^n), its uint8 entry (i, T) counting row i's fixed points in T up to
+# 2; and ``intervals`` is the (at, s) of ``interval_arrays``.
 STACKS = {
-    ("principal",): lambda b: principal_rows(b.images, b.n),
-    ("trapspaces",): lambda b: trapspace_rows(b.images, b.n),
-    ("minimal", "covered", "pt_distinct"): _cover_facts,
-    # The closure moves x by its principal free mask.
-    ("closures",): lambda b: np.arange(1 << b.n) ^ b["principal"][0],
-    ("min_extensions",): lambda b: min_extension_rows(b["principal"][0], b["covered"], b.n),
-    ("P",): lambda b: cube_masks(np.arange(len(b.images))[:, None], *b["principal"],
-                                 len(b.images), b.n),
-    ("J",): lambda b: b["trapspaces"],
-    ("N",): lambda b: cube_masks(*b["minimal"], len(b.images), b.n),
     ("realisations",): lambda b: {c: np.arange(1 << b.n) ^ pointwise_free(b[c], b.n)
                                   for c in "PJN"},
     ("intervals",): lambda b: interval_arrays(b.images, b.n),
@@ -593,8 +560,7 @@ STACKS = {
 # The class layer: every boolean column, under the kernel that fills it.  A
 # kernel takes a ``ProfileBlock`` and returns a dict of its columns, or the
 # array of its one column: a stacked ``*_rows`` kernel, a reading of the
-# ``STACKS`` facts or the graphs' row forms, or an expression in other
-# columns.
+# array facts or the graphs' row forms, or an expression in other columns.
 KERNELS = {
     _IMAGE_FLAGS: lambda b: image_flag_rows(b.images, b.n),
     _GLOBALLY_FLAGS: lambda b: globally_rows(b.images, b.n),
@@ -635,41 +601,18 @@ KERNELS = {
 }
 
 
-def _by_name(table: dict) -> dict:
-    """Each name of a table, with all the names of its kernel and the kernel."""
-    return {name: (names, kernel) for names, kernel in table.items() for name in names}
-
-
 COLUMNS = _by_name(KERNELS)
-# The one index of every fact and column that ``ProfileBlock._fill`` fills.
-FILLS = _by_name(STACKS) | COLUMNS
 
 
-class ProfileBlock:
-    """The facts of a block of networks of one dimension, held as nothing
-    but their (k, 2^n) image rows.  ``block[name]`` is a fact of ``STACKS``
-    or a boolean column of ``KERNELS`` (one per class flag, diagram node and
-    alternate-definition condition), and entry i of each is row i's.
-    ``_fill`` fills each on first use, with the other names of its kernel,
-    into one dict, which also holds ``related``: the networks related to the
-    rows, as the rows of a second block.  A block refers to no profile, so
-    it is freed with its last reference."""
+class ProfileBlock(TrapspaceBlock):
+    """A ``trapspaces.TrapspaceBlock`` with the class layer: ``block[name]``
+    is also a fact of this module's ``STACKS`` or a boolean column of
+    ``KERNELS`` (one per class flag, diagram node and alternate-definition
+    condition).  The block's dict also holds ``related``: the networks
+    related to the rows, as the rows of a second block.  A block refers to
+    no profile, so it is freed with its last reference."""
 
-    def __init__(self, images: np.ndarray):
-        self.images = images
-        self.n = images.shape[1].bit_length() - 1
-        self._facts: dict = {}
-
-    @classmethod
-    def of(cls, networks: list[BooleanNetwork]) -> "ProfileBlock":
-        """The block of the networks' image rows.  A block of one, as full
-        ``analyze`` builds, views its image: no 2^n copy."""
-        images = [f.np_image for f in networks]
-        return cls(images[0][None] if len(images) == 1 else np.stack(images))
-
-    def network(self, i: int) -> BooleanNetwork:
-        """The network of row i."""
-        return BooleanNetwork(self.n, self.images[i])
+    FILLS = TrapspaceBlock.FILLS | _by_name(STACKS) | COLUMNS
 
     def related(self, realisations: bool = False) -> tuple["ProfileBlock", dict[str, np.ndarray]]:
         """The block, of this block's class, of the distinct closures and min
@@ -686,21 +629,13 @@ class ProfileBlock:
             held = self._facts["related"] = type(self)(rows), at
         return held
 
-    def __getitem__(self, name: str):
-        if name not in self._facts:
-            self._facts.update(self._fill(name))
-        return self._facts[name]
-
     def vector(self, theorem: str) -> np.ndarray:
         """The (k, m) table of the theorem's m defining conditions."""
         return np.stack([self[name] for name in VECTORS[theorem]], axis=1)
 
-    def _fill(self, name: str) -> dict:
-        """The facts or columns of the kernel of ``name``, by name."""
-        names, kernel = FILLS[name]
-        filled = kernel(self)
-        return filled if len(names) > 1 else {name: filled}
 
+# The one index of every fact and column that ``ProfileBlock._fill`` fills.
+FILLS = ProfileBlock.FILLS
 
 ClassReport = make_dataclass(
     "ClassReport", [(name, bool) for name in CLASS_FLAGS], frozen=True,

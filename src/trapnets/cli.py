@@ -7,7 +7,9 @@ errors.  A command whose reader closes its standard output early (as with
 
 Each command imports the layers it runs when it runs: ``--help`` and a
 usage error load no numpy, and ``analyze --minimal-only`` loads neither the
-class layer, ``verify`` nor the generators.  A command with a cap refuses
+class layer, ``verify`` nor the generators.  ``analyze`` reads its report
+off one block of its network: a ``trapspaces.TrapspaceBlock`` with
+``--minimal-only``, else a ``classes.ProfileBlock``.  A command with a cap refuses
 a regular file from its header, before its body is read.
 
 ``python -m trapnets.cli`` and the ``trapnets`` script run ``entry``, which
@@ -113,32 +115,28 @@ def _analysis_report(f, name: str, minimal_only: bool) -> dict:
     from .dynamics import transient_and_period
 
     if minimal_only:
-        from .trapspaces import minimal_cover
-
-        free, base, covered, distinct = minimal_cover(f)
+        from .trapspaces import TrapspaceBlock as Block
     else:
-        from .classes import NetworkProfile
-
-        profile = NetworkProfile(f)
-        (free, base, covered), distinct = profile.minimal_pairs, profile.pt_distinct
-    transient, period = transient_and_period(f)
-    report: dict = {
-        "name": name,
-        "n": f.n,
-        "transient": transient,
-        "period": period,
-        "trapspaces": {
-            "principal_distinct": distinct,
-            "minimal": len(free),
-            "min_configs": int(covered.sum()),
-            "minimal_cubes": (free, base),
-        },
+        from .classes import ProfileBlock as Block
+    block = Block.of([f])
+    _, free, base = block["minimal"]
+    trapspaces = {
+        "principal_distinct": int(block["pt_distinct"][0]),
+        "minimal": len(free),
+        "min_configs": int(block["covered"][0].sum()),
+        "minimal_cubes": (free, base),
     }
     if minimal_only:
+        del block  # so that its principal pairs are not held through the transient
+    transient, period = transient_and_period(f)
+    report = {"name": name, "n": f.n, "transient": transient, "period": period,
+              "trapspaces": trapspaces}
+    if minimal_only:
         return report
-    from .classes import classify_network
+    from .classes import NetworkProfile, classify_network
     from .dynamics import GRAPH_PROPERTIES
 
+    profile = NetworkProfile(f, block)
     report["trapspaces"]["all"] = len(profile.trapspace_collection)
     report["classes"] = classify_network(f, profile).as_dict()
     report["graphs"] = {

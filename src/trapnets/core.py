@@ -14,6 +14,7 @@ same table.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -70,7 +71,7 @@ class Configuration:
 
     def __post_init__(self):
         check_cap("network", self.n)
-        if not 0 <= self.bits < 1 << self.n:
+        if not 0 <= operator.index(self.bits) < 1 << self.n:
             raise ValueError(f"configuration bits {self.bits} out of range for n={self.n}")
 
     @classmethod
@@ -98,7 +99,7 @@ class Mask:
 
     def __post_init__(self):
         check_cap("network", self.n)
-        if not 0 <= self.bits < 1 << self.n:
+        if not 0 <= operator.index(self.bits) < 1 << self.n:
             raise ValueError(f"mask bits {self.bits} out of range for n={self.n}")
 
     @classmethod
@@ -285,8 +286,11 @@ class BooleanNetwork:
         size = 1 << n
         if len(image) != size:
             raise ValueError(f"image table must have {size} entries, got {len(image)}")
+        values = np.asarray(image)
+        if values.dtype.kind not in "biu":  # also the ints beyond int64; TypeError for the rest
+            values = [operator.index(v) for v in image]
         try:
-            table = np.array(image, dtype=np.int64)
+            table = np.array(values, dtype=np.int64)
         except OverflowError:  # an entry beyond int64 is out of range too
             table = None
         if table is None or table.min() < 0 or table.max() >= size:

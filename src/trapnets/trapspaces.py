@@ -5,8 +5,6 @@ questions read tables over subcubes, all filled by the one subcube OR
 kernel ``cubesets._subcube_or``, which gives entry T the OR (or another
 reduction) of one value per member of T.  The moved table here ORs
 ``x ^ f(x)``, so T is a trapspace iff that OR moves no coordinate T fixes.
-The one fixed-point table, which counts the members with ``f(x) == x`` up
-to 2, is a fact of the class layer's block (``classes.STACKS``).
 
 Enumeration reads the whole 3^n moved table (the ``enumeration`` cap,
 n = 13).  The principal map reads a stacked one instead: m = min(n, 9)
@@ -21,33 +19,26 @@ and keeps one int32 per configuration between passes.  At n = 16 the
 table takes 5 MB as uint16, against 86 MB for the whole 3^16 table; it
 grows as 2^(n-9) 3^9 entries above n = 9.
 
-The trapspaces are a boolean mask over the subcube index, the form a
-``SubcubeCollection`` stores.  The principal map is one read-only
-``(free, base)`` pair of int64 arrays over the 2^n configurations, the
-shape ``SubcubeCollection.pairs()`` returns; the trapping closure is
-``x ^ free`` and the trapping graph the bitsets of those subcubes.
-``minimal_cover`` counts the configurations per principal subcube by
-sorting their keys ``free << n | base`` in place, and returns the
-minimal trapspaces as (free, base) arrays in ``pairs()`` order with the
-configurations they cover, as a read-only bool array over the 2^n
-configurations, and the number of distinct principal trapspaces;
-``minimal_trapspaces`` puts them in a collection.  A member x of a
-minimal trapspace has it as its principal trapspace, so the min-trapping
-extension sends x to ``x ^ free`` and every other configuration to its
-negation.  A single principal trapspace is instead grown from a frontier
-of newly-added members, with no table and no cap.
+Every whole-network fact comes from the principal map, by one kernel over
+a stack of k networks of one dimension given as a (k, 2^n) array of image
+rows: ``principal_rows`` (a read-only ``(free, base)`` pair of int64
+arrays), ``trapspace_rows`` (a boolean mask over the subcube index, the
+form a ``SubcubeCollection`` stores), ``cover_rows`` (the minimal
+trapspaces, the configurations they cover and the count of distinct
+principal trapspaces, by sorting the keys ``free << n | base`` in place)
+and ``min_extension_rows``.  The trapping closure moves x by its free mask
+and the trapping graph holds the bitsets of those subcubes.  Each kernel
+is called only from ``STACKS``, the table by which a ``TrapspaceBlock``
+fills each fact once, on first use; the per-network functions read row 0
+of a block of one, and ``classes.ProfileBlock`` adds the class layer.  A
+single principal trapspace is instead grown from a frontier of
+newly-added members, with no table and no cap.
 
 So the minimal trapspaces of one network take the stacked table plus a
 few arrays over the configurations: the image, the (free, base) pair and
 the covered mask.  At n = 16 ``principal_rows`` holds the 5 MB table plus
 about 1 MiB and ``cover_rows`` at most 2.8 MiB with its result
 (tracemalloc).
-
-Every whole-network kernel has one body, over a stack of k networks of
-one dimension given as a (k, 2^n) array of image rows: ``principal_rows``,
-``trapspace_rows``, ``cover_rows`` and ``min_extension_rows``.  A
-``classes.ProfileBlock`` calls each at most once, on first use; the
-per-network functions read row 0 of a stack of one.
 """
 
 from __future__ import annotations
@@ -65,7 +56,13 @@ from .core import (
     check_cap,
     iter_submasks,
 )
-from .cubesets import SubcubeCollection, _free_of_index, _subcube_or, _ternary_of_masks
+from .cubesets import (
+    SubcubeCollection,
+    _free_of_index,
+    _subcube_or,
+    _ternary_of_masks,
+    cube_masks,
+)
 from .dynamics import HypercubeGraph, subcube_graph
 
 # The ternary digits of the stacked table ``principal_rows`` reads; the
@@ -209,14 +206,6 @@ def principal_rows(images: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return free, base
 
 
-def principal_pairs(f: BooleanNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """(free, base) arrays of the principal trapspace of every configuration:
-    row 0 of ``principal_rows``, so entry x of each read-only int64 array
-    describes the principal trapspace of x.  The ``table`` cap applies."""
-    free, base = principal_rows(f.np_image[None], f.n)
-    return free[0], base[0]
-
-
 def trapspace_rows(images: np.ndarray, n: int) -> np.ndarray:
     """Entry (i, T): whether subcube T is a trapspace of the network of image
     row i (the ``enumeration`` cap)."""
@@ -224,15 +213,7 @@ def trapspace_rows(images: np.ndarray, n: int) -> np.ndarray:
     return (_moved_rows(images, n, n)[:, 0] & ~_free_of_index(n)) == 0
 
 
-def enumerate_trapspaces(f: BooleanNetwork) -> SubcubeCollection:
-    """All trapspaces of f: the collection whose mask is row 0 of
-    ``trapspace_rows`` (the ``enumeration`` cap)."""
-    return SubcubeCollection(f.n, trapspace_rows(f.np_image[None], f.n)[0])
-
-
-def cover_rows(
-    free: np.ndarray, base: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def cover_rows(free: np.ndarray, base: np.ndarray, n: int) -> dict[str, np.ndarray]:
     """The minimal trapspaces of a stack of networks, from their (k, 2^n)
     principal pairs as ``principal_rows`` returns them.
 
@@ -246,10 +227,11 @@ def cover_rows(
     principal trapspace, so x is covered iff ``base[x]`` is the base of a
     minimal trapspace whose free mask is ``free[x]``.
 
-    Returns the network index, free mask and base of every minimal
-    trapspace, sorted by index, free mask, then base; the read-only (k, 2^n)
-    bool array of the configurations they cover; and the number of distinct
-    principal trapspaces of each network.
+    Returns, by block name, ``minimal``: the network index, free mask and
+    base of every minimal trapspace, sorted by index, free mask, then base;
+    ``covered``: the read-only (k, 2^n) bool array of the configurations
+    they cover; and ``pt_distinct``: the number of distinct principal
+    trapspaces of each network.
     """
     k, cell = len(free), (1 << n) - 1
     keys = free << n
@@ -271,38 +253,7 @@ def cover_rows(
     bases[index, min_base] = True
     covered = bases[rows, base] & (free[rows, base] == free)
     covered.setflags(write=False)
-    return index, min_free, min_base, covered, distinct
-
-
-def minimal_cover(f: BooleanNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Row 0 of ``cover_rows``: (free, base) of the minimal trapspaces of f,
-    sorted by free mask, then base, the read-only bool array of the
-    configurations they cover, and the number of distinct principal
-    trapspaces.  The ``table`` cap applies.
-    """
-    _, free, base, covered, distinct = cover_rows(*principal_rows(f.np_image[None], f.n), f.n)
-    return free, base, covered[0], int(distinct[0])
-
-
-def minimal_trapspaces(f: BooleanNetwork) -> tuple[SubcubeCollection, np.ndarray]:
-    """Minimal trapspaces of f and the read-only bool array of the
-    configurations they cover: ``minimal_cover`` as a collection."""
-    free, base, covered, _ = minimal_cover(f)
-    return SubcubeCollection.from_pairs(f.n, free, base), covered
-
-
-def trapping_closure(f: BooleanNetwork) -> BooleanNetwork:
-    """The network sending each x to its opposite in its principal trapspace.
-
-    The result is the largest network (most transitions) with the same
-    trapspaces as f, and is a fixed point of this operator.
-    """
-    return BooleanNetwork(f.n, np.arange(1 << f.n) ^ principal_pairs(f)[0])
-
-
-def trapping_graph(f: BooleanNetwork) -> HypercubeGraph:
-    """Graph with an arc x -> y whenever y lies in the principal trapspace of x."""
-    return subcube_graph(f.n, *principal_pairs(f))
+    return {"minimal": (index, min_free, min_base), "covered": covered, "pt_distinct": distinct}
 
 
 def min_extension_rows(free: np.ndarray, covered: np.ndarray, n: int) -> np.ndarray:
@@ -315,13 +266,115 @@ def min_extension_rows(free: np.ndarray, covered: np.ndarray, n: int) -> np.ndar
     return np.arange(1 << n) ^ np.where(covered, free, (1 << n) - 1)
 
 
+# ---------------------------------------------------------------------------
+# the trapspace facts of a block of networks, each filled once
+
+
+def _by_name(table: dict) -> dict:
+    """Each name of a table, with all the names of its kernel and the kernel."""
+    return {name: (names, kernel) for names, kernel in table.items() for name in names}
+
+
+# The trapspace facts of a block, each under the kernel that fills it; a
+# kernel of several names returns them as a dict.  ``covered``, ``closures``
+# and ``min_extensions`` are (k, 2^n), as is each of the pair ``principal``
+# (free, base); ``trapspaces`` and the principal (P), trapspace (J) and
+# minimal (N) masks are (k, 3^n).  ``minimal`` is the (index, free, base)
+# of every minimal trapspace, sorted by row, and ``pt_distinct`` the (k,)
+# count of distinct principal trapspaces.
+STACKS = {
+    ("principal",): lambda b: principal_rows(b.images, b.n),
+    ("trapspaces",): lambda b: trapspace_rows(b.images, b.n),
+    ("minimal", "covered", "pt_distinct"): lambda b: cover_rows(*b["principal"], b.n),
+    # The trapping closure moves x by its principal free mask.
+    ("closures",): lambda b: np.arange(1 << b.n) ^ b["principal"][0],
+    ("min_extensions",): lambda b: min_extension_rows(b["principal"][0], b["covered"], b.n),
+    ("P",): lambda b: cube_masks(np.arange(len(b.images))[:, None], *b["principal"],
+                                 len(b.images), b.n),
+    ("J",): lambda b: b["trapspaces"],
+    ("N",): lambda b: cube_masks(*b["minimal"], len(b.images), b.n),
+}
+
+
+class TrapspaceBlock:
+    """The trapspace facts of a block of networks of one dimension, held as
+    nothing but their (k, 2^n) image rows.  ``block[name]`` is a fact of
+    ``FILLS``, and entry i of each is row i's; ``_fill`` fills each on first
+    use, with the other names of its kernel, into one dict.  A subclass
+    widens ``FILLS``."""
+
+    FILLS = _by_name(STACKS)
+
+    def __init__(self, images: np.ndarray):
+        self.images = images
+        self.n = images.shape[1].bit_length() - 1
+        self._facts: dict = {}
+
+    @classmethod
+    def of(cls, networks: list[BooleanNetwork]):
+        """The block of the networks' image rows.  A block of one views its
+        network's image: no 2^n copy."""
+        images = [f.np_image for f in networks]
+        return cls(images[0][None] if len(images) == 1 else np.stack(images))
+
+    def network(self, i: int) -> BooleanNetwork:
+        """The network of row i."""
+        return BooleanNetwork(self.n, self.images[i])
+
+    def __getitem__(self, name: str):
+        if name not in self._facts:
+            self._facts.update(self._fill(name))
+        return self._facts[name]
+
+    def _fill(self, name: str) -> dict:
+        """The facts of the kernel of ``name``, by name."""
+        names, kernel = self.FILLS[name]
+        filled = kernel(self)
+        return filled if len(names) > 1 else {name: filled}
+
+
+# ---------------------------------------------------------------------------
+# per-network functions: row 0 of a block of one
+
+
+def principal_pairs(f: BooleanNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """(free, base) arrays of the principal trapspace of every configuration:
+    entry x of each read-only int64 array describes the principal trapspace
+    of x.  The ``table`` cap applies."""
+    free, base = TrapspaceBlock.of([f])["principal"]
+    return free[0], base[0]
+
+
+def enumerate_trapspaces(f: BooleanNetwork) -> SubcubeCollection:
+    """All trapspaces of f (the ``enumeration`` cap)."""
+    return SubcubeCollection(f.n, TrapspaceBlock.of([f])["trapspaces"][0])
+
+
+def minimal_trapspaces(f: BooleanNetwork) -> tuple[SubcubeCollection, np.ndarray]:
+    """Minimal trapspaces of f and the read-only bool array of the
+    configurations they cover (the ``table`` cap)."""
+    block = TrapspaceBlock.of([f])
+    return SubcubeCollection(f.n, block["N"][0]), block["covered"][0]
+
+
+def trapping_closure(f: BooleanNetwork) -> BooleanNetwork:
+    """The network sending each x to its opposite in its principal trapspace.
+
+    The result is the largest network (most transitions) with the same
+    trapspaces as f, and is a fixed point of this operator.
+    """
+    return BooleanNetwork(f.n, TrapspaceBlock.of([f])["closures"][0])
+
+
+def trapping_graph(f: BooleanNetwork) -> HypercubeGraph:
+    """Graph with an arc x -> y whenever y lies in the principal trapspace of x."""
+    return subcube_graph(f.n, *principal_pairs(f))
+
+
 def min_trapping_extension(f: BooleanNetwork) -> BooleanNetwork:
-    """Realisation of the minimal-trapspace collection: row 0 of
-    ``min_extension_rows``.
+    """Realisation of the minimal-trapspace collection.
 
     Inside a minimal trapspace each configuration moves to its opposite in
     that trapspace; every other configuration maps to its full negation.
     """
-    free, base = principal_rows(f.np_image[None], f.n)
-    image = min_extension_rows(free, cover_rows(free, base, f.n)[3], f.n)[0]
-    return BooleanNetwork(f.n, image)
+    return BooleanNetwork(f.n, TrapspaceBlock.of([f])["min_extensions"][0])

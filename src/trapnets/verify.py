@@ -8,17 +8,20 @@ as a ready-to-run truth-table reproducer.
 
 ``run_verification`` checks the population in one process, in the blocks
 of ``classes.population_blocks``, each one ``classes.ProfileBlock``.  A
-check reads every fact of a block as ``block[name]``, a ``STACKS`` array or
-a ``KERNELS`` column, each filled once by ``ProfileBlock._fill``; the
-block's second block, ``related()``, held in the same cache, has the
-closures, min extensions and realisations of its rows as rows.  Every
+check reads every fact of a block as ``block[name]``: an array of
+``trapspaces.STACKS`` or ``classes.STACKS`` or a ``KERNELS`` column, each
+filled once by ``_fill``.  The block's second block, ``related()``, held
+in the same cache, has the closures, min extensions and realisations of
+its rows as rows.  Every
 per-network check takes the block and returns one violation list per
 network, built by ``classes.block_violations`` from (broken column,
 detail) pairs, each column an expression over the block or over the two
 blocks.  The checks that span networks run after the blocks: the closure's
 monotonicity on image rows, each network against its join with the next
 one or, in the exhaustive sweep, against every network of its dimension,
-and the diagram fixtures.
+and the diagram fixtures.  The monotonicity check reads its closures off a
+``trapspaces.TrapspaceBlock`` of its own for each block and for each
+block's joins, as it spans blocks.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .generators import (
     random_constant_on_arrangements,
     random_negation_on_subcubes,
 )
-from .trapspaces import principal_rows
+from .trapspaces import TrapspaceBlock
 
 
 def sample_population(n: int, samples: int, seed: int) -> list[BooleanNetwork]:
@@ -149,19 +152,19 @@ def monotone_closure_violations(
     """``monotonicity_violations`` of the pairs (f, g) of one dimension, in
     the order of f, then of g: g is every network of f's dimension with
     ``every_pair``, and otherwise f's join with the next network.  The
-    closures are one principal pass per block of ``population_blocks`` and
-    one per block's joins (x moves by its principal free mask)."""
+    closures are read off a ``TrapspaceBlock`` of each block of
+    ``population_blocks`` and one of each block's joins."""
     bad, held, start = np.zeros(len(networks), dtype=int), {}, 0
     for nets in population_blocks(networks):
         n, end, xs = nets[0].n, start + len(nets), np.arange(1 << nets[0].n)
-        images = np.array([f.np_image for f in nets])
-        closed = xs ^ principal_rows(images, n)[0]
+        block = TrapspaceBlock.of(nets)
+        images, closed = block.images, block["closures"]
         if every_pair:
             held.setdefault(n, []).append((np.arange(start, end), images, closed))
         elif nexts := [g.np_image for g in networks[start + 1 : end + 1] if g.n == n]:
             m = len(nexts)
             joins = xs ^ ((xs ^ images[:m]) | (xs ^ np.array(nexts)))
-            bad[start : start + m] = ~order_leq_rows(closed[:m], xs ^ principal_rows(joins, n)[0])
+            bad[start : start + m] = ~order_leq_rows(closed[:m], TrapspaceBlock(joins)["closures"])
         start = end
     for parts in held.values():
         at, images, closed = (np.concatenate(stack) for stack in zip(*parts))

@@ -38,10 +38,9 @@ KINDS = ("random", "commutative", "negation", "constant", "long-transient")
 SHAPES = ("gray-chain", "negation-f0-is-1")
 
 
-def write_shape(shape: str, n: int, path: str) -> None:
-    """Write stress shape ``shape`` at dimension n as a truth table to ``path``."""
+def shape_network(shape: str, n: int):
+    """Stress shape ``shape`` at dimension n."""
     from trapnets import BooleanNetwork
-    from trapnets.netio import network_to_text
 
     if shape == "gray-chain":
         codes = [i ^ i >> 1 for i in range(1 << n)]
@@ -51,8 +50,15 @@ def write_shape(shape: str, n: int, path: str) -> None:
     else:
         image = list(BooleanNetwork.negation(n).image)
         image[0] = 1
+    return BooleanNetwork(n, tuple(image))
+
+
+def write_shape(shape: str, n: int, path: str) -> None:
+    """Write stress shape ``shape`` at dimension n as a truth table to ``path``."""
+    from trapnets.netio import network_to_text
+
     with open(path, "w") as fh:
-        fh.write(network_to_text(BooleanNetwork(n, tuple(image))))
+        fh.write(network_to_text(shape_network(shape, n)))
 
 
 # The child that writes a shape's file, so that this runner imports no numpy.

@@ -110,7 +110,7 @@ def test_interval_fixed_point_flags_answer_above_the_enumeration_cap(n):
 
 def test_pt_distinct_counts_brute_force_principals():
     for f in [*exhaustive_networks(2), *sampled_networks(range(3, 5))]:
-        assert NetworkProfile(f).pt_distinct == len(set(brute_force_principals(f)))
+        assert NetworkProfile(f).block["pt_distinct"][0] == len(set(brute_force_principals(f)))
 
 
 def test_long_transient_is_trapping_not_commutative():
@@ -288,7 +288,6 @@ def test_network_min_equivalent_to_extension():
 
 
 def test_min_trapping_flag_finds_minimal_trapspaces_once(monkeypatch):
-    import trapnets.classes as classes
     import trapnets.trapspaces as trapspaces
 
     calls = []
@@ -298,10 +297,9 @@ def test_min_trapping_flag_finds_minimal_trapspaces_once(monkeypatch):
         return cover_rows(*args)
 
     cover_rows = trapspaces.cover_rows
-    for module in (classes, trapspaces):
-        monkeypatch.setattr(module, "cover_rows", counting_cover)
+    monkeypatch.setattr(trapspaces, "cover_rows", counting_cover)
     profile = NetworkProfile(f_ex3())
-    assert len(profile.minimal_pairs[0]) == 3
+    assert len(profile.block["minimal"][1]) == 3
     assert len(profile.minimal[0]) == 3
     assert not profile.min_trapping
     assert len(calls) == 1

@@ -1,14 +1,14 @@
 """The class layer's column table: every column that a check, a diagram, a
 class flag or ``analyze`` reads is filled by one kernel of ``KERNELS``, and
 every column that ``verify --suite all`` fills is checked by it.  Every
-fact of a block, a ``STACKS`` array or a column, is filled once, by
-``ProfileBlock._fill``."""
+fact of a block, an array of ``trapspaces.STACKS`` or ``classes.STACKS`` or
+a column, is filled once, by ``ProfileBlock._fill``."""
 
 from collections import Counter, defaultdict
 
 import numpy as np
 
-from trapnets import NetworkProfile, cli
+from trapnets import NetworkProfile, cli, trapspaces
 from trapnets.classes import (
     CLASS_FLAGS,
     COLUMNS,
@@ -85,7 +85,7 @@ def test_every_column_is_checked_under_the_all_suite(monkeypatch):
     assert unchecked == UNCHECKED
 
 
-STACK_NAMES = {name for names in STACKS for name in names}
+STACK_NAMES = {name for table in (trapspaces.STACKS, STACKS) for names in table for name in names}
 
 
 def recorded_fills(monkeypatch):
@@ -118,7 +118,8 @@ def assert_each_read_filled_once(fills, reads) -> set:
 
 
 def test_every_fact_a_verify_run_reads_is_filled_once_by_fill(monkeypatch):
-    assert sum(map(len, STACKS)) + sum(map(len, KERNELS)) == len(FILLS)  # no name twice
+    # No name twice.
+    assert sum(map(len, trapspaces.STACKS)) + sum(map(len, STACKS)) + sum(map(len, KERNELS)) == len(FILLS)
     fills, reads = recorded_fills(monkeypatch)
     assert run_verification(sample_population(4, 30, 1), "all") == []
     read = assert_each_read_filled_once(fills, reads)

@@ -319,6 +319,31 @@ def test_network_validation_messages():
         BooleanNetwork(2, (0, 1, -1, 3))
     with pytest.raises(ValueError, match=rf"^image entry {2**70} out of range for n=2$"):
         BooleanNetwork(2, (0, 1, 2**70, 3))
+    # Ints of mixed signs beyond int64 are read as floats by numpy, and are still ints.
+    with pytest.raises(ValueError, match=r"^image entry -1 out of range for n=2$"):
+        BooleanNetwork(2, (0, -1, 2**63, 3))
+    with pytest.raises(ValueError, match=rf"^image entry {2**63} out of range for n=2$"):
+        BooleanNetwork(2, np.array([0, 2**63, 1, 3], dtype=np.uint64))
+
+
+def test_network_refuses_entries_that_are_not_integers():
+    # numpy would truncate 0.9 to 0 and parse "3"; neither is an image entry.
+    for table in ([0.9, 1, 2, 3], (0, 1.0, 2, 3), np.array([0.0, 1, 2, 3]),
+                  ["1", "0", "3", "2"], [0, None, 2, 3]):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            BooleanNetwork(2, table)
+    assert BooleanNetwork(2, [True, 0, np.int32(3), np.uint8(2)]).image == (1, 0, 3, 2)
+    assert BooleanNetwork(2, np.array([3, 2, 1, 0], dtype=np.uint16)).image == (3, 2, 1, 0)
+
+
+@pytest.mark.parametrize("cls", [Configuration, Mask])
+def test_bits_must_be_integers(cls):
+    for bits in (1.5, 1.0, "1", None):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            cls(2, bits)
+    with pytest.raises(ValueError, match=r"^(configuration|mask) bits 4 out of range for n=2$"):
+        cls(2, 4)
+    assert cls(2, np.int64(3)) == cls(2, 3) and str(cls(2, True)) == str(cls(2, 1))
 
 
 def test_network_at_n20_holds_its_copy_and_no_other_table():

@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trapnets import BooleanNetwork, NetworkProfile
+from trapnets import BooleanNetwork, SubcubeCollection
 from trapnets import core, trapspaces
+from trapnets.core import iter_submasks
 from trapnets.generators import (
     long_transient_trapping,
     random_commutative,
@@ -16,14 +17,19 @@ from trapnets.generators import (
     random_network,
 )
 from trapnets.trapspaces import (
+    TrapspaceBlock,
     _subcube_or,
-    minimal_cover,
     principal_pair,
     principal_pairs,
     principal_rows,
 )
 
-from helpers import digitwise_subcube_or, single_table_principal_pairs, table_population
+from helpers import (
+    digitwise_subcube_or,
+    pairwise_minimal_trapspaces,
+    single_table_principal_pairs,
+    table_population,
+)
 
 
 def every_kind(n: int, seed: int = 1):
@@ -106,13 +112,19 @@ def test_principal_rows_keep_the_coordinates_above_16(monkeypatch):
 def test_minimal_pairs_are_the_minimal_collection():
     networks = [*table_population(), *every_kind(9), random_constant_on_arrangements(12, 2)]
     for f in networks:
-        p = NetworkProfile(f)
-        free, base, covered = p.minimal_pairs
-        minimal, minimal_covered = p.minimal
-        expected_free, expected_base = minimal.pairs()
+        block = TrapspaceBlock.of([f])
+        index, free, base = block["minimal"]
+        expected_free, expected_base = SubcubeCollection(f.n, block["N"][0]).pairs()
+        assert not index.any()
         assert np.array_equal(free, expected_free) and np.array_equal(base, expected_base)
-        assert np.array_equal(covered, minimal_covered)
-        assert not covered.flags.writeable
+        members = set(zip(free.tolist(), base.tolist()))
+        if f.n <= 6:
+            assert members == {(c.free, c.base) for c in pairwise_minimal_trapspaces(f)}
+        covered = np.zeros(1 << f.n, dtype=bool)
+        for m_free, m_base in members:
+            covered[[m_base | s for s in iter_submasks(m_free)]] = True
+        assert np.array_equal(block["covered"][0], covered)
+        assert not block["covered"].flags.writeable
 
 
 def test_minimal_cover_at_n16_stays_small():
@@ -121,7 +133,7 @@ def test_minimal_cover_at_n16_stays_small():
     f = random_network(16, 1)
     tracemalloc.start()
     try:
-        minimal_cover(f)
+        TrapspaceBlock.of([f])["covered"]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,8 +1,10 @@
-"""The stacked trapspace kernels against their per-network calls: every fact
-a profile reads off its block, row by row, for blocks of one network, full
-blocks and populations that change dimension, with each kernel called once
-per block."""
+"""The trapspace facts of a block against the labelled oracles of
+``helpers`` and against blocks of one network: every fact a profile reads
+off its block, row by row, for blocks of one network, full blocks and
+populations that change dimension, with each kernel called once per
+block."""
 
+import functools
 from collections import Counter
 
 import numpy as np
@@ -12,25 +14,26 @@ from trapnets import classes, verify
 from trapnets import trapspaces
 from trapnets.classes import NetworkProfile, ProfileBlock
 from trapnets.cli import _analysis_report
+from trapnets.core import Subcube, iter_submasks
+from trapnets.cubesets import SubcubeCollection
 from trapnets.generators import (
     exhaustive_networks,
+    long_transient_trapping,
+    random_commutative,
     random_constant_on_arrangements,
+    random_negation_on_subcubes,
     random_network,
 )
-from trapnets.trapspaces import (
-    enumerate_trapspaces,
-    min_trapping_extension,
-    minimal_cover,
-    minimal_trapspaces,
-    principal_pairs,
-    principal_rows,
-)
+from trapnets.trapspaces import TrapspaceBlock, principal_pairs, principal_rows
 from trapnets.verify import sample_population
 
+import budgets
 from helpers import (
     bitset_trapspace_fp,
+    brute_force_trapspaces,
     interval_fixed_counts,
     member_loop_min_extension,
+    pairwise_minimal_trapspaces,
     single_table_principal_pairs,
     table_population,
 )
@@ -40,31 +43,30 @@ KERNELS = ("principal_rows", "trapspace_rows", "cover_rows", "min_extension_rows
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Calls of each stacked trapspace kernel from ``classes`` and from the
-    wrappers in ``trapspaces``, by name."""
+    """Calls of each stacked trapspace kernel, by name."""
     calls = Counter()
-    for module in (classes, trapspaces):
-        for name in KERNELS:
-            def counting(*args, kernel=getattr(module, name), name=name):
-                calls[name] += 1
-                return kernel(*args)
+    for name in KERNELS:
+        def counting(*args, kernel=getattr(trapspaces, name), name=name):
+            calls[name] += 1
+            return kernel(*args)
 
-            monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(trapspaces, name, counting)
     return calls
 
 
 def profile_facts(p):
-    """Every trapspace fact and flag a profile reads off its block."""
+    """Every trapspace fact and flag a profile reads off its row of its block."""
     free, base = p.pt_pairs
-    min_free, min_base, covered = p.minimal_pairs
+    index, min_free, min_base = p.block["minimal"]
+    covered, mine = p.block["covered"][p.row], index == p.row
     for array in (free, base, covered):
         assert not array.flags.writeable
     return {
         "pt_pairs": (free.tolist(), base.tolist()),
         "trapspaces": p.trapspace_collection.mask.tolist(),
-        "minimal": (min_free.tolist(), min_base.tolist(), covered.tolist()),
+        "minimal": (min_free[mine].tolist(), min_base[mine].tolist(), covered.tolist()),
         "minimal_collection": p.minimal[0],
-        "pt_distinct": p.pt_distinct,
+        "pt_distinct": int(p.block["pt_distinct"][p.row]),
         "min_extension": p.min_extension,
         "trapspace_fp": p.trapspace_fp,
         "dpt": p.dpt,
@@ -72,17 +74,21 @@ def profile_facts(p):
     }
 
 
-def wrapper_facts(f):
-    """The same facts from the per-network wrappers."""
-    free, base = principal_pairs(f)
-    min_free, min_base, covered, distinct = minimal_cover(f)
-    extension = min_trapping_extension(f)
-    assert extension == member_loop_min_extension(f)
+@functools.cache
+def oracle_facts(f):
+    """The same facts from the labelled oracles."""
+    free, base = single_table_principal_pairs(f)
+    minimal = sorted((c.free, c.base) for c in pairwise_minimal_trapspaces(f))
+    covered = np.zeros(1 << f.n, dtype=bool)
+    for m_free, m_base in minimal:
+        covered[[m_base | s for s in iter_submasks(m_free)]] = True
+    distinct = len(set(zip(free.tolist(), base.tolist())))
+    extension = member_loop_min_extension(f)
     return {
         "pt_pairs": (free.tolist(), base.tolist()),
-        "trapspaces": enumerate_trapspaces(f).mask.tolist(),
-        "minimal": (min_free.tolist(), min_base.tolist(), covered.tolist()),
-        "minimal_collection": minimal_trapspaces(f)[0],
+        "trapspaces": SubcubeCollection.of(f.n, brute_force_trapspaces(f)).mask.tolist(),
+        "minimal": ([m for m, _ in minimal], [b for _, b in minimal], covered.tolist()),
+        "minimal_collection": SubcubeCollection.of(f.n, (Subcube(f.n, *m) for m in minimal)),
         "pt_distinct": distinct,
         "min_extension": extension,
         "trapspace_fp": bitset_trapspace_fp(f),
@@ -97,7 +103,7 @@ def assert_block_facts_match_per_network_calls(calls, networks):
     read = [profile_facts(NetworkProfile(f, block, i)) for i, f in enumerate(networks)]
     assert calls == Counter(KERNELS)
     for f, facts in zip(networks, read):
-        assert facts == profile_facts(NetworkProfile(f)) == wrapper_facts(f)
+        assert facts == profile_facts(NetworkProfile(f)) == oracle_facts(f)
 
 
 def blocks(monkeypatch, networks, size):
@@ -165,6 +171,30 @@ def test_stacked_rows_above_the_table_digits_match_single_calls():
         assert np.array_equal(row_base, expected_base)
 
 
+# Every array fact of a ``TrapspaceBlock`` whose rows are the networks'.
+ROW_FACTS = ("trapspaces", "covered", "pt_distinct", "closures", "min_extensions", "P", "J", "N")
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_block_rows_equal_blocks_of_one_network(n):
+    networks = [
+        random_network(n, n), random_commutative(n, n), random_negation_on_subcubes(n, n),
+        random_constant_on_arrangements(n, n), *([long_transient_trapping(n)] if n >= 3 else []),
+        *(budgets.shape_network(shape, n) for shape in budgets.SHAPES),
+    ]
+    block = TrapspaceBlock.of(networks)
+    index, free, base = block["minimal"]
+    for i, f in enumerate(networks):
+        alone = TrapspaceBlock.of([f])
+        for stacked, single in zip(block["principal"], alone["principal"]):
+            assert np.array_equal(stacked[i], single[0])
+        for name in ROW_FACTS:
+            assert np.array_equal(block[name][i], alone[name][0]), name
+        _, alone_free, alone_base = alone["minimal"]
+        mine = index == i
+        assert np.array_equal(free[mine], alone_free) and np.array_equal(base[mine], alone_base)
+
+
 def test_monotone_pairs_closures_do_not_depend_on_the_block_size(monkeypatch):
     nets = sample_population(4, 30, 9)
     # The first networks take the closure of a network dealt at random:
@@ -172,14 +202,17 @@ def test_monotone_pairs_closures_do_not_depend_on_the_block_size(monkeypatch):
     rng = np.random.default_rng(9)
     dealt = {f.image: nets[i].image for f, i in zip(nets[::2], rng.permutation(len(nets))[::2])}
     # One stacked principal pass per block, and one for its joins if it has any.
-    passes, principal = [], verify.principal_rows
+    passes = []
 
-    def dealing(images, n):
-        passes.append(1)
-        rows = [dealt.get(row, row) for row in map(tuple, images.tolist())]
-        return principal(np.array(rows), n)
+    class Dealt(TrapspaceBlock):
+        def _fill(self, name):
+            if name != "principal":
+                return super()._fill(name)
+            passes.append(1)
+            rows = [dealt.get(row, row) for row in map(tuple, self.images.tolist())]
+            return {name: principal_rows(np.array(rows), self.n)}
 
-    monkeypatch.setattr(verify, "principal_rows", dealing)
+    monkeypatch.setattr(verify, "TrapspaceBlock", Dealt)
     for every_pair, expected_passes in ((False, (2 * 40 - 1, 2 * 14 - 1, 2)), (True, (40, 14, 1))):
         runs, counts = [], []
         for size in (1, 3, classes._MAX_BLOCK):

@@ -108,17 +108,18 @@ def every_pair(nets):
 
 
 def dealing(monkeypatch, closures):
-    """Patch ``verify.principal_rows`` so that the trapping closure of each
-    network f is ``closures[f]``: the closure moves x by its principal free
-    mask."""
-    by_image = {f.image: g for f, g in closures.items()}
+    """Patch ``verify.TrapspaceBlock`` so that, in the blocks of the
+    monotonicity check, the trapping closure of each network f is
+    ``closures[f]``."""
+    by_image = {f.image: g.image for f, g in closures.items()}
 
-    def principal_rows(images, n):
-        xs = np.arange(1 << n)
-        free = np.array([by_image[row].image for row in map(tuple, images.tolist())]) ^ xs
-        return free, xs & ~free
+    class Dealt(verify.TrapspaceBlock):
+        def _fill(self, name):
+            if name != "closures":
+                return super()._fill(name)
+            return {name: np.array([by_image[row] for row in map(tuple, self.images.tolist())])}
 
-    monkeypatch.setattr(verify, "principal_rows", principal_rows)
+    monkeypatch.setattr(verify, "TrapspaceBlock", Dealt)
 
 
 def dealt_closures(nets, seed, joins=()):
@@ -168,10 +169,17 @@ def test_monotone_pairs_broadcast_matches_the_per_pair_definition(monkeypatch):
 
 
 def recording_closure_stacks(monkeypatch) -> list:
-    """Patch ``verify.principal_rows`` to record the image rows of each call."""
-    calls, principal = [], verify.principal_rows
-    monkeypatch.setattr(verify, "principal_rows",
-                        lambda images, n: (calls.append(images.tolist()), principal(images, n))[1])
+    """Patch ``verify.TrapspaceBlock`` to record the image rows of each block
+    of the monotonicity check as it fills its closures."""
+    calls = []
+
+    class Recording(verify.TrapspaceBlock):
+        def _fill(self, name):
+            if name == "closures":
+                calls.append(self.images.tolist())
+            return super()._fill(name)
+
+    monkeypatch.setattr(verify, "TrapspaceBlock", Recording)
     return calls
 
 
