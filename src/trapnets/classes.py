@@ -12,8 +12,9 @@ the class layer's kernels to the names they fill: ``STACKS`` its array
 facts (realisations, intervals, the fixed-point table and the
 asynchronous components) and ``KERNELS`` the boolean columns, one kernel
 per fact; ``FILLS`` indexes both with the trapspace facts.  The block of
-the networks related to its rows, ``related()``, is kept in the same dict.  ``verify --suite
-all`` checks every column but ``transitive_a``, on which no claim rests.
+the networks related to its rows, ``related()``, is kept in the same dict.
+``verify --suite all`` checks every column but ``transitive_a``, on which
+no claim rests.
 A ``NetworkProfile`` views one row, so the per-network functions read the
 same kernels.
 The implication diagrams encode which class memberships force which others
@@ -636,6 +637,7 @@ class ProfileBlock(TrapspaceBlock):
 
 # The one index of every fact and column that ``ProfileBlock._fill`` fills.
 FILLS = ProfileBlock.FILLS
+
 
 ClassReport = make_dataclass(
     "ClassReport", [(name, bool) for name in CLASS_FLAGS], frozen=True,

@@ -9,8 +9,8 @@ Each command imports the layers it runs when it runs: ``--help`` and a
 usage error load no numpy, and ``analyze --minimal-only`` loads neither the
 class layer, ``verify`` nor the generators.  ``analyze`` reads its report
 off one block of its network: a ``trapspaces.TrapspaceBlock`` with
-``--minimal-only``, else a ``classes.ProfileBlock``.  A command with a cap refuses
-a regular file from its header, before its body is read.
+``--minimal-only``, else a ``classes.ProfileBlock``.  A command with a cap
+refuses a regular file from its header, before its body is read.
 
 ``python -m trapnets.cli`` and the ``trapnets`` script run ``entry``, which
 pauses the cyclic collector for the whole call and freezes what is alive

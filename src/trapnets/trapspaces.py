@@ -56,13 +56,7 @@ from .core import (
     check_cap,
     iter_submasks,
 )
-from .cubesets import (
-    SubcubeCollection,
-    _free_of_index,
-    _subcube_or,
-    _ternary_of_masks,
-    cube_masks,
-)
+from .cubesets import SubcubeCollection, _free_of_index, _subcube_or, _ternary_of_masks, cube_masks
 from .dynamics import HypercubeGraph, subcube_graph
 
 # The ternary digits of the stacked table ``principal_rows`` reads; the

@@ -12,16 +12,15 @@ check reads every fact of a block as ``block[name]``: an array of
 ``trapspaces.STACKS`` or ``classes.STACKS`` or a ``KERNELS`` column, each
 filled once by ``_fill``.  The block's second block, ``related()``, held
 in the same cache, has the closures, min extensions and realisations of
-its rows as rows.  Every
-per-network check takes the block and returns one violation list per
-network, built by ``classes.block_violations`` from (broken column,
-detail) pairs, each column an expression over the block or over the two
-blocks.  The checks that span networks run after the blocks: the closure's
-monotonicity on image rows, each network against its join with the next
-one or, in the exhaustive sweep, against every network of its dimension,
-and the diagram fixtures.  The monotonicity check reads its closures off a
-``trapspaces.TrapspaceBlock`` of its own for each block and for each
-block's joins, as it spans blocks.
+its rows as rows.  Every per-network check takes the block and returns one
+violation list per network, built by ``classes.block_violations`` from
+(broken column, detail) pairs, each column an expression over the block
+or over the two blocks.  The checks that span networks run after the
+blocks: the closure's monotonicity on image rows, each network against its
+join with the next one or, in the exhaustive sweep, against every network
+of its dimension, and the diagram fixtures.  As it spans blocks, the
+monotonicity check reads its closures off a ``trapspaces.TrapspaceBlock``
+of its own for each block and for each block's joins.
 """
 
 from __future__ import annotations

@@ -240,6 +240,15 @@ def member_loop_min_extension(f: BooleanNetwork) -> BooleanNetwork:
     return BooleanNetwork(f.n, tuple(image))
 
 
+def member_loop_covered(n: int, cubes) -> np.ndarray:
+    """Oracle: the bool array of the configurations that the (free, base)
+    subcubes ``cubes`` cover, member by member."""
+    covered = np.zeros(1 << n, dtype=bool)
+    for free, base in cubes:
+        covered[[base | s for s in iter_submasks(free)]] = True
+    return covered
+
+
 def bitset_trapspace_fp(f: BooleanNetwork) -> bool:
     """Oracle (the library's former method): every enumerated trapspace's
     member bitset meets the bitset of fixed points."""

@@ -17,8 +17,7 @@ the Python version.  The random generators draw only ``integers`` and
 share.
 
 After an intended change of output, regenerate the file with
-``PYTHONPATH=src python tests/test_golden_outputs.py`` and say why in
-CHANGES.md.
+``python tests/test_golden_outputs.py`` and say why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -27,7 +26,11 @@ import contextlib
 import hashlib
 import io
 import os
-import sys
+
+import budgets  # puts ``src`` on the path
+
+from trapnets.caps import CAPS, SUITES
+from trapnets.cli import main
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.txt")
 SMALL = range(1, 9)
@@ -52,10 +55,6 @@ def _gen(kind: str, n: int) -> tuple[str, ...]:
 
 def corpus() -> list[tuple[str, ...]]:
     """The calls, in order: a ``gen`` call writes the file later calls read."""
-    import budgets
-
-    from trapnets.caps import CAPS, SUITES
-
     calls = [_gen(kind, n) for n in SMALL for kind in budgets.KINDS]
     for n in SMALL:
         for kind in budgets.KINDS + budgets.SHAPES:
@@ -92,10 +91,6 @@ def _write_inputs() -> None:
     """The files of the corpus that ``gen`` does not write, in the working
     directory: the stress shapes, headers above the caps with no body, and
     a table that lacks a row."""
-    import budgets
-
-    from trapnets.caps import CAPS
-
     for shape in budgets.SHAPES:
         for n in SMALL:
             budgets.write_shape(shape, n, f"{shape}{n}.tt")
@@ -109,8 +104,6 @@ def _write_inputs() -> None:
 def digest_lines() -> list[str]:
     """One line per call of the corpus, run in the working directory: its
     exit code, the sha256 of its stdout and of its stderr, and its arguments."""
-    from trapnets.cli import main
-
     _write_inputs()
     lines = []
     for call in corpus():
@@ -137,7 +130,6 @@ def test_cli_output_matches_the_golden_digests(tmp_path, monkeypatch):
 if __name__ == "__main__":
     import tempfile
 
-    sys.path.insert(0, os.path.dirname(DIGESTS))
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         lines = digest_lines()

@@ -8,7 +8,6 @@ import pytest
 
 from trapnets import BooleanNetwork, SubcubeCollection
 from trapnets import core, trapspaces
-from trapnets.core import iter_submasks
 from trapnets.generators import (
     long_transient_trapping,
     random_commutative,
@@ -26,6 +25,7 @@ from trapnets.trapspaces import (
 
 from helpers import (
     digitwise_subcube_or,
+    member_loop_covered,
     pairwise_minimal_trapspaces,
     single_table_principal_pairs,
     table_population,
@@ -120,10 +120,7 @@ def test_minimal_pairs_are_the_minimal_collection():
         members = set(zip(free.tolist(), base.tolist()))
         if f.n <= 6:
             assert members == {(c.free, c.base) for c in pairwise_minimal_trapspaces(f)}
-        covered = np.zeros(1 << f.n, dtype=bool)
-        for m_free, m_base in members:
-            covered[[m_base | s for s in iter_submasks(m_free)]] = True
-        assert np.array_equal(block["covered"][0], covered)
+        assert np.array_equal(block["covered"][0], member_loop_covered(f.n, members))
         assert not block["covered"].flags.writeable
 
 

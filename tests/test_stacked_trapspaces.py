@@ -14,7 +14,7 @@ from trapnets import classes, verify
 from trapnets import trapspaces
 from trapnets.classes import NetworkProfile, ProfileBlock
 from trapnets.cli import _analysis_report
-from trapnets.core import Subcube, iter_submasks
+from trapnets.core import Subcube
 from trapnets.cubesets import SubcubeCollection
 from trapnets.generators import (
     exhaustive_networks,
@@ -32,6 +32,7 @@ from helpers import (
     bitset_trapspace_fp,
     brute_force_trapspaces,
     interval_fixed_counts,
+    member_loop_covered,
     member_loop_min_extension,
     pairwise_minimal_trapspaces,
     single_table_principal_pairs,
@@ -79,9 +80,7 @@ def oracle_facts(f):
     """The same facts from the labelled oracles."""
     free, base = single_table_principal_pairs(f)
     minimal = sorted((c.free, c.base) for c in pairwise_minimal_trapspaces(f))
-    covered = np.zeros(1 << f.n, dtype=bool)
-    for m_free, m_base in minimal:
-        covered[[m_base | s for s in iter_submasks(m_free)]] = True
+    covered = member_loop_covered(f.n, minimal)
     distinct = len(set(zip(free.tolist(), base.tolist())))
     extension = member_loop_min_extension(f)
     return {
