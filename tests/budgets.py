@@ -4,20 +4,28 @@ that checks every row: ``python tests/budgets.py``.
 A row is one ``python -W error -m trapnets.cli`` call in a child process
 limited to 512 MiB of address space.  It must exit with one of its codes,
 write exactly its refusal to stderr (or nothing), and stay within its wall
-time and peak RSS.  Dimensions are ``CAPS`` entries, so raising a cap in
-``trapnets/caps.py`` moves its rows with it.  A child's ``ru_maxrss`` counts
-its parent's RSS at the fork, so this runner imports no numpy and child
-processes write the input files.
+time and peak RSS.  Its stdout, hashed as it is read from a pipe and never
+stored, must have the sha256 that ``budget_digests.txt`` pins for the row.
+Dimensions are ``CAPS`` entries, so raising a cap in ``trapnets/caps.py``
+moves its rows with it.  A child's ``ru_maxrss`` counts its parent's RSS at
+the fork, so this runner imports no numpy and child processes write the
+input files.  Every child runs in one temporary directory and names its
+files relative to it, so no output holds a temporary path.
+
+After an intended change of output, regenerate the digests with
+``python tests/budgets.py --write-digests`` and say why in CHANGES.md.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import resource
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
 
@@ -36,6 +44,7 @@ KINDS = ("random", "commutative", "negation", "constant", "long-transient")
 # g_i -> g_(i+1), whose search is as deep as the cube, and negation with
 # f(0) = 1, which is dense and not transitive.
 SHAPES = ("gray-chain", "negation-f0-is-1")
+DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "budget_digests.txt")
 
 
 def shape_network(shape: str, n: int):
@@ -95,6 +104,13 @@ class Row:
     peak_mib: float = math.inf
     above_import_mib: float = math.inf  # peak RSS over a bare ``import numpy, trapnets.cli``
     cap: str | None = None  # the CAPS entry whose value, or one more, the row runs at
+    pinned: bool = True  # whether ``budget_digests.txt`` pins its stdout
+
+    @property
+    def key(self) -> str:
+        """The row's arguments as its log line and digest line show them."""
+        return " ".join(a.name if isinstance(a, Net) else a if len(a) < 40 else f"<{len(a)} chars>"
+                        for a in self.args)
 
     @property
     def out(self) -> Net | None:
@@ -139,7 +155,8 @@ HEADER_REFUSALS = (
 )
 
 ROWS = (
-    Row(("--help",), seconds=5),
+    # The help text changes with the Python version, so its digest is not pinned.
+    Row(("--help",), seconds=5, pinned=False),
     # gen at the enumeration cap classifies its network; above it, it does not.
     *(Row(Net(kind, n).gen(), seconds=30, cap="enumeration" if n <= ENUMERATION + 1 else None)
       for n in (ENUMERATION, ENUMERATION + 1, TABLE, TABLE + 1) for kind in KINDS),
@@ -208,40 +225,58 @@ ROWS = (
 )
 
 
-def run(argv: list[str], seconds: float) -> tuple[int, str, float, float]:
-    """(exit code, stderr, wall seconds, peak RSS in MiB) of ``python -W error
-    *argv`` in a child under the address-space limit, killed past ``seconds``."""
+def _hash_into(digest, pipe) -> None:
+    """Feed everything read from ``pipe`` to ``digest``, then close it."""
+    with pipe:
+        for chunk in iter(lambda: pipe.read1(1 << 20), b""):
+            digest.update(chunk)
+
+
+def run(argv: list[str], seconds: float, cwd: str | None = None) -> tuple[int, str, str, float, float]:
+    """(exit code, sha256 of stdout, stderr, wall seconds, peak RSS in MiB) of
+    ``python -W error *argv`` in a child in ``cwd`` under the address-space
+    limit, killed past ``seconds``.  A thread hashes stdout as the child
+    writes it, so a full pipe never blocks the child."""
     with tempfile.TemporaryFile() as err:
         start = time.monotonic()
-        child = subprocess.Popen([sys.executable, "-W", "error", *argv], env=ENV, stdout=subprocess.DEVNULL,
-                                 stderr=err, preexec_fn=lambda: resource.setrlimit(
+        child = subprocess.Popen([sys.executable, "-W", "error", *argv], env=ENV, cwd=cwd,
+                                 stdout=subprocess.PIPE, stderr=err, preexec_fn=lambda: resource.setrlimit(
                                      resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE)))
+        digest = hashlib.sha256()
+        reader = threading.Thread(target=_hash_into, args=(digest, child.stdout))
+        reader.start()
         while not (reaped := os.wait4(child.pid, os.WNOHANG))[0]:
             if time.monotonic() - start > seconds:
                 child.kill()
             time.sleep(0.01)
         wall = time.monotonic() - start
+        reader.join()
         child.returncode = os.waitstatus_to_exitcode(reaped[1])
         err.seek(0)
-        return child.returncode, err.read().decode(errors="replace"), wall, reaped[2].ru_maxrss / 1024
+        return (child.returncode, digest.hexdigest(), err.read().decode(errors="replace"), wall,
+                reaped[2].ru_maxrss / 1024)
 
 
-def check(row: Row, tmp: str, bare_mib: float) -> tuple[list[str], str]:
-    """The bounds that one row, run in ``tmp``, broke, and a line for the log."""
-    path = {net: os.path.join(tmp, net.name) for net in row.args if isinstance(net, Net)}
+def check(row: Row, tmp: str, bare_mib: float, digests: dict[str, str] | None) -> tuple[list[str], str, str]:
+    """The bounds that one row, run in ``tmp``, broke, a line for the log and
+    the sha256 of its stdout.  With ``digests`` None, the stdout is not checked."""
     for net in row.inputs:
-        if not os.path.exists(path[net]):
-            argv = (["-c", WRITE_SHAPE, net.kind, str(net.n), path[net]] if net.kind in SHAPES
-                    else ["-m", "trapnets.cli", *(path[net] if a is net else a for a in net.gen())])
-            subprocess.run([sys.executable, *argv], env=SHAPE_ENV, check=True, stdout=subprocess.DEVNULL)
-    if row.out and os.path.exists(path[row.out]):
-        os.remove(path[row.out])
-    code, err, wall, peak = run(["-m", "trapnets.cli", *(path.get(a, a) for a in row.args)], row.seconds)
+        if not os.path.exists(os.path.join(tmp, net.name)):
+            argv = (["-c", WRITE_SHAPE, net.kind, str(net.n), net.name] if net.kind in SHAPES
+                    else ["-m", "trapnets.cli", *(net.name if a is net else a for a in net.gen())])
+            subprocess.run([sys.executable, *argv], env=SHAPE_ENV, cwd=tmp, check=True,
+                           stdout=subprocess.DEVNULL)
+    out = row.out and os.path.join(tmp, row.out.name)
+    if out and os.path.exists(out):
+        os.remove(out)
+    argv = ["-m", "trapnets.cli", *(a.name if isinstance(a, Net) else a for a in row.args)]
+    code, digest, err, wall, peak = run(argv, row.seconds, tmp)
     lines = err.splitlines(keepends=True)
     # An argparse usage error prints its usage before the message.
     stderr_ok = (not lines if row.error is None else lines[-1:] == [row.error + "\n"]
                  and (len(lines) == 1 or lines[0].startswith("usage: ")))
-    wrote = row.out is not None and os.path.exists(path[row.out])
+    wrote = out is not None and os.path.exists(out)
+    pinned = None if digests is None or not row.pinned else digests.get(row.key, "(none)")
     broken = [message for failed, message in (
         (code not in row.codes, f"exit {code}, not {row.codes}"),
         (not stderr_ok, f"stderr {err!r}"),
@@ -249,24 +284,39 @@ def check(row: Row, tmp: str, bare_mib: float) -> tuple[list[str], str]:
         (peak >= row.peak_mib, f"peak {peak:.1f} MiB, over {row.peak_mib}"),
         (peak - bare_mib >= row.above_import_mib, f"{peak - bare_mib:.1f} MiB above import, over {row.above_import_mib}"),
         (row.out is not None and wrote != (code == 0), f"exit {code}, and --out written: {wrote}"),
+        (pinned not in (None, digest), f"stdout sha256 {digest}, not {pinned}"),
     ) if failed]
-    shown = " ".join(a.name if isinstance(a, Net) else a if len(a) < 40 else f"<{len(a)} chars>" for a in row.args)
-    return broken, f"{wall:7.2f} s {peak:6.1f} MiB  exit {code}  {shown}"
+    return broken, f"{wall:7.2f} s {peak:6.1f} MiB  exit {code}  {row.key}", digest
 
 
-def main(rows=ROWS) -> int:
-    """Check every row, print one line each, and return 1 if any broke a bound."""
-    start, failed = time.monotonic(), 0
+def read_digests() -> dict[str, str]:
+    """The pinned stdout sha256 of each row, by ``Row.key``."""
+    with open(DIGESTS, encoding="utf-8") as fh:
+        return dict(line.rstrip("\n").split(" ", 1)[::-1] for line in fh)
+
+
+def main(rows=ROWS, write_digests: bool = False) -> int:
+    """Check every row, print one line each, and return 1 if any broke a bound.
+    With ``write_digests``, write each pinned row's stdout sha256 to
+    ``budget_digests.txt`` instead of checking it."""
+    start, failed, digests = time.monotonic(), 0, {}
+    pinned = None if write_digests else read_digests()
     with tempfile.TemporaryDirectory() as tmp:
-        bare = run(["-c", "import numpy, trapnets.cli"], 60)[3]
+        bare = run(["-c", "import numpy, trapnets.cli"], 60)[4]
         print(f"bare import numpy, trapnets.cli: {bare:.1f} MiB", flush=True)
         for row in rows:
-            broken, line = check(row, tmp, bare)
+            broken, line, digest = check(row, tmp, bare, pinned)
             failed += bool(broken)
+            if row.pinned:
+                digests[row.key] = digest
             print(f"{'FAIL' if broken else 'ok':4} {line}", *(f"     {b}" for b in broken), sep="\n", flush=True)
     print(f"{len(rows)} rows, {failed} failed, {time.monotonic() - start:.1f} s")
+    if write_digests:
+        with open(DIGESTS, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{digest} {key}\n" for key, digest in digests.items())
+        print(f"wrote {len(digests)} digests to {DIGESTS}")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(write_digests=sys.argv[1:] == ["--write-digests"]))
