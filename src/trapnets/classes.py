@@ -15,8 +15,8 @@ per fact; ``FILLS`` indexes both with the trapspace facts.  The block of
 the networks related to its rows, ``related()``, is kept in the same dict.
 ``verify --suite all`` checks every column but ``transitive_a``, on which
 no claim rests.
-A ``NetworkProfile`` views one row, so the per-network functions read the
-same kernels.
+Each per-network function reads row 0 of a block of its network alone;
+``NetworkProfile``, a view of one row as objects, is for callers only.
 The implication diagrams encode which class memberships force which others
 (unconditionally, for trapping networks, or for commutative networks)
 together with the counterexample fixtures witnessing the absent arrows.
@@ -645,23 +645,21 @@ ClassReport = make_dataclass(
 )
 
 
-def classify_network(f: BooleanNetwork, profile: NetworkProfile | None = None) -> ClassReport:
-    """Evaluate every class flag from its own primary definition: f's row of
-    the class layer."""
+def classify_network(f: BooleanNetwork, block: ProfileBlock | None = None) -> ClassReport:
+    """Evaluate every class flag from its own primary definition: row 0 of
+    ``block``, a block of f alone, by default a new one."""
     check_cap("enumeration", f.n)
-    p = profile if profile is not None else NetworkProfile(f)
-    return ClassReport(*map(p.prop, CLASS_FLAGS))
+    block = block if block is not None else ProfileBlock.of([f])
+    return ClassReport(*(bool(block[name][0]) for name in CLASS_FLAGS))
 
 
 # ---------------------------------------------------------------------------
 # alternate-definition cross-checkers
 
 
-def check_alternate_definitions(
-    f: BooleanNetwork, theorem: str, profile: NetworkProfile | None = None
-) -> tuple[bool, ...]:
+def check_alternate_definitions(f: BooleanNetwork, theorem: str) -> tuple[bool, ...]:
     """Evaluate each equivalent defining condition of a class independently:
-    f's row of ``ProfileBlock.vector``.
+    row 0 of ``ProfileBlock.vector`` on a block of f alone.
 
     Returns one boolean per condition; a mixed vector on any network
     contradicts the corresponding equivalence and is a build-breaking
@@ -671,11 +669,10 @@ def check_alternate_definitions(
     check_cap("enumeration" if theorem == "sink_terminal5" else "pair_sweep", f.n)
     if theorem not in VECTORS:
         raise ValueError(f"unknown theorem {theorem!r}")
-    p = profile if profile is not None else NetworkProfile(f)
-    return tuple(p.block.vector(theorem)[p.row].tolist())
+    return tuple(ProfileBlock.of([f]).vector(theorem)[0].tolist())
 
 
-def trapspace_equivalence_rows(a: ProfileBlock, i, b: ProfileBlock, j) -> np.ndarray:
+def trapspace_equivalence_rows(a: TrapspaceBlock, i, b: TrapspaceBlock, j) -> np.ndarray:
     """The five equal-trapspace-structure conditions between rows i of
     block a and rows j of block b, each its own test: one row of five per
     pair."""
@@ -689,7 +686,7 @@ def trapspace_equivalence_rows(a: ProfileBlock, i, b: ProfileBlock, j) -> np.nda
     ], axis=1)
 
 
-def min_equivalence_rows(a: ProfileBlock, i, b: ProfileBlock, j) -> np.ndarray:
+def min_equivalence_rows(a: TrapspaceBlock, i, b: TrapspaceBlock, j) -> np.ndarray:
     """The four equal-minimal-trapspace conditions between rows i of block
     a and rows j of block b, each its own test: one row of four per pair."""
     covered_a, covered_b = a["covered"][i], b["covered"][j]
@@ -703,32 +700,25 @@ def min_equivalence_rows(a: ProfileBlock, i, b: ProfileBlock, j) -> np.ndarray:
     ], axis=1)
 
 
-def _pair_row(rows, cap: str, f, g, pf, pg) -> tuple[bool, ...]:
-    """Row 0 of ``rows`` on the rows of f's and g's profiles, by default row
-    0 of a block of each alone; refuses above the ``cap`` cap first."""
+def _pair_row(rows, cap: str, f, g) -> tuple[bool, ...]:
+    """Row 0 of ``rows`` on row 0 of a block of f alone and one of g alone;
+    refuses above the ``cap`` cap first."""
     _check_same_dimension(f, g)
     check_cap(cap, f.n)
-    a, b = (p if p is not None else NetworkProfile(h) for h, p in ((f, pf), (g, pg)))
-    vector = rows(a.block, slice(a.row, a.row + 1), b.block, slice(b.row, b.row + 1))[0]
-    return tuple(vector.tolist())
+    a, b = TrapspaceBlock.of([f]), TrapspaceBlock.of([g])
+    return tuple(rows(a, slice(None), b, slice(None))[0].tolist())  # views: no row is copied
 
 
-def trapspace_equivalent(
-    f: BooleanNetwork, g: BooleanNetwork,
-    pf: NetworkProfile | None = None, pg: NetworkProfile | None = None,
-) -> tuple[bool, bool, bool, bool, bool]:
+def trapspace_equivalent(f: BooleanNetwork, g: BooleanNetwork) -> tuple[bool, ...]:
     """The five equal-trapspace-structure conditions, evaluated independently:
     row 0 of ``trapspace_equivalence_rows``."""
-    return _pair_row(trapspace_equivalence_rows, "enumeration", f, g, pf, pg)
+    return _pair_row(trapspace_equivalence_rows, "enumeration", f, g)
 
 
-def min_trapspace_equivalent(
-    f: BooleanNetwork, g: BooleanNetwork,
-    pf: NetworkProfile | None = None, pg: NetworkProfile | None = None,
-) -> tuple[bool, bool, bool, bool]:
+def min_trapspace_equivalent(f: BooleanNetwork, g: BooleanNetwork) -> tuple[bool, ...]:
     """The four equal-minimal-trapspace conditions, evaluated independently:
     row 0 of ``min_equivalence_rows``."""
-    return _pair_row(min_equivalence_rows, "table", f, g, pf, pg)
+    return _pair_row(min_equivalence_rows, "table", f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -969,8 +959,8 @@ def diagram_counterexample_violations(diagram: DiagramSpec) -> list[Violation]:
     violations = []
     for ce in diagram.counterexamples:
         net = load_fixture(diagram.id, ce.label)
-        p = NetworkProfile(net)
-        if not (p.prop(ce.guard) and p.prop(ce.source) and not p.prop(ce.target)):
+        block = ProfileBlock.of([net])
+        if not (block[ce.guard] & block[ce.source] & ~block[ce.target])[0]:
             detail = f"fixture {ce.label} fails to refute {ce.source} [{ce.guard}] -> {ce.target}"
             violations.append(Violation(f"diagram-{diagram.id}", f"counterexample: {detail}", net))
     return violations

@@ -6,11 +6,12 @@ errors.  A command whose reader closes its standard output early (as with
 ``| head``) stops at the failed write, prints nothing to stderr and exits 0.
 
 Each command imports the layers it runs when it runs: ``--help`` and a
-usage error load no numpy, and ``analyze --minimal-only`` loads neither the
-class layer, ``verify`` nor the generators.  ``analyze`` reads its report
-off one block of its network: a ``trapspaces.TrapspaceBlock`` with
-``--minimal-only``, else a ``classes.ProfileBlock``.  A command with a cap
-refuses a regular file from its header, before its body is read.
+usage error load no numpy, ``analyze --minimal-only`` loads neither the
+class layer, ``verify`` nor the generators, and ``graph`` loads no class
+layer.  ``analyze`` and ``gen`` read their facts off one block of the
+network: a ``trapspaces.TrapspaceBlock`` for ``analyze --minimal-only``,
+else a ``classes.ProfileBlock``.  A command with a cap refuses a regular
+file from its header, before its body is read.
 
 ``python -m trapnets.cli`` and the ``trapnets`` script run ``entry``, which
 pauses the cyclic collector for the whole call and freezes what is alive
@@ -133,14 +134,13 @@ def _analysis_report(f, name: str, minimal_only: bool) -> dict:
               "trapspaces": trapspaces}
     if minimal_only:
         return report
-    from .classes import NetworkProfile, classify_network
+    from .classes import classify_network
     from .dynamics import GRAPH_PROPERTIES
 
-    profile = NetworkProfile(f, block)
-    report["trapspaces"]["all"] = len(profile.trapspace_collection)
-    report["classes"] = classify_network(f, profile).as_dict()
+    report["trapspaces"]["all"] = int(block["J"][0].sum())
+    report["classes"] = classify_network(f, block).as_dict()
     report["graphs"] = {
-        key: {p: profile.prop(f"{p.replace('-', '_')}_{kind}") for p in GRAPH_PROPERTIES}
+        key: {p: bool(block[f"{p.replace('-', '_')}_{kind}"][0]) for p in GRAPH_PROPERTIES}
         for key, kind in (("asynchronous", "a"), ("general", "ga"), ("trapping", "tg"))
     }
     return report
@@ -218,12 +218,13 @@ def cmd_graph(args) -> int:
     if n > CAPS["enumeration"]:
         return _refuse(f"graph export is capped at n={CAPS['enumeration']}")
     (f,) = networks
-    from .classes import NetworkProfile
+    from .dynamics import build_graph
     from .netio import iter_dot
+    from .trapspaces import trapping_graph
 
-    profile = NetworkProfile(f)
     depth = 3 if args.layered else {"async": 1, "ga": 2, "tg": 3}[args.kind]
-    layers = [getattr(profile, a) for a in ("graph_a", "graph_ga", "graph_tg")[:depth]]
+    kinds = ("asynchronous", "general", "trapping")[:depth]
+    layers = [trapping_graph(f) if kind == "trapping" else build_graph(f, kind) for kind in kinds]
     labels = ["asynchronous", "general asynchronous", "trapping"][:depth]
     for piece in iter_dot(layers, labels):
         sys.stdout.write(piece)
@@ -328,11 +329,11 @@ def cmd_gen(args) -> int:
     if args.n > CAPS["enumeration"]:
         summary = f"classes skipped above n={CAPS['enumeration']}"
     else:
-        from .classes import classify_network
+        from .classes import ProfileBlock
 
-        report = classify_network(net)
+        block = ProfileBlock.of([net])
         summary = ", ".join(
-            f"{name}: {'true' if getattr(report, name) else 'false'}"
+            f"{name}: {'true' if block[name][0] else 'false'}"
             for name in ("trapping", "commutative", "marseille", "lille", "globally_idempotent")
         )
     print(f"wrote {args.out} (n={args.n}, {summary}, transient={transient}, period={period})")

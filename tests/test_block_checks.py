@@ -14,7 +14,7 @@ from trapnets import (
     network_power,
     trapspace_equivalent,
 )
-from trapnets.classes import ProfileBlock
+from trapnets.classes import ProfileBlock, min_equivalence_rows, trapspace_equivalence_rows
 from trapnets.generators import exhaustive_networks
 from trapnets.verify import (
     closure_law_violations,
@@ -95,12 +95,13 @@ def test_equivalence_functions_match_the_former_per_pair_bodies():
         # Rows of a perturbed block: the vectors are mixed on some pairs.
         block = PerturbedBlock.of(nets)
         views = [NetworkProfile(f, block, i) for i, f in enumerate(nets)]
-        for (f, pf), (g, pg) in zip(zip(nets, views), zip(nets[1:], views[1:])):
-            for p, q in ((pf, pg), (pf, pf)):
-                vector = trapspace_equivalent(p.f, q.f, p, q)
-                assert vector == pairwise_trapspace_equivalent(p, q)
-                assert min_trapspace_equivalent(p.f, q.f, p, q) == \
-                    pairwise_min_trapspace_equivalent(p, q)
+        for i in range(len(nets) - 1):
+            for j in (i + 1, i):
+                a, b = slice(i, i + 1), slice(j, j + 1)
+                vector = tuple(trapspace_equivalence_rows(block, a, block, b)[0].tolist())
+                assert vector == pairwise_trapspace_equivalent(views[i], views[j])
+                assert tuple(min_equivalence_rows(block, a, block, b)[0].tolist()) == \
+                    pairwise_min_trapspace_equivalent(views[i], views[j])
                 seen.add(("mixed", len(set(vector)) > 1))
     assert seen == {(i, v) for i in (0, 1) for v in (True, False)} | {
         ("mixed", True), ("mixed", False)

@@ -43,6 +43,7 @@ from trapnets.generators import (
 )
 
 from trapnets import classes, verify
+from trapnets.trapspaces import TrapspaceBlock
 from trapnets.verify import closure_law_violations, run_verification, sample_population
 
 from helpers import (
@@ -127,48 +128,55 @@ def _empty_collection(n):
     return SubcubeCollection(n, np.zeros(3**n, dtype=bool))
 
 
-# Each entry point runs as call(f, profile) on the identity at the cap + 1.
+# Each entry point runs as call(f) on the identity at the cap + 1.
 CAPPED_ENTRY_POINTS = [
     pytest.param("enumeration", classify_network, id="classify_network-enumeration"),
     pytest.param("global_sweep", classify_network, id="classify_network-global_sweep"),
     *[
         pytest.param(
             "enumeration" if theorem == "sink_terminal5" else "pair_sweep",
-            lambda f, p, theorem=theorem: check_alternate_definitions(f, theorem, p),
+            lambda f, theorem=theorem: check_alternate_definitions(f, theorem),
             id=theorem,
         )
         for theorem in THEOREM_SIZES
     ],
     pytest.param(
-        "enumeration", lambda f, p: trapspace_equivalent(f, f, p, p), id="trapspace_equivalent"
+        "enumeration", lambda f: trapspace_equivalent(f, f), id="trapspace_equivalent"
     ),
     pytest.param(
-        "table", lambda f, p: min_trapspace_equivalent(f, f, p, p), id="min_trapspace_equivalent"
+        "table", lambda f: min_trapspace_equivalent(f, f), id="min_trapspace_equivalent"
     ),
-    pytest.param("enumeration", lambda f, p: enumerate_trapspaces(f), id="enumerate_trapspaces"),
-    pytest.param("table", lambda f, p: minimal_trapspaces(f), id="minimal_trapspaces"),
+    pytest.param("enumeration", enumerate_trapspaces, id="enumerate_trapspaces"),
+    pytest.param("table", minimal_trapspaces, id="minimal_trapspaces"),
     pytest.param(
-        "closure", lambda f, p: lambda_closure(_empty_collection(f.n)), id="lambda_closure"
+        "closure", lambda f: lambda_closure(_empty_collection(f.n)), id="lambda_closure"
     ),
     pytest.param(
-        "closure", lambda f, p: classify_collection(_empty_collection(f.n)),
+        "closure", lambda f: classify_collection(_empty_collection(f.n)),
         id="classify_collection",
     ),
-    pytest.param("exhaustive", lambda f, p: exhaustive_networks(f.n), id="exhaustive_networks"),
+    pytest.param("exhaustive", lambda f: exhaustive_networks(f.n), id="exhaustive_networks"),
     pytest.param(
-        "table", lambda f, p: SubcubeCollection(f.n, np.zeros(0, dtype=bool)),
+        "table", lambda f: SubcubeCollection(f.n, np.zeros(0, dtype=bool)),
         id="SubcubeCollection",
     ),
 ]
 
 
 @pytest.mark.parametrize("kind, call", CAPPED_ENTRY_POINTS)
-def test_capped_entry_points_refuse_before_any_work(kind, call):
+def test_capped_entry_points_refuse_before_any_work(monkeypatch, kind, call):
+    # Every fact of a block is filled by ``_fill``.  A kernel may refuse at
+    # its start, as the trapspace kernels do, but no fill may complete.
+    fill = TrapspaceBlock._fill
+
+    def fill_nothing(block, name):
+        fill(block, name)
+        raise AssertionError(f"{name!r} was filled before the refusal")
+
+    monkeypatch.setattr(TrapspaceBlock, "_fill", fill_nothing)
     f = BooleanNetwork.identity(CAPS[kind] + 1)
-    p = NetworkProfile(f)
     with pytest.raises(ValueError, match=r"is capped at n=\d+ and needs n >= 1"):
-        call(f, p)
-    assert set(vars(p)) == {"f", "n"}  # no profile fact was computed
+        call(f)
 
 
 def test_cap_table_is_read_only():
@@ -318,7 +326,7 @@ def test_equivalence_and_closure_law_match_collection_oracles():
             if g is None:
                 continue
             pg = NetworkProfile(g)
-            vector = trapspace_equivalent(f, g, pf, pg)
+            vector = trapspace_equivalent(f, g)
             same = brute_force_trapspaces(f) == brute_force_trapspaces(g)
             assert vector == (same,) * 5
             assert vector[3] == (pf.graph_tg == pg.graph_tg)

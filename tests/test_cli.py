@@ -659,12 +659,60 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
     layers = {"trapnets.classes", "trapnets.verify", "trapnets.generators"}
     minimal = loaded_after(["analyze", small, "--minimal-only"])
     assert {"numpy", "trapnets.trapspaces"} <= minimal and not minimal & layers
-    for argv in (["analyze", small], ["graph", small, "--layered"],
-                 ["equiv", small, other], ["equiv", "--mode", "min", small, other]):
+    for argv in (["analyze", small], ["equiv", small, other],
+                 ["equiv", "--mode", "min", small, other]):
         loaded = loaded_after(argv)
         assert "trapnets.classes" in loaded and not loaded & layers - {"trapnets.classes"}, argv
+    # graph builds its layers from the graph and trapspace layers alone.
+    layered = loaded_after(["graph", small, "--layered"])
+    assert "trapnets.trapspaces" in layered and not layered & layers
     loaded = loaded_after(["gen", "--kind", "random", "--n", "14", "--out", str(tmp_path / "g.tt")])
     assert "trapnets.generators" in loaded and "trapnets.classes" not in loaded
+
+
+def test_no_command_or_class_function_builds_a_profile(tmp_path, monkeypatch, capsys):
+    # The library reads every fact off block rows: with NetworkProfile's
+    # constructor refusing, each command and class function gives what it
+    # gives without the patch.
+    from trapnets import (
+        check_alternate_definitions,
+        classify_network,
+        min_trapspace_equivalent,
+        trapspace_equivalent,
+        verify_diagram,
+    )
+    from trapnets.caps import CAPS, SUITES
+    from trapnets.classes import DIAGRAMS, VECTORS
+    from trapnets.netio import parse_truth_table
+
+    monkeypatch.chdir(tmp_path)
+    kinds = ("random", "commutative", "negation", "constant", "long-transient")
+    calls = [("gen", "--kind", kind, "--n", str(n), "--seed", "1", "--out", f"{kind}{n}.tt")
+             for n in (4, CAPS["enumeration"]) for kind in kinds]
+    for net in (f"{kind}4.tt" for kind in kinds):
+        calls += [("analyze", net, *flag, "--format", fmt)
+                  for flag in ((), ("--minimal-only",)) for fmt in ("text", "json")]
+        calls += [("graph", net, *flag) for flag in
+                  (("--kind", "async"), ("--kind", "ga"), ("--kind", "tg"), ("--layered",))]
+        calls += [("equiv", "--mode", mode, net, "random4.tt") for mode in ("trapspace", "min")]
+    calls += [("verify", "--n", "3", "--samples", "10", "--seed", "1", "--suite", suite)
+              for suite in SUITES]
+
+    def outputs():
+        out = [(main(list(call)), capsys.readouterr().out) for call in calls]
+        nets = [parse_truth_table((tmp_path / f"{kind}4.tt").read_text()) for kind in kinds]
+        for f, g in zip(nets, nets[1:]):
+            out += [classify_network(f), trapspace_equivalent(f, g), min_trapspace_equivalent(f, g),
+                    *(check_alternate_definitions(f, theorem) for theorem in VECTORS)]
+        return out + [verify_diagram(diagram, nets) for diagram in DIAGRAMS.values()]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a NetworkProfile was built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(NetworkProfile, "__init__", refuse)
+        without = outputs()
+    assert without == outputs()
 
 
 def test_help_runs_with_warnings_as_errors():

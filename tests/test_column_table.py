@@ -8,7 +8,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 
-from trapnets import NetworkProfile, cli, trapspaces
+from trapnets import cli, trapspaces
 from trapnets.classes import (
     CLASS_FLAGS,
     COLUMNS,
@@ -32,14 +32,15 @@ def test_every_read_column_is_a_table_key(monkeypatch):
         read.update(name for e in diagram.edges for name in (e.source, e.target, e.guard))
         read.update(name for ce in diagram.counterexamples
                     for name in (ce.source, ce.target, ce.guard))
-    printed, prop = [], NetworkProfile.prop
-    monkeypatch.setattr(NetworkProfile, "prop",
-                        lambda self, name: (printed.append(name), prop(self, name))[1])
+    reads, getitem = [], ProfileBlock.__getitem__
+    monkeypatch.setattr(ProfileBlock, "__getitem__",
+                        lambda self, name: (reads.append(name), getitem(self, name))[1])
     report = cli._analysis_report(random_network(3, 1), "net", minimal_only=False)
-    assert {f"{p.replace('-', '_')}_{kind}" for p in GRAPH_PROPERTIES
-            for kind in ("a", "ga", "tg")} <= set(printed)
+    graphs = {f"{p.replace('-', '_')}_{kind}"
+              for p in GRAPH_PROPERTIES for kind in ("a", "ga", "tg")}
+    assert graphs | set(CLASS_FLAGS) <= set(reads) <= FILLS.keys()
     assert list(report["classes"]) == list(CLASS_FLAGS)
-    assert read | set(printed) | set(CLASS_FLAGS) <= COLUMNS.keys()
+    assert read | graphs | set(CLASS_FLAGS) <= COLUMNS.keys()
 
 
 def test_each_kernel_fills_exactly_its_columns():
