@@ -144,9 +144,9 @@ class Subcube:
     def __post_init__(self):
         check_cap("network", self.n)
         full = (1 << self.n) - 1
-        if not 0 <= self.free <= full:
+        if not 0 <= operator.index(self.free) <= full:
             raise ValueError(f"free mask {self.free} out of range for n={self.n}")
-        if not 0 <= self.base <= full:
+        if not 0 <= operator.index(self.base) <= full:
             raise ValueError(f"base {self.base} out of range for n={self.n}")
         if self.base & self.free:
             raise ValueError("subcube base must have its free bits cleared")

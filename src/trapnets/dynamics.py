@@ -36,6 +36,7 @@ are kept in every graph; only the DOT exporter drops them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -69,7 +70,7 @@ class HypercubeGraph:
             raise ValueError(f"out table must have {size} entries, got {len(self.out)}")
         full = (1 << size) - 1
         for row in self.out:
-            if not 0 <= row <= full:
+            if not 0 <= operator.index(row) <= full:
                 raise ValueError("out-neighbourhood bitset out of range")
 
     def arcs(self, include_loops: bool = True) -> Iterator[tuple[int, int]]:

@@ -282,8 +282,10 @@ def _place_disjoint(rng, n: int, parts: int, draw, images) -> BooleanNetwork:
     otherwise the content's members take ``images(shape, content, members)``.
     A part that is not placed within its attempts is skipped, and the rest
     of the cube is fixed.  The placement meets the public constructors'
-    checks, so they are not run.
+    checks, so they are not run.  Refuses ``parts`` below 1 first.
     """
+    if parts < 1:
+        raise ValueError("parts must be at least 1")
     image = np.arange(1 << n)
     used = 0
     for _ in range(parts):
@@ -338,8 +340,6 @@ def random_commutative(n: int, seed: int, parts: int = 2) -> BooleanNetwork:
     the only valid choice.
     """
     check_cap("network", n)
-    if parts < 1:
-        raise ValueError("parts must be at least 1")
     rng = np.random.default_rng(seed)
 
     def network(arrangement, content, members):

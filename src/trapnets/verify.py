@@ -62,6 +62,8 @@ from .trapspaces import TrapspaceBlock
 
 def sample_population(n: int, samples: int, seed: int) -> list[BooleanNetwork]:
     """Random networks plus structured generator outputs, seed-deterministic."""
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
     rng = np.random.default_rng(seed)
     size = 1 << n
     nets = [BooleanNetwork(n, rng.integers(0, size, size)) for _ in range(samples)]

@@ -346,6 +346,17 @@ def test_bits_must_be_integers(cls):
     assert cls(2, np.int64(3)) == cls(2, 3) and str(cls(2, True)) == str(cls(2, 1))
 
 
+def test_subcube_masks_must_be_integers():
+    for free, base in ((1.0, 0), (0, 2.0), ("1", 0), (None, 0)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            Subcube(2, free, base)
+    with pytest.raises(ValueError, match=r"^free mask 4 out of range for n=2$"):
+        Subcube(2, 4, 0)
+    with pytest.raises(ValueError, match=r"^base -1 out of range for n=2$"):
+        Subcube(2, 0, -1)
+    assert Subcube(2, np.int64(1), 2) == Subcube(2, 1, 2)
+
+
 def test_network_at_n20_holds_its_copy_and_no_other_table():
     image = np.arange(1 << 20)[::-1].copy()
     tracemalloc.start()

@@ -427,3 +427,12 @@ def test_transient_period_of_every_kind_at_large_n(n):
         networks.append(random_network(n, 3))
     for f in networks:
         assert transient_and_period(f) == stepwise_transient_and_period(f)
+
+
+def test_graph_rows_must_be_integers():
+    for out in ((1.0, 3.0), (1, "3"), (1, None)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            HypercubeGraph(1, out)
+    with pytest.raises(ValueError, match=r"^out-neighbourhood bitset out of range$"):
+        HypercubeGraph(1, (1, 4))
+    assert HypercubeGraph(1, (np.int64(1), 3)).out == (1, 3)

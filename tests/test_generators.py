@@ -310,6 +310,15 @@ def test_random_commutative_always_commutative():
         assert is_commutative(random_commutative(4, seed, parts=3))
 
 
+@pytest.mark.parametrize("generate", [random_commutative, random_negation_on_subcubes,
+                                      random_constant_on_arrangements])
+def test_random_generators_refuse_fewer_than_one_part(generate):
+    for parts in (0, -2):
+        with pytest.raises(ValueError, match=r"^parts must be at least 1$"):
+            generate(3, 0, parts=parts)
+    assert generate(3, 0, parts=1).n == 3
+
+
 def test_random_commutative_deterministic():
     assert random_commutative(3, 5, parts=2) == random_commutative(3, 5, parts=2)
 

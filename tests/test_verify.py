@@ -79,3 +79,10 @@ def test_verify_forks_nothing(monkeypatch, capsys):
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
     assert cli.main(["verify", "--n", "4", "--samples", "290", "--seed", "100"]) == 0
     assert "checked 378 networks" in capsys.readouterr().out
+
+
+def test_sample_population_refuses_a_negative_count():
+    with pytest.raises(ValueError, match=r"^samples must be at least 0, got -5$"):
+        sample_population(3, -5, 0)
+    # No random network: one of each structured kind and the long transient.
+    assert len(sample_population(3, 0, 0)) == 4
