@@ -34,12 +34,7 @@ from trapnets.generators import (
     random_network,
 )
 from trapnets.dynamics import GRAPH_PROPERTIES, HypercubeGraph, build_graph, graph_property
-from trapnets.trapspaces import (
-    enumerate_trapspaces,
-    minimal_trapspaces,
-    principal_pair,
-    trapping_closure,
-)
+from trapnets.trapspaces import enumerate_trapspaces, principal_pair, trapping_closure
 
 
 def cfg(s: str) -> Configuration:
@@ -231,12 +226,13 @@ def single_table_principal_pairs(f: BooleanNetwork) -> tuple[np.ndarray, np.ndar
 def member_loop_min_extension(f: BooleanNetwork) -> BooleanNetwork:
     """Oracle (the library's former method): each member of a minimal
     trapspace moves to its opposite there, any other configuration to its
-    full negation."""
+    full negation.  It takes the minimal trapspaces from
+    ``pairwise_minimal_trapspaces``, so it reads nothing of the library's cover."""
     full = (1 << f.n) - 1
     image = [x ^ full for x in range(1 << f.n)]
-    for free, base in zip(*(a.tolist() for a in minimal_trapspaces(f)[0].pairs())):
-        for s in iter_submasks(free):
-            image[base | s] = base | (s ^ free)
+    for cube in pairwise_minimal_trapspaces(f):
+        for s in iter_submasks(cube.free):
+            image[cube.base | s] = cube.base | (s ^ cube.free)
     return BooleanNetwork(f.n, tuple(image))
 
 
