@@ -257,9 +257,9 @@ def run(argv: list[str], seconds: float, cwd: str | None = None) -> tuple[int, s
                 reaped[2].ru_maxrss / 1024)
 
 
-def check(row: Row, tmp: str, bare_mib: float, digests: dict[str, str] | None) -> tuple[list[str], str, str]:
+def check(row: Row, tmp: str, bare_mib: float, expected: dict[str, str] | None) -> tuple[list[str], str, str]:
     """The bounds that one row, run in ``tmp``, broke, a line for the log and
-    the sha256 of its stdout.  With ``digests`` None, the stdout is not checked."""
+    the sha256 of its stdout, checked against ``expected`` unless that is None."""
     for net in row.inputs:
         if not os.path.exists(os.path.join(tmp, net.name)):
             argv = (["-c", WRITE_SHAPE, net.kind, str(net.n), net.name] if net.kind in SHAPES
@@ -276,7 +276,7 @@ def check(row: Row, tmp: str, bare_mib: float, digests: dict[str, str] | None) -
     stderr_ok = (not lines if row.error is None else lines[-1:] == [row.error + "\n"]
                  and (len(lines) == 1 or lines[0].startswith("usage: ")))
     wrote = out is not None and os.path.exists(out)
-    pinned = None if digests is None or not row.pinned else digests.get(row.key, "(none)")
+    pinned = None if expected is None or not row.pinned else expected.get(row.key, "none pinned")
     broken = [message for failed, message in (
         (code not in row.codes, f"exit {code}, not {row.codes}"),
         (not stderr_ok, f"stderr {err!r}"),
@@ -300,12 +300,12 @@ def main(rows=ROWS, write_digests: bool = False) -> int:
     With ``write_digests``, write each pinned row's stdout sha256 to
     ``budget_digests.txt`` instead of checking it."""
     start, failed, digests = time.monotonic(), 0, {}
-    pinned = None if write_digests else read_digests()
+    expected = None if write_digests else read_digests()
     with tempfile.TemporaryDirectory() as tmp:
         bare = run(["-c", "import numpy, trapnets.cli"], 60)[4]
         print(f"bare import numpy, trapnets.cli: {bare:.1f} MiB", flush=True)
         for row in rows:
-            broken, line, digest = check(row, tmp, bare, pinned)
+            broken, line, digest = check(row, tmp, bare, expected)
             failed += bool(broken)
             if row.pinned:
                 digests[row.key] = digest
